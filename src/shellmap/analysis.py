@@ -273,7 +273,7 @@ def _sorted_eigs(M: np.ndarray) -> np.ndarray:
     return w[order]
 
 
-def _require_fixed(dom_or_map, c: SurfacePoint, scalar_map) -> None:
+def _require_fixed(c: SurfacePoint, scalar_map) -> None:
     resid = float(np.linalg.norm(scalar_map(c).ambient - c.ambient))
     if resid > FIXED_POINT_RESIDUAL_TOL:
         raise NotAFixedPoint(f"|F(c) - c| = {resid:.3e} exceeds {FIXED_POINT_RESIDUAL_TOL:.1e}")
@@ -306,7 +306,7 @@ def linearize_fd(dom: RadialDomain, c_star: SurfacePoint, frame: TangentFrame | 
     def fmap(p):
         return return_map(dom, p)
 
-    _require_fixed(dom, c_star, fmap)
+    _require_fixed(c_star, fmap)
     DF = finite_difference_jacobian(dom.core, fmap, c_star, frame, h)
     k = DF.shape[0]
     report = LinearizationReport(
@@ -333,7 +333,7 @@ def linearize_analytic(dom: RadialDomain, c_star: SurfacePoint, frame: TangentFr
     """
     if frame is None:
         frame = frame_at(dom.core, c_star)
-    _require_fixed(dom, c_star, lambda p: return_map(dom, p))
+    _require_fixed(c_star, lambda p: return_map(dom, p))
     d, _, R = _resolvent(dom, c_star, frame)
     H = dom.field.surface_hessian(c_star, frame)
     k = H.shape[0]

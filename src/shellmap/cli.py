@@ -32,8 +32,6 @@ def _build_parser():
     run_p.add_argument("scenario", help="path to a .scn scenario file")
     run_p.add_argument("--out", default=None, help="output directory (default: $SHELLMAP_OUT or ./runs/<name>)")
     run_p.add_argument("--seed", type=int, default=None, help="override the scenario rng_seed")
-    run_p.add_argument("--threads", type=int, default=None,
-                       help="reserved; accepted for compatibility, kernels are vectorized in-process")
 
     sub.add_parser("list-scenarios", help="list bundled scenario names")
 
@@ -60,7 +58,7 @@ def main(argv=None) -> int:
         if out_dir and not args.out:
             scn = parse_scenario(args.scenario)
             out_dir = os.path.join(out_dir, scn.name)
-        files = run_scenario(args.scenario, out_dir=out_dir, seed=args.seed, threads=args.threads)
+        files = run_scenario(args.scenario, out_dir=out_dir, seed=args.seed)
         for f in files:
             print(f)
         return 0

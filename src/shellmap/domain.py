@@ -1,9 +1,12 @@
 """Radial-graph outer domains over a convex core.
 
 The outer boundary is x = Phi(c) = c + d(c) nu(c).  Its exact tangents are
-DPhi(c)[v] = (I - d S)v + <grad d, v> nu, and the inward unit normal is
-computed from them (cross product for N=3, a quarter turn for N=2),
-oriented toward the core.
+DPhi(c)[v] = (I - d S)v + <grad d, v> nu, and the inward unit normal is the
+closed form (-nu + m)/|-nu + m| with m = (I - d S)^(-1) grad d, computed
+pointwise without a tangent basis or chart.  The admissibility diagnostics
+build the DPhi columns in orthonormal frames instead (cross product for
+N=3, a quarter turn for N=2), which also serves as an independent check of
+the closed form.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .surfaces import (
     ConvexCore,
     SurfacePoint,
     TangentFrame,
-    _chart_tangents,
     _ray_solve_batch,
     fibonacci_chart_grid,
     frame_at,
@@ -56,11 +58,15 @@ def _outer_geometry_batch(dom: RadialDomain, X: np.ndarray, d=None, raw: bool = 
                           need_sv: bool = False):
     """Outer points and inward normals above core points X, vectorized.
 
-    Returns (Xout, n_in, sv_min) where sv_min is the smallest singular
-    value of DPhi (only computed with need_sv=True, which also switches to
-    orthonormal frames; the normal direction itself is basis-independent,
-    so the fast path uses raw chart tangents).  With raw=True nonpositive
-    thickness is tolerated (diagnostic paths).
+    Returns (Xout, n_in, sv_min).  n_in is the closed form (m - nu)/|m - nu|:
+    with r = |Mx|, nu = Mx/r and D = (I + (d/r) M)^(-1), the tangent
+    solution of (I - d S) m = g_t is m = D (g_t + mu nu) with
+    mu = -(nu . D g_t)/(nu . D nu), which equals D g + mu' D nu with
+    mu' = -(nu . D g)/(nu . D nu) for the ambient gradient g.  need_sv=True
+    instead builds the DPhi columns in orthonormal frames, the independent
+    check of the closed form, and also returns sv_min, the smallest
+    singular value of DPhi.  With raw=True a degenerate normal or
+    nonpositive thickness is tolerated (diagnostic paths).
     """
     core, field = dom.core, dom.field
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -68,10 +74,26 @@ def _outer_geometry_batch(dom: RadialDomain, X: np.ndarray, d=None, raw: bool = 
         d = field.ambient_value(X)
     w = 1.0 / core.axes**2
     MX = X * w
+    g = field.ambient_grad(X)
+    if not need_sv:
+        r = np.sqrt(np.einsum("ij,ij->i", MX, MX))
+        nu = MX / r[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            D = 1.0 / (1.0 + (d / r)[:, None] * w)
+            Dnu = D * nu
+            mu = -np.einsum("ij,ij->i", Dnu, g) / np.einsum("ij,ij->i", Dnu, nu)
+            nvec = D * g + mu[:, None] * Dnu - nu
+            norms = np.sqrt(np.einsum("ij,ij->i", nvec, nvec))
+            nvec /= norms[:, None]
+        # a nan seed is left to fail in the ray solve
+        bad = ~(norms < np.inf) & np.isfinite(d)
+        if np.any(bad) and not raw:
+            raise ImmersionFailure(f"degenerate outer normal at {int(np.sum(bad))} points")
+        return X + d[:, None] * nu, nvec, None
+
     mx_norm = np.linalg.norm(MX, axis=-1, keepdims=True)
     nu = MX / mx_norm
-    E = frames_batch(core, X) if need_sv else _chart_tangents(core, X)
-    gamb = field.ambient_grad(X)
+    E = frames_batch(core, X)
     Xout = X + d[:, None] * nu
 
     # DPhi columns: w_i = e_i - d * S e_i + (grad d . e_i) nu,
@@ -82,7 +104,7 @@ def _outer_geometry_batch(dom: RadialDomain, X: np.ndarray, d=None, raw: bool = 
         e = E[:, i]
         Me = e * w
         Se = -(Me - nu * np.sum(Me * nu, axis=-1, keepdims=True)) / mx_norm
-        gi = np.sum(gamb * e, axis=-1, keepdims=True)
+        gi = np.sum(g * e, axis=-1, keepdims=True)
         cols.append(e - dcol * Se + gi * nu)
 
     if core.dim == 2:
@@ -91,15 +113,12 @@ def _outer_geometry_batch(dom: RadialDomain, X: np.ndarray, d=None, raw: bool = 
         sv = np.linalg.norm(t, axis=-1)
     else:
         nvec = np.cross(cols[0], cols[1])
-        if need_sv:
-            W = np.stack(cols, axis=1)
-            G = np.einsum("nia,nja->nij", W, W)
-            tr = G[:, 0, 0] + G[:, 1, 1]
-            det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
-            disc = np.sqrt(np.clip(tr * tr / 4.0 - det, 0.0, None))
-            sv = np.sqrt(np.clip(tr / 2.0 - disc, 0.0, None))
-        else:
-            sv = None
+        W = np.stack(cols, axis=1)
+        G = np.einsum("nia,nja->nij", W, W)
+        tr = G[:, 0, 0] + G[:, 1, 1]
+        det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
+        disc = np.sqrt(np.clip(tr * tr / 4.0 - det, 0.0, None))
+        sv = np.sqrt(np.clip(tr / 2.0 - disc, 0.0, None))
 
     norms = np.linalg.norm(nvec, axis=-1)
     bad = norms < DEGENERATE_TANGENT_TOL

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import OuterBoundaryPoint, RadialDomain, _outer_geometry_batch, radial_map
+from .domain import OuterBoundaryPoint, RadialDomain, _outer_geometry_batch
 from .errors import NormalRayMissesCore, ShellmapError
-from .surfaces import SurfacePoint, _ray_solve_batch, ray_first_hit
+from .surfaces import SurfacePoint, _ray_hit_batch, ray_first_hit
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100_000
@@ -31,8 +31,13 @@ def reciprocal_map(dom: RadialDomain, x: OuterBoundaryPoint) -> SurfacePoint:
 
 
 def return_map(dom: RadialDomain, c: SurfacePoint) -> SurfacePoint:
-    """F(c): out along the core normal, back along the shell's inward normal."""
-    return reciprocal_map(dom, radial_map(dom, c))
+    """F(c): out along the core normal, back along the shell's inward normal.
+
+    A batch of one through return_map_batch, after the positivity guard
+    of field.eval.
+    """
+    dom.field.eval(c)
+    return SurfacePoint.from_ambient(dom.core, return_map_batch(dom, c.ambient[None])[0])
 
 
 def return_map_batch(dom: RadialDomain, X: np.ndarray) -> np.ndarray:
@@ -42,16 +47,10 @@ def return_map_batch(dom: RadialDomain, X: np.ndarray) -> np.ndarray:
     if np.any(d <= 0.0):
         raise NormalRayMissesCore("nonpositive thickness encountered in batch step")
     Xout, nvec, _ = _outer_geometry_batch(dom, X, d=d)
-    t, _ = _ray_solve_batch(dom.core, Xout, nvec)
-    if np.any(~np.isfinite(t)):
-        raise NormalRayMissesCore(
-            f"{int(np.sum(~np.isfinite(t)))} inward rays miss the core"
-        )
-    Y = Xout + t[:, None] * nvec
-    # one Newton polish along each ray keeps |implicit| at round-off
-    f = dom.core.implicit(Y)
-    df = np.sum(dom.core.implicit_grad(Y) * nvec, axis=-1)
-    Y = Y + np.where(df != 0, -f / np.where(df == 0, 1.0, df), 0.0)[:, None] * nvec
+    Y, _ = _ray_hit_batch(dom.core, Xout, nvec)
+    miss = ~np.all(np.isfinite(Y), axis=-1)
+    if np.any(miss):
+        raise NormalRayMissesCore(f"{int(np.sum(miss))} inward rays miss the core")
     return Y
 
 
@@ -163,8 +162,9 @@ def iterate_batch(
     for _ in range(max_iters):
         if active.size == 0:
             break
-        Y = map_batch(X[active])
-        disp = np.linalg.norm(Y - X[active], axis=-1)
+        Xa = X[active]
+        Y = map_batch(Xa)
+        disp = np.linalg.norm(Y - Xa, axis=-1)
         X[active] = Y
         steps[active] += 1
         final_disp[active] = disp

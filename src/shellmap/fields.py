@@ -94,7 +94,7 @@ class ThicknessField:
             frame = frame_at(self.core, p)
         Hamb = self.ambient_hess(p.ambient)
         if Hamb is None:
-            return _fd_surface_hessian(self, p, frame)
+            return finite_difference_hessian(self, p, frame)
         E = frame.vectors
         g = self.ambient_grad(p.ambient)
         nu = self.core.normal(p.ambient)
@@ -154,9 +154,6 @@ def finite_difference_hessian(field: "ThicknessField", p: SurfacePoint,
     return H
 
 
-_fd_surface_hessian = finite_difference_hessian
-
-
 class ConstantField(ThicknessField):
     """d = d0 everywhere."""
 
@@ -192,8 +189,7 @@ class ZonalLegendreField(ThicknessField):
         self._gw = self.axis / core.axes
 
     def _w(self, X):
-        X = np.asarray(X, dtype=float)
-        return np.sum((X / self.core.axes) * self.axis, axis=-1)
+        return np.einsum("...j,j->...", np.asarray(X, dtype=float), self._gw)
 
     def ambient_value(self, X):
         return self.d0 + self.eps * legendre_p2(self._w(X))
@@ -226,8 +222,7 @@ class ZonalProfileField(ThicknessField):
         self._gw = self.axis / core.axes
 
     def _w(self, X):
-        X = np.asarray(X, dtype=float)
-        return np.clip(np.sum((X / self.core.axes) * self.axis, axis=-1), -1.0, 1.0)
+        return np.clip(np.einsum("...j,j->...", np.asarray(X, dtype=float), self._gw), -1.0, 1.0)
 
     def ambient_value(self, X):
         return self.d0 + self.eps * np.asarray(self.f(np.arccos(self._w(X))))

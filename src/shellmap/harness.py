@@ -27,7 +27,6 @@ from .analysis import (
     linearize_fd,
     preconditioner_series_residual,
     residual_sweep,
-    step_operator,
 )
 from .domain import RadialDomain, admissibility_check
 from .dynamics import iterate_orbit
@@ -464,7 +463,7 @@ _TASK_FNS = {
 }
 
 
-def run_scenario(scenario: Scenario | str, out_dir=None, seed=None, threads=None):
+def run_scenario(scenario: Scenario | str, out_dir=None, seed=None):
     """Execute a scenario, writing CSV reports plus a run manifest.
 
     Numeric failures are re-raised as TaskFailure carrying the operation

@@ -111,7 +111,7 @@ def estimate_composite_operator(F: BlackBoxMap, c_star: SurfacePoint,
     """I - DF at a fixed point, DF by the central-difference stencil."""
     if frame is None:
         frame = frame_at(F.core, c_star)
-    _require_fixed(F, c_star, F.fn)
+    _require_fixed(c_star, F.fn)
     DF = finite_difference_jacobian(F.core, F.fn, c_star, frame, h)
     return np.eye(DF.shape[0]) - DF
 

@@ -279,54 +279,52 @@ class RayHit:
 def ray_first_hit(core: ConvexCore, origin, direction):
     """Smallest t >= 0 with origin + t*direction on the core, or None on a miss.
 
-    Solved in closed form via the stable (q-method) quadratic formula;
-    a near-zero discriminant is flagged as grazing.
+    A batch of one through _ray_hit_batch: the closed-form (q-method)
+    solve with one Newton polish; a near-zero discriminant is flagged as
+    grazing.
     """
     origin = np.asarray(origin, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    t, grazing = _ray_solve_batch(core, origin[None], direction[None])
-    t0 = float(t[0])
-    if not np.isfinite(t0):
+    Y, grazing = _ray_hit_batch(core, origin[None], np.asarray(direction, dtype=float)[None])
+    x = Y[0]
+    if not np.all(np.isfinite(x)):
         return None
-    x = origin + t0 * direction
-    x = _polish_on_ray(core, origin, direction, t0)
     return RayHit(t=float(np.linalg.norm(x - origin)), point=SurfacePoint.from_ambient(core, x), grazing=bool(grazing[0]))
 
 
 def _ray_solve_batch(core: ConvexCore, O: np.ndarray, D: np.ndarray):
     """Vectorized smallest nonnegative ray parameter; nan marks a miss."""
     w = 1.0 / core.axes**2
-    A = np.sum(D * D * w, axis=-1)
-    B = 2.0 * np.sum(O * D * w, axis=-1)
-    C = np.sum(O * O * w, axis=-1) - 1.0
+    DW = D * w
+    A = np.einsum("ij,ij->i", DW, D)
+    B = 2.0 * np.einsum("ij,ij->i", DW, O)
+    C = np.einsum("ij,ij->i", O * w, O) - 1.0
     disc = B * B - 4.0 * A * C
     grazing = np.abs(disc) < GRAZING_TOL
-    miss = disc < -GRAZING_TOL
-    disc_c = np.sqrt(np.clip(disc, 0.0, None))
-    q = -0.5 * (B + np.sign(B + (B == 0)) * disc_c)
+    disc_c = np.sqrt(np.maximum(disc, 0.0))
+    q = -0.5 * (B + np.where(B < 0, -disc_c, disc_c))
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = q / A
         t2 = np.where(q != 0, C / q, np.inf)
     lo = np.minimum(t1, t2)
-    hi = np.maximum(t1, t2)
-    t = np.where(lo >= 0, lo, hi)
-    t = np.where(t >= 0, t, np.nan)
-    t = np.where(miss, np.nan, t)
+    t = np.where(lo >= 0, lo, np.maximum(t1, t2))
+    t[(t < 0) | (disc < -GRAZING_TOL)] = np.nan
     return t, grazing
 
 
-def _polish_on_ray(core: ConvexCore, origin, direction, t: float) -> np.ndarray:
-    """One or two Newton steps along the ray to push |implicit| below tolerance."""
-    for _ in range(3):
-        x = origin + t * direction
-        f = float(core.implicit(x))
-        if abs(f) <= TOL_SURFACE:
-            return x
-        df = float(np.dot(core.implicit_grad(x), direction))
-        if df == 0.0:
-            break
-        t = t - f / df
-    return origin + t * direction
+def _ray_hit_batch(core: ConvexCore, O: np.ndarray, D: np.ndarray):
+    """First hits of the rays O + t D on the core, shape (n, N), with the
+    grazing flags.  One Newton step along each ray keeps |implicit| at
+    round-off; rows that miss are nan."""
+    t, grazing = _ray_solve_batch(core, O, D)
+    Y = O + t[:, None] * D
+    YM = Y / core.axes**2
+    f = np.einsum("ij,ij->i", YM, Y) - 1.0
+    df = 2.0 * np.einsum("ij,ij->i", YM, D)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = -f / df
+    step[df == 0] = 0.0
+    Y += step[:, None] * D
+    return Y, grazing
 
 
 def project_to_surface(core: ConvexCore, x) -> np.ndarray:
@@ -351,20 +349,6 @@ def project_to_surface(core: ConvexCore, x) -> np.ndarray:
         g = core.implicit_grad(y)
         y = y - f * g / float(np.dot(g, g))
     raise ProjectionFailed(f"|implicit| = {abs(float(core.implicit(y))):.3e} after {_NEWTON_MAX_ITERS} iterations")
-
-
-def project_to_surface_batch(core: ConvexCore, X: np.ndarray) -> np.ndarray:
-    if core.kind in ("circle", "sphere"):
-        r = core.semi_axes[0]
-        return X * (r / np.linalg.norm(X, axis=-1, keepdims=True))
-    Y = np.array(X, dtype=float)
-    for _ in range(_NEWTON_MAX_ITERS):
-        f = core.implicit(Y)
-        if np.all(np.abs(f) <= TOL_SURFACE):
-            return Y
-        G = core.implicit_grad(Y)
-        Y = Y - (f / np.sum(G * G, axis=-1))[..., None] * G
-    raise ProjectionFailed("batch projection did not converge")
 
 
 def retract(core: ConvexCore, p: SurfacePoint, v, h: float) -> SurfacePoint:

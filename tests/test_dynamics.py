@@ -8,6 +8,8 @@ thickness maxima and the thickness sequence is nondecreasing.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shellmap import (
     ConstantField,
@@ -109,6 +111,50 @@ def test_batch_matches_scalar():
     for i in range(0, 64, 7):
         y = return_map(dom, SurfacePoint.from_chart(SPHERE, charts[i]))
         assert np.linalg.norm(Y[i] - y.ambient) < 1e-13
+
+
+# the drawn point joins a mixed batch: points on both sides of the equator
+# and next to both poles
+_MIX_CHARTS = [(0.3, 0.2), (1.9, 4.0), (1e-6, 2.5), (np.pi - 3e-7, 0.4)]
+_TILTED = ConvexCore.ellipsoid(2.0, 1.0, 0.5)
+_BIT_DOMAINS = {
+    "sphere": zonal_domain(),
+    "ellipsoid": RadialDomain(_TILTED, ZonalLegendreField(_TILTED, 0.25, 0.02, axis=(0.3, 0.5, 0.8))),
+    "circle": RadialDomain(CIRCLE, Fourier2DField(CIRCLE, 0.5, [(2, 0.05), (3, 0.02)])),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(theta=st.floats(0.0, np.pi), phi=st.floats(0.0, 2 * np.pi),
+       slot=st.integers(0, len(_MIX_CHARTS)), kind=st.sampled_from(sorted(_BIT_DOMAINS)))
+def test_scalar_return_map_is_a_batch_row_bit_for_bit(theta, phi, slot, kind):
+    dom = _BIT_DOMAINS[kind]
+    k = dom.core.dim - 1
+    charts = [ch[:k] for ch in _MIX_CHARTS]
+    charts.insert(slot, (theta, phi)[:k])
+    Y = return_map_batch(dom, dom.core.ambient_from_chart(np.array(charts)))
+    p = SurfacePoint.from_chart(dom.core, *charts[slot])
+    assert np.array_equal(return_map(dom, p).ambient, Y[slot])
+
+
+POLE_THETAS = [1e-7, 1.1e-6, 3e-6, 1e-5, 1e-4, 1e-3, 1e-2]
+
+
+@pytest.mark.parametrize(
+    "core",
+    [SPHERE, ConvexCore.sphere(1e-3), ConvexCore.ellipsoid(2.0, 1.0, 0.5)],
+    ids=["unit_sphere", "sphere_1e-3", "ellipsoid_2_1_0.5"],
+)
+def test_constant_shell_is_identity_to_round_off_near_poles(core):
+    # F = id exactly on a constant shell; a normal built from chart tangents
+    # loses ~1e-11 here, where sin(theta) = sqrt(1 - z^2) cancels
+    dom = RadialDomain(core, ConstantField(core, 0.5 * core.surface_scale()))
+    charts = np.array([(t, 0.7) for t in POLE_THETAS] + [(np.pi - t, 0.7) for t in POLE_THETAS])
+    X = core.ambient_from_chart(charts)
+    tol = 1e-15 * core.surface_scale()
+    assert np.max(np.linalg.norm(return_map_batch(dom, X) - X, axis=-1)) <= tol
+    for ch, x in zip(charts, X):
+        assert np.linalg.norm(return_map(dom, SurfacePoint.from_chart(core, ch)).ambient - x) <= tol
 
 
 def test_return_points_stay_on_surface():
