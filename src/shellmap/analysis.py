@@ -14,6 +14,7 @@ tests/test_measured_law.py).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -273,25 +274,26 @@ def _sorted_eigs(M: np.ndarray) -> np.ndarray:
     return w[order]
 
 
-def _require_fixed(c: SurfacePoint, scalar_map) -> None:
-    resid = float(np.linalg.norm(scalar_map(c).ambient - c.ambient))
+def _require_fixed(c: SurfacePoint, batch_map) -> None:
+    resid = float(np.linalg.norm(batch_map(c.ambient[None])[0] - c.ambient))
     if resid > FIXED_POINT_RESIDUAL_TOL:
         raise NotAFixedPoint(f"|F(c) - c| = {resid:.3e} exceeds {FIXED_POINT_RESIDUAL_TOL:.1e}")
 
 
-def finite_difference_jacobian(core: ConvexCore, scalar_map, c: SurfacePoint,
+def finite_difference_jacobian(core: ConvexCore, batch_map, c: SurfacePoint,
                                frame: TangentFrame, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Central-difference DF in the frame, columns projected onto the
     tangent space at c (valid at fixed points, where domain and codomain
-    tangent spaces coincide)."""
+    tangent spaces coincide).  All 2(N-1) stencil points go through
+    batch_map in one call."""
     E = frame.vectors
     k = E.shape[0]
     nu = core.normal(c.ambient)
+    stencil = np.array([retract(core, c, E[i], s * h).ambient for i in range(k) for s in (1.0, -1.0)])
+    Y = batch_map(stencil)
     DF = np.empty((k, k))
     for i in range(k):
-        cp = retract(core, c, E[i], h)
-        cm = retract(core, c, E[i], -h)
-        diff = (scalar_map(cp).ambient - scalar_map(cm).ambient) / (2.0 * h)
+        diff = (Y[2 * i] - Y[2 * i + 1]) / (2.0 * h)
         diff = diff - nu * float(np.dot(diff, nu))
         DF[:, i] = E @ diff
     return DF
@@ -302,10 +304,7 @@ def linearize_fd(dom: RadialDomain, c_star: SurfacePoint, frame: TangentFrame | 
     """Finite-difference linearization of the exact return map at a fixed point."""
     if frame is None:
         frame = frame_at(dom.core, c_star)
-
-    def fmap(p):
-        return return_map(dom, p)
-
+    fmap = partial(return_map_batch, dom)
     _require_fixed(c_star, fmap)
     DF = finite_difference_jacobian(dom.core, fmap, c_star, frame, h)
     k = DF.shape[0]
@@ -333,7 +332,7 @@ def linearize_analytic(dom: RadialDomain, c_star: SurfacePoint, frame: TangentFr
     """
     if frame is None:
         frame = frame_at(dom.core, c_star)
-    _require_fixed(c_star, lambda p: return_map(dom, p))
+    _require_fixed(c_star, partial(return_map_batch, dom))
     d, _, R = _resolvent(dom, c_star, frame)
     H = dom.field.surface_hessian(c_star, frame)
     k = H.shape[0]
@@ -476,7 +475,7 @@ def _greedy_clusters(X: np.ndarray, radius: float):
     return labels
 
 
-def fixed_point_search(core: ConvexCore, scalar_map, batch_map, n_seeds: int,
+def fixed_point_search(core: ConvexCore, batch_map, n_seeds: int,
                        tol: float = 1e-10, max_iters: int = 100_000,
                        max_refine: int = 64) -> FixedPointScan:
     """Shared engine: forward iteration for attractors plus a residual scan
@@ -486,6 +485,9 @@ def fixed_point_search(core: ConvexCore, scalar_map, batch_map, n_seeds: int,
     the stalled ones, which sit next to attractors) and the lowest-residual
     grid points are polished by coordinate descent, then clustered at
     radius 10 * tol keeping the smallest-residual member of each cluster.
+    The representatives come in lexicographic order of their ambient
+    coordinates rounded to 1e-9 * surface_scale(), so their order does
+    not follow round-off in the residuals.
     """
     chart = fibonacci_chart_grid(core, n_seeds)
     X = core.ambient_from_chart(chart)
@@ -493,8 +495,8 @@ def fixed_point_search(core: ConvexCore, scalar_map, batch_map, n_seeds: int,
     continuum = bool(np.mean(R < tol) > 0.5)
 
     def residual2(ch):
-        p = SurfacePoint.from_chart(core, ch)
-        return float(np.sum((scalar_map(p).ambient - p.ambient) ** 2))
+        x = core.ambient_from_chart(ch)
+        return float(np.sum((batch_map(x[None])[0] - x) ** 2))
 
     orbit = iterate_batch(None, X, max_iters=max_iters, tol=tol, map_batch=batch_map)
     unresolved = int(np.sum(~orbit.converged))
@@ -525,26 +527,20 @@ def fixed_point_search(core: ConvexCore, scalar_map, batch_map, n_seeds: int,
     pts = np.array([p.ambient for p, _ in polished])
     res = np.array([r for _, r in polished])
     labels = _greedy_clusters(pts, radius=10.0 * tol)
-    reps, rep_res = [], []
+    best = []
     for lab in range(labels.max() + 1):
         members = np.nonzero(labels == lab)[0]
-        best = members[np.argmin(res[members])]
-        reps.append(polished[best][0])
-        rep_res.append(res[best])
-    return FixedPointScan(reps, np.asarray(rep_res), None, continuum, unresolved)
+        best.append(members[np.argmin(res[members])])
+    q = 1e-9 * core.surface_scale()
+    best.sort(key=lambda i: tuple(np.round(pts[i] / q)))
+    return FixedPointScan([polished[i][0] for i in best], res[best], None, continuum, unresolved)
 
 
 def find_fixed_points(dom: RadialDomain, n_seeds: int, tol: float = 1e-10,
                       max_iters: int = 100_000) -> FixedPointScan:
     """Fixed points of the exact return map with thickness-gradient norms."""
-    scan = fixed_point_search(
-        dom.core,
-        lambda p: return_map(dom, p),
-        lambda X: return_map_batch(dom, X),
-        n_seeds,
-        tol=tol,
-        max_iters=max_iters,
-    )
+    scan = fixed_point_search(dom.core, partial(return_map_batch, dom), n_seeds,
+                              tol=tol, max_iters=max_iters)
     if scan.points:
         scan.grad_norms = np.array(
             [float(np.linalg.norm(dom.field.surface_gradient_ambient(p))) for p in scan.points]

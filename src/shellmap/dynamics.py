@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import OuterBoundaryPoint, RadialDomain, _outer_geometry_batch
-from .errors import NormalRayMissesCore, ShellmapError
+from .errors import InadmissibleThickness, NormalRayMissesCore, ShellmapError
 from .surfaces import SurfacePoint, _ray_hit_batch, ray_first_hit
 
 DEFAULT_TOL = 1e-10
@@ -45,7 +45,7 @@ def return_map_batch(dom: RadialDomain, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     d = dom.field.ambient_value(X)
     if np.any(d <= 0.0):
-        raise NormalRayMissesCore("nonpositive thickness encountered in batch step")
+        raise InadmissibleThickness("nonpositive thickness encountered in batch step")
     Xout, nvec, _ = _outer_geometry_batch(dom, X, d=d)
     Y, _ = _ray_hit_batch(dom.core, Xout, nvec)
     miss = ~np.all(np.isfinite(Y), axis=-1)

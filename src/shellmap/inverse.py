@@ -1,14 +1,15 @@
 """Reconstruction from black-box return maps.
 
-Everything here touches the dynamics only through a BlackBoxMap: a
-callable on surface points (plus an optional batched form used purely for
-speed).  No thickness data is read.
+Everything here touches the dynamics only through a BlackBoxMap, whose
+one map takes ambient points in a batch, (n, N) -> (n, N); a call on a
+single surface point is a batch of one.  No thickness data is read.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -23,8 +24,7 @@ from .analysis import (
     DEFAULT_FD_STEP,
     FIXED_POINT_RESIDUAL_TOL,
 )
-from .dynamics import iterate_batch, return_map, return_map_batch
-from .errors import NotAFixedPoint
+from .dynamics import iterate_batch, return_map_batch
 from .surfaces import ConvexCore, SurfacePoint, TangentFrame, frame_at
 
 SKIP_DISPLACEMENT_TOL = 1e-9
@@ -35,44 +35,40 @@ class BlackBoxMap:
     """A deterministic surface-to-surface map observed only through calls."""
 
     core: ConvexCore
-    fn: object                      # SurfacePoint -> SurfacePoint
-    batch_fn: object | None = None  # (n, N) ambient -> (n, N) ambient
+    batch_fn: object                # (n, N) ambient -> (n, N) ambient
     name: str = ""
 
     @staticmethod
     def wrap_domain(dom, name: str = "") -> "BlackBoxMap":
         """Hide a radial domain behind the call interface."""
-        return BlackBoxMap(
-            core=dom.core,
-            fn=lambda p: return_map(dom, p),
-            batch_fn=lambda X: return_map_batch(dom, X),
-            name=name,
-        )
+        return BlackBoxMap(dom.core, partial(return_map_batch, dom), name)
 
     def __call__(self, p: SurfacePoint) -> SurfacePoint:
-        return self.fn(p)
+        return SurfacePoint.from_ambient(self.core, self.batch_fn(p.ambient[None])[0])
 
     def batch(self, X: np.ndarray) -> np.ndarray:
-        if self.batch_fn is not None:
-            return self.batch_fn(X)
-        out = np.empty_like(X)
-        for i in range(X.shape[0]):
-            out[i] = self.fn(SurfacePoint.from_ambient(self.core, X[i])).ambient
-        return out
+        return self.batch_fn(X)
 
     def compose(self, k: int) -> "BlackBoxMap":
         """The k-th iterate as a new black box."""
-        def fn(p, _k=k):
-            for _ in range(_k):
-                p = self.fn(p)
-            return p
-
-        def batch_fn(X, _k=k):
-            for _ in range(_k):
-                X = self.batch(X)
+        def batch_fn(X):
+            for _ in range(k):
+                X = self.batch_fn(X)
             return X
 
-        return BlackBoxMap(self.core, fn, batch_fn, name=f"{self.name}^{k}")
+        return BlackBoxMap(self.core, batch_fn, name=f"{self.name}^{k}")
+
+
+def _ambient_rows(core: ConvexCore, points) -> np.ndarray:
+    """Ambient coordinates of surface points as an (n, N) array, n >= 0."""
+    return np.array([p.ambient for p in points]).reshape(-1, core.dim)
+
+
+def _displacements(F: BlackBoxMap, X: np.ndarray):
+    """F(x) - x and its tangent part at the rows of X, both (n, N)."""
+    disp = F.batch(X) - X if X.shape[0] else np.empty_like(X)
+    nu = F.core.normal(X)
+    return disp, disp - nu * np.einsum("ij,ij->i", disp, nu)[:, None]
 
 
 def recover_descent_field(F: BlackBoxMap, samples):
@@ -82,27 +78,19 @@ def recover_descent_field(F: BlackBoxMap, samples):
     directions span the gradient line field of the thickness function (for
     the ray mechanism they point along + (I - dS)^-1 grad d).
     """
-    results, skipped = [], []
-    for p in samples:
-        q = F(p)
-        disp = q.ambient - p.ambient
-        if float(np.linalg.norm(disp)) <= SKIP_DISPLACEMENT_TOL:
-            skipped.append(p)
-            continue
-        nu = F.core.normal(p.ambient)
-        tang = disp - nu * float(np.dot(disp, nu))
-        norm = float(np.linalg.norm(tang))
-        if norm == 0.0:
-            skipped.append(p)
-            continue
-        results.append((p, tang / norm))
+    samples = list(samples)
+    disp, tang = _displacements(F, _ambient_rows(F.core, samples))
+    norm = np.linalg.norm(tang, axis=-1)
+    keep = (np.linalg.norm(disp, axis=-1) > SKIP_DISPLACEMENT_TOL) & (norm != 0.0)
+    results = [(p, tang[i] / norm[i]) for i, p in enumerate(samples) if keep[i]]
+    skipped = [p for i, p in enumerate(samples) if not keep[i]]
     return results, skipped
 
 
 def detect_fixed_points_blackbox(F: BlackBoxMap, n_seeds: int, tol: float = 1e-10,
                                  max_iters: int = 100_000) -> FixedPointScan:
     """Fixed-point search driven purely through black-box calls."""
-    return fixed_point_search(F.core, F.fn, F.batch, n_seeds, tol=tol, max_iters=max_iters)
+    return fixed_point_search(F.core, F.batch, n_seeds, tol=tol, max_iters=max_iters)
 
 
 def estimate_composite_operator(F: BlackBoxMap, c_star: SurfacePoint,
@@ -111,8 +99,8 @@ def estimate_composite_operator(F: BlackBoxMap, c_star: SurfacePoint,
     """I - DF at a fixed point, DF by the central-difference stencil."""
     if frame is None:
         frame = frame_at(F.core, c_star)
-    _require_fixed(c_star, F.fn)
-    DF = finite_difference_jacobian(F.core, F.fn, c_star, frame, h)
+    _require_fixed(c_star, F.batch)
+    DF = finite_difference_jacobian(F.core, F.batch, c_star, frame, h)
     return np.eye(DF.shape[0]) - DF
 
 
@@ -166,23 +154,15 @@ def scaling_ambiguity_diagnostic(F1: BlackBoxMap, F2: BlackBoxMap, samples,
     """Cosines and norm ratios between tangent displacements of two maps."""
     if F1.core != F2.core:
         raise ValueError("maps live on different cores")
-    cos, ratios, diffs = [], [], []
-    skipped = 0
-    for p in samples:
-        nu = F1.core.normal(p.ambient)
-        d1 = F1(p).ambient - p.ambient
-        d2 = F2(p).ambient - p.ambient
-        t1 = d1 - nu * float(np.dot(d1, nu))
-        t2 = d2 - nu * float(np.dot(d2, nu))
-        n1, n2 = float(np.linalg.norm(t1)), float(np.linalg.norm(t2))
-        if n1 <= SKIP_DISPLACEMENT_TOL or n2 <= SKIP_DISPLACEMENT_TOL:
-            skipped += 1
-            continue
-        cos.append(float(np.dot(t1, t2)) / (n1 * n2))
-        ratios.append(n2 / n1)
-        diffs.append(abs(n2 - n1))
-    cos = np.asarray(cos)
-    ratios = np.asarray(ratios)
+    X = _ambient_rows(F1.core, samples)
+    _, t1 = _displacements(F1, X)
+    _, t2 = _displacements(F2, X)
+    n1, n2 = np.linalg.norm(t1, axis=-1), np.linalg.norm(t2, axis=-1)
+    keep = (n1 > SKIP_DISPLACEMENT_TOL) & (n2 > SKIP_DISPLACEMENT_TOL)
+    t1, t2, n1, n2 = t1[keep], t2[keep], n1[keep], n2[keep]
+    cos = np.einsum("ij,ij->i", t1, t2) / (n1 * n2)
+    ratios = n2 / n1
+    diffs = np.abs(n2 - n1)
     mean_cos = float(np.mean(cos)) if cos.size else float("nan")
     verdict = "SameLineField" if cos.size and mean_cos >= 1.0 - tol_dir else "DifferentLineField"
     return ScalingDiagnostic(
@@ -193,9 +173,9 @@ def scaling_ambiguity_diagnostic(F1: BlackBoxMap, F2: BlackBoxMap, samples,
         mean_abs_cosine=float(np.mean(np.abs(cos))) if cos.size else float("nan"),
         ratio_mean=float(np.mean(ratios)) if ratios.size else float("nan"),
         ratio_median=float(np.median(ratios)) if ratios.size else float("nan"),
-        max_norm_difference=float(np.max(diffs)) if diffs else 0.0,
+        max_norm_difference=float(np.max(diffs)) if diffs.size else 0.0,
         verdict=verdict,
-        skipped=skipped,
+        skipped=int(np.sum(~keep)),
     )
 
 
@@ -226,7 +206,7 @@ def basin_decomposition(F: BlackBoxMap, seeds, tol: float = 1e-8,
     more than half of the seeds are already fixed at the first step.
     """
     seeds = list(seeds)
-    X0 = np.array([p.ambient for p in seeds])
+    X0 = _ambient_rows(F.core, seeds)
     result = iterate_batch(None, X0, max_iters=max_iters, tol=tol, map_batch=F.batch,
                            require_contraction=True)
     if cluster_radius is None:
@@ -288,13 +268,13 @@ def dynamical_equivalence_check(F1: BlackBoxMap, F2: BlackBoxMap, seeds,
 
     s1 = detect_fixed_points_blackbox(F1, n_probe, tol=1e-10, max_iters=max_iters)
     s2 = detect_fixed_points_blackbox(F2, n_probe, tol=1e-10, max_iters=max_iters)
+    A = _ambient_rows(F1.core, s1.points)
+    B = _ambient_rows(F1.core, s2.points)
     cross = 0.0
-    for scan, other in ((s1, F2), (s2, F1)):
-        for p in scan.points:
-            cross = max(cross, float(np.linalg.norm(other(p).ambient - p.ambient)))
+    for P, other in ((A, F2), (B, F1)):
+        if P.shape[0]:
+            cross = max(cross, float(np.max(np.linalg.norm(other.batch(P) - P, axis=-1))))
     evidence["max_cross_residual"] = cross
-    A = np.array([p.ambient for p in s1.points]) if s1.points else np.empty((0, F1.core.dim))
-    B = np.array([p.ambient for p in s2.points]) if s2.points else np.empty((0, F2.core.dim))
     evidence["fixed_point_hausdorff"] = _set_hausdorff(A, B)
     if not (cross <= fp_residual_tol):
         return EquivalenceVerdict(False, "fixed_points", evidence)
@@ -305,31 +285,20 @@ def dynamical_equivalence_check(F1: BlackBoxMap, F2: BlackBoxMap, seeds,
     ok = (b1.labels >= 0) & (b2.labels >= 0)
     agreement = 0.0
     if np.any(ok):
-        # greedy label matching on the confusion matrix
+        # greedy label matching on the confusion matrix: take the first
+        # maximum in row-major order, then mask its row and column
         l1, l2 = b1.labels[ok], b2.labels[ok]
-        n1, n2 = l1.max() + 1, l2.max() + 1
-        conf = np.zeros((n1, n2), dtype=int)
-        for a, b in zip(l1, l2):
-            conf[a, b] += 1
+        conf = np.zeros((l1.max() + 1, l2.max() + 1), dtype=int)
+        np.add.at(conf, (l1, l2), 1)
         matched = 0
-        used_rows, used_cols = set(), set()
-        for _ in range(min(n1, n2)):
-            best = -1
-            bi = bj = -1
-            for i in range(n1):
-                if i in used_rows:
-                    continue
-                for j in range(n2):
-                    if j in used_cols:
-                        continue
-                    if conf[i, j] > best:
-                        best, bi, bj = conf[i, j], i, j
-            if best <= 0:
+        for _ in range(min(conf.shape)):
+            i, j = np.unravel_index(np.argmax(conf), conf.shape)
+            if conf[i, j] <= 0:
                 break
-            matched += best
-            used_rows.add(bi)
-            used_cols.add(bj)
-        agreement = matched / int(np.sum(conf))
+            matched += int(conf[i, j])
+            conf[i, :] = -1
+            conf[:, j] = -1
+        agreement = matched / l1.size
     evidence["basin_agreement"] = agreement
     evidence["basin_resolved"] = int(np.sum(ok))
     if agreement < basin_agreement:

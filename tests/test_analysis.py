@@ -24,6 +24,7 @@ from shellmap import (
     preconditioner_determinant,
     preconditioner_series_residual,
     residual_sweep,
+    return_map,
     second_order_residual,
     shape_operator_at,
     step_operator,
@@ -346,3 +347,25 @@ def test_find_fixed_points_deterministic():
     assert len(s1.points) == len(s2.points)
     for a, b in zip(s1.points, s2.points):
         assert np.array_equal(a.ambient, b.ambient)
+
+
+@pytest.mark.parametrize(
+    "dom, n_seeds",
+    [(zonal_domain(), 400), (RadialDomain(CIRCLE, Fourier2DField(CIRCLE, 0.5, [(2, 0.01)])), 360)],
+    ids=["zonal_sphere", "circle_cos2"],
+)
+def test_fixed_points_come_in_canonical_order(dom, n_seeds):
+    # lexicographic in the ambient coordinates rounded to 1e-9 * scale, so
+    # the order cannot follow round-off in the residuals
+    scan = find_fixed_points(dom, n_seeds=n_seeds, tol=1e-10)
+    q = 1e-9 * dom.core.surface_scale()
+    keys = [tuple(np.round(p.ambient / q)) for p in scan.points]
+    assert len(keys) >= 4
+    assert keys == sorted(keys)
+    # residuals and gradient norms travel with their points
+    X = np.array([p.ambient for p in scan.points])
+    F = np.array([return_map(dom, p).ambient for p in scan.points])
+    assert np.allclose(scan.residuals, np.linalg.norm(F - X, axis=-1), rtol=1e-12, atol=1e-30)
+    grads = [np.linalg.norm(dom.field.surface_gradient_ambient(p)) for p in scan.points]
+    assert np.array_equal(scan.grad_norms, grads)
+

@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shellmap import (
+    BlackBoxMap,
     ConstantField,
     ConvexCore,
     Fourier2DField,
+    InadmissibleThickness,
     RadialDomain,
     SurfacePoint,
     ZonalLegendreField,
@@ -249,6 +251,19 @@ def test_orbit_error_captured():
     rec = iterate_orbit(dom, pt(SPHERE, np.pi / 2, 0.0), tol=1e-10)
     assert rec.status == "error"
     assert rec.error_kind == "InadmissibleThickness"
+
+
+def test_nonpositive_thickness_has_one_name_on_every_path():
+    # d = 0.1 + 0.5 P2(0) = -0.15 at the equator
+    dom = RadialDomain(SPHERE, ZonalLegendreField(SPHERE, 0.1, 0.5))
+    p = pt(SPHERE, np.pi / 2, 0.0)
+    with pytest.raises(InadmissibleThickness):
+        iterate_batch(dom, p.ambient[None])
+    with pytest.raises(InadmissibleThickness):
+        return_map(dom, p)
+    with pytest.raises(InadmissibleThickness):
+        BlackBoxMap.wrap_domain(dom)(p)
+    assert iterate_orbit(dom, p).error_kind == "InadmissibleThickness"
 
 
 def test_orbit_csv(tmp_path):

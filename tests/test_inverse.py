@@ -56,6 +56,16 @@ def test_constant_field_all_samples_skipped():
     assert not results and len(skipped) == 30
 
 
+def test_empty_sample_lists_keep_empty_results():
+    F, _ = zonal_box()
+    assert recover_descent_field(F, []) == ([], [])
+    diag = scaling_ambiguity_diagnostic(F, F, [])
+    assert diag.verdict == "DifferentLineField"
+    assert diag.skipped == 0
+    assert diag.cosines.size == 0 and diag.norm_ratios.size == 0
+    assert np.isnan(diag.mean_cosine) and diag.max_norm_difference == 0.0
+
+
 def _worst_angle_to_preconditioned(F, dom, charts):
     results, _ = recover_descent_field(F, pts(dom.core, charts))
     worst = 0.0
@@ -347,3 +357,51 @@ def test_run_reconstruction_bundle(tmp_path):
     path = tmp_path / "rec.csv"
     report.to_csv(path)
     assert path.read_text().startswith("record,theta,phi,data")
+
+
+# ---------------------------------------------------------------------------
+# a black box that is not a radial domain
+# ---------------------------------------------------------------------------
+
+SHIFT = 0.1
+
+
+def shift_box():
+    """X -> normalize(X + 0.1 e_z) on the unit sphere: the north pole
+    attracts with DF = I/1.1, the south pole repels with DF = I/0.9."""
+    def batch_fn(X):
+        Y = X + SHIFT * np.array([0.0, 0.0, 1.0])
+        return Y / np.linalg.norm(Y, axis=-1, keepdims=True)
+
+    return BlackBoxMap(SPHERE, batch_fn, "shift")
+
+
+def test_non_domain_box_fixed_points_are_the_poles():
+    scan = detect_fixed_points_blackbox(shift_box(), 200, tol=1e-10)
+    assert len(scan.points) == 2
+    P = np.array(sorted((p.ambient for p in scan.points), key=lambda x: x[2]))
+    assert np.abs(P - np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])).max() < 1e-8
+
+
+def test_non_domain_box_composite_at_north_pole():
+    C = estimate_composite_operator(shift_box(), SurfacePoint.from_chart(SPHERE, 0.0, 0.0))
+    assert np.abs(C - SHIFT / (1.0 + SHIFT) * np.eye(2)).max() < 1e-8
+
+
+def test_non_domain_box_single_basin():
+    seeds = pts(SPHERE, fibonacci_chart_grid(SPHERE, 100))
+    lab = basin_decomposition(shift_box(), seeds)
+    assert np.all(lab.labels == 0)
+    assert len(lab.cluster_reps) == 1
+    assert np.linalg.norm(lab.cluster_reps[0].ambient - [0.0, 0.0, 1.0]) < 1e-3
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_box_call_is_a_batch_row_bit_for_bit(k):
+    charts = fibonacci_chart_grid(SPHERE, 40)
+    X = SPHERE.ambient_from_chart(charts)
+    for F in (shift_box().compose(k), zonal_box()[0].compose(k)):
+        Y = F.batch(X)
+        for i, ch in enumerate(charts):
+            assert np.array_equal(F(SurfacePoint.from_chart(SPHERE, ch)).ambient, Y[i])
+
