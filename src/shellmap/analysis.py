@@ -32,6 +32,7 @@ from .surfaces import (
 )
 
 FIXED_POINT_RESIDUAL_TOL = 1e-8
+NEWTON_MAX_STEPS = 20
 DET_TOL = 1e-10
 DEFAULT_FD_STEP = 1e-5
 SLOPE_FLOOR_FACTOR = 1e-13
@@ -413,46 +414,35 @@ class FixedPointScan:
     unresolved: int
 
 
-def _coordinate_descent(residual2, chart0: np.ndarray, h0: float = 2e-3,
-                        max_sweeps: int = 80, target: float = 1e-26):
-    """Minimize residual2 over chart parameters by per-coordinate parabolic
-    steps with a shrinking stencil.  Deterministic."""
-    x = np.array(chart0, dtype=float)
-    f0 = residual2(x)
-    h = np.full(x.shape[0], h0)
-    for _ in range(max_sweeps):
-        if f0 < target or np.all(h < 1e-12):
+def _newton_polish(core: ConvexCore, batch_map, x: np.ndarray):
+    """Newton on G(c) = F(c) - c in the tangent frame at c.
+
+    DG = DF - I with DF from finite_difference_jacobian; the step solves
+    DG s = -G by least squares with singular values below 1e-6 of the
+    largest dropped (along a curve of fixed points they are stencil
+    noise), and is taken by retract.  The trial evaluation becomes the
+    next centre.  Stops at |G| <= eps * surface_scale(), at the first step
+    that does not lower |G|, or after NEWTON_MAX_STEPS steps.  Returns the
+    point and its |G|.
+    """
+    c = SurfacePoint.from_ambient(core, x)
+    G = batch_map(c.ambient[None])[0] - c.ambient
+    r = float(np.linalg.norm(G))
+    target = np.finfo(float).eps * core.surface_scale()
+    for _ in range(NEWTON_MAX_STEPS):
+        if r <= target:
             break
-        improved = False
-        for i in range(x.shape[0]):
-            if h[i] < 1e-12:
-                continue
-            xp = x.copy(); xp[i] += h[i]
-            xm = x.copy(); xm[i] -= h[i]
-            fp, fm = residual2(xp), residual2(xm)
-            denom = fp - 2.0 * f0 + fm
-            moved = False
-            if denom > 0.0:
-                delta = np.clip(-0.5 * (fp - fm) / denom * h[i], -4.0 * h[i], 4.0 * h[i])
-                xn = x.copy(); xn[i] += delta
-                fn = residual2(xn)
-                if fn < f0:
-                    x, f0 = xn, fn
-                    moved = True
-            if not moved:
-                if fp < f0:
-                    x, f0 = xp, fp
-                    moved = True
-                elif fm < f0:
-                    x, f0 = xm, fm
-                    moved = True
-            if moved:
-                improved = True
-            else:
-                h[i] *= 0.25
-        if not improved:
-            h *= 0.25
-    return x, f0
+        frame = frame_at(core, c)
+        E = frame.vectors
+        J = finite_difference_jacobian(core, batch_map, c, frame) - np.eye(E.shape[0])
+        s = np.linalg.lstsq(J, -(E @ G), rcond=1e-6)[0]
+        trial = retract(core, c, s @ E, 1.0)
+        G_trial = batch_map(trial.ambient[None])[0] - trial.ambient
+        r_trial = float(np.linalg.norm(G_trial))
+        if not r_trial < r:
+            break
+        c, G, r = trial, G_trial, r_trial
+    return c, r
 
 
 def _greedy_clusters(X: np.ndarray, radius: float):
@@ -483,44 +473,37 @@ def fixed_point_search(core: ConvexCore, batch_map, n_seeds: int,
 
     Seeds on the deterministic near-uniform grid.  Orbit endpoints (also
     the stalled ones, which sit next to attractors) and the lowest-residual
-    grid points are polished by coordinate descent, then clustered at
+    grid points are polished by Newton on F(c) - c (_newton_polish, on the
+    same central-difference Jacobian as linearize_fd), then clustered at
     radius 10 * tol keeping the smallest-residual member of each cluster.
     The representatives come in lexicographic order of their ambient
     coordinates rounded to 1e-9 * surface_scale(), so their order does
     not follow round-off in the residuals.
     """
-    chart = fibonacci_chart_grid(core, n_seeds)
-    X = core.ambient_from_chart(chart)
+    X = core.ambient_from_chart(fibonacci_chart_grid(core, n_seeds))
     R = np.linalg.norm(batch_map(X) - X, axis=-1)
     continuum = bool(np.mean(R < tol) > 0.5)
-
-    def residual2(ch):
-        x = core.ambient_from_chart(ch)
-        return float(np.sum((batch_map(x[None])[0] - x) ** 2))
 
     orbit = iterate_batch(None, X, max_iters=max_iters, tol=tol, map_batch=batch_map)
     unresolved = int(np.sum(~orbit.converged))
 
-    candidates = []  # (residual, chart)
+    candidates = []  # (residual, ambient point)
     limits = orbit.limits
     lim_res = np.linalg.norm(batch_map(limits) - limits, axis=-1)
     pre = _greedy_clusters(limits, radius=1e-5 * core.surface_scale())
     for lab in range(pre.max() + 1):
         members = np.nonzero(pre == lab)[0]
         best = members[np.argmin(lim_res[members])]
-        candidates.append((float(lim_res[best]), core.chart_from_ambient(limits[best])))
+        candidates.append((float(lim_res[best]), limits[best]))
     n_scan = max(8, n_seeds // 20)
     scan_idx = np.argsort(R)[:n_scan]
-    candidates.extend((float(R[i]), chart[i]) for i in scan_idx)
+    candidates.extend((float(R[i]), X[i]) for i in scan_idx)
     candidates.sort(key=lambda item: item[0])
     candidates = candidates[:max_refine]
 
     accept = max(tol, 1e-9)
-    polished = []
-    for _, ch in candidates:
-        chf, f2 = _coordinate_descent(residual2, np.asarray(ch, dtype=float))
-        if np.sqrt(f2) < accept:
-            polished.append((SurfacePoint.from_chart(core, chf), float(np.sqrt(f2))))
+    polished = [_newton_polish(core, batch_map, x) for _, x in candidates]
+    polished = [(p, r) for p, r in polished if r < accept]
     if not polished:
         return FixedPointScan([], np.array([]), None, continuum, unresolved)
 

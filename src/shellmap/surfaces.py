@@ -96,7 +96,7 @@ class ConvexCore:
         if self.dim == 2:
             theta = np.mod(np.arctan2(u[..., 1], u[..., 0]), 2 * np.pi)
             return theta[..., None]
-        theta = np.arccos(np.clip(u[..., 2], -1.0, 1.0))
+        theta = np.arctan2(np.hypot(u[..., 0], u[..., 1]), u[..., 2])
         phi = np.mod(np.arctan2(u[..., 1], u[..., 0]), 2 * np.pi)
         return np.stack([theta, phi], axis=-1)
 

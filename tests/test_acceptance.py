@@ -265,6 +265,7 @@ def test_criterion_07_isotropic_hessian_reconstruction():
     ])
 
 
+@pytest.mark.slow
 def test_criterion_08_scaling_ambiguity():
     # thin shell: the lambda^2 step-length law holds within the stated 5%
     d0, eps, lam = 0.03, 1e-3, 2.0
@@ -294,6 +295,7 @@ def test_criterion_08_scaling_ambiguity():
     ])
 
 
+@pytest.mark.slow
 def test_criterion_09_descent_and_convergence():
     dom = reference_domain()
     rng = np.random.default_rng(1)

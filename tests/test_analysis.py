@@ -349,6 +349,24 @@ def test_find_fixed_points_deterministic():
         assert np.array_equal(a.ambient, b.ambient)
 
 
+def test_fixed_point_polish_reaches_critical_points_on_tilted_ellipsoid():
+    core = ConvexCore.ellipsoid(2.0, 1.0, 0.5)
+    dom = RadialDomain(core, ZonalLegendreField(core, 0.25, 0.01, axis=(1e-4, 0.0, 1.0)))
+    scan = find_fixed_points(dom, n_seeds=200, tol=1e-10)
+    assert len(scan.points) >= 2
+    assert np.all(scan.grad_norms <= 1e-14)
+
+
+def test_thin_shell_reports_each_pole_once():
+    # contraction rate ~1 - 1e-4: every orbit stalls at the cap, so the
+    # poles are reached only through the polish
+    dom = zonal_domain(0.03, 1e-3)
+    scan = find_fixed_points(dom, n_seeds=120, tol=1e-10, max_iters=5000)
+    P = np.array([p.ambient for p in scan.points])
+    for pole in ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0]):
+        assert int(np.sum(np.linalg.norm(P - pole, axis=1) <= 1e-6)) == 1
+
+
 @pytest.mark.parametrize(
     "dom, n_seeds",
     [(zonal_domain(), 400), (RadialDomain(CIRCLE, Fourier2DField(CIRCLE, 0.5, [(2, 0.01)])), 360)],
@@ -366,6 +384,8 @@ def test_fixed_points_come_in_canonical_order(dom, n_seeds):
     X = np.array([p.ambient for p in scan.points])
     F = np.array([return_map(dom, p).ambient for p in scan.points])
     assert np.allclose(scan.residuals, np.linalg.norm(F - X, axis=-1), rtol=1e-12, atol=1e-30)
+    # the Newton polish reaches round-off
+    assert np.all(scan.residuals <= 1e-15 * dom.core.surface_scale())
     grads = [np.linalg.norm(dom.field.surface_gradient_ambient(p)) for p in scan.points]
     assert np.array_equal(scan.grad_norms, grads)
 

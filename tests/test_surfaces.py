@@ -282,6 +282,18 @@ def test_chart_round_trip(theta, phi):
     assert min(abs(q.phi - phi), abs(q.phi - phi + 2 * np.pi), abs(q.phi - phi - 2 * np.pi)) < 1e-9
 
 
+@pytest.mark.parametrize("core", [SPHERE, ConvexCore.ellipsoid(2.0, 1.0, 0.5)], ids=["sphere", "ellipsoid"])
+@pytest.mark.parametrize("south", [False, True], ids=["north", "south"])
+@pytest.mark.parametrize("delta", [1e-9, 1e-7, 1e-5])
+def test_chart_round_trip_exact_near_poles(core, south, delta):
+    # the colatitude comes back to round-off however close to a pole
+    theta = np.pi - delta if south else delta
+    p = SurfacePoint.from_chart(core, theta, 0.7)
+    back = core.chart_from_ambient(p.ambient)
+    assert abs(back[0] - theta) <= 4 * np.finfo(float).eps * theta
+    assert abs(back[1] - 0.7) <= 4 * np.finfo(float).eps
+
+
 def test_fibonacci_grid_shape_and_determinism():
     g1 = fibonacci_chart_grid(SPHERE, 100)
     g2 = fibonacci_chart_grid(SPHERE, 100)
