@@ -28,11 +28,13 @@ from .surfaces import (
     fibonacci_chart_grid,
     frame_at,
     retract,
+    retract_batch,
     shape_operator_at,
 )
 
 FIXED_POINT_RESIDUAL_TOL = 1e-8
 NEWTON_MAX_STEPS = 20
+MAX_REFINE = 64
 DET_TOL = 1e-10
 DEFAULT_FD_STEP = 1e-5
 SLOPE_FLOOR_FACTOR = 1e-13
@@ -285,19 +287,15 @@ def finite_difference_jacobian(core: ConvexCore, batch_map, c: SurfacePoint,
                                frame: TangentFrame, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Central-difference DF in the frame, columns projected onto the
     tangent space at c (valid at fixed points, where domain and codomain
-    tangent spaces coincide).  All 2(N-1) stencil points go through
-    batch_map in one call."""
+    tangent spaces coincide).  The 2(N-1) stencil points c +- h e_i are
+    retracted in one retract_batch call and mapped in one batch_map call."""
     E = frame.vectors
-    k = E.shape[0]
+    V = (np.array([h, -h])[None, :, None] * E[:, None, :]).reshape(-1, core.dim)
+    Y = batch_map(retract_batch(core, c.ambient, V))
+    diff = (Y[0::2] - Y[1::2]) / (2.0 * h)
     nu = core.normal(c.ambient)
-    stencil = np.array([retract(core, c, E[i], s * h).ambient for i in range(k) for s in (1.0, -1.0)])
-    Y = batch_map(stencil)
-    DF = np.empty((k, k))
-    for i in range(k):
-        diff = (Y[2 * i] - Y[2 * i + 1]) / (2.0 * h)
-        diff = diff - nu * float(np.dot(diff, nu))
-        DF[:, i] = E @ diff
-    return DF
+    diff -= np.outer(diff @ nu, nu)
+    return E @ diff.T
 
 
 def linearize_fd(dom: RadialDomain, c_star: SurfacePoint, frame: TangentFrame | None = None,
@@ -466,16 +464,16 @@ def _greedy_clusters(X: np.ndarray, radius: float):
 
 
 def fixed_point_search(core: ConvexCore, batch_map, n_seeds: int,
-                       tol: float = 1e-10, max_iters: int = 100_000,
-                       max_refine: int = 64) -> FixedPointScan:
+                       tol: float = 1e-10, max_iters: int = 100_000) -> FixedPointScan:
     """Shared engine: forward iteration for attractors plus a residual scan
     with local minimization for fixed points iteration cannot reach.
 
     Seeds on the deterministic near-uniform grid.  Orbit endpoints (also
     the stalled ones, which sit next to attractors) and the lowest-residual
-    grid points are polished by Newton on F(c) - c (_newton_polish, on the
-    same central-difference Jacobian as linearize_fd), then clustered at
-    radius 10 * tol keeping the smallest-residual member of each cluster.
+    grid points, the MAX_REFINE of lowest residual among them, are polished
+    by Newton on F(c) - c (_newton_polish, on the same central-difference
+    Jacobian as linearize_fd), then clustered at radius 10 * tol keeping
+    the smallest-residual member of each cluster.
     The representatives come in lexicographic order of their ambient
     coordinates rounded to 1e-9 * surface_scale(), so their order does
     not follow round-off in the residuals.
@@ -499,7 +497,7 @@ def fixed_point_search(core: ConvexCore, batch_map, n_seeds: int,
     scan_idx = np.argsort(R)[:n_scan]
     candidates.extend((float(R[i]), X[i]) for i in scan_idx)
     candidates.sort(key=lambda item: item[0])
-    candidates = candidates[:max_refine]
+    candidates = candidates[:MAX_REFINE]
 
     accept = max(tol, 1e-9)
     polished = [_newton_polish(core, batch_map, x) for _, x in candidates]

@@ -29,7 +29,6 @@ from .surfaces import (
     shape_action_batch,
 )
 
-DEGENERATE_TANGENT_TOL = 1e-12
 MIN_SV_TOL = 1e-8
 
 
@@ -54,19 +53,15 @@ class OuterBoundaryPoint:
     inward_normal: np.ndarray
 
 
-def _outer_geometry_batch(dom: RadialDomain, X: np.ndarray, d=None, raw: bool = False,
-                          need_sv: bool = False):
+def _outer_geometry_batch(dom: RadialDomain, X: np.ndarray, d=None):
     """Outer points and inward normals above core points X, vectorized.
 
-    Returns (Xout, n_in, sv_min).  n_in is the closed form (m - nu)/|m - nu|:
+    Returns (Xout, n_in).  n_in is the closed form (m - nu)/|m - nu|:
     with r = |Mx|, nu = Mx/r and D = (I + (d/r) M)^(-1), the tangent
     solution of (I - d S) m = g_t is m = D (g_t + mu nu) with
     mu = -(nu . D g_t)/(nu . D nu), which equals D g + mu' D nu with
-    mu' = -(nu . D g)/(nu . D nu) for the ambient gradient g.  need_sv=True
-    instead builds the DPhi columns in orthonormal frames, the independent
-    check of the closed form, and also returns sv_min, the smallest
-    singular value of DPhi.  With raw=True a degenerate normal or
-    nonpositive thickness is tolerated (diagnostic paths).
+    mu' = -(nu . D g)/(nu . D nu) for the ambient gradient g.  A degenerate
+    normal raises ImmersionFailure.
     """
     core, field = dom.core, dom.field
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -75,82 +70,70 @@ def _outer_geometry_batch(dom: RadialDomain, X: np.ndarray, d=None, raw: bool = 
     w = 1.0 / core.axes**2
     MX = X * w
     g = field.ambient_grad(X)
-    if not need_sv:
-        r = np.sqrt(np.einsum("ij,ij->i", MX, MX))
-        nu = MX / r[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            D = 1.0 / (1.0 + (d / r)[:, None] * w)
-            Dnu = D * nu
-            mu = -np.einsum("ij,ij->i", Dnu, g) / np.einsum("ij,ij->i", Dnu, nu)
-            nvec = D * g + mu[:, None] * Dnu - nu
-            norms = np.sqrt(np.einsum("ij,ij->i", nvec, nvec))
-            nvec /= norms[:, None]
-        # a nan seed is left to fail in the ray solve
-        bad = ~(norms < np.inf) & np.isfinite(d)
-        if np.any(bad) and not raw:
-            raise ImmersionFailure(f"degenerate outer normal at {int(np.sum(bad))} points")
-        return X + d[:, None] * nu, nvec, None
+    r = np.sqrt(np.einsum("ij,ij->i", MX, MX))
+    nu = MX / r[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        D = 1.0 / (1.0 + (d / r)[:, None] * w)
+        Dnu = D * nu
+        mu = -np.einsum("ij,ij->i", Dnu, g) / np.einsum("ij,ij->i", Dnu, nu)
+        nvec = D * g + mu[:, None] * Dnu - nu
+        norms = np.sqrt(np.einsum("ij,ij->i", nvec, nvec))
+        nvec /= norms[:, None]
+    # a nan seed is left to fail in the ray solve
+    bad = ~(norms < np.inf) & np.isfinite(d)
+    if np.any(bad):
+        raise ImmersionFailure(f"degenerate outer normal at {int(np.sum(bad))} points")
+    return X + d[:, None] * nu, nvec
 
-    mx_norm = np.linalg.norm(MX, axis=-1, keepdims=True)
-    nu = MX / mx_norm
-    E = frames_batch(core, X)
-    Xout = X + d[:, None] * nu
 
-    # DPhi columns: w_i = e_i - d * S e_i + (grad d . e_i) nu,
-    # with S e = -(M e - nu (nu . M e)) / |M x| for the quadric cores
-    dcol = d[:, None]
-    cols = []
-    for i in range(core.dim - 1):
-        e = E[:, i]
-        Me = e * w
-        Se = -(Me - nu * np.sum(Me * nu, axis=-1, keepdims=True)) / mx_norm
-        gi = np.sum(g * e, axis=-1, keepdims=True)
-        cols.append(e - dcol * Se + gi * nu)
+def _outer_frames_batch(dom: RadialDomain, X: np.ndarray, d: np.ndarray, E=None):
+    """DPhi columns in orthonormal frames, the independent check of the
+    closed form: w_i = e_i - d S e_i + (grad d . e_i) nu.
+
+    E holds the frames, (n, N-1, N), frames_batch(core, X) by default.
+    Returns (Xout, W, n_in, sv_min): the columns W, (n, N-1, N), their unit
+    normal n_in oriented toward the core (cross product for N=3, a quarter
+    turn for N=2) and sv_min, the smallest singular value of DPhi.
+    Degenerate tangents are reported, not raised (diagnostic path).
+    """
+    core = dom.core
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if E is None:
+        E = frames_batch(core, X)
+    MX = X * (1.0 / core.axes**2)
+    nu = MX / np.linalg.norm(MX, axis=-1, keepdims=True)
+    g = dom.field.ambient_grad(X)
+    W = np.stack([E[:, i] - d[:, None] * shape_action_batch(core, X, E[:, i])
+                  + np.sum(g * E[:, i], axis=-1, keepdims=True) * nu
+                  for i in range(core.dim - 1)], axis=1)
 
     if core.dim == 2:
-        t = cols[0]
-        nvec = np.stack([-t[:, 1], t[:, 0]], axis=-1)
-        sv = np.linalg.norm(t, axis=-1)
+        nvec = np.stack([-W[:, 0, 1], W[:, 0, 0]], axis=-1)
     else:
-        nvec = np.cross(cols[0], cols[1])
-        W = np.stack(cols, axis=1)
-        G = np.einsum("nia,nja->nij", W, W)
-        tr = G[:, 0, 0] + G[:, 1, 1]
-        det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
-        disc = np.sqrt(np.clip(tr * tr / 4.0 - det, 0.0, None))
-        sv = np.sqrt(np.clip(tr / 2.0 - disc, 0.0, None))
-
-    norms = np.linalg.norm(nvec, axis=-1)
-    bad = norms < DEGENERATE_TANGENT_TOL
-    if np.any(bad) and not raw:
-        raise ImmersionFailure(f"degenerate outer tangents at {int(np.sum(bad))} points")
-    nvec = nvec / np.maximum(norms, 1e-300)[:, None]
+        nvec = np.cross(W[:, 0], W[:, 1])
+    sv = np.linalg.svd(W, compute_uv=False)[:, -1]
+    Xout = X + d[:, None] * nu
+    nvec = nvec / np.maximum(np.linalg.norm(nvec, axis=-1), 1e-300)[:, None]
     # orient toward the core (cores are centered at the origin)
-    flip = np.sum(nvec * Xout, axis=-1) > 0
-    nvec[flip] *= -1.0
-    return Xout, nvec, sv
+    nvec[np.sum(nvec * Xout, axis=-1) > 0] *= -1.0
+    return Xout, W, nvec, sv
 
 
 def radial_map(dom: RadialDomain, c: SurfacePoint) -> OuterBoundaryPoint:
     """Phi(c) = c + d(c) nu(c) together with the exact inward normal."""
     d = dom.field.eval(c)  # positivity-guarded
-    Xout, nvec, _ = _outer_geometry_batch(dom, c.ambient[None], d=np.array([d]))
+    Xout, nvec = _outer_geometry_batch(dom, c.ambient[None], d=np.array([d]))
     return OuterBoundaryPoint(base=c, ambient=Xout[0], inward_normal=nvec[0])
 
 
 def outer_tangent_frame(dom: RadialDomain, c: SurfacePoint, frame: TangentFrame | None = None):
-    """Images DPhi(c)[v_i] of the frame vectors, analytic."""
+    """Images DPhi(c)[v_i] of the frame vectors, analytic; a batch of one
+    through _outer_frames_batch."""
     if frame is None:
         frame = frame_at(dom.core, c)
-    core, field = dom.core, dom.field
-    d = field.eval(c)
-    nu = core.normal(c.ambient)
-    gamb = field.ambient_grad(c.ambient)
-    out = []
-    for v in frame.vectors:
-        Se = shape_action_batch(core, c.ambient[None], v[None])[0]
-        out.append(v - d * Se + float(np.dot(gamb, v)) * nu)
-    return out
+    d = np.array([dom.field.eval(c)])
+    _, W, _, _ = _outer_frames_batch(dom, c.ambient[None], d, frame.vectors[None])
+    return list(W[0])
 
 
 @dataclass
@@ -196,7 +179,7 @@ def admissibility_check(dom: RadialDomain, grid_size: int = 4096) -> Admissibili
     chart = fibonacci_chart_grid(core, grid_size)
     X = core.ambient_from_chart(chart)
     d = dom.field.ambient_value(X)
-    Xout, nvec, sv = _outer_geometry_batch(dom, X, d=d, raw=True, need_sv=True)
+    Xout, _, nvec, sv = _outer_frames_batch(dom, X, d)
     t, _ = _ray_solve_batch(core, Xout, nvec)
     hits = np.isfinite(t)
     min_d = float(np.min(d))

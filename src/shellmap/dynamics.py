@@ -46,7 +46,7 @@ def return_map_batch(dom: RadialDomain, X: np.ndarray) -> np.ndarray:
     d = dom.field.ambient_value(X)
     if np.any(d <= 0.0):
         raise InadmissibleThickness("nonpositive thickness encountered in batch step")
-    Xout, nvec, _ = _outer_geometry_batch(dom, X, d=d)
+    Xout, nvec = _outer_geometry_batch(dom, X, d=d)
     Y, _ = _ray_hit_batch(dom.core, Xout, nvec)
     miss = ~np.all(np.isfinite(Y), axis=-1)
     if np.any(miss):

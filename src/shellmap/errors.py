@@ -10,7 +10,8 @@ class OffSurface(ShellmapError):
 
 
 class ProjectionFailed(ShellmapError):
-    """Newton projection onto the surface did not converge."""
+    """The retraction's projection left a point off the surface: Newton
+    did not converge within its step cap, or a row is not finite."""
 
 
 class ImmersionFailure(ShellmapError):

@@ -26,7 +26,7 @@ from .surfaces import (
     TangentFrame,
     fibonacci_chart_grid,
     frame_at,
-    retract,
+    retract_batch,
     shape_operator_at,
 )
 
@@ -122,35 +122,30 @@ class ThicknessField:
 def finite_difference_hessian(field: "ThicknessField", p: SurfacePoint,
                               frame: TangentFrame, h: float | None = None,
                               richardson: bool = False) -> np.ndarray:
-    """Second differences of eval along retraction curves, polarized.
+    """Second differences of the value along retraction curves, polarized.
 
     Default step h = eps_machine^(1/3) * max(1, chart scale); the
-    richardson flag halves the step once and extrapolates.
+    richardson flag halves the step once and extrapolates.  The whole
+    stencil, p +- s v for the directions v = e_i and e_i +- e_j (i < j) and
+    the steps s = h (and h/2), is retracted in one retract_batch call and
+    evaluated with p in one ambient_value call.
     """
     if h is None:
         h = np.cbrt(np.finfo(float).eps) * max(1.0, field.core.surface_scale())
     E = frame.vectors
     k = E.shape[0]
-    f0 = field.ambient_value(p.ambient)
-
-    def dd(v, step):
-        fp = field.ambient_value(retract(field.core, p, v, step).ambient)
-        fm = field.ambient_value(retract(field.core, p, v, -step).ambient)
-        return (fp - 2.0 * f0 + fm) / (step * step)
-
-    def entry(v):
-        if not richardson:
-            return dd(v, h)
-        d1 = dd(v, h)
-        d2 = dd(v, h / 2.0)
-        return (4.0 * d2 - d1) / 3.0
-
-    H = np.empty((k, k))
-    for i in range(k):
-        H[i, i] = entry(E[i])
-    for i in range(k):
-        for j in range(i + 1, k):
-            H[i, j] = H[j, i] = 0.25 * (entry(E[i] + E[j]) - entry(E[i] - E[j]))
+    I, J = np.triu_indices(k, 1)
+    dirs = np.concatenate([E, E[I] + E[J], E[I] - E[J]])
+    steps = np.array([h, h / 2.0] if richardson else [h])
+    signed = np.concatenate([steps, -steps])
+    V = (signed[:, None, None] * dirs[None]).reshape(-1, E.shape[1])
+    Y = retract_batch(field.core, p.ambient, V)
+    vals = field.ambient_value(np.concatenate([p.ambient[None], Y]))
+    f = vals[1:].reshape(2, steps.size, dirs.shape[0])
+    dd = (f[0] - 2.0 * vals[0] + f[1]) / (steps * steps)[:, None]
+    entry = (4.0 * dd[1] - dd[0]) / 3.0 if richardson else dd[0]
+    H = np.diag(entry[:k])
+    H[I, J] = H[J, I] = 0.25 * (entry[k:k + I.size] - entry[k + I.size:])
     return H
 
 

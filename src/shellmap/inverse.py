@@ -28,6 +28,9 @@ from .dynamics import iterate_batch, return_map_batch
 from .surfaces import ConvexCore, SurfacePoint, TangentFrame, frame_at
 
 SKIP_DISPLACEMENT_TOL = 1e-9
+DIR_TOL = 1e-3                      # line fields agree at mean cosine >= 1 - DIR_TOL
+EQUIVALENCE_FP_RESIDUAL_TOL = 1e-7  # |F(c) - c| under the other map at a fixed point
+BASIN_AGREEMENT = 0.98              # share of seeds whose matched basin labels agree
 
 
 @dataclass
@@ -149,8 +152,7 @@ class ScalingDiagnostic:
     skipped: int
 
 
-def scaling_ambiguity_diagnostic(F1: BlackBoxMap, F2: BlackBoxMap, samples,
-                                 tol_dir: float = 1e-3) -> ScalingDiagnostic:
+def scaling_ambiguity_diagnostic(F1: BlackBoxMap, F2: BlackBoxMap, samples) -> ScalingDiagnostic:
     """Cosines and norm ratios between tangent displacements of two maps."""
     if F1.core != F2.core:
         raise ValueError("maps live on different cores")
@@ -164,7 +166,7 @@ def scaling_ambiguity_diagnostic(F1: BlackBoxMap, F2: BlackBoxMap, samples,
     ratios = n2 / n1
     diffs = np.abs(n2 - n1)
     mean_cos = float(np.mean(cos)) if cos.size else float("nan")
-    verdict = "SameLineField" if cos.size and mean_cos >= 1.0 - tol_dir else "DifferentLineField"
+    verdict = "SameLineField" if cos.size and mean_cos >= 1.0 - DIR_TOL else "DifferentLineField"
     return ScalingDiagnostic(
         cosines=cos,
         abs_cosines=np.abs(cos),
@@ -248,19 +250,17 @@ def _set_hausdorff(A: np.ndarray, B: np.ndarray) -> float:
 
 
 def dynamical_equivalence_check(F1: BlackBoxMap, F2: BlackBoxMap, seeds,
-                                fp_residual_tol: float = 1e-7,
-                                basin_agreement: float = 0.98,
-                                dir_tol: float = 1e-3,
                                 n_probe: int = 400,
                                 iter_tol: float = 1e-8,
                                 max_iters: int = 200_000) -> EquivalenceVerdict:
     """Necessary conditions for orbit equivalence, not a conjugacy search.
 
     (a) fixed-point sets match: every fixed point detected for one map must
-    be fixed under the other (a sampling-robust test even when the fixed
-    set is a continuum), (b) basin partitions over the given seeds agree
-    after label matching, (c) the unsigned displacement line fields agree
-    on off-critical seeds.
+    be fixed under the other to EQUIVALENCE_FP_RESIDUAL_TOL (a
+    sampling-robust test even when the fixed set is a continuum), (b) basin
+    partitions over the given seeds agree after label matching on at least
+    BASIN_AGREEMENT of them, (c) the unsigned displacement line fields
+    agree on off-critical seeds to DIR_TOL.
     """
     if F1.core != F2.core:
         raise ValueError("maps live on different cores")
@@ -276,7 +276,7 @@ def dynamical_equivalence_check(F1: BlackBoxMap, F2: BlackBoxMap, seeds,
             cross = max(cross, float(np.max(np.linalg.norm(other.batch(P) - P, axis=-1))))
     evidence["max_cross_residual"] = cross
     evidence["fixed_point_hausdorff"] = _set_hausdorff(A, B)
-    if not (cross <= fp_residual_tol):
+    if not (cross <= EQUIVALENCE_FP_RESIDUAL_TOL):
         return EquivalenceVerdict(False, "fixed_points", evidence)
 
     radius = 0.1 * F1.core.surface_scale()
@@ -301,12 +301,12 @@ def dynamical_equivalence_check(F1: BlackBoxMap, F2: BlackBoxMap, seeds,
         agreement = matched / l1.size
     evidence["basin_agreement"] = agreement
     evidence["basin_resolved"] = int(np.sum(ok))
-    if agreement < basin_agreement:
+    if agreement < BASIN_AGREEMENT:
         return EquivalenceVerdict(False, "basins", evidence)
 
-    diag = scaling_ambiguity_diagnostic(F1, F2, seeds, tol_dir=dir_tol)
+    diag = scaling_ambiguity_diagnostic(F1, F2, seeds)
     evidence["mean_abs_cosine"] = diag.mean_abs_cosine
-    if not (diag.abs_cosines.size and diag.mean_abs_cosine >= 1.0 - dir_tol):
+    if not (diag.abs_cosines.size and diag.mean_abs_cosine >= 1.0 - DIR_TOL):
         return EquivalenceVerdict(False, "line_field", evidence)
     return EquivalenceVerdict(True, None, evidence)
 

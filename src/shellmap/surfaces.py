@@ -1,9 +1,12 @@
-"""Convex quadric cores: charts, frames, curvature, and exact ray intersection.
+"""Convex quadric cores: charts, frames, curvature, exact ray intersection
+and the retraction.
 
 Cores are centered quadrics (x/s1)^2 + ... + (x_N/s_N)^2 = 1 in ambient
 dimension N in {2, 3}.  The shape operator follows the sign convention
 S = -D(nu), so the unit sphere has S = -I and a circle of radius r has
-S = -1/r.
+S = -1/r.  Ray hits and the retraction are batched (_ray_hit_batch,
+retract_batch) and leave points at round-off on the core; the scalar
+ray_first_hit and retract are batch-of-one views of them.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ class ConvexCore:
     def implicit(self, x) -> np.ndarray:
         """f(x) = x^T M x - 1, batched over leading axes."""
         x = np.asarray(x, dtype=float)
-        return np.sum((x / self.axes) ** 2, axis=-1) - 1.0
+        return ((x / self.axes) ** 2).sum(axis=-1) - 1.0
 
     def implicit_grad(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -284,11 +287,13 @@ def ray_first_hit(core: ConvexCore, origin, direction):
     grazing.
     """
     origin = np.asarray(origin, dtype=float)
-    Y, grazing = _ray_hit_batch(core, origin[None], np.asarray(direction, dtype=float)[None])
+    direction = np.asarray(direction, dtype=float)
+    Y, grazing = _ray_hit_batch(core, origin[None], direction[None])
     x = Y[0]
     if not np.all(np.isfinite(x)):
         return None
-    return RayHit(t=float(np.linalg.norm(x - origin)), point=SurfacePoint.from_ambient(core, x), grazing=bool(grazing[0]))
+    t = float(np.dot(x - origin, direction) / np.dot(direction, direction))
+    return RayHit(t=t, point=SurfacePoint.from_ambient(core, x), grazing=bool(grazing[0]))
 
 
 def _ray_solve_batch(core: ConvexCore, O: np.ndarray, D: np.ndarray):
@@ -327,42 +332,57 @@ def _ray_hit_batch(core: ConvexCore, O: np.ndarray, D: np.ndarray):
     return Y, grazing
 
 
-def project_to_surface(core: ConvexCore, x) -> np.ndarray:
-    """Nearest-point style projection used by the retraction.
+def retract_batch(core: ConvexCore, X, V) -> np.ndarray:
+    """The rows of X + V (X may be one point) projected back onto the core,
+    shape (n, N).
 
-    Sphere and circle cores use the closed-form radial projection; the
-    ellipsoid iterates Newton steps along the implicit gradient until
-    |implicit| < 1e-12 (ProjectionFailed after 50 iterations).
+    Sphere and circle cores scale each row radially (closed form).  The
+    ellipsoid takes Newton steps along the implicit gradient, each row
+    until |implicit| <= TOL_SURFACE, then one final Newton step on every
+    row; Newton converges quadratically, so that step takes 1e-12 down to
+    round-off.  Raises ProjectionFailed if a row is still off the core
+    after _NEWTON_MAX_ITERS steps or is not finite.
     """
-    x = np.asarray(x, dtype=float)
-    if core.kind in ("circle", "sphere"):
-        r = core.semi_axes[0]
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            raise ProjectionFailed("cannot project the center radially")
-        return x * (r / nx)
-    y = x.copy()
-    for _ in range(_NEWTON_MAX_ITERS):
-        f = float(core.implicit(y))
-        if abs(f) <= TOL_SURFACE:
-            return y
-        g = core.implicit_grad(y)
-        y = y - f * g / float(np.dot(g, g))
-    raise ProjectionFailed(f"|implicit| = {abs(float(core.implicit(y))):.3e} after {_NEWTON_MAX_ITERS} iterations")
+    Y = np.atleast_2d(np.asarray(X, dtype=float) + np.asarray(V, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if core.kind != "ellipsoid":
+            Y = Y * (core.semi_axes[0] / np.sqrt((Y * Y).sum(axis=-1, keepdims=True)))
+        else:
+            for _ in range(_NEWTON_MAX_ITERS):
+                f = core.implicit(Y)
+                live = np.abs(f) > TOL_SURFACE
+                if not live.any():
+                    break
+                # f = 0 makes the step an exact no-op on converged rows
+                Y = _newton_to_surface(core, Y, np.where(live, f, 0.0))
+            else:
+                raise ProjectionFailed(f"max |implicit| = {np.max(np.abs(core.implicit(Y))):.3e} "
+                                       f"after {_NEWTON_MAX_ITERS} iterations")
+            Y = _newton_to_surface(core, Y, f)
+    if not np.isfinite(Y).all():
+        raise ProjectionFailed(f"{int(np.sum(~np.isfinite(Y).all(axis=-1)))} rows are not finite")
+    return Y
+
+
+def _newton_to_surface(core: ConvexCore, Y: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """One Newton step on the implicit function along its gradient."""
+    g = core.implicit_grad(Y)
+    return Y - (f / (g * g).sum(axis=-1))[:, None] * g
 
 
 def retract(core: ConvexCore, p: SurfacePoint, v, h: float) -> SurfacePoint:
     """Ambient step p + h*v followed by projection back onto the surface.
 
     v must be tangent at p; this is the computational surrogate for the
-    exponential map, accurate to second order.
+    exponential map, accurate to second order.  A batch of one through
+    retract_batch.
     """
     v = np.asarray(v, dtype=float)
     nu = core.normal(p.ambient)
     vn = abs(float(np.dot(v, nu)))
     if vn > 1e-8 * max(1.0, float(np.linalg.norm(v))):
         raise ValueError(f"v is not tangent: |v.nu| = {vn:.3e}")
-    y = project_to_surface(core, p.ambient + h * v)
+    y = retract_batch(core, p.ambient, h * v)[0]
     return SurfacePoint(core, core.chart_from_ambient(y), y)
 
 

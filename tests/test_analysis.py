@@ -1,5 +1,7 @@
 """Linearization, preconditioner, residual sweeps, fixed-point search."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -24,12 +26,14 @@ from shellmap import (
     preconditioner_determinant,
     preconditioner_series_residual,
     residual_sweep,
+    retract,
     return_map,
+    return_map_batch,
     second_order_residual,
     shape_operator_at,
     step_operator,
 )
-from shellmap.analysis import LinearizationReport
+from shellmap.analysis import LinearizationReport, finite_difference_jacobian
 from shellmap.errors import CurvatureSingularity
 
 SPHERE = ConvexCore.sphere(1.0)
@@ -232,6 +236,35 @@ def test_linearize_analytic_measured_matches_fd_on_ellipsoid():
     assert np.abs(fd.DF - an.DF).max() < 1e-5
 
 
+def _fd_jacobian_reference(core, batch_map, c, frame, h):
+    """The per-column loop finite_difference_jacobian batches: one scalar
+    retract per stencil point, one projection per column."""
+    E = frame.vectors
+    nu = core.normal(c.ambient)
+    DF = np.empty((E.shape[0], E.shape[0]))
+    for i, e in enumerate(E):
+        Y = batch_map(np.array([retract(core, c, e, s * h).ambient for s in (1.0, -1.0)]))
+        diff = (Y[0] - Y[1]) / (2.0 * h)
+        DF[:, i] = E @ (diff - nu * float(np.dot(diff, nu)))
+    return DF
+
+
+@pytest.mark.parametrize("dom, p", [
+    (zonal_domain(), pt(SPHERE, np.pi / 2, 0.3)),
+    (zonal_domain(), pt(SPHERE, 0.0, 0.0)),
+    (zonal_domain(0.25, 0.01, ELLIPSOID), pt(ELLIPSOID, np.pi / 2, 0.7)),
+    (RadialDomain(CIRCLE, Fourier2DField(CIRCLE, 0.5, [(2, 0.01)])), pt(CIRCLE, np.pi / 2)),
+], ids=["equator", "pole", "ellipsoid", "circle"])
+def test_fd_jacobian_matches_per_column_loop(dom, p):
+    # the projection and the frame product are batched, so only their
+    # summation order differs: a few ulps of the O(1) entries
+    fmap = partial(return_map_batch, dom)
+    frame = frame_at(dom.core, p)
+    got = finite_difference_jacobian(dom.core, fmap, p, frame)
+    ref = _fd_jacobian_reference(dom.core, fmap, p, frame, 1e-5)
+    assert np.abs(got - ref).max() <= 4 * np.finfo(float).eps
+
+
 def test_spectral_relation_in_aligned_case():
     # classical model: mu_i = 1 - alpha_i lambda_i when A and Hess commute
     dom = zonal_domain()
@@ -355,6 +388,10 @@ def test_fixed_point_polish_reaches_critical_points_on_tilted_ellipsoid():
     scan = find_fixed_points(dom, n_seeds=200, tol=1e-10)
     assert len(scan.points) >= 2
     assert np.all(scan.grad_norms <= 1e-14)
+    # the representatives lie on the core and are fixed to round-off
+    P = np.array([p.ambient for p in scan.points])
+    assert np.all(np.abs(core.implicit(P)) <= 4 * np.finfo(float).eps)
+    assert np.all(scan.residuals <= 1e-15 * core.surface_scale())
 
 
 def test_thin_shell_reports_each_pole_once():

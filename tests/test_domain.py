@@ -19,7 +19,7 @@ from shellmap import (
     retract,
     shape_operator_at,
 )
-from shellmap.domain import _outer_geometry_batch
+from shellmap.domain import _outer_frames_batch, _outer_geometry_batch
 from shellmap.errors import ImmersionFailure
 
 SPHERE = ConvexCore.sphere(1.0)
@@ -194,12 +194,12 @@ def test_normal_expansion_residual_second_order():
 
 def test_immersion_failure_detected():
     # d = -1 on the unit sphere collapses DPhi; reachable only through the
-    # raw diagnostic path (eval() guards it), so drive the kernel directly
+    # diagnostic path (eval() guards it), so drive the kernel directly
     dom = RadialDomain(SPHERE, ConstantField(SPHERE, -1.0))
     X = np.array([[0.0, 0.0, 1.0]])
     with pytest.raises(ImmersionFailure):
         _outer_geometry_batch(dom, X, d=np.array([-1.0]))
-    _, _, sv = _outer_geometry_batch(dom, X, d=np.array([-1.0]), raw=True, need_sv=True)
+    _, _, _, sv = _outer_frames_batch(dom, X, d=np.array([-1.0]))
     assert sv[0] < 1e-12
 
 

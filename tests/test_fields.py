@@ -280,6 +280,41 @@ def test_fourier_gradient_and_hessian_formulas():
     assert abs(H[0, 0] - Hfd[0, 0]) < 1e-6
 
 
+def _fd_hessian_reference(fld, p, frame, h, richardson):
+    """The stencil loop finite_difference_hessian batches: one scalar
+    retract per stencil point."""
+    f0 = fld.ambient_value(p.ambient)
+
+    def dd(v, step):
+        fp = fld.ambient_value(retract(fld.core, p, v, step).ambient)
+        fm = fld.ambient_value(retract(fld.core, p, v, -step).ambient)
+        return (fp - 2.0 * f0 + fm) / (step * step)
+
+    def entry(v):
+        return (4.0 * dd(v, h / 2.0) - dd(v, h)) / 3.0 if richardson else dd(v, h)
+
+    E = frame.vectors
+    H = np.empty((E.shape[0], E.shape[0]))
+    for i in range(E.shape[0]):
+        H[i, i] = entry(E[i])
+        for j in range(i + 1, E.shape[0]):
+            H[i, j] = H[j, i] = 0.25 * (entry(E[i] + E[j]) - entry(E[i] - E[j]))
+    return H
+
+
+@pytest.mark.parametrize("richardson", [False, True])
+@pytest.mark.parametrize("fld", [
+    ZonalLegendreField(SPHERE, 0.5, 0.01),
+    ZonalLegendreField(ConvexCore.ellipsoid(2.0, 1.0, 0.5), 0.25, 0.02, axis=(0.3, 0.5, 0.8)),
+    Fourier2DField(CIRCLE, 0.5, [(2, 0.05), (3, 0.02)]),
+], ids=["sphere", "tilted_ellipsoid", "circle"])
+def test_fd_hessian_matches_scalar_stencil_loop(fld, richardson):
+    for p in random_points(fld.core, 5, seed=21):
+        frame = frame_at(fld.core, p)
+        got = finite_difference_hessian(fld, p, frame, h=1e-3, richardson=richardson)
+        assert np.array_equal(got, _fd_hessian_reference(fld, p, frame, 1e-3, richardson))
+
+
 def test_fd_hessian_richardson_flag():
     fld = ZonalLegendreField(SPHERE, 0.5, 0.01)
     p = pt(SPHERE, 1.1, 0.4)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from shellmap import (
     ConvexCore,
     OffSurface,
+    ProjectionFailed,
     SurfacePoint,
     fibonacci_chart_grid,
     frame_at,
@@ -16,6 +17,7 @@ from shellmap import (
     retract,
     shape_operator_at,
 )
+from shellmap.surfaces import retract_batch
 
 SPHERE = ConvexCore.sphere(1.0)
 CIRCLE = ConvexCore.circle(1.0)
@@ -178,6 +180,15 @@ def test_ray_from_inside_exits():
     assert abs(hit.t - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("scale", [2.0, 0.5])
+def test_ray_t_is_the_ray_parameter_for_non_unit_directions(scale):
+    origin = np.array([0.0, 0.0, 3.0])
+    direction = scale * np.array([0.0, 0.0, -1.0])
+    hit = ray_first_hit(SPHERE, origin, direction)
+    assert abs(hit.t - 2.0 / scale) < 1e-12
+    assert np.allclose(origin + hit.t * direction, hit.point.ambient, atol=1e-12)
+
+
 @pytest.mark.parametrize("core", [SPHERE, ELLIPSOID, CIRCLE])
 def test_ray_projection_round_trip(core):
     # fire from outside along -normal of a known point: first hit is that point
@@ -234,6 +245,50 @@ def test_retract_result_on_surface():
         v = frame_at(ELLIPSOID, p).vectors[-1]
         q = retract(ELLIPSOID, p, v, 0.05)
         assert abs(float(ELLIPSOID.implicit(q.ambient))) < 1e-12
+
+
+def _tangent_steps(core, n, seed):
+    """n random core points with tangent steps of length 1e-6 to 0.3 of
+    the core scale, as (points, X, V)."""
+    rng = np.random.default_rng(seed)
+    points = random_points(core, n, seed=seed)
+    X = np.array([p.ambient for p in points])
+    E = np.array([frame_at(core, p).vectors for p in points])
+    c = rng.normal(size=(n, core.dim - 1))
+    dirs = np.einsum("ni,nia->na", c / np.linalg.norm(c, axis=1, keepdims=True), E)
+    lengths = core.surface_scale() * 10.0 ** rng.uniform(-6.0, np.log10(0.3), n)
+    return points, X, lengths[:, None] * dirs
+
+
+@pytest.mark.parametrize("core", ALL_CORES + [ConvexCore.ellipsoid(2e-3, 1e-3, 5e-4)])
+def test_retract_batch_rows_equal_scalar_retract_bit_for_bit(core):
+    points, X, V = _tangent_steps(core, 40, seed=12)
+    Y = retract_batch(core, X, V)
+    for p, v, y in zip(points, V, Y):
+        assert np.array_equal(retract(core, p, v, 1.0).ambient, y)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_retract_batch_reaches_round_off_on_ellipsoids(scale):
+    core = ConvexCore.ellipsoid(2.0 * scale, scale, 0.5 * scale)
+    _, X, V = _tangent_steps(core, 200, seed=13)
+    Y = retract_batch(core, X, V)
+    assert np.max(np.abs(core.implicit(Y))) <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("core", [SPHERE, CIRCLE, ELLIPSOID])
+def test_retract_batch_raises_on_rows_that_are_not_finite(core):
+    X = np.array([core.ambient_from_chart(np.full(core.dim - 1, 0.7))] * 2)
+    V = np.zeros_like(X)
+    V[1, 0] = np.nan
+    with pytest.raises(ProjectionFailed):
+        retract_batch(core, X, V)
+
+
+def test_retract_batch_raises_at_the_centre():
+    # the centre has no radial projection
+    with pytest.raises(ProjectionFailed):
+        retract_batch(SPHERE, np.zeros((1, 3)), np.zeros((1, 3)))
 
 
 # ---------------------------------------------------------------------------
