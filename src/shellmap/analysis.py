@@ -8,7 +8,10 @@ predicted displacement is parametrized as
 
 so step_scale = -2 reproduces the classical descent-model prediction and
 step_scale = +1 the step law the exact ray dynamics actually follows (see
-tests/test_measured_law.py).
+tests/test_measured_law.py).  The residuals are batched on the closed-form
+tilt of the return map; rows where a field's ambient Hessian is nan (no
+closed form there) take the finite-difference surface Hessian instead, so
+no residual is nan.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from functools import partial
 
 import numpy as np
 
-from .domain import RadialDomain, radial_map
-from .dynamics import iterate_batch, return_map, return_map_batch
-from .errors import CurvatureSingularity, NotAFixedPoint
+from .domain import RadialDomain, _outer_geometry_batch, _tilt_batch
+from .dynamics import iterate_batch, return_map_batch
+from .errors import CurvatureSingularity, InadmissibleThickness, NotAFixedPoint
 from .surfaces import (
     ConvexCore,
     SurfacePoint,
@@ -29,6 +32,7 @@ from .surfaces import (
     frame_at,
     retract,
     retract_batch,
+    shape_action_batch,
     shape_operator_at,
 )
 
@@ -85,24 +89,58 @@ def preconditioner_determinant(dom: RadialDomain, c: SurfacePoint, frame: Tangen
 # expansion residuals
 # ---------------------------------------------------------------------------
 
-def _predicted_step_ambient(dom, c, frame, step_scale, second_order=False):
-    """Predicted tangent displacement at c as an ambient vector."""
-    d, _, R = _resolvent(dom, c, frame)
-    g = dom.field.surface_gradient(c, frame)
-    w = step_scale * d * (R @ g)
-    if second_order:
-        H = dom.field.surface_hessian(c, frame)
-        w = w + 2.0 * d * d * (H @ g) + 2.0 * d * float(g @ g) * g
-    return w @ frame.vectors
+def expansion_residual_batch(dom: RadialDomain, X, step_scale: float = CLASSICAL_STEP_SCALE,
+                             kind: str = "first_order"):
+    """(total, transverse) residual norms, each (n,), at core points X with
+    m = (I - dS)^-1 grad d from _tilt_batch and w1 = step_scale * d * m.
+
+    The kinds are those of first_order_residual, second_order_residual
+    (w2 = w1 + 2 d^2 Hess d[g] + 2 d |g|^2 g, transverse in ambient
+    coordinates) and normal_expansion_residual; transverse is zero for the
+    other two.  Hess d[g] = P_t(hess D g) + (grad D . nu) S g, from the
+    surface Hessian at frame_at on rows where hess D is nan.
+    """
+    if kind not in ("first_order", "second_order", "normal"):
+        raise ValueError(f"unknown sweep kind {kind!r}")
+    core, fld = dom.core, dom.field
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    d = fld.ambient_value(X)
+    if np.any(d <= 0.0):
+        raise InadmissibleThickness(f"nonpositive thickness at {int(np.sum(d <= 0.0))} points")
+    nu, m = _tilt_batch(dom, X, d)
+    transverse = np.zeros(X.shape[0])
+    if kind == "normal":
+        _, n = _outer_geometry_batch(dom, X, d)
+        return np.linalg.norm(n + nu - m, axis=-1), transverse
+    w1 = step_scale * d[:, None] * m
+    F = return_map_batch(dom, X)
+    if kind == "first_order":
+        return np.linalg.norm(F - retract_batch(core, X, w1), axis=-1), transverse
+    g = fld.ambient_grad(X)
+    gn = np.einsum("ij,ij->i", g, nu)
+    gt = g - gn[:, None] * nu
+    gnorm = np.linalg.norm(gt, axis=-1)
+    if np.any(gnorm == 0.0):
+        raise ValueError("second_order residual requires grad d != 0")
+    Hgt = np.einsum("ijk,ik->ij", fld.ambient_hess(X), gt)
+    Hg = Hgt - np.einsum("ij,ij->i", Hgt, nu)[:, None] * nu + gn[:, None] * shape_action_batch(core, X, gt)
+    for i in np.flatnonzero(~np.isfinite(Hg).all(axis=-1)):
+        p = SurfacePoint.from_ambient(core, X[i])
+        frame = frame_at(core, p)
+        Hg[i] = (fld.surface_hessian(p, frame) @ (frame.vectors @ gt[i])) @ frame.vectors
+    w2 = w1 + (2.0 * d * d)[:, None] * Hg + (2.0 * d * gnorm**2)[:, None] * gt
+    total = np.linalg.norm(F - retract_batch(core, X, w2), axis=-1)
+    r = F - X - w1
+    r -= np.einsum("ij,ij->i", r, nu)[:, None] * nu
+    ghat = gt / gnorm[:, None]
+    r -= np.einsum("ij,ij->i", r, ghat)[:, None] * ghat
+    return total, np.linalg.norm(r, axis=-1)
 
 
 def first_order_residual(dom: RadialDomain, c: SurfacePoint, step_scale: float = CLASSICAL_STEP_SCALE) -> float:
     """|F(c) - retract(c, step)| with step = step_scale * d (I-dS)^-1 grad d."""
-    frame = frame_at(dom.core, c)
-    w = _predicted_step_ambient(dom, c, frame, step_scale)
-    predicted = retract(dom.core, c, w, 1.0)
-    actual = return_map(dom, c)
-    return float(np.linalg.norm(actual.ambient - predicted.ambient))
+    dom.field.eval(c)  # the positivity guard and core check of the scalar API
+    return float(expansion_residual_batch(dom, c.ambient[None], step_scale, "first_order")[0][0])
 
 
 def second_order_residual(dom: RadialDomain, c: SurfacePoint, step_scale: float = CLASSICAL_STEP_SCALE):
@@ -112,33 +150,15 @@ def second_order_residual(dom: RadialDomain, c: SurfacePoint, step_scale: float 
     transverse: component of (F(c) - c - first-order step) orthogonal to
     grad d within the tangent space.
     """
-    frame = frame_at(dom.core, c)
-    g = dom.field.surface_gradient(c, frame)
-    gnorm = float(np.linalg.norm(g))
-    if gnorm == 0.0:
-        raise ValueError("second_order_residual requires grad d != 0")
-    w2 = _predicted_step_ambient(dom, c, frame, step_scale, second_order=True)
-    predicted = retract(dom.core, c, w2, 1.0)
-    actual = return_map(dom, c)
-    total = float(np.linalg.norm(actual.ambient - predicted.ambient))
-
-    w1 = _predicted_step_ambient(dom, c, frame, step_scale)
-    disp = actual.ambient - c.ambient
-    resid = frame.vectors @ (disp - w1)  # tangent components
-    ghat = g / gnorm
-    transverse = float(np.linalg.norm(resid - ghat * float(resid @ ghat)))
-    return total, transverse
+    dom.field.eval(c)
+    total, transverse = expansion_residual_batch(dom, c.ambient[None], step_scale, "second_order")
+    return float(total[0]), float(transverse[0])
 
 
 def normal_expansion_residual(dom: RadialDomain, c: SurfacePoint) -> float:
     """|n(Phi(c)) + nu(c) - (I - dS)^-1 grad d| for the exact inward normal."""
-    frame = frame_at(dom.core, c)
-    _, _, R = _resolvent(dom, c, frame)
-    g = dom.field.surface_gradient(c, frame)
-    m = (R @ g) @ frame.vectors
-    nu = dom.core.normal(c.ambient)
-    n = radial_map(dom, c).inward_normal
-    return float(np.linalg.norm(n + nu - m))
+    dom.field.eval(c)
+    return float(expansion_residual_batch(dom, c.ambient[None], kind="normal")[0][0])
 
 
 def fit_loglog(xs, ys, floor: float | None = None):
@@ -169,8 +189,6 @@ class ExpansionResidualReport:
     transverse_residual_norms: list
     transverse_slope: float
     per_sample_slopes: np.ndarray | None = None
-    per_sample_transverse_slopes: np.ndarray | None = None
-    points_used: int = 0
 
 
 def residual_sweep(
@@ -185,35 +203,20 @@ def residual_sweep(
 
     field_factory(eps) builds the thickness field; kind selects the
     residual: "first_order" (total only), "second_order" (total and
-    transverse), or "normal" (inward-normal expansion).
+    transverse), or "normal" (inward-normal expansion).  One
+    expansion_residual_batch call per epsilon.
     """
     eps_list = list(eps_list)
-    samples = [SurfacePoint.from_chart(core, ch) for ch in np.atleast_2d(sample_charts)]
-    vals = np.zeros((len(eps_list), len(samples)))
-    tvals = np.zeros_like(vals)
-    for i, eps in enumerate(eps_list):
-        dom = RadialDomain(core, field_factory(eps))
-        for j, p in enumerate(samples):
-            if kind == "first_order":
-                vals[i, j] = first_order_residual(dom, p, step_scale)
-            elif kind == "second_order":
-                vals[i, j], tvals[i, j] = second_order_residual(dom, p, step_scale)
-            elif kind == "normal":
-                vals[i, j] = normal_expansion_residual(dom, p)
-            else:
-                raise ValueError(f"unknown sweep kind {kind!r}")
+    X = core.ambient_from_chart(np.atleast_2d(sample_charts))
+    res = np.array([expansion_residual_batch(RadialDomain(core, field_factory(eps)), X, step_scale, kind)
+                    for eps in eps_list])  # (epsilon, total | transverse, sample)
+    vals, tvals = res[:, 0], res[:, 1]
     floor = SLOPE_FLOOR_FACTOR * core.surface_scale()
     mean_res = vals.mean(axis=1)
-    slope, used = fit_loglog(eps_list, mean_res, floor)
-    per_sample = np.array([fit_loglog(eps_list, vals[:, j], floor)[0] for j in range(len(samples))])
-    if kind == "second_order":
-        mean_t = tvals.mean(axis=1)
-        t_slope, _ = fit_loglog(eps_list, mean_t, floor)
-        per_sample_t = np.array([fit_loglog(eps_list, tvals[:, j], floor)[0] for j in range(len(samples))])
-    else:
-        mean_t = np.zeros(len(eps_list))
-        t_slope = float("nan")
-        per_sample_t = None
+    slope, _ = fit_loglog(eps_list, mean_res, floor)
+    per_sample = np.array([fit_loglog(eps_list, vals[:, j], floor)[0] for j in range(X.shape[0])])
+    mean_t = tvals.mean(axis=1)  # zero unless kind is second_order
+    t_slope = fit_loglog(eps_list, mean_t, floor)[0] if kind == "second_order" else float("nan")
     return ExpansionResidualReport(
         epsilons=eps_list,
         residual_norms=list(mean_res),
@@ -221,8 +224,6 @@ def residual_sweep(
         transverse_residual_norms=list(mean_t),
         transverse_slope=t_slope,
         per_sample_slopes=per_sample,
-        per_sample_transverse_slopes=per_sample_t,
-        points_used=used,
     )
 
 

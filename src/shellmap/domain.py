@@ -53,30 +53,35 @@ class OuterBoundaryPoint:
     inward_normal: np.ndarray
 
 
-def _outer_geometry_batch(dom: RadialDomain, X: np.ndarray, d=None):
-    """Outer points and inward normals above core points X, vectorized.
+def _tilt_batch(dom: RadialDomain, X: np.ndarray, d: np.ndarray):
+    """Core normals nu and tilts m = (I - d S)^(-1) grad d at X, (n, N) each.
 
-    Returns (Xout, n_in).  n_in is the closed form (m - nu)/|m - nu|:
-    with r = |Mx|, nu = Mx/r and D = (I + (d/r) M)^(-1), the tangent
+    With r = |Mx|, nu = Mx/r and D = (I + (d/r) M)^(-1), the tangent
     solution of (I - d S) m = g_t is m = D (g_t + mu nu) with
     mu = -(nu . D g_t)/(nu . D nu), which equals D g + mu' D nu with
-    mu' = -(nu . D g)/(nu . D nu) for the ambient gradient g.  A degenerate
-    normal raises ImmersionFailure.
+    mu' = -(nu . D g)/(nu . D nu) for the ambient gradient g.
     """
-    core, field = dom.core, dom.field
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if d is None:
-        d = field.ambient_value(X)
-    w = 1.0 / core.axes**2
+    w = 1.0 / dom.core.axes**2
     MX = X * w
-    g = field.ambient_grad(X)
+    g = dom.field.ambient_grad(X)
     r = np.sqrt(np.einsum("ij,ij->i", MX, MX))
     nu = MX / r[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         D = 1.0 / (1.0 + (d / r)[:, None] * w)
         Dnu = D * nu
         mu = -np.einsum("ij,ij->i", Dnu, g) / np.einsum("ij,ij->i", Dnu, nu)
-        nvec = D * g + mu[:, None] * Dnu - nu
+        return nu, D * g + mu[:, None] * Dnu
+
+
+def _outer_geometry_batch(dom: RadialDomain, X: np.ndarray, d=None):
+    """Outer points and inward normals (m - nu)/|m - nu| above core points
+    X, vectorized; a degenerate normal raises ImmersionFailure."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if d is None:
+        d = dom.field.ambient_value(X)
+    nu, m = _tilt_batch(dom, X, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nvec = m - nu
         norms = np.sqrt(np.einsum("ij,ij->i", nvec, nvec))
         nvec /= norms[:, None]
     # a nan seed is left to fail in the ray solve

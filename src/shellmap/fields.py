@@ -50,8 +50,9 @@ class ThicknessField:
     def ambient_grad(self, X) -> np.ndarray:
         raise NotImplementedError
 
-    def ambient_hess(self, x):
-        """Ambient Hessian at a single point, or None if unavailable there."""
+    def ambient_hess(self, X) -> np.ndarray:
+        """Ambient Hessian, shape X.shape + (N,); nan on the points where a
+        field kind has no closed form (zonal profiles at the axis poles)."""
         raise NotImplementedError
 
     # -- surface operations --------------------------------------------------
@@ -86,14 +87,14 @@ class ThicknessField:
 
         Defined as the second derivative along retraction curves; computed
         from the ambient extension plus the curvature correction, falling
-        back to finite differences along retractions where a field kind has
-        no usable ambient Hessian (zonal profiles at chart poles).
+        back to finite differences along retractions where the ambient
+        Hessian is not finite (zonal profiles at chart poles).
         """
         self._check_point(p)
         if frame is None:
             frame = frame_at(self.core, p)
         Hamb = self.ambient_hess(p.ambient)
-        if Hamb is None:
+        if not np.isfinite(Hamb).all():
             return finite_difference_hessian(self, p, frame)
         E = frame.vectors
         g = self.ambient_grad(p.ambient)
@@ -164,8 +165,9 @@ class ConstantField(ThicknessField):
         X = np.asarray(X, dtype=float)
         return np.zeros_like(X)
 
-    def ambient_hess(self, x):
-        return np.zeros((self.core.dim, self.core.dim))
+    def ambient_hess(self, X):
+        X = np.asarray(X, dtype=float)
+        return np.zeros(X.shape + X.shape[-1:])
 
 
 class ZonalLegendreField(ThicknessField):
@@ -193,8 +195,9 @@ class ZonalLegendreField(ThicknessField):
         w = self._w(X)
         return (3.0 * self.eps * w)[..., None] * self._gw
 
-    def ambient_hess(self, x):
-        return 3.0 * self.eps * np.outer(self._gw, self._gw)
+    def ambient_hess(self, X):
+        H = 3.0 * self.eps * np.outer(self._gw, self._gw)
+        return np.broadcast_to(H, np.shape(X)[:-1] + H.shape).copy()
 
 
 class ZonalProfileField(ThicknessField):
@@ -235,16 +238,16 @@ class ZonalProfileField(ThicknessField):
         )
         return (-self.eps * q)[..., None] * self._gw
 
-    def ambient_hess(self, x):
-        w = float(self._w(np.asarray(x, dtype=float)))
+    def ambient_hess(self, X):
+        w = self._w(X)
         s2 = 1.0 - w * w
-        if s2 <= self._POLE_BAND**2:
-            return None  # triggers the retraction-curve fallback
         theta = np.arccos(w)
-        s = np.sqrt(s2)
-        q = float(self.df(theta)) / s
-        g2 = (float(self.d2f(theta)) - q * w) / s2
-        return self.eps * g2 * np.outer(self._gw, self._gw)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = np.asarray(self.df(theta)) / np.sqrt(s2)
+            g2 = self.eps * ((np.asarray(self.d2f(theta)) - q * w) / s2)
+        # nan inside the pole band triggers the retraction-curve fallback
+        g2 = np.where(s2 <= self._POLE_BAND**2, np.nan, g2)
+        return g2[..., None, None] * np.outer(self._gw, self._gw)
 
 
 class Fourier2DField(ThicknessField):
@@ -284,22 +287,18 @@ class Fourier2DField(ThicknessField):
             dval = dval - amp * k * np.sin(k * th)
         return dval[..., None] * gth
 
-    def ambient_hess(self, x):
-        x = np.asarray(x, dtype=float)
+    def ambient_hess(self, X):
         a = self.core.axes
-        u = x / a
-        rho2 = u[0] ** 2 + u[1] ** 2
-        th = float(self._theta(x))
-        gth = self._grad_theta(x)
-        hess_th = np.array(
-            [
-                [2 * u[0] * u[1] / (a[0] ** 2), (u[1] ** 2 - u[0] ** 2) / (a[0] * a[1])],
-                [(u[1] ** 2 - u[0] ** 2) / (a[0] * a[1]), -2 * u[0] * u[1] / (a[1] ** 2)],
-            ]
-        ) / rho2**2
+        u0, u1 = np.moveaxis(np.asarray(X, dtype=float) / a, -1, 0)
+        th = self._theta(X)
+        gth = self._grad_theta(X)
+        off = (u1**2 - u0**2) / (a[0] * a[1])
+        hess_th = np.stack([2 * u0 * u1 / (a[0] ** 2), off, off, -2 * u0 * u1 / (a[1] ** 2)], axis=-1)
+        hess_th = hess_th.reshape(u0.shape + (2, 2)) / ((u0**2 + u1**2) ** 2)[..., None, None]
         d1 = sum(-amp * k * np.sin(k * th) for k, amp in self.terms)
         d2 = sum(-amp * k * k * np.cos(k * th) for k, amp in self.terms)
-        return d2 * np.outer(gth, gth) + d1 * hess_th
+        return (np.asarray(d2)[..., None, None] * (gth[..., :, None] * gth[..., None, :])
+                + np.asarray(d1)[..., None, None] * hess_th)
 
 
 class ScaledField(ThicknessField):
@@ -316,9 +315,8 @@ class ScaledField(ThicknessField):
     def ambient_grad(self, X):
         return self.scale * self.inner.ambient_grad(X)
 
-    def ambient_hess(self, x):
-        H = self.inner.ambient_hess(x)
-        return None if H is None else self.scale * H
+    def ambient_hess(self, X):
+        return self.scale * self.inner.ambient_hess(X)
 
 
 class SumField(ThicknessField):
@@ -344,11 +342,5 @@ class SumField(ThicknessField):
     def ambient_grad(self, X):
         return sum(p.ambient_grad(X) for p in self.parts)
 
-    def ambient_hess(self, x):
-        total = np.zeros((self.core.dim, self.core.dim))
-        for p in self.parts:
-            H = p.ambient_hess(x)
-            if H is None:
-                return None
-            total = total + H
-        return total
+    def ambient_hess(self, X):
+        return sum(p.ambient_hess(X) for p in self.parts)

@@ -226,11 +226,11 @@ def _g17(x) -> str:
 
 
 def _sample_charts(core: ConvexCore, n: int, rng) -> np.ndarray:
-    """Random off-critical sample charts (kept away from chart poles)."""
+    """Random sample charts: for N=3 away from the chart poles and the
+    equator, for N=2 at least 0.15 from theta = 0; critical points of the
+    field are not avoided."""
     if core.dim == 2:
-        theta = rng.uniform(0.15, 2 * np.pi - 0.15, size=n)
-        # keep away from the cos-kθ critical angles by a nudge
-        return theta[:, None]
+        return rng.uniform(0.15, 2 * np.pi - 0.15, size=n)[:, None]
     theta = rng.uniform(0.35, np.pi / 2 - 0.25, size=n)
     phi = rng.uniform(0.0, 2 * np.pi, size=n)
     return np.stack([theta, phi], axis=-1)

@@ -31,6 +31,8 @@ class ConvexCore:
 
     kind is one of "circle", "sphere", "ellipsoid"; semi_axes has length N.
     The implicit function is f(x) = sum (x_i/s_i)^2 - 1 (negative inside).
+    axes is semi_axes as a read-only array, built once; equality and
+    hashing use kind and semi_axes only.
     """
 
     kind: str
@@ -48,6 +50,9 @@ class ConvexCore:
         if self.kind not in ("circle", "sphere", "ellipsoid"):
             raise ValueError(f"unknown core kind {self.kind!r}")
         object.__setattr__(self, "semi_axes", axes)
+        arr = np.array(axes)
+        arr.flags.writeable = False
+        object.__setattr__(self, "axes", arr)
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -67,10 +72,6 @@ class ConvexCore:
     def dim(self) -> int:
         """Ambient dimension N."""
         return len(self.semi_axes)
-
-    @property
-    def axes(self) -> np.ndarray:
-        return np.asarray(self.semi_axes)
 
     @property
     def quadric_matrix(self) -> np.ndarray:

@@ -11,10 +11,12 @@ from shellmap import (
     ConstantField,
     ConvexCore,
     Fourier2DField,
+    InadmissibleThickness,
     NotAFixedPoint,
     RadialDomain,
     SurfacePoint,
     ZonalLegendreField,
+    ZonalProfileField,
     classify_fixed_point,
     curvature_preconditioner,
     find_fixed_points,
@@ -23,8 +25,11 @@ from shellmap import (
     frame_at,
     linearize_analytic,
     linearize_fd,
+    legendre_p2,
+    normal_expansion_residual,
     preconditioner_determinant,
     preconditioner_series_residual,
+    radial_map,
     residual_sweep,
     retract,
     return_map,
@@ -33,7 +38,8 @@ from shellmap import (
     shape_operator_at,
     step_operator,
 )
-from shellmap.analysis import LinearizationReport, finite_difference_jacobian
+from shellmap import analysis
+from shellmap.analysis import LinearizationReport, expansion_residual_batch, finite_difference_jacobian
 from shellmap.errors import CurvatureSingularity
 
 SPHERE = ConvexCore.sphere(1.0)
@@ -426,3 +432,124 @@ def test_fixed_points_come_in_canonical_order(dom, n_seeds):
     grads = [np.linalg.norm(dom.field.surface_gradient_ambient(p)) for p in scan.points]
     assert np.array_equal(scan.grad_norms, grads)
 
+
+
+# ---------------------------------------------------------------------------
+# batched expansion residuals
+# ---------------------------------------------------------------------------
+
+TILTED_CORE = ConvexCore.ellipsoid(2.0, 1.0, 0.5)
+TILTED = RadialDomain(TILTED_CORE, ZonalLegendreField(TILTED_CORE, 0.25, 0.02, axis=(0.3, 0.5, 0.8)))
+RESIDUAL_DOMAINS = {
+    "sphere": zonal_domain(eps=0.05),
+    "tilted_ellipsoid": TILTED,
+    "fourier_circle": RadialDomain(CIRCLE, Fourier2DField(CIRCLE, 0.5, [(2, 0.05), (3, 0.02)])),
+}
+KINDS = ["first_order", "second_order", "normal"]
+
+
+def _residual_points(core, n=7, seed=5):
+    rng = np.random.default_rng(seed)
+    if core.dim == 2:
+        charts = rng.uniform(0.2, 2 * np.pi - 0.2, size=(n, 1))
+    else:
+        charts = np.stack([rng.uniform(0.3, 1.3, n), rng.uniform(0.0, 2 * np.pi, n)], axis=-1)
+    return core.ambient_from_chart(charts)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", sorted(RESIDUAL_DOMAINS))
+def test_expansion_residual_batch_rows_equal_batch_of_one(name, kind):
+    dom = RESIDUAL_DOMAINS[name]
+    X = _residual_points(dom.core)
+    total, transverse = expansion_residual_batch(dom, X, MEASURED_STEP_SCALE, kind)
+    assert total.shape == transverse.shape == (X.shape[0],)
+    for i, x in enumerate(X):
+        t1, tr1 = expansion_residual_batch(dom, x[None], MEASURED_STEP_SCALE, kind)
+        assert t1[0] == total[i] and tr1[0] == transverse[i]
+
+
+def _frame_step(dom, c, frame, step_scale, second_order=False):
+    """The frame-based predicted step: components in the tangent frame,
+    pushed to ambient coordinates."""
+    d = dom.field.eval(c)
+    S = shape_operator_at(dom.core, c, frame)
+    R = np.linalg.inv(np.eye(S.shape[0]) - d * S)
+    R = 0.5 * (R + R.T)
+    g = dom.field.surface_gradient(c, frame)
+    w = step_scale * d * (R @ g)
+    if second_order:
+        H = dom.field.surface_hessian(c, frame)
+        w = w + 2.0 * d * d * (H @ g) + 2.0 * d * float(g @ g) * g
+    return w @ frame.vectors, R, g
+
+
+def _frame_residuals(dom, c, step_scale):
+    """(first-order, second-order total, transverse, normal) residuals from
+    the frame formulas."""
+    frame = frame_at(dom.core, c)
+    actual = return_map(dom, c).ambient
+    w1, R, g = _frame_step(dom, c, frame, step_scale)
+    w2, _, _ = _frame_step(dom, c, frame, step_scale, second_order=True)
+    first = np.linalg.norm(actual - retract(dom.core, c, w1, 1.0).ambient)
+    total = np.linalg.norm(actual - retract(dom.core, c, w2, 1.0).ambient)
+    resid = frame.vectors @ (actual - c.ambient - w1)
+    ghat = g / np.linalg.norm(g)
+    transverse = np.linalg.norm(resid - ghat * float(resid @ ghat))
+    m = (R @ g) @ frame.vectors
+    normal = np.linalg.norm(radial_map(dom, c).inward_normal + dom.core.normal(c.ambient) - m)
+    return first, total, transverse, normal
+
+
+@pytest.mark.parametrize("step_scale", [CLASSICAL_STEP_SCALE, MEASURED_STEP_SCALE])
+def test_residuals_agree_with_frame_formulas_on_tilted_ellipsoid(step_scale):
+    # the (grad d . nu) S term of Hess d is nonzero only off the umbilic cores
+    for x in _residual_points(TILTED.core, n=10, seed=9):
+        c = SurfacePoint.from_ambient(TILTED.core, x)
+        first, total, transverse, normal = _frame_residuals(TILTED, c, step_scale)
+        assert abs(first_order_residual(TILTED, c, step_scale) - first) < 1e-14
+        got_total, got_transverse = second_order_residual(TILTED, c, step_scale)
+        assert abs(got_total - total) < 1e-14
+        assert abs(got_transverse - transverse) < 1e-14
+        assert abs(normal_expansion_residual(TILTED, c) - normal) < 1e-14
+
+
+def test_second_order_residual_in_the_zonal_profile_pole_band():
+    # ambient_hess is nan here; Hess d comes from the surface Hessian at frame_at
+    fld = ZonalProfileField(SPHERE, 0.5, 0.01, f=lambda t: legendre_p2(np.cos(t)),
+                            df=lambda t: -3.0 * np.cos(t) * np.sin(t),
+                            d2f=lambda t: -3.0 * np.cos(2.0 * t))
+    dom = RadialDomain(SPHERE, fld)
+    c = pt(SPHERE, 5e-5, 0.3)
+    assert np.isnan(fld.ambient_hess(c.ambient)).all()
+    total, transverse = second_order_residual(dom, c)
+    assert abs(total / 1.5432755512195705e-06 - 1.0) < 1e-9
+    assert np.isfinite(transverse)
+
+
+def test_residual_sweep_makes_one_map_call_per_epsilon(monkeypatch):
+    calls = []
+
+    def counted(dom, X):
+        calls.append(len(X))
+        return return_map_batch(dom, X)
+
+    monkeypatch.setattr(analysis, "return_map_batch", counted)
+    charts = np.array([[1.1, 0.3], [0.7, 2.0], [2.0, 4.0], [0.5, 5.0]])
+    eps_list = [1e-1, 1e-2, 1e-3]
+    for kind, n_calls in (("first_order", 3), ("second_order", 3), ("normal", 0)):
+        calls.clear()
+        residual_sweep(SPHERE, lambda e: ZonalLegendreField(SPHERE, 0.5, e), eps_list, charts, kind=kind)
+        assert calls == [4] * n_calls
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_expansion_residuals_reject_nonpositive_thickness(kind):
+    dom = zonal_domain(d0=0.1, eps=0.5)  # d < 0 at the equator
+    c = pt(SPHERE, np.pi / 2, 0.0)
+    with pytest.raises(InadmissibleThickness):
+        expansion_residual_batch(dom, c.ambient[None], kind=kind)
+    scalar = {"first_order": first_order_residual, "second_order": second_order_residual,
+              "normal": normal_expansion_residual}[kind]
+    with pytest.raises(InadmissibleThickness):
+        scalar(dom, c)

@@ -324,3 +324,44 @@ def test_fd_hessian_richardson_flag():
     rich = finite_difference_hessian(fld, p, frame, h=1e-3, richardson=True)
     assert np.abs(plain - H).max() < 5e-6
     assert np.abs(rich - H).max() < 1e-7
+
+
+def _p2_profile(core, d0, eps):
+    return ZonalProfileField(
+        core, d0, eps,
+        f=lambda t: legendre_p2(np.cos(t)),
+        df=lambda t: -3.0 * np.cos(t) * np.sin(t),
+        d2f=lambda t: -3.0 * np.cos(2.0 * t),
+    )
+
+
+@pytest.mark.parametrize("fld", [
+    ConstantField(SPHERE, 0.5),
+    ZonalLegendreField(ELLIPSOID, 0.3, 0.02, axis=(0.3, 0.5, 0.8)),
+    _p2_profile(SPHERE, 0.5, 0.01),
+    Fourier2DField(CIRCLE, 0.5, [(2, 0.05), (3, 0.02)]),
+    ScaledField(2.5, _p2_profile(SPHERE, 0.5, 0.01)),
+    SumField([ZonalLegendreField(SPHERE, 0.3, 0.01), _p2_profile(SPHERE, 0.2, 0.02)]),
+], ids=["constant", "zonal_legendre", "zonal_profile", "fourier", "scaled", "sum"])
+def test_ambient_hess_is_batched_with_rows_equal_to_single_point_calls(fld):
+    core = fld.core
+    X = np.array([p.ambient for p in random_points(core, 12, seed=31)])
+    if core.dim == 3:  # two points inside the zonal pole band
+        X = np.concatenate([X, core.ambient_from_chart([[5e-5, 0.3], [np.pi - 2e-5, 1.0]])])
+    H = fld.ambient_hess(X)
+    assert H.shape == (X.shape[0], core.dim, core.dim)
+    for x, row in zip(X, H):
+        single = fld.ambient_hess(x)
+        assert single.shape == (core.dim, core.dim)
+        assert np.array_equal(row, single, equal_nan=True)
+    banded = isinstance(fld, (ZonalProfileField, ScaledField, SumField))
+    assert np.isnan(H[-2:]).all() == banded
+    assert np.isfinite(H[:-2] if core.dim == 3 else H).all()
+
+
+def test_surface_hessian_falls_back_where_ambient_hess_is_nan():
+    pr = _p2_profile(SPHERE, 0.5, 0.01)
+    p = pt(SPHERE, 5e-5, 0.3)
+    frame = frame_at(SPHERE, p)
+    assert np.isnan(pr.ambient_hess(p.ambient)).all()
+    assert np.array_equal(pr.surface_hessian(p, frame), finite_difference_hessian(pr, p, frame))

@@ -356,3 +356,13 @@ def test_fibonacci_grid_shape_and_determinism():
     assert np.array_equal(g1, g2)
     g3 = fibonacci_chart_grid(CIRCLE, 64)
     assert g3.shape == (64, 1)
+
+
+def test_axes_array_is_built_once_and_read_only():
+    core = ConvexCore.ellipsoid(2.0, 1.0, 0.5)
+    assert core.axes is core.axes
+    assert np.array_equal(core.axes, [2.0, 1.0, 0.5])
+    with pytest.raises(ValueError):
+        core.axes[0] = 3.0
+    twin = ConvexCore("ellipsoid", (2, 1, 0.5))
+    assert twin == core and hash(twin) == hash(core)
