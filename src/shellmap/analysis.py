@@ -9,9 +9,10 @@ predicted displacement is parametrized as
 so step_scale = -2 reproduces the classical descent-model prediction and
 step_scale = +1 the step law the exact ray dynamics actually follows (see
 tests/test_measured_law.py).  The residuals are batched on the closed-form
-tilt of the return map; rows where a field's ambient Hessian is nan (no
-closed form there) take the finite-difference surface Hessian instead, so
-no residual is nan.
+tilt of the return map and the field's Hessian action.  The FD Jacobian
+and the Newton polish of fixed_point_search take batches of centres (one
+retract_batch and one map call per stencil); the scalar entry points are
+batch-of-one views.
 """
 
 from __future__ import annotations
@@ -21,25 +22,25 @@ from functools import partial
 
 import numpy as np
 
-from .domain import RadialDomain, _outer_geometry_batch, _tilt_batch
+from .domain import RadialDomain, _outer_geometry_batch, _resolvent_batch
 from .dynamics import iterate_batch, return_map_batch
-from .errors import CurvatureSingularity, InadmissibleThickness, NotAFixedPoint
+from .errors import CurvatureSingularity, InadmissibleThickness, NotAFixedPoint, OffSurface
+from .fields import ConstantField
 from .surfaces import (
+    TOL_SURFACE,
     ConvexCore,
     SurfacePoint,
     TangentFrame,
     fibonacci_chart_grid,
     frame_at,
-    retract,
+    frames_batch,
     retract_batch,
-    shape_action_batch,
     shape_operator_at,
 )
 
 FIXED_POINT_RESIDUAL_TOL = 1e-8
 NEWTON_MAX_STEPS = 20
 MAX_REFINE = 64
-DET_TOL = 1e-10
 DEFAULT_FD_STEP = 1e-5
 SLOPE_FLOOR_FACTOR = 1e-13
 
@@ -51,24 +52,19 @@ MEASURED_STEP_SCALE = 1.0    # coefficient the exact ray mechanism exhibits
 # tangent-space operators
 # ---------------------------------------------------------------------------
 
-def _resolvent(dom: RadialDomain, c: SurfacePoint, frame: TangentFrame):
-    """(I - d S)^(-1) in the frame, with the thickness value d."""
-    d = dom.field.eval(c)
-    S = shape_operator_at(dom.core, c, frame)
-    k = S.shape[0]
-    A = np.eye(k) - d * S
-    if abs(np.linalg.det(A)) <= DET_TOL:
-        raise CurvatureSingularity(f"det(I - dS) = {np.linalg.det(A):.3e}")
-    R = np.linalg.inv(A)
-    return d, S, 0.5 * (R + R.T)
-
-
 def step_operator(dom: RadialDomain, c: SurfacePoint, frame: TangentFrame | None = None) -> np.ndarray:
-    """d (I - d S)^(-1): the exact shell-normal tilt times the travel length."""
+    """d (I - d S)^(-1), the exact shell-normal tilt times the travel length:
+    d E R(E)^T with the closed-form resolvent R of domain._resolvent_batch.
+    I - dS >= I for d > 0; singular I - dS raises CurvatureSingularity."""
     if frame is None:
         frame = frame_at(dom.core, c)
-    d, _, R = _resolvent(dom, c, frame)
-    return d * R
+    d = dom.field.eval(c)
+    E = frame.vectors
+    _, RE = _resolvent_batch(dom.core, np.broadcast_to(c.ambient, E.shape), np.full(E.shape[0], d), E)
+    R = E @ RE.T
+    if not np.isfinite(R).all():
+        raise CurvatureSingularity(f"I - dS is singular at chart {c.chart} (d = {d:.6g})")
+    return d * (0.5 * (R + R.T))
 
 def curvature_preconditioner(dom: RadialDomain, c: SurfacePoint, frame: TangentFrame | None = None) -> np.ndarray:
     """2 d (I - d S)^(-1), the operator through which the thickness Hessian
@@ -92,13 +88,12 @@ def preconditioner_determinant(dom: RadialDomain, c: SurfacePoint, frame: Tangen
 def expansion_residual_batch(dom: RadialDomain, X, step_scale: float = CLASSICAL_STEP_SCALE,
                              kind: str = "first_order"):
     """(total, transverse) residual norms, each (n,), at core points X with
-    m = (I - dS)^-1 grad d from _tilt_batch and w1 = step_scale * d * m.
+    m = (I - dS)^-1 grad d from _resolvent_batch and w1 = step_scale * d * m.
 
     The kinds are those of first_order_residual, second_order_residual
-    (w2 = w1 + 2 d^2 Hess d[g] + 2 d |g|^2 g, transverse in ambient
-    coordinates) and normal_expansion_residual; transverse is zero for the
-    other two.  Hess d[g] = P_t(hess D g) + (grad D . nu) S g, from the
-    surface Hessian at frame_at on rows where hess D is nan.
+    (w2 = w1 + 2 d^2 Hess d[g] + 2 d |g|^2 g with Hess d[g] from the
+    field's hessian_action, transverse in ambient coordinates) and
+    normal_expansion_residual; transverse is zero for the other two.
     """
     if kind not in ("first_order", "second_order", "normal"):
         raise ValueError(f"unknown sweep kind {kind!r}")
@@ -107,7 +102,8 @@ def expansion_residual_batch(dom: RadialDomain, X, step_scale: float = CLASSICAL
     d = fld.ambient_value(X)
     if np.any(d <= 0.0):
         raise InadmissibleThickness(f"nonpositive thickness at {int(np.sum(d <= 0.0))} points")
-    nu, m = _tilt_batch(dom, X, d)
+    g = fld.ambient_grad(X)
+    nu, m = _resolvent_batch(core, X, d, g)
     transverse = np.zeros(X.shape[0])
     if kind == "normal":
         _, n = _outer_geometry_batch(dom, X, d)
@@ -116,18 +112,11 @@ def expansion_residual_batch(dom: RadialDomain, X, step_scale: float = CLASSICAL
     F = return_map_batch(dom, X)
     if kind == "first_order":
         return np.linalg.norm(F - retract_batch(core, X, w1), axis=-1), transverse
-    g = fld.ambient_grad(X)
-    gn = np.einsum("ij,ij->i", g, nu)
-    gt = g - gn[:, None] * nu
+    gt = g - np.einsum("ij,ij->i", g, nu)[:, None] * nu
     gnorm = np.linalg.norm(gt, axis=-1)
     if np.any(gnorm == 0.0):
         raise ValueError("second_order residual requires grad d != 0")
-    Hgt = np.einsum("ijk,ik->ij", fld.ambient_hess(X), gt)
-    Hg = Hgt - np.einsum("ij,ij->i", Hgt, nu)[:, None] * nu + gn[:, None] * shape_action_batch(core, X, gt)
-    for i in np.flatnonzero(~np.isfinite(Hg).all(axis=-1)):
-        p = SurfacePoint.from_ambient(core, X[i])
-        frame = frame_at(core, p)
-        Hg[i] = (fld.surface_hessian(p, frame) @ (frame.vectors @ gt[i])) @ frame.vectors
+    Hg = fld.hessian_action(X, gt)
     w2 = w1 + (2.0 * d * d)[:, None] * Hg + (2.0 * d * gnorm**2)[:, None] * gt
     total = np.linalg.norm(F - retract_batch(core, X, w2), axis=-1)
     r = F - X - w1
@@ -227,22 +216,19 @@ def residual_sweep(
     )
 
 
-def preconditioner_series_residual(core: ConvexCore, chart, d_values, field_factory=None):
+def preconditioner_series_residual(core: ConvexCore, chart, d_values):
     """||A - 2dI - 2d^2 S|| over a thickness sweep, with fitted slope.
 
     With constant thickness d the preconditioner expands as
     2dI + 2d^2 S + O(d^3).
     """
-    from .fields import ConstantField
-
     p = SurfacePoint.from_chart(core, chart)
     frame = frame_at(core, p)
     S = shape_operator_at(core, p, frame)
     k = S.shape[0]
     res = []
     for d0 in d_values:
-        fld = ConstantField(core, d0) if field_factory is None else field_factory(d0)
-        dom = RadialDomain(core, fld)
+        dom = RadialDomain(core, ConstantField(core, d0))
         A = curvature_preconditioner(dom, p, frame)
         res.append(float(np.linalg.norm(A - 2.0 * d0 * np.eye(k) - 2.0 * d0 * d0 * S)))
     slope, _ = fit_loglog(d_values, res, 0.0)
@@ -272,31 +258,41 @@ class LinearizationReport:
     h: float | None = None
 
 
-def _sorted_eigs(M: np.ndarray) -> np.ndarray:
-    w = np.linalg.eigvals(M)
-    order = np.lexsort((-w.imag, -w.real))
-    return w[order]
+def _classified(c_star, frame, DF, method, preconditioner, **extra) -> LinearizationReport:
+    """The report of DF at a fixed point, after classify_fixed_point."""
+    w = np.linalg.eigvals(DF)
+    report = LinearizationReport(c_star, frame, DF, np.eye(DF.shape[0]) - DF, w[np.lexsort((-w.imag, -w.real))],
+                                 method, preconditioner=preconditioner, **extra)
+    classify_fixed_point(report)
+    return report
 
 
-def _require_fixed(c: SurfacePoint, batch_map) -> None:
-    resid = float(np.linalg.norm(batch_map(c.ambient[None])[0] - c.ambient))
+def _require_fixed(X: np.ndarray, batch_map) -> None:
+    """NotAFixedPoint unless every row of X, (n, N), is fixed to tolerance."""
+    resid = float(np.max(np.linalg.norm(batch_map(X) - X, axis=-1)))
     if resid > FIXED_POINT_RESIDUAL_TOL:
         raise NotAFixedPoint(f"|F(c) - c| = {resid:.3e} exceeds {FIXED_POINT_RESIDUAL_TOL:.1e}")
 
 
+def finite_difference_jacobian_batch(core: ConvexCore, batch_map, X: np.ndarray, E: np.ndarray,
+                                     h: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Central-difference DF, (k, N-1, N-1), at centres X, (k, N), in frames
+    E, (k, N-1, N), columns projected onto the tangent space at the centre
+    (valid at fixed points).  The 2(N-1)k stencil points c +- h e_i take one
+    retract_batch and one batch_map call."""
+    k, m, n = E.shape
+    V = (np.array([h, -h])[None, None, :, None] * E[:, :, None, :]).reshape(-1, n)
+    Y = batch_map(retract_batch(core, np.repeat(X, 2 * m, axis=0), V)).reshape(k, m, 2, n)
+    diff = (Y[:, :, 0] - Y[:, :, 1]) / (2.0 * h)
+    nu = core.normal(X)
+    diff -= (diff @ nu[:, :, None]) * nu[:, None, :]
+    return E @ diff.transpose(0, 2, 1)
+
+
 def finite_difference_jacobian(core: ConvexCore, batch_map, c: SurfacePoint,
                                frame: TangentFrame, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Central-difference DF in the frame, columns projected onto the
-    tangent space at c (valid at fixed points, where domain and codomain
-    tangent spaces coincide).  The 2(N-1) stencil points c +- h e_i are
-    retracted in one retract_batch call and mapped in one batch_map call."""
-    E = frame.vectors
-    V = (np.array([h, -h])[None, :, None] * E[:, None, :]).reshape(-1, core.dim)
-    Y = batch_map(retract_batch(core, c.ambient, V))
-    diff = (Y[0::2] - Y[1::2]) / (2.0 * h)
-    nu = core.normal(c.ambient)
-    diff -= np.outer(diff @ nu, nu)
-    return E @ diff.T
+    """finite_difference_jacobian_batch at c, a batch of one."""
+    return finite_difference_jacobian_batch(core, batch_map, c.ambient[None], frame.vectors[None], h)[0]
 
 
 def linearize_fd(dom: RadialDomain, c_star: SurfacePoint, frame: TangentFrame | None = None,
@@ -305,21 +301,9 @@ def linearize_fd(dom: RadialDomain, c_star: SurfacePoint, frame: TangentFrame | 
     if frame is None:
         frame = frame_at(dom.core, c_star)
     fmap = partial(return_map_batch, dom)
-    _require_fixed(c_star, fmap)
+    _require_fixed(c_star.ambient[None], fmap)
     DF = finite_difference_jacobian(dom.core, fmap, c_star, frame, h)
-    k = DF.shape[0]
-    report = LinearizationReport(
-        point=c_star,
-        frame=frame,
-        DF=DF,
-        composite=np.eye(k) - DF,
-        eigenvalues=_sorted_eigs(DF),
-        method="finite_difference",
-        preconditioner=curvature_preconditioner(dom, c_star, frame),
-        h=h,
-    )
-    classify_fixed_point(report)
-    return report
+    return _classified(c_star, frame, DF, "finite_difference", curvature_preconditioner(dom, c_star, frame), h=h)
 
 
 def linearize_analytic(dom: RadialDomain, c_star: SurfacePoint, frame: TangentFrame | None = None,
@@ -332,23 +316,11 @@ def linearize_analytic(dom: RadialDomain, c_star: SurfacePoint, frame: TangentFr
     """
     if frame is None:
         frame = frame_at(dom.core, c_star)
-    _require_fixed(c_star, partial(return_map_batch, dom))
-    d, _, R = _resolvent(dom, c_star, frame)
+    _require_fixed(c_star.ambient[None], partial(return_map_batch, dom))
+    G = step_operator(dom, c_star, frame)
     H = dom.field.surface_hessian(c_star, frame)
-    k = H.shape[0]
-    DF = np.eye(k) + step_scale * d * (R @ H)
-    report = LinearizationReport(
-        point=c_star,
-        frame=frame,
-        DF=DF,
-        composite=np.eye(k) - DF,
-        eigenvalues=_sorted_eigs(DF),
-        method="analytic",
-        preconditioner=curvature_preconditioner(dom, c_star, frame),
-        hessian=H,
-    )
-    classify_fixed_point(report)
-    return report
+    DF = np.eye(H.shape[0]) + step_scale * (G @ H)
+    return _classified(c_star, frame, DF, "analytic", 2.0 * G, hessian=H)
 
 
 def classify_fixed_point(report: LinearizationReport, tol: float = 1e-6):
@@ -413,35 +385,42 @@ class FixedPointScan:
     unresolved: int
 
 
-def _newton_polish(core: ConvexCore, batch_map, x: np.ndarray):
-    """Newton on G(c) = F(c) - c in the tangent frame at c.
+def _newton_polish(core: ConvexCore, batch_map, X: np.ndarray):
+    """Newton on G(c) = F(c) - c in the tangent frame at c, on all rows of
+    X at once (OffSurface if one is off the core); returns them and |G|.
 
-    DG = DF - I with DF from finite_difference_jacobian; the step solves
-    DG s = -G by least squares with singular values below 1e-6 of the
-    largest dropped (along a curve of fixed points they are stencil
-    noise), and is taken by retract.  The trial evaluation becomes the
-    next centre.  Stops at |G| <= eps * surface_scale(), at the first step
-    that does not lower |G|, or after NEWTON_MAX_STEPS steps.  Returns the
-    point and its |G|.
+    DG = DF - I with DF from finite_difference_jacobian_batch; the step
+    solves DG s = -G by least squares with singular values below 1e-6 of
+    the largest dropped (along a curve of fixed points they are stencil
+    noise).  The trial evaluation becomes the next centre.  A row stops at
+    |G| <= eps * surface_scale(), at its first step that does not lower |G|,
+    or after NEWTON_MAX_STEPS steps: at most 1 + 2 NEWTON_MAX_STEPS map calls.
     """
-    c = SurfacePoint.from_ambient(core, x)
-    G = batch_map(c.ambient[None])[0] - c.ambient
-    r = float(np.linalg.norm(G))
+    X = np.array(X, dtype=float, ndmin=2)
+    off = float(np.max(np.abs(core.implicit(X)), initial=0.0))
+    if off > TOL_SURFACE:
+        raise OffSurface(f"|implicit(x)| = {off:.3e} exceeds {TOL_SURFACE:.1e}")
+    G = batch_map(X) - X
+    r = np.linalg.norm(G, axis=-1)
     target = np.finfo(float).eps * core.surface_scale()
+    live = r > target
     for _ in range(NEWTON_MAX_STEPS):
-        if r <= target:
+        idx = np.flatnonzero(live)
+        if idx.size == 0:
             break
-        frame = frame_at(core, c)
-        E = frame.vectors
-        J = finite_difference_jacobian(core, batch_map, c, frame) - np.eye(E.shape[0])
-        s = np.linalg.lstsq(J, -(E @ G), rcond=1e-6)[0]
-        trial = retract(core, c, s @ E, 1.0)
-        G_trial = batch_map(trial.ambient[None])[0] - trial.ambient
-        r_trial = float(np.linalg.norm(G_trial))
-        if not r_trial < r:
-            break
-        c, G, r = trial, G_trial, r_trial
-    return c, r
+        C = X[idx]
+        E = frames_batch(core, C)
+        J = finite_difference_jacobian_batch(core, batch_map, C, E) - np.eye(core.dim - 1)
+        steps = np.array([np.linalg.lstsq(J[i], -(E[i] @ G[j]), rcond=1e-6)[0] @ E[i]
+                          for i, j in enumerate(idx)])
+        trial = retract_batch(core, C, steps)
+        G_trial = batch_map(trial) - trial
+        r_trial = np.linalg.norm(G_trial, axis=-1)
+        better = r_trial < r[idx]
+        acc = idx[better]
+        X[acc], G[acc], r[acc] = trial[better], G_trial[better], r_trial[better]
+        live[idx] = better & (r[idx] > target)
+    return X, r
 
 
 def _greedy_clusters(X: np.ndarray, radius: float):
@@ -486,28 +465,22 @@ def fixed_point_search(core: ConvexCore, batch_map, n_seeds: int,
     orbit = iterate_batch(None, X, max_iters=max_iters, tol=tol, map_batch=batch_map)
     unresolved = int(np.sum(~orbit.converged))
 
-    candidates = []  # (residual, ambient point)
     limits = orbit.limits
     lim_res = np.linalg.norm(batch_map(limits) - limits, axis=-1)
     pre = _greedy_clusters(limits, radius=1e-5 * core.surface_scale())
-    for lab in range(pre.max() + 1):
-        members = np.nonzero(pre == lab)[0]
-        best = members[np.argmin(lim_res[members])]
-        candidates.append((float(lim_res[best]), limits[best]))
-    n_scan = max(8, n_seeds // 20)
-    scan_idx = np.argsort(R)[:n_scan]
-    candidates.extend((float(R[i]), X[i]) for i in scan_idx)
-    candidates.sort(key=lambda item: item[0])
-    candidates = candidates[:MAX_REFINE]
+    lim_best = [members[np.argmin(lim_res[members])]
+                for members in (np.nonzero(pre == lab)[0] for lab in range(pre.max() + 1))]
+    scan_idx = np.argsort(R)[:max(8, n_seeds // 20)]
+    cand = np.concatenate([limits[lim_best], X[scan_idx]])
+    cand_res = np.concatenate([lim_res[lim_best], R[scan_idx]])
+    cand = cand[np.argsort(cand_res, kind="stable")[:MAX_REFINE]]
 
-    accept = max(tol, 1e-9)
-    polished = [_newton_polish(core, batch_map, x) for _, x in candidates]
-    polished = [(p, r) for p, r in polished if r < accept]
-    if not polished:
+    pts, res = _newton_polish(core, batch_map, cand)
+    keep = res < max(tol, 1e-9)
+    pts, res = pts[keep], res[keep]
+    if not pts.shape[0]:
         return FixedPointScan([], np.array([]), None, continuum, unresolved)
 
-    pts = np.array([p.ambient for p, _ in polished])
-    res = np.array([r for _, r in polished])
     labels = _greedy_clusters(pts, radius=10.0 * tol)
     best = []
     for lab in range(labels.max() + 1):
@@ -515,7 +488,8 @@ def fixed_point_search(core: ConvexCore, batch_map, n_seeds: int,
         best.append(members[np.argmin(res[members])])
     q = 1e-9 * core.surface_scale()
     best.sort(key=lambda i: tuple(np.round(pts[i] / q)))
-    return FixedPointScan([polished[i][0] for i in best], res[best], None, continuum, unresolved)
+    reps = [SurfacePoint.from_ambient(core, pts[i]) for i in best]
+    return FixedPointScan(reps, res[best], None, continuum, unresolved)
 
 
 def find_fixed_points(dom: RadialDomain, n_seeds: int, tol: float = 1e-10,

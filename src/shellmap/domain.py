@@ -3,7 +3,8 @@
 The outer boundary is x = Phi(c) = c + d(c) nu(c).  Its exact tangents are
 DPhi(c)[v] = (I - d S)v + <grad d, v> nu, and the inward unit normal is the
 closed form (-nu + m)/|-nu + m| with m = (I - d S)^(-1) grad d, computed
-pointwise without a tangent basis or chart.  The admissibility diagnostics
+pointwise without a tangent basis or chart (_resolvent_batch, the one
+closed form of (I - d S)^(-1)).  The admissibility diagnostics
 build the DPhi columns in orthonormal frames instead (cross product for
 N=3, a quarter turn for N=2), which also serves as an independent check of
 the closed form.
@@ -53,24 +54,25 @@ class OuterBoundaryPoint:
     inward_normal: np.ndarray
 
 
-def _tilt_batch(dom: RadialDomain, X: np.ndarray, d: np.ndarray):
-    """Core normals nu and tilts m = (I - d S)^(-1) grad d at X, (n, N) each.
+def _resolvent_batch(core: ConvexCore, X: np.ndarray, d: np.ndarray, V: np.ndarray):
+    """Core normals nu and (I - d S)^(-1) applied to the tangent parts of
+    V at core points X with thickness d: (nu, R), (n, N) each.
 
     With r = |Mx|, nu = Mx/r and D = (I + (d/r) M)^(-1), the tangent
-    solution of (I - d S) m = g_t is m = D (g_t + mu nu) with
-    mu = -(nu . D g_t)/(nu . D nu), which equals D g + mu' D nu with
-    mu' = -(nu . D g)/(nu . D nu) for the ambient gradient g.
+    solution of (I - d S) u = v_t is u = D (v_t + mu nu) with
+    mu = -(nu . D v_t)/(nu . D nu), which equals D v + mu' D nu with
+    mu' = -(nu . D v)/(nu . D nu) for the ambient vector v.  The tilt m is
+    the case V = grad d; rows where I - d S is singular are not finite.
     """
-    w = 1.0 / dom.core.axes**2
+    w = 1.0 / core.axes**2
     MX = X * w
-    g = dom.field.ambient_grad(X)
     r = np.sqrt(np.einsum("ij,ij->i", MX, MX))
     nu = MX / r[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         D = 1.0 / (1.0 + (d / r)[:, None] * w)
         Dnu = D * nu
-        mu = -np.einsum("ij,ij->i", Dnu, g) / np.einsum("ij,ij->i", Dnu, nu)
-        return nu, D * g + mu[:, None] * Dnu
+        mu = -np.einsum("ij,ij->i", Dnu, V) / np.einsum("ij,ij->i", Dnu, nu)
+        return nu, D * V + mu[:, None] * Dnu
 
 
 def _outer_geometry_batch(dom: RadialDomain, X: np.ndarray, d=None):
@@ -79,7 +81,7 @@ def _outer_geometry_batch(dom: RadialDomain, X: np.ndarray, d=None):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if d is None:
         d = dom.field.ambient_value(X)
-    nu, m = _tilt_batch(dom, X, d)
+    nu, m = _resolvent_batch(dom.core, X, d, dom.field.ambient_grad(X))
     with np.errstate(divide="ignore", invalid="ignore"):
         nvec = m - nu
         norms = np.sqrt(np.einsum("ij,ij->i", nvec, nvec))

@@ -89,21 +89,21 @@ def iterate_orbit(
     max_iters: int = DEFAULT_MAX_ITERS,
     tol: float = DEFAULT_TOL,
 ) -> OrbitRecord:
-    """Iterate F from seed until the ambient displacement drops below tol."""
+    """Iterate F from seed until the ambient displacement drops below tol.
+    A point joins the record with its thickness, also on an error record."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    points = [seed]
-    thickness = []
-    disps = []
+    points, thickness, disps = [], [], []
     try:
         thickness.append(dom.field.eval(seed))
+        points.append(seed)
         current = seed
         for _ in range(max_iters):
             nxt = return_map(dom, current)
+            thickness.append(dom.field.eval(nxt))
             step = float(np.linalg.norm(nxt.ambient - current.ambient))
             points.append(nxt)
             disps.append(step)
-            thickness.append(dom.field.eval(nxt))
             current = nxt
             if step < tol:
                 gnorm = float(

@@ -10,7 +10,9 @@ is
 
 the second derivative along retraction curves (for the projection
 retractions used here the curve acceleration is S(v,v) nu, so this
-coincides with the intrinsic Hessian).
+coincides with the intrinsic Hessian).  Its one closed form is the batched
+action Hess d[v] = P_t(hess D v) + (grad D . nu) S v (hessian_action);
+the frame matrix surface_hessian is E Hess d[E]^T.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .surfaces import (
     fibonacci_chart_grid,
     frame_at,
     retract_batch,
-    shape_operator_at,
+    shape_action_batch,
 )
 
 
@@ -93,15 +95,28 @@ class ThicknessField:
         self._check_point(p)
         if frame is None:
             frame = frame_at(self.core, p)
-        Hamb = self.ambient_hess(p.ambient)
-        if not np.isfinite(Hamb).all():
+        if not np.isfinite(self.ambient_hess(p.ambient)).all():
             return finite_difference_hessian(self, p, frame)
         E = frame.vectors
-        g = self.ambient_grad(p.ambient)
-        nu = self.core.normal(p.ambient)
-        S = shape_operator_at(self.core, p, frame)
-        H = E @ Hamb @ E.T + float(np.dot(g, nu)) * S
+        H = E @ self.hessian_action(np.broadcast_to(p.ambient, E.shape), E).T
         return 0.5 * (H + H.T)
+
+    def hessian_action(self, X, V) -> np.ndarray:
+        """Hess d applied to tangent vectors V at core points X, both (n, N):
+        P_t(hess D v) + (grad D . nu) S v.  Rows where the ambient Hessian
+        is nan take the surface Hessian at frame_at (finite differences)."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        V = np.atleast_2d(np.asarray(V, dtype=float))
+        MX = X * (1.0 / self.core.axes**2)
+        nu = MX / np.sqrt(np.einsum("ij,ij->i", MX, MX))[:, None]
+        gn = np.einsum("ij,ij->i", self.ambient_grad(X), nu)
+        HV = np.einsum("ijk,ik->ij", self.ambient_hess(X), V)
+        HV = HV - np.einsum("ij,ij->i", HV, nu)[:, None] * nu + gn[:, None] * shape_action_batch(self.core, X, V)
+        for i in np.flatnonzero(~np.isfinite(HV).all(axis=-1)):
+            p = SurfacePoint.from_ambient(self.core, X[i])
+            frame = frame_at(self.core, p)
+            HV[i] = (self.surface_hessian(p, frame) @ (frame.vectors @ V[i])) @ frame.vectors
+        return HV
 
     # -- validation ----------------------------------------------------------
     def check_positivity(self, n: int = 10000):

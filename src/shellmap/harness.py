@@ -259,6 +259,8 @@ def _task_orbit(scn, dom, out, rng):
     path = out.dir / "orbit.csv"
     rec.to_csv(path)
     out.files.append(path)
+    if rec.status == "error":
+        raise ShellmapError(f"{rec.error_kind} after {max(len(rec.points) - 1, 0)} steps")
     out.summary([
         ("status", rec.status),
         ("steps", len(rec.points) - 1),

@@ -17,6 +17,7 @@ from .analysis import (
     FixedPointScan,
     classify_fixed_point,
     finite_difference_jacobian,
+    finite_difference_jacobian_batch,
     fixed_point_search,
     fit_loglog,
     _greedy_clusters,
@@ -25,7 +26,7 @@ from .analysis import (
     FIXED_POINT_RESIDUAL_TOL,
 )
 from .dynamics import iterate_batch, return_map_batch
-from .surfaces import ConvexCore, SurfacePoint, TangentFrame, frame_at
+from .surfaces import ConvexCore, SurfacePoint, TangentFrame, frame_at, frames_batch
 
 SKIP_DISPLACEMENT_TOL = 1e-9
 DIR_TOL = 1e-3                      # line fields agree at mean cosine >= 1 - DIR_TOL
@@ -102,7 +103,7 @@ def estimate_composite_operator(F: BlackBoxMap, c_star: SurfacePoint,
     """I - DF at a fixed point, DF by the central-difference stencil."""
     if frame is None:
         frame = frame_at(F.core, c_star)
-    _require_fixed(c_star, F.batch)
+    _require_fixed(c_star.ambient[None], F.batch)
     DF = finite_difference_jacobian(F.core, F.batch, c_star, frame, h)
     return np.eye(DF.shape[0]) - DF
 
@@ -350,18 +351,20 @@ def run_reconstruction(F: BlackBoxMap, n_seeds: int, samples, alphas,
                        alpha_mode: str = "assumed", h: float = DEFAULT_FD_STEP,
                        tol: float = 1e-10, basin_seeds=None) -> ReconstructionReport:
     """Full black-box pass: fixed points, line field, composite operators,
-    isotropic Hessian estimates (one per supplied alpha), basins."""
+    isotropic Hessian estimates (one per supplied alpha), basins; all
+    composites take one fixed-point check and one stencil call."""
     scan = detect_fixed_points_blackbox(F, n_seeds, tol=tol)
     fixed = list(zip(scan.points, scan.residuals))
     descent, skipped = recover_descent_field(F, samples)
+    points = [p for p, r in fixed if r <= FIXED_POINT_RESIDUAL_TOL]
     composites, hessians = [], []
-    alphas = list(np.atleast_1d(alphas))
-    for p, r in fixed:
-        if r > FIXED_POINT_RESIDUAL_TOL:
-            continue
-        C = estimate_composite_operator(F, p, h=h)
-        composites.append((p, C))
-        for a in alphas:
+    if points:
+        X = _ambient_rows(F.core, points)
+        _require_fixed(X, F.batch)
+        DF = finite_difference_jacobian_batch(F.core, F.batch, X, frames_batch(F.core, X), h)
+        composites = [(p, np.eye(F.core.dim - 1) - J) for p, J in zip(points, DF)]
+    for p, C in composites:
+        for a in np.atleast_1d(alphas):
             hessians.append((p, reconstruct_hessian_isotropic(C, float(a), alpha_mode)))
     basins = None
     if basin_seeds is not None:

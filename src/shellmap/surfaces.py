@@ -29,7 +29,8 @@ _NEWTON_MAX_ITERS = 50
 class ConvexCore:
     """A centered convex quadric hypersurface descriptor.
 
-    kind is one of "circle", "sphere", "ellipsoid"; semi_axes has length N.
+    kind is one of "circle", "sphere", "ellipsoid"; semi_axes has length N
+    and is constant for the sphere and the circle.
     The implicit function is f(x) = sum (x_i/s_i)^2 - 1 (negative inside).
     axes is semi_axes as a read-only array, built once; equality and
     hashing use kind and semi_axes only.
@@ -49,6 +50,8 @@ class ConvexCore:
             raise ValueError(f"{self.kind} core requires 3 semi-axes")
         if self.kind not in ("circle", "sphere", "ellipsoid"):
             raise ValueError(f"unknown core kind {self.kind!r}")
+        if self.kind != "ellipsoid" and len(set(axes)) != 1:
+            raise ValueError(f"{self.kind} core requires equal semi-axes")
         object.__setattr__(self, "semi_axes", axes)
         arr = np.array(axes)
         arr.flags.writeable = False
@@ -72,11 +75,6 @@ class ConvexCore:
     def dim(self) -> int:
         """Ambient dimension N."""
         return len(self.semi_axes)
-
-    @property
-    def quadric_matrix(self) -> np.ndarray:
-        """M = diag(1/s_i^2), so the surface is x^T M x = 1."""
-        return np.diag(1.0 / self.axes**2)
 
     def implicit(self, x) -> np.ndarray:
         """f(x) = x^T M x - 1, batched over leading axes."""
@@ -248,21 +246,18 @@ def normal_at(core: ConvexCore, p: SurfacePoint) -> np.ndarray:
 
 
 def shape_operator_at(core: ConvexCore, p: SurfacePoint, frame: TangentFrame) -> np.ndarray:
-    """Matrix of the shape operator S = -D(nu) in the given frame.
-
-    For the quadric x^T M x = 1 with unit normal nu = Mx/|Mx| one has
-    S_ij = -e_i . M e_j / |Mx| on tangent vectors, which is symmetric.
-    """
+    """Matrix of the shape operator S = -D(nu) in the given frame,
+    S_ij = e_i . S e_j with S e_j from shape_action_batch (symmetrized)."""
     _require_on_surface(core, p)
-    M = core.quadric_matrix
-    scale = np.linalg.norm(M @ p.ambient)
     E = frame.vectors
-    S = -(E @ M @ E.T) / scale
+    S = E @ shape_action_batch(core, np.broadcast_to(p.ambient, E.shape), E).T
     return 0.5 * (S + S.T)
 
 
 def shape_action_batch(core: ConvexCore, X: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """S applied to tangent vectors V at points X (both (n, N))."""
+    """S applied to tangent vectors V at points X (both (n, N)): for the
+    quadric x^T M x = 1 with M = diag(1/s_i^2) and nu = Mx/|Mx|,
+    S v = -P_t(M v)/|Mx|."""
     Minv2 = 1.0 / core.axes**2
     MX = X * Minv2
     MV = V * Minv2

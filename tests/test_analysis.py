@@ -4,6 +4,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shellmap import (
     CLASSICAL_STEP_SCALE,
@@ -39,8 +41,14 @@ from shellmap import (
     step_operator,
 )
 from shellmap import analysis
-from shellmap.analysis import LinearizationReport, expansion_residual_batch, finite_difference_jacobian
-from shellmap.errors import CurvatureSingularity
+from shellmap.analysis import (
+    LinearizationReport,
+    expansion_residual_batch,
+    finite_difference_jacobian,
+    finite_difference_jacobian_batch,
+)
+from shellmap.errors import CurvatureSingularity, OffSurface
+from shellmap.surfaces import frames_batch
 
 SPHERE = ConvexCore.sphere(1.0)
 CIRCLE = ConvexCore.circle(1.0)
@@ -553,3 +561,107 @@ def test_expansion_residuals_reject_nonpositive_thickness(kind):
               "normal": normal_expansion_residual}[kind]
     with pytest.raises(InadmissibleThickness):
         scalar(dom, c)
+
+
+# ---------------------------------------------------------------------------
+# batched linearization layer
+# ---------------------------------------------------------------------------
+
+# the drawn point joins a mixed batch: points on both sides of the equator
+# and next to both poles
+_MIX_CHARTS = [(0.3, 0.2), (1.9, 4.0), (1e-6, 2.5), (np.pi - 3e-7, 0.4)]
+
+
+def _mixed_batch(core, theta, phi, slot):
+    k = core.dim - 1
+    charts = [ch[:k] for ch in _MIX_CHARTS]
+    charts.insert(slot, (theta, phi)[:k])
+    return core.ambient_from_chart(np.array(charts))
+
+
+@settings(max_examples=40, deadline=None)
+@given(theta=st.floats(0.0, np.pi), phi=st.floats(0.0, 2 * np.pi),
+       slot=st.integers(0, len(_MIX_CHARTS)), name=st.sampled_from(sorted(RESIDUAL_DOMAINS)))
+def test_fd_jacobian_batch_rows_equal_batch_of_one(theta, phi, slot, name):
+    dom = RESIDUAL_DOMAINS[name]
+    fmap = partial(return_map_batch, dom)
+    X = _mixed_batch(dom.core, theta, phi, slot)
+    E = frames_batch(dom.core, X)
+    J = finite_difference_jacobian_batch(dom.core, fmap, X, E)
+    assert J.shape == (X.shape[0], dom.core.dim - 1, dom.core.dim - 1)
+    for i in range(X.shape[0]):
+        assert np.array_equal(finite_difference_jacobian_batch(dom.core, fmap, X[i:i + 1], E[i:i + 1])[0], J[i])
+    p = SurfacePoint.from_ambient(dom.core, X[slot])
+    assert np.array_equal(finite_difference_jacobian(dom.core, fmap, p, frame_at(dom.core, p)), J[slot])
+
+
+@settings(max_examples=20, deadline=None)
+@given(theta=st.floats(0.0, np.pi), phi=st.floats(0.0, 2 * np.pi),
+       slot=st.integers(0, len(_MIX_CHARTS)), name=st.sampled_from(sorted(RESIDUAL_DOMAINS)))
+def test_newton_polish_rows_equal_batch_of_one(theta, phi, slot, name):
+    dom = RESIDUAL_DOMAINS[name]
+    fmap = partial(return_map_batch, dom)
+    X = _mixed_batch(dom.core, theta, phi, slot)
+    P, r = analysis._newton_polish(dom.core, fmap, X)
+    assert P.shape == X.shape and r.shape == (X.shape[0],)
+    for i, x in enumerate(X):
+        p1, r1 = analysis._newton_polish(dom.core, fmap, x[None])
+        assert np.array_equal(p1[0], P[i]) and r1[0] == r[i]
+
+
+def test_newton_polish_rejects_a_candidate_off_the_core():
+    dom = RESIDUAL_DOMAINS["sphere"]
+    X = _residual_points(SPHERE, n=3)
+    X[1] *= 1.0 + 1e-9
+    with pytest.raises(OffSurface):
+        analysis._newton_polish(SPHERE, partial(return_map_batch, dom), X)
+
+
+def test_fixed_point_search_polishes_every_candidate_at_once(monkeypatch):
+    calls, inside = [], []
+
+    def counted(X):
+        if inside:
+            calls.append(len(X))
+        return return_map_batch(TILTED, X)
+
+    polish = analysis._newton_polish
+
+    def traced(*args):
+        inside.append(True)
+        try:
+            return polish(*args)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(analysis, "_newton_polish", traced)
+    scan = analysis.fixed_point_search(TILTED.core, counted, 200, tol=1e-10)
+    assert len(scan.points) >= 2
+    assert 3 <= len(calls) <= 1 + 2 * analysis.NEWTON_MAX_STEPS
+    assert calls[0] <= analysis.MAX_REFINE  # every candidate in the first call
+
+
+def _quadric_shape_operator(core, x, E):
+    """S = -(E M E^T)/|Mx| with M = diag(1/s_i^2), symmetrized."""
+    M = np.diag(1.0 / core.axes**2)
+    S = -(E @ M @ E.T) / np.linalg.norm(M @ x)
+    return 0.5 * (S + S.T)
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUAL_DOMAINS))
+def test_closed_forms_match_frame_matrix_formulas(name):
+    # S, d (I - dS)^-1 and Hess d against the frame-matrix formulas:
+    # the quadric matrix, a matrix inverse and E Hamb E^T + (g . nu) S
+    dom = RESIDUAL_DOMAINS[name]
+    core, fld = dom.core, dom.field
+    for x in _residual_points(core, n=10, seed=11):
+        c = SurfacePoint.from_ambient(core, x)
+        frame = frame_at(core, c)
+        E = frame.vectors
+        S = _quadric_shape_operator(core, x, E)
+        assert np.abs(shape_operator_at(core, c, frame) - S).max() <= 1e-14
+        d = fld.eval(c)
+        R = np.linalg.inv(np.eye(E.shape[0]) - d * S)
+        assert np.abs(step_operator(dom, c, frame) - d * 0.5 * (R + R.T)).max() <= 1e-14
+        H = E @ fld.ambient_hess(x) @ E.T + float(fld.ambient_grad(x) @ core.normal(x)) * S
+        assert np.abs(fld.surface_hessian(c, frame) - 0.5 * (H + H.T)).max() <= 1e-14

@@ -253,6 +253,15 @@ def test_orbit_error_captured():
     assert rec.error_kind == "InadmissibleThickness"
 
 
+def test_orbit_error_record_keeps_points_and_thickness_aligned(tmp_path):
+    dom = RadialDomain(SPHERE, ZonalLegendreField(SPHERE, 0.1, 0.5))
+    rec = iterate_orbit(dom, pt(SPHERE, np.pi / 2, 0.0), tol=1e-10)
+    assert rec.status == "error"
+    assert len(rec.points) == len(rec.thickness_values) == 0
+    rec.to_csv(tmp_path / "orbit.csv")
+    assert len((tmp_path / "orbit.csv").read_text().splitlines()) == 1
+
+
 def test_nonpositive_thickness_has_one_name_on_every_path():
     # d = 0.1 + 0.5 P2(0) = -0.15 at the equator
     dom = RadialDomain(SPHERE, ZonalLegendreField(SPHERE, 0.1, 0.5))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shellmap import (
     ConstantField,
@@ -18,6 +20,7 @@ from shellmap import (
     legendre_p2,
     retract,
 )
+from shellmap.surfaces import frames_batch
 
 SPHERE = ConvexCore.sphere(1.0)
 CIRCLE = ConvexCore.circle(1.0)
@@ -365,3 +368,43 @@ def test_surface_hessian_falls_back_where_ambient_hess_is_nan():
     frame = frame_at(SPHERE, p)
     assert np.isnan(pr.ambient_hess(p.ambient)).all()
     assert np.array_equal(pr.surface_hessian(p, frame), finite_difference_hessian(pr, p, frame))
+
+
+TILTED_CORE = ConvexCore.ellipsoid(2.0, 1.0, 0.5)
+_ACTION_FIELDS = {
+    "sphere": ZonalLegendreField(SPHERE, 0.5, 0.05),
+    "tilted_ellipsoid": ZonalLegendreField(TILTED_CORE, 0.25, 0.02, axis=(0.3, 0.5, 0.8)),
+    "fourier_circle": Fourier2DField(CIRCLE, 0.5, [(2, 0.05), (3, 0.02)]),
+    "profile_pole_band": _p2_profile(SPHERE, 0.5, 0.01),
+}
+# the drawn point joins a mixed batch, two of whose points lie inside the
+# zonal pole band (finite-difference rows of the profile field)
+_MIX_CHARTS = [(0.3, 0.2), (1.9, 4.0), (5e-5, 2.5), (np.pi - 3e-7, 0.4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta=st.floats(0.0, np.pi), phi=st.floats(0.0, 2 * np.pi),
+       a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0),
+       slot=st.integers(0, len(_MIX_CHARTS)), name=st.sampled_from(sorted(_ACTION_FIELDS)))
+def test_hessian_action_rows_equal_batch_of_one(theta, phi, a, b, slot, name):
+    fld = _ACTION_FIELDS[name]
+    core = fld.core
+    k = core.dim - 1
+    charts = [ch[:k] for ch in _MIX_CHARTS]
+    charts.insert(slot, (theta, phi)[:k])
+    X = core.ambient_from_chart(np.array(charts))
+    E = frames_batch(core, X)
+    V = a * E[:, 0] + b * E[:, -1]
+    HV = fld.hessian_action(X, V)
+    assert HV.shape == X.shape and np.isfinite(HV).all()
+    for i in range(X.shape[0]):
+        assert np.array_equal(fld.hessian_action(X[i], V[i])[0], HV[i])
+
+
+def test_surface_hessian_is_the_frame_matrix_of_hessian_action():
+    for fld in (_ACTION_FIELDS["tilted_ellipsoid"], _ACTION_FIELDS["profile_pole_band"]):
+        for p in random_points(fld.core, 6, seed=13) + [pt(fld.core, 5e-5, 0.3)]:
+            frame = frame_at(fld.core, p)
+            E = frame.vectors
+            H = E @ fld.hessian_action(np.broadcast_to(p.ambient, E.shape), E).T
+            assert np.abs(fld.surface_hessian(p, frame) - H).max() <= 1e-12

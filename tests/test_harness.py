@@ -208,6 +208,19 @@ def test_cli_numeric_failure_exit_3(tmp_path, capsys):
     assert "numeric failure in linearize" in err
 
 
+def test_cli_orbit_error_exit_3(tmp_path, capsys):
+    # d = 0.1 + 0.5 P2(0) = -0.15 at the seed: an error record, not a crash
+    bad = ZONAL_LINEARIZE.replace("field.d0 = 0.5", "field.d0 = 0.1").replace(
+        "field.eps = 0.01", "field.eps = 0.5").replace(
+        "task = linearize\ntask.point = equator", "task = orbit\ntask.point = 1.5707963,0")
+    rc = cli_main(["run", scn_path(tmp_path, bad), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numeric failure in orbit" in err and "InadmissibleThickness" in err
+    assert (tmp_path / "o" / "orbit.csv").read_text().splitlines() == [
+        "step,theta,phi,x,y,z,d,displacement"]
+
+
 def test_cli_list_scenarios(capsys):
     rc = cli_main(["list-scenarios"])
     assert rc == 0

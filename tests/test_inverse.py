@@ -24,6 +24,7 @@ from shellmap import (
     scaling_ambiguity_diagnostic,
     shape_operator_at,
 )
+from shellmap import inverse
 from shellmap.surfaces import fibonacci_chart_grid
 
 SPHERE = ConvexCore.sphere(1.0)
@@ -357,6 +358,31 @@ def test_run_reconstruction_bundle(tmp_path):
     path = tmp_path / "rec.csv"
     report.to_csv(path)
     assert path.read_text().startswith("record,theta,phi,data")
+
+
+def test_run_reconstruction_composites_take_one_check_and_one_stencil(monkeypatch):
+    F, dom = zonal_box()
+    calls = []
+
+    def counted(X):
+        calls.append(len(X))
+        return F.batch(X)
+
+    recover = inverse.recover_descent_field
+
+    def recover_then_count(*args):
+        out = recover(*args)
+        calls.clear()
+        return out
+
+    monkeypatch.setattr(inverse, "recover_descent_field", recover_then_count)
+    samples = pts(SPHERE, [[1.1, 0.3], [0.8, 2.0]])
+    report = run_reconstruction(BlackBoxMap(SPHERE, counted), 200, samples, alphas=[1.0, 2.0])
+    n = len(report.composite_ops)
+    assert n >= 3 and len(report.hessians_isotropic) == 2 * n
+    assert calls == [n, 2 * (SPHERE.dim - 1) * n]
+    for p, C in report.composite_ops:
+        assert np.array_equal(C, estimate_composite_operator(F, p))
 
 
 # ---------------------------------------------------------------------------

@@ -366,3 +366,13 @@ def test_axes_array_is_built_once_and_read_only():
         core.axes[0] = 3.0
     twin = ConvexCore("ellipsoid", (2, 1, 0.5))
     assert twin == core and hash(twin) == hash(core)
+
+
+@pytest.mark.parametrize("kind, axes", [("sphere", (1, 2, 3)), ("sphere", (1.0, 1.0, 1.5)),
+                                        ("circle", (1.5, 0.8))])
+def test_sphere_and_circle_reject_unequal_semi_axes(kind, axes):
+    # retract_batch scales these kinds radially to semi_axes[0]
+    with pytest.raises(ValueError):
+        ConvexCore(kind, axes)
+    assert ConvexCore(kind, (axes[0],) * len(axes)) == (ConvexCore.sphere(axes[0]) if kind == "sphere"
+                                                        else ConvexCore.circle(axes[0]))
