@@ -59,6 +59,7 @@ from .dynamics import (
     reciprocal_map,
     return_map,
     return_map_batch,
+    settle_batch,
     thickness_step_stats,
 )
 from .analysis import (

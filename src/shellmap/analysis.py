@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .domain import RadialDomain, _outer_geometry_batch, _resolvent_batch
-from .dynamics import iterate_batch, return_map_batch
+from .dynamics import return_map_batch, settle_batch
 from .errors import CurvatureSingularity, InadmissibleThickness, NotAFixedPoint, OffSurface
 from .fields import ConstantField
 from .surfaces import (
@@ -448,26 +448,33 @@ def fixed_point_search(core: ConvexCore, batch_map, n_seeds: int,
     """Shared engine: forward iteration for attractors plus a residual scan
     with local minimization for fixed points iteration cannot reach.
 
-    Seeds on the deterministic near-uniform grid.  Orbit endpoints (also
-    the stalled ones, which sit next to attractors) and the lowest-residual
-    grid points, the MAX_REFINE of lowest residual among them, are polished
-    by Newton on F(c) - c (_newton_polish, on the same central-difference
-    Jacobian as linearize_fd), then clustered at radius 10 * tol keeping
-    the smallest-residual member of each cluster.
+    Seeds on the deterministic near-uniform grid.  The residual scan is
+    every orbit's first step: a seed fixed to tol there stops, the others
+    go to settle_batch with radius 1e-6 * surface_scale(), a tenth of the
+    radius at which the orbit endpoints are pre-clustered.  The endpoint of
+    least residual in each pre-cluster and the lowest-residual grid points,
+    the MAX_REFINE of lowest residual among them, are polished by Newton on
+    F(c) - c (_newton_polish, on the same central-difference Jacobian as
+    linearize_fd), which is the final verification, then clustered at
+    radius 10 * tol keeping the smallest-residual member of each cluster.
     The representatives come in lexicographic order of their ambient
     coordinates rounded to 1e-9 * surface_scale(), so their order does
     not follow round-off in the residuals.
     """
     X = core.ambient_from_chart(fibonacci_chart_grid(core, n_seeds))
-    R = np.linalg.norm(batch_map(X) - X, axis=-1)
+    limits = batch_map(X)
+    R = np.linalg.norm(limits - X, axis=-1)
     continuum = bool(np.mean(R < tol) > 0.5)
 
-    orbit = iterate_batch(None, X, max_iters=max_iters, tol=tol, map_batch=batch_map)
+    # the scan is every orbit's first step: a seed fixed to tol stops there
+    moving = np.flatnonzero(R >= tol)
+    pre_radius = 1e-5 * core.surface_scale()
+    orbit = settle_batch(core, batch_map, limits[moving], 0.1 * pre_radius, tol, max_iters - 1)
+    limits[moving] = orbit.limits
     unresolved = int(np.sum(~orbit.converged))
 
-    limits = orbit.limits
     lim_res = np.linalg.norm(batch_map(limits) - limits, axis=-1)
-    pre = _greedy_clusters(limits, radius=1e-5 * core.surface_scale())
+    pre = _greedy_clusters(limits, radius=pre_radius)
     lim_best = [members[np.argmin(lim_res[members])]
                 for members in (np.nonzero(pre == lab)[0] for lab in range(pre.max() + 1))]
     scan_idx = np.argsort(R)[:max(8, n_seeds // 20)]

@@ -14,10 +14,11 @@ import numpy as np
 
 from .domain import OuterBoundaryPoint, RadialDomain, _outer_geometry_batch
 from .errors import InadmissibleThickness, NormalRayMissesCore, ShellmapError
-from .surfaces import SurfacePoint, _ray_hit_batch, ray_first_hit
+from .surfaces import ConvexCore, SurfacePoint, _ray_hit_batch, ray_first_hit, retract_batch
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100_000
+SETTLE_EVERY = 8  # steps between Aitken estimates in settle_batch
 
 
 def reciprocal_map(dom: RadialDomain, x: OuterBoundaryPoint) -> SurfacePoint:
@@ -136,44 +137,92 @@ def iterate_batch(
     seeds: np.ndarray,
     max_iters: int = DEFAULT_MAX_ITERS,
     tol: float = DEFAULT_TOL,
-    map_batch=None,
-    require_contraction: bool = False,
 ) -> BatchOrbitResult:
-    """Iterate many seeds simultaneously with per-seed early termination.
-
-    map_batch can replace the ray return map (used to drive black boxes
-    through the same machinery).  With require_contraction the stopping
-    rule additionally demands a non-growing displacement, so seeds creeping
-    away from a repelling set are not mistaken for converged ones.
-    """
-    if map_batch is None:
-        def map_batch(X):
-            return return_map_batch(dom, X)
+    """Iterate the return map on many seeds at once; a seed stops at the
+    first displacement below tol (plain iteration, no extrapolation)."""
     X = np.atleast_2d(np.asarray(seeds, dtype=float)).copy()
     n = X.shape[0]
     steps = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)
     final_disp = np.full(n, np.inf)
-    # -inf forces at least two steps under the contraction rule, so the
-    # first displacement cannot satisfy it vacuously
-    prev_disp = np.full(n, -np.inf) if require_contraction else np.full(n, np.inf)
     active = np.arange(n)
     seeds0 = X.copy()
     for _ in range(max_iters):
         if active.size == 0:
             break
         Xa = X[active]
-        Y = map_batch(Xa)
+        Y = return_map_batch(dom, Xa)
         disp = np.linalg.norm(Y - Xa, axis=-1)
         X[active] = Y
         steps[active] += 1
         final_disp[active] = disp
         done = disp < tol
-        if require_contraction:
-            done &= disp <= prev_disp[active]
-        prev_disp[active] = disp
         converged[active[done]] = True
         active = active[~done]
+    return BatchOrbitResult(seeds0, X, steps, converged, final_disp)
+
+
+def settle_batch(core: ConvexCore, batch_map, seeds: np.ndarray, radius: float,
+                 tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS) -> BatchOrbitResult:
+    """Iterate batch_map, (n, N) -> (n, N) on core points, from many seeds
+    until each one settles on an attractor.
+
+    A seed stops on the contraction rule, disp < tol and disp <= the
+    previous displacement (so at least two steps), with the last iterate
+    as its limit.  Every SETTLE_EVERY steps it also forms the Aitken
+    estimate L = Y + rho/(1 - rho) (Y - X) of the limit of the step X -> Y,
+    rho = disp / previous disp, and retracts it onto the core, L^.  The
+    seed stops at L^ when rho < 1, L moved less than radius since the
+    seed's previous estimate, and L^ checks out as a fixed point to within
+    radius of the attractor, |F(L^) - L^| <= (1 - rho) radius; that check
+    rides in the next step's map call.  An estimate that fails it (a
+    spiral's chord overshoots) costs nothing but its row in that call.
+    final_displacement is the last step, or |F(L^) - L^| at a settled L^.
+    """
+    X = np.array(seeds, dtype=float, ndmin=2)
+    seeds0 = X.copy()
+    n = X.shape[0]
+    steps = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+    final_disp = np.full(n, np.inf)
+    # the working rows are the seeds still running: ids, iterates, last
+    # displacements (-inf forces two steps, so the first displacement cannot
+    # satisfy the contraction rule vacuously) and last Aitken estimates
+    ids, Xa = np.arange(n), X.copy()
+    prev, last_L = np.full(n, -np.inf), np.full(X.shape, np.nan)
+    pending = np.empty(0, dtype=int)  # rows whose estimate is checked next
+    it = 0
+    while ids.size and it < max_iters:
+        it += 1
+        m = ids.size
+        Z = batch_map(np.concatenate([Xa, L_hat]) if pending.size else Xa)
+        Y = Z[:m]
+        disp = np.linalg.norm(Y - Xa, axis=-1)
+        stop = (disp < tol) & (disp <= prev)
+        if pending.size:
+            resid = np.linalg.norm(Z[m:] - L_hat, axis=-1)
+            ok = (resid <= slack) & ~stop[pending]
+            Y[pending[ok]], disp[pending[ok]], stop[pending[ok]] = L_hat[ok], resid[ok], True
+            pending = pending[:0]
+        if it % SETTLE_EVERY == 0:
+            rho = np.full(m, np.inf)
+            np.divide(disp, prev, out=rho, where=prev > 0.0)
+            gain = np.full(m, np.nan)  # nan where rho >= 1: no estimate
+            np.divide(rho, 1.0 - rho, out=gain, where=rho < 1.0)
+            L = Y + gain[:, None] * (Y - Xa)
+            near = (np.linalg.norm(L - last_L, axis=-1) < radius) & ~stop
+            last_L = L
+            if near.any():
+                L_hat = retract_batch(core, L[near], 0.0)
+                slack = (1.0 - rho[near]) * radius
+                pending = np.flatnonzero(near[~stop])
+        Xa, prev = Y, disp
+        if stop.any():
+            done = ids[stop]
+            X[done], final_disp[done], steps[done], converged[done] = Y[stop], disp[stop], it, True
+            keep = ~stop
+            ids, Xa, prev, last_L = ids[keep], Xa[keep], prev[keep], last_L[keep]
+    X[ids], final_disp[ids], steps[ids] = Xa, prev, it
     return BatchOrbitResult(seeds0, X, steps, converged, final_disp)
 
 

@@ -95,22 +95,27 @@ class ThicknessField:
         self._check_point(p)
         if frame is None:
             frame = frame_at(self.core, p)
-        if not np.isfinite(self.ambient_hess(p.ambient)).all():
-            return finite_difference_hessian(self, p, frame)
         E = frame.vectors
-        H = E @ self.hessian_action(np.broadcast_to(p.ambient, E.shape), E).T
+        X = np.broadcast_to(p.ambient, E.shape)
+        hess = self.ambient_hess(X)
+        if not np.isfinite(hess).all():
+            return finite_difference_hessian(self, p, frame)
+        H = E @ self.hessian_action(X, E, hess).T
         return 0.5 * (H + H.T)
 
-    def hessian_action(self, X, V) -> np.ndarray:
+    def hessian_action(self, X, V, hess=None) -> np.ndarray:
         """Hess d applied to tangent vectors V at core points X, both (n, N):
-        P_t(hess D v) + (grad D . nu) S v.  Rows where the ambient Hessian
-        is nan take the surface Hessian at frame_at (finite differences)."""
+        P_t(hess D v) + (grad D . nu) S v, with hess D = ambient_hess(X)
+        unless the caller passes it.  Rows where the ambient Hessian is nan
+        take the surface Hessian at frame_at (finite differences)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         V = np.atleast_2d(np.asarray(V, dtype=float))
+        if hess is None:
+            hess = self.ambient_hess(X)
         MX = X * (1.0 / self.core.axes**2)
         nu = MX / np.sqrt(np.einsum("ij,ij->i", MX, MX))[:, None]
         gn = np.einsum("ij,ij->i", self.ambient_grad(X), nu)
-        HV = np.einsum("ijk,ik->ij", self.ambient_hess(X), V)
+        HV = np.einsum("ijk,ik->ij", hess, V)
         HV = HV - np.einsum("ij,ij->i", HV, nu)[:, None] * nu + gn[:, None] * shape_action_batch(self.core, X, V)
         for i in np.flatnonzero(~np.isfinite(HV).all(axis=-1)):
             p = SurfacePoint.from_ambient(self.core, X[i])

@@ -25,7 +25,7 @@ from .analysis import (
     DEFAULT_FD_STEP,
     FIXED_POINT_RESIDUAL_TOL,
 )
-from .dynamics import iterate_batch, return_map_batch
+from .dynamics import return_map_batch, settle_batch
 from .surfaces import ConvexCore, SurfacePoint, TangentFrame, frame_at, frames_batch
 
 SKIP_DISPLACEMENT_TOL = 1e-9
@@ -203,18 +203,21 @@ class BasinLabeling:
 def basin_decomposition(F: BlackBoxMap, seeds, tol: float = 1e-8,
                         max_iters: int = 200_000,
                         cluster_radius: float | None = None) -> BasinLabeling:
-    """Iterate each seed to convergence and cluster the limits.
+    """Settle each seed on its attractor and cluster the limits.
 
-    Non-convergent seeds get label -1.  The continuum flag is raised when
-    more than half of the seeds are already fixed at the first step.
+    settle_batch runs the orbits with radius cluster_radius / 10, so an
+    Aitken-settled limit lies well inside its cluster.  Non-convergent
+    seeds get label -1.  The continuum flag is raised when every seed
+    converges and more than half of them stop within two steps (steps <= 2:
+    the contraction rule stops a seed that is already fixed at its second
+    step).
     """
     seeds = list(seeds)
-    X0 = _ambient_rows(F.core, seeds)
-    result = iterate_batch(None, X0, max_iters=max_iters, tol=tol, map_batch=F.batch,
-                           require_contraction=True)
     if cluster_radius is None:
         # wide enough to swallow the convergence ball around each attractor
         cluster_radius = max(10.0 * tol, 1e-3 * F.core.surface_scale())
+    result = settle_batch(F.core, F.batch, _ambient_rows(F.core, seeds), 0.1 * cluster_radius,
+                          tol, max_iters)
     labels = -np.ones(len(seeds), dtype=int)
     conv = result.converged
     continuum = bool(np.mean(result.steps <= 2) > 0.5 and np.all(conv))

@@ -261,9 +261,10 @@ def shape_action_batch(core: ConvexCore, X: np.ndarray, V: np.ndarray) -> np.nda
     Minv2 = 1.0 / core.axes**2
     MX = X * Minv2
     MV = V * Minv2
-    nu = MX / np.linalg.norm(MX, axis=-1, keepdims=True)
+    r = np.linalg.norm(MX, axis=-1, keepdims=True)
+    nu = MX / r
     proj = MV - nu * np.sum(MV * nu, axis=-1, keepdims=True)
-    return -proj / np.linalg.norm(MX, axis=-1, keepdims=True)
+    return -proj / r
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
 """Scenario parsing, task execution, CSV determinism, CLI exit codes."""
 
+import csv
 import filecmp
+import json
+import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,3 +254,31 @@ def test_every_bundled_scenario_completes_quickly(tmp_path):
         elapsed = time.monotonic() - start
         assert elapsed < 60.0, f"{name} took {elapsed:.1f} s"
         assert (tmp_path / name / "manifest.txt").exists()
+
+
+BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+
+
+def _same_printed_value(got: str, want: str) -> bool:
+    """Equal as printed, or as the numbers the 6-decimal strings denote."""
+    if got == want:
+        return True
+    try:
+        x, y = float(got), float(want)
+    except ValueError:
+        return False
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+def test_bundled_summaries_match_bench_reference(tmp_path):
+    # the `scenarios` table of bench/reference.json, read and never written
+    expected = json.loads(BENCH_REFERENCE.read_text())["scenarios"]
+    assert sorted(expected) == sorted(list_scenarios())
+    for name in list_scenarios():
+        run_scenario(scn_path(tmp_path, load_bundled(name), name + ".scn"), out_dir=tmp_path / name)
+        with open(tmp_path / name / "summary.csv", newline="") as fh:
+            got = list(csv.reader(fh))[1:]
+        want = expected[name]
+        assert len(got) == len(want), name
+        for g, w in zip(got, want):
+            assert g[0] == w[0] and _same_printed_value(g[1], w[1]), (name, g, w)

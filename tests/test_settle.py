@@ -1,0 +1,200 @@
+"""settle_batch: Aitken-settled orbits against plain iteration.
+
+The oracle is a test-local plain-iteration loop with the contraction rule
+at tol 1e-10 and no extrapolation.  fixed_point_search and
+basin_decomposition run once on settle_batch and once with the oracle in
+its place; their fixed-point sets and basin labels must agree.
+"""
+
+from functools import partial
+
+import numpy as np
+import pytest
+
+from shellmap import (
+    BatchOrbitResult,
+    BlackBoxMap,
+    ConvexCore,
+    Fourier2DField,
+    RadialDomain,
+    SurfacePoint,
+    ZonalLegendreField,
+    basin_decomposition,
+    return_map_batch,
+    settle_batch,
+)
+from shellmap import analysis, dynamics, inverse
+from shellmap.harness import load_bundled, parse_scenario_text, run_scenario
+from shellmap.surfaces import fibonacci_chart_grid
+
+SPHERE = ConvexCore.sphere(1.0)
+ELLIPSOID = ConvexCore.ellipsoid(2.0, 1.0, 0.5)
+CIRCLE = ConvexCore.circle(1.0)
+SPIRAL_ANGLE, SPIRAL_LIFT = 0.3, 0.01
+
+
+def spiral_map(X):
+    """Rotation by SPIRAL_ANGLE about z after X -> normalize(X + SPIRAL_LIFT e_z):
+    the north pole attracts along a spiral (rate about 0.99), the south pole
+    repels."""
+    Y = X + np.array([0.0, 0.0, SPIRAL_LIFT])
+    Y /= np.linalg.norm(Y, axis=-1, keepdims=True)
+    c, s = np.cos(SPIRAL_ANGLE), np.sin(SPIRAL_ANGLE)
+    return Y @ np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _domain_map(core, field):
+    return partial(return_map_batch, RadialDomain(core, field))
+
+
+BOXES = {
+    "zonal_sphere": lambda: BlackBoxMap(SPHERE, _domain_map(SPHERE, ZonalLegendreField(SPHERE, 0.5, 0.05))),
+    "tilted_ellipsoid": lambda: BlackBoxMap(ELLIPSOID, _domain_map(
+        ELLIPSOID, ZonalLegendreField(ELLIPSOID, 0.25, 0.02, axis=(0.3, 0.5, 0.8)))),
+    "fourier_circle": lambda: BlackBoxMap(CIRCLE, _domain_map(
+        CIRCLE, Fourier2DField(CIRCLE, 0.5, [(2, 0.05), (3, 0.02)]))),
+    "spiral": lambda: BlackBoxMap(SPHERE, spiral_map),
+}
+
+
+def plain_orbits(core, batch_map, seeds, radius, tol, max_iters):
+    """The oracle: plain iteration to the contraction rule at tol 1e-10
+    (radius and the caller's tol are ignored)."""
+    X = np.array(seeds, dtype=float, ndmin=2)
+    n = X.shape[0]
+    seeds0 = X.copy()
+    steps = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+    final = np.full(n, np.inf)
+    prev = np.full(n, -np.inf)
+    active = np.arange(n)
+    for _ in range(max_iters):
+        if active.size == 0:
+            break
+        Y = batch_map(X[active])
+        disp = np.linalg.norm(Y - X[active], axis=-1)
+        X[active] = Y
+        steps[active] += 1
+        final[active] = disp
+        done = (disp < 1e-10) & (disp <= prev[active])
+        prev[active] = disp
+        converged[active[done]] = True
+        active = active[~done]
+    return BatchOrbitResult(seeds0, X, steps, converged, final)
+
+
+def _seeds(core, n):
+    return [SurfacePoint.from_chart(core, ch) for ch in fibonacci_chart_grid(core, n)]
+
+
+@pytest.mark.parametrize("name", sorted(BOXES))
+def test_basin_labels_equal_plain_iteration(name, monkeypatch):
+    F = BOXES[name]()
+    seeds = _seeds(F.core, 120)
+    settled = basin_decomposition(F, seeds, tol=1e-10, cluster_radius=1e-4 * F.core.surface_scale())
+    monkeypatch.setattr(inverse, "settle_batch", plain_orbits)
+    plain = basin_decomposition(F, seeds, tol=1e-10, cluster_radius=1e-4 * F.core.surface_scale())
+    assert np.array_equal(settled.labels, plain.labels)
+    assert settled.continuum == plain.continuum
+    assert len(settled.cluster_reps) == len(plain.cluster_reps)
+
+
+@pytest.mark.parametrize("name", sorted(BOXES))
+def test_fixed_point_sets_equal_plain_iteration(name, monkeypatch):
+    F = BOXES[name]()
+    settled = analysis.fixed_point_search(F.core, F.batch, 120, tol=1e-10)
+    monkeypatch.setattr(analysis, "settle_batch", plain_orbits)
+    plain = analysis.fixed_point_search(F.core, F.batch, 120, tol=1e-10)
+    assert len(settled.points) == len(plain.points) > 0
+    assert settled.continuum == plain.continuum
+    assert settled.unresolved == plain.unresolved == 0
+    A = np.array([p.ambient for p in settled.points])
+    B = np.array([p.ambient for p in plain.points])
+    gap = np.linalg.norm(A[:, None] - B[None], axis=-1)
+    scale = F.core.surface_scale()
+    assert np.max(gap.min(axis=0)) <= 1e-12 * scale
+    assert np.max(gap.min(axis=1)) <= 1e-12 * scale
+
+
+def test_spiral_overshoot_is_rejected_by_the_fixed_point_check(monkeypatch):
+    # near the north pole the spiral is z -> lam z in the tangent plane with
+    # lam = rho e^(i SPIRAL_ANGLE), rho = 1/(1 + SPIRAL_LIFT).  The chord
+    # Y - X turns with the orbit, so the Aitken estimate overshoots to about
+    # |100 lam - 99| ~ 29 times the distance to the pole.  The check
+    # |F(L^) - L^| <= (1 - rho) radius only passes within
+    # (1 - rho) radius / |lam - 1| of the pole, a thirtieth of radius, so
+    # every settled limit must lie that close; the overshooting estimates
+    # must have been made and rejected.
+    estimates = []
+    retract = dynamics.retract_batch
+
+    def recording(core, X, V):
+        estimates.append(retract(core, X, V))
+        return estimates[-1]
+
+    monkeypatch.setattr(dynamics, "retract_batch", recording)
+    X = SPHERE.ambient_from_chart(fibonacci_chart_grid(SPHERE, 60))
+    X = X[X[:, 2] > -0.9]  # off the repelling south pole
+    radius = 1e-4
+    res = settle_batch(SPHERE, spiral_map, X, radius, tol=1e-10, max_iters=20_000)
+    assert res.converged.all()
+    rho = 1.0 / (1.0 + SPIRAL_LIFT)
+    lam = rho * np.exp(1j * SPIRAL_ANGLE)
+    reach = (1.0 - rho) * radius / abs(lam - 1.0)
+    pole = np.array([0.0, 0.0, 1.0])
+    assert np.max(np.linalg.norm(res.limits - pole, axis=-1)) <= 1.01 * reach
+    L = np.concatenate(estimates)
+    assert np.sum(np.linalg.norm(spiral_map(L) - L, axis=-1) > (1.0 - rho) * radius) > 0
+
+
+def test_settle_batch_stops_on_contraction_or_a_checked_estimate():
+    F = BOXES["zonal_sphere"]()
+    X = SPHERE.ambient_from_chart(fibonacci_chart_grid(SPHERE, 50))
+    radius = 1e-6
+    res = settle_batch(SPHERE, F.batch, X, radius, tol=1e-10)
+    plain = plain_orbits(SPHERE, F.batch, X, radius, 1e-10, 100_000)
+    assert res.converged.all()
+    assert np.array_equal(res.seeds, X)
+    assert np.all(res.steps <= plain.steps)
+    assert np.sum(res.steps) < 0.5 * np.sum(plain.steps)
+    assert np.max(np.linalg.norm(res.limits - plain.limits, axis=-1)) <= radius
+    assert np.max(np.abs(SPHERE.implicit(res.limits))) <= 1e-15
+    assert np.max(np.linalg.norm(F.batch(res.limits) - res.limits, axis=-1)) <= radius
+
+
+def test_settle_batch_leaves_a_repeller():
+    # 1e-11 off the repelling equator the first displacements are below
+    # tol but growing: the contraction rule must not stop there
+    F = BOXES["zonal_sphere"]()
+    X = SPHERE.ambient_from_chart(np.array([[np.pi / 2 - 1e-11, 0.3], [np.pi / 2 + 1e-11, 2.0]]))
+    assert np.all(np.linalg.norm(F.batch(X) - X, axis=-1) < 1e-10)
+    res = settle_batch(SPHERE, F.batch, X, 1e-6, tol=1e-10)
+    assert res.converged.all()
+    assert np.allclose(res.limits[:, 2], [1.0, -1.0], atol=1e-5)
+
+
+def test_settle_batch_on_no_seeds_makes_no_call():
+    def never(X):
+        raise AssertionError("map called")
+
+    res = settle_batch(SPHERE, never, np.empty((0, 3)), 1e-6)
+    assert res.limits.shape == (0, 3) and res.steps.size == 0
+
+
+# mapped points of the two scenarios before settle_batch (plain iteration
+# to tol), counted through harness.run_scenario
+PLAIN_POINTS = {"zonal_fixed_points": 754_110, "zonal_basins": 572_118}
+
+
+@pytest.mark.parametrize("name", sorted(PLAIN_POINTS))
+def test_scenario_map_budget(name, tmp_path, monkeypatch):
+    points = []
+
+    def counted(dom, X):
+        points.append(len(X))
+        return return_map_batch(dom, X)
+
+    monkeypatch.setattr(analysis, "return_map_batch", counted)
+    monkeypatch.setattr(inverse, "return_map_batch", counted)
+    run_scenario(parse_scenario_text(load_bundled(name)), out_dir=tmp_path)
+    assert 0 < sum(points) <= 0.4 * PLAIN_POINTS[name]
