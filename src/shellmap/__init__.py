@@ -39,7 +39,6 @@ from .fields import (
     SumField,
     ThicknessField,
     ZonalLegendreField,
-    finite_difference_hessian,
     ZonalProfileField,
     legendre_p2,
 )

@@ -459,8 +459,11 @@ def fixed_point_search(core: ConvexCore, batch_map, n_seeds: int,
     radius 10 * tol keeping the smallest-residual member of each cluster.
     The representatives come in lexicographic order of their ambient
     coordinates rounded to 1e-9 * surface_scale(), so their order does
-    not follow round-off in the residuals.
+    not follow round-off in the residuals.  No seeds give an empty scan
+    without a map call.
     """
+    if n_seeds < 1:
+        return FixedPointScan([], np.array([]), None, False, 0)
     X = core.ambient_from_chart(fibonacci_chart_grid(core, n_seeds))
     limits = batch_map(X)
     R = np.linalg.norm(limits - X, axis=-1)

@@ -63,7 +63,8 @@ def main(argv=None) -> int:
             print(f)
         return 0
     except ScenarioError as exc:
-        print(f"parse error at line {exc.line}, column {exc.column}: {exc}", file=sys.stderr)
+        where = f" at line {exc.line}, column {exc.column}" if exc.line else ""
+        print(f"parse error{where}: {exc}", file=sys.stderr)
         return 2
     except TaskFailure as exc:
         print(f"numeric failure in {exc.operation}: {exc.original}", file=sys.stderr)

@@ -17,8 +17,6 @@ the frame matrix surface_hessian is E Hess d[E]^T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InadmissibleThickness
@@ -28,7 +26,6 @@ from .surfaces import (
     TangentFrame,
     fibonacci_chart_grid,
     frame_at,
-    retract_batch,
     shape_action_batch,
 )
 
@@ -53,8 +50,7 @@ class ThicknessField:
         raise NotImplementedError
 
     def ambient_hess(self, X) -> np.ndarray:
-        """Ambient Hessian, shape X.shape + (N,); nan on the points where a
-        field kind has no closed form (zonal profiles at the axis poles)."""
+        """Ambient Hessian, shape X.shape + (N,)."""
         raise NotImplementedError
 
     # -- surface operations --------------------------------------------------
@@ -88,40 +84,27 @@ class ThicknessField:
         """Riemannian Hessian matrix in the frame (symmetric).
 
         Defined as the second derivative along retraction curves; computed
-        from the ambient extension plus the curvature correction, falling
-        back to finite differences along retractions where the ambient
-        Hessian is not finite (zonal profiles at chart poles).
+        from the ambient extension plus the curvature correction.
         """
         self._check_point(p)
         if frame is None:
             frame = frame_at(self.core, p)
         E = frame.vectors
         X = np.broadcast_to(p.ambient, E.shape)
-        hess = self.ambient_hess(X)
-        if not np.isfinite(hess).all():
-            return finite_difference_hessian(self, p, frame)
-        H = E @ self.hessian_action(X, E, hess).T
+        H = E @ self.hessian_action(X, E).T
         return 0.5 * (H + H.T)
 
-    def hessian_action(self, X, V, hess=None) -> np.ndarray:
+    def hessian_action(self, X, V) -> np.ndarray:
         """Hess d applied to tangent vectors V at core points X, both (n, N):
-        P_t(hess D v) + (grad D . nu) S v, with hess D = ambient_hess(X)
-        unless the caller passes it.  Rows where the ambient Hessian is nan
-        take the surface Hessian at frame_at (finite differences)."""
+        P_t(hess D v) + (grad D . nu) S v with hess D = ambient_hess(X)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         V = np.atleast_2d(np.asarray(V, dtype=float))
-        if hess is None:
-            hess = self.ambient_hess(X)
         MX = X * (1.0 / self.core.axes**2)
         nu = MX / np.sqrt(np.einsum("ij,ij->i", MX, MX))[:, None]
         gn = np.einsum("ij,ij->i", self.ambient_grad(X), nu)
-        HV = np.einsum("ijk,ik->ij", hess, V)
-        HV = HV - np.einsum("ij,ij->i", HV, nu)[:, None] * nu + gn[:, None] * shape_action_batch(self.core, X, V)
-        for i in np.flatnonzero(~np.isfinite(HV).all(axis=-1)):
-            p = SurfacePoint.from_ambient(self.core, X[i])
-            frame = frame_at(self.core, p)
-            HV[i] = (self.surface_hessian(p, frame) @ (frame.vectors @ V[i])) @ frame.vectors
-        return HV
+        HV = np.einsum("ijk,ik->ij", self.ambient_hess(X), V)
+        return (HV - np.einsum("ij,ij->i", HV, nu)[:, None] * nu
+                + gn[:, None] * shape_action_batch(self.core, X, V))
 
     # -- validation ----------------------------------------------------------
     def check_positivity(self, n: int = 10000):
@@ -138,36 +121,6 @@ class ThicknessField:
     def _check_point(self, p: SurfacePoint):
         if p.core != self.core:
             raise ValueError("surface point belongs to a different core")
-
-
-def finite_difference_hessian(field: "ThicknessField", p: SurfacePoint,
-                              frame: TangentFrame, h: float | None = None,
-                              richardson: bool = False) -> np.ndarray:
-    """Second differences of the value along retraction curves, polarized.
-
-    Default step h = eps_machine^(1/3) * max(1, chart scale); the
-    richardson flag halves the step once and extrapolates.  The whole
-    stencil, p +- s v for the directions v = e_i and e_i +- e_j (i < j) and
-    the steps s = h (and h/2), is retracted in one retract_batch call and
-    evaluated with p in one ambient_value call.
-    """
-    if h is None:
-        h = np.cbrt(np.finfo(float).eps) * max(1.0, field.core.surface_scale())
-    E = frame.vectors
-    k = E.shape[0]
-    I, J = np.triu_indices(k, 1)
-    dirs = np.concatenate([E, E[I] + E[J], E[I] - E[J]])
-    steps = np.array([h, h / 2.0] if richardson else [h])
-    signed = np.concatenate([steps, -steps])
-    V = (signed[:, None, None] * dirs[None]).reshape(-1, E.shape[1])
-    Y = retract_batch(field.core, p.ambient, V)
-    vals = field.ambient_value(np.concatenate([p.ambient[None], Y]))
-    f = vals[1:].reshape(2, steps.size, dirs.shape[0])
-    dd = (f[0] - 2.0 * vals[0] + f[1]) / (steps * steps)[:, None]
-    entry = (4.0 * dd[1] - dd[0]) / 3.0 if richardson else dd[0]
-    H = np.diag(entry[:k])
-    H[I, J] = H[J, I] = 0.25 * (entry[k:k + I.size] - entry[k + I.size:])
-    return H
 
 
 class ConstantField(ThicknessField):
@@ -190,84 +143,58 @@ class ConstantField(ThicknessField):
         return np.zeros(X.shape + X.shape[-1:])
 
 
-class ZonalLegendreField(ThicknessField):
-    """d = d0 + eps * P2(w) with w the cosine of the chart colatitude
-    about `axis` (w = <x/s, axis>, a linear function of x)."""
+class ZonalProfileField(ThicknessField):
+    """d = d0 + g(w) for a profile g of w = <x/s, axis>, the cosine of the
+    chart colatitude about `axis` (a linear function of x).  dg and d2g are
+    its first and second derivatives in w; each of g, dg, d2g maps an array
+    of w to an array of its shape.  The gradient g'(w) grad w and the
+    Hessian g''(w) grad w grad w^T are closed form on the whole core, the
+    axis poles included."""
 
-    def __init__(self, core: ConvexCore, d0: float, eps: float, axis=(0.0, 0.0, 1.0)):
+    def __init__(self, core: ConvexCore, d0: float, g, dg, d2g, axis=(0.0, 0.0, 1.0)):
         super().__init__(core)
         if core.dim != 3:
             raise ValueError("zonal fields require an N=3 core")
         self.d0 = float(d0)
-        self.eps = float(eps)
+        self.g, self.dg, self.d2g = g, dg, d2g
         ax = np.asarray(axis, dtype=float)
         self.axis = ax / np.linalg.norm(ax)
         # grad of w(x) = <x/s, axis> is constant
         self._gw = self.axis / core.axes
+        self._gwgw = np.outer(self._gw, self._gw)
 
     def _w(self, X):
         return np.einsum("...j,j->...", np.asarray(X, dtype=float), self._gw)
 
     def ambient_value(self, X):
-        return self.d0 + self.eps * legendre_p2(self._w(X))
+        return self.d0 + self.g(self._w(X))
 
     def ambient_grad(self, X):
         w = self._w(X)
-        return (3.0 * self.eps * w)[..., None] * self._gw
+        return self.dg(w)[..., None] * self._gw
 
     def ambient_hess(self, X):
-        H = 3.0 * self.eps * np.outer(self._gw, self._gw)
-        return np.broadcast_to(H, np.shape(X)[:-1] + H.shape).copy()
+        w = self._w(X)
+        return self.d2g(w)[..., None, None] * self._gwgw
 
 
-class ZonalProfileField(ThicknessField):
-    """d = d0 + eps * f(theta) for a user profile f of the colatitude about
-    `axis`.  df and d2f are required (the surface calculus is exact away
-    from the axis poles; the Hessian falls back to retraction-curve
-    differences inside the pole guard band)."""
+class ZonalLegendreField(ZonalProfileField):
+    """d = d0 + eps * P2(w): the zonal profile g = eps P2, g' = 3 eps w,
+    g'' = 3 eps."""
 
-    _POLE_BAND = 1e-4
-
-    def __init__(self, core: ConvexCore, d0: float, eps: float, f, df, d2f, axis=(0.0, 0.0, 1.0)):
-        super().__init__(core)
-        if core.dim != 3:
-            raise ValueError("zonal fields require an N=3 core")
-        self.d0 = float(d0)
+    def __init__(self, core: ConvexCore, d0: float, eps: float, axis=(0.0, 0.0, 1.0)):
         self.eps = float(eps)
-        self.f, self.df, self.d2f = f, df, d2f
-        ax = np.asarray(axis, dtype=float)
-        self.axis = ax / np.linalg.norm(ax)
-        self._gw = self.axis / core.axes
+        super().__init__(core, d0, self._g, self._dg, self._d2g, axis)
 
-    def _w(self, X):
-        return np.clip(np.einsum("...j,j->...", np.asarray(X, dtype=float), self._gw), -1.0, 1.0)
+    # methods rather than closures, so the field pickles
+    def _g(self, w):
+        return self.eps * legendre_p2(w)
 
-    def ambient_value(self, X):
-        return self.d0 + self.eps * np.asarray(self.f(np.arccos(self._w(X))))
+    def _dg(self, w):
+        return 3.0 * self.eps * w
 
-    def ambient_grad(self, X):
-        w = self._w(X)
-        theta = np.arccos(w)
-        s = np.sqrt(np.clip(1.0 - w * w, 0.0, None))
-        # q = f'(theta)/sin(theta); smooth zonal profiles have the limit
-        # q -> f''(pole) at the poles
-        q = np.where(
-            s > self._POLE_BAND,
-            np.asarray(self.df(theta)) / np.maximum(s, 1e-300),
-            np.where(w > 0, self.d2f(np.zeros_like(theta)), -np.asarray(self.d2f(np.full_like(theta, np.pi)))),
-        )
-        return (-self.eps * q)[..., None] * self._gw
-
-    def ambient_hess(self, X):
-        w = self._w(X)
-        s2 = 1.0 - w * w
-        theta = np.arccos(w)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = np.asarray(self.df(theta)) / np.sqrt(s2)
-            g2 = self.eps * ((np.asarray(self.d2f(theta)) - q * w) / s2)
-        # nan inside the pole band triggers the retraction-curve fallback
-        g2 = np.where(s2 <= self._POLE_BAND**2, np.nan, g2)
-        return g2[..., None, None] * np.outer(self._gw, self._gw)
+    def _d2g(self, w):
+        return np.full_like(w, 3.0 * self.eps)
 
 
 class Fourier2DField(ThicknessField):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -46,18 +47,6 @@ from .inverse import (
     scaling_ambiguity_diagnostic,
 )
 from .surfaces import ConvexCore, SurfacePoint, fibonacci_chart_grid, frame_at
-
-TASKS = (
-    "orbit",
-    "fixed_points",
-    "linearize",
-    "expansion_sweep",
-    "reconstruct",
-    "scaling",
-    "basins",
-    "admissibility",
-)
-
 
 class TaskFailure(ShellmapError):
     """A numeric failure inside a named operation (CLI exit code 3)."""
@@ -111,7 +100,7 @@ def parse_scenario_text(text: str) -> Scenario:
     task = pop("task", required=True)
     if task not in TASKS:
         raise ScenarioError(f"unknown task {task!r}; expected one of {', '.join(TASKS)}")
-    rng_seed = int(pop("rng_seed", "0"))
+    rng_seed = _convert(pop("rng_seed", "0"), int, "rng_seed")
     outdir = pop("output_dir")
     core = {k[len("core."):]: v for k, (v, _) in list(data.items()) if k.startswith("core.")}
     fieldspec = {k[len("field."):]: v for k, (v, _) in list(data.items()) if k.startswith("field.")}
@@ -128,42 +117,65 @@ def parse_scenario(path) -> Scenario:
     return parse_scenario_text(Path(path).read_text())
 
 
+_REQUIRED = object()
+
+
+def _convert(text, convert, key: str):
+    """convert(text); a value that does not convert raises ScenarioError
+    naming the key."""
+    try:
+        return convert(text)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ScenarioError(f"bad value {text!r} for key {key!r}: {exc}") from None
+
+
+def _values(spec: dict, section: str):
+    """The reader of one scenario section (core, field or task):
+    get(key, default, convert=float) is convert(spec[key]), or
+    convert(default) when the key is absent; a None default passes through
+    and a missing key without default raises ScenarioError."""
+    def get(key, default=_REQUIRED, convert=float):
+        text = spec.get(key, default)
+        if text is _REQUIRED:
+            raise ScenarioError(f"missing required key '{section}.{key}'")
+        return None if text is None else _convert(text, convert, f"{section}.{key}")
+    return get
+
+
 def build_core(spec: dict) -> ConvexCore:
-    kind = spec.get("kind")
+    get = _values(spec, "core")
+    kind = get("kind", None, str)
     if kind == "circle":
-        return ConvexCore.circle(float(spec.get("radius", 1.0)))
+        return ConvexCore.circle(get("radius", 1.0))
     if kind == "sphere":
-        return ConvexCore.sphere(float(spec.get("radius", 1.0)))
+        return ConvexCore.sphere(get("radius", 1.0))
     if kind == "ellipsoid":
-        return ConvexCore.ellipsoid(float(spec["a"]), float(spec["b"]), float(spec["c"]))
+        return ConvexCore.ellipsoid(get("a"), get("b"), get("c"))
     raise ScenarioError(f"unknown core.kind {kind!r}")
 
 
 def build_field(core: ConvexCore, spec: dict, eps_override: float | None = None):
-    kind = spec.get("kind")
-    d0 = float(spec.get("d0", 0.5))
-    eps = float(spec.get("eps", 0.0)) if eps_override is None else eps_override
+    get = _values(spec, "field")
+    kind = get("kind", None, str)
+    d0 = get("d0", 0.5)
+    eps = get("eps", 0.0) if eps_override is None else eps_override
     if kind == "constant":
         return ConstantField(core, d0)
     if kind == "zonal_legendre":
-        axis = _parse_vector(spec.get("axis", "0,0,1"))
+        axis = get("axis", "0,0,1", _parse_floats)
         return ZonalLegendreField(core, d0, eps, axis=axis)
     if kind == "fourier_2d":
-        terms = _parse_terms(spec.get("terms", "2:0.01"))
+        terms = get("terms", "2:0.01", _parse_terms)
         if eps_override is not None:
             terms = [(k, eps_override) for k, _ in terms]
         return Fourier2DField(core, d0, terms)
     if kind == "two_axis_legendre":
-        axis2 = _parse_vector(spec.get("axis2", "1,1,1"))
+        axis2 = get("axis2", "1,1,1", _parse_floats)
         return SumField([
             ZonalLegendreField(core, d0, eps),
             ZonalLegendreField(core, 0.0, eps, axis=axis2),
         ])
     raise ScenarioError(f"unknown field.kind {kind!r}")
-
-
-def _parse_vector(text):
-    return tuple(float(x) for x in text.split(","))
 
 
 def _parse_terms(text):
@@ -176,6 +188,11 @@ def _parse_terms(text):
 
 def _parse_floats(text):
     return [float(x) for x in str(text).split(",")]
+
+
+def _count(text):
+    """An integer count that may be written as a float, e.g. 1e5."""
+    return int(float(text))
 
 
 def list_scenarios():
@@ -252,10 +269,9 @@ def _named_point(core: ConvexCore, spec: str) -> SurfacePoint:
 # ---------------------------------------------------------------------------
 
 def _task_orbit(scn, dom, out, rng):
-    p = scn.params
-    seed_pt = _named_point(dom.core, p.get("point", "0.785398163,0"))
-    rec = iterate_orbit(dom, seed_pt, max_iters=int(float(p.get("max_iters", 1e5))),
-                        tol=float(p.get("tol", 1e-10)))
+    get = _values(scn.params, "task")
+    seed_pt = get("point", "0.785398163,0", partial(_named_point, dom.core))
+    rec = iterate_orbit(dom, seed_pt, max_iters=get("max_iters", 1e5, _count), tol=get("tol", 1e-10))
     path = out.dir / "orbit.csv"
     rec.to_csv(path)
     out.files.append(path)
@@ -270,8 +286,8 @@ def _task_orbit(scn, dom, out, rng):
 
 
 def _task_fixed_points(scn, dom, out, rng):
-    p = scn.params
-    scan = find_fixed_points(dom, n_seeds=int(p.get("n_seeds", 400)), tol=float(p.get("tol", 1e-10)))
+    get = _values(scn.params, "task")
+    scan = find_fixed_points(dom, n_seeds=get("n_seeds", 400, int), tol=get("tol", 1e-10))
     rows = []
     for pt, res, gn in zip(scan.points, scan.residuals, scan.grad_norms):
         amb = list(pt.ambient) + [0.0] * (3 - dom.core.dim)
@@ -286,17 +302,16 @@ def _task_fixed_points(scn, dom, out, rng):
 
 
 def _task_linearize(scn, dom, out, rng):
-    p = scn.params
-    pt = _named_point(dom.core, p.get("point", "equator"))
-    h = float(p.get("h", 1e-5))
+    get = _values(scn.params, "task")
+    pt = get("point", "equator", partial(_named_point, dom.core))
+    h = get("h", 1e-5)
     rep_fd = linearize_fd(dom, pt, h=h)
     rep_cl = linearize_analytic(dom, pt, step_scale=CLASSICAL_STEP_SCALE)
     rep_ms = linearize_analytic(dom, pt, step_scale=MEASURED_STEP_SCALE)
     rows = []
     for tag, rep in (("finite_difference", rep_fd), ("analytic_classical", rep_cl), ("analytic_measured", rep_ms)):
-        eigs = sorted(rep.eigenvalues, key=lambda z: -z.real)
         eig_cols = []
-        for z in eigs:
+        for z in rep.eigenvalues:
             eig_cols += [f"{z.real:.6f}", f"{z.imag:.6f}"]
         rows.append(
             [tag]
@@ -319,19 +334,19 @@ def _task_linearize(scn, dom, out, rng):
 
 
 def _task_expansion_sweep(scn, dom, out, rng):
-    p = scn.params
-    kind = p.get("kind", "first_order")
+    get = _values(scn.params, "task")
+    kind = get("kind", "first_order", str)
     core = dom.core
     if kind == "series":
-        d_list = _parse_floats(p.get("d_list", "1e-1,3e-2,1e-2,3e-3"))
-        chart = _parse_floats(p.get("chart", "1.0,0.7"))[: core.dim - 1]
+        d_list = get("d_list", "1e-1,3e-2,1e-2,3e-3", _parse_floats)
+        chart = get("chart", "1.0,0.7", _parse_floats)[: core.dim - 1]
         res, slope = preconditioner_series_residual(core, chart, d_list)
         out.csv("sweep.csv", ["d", "residual"], [[_g17(d), _g17(r)] for d, r in zip(d_list, res)])
         out.summary([("kind", kind), ("fitted_slope", float(slope))])
         return
-    eps_list = _parse_floats(p.get("eps_list", "1e-1,3e-2,1e-2,3e-3,1e-3"))
-    n_samples = int(p.get("n_samples", 10))
-    step_scale = float(p.get("step_scale", CLASSICAL_STEP_SCALE))
+    eps_list = get("eps_list", "1e-1,3e-2,1e-2,3e-3,1e-3", _parse_floats)
+    n_samples = get("n_samples", 10, int)
+    step_scale = get("step_scale", CLASSICAL_STEP_SCALE)
     charts = _sample_charts(core, n_samples, rng)
     report = residual_sweep(core, lambda e: build_field(core, scn.field_spec, eps_override=e),
                             eps_list, charts, step_scale=step_scale, kind=kind)
@@ -349,24 +364,24 @@ def _task_expansion_sweep(scn, dom, out, rng):
 
 
 def _task_reconstruct(scn, dom, out, rng):
-    p = scn.params
+    get = _values(scn.params, "task")
     F = BlackBoxMap.wrap_domain(dom, name=scn.name)
-    n_seeds = int(p.get("n_seeds", 400))
-    n_samples = int(p.get("n_samples", 50))
-    h = float(p.get("h", 1e-5))
+    n_seeds = get("n_seeds", 400, int)
+    n_samples = get("n_samples", 50, int)
+    h = get("h", 1e-5)
     samples = [SurfacePoint.from_chart(dom.core, ch) for ch in _sample_charts(dom.core, n_samples, rng)]
-    mode = p.get("alpha_mode", "known_measured")
+    mode = get("alpha_mode", "known_measured", str)
     if mode in ("known_classical", "known_measured"):
-        probe = _named_point(dom.core, p.get("alpha_point", "equator" if dom.core.dim == 3 else "0"))
+        probe = get("alpha_point", "equator" if dom.core.dim == 3 else "0", partial(_named_point, dom.core))
         frame = frame_at(dom.core, probe)
         A = curvature_preconditioner(dom, probe, frame)
         a = float(np.trace(A)) / A.shape[0]
         alphas = [a if mode == "known_classical" else -0.5 * a]
     elif mode == "assumed":
-        alphas = [float(p.get("alpha", 1.0))]
+        alphas = [get("alpha", 1.0)]
     elif mode == "sweep":
-        base = float(p.get("alpha", 1.0))
-        alphas = [base * m for m in _parse_floats(p.get("alpha_factors", "0.25,0.5,1,2,4"))]
+        base = get("alpha", 1.0)
+        alphas = [base * m for m in get("alpha_factors", "0.25,0.5,1,2,4", _parse_floats)]
     else:
         raise ScenarioError(f"unknown alpha_mode {mode!r}")
     report = run_reconstruction(F, n_seeds, samples, alphas, alpha_mode=mode, h=h)
@@ -384,9 +399,9 @@ def _task_reconstruct(scn, dom, out, rng):
 
 
 def _task_scaling(scn, dom, out, rng):
-    p = scn.params
-    lam = float(p.get("lambda", 2.0))
-    n_samples = int(p.get("n_samples", 100))
+    get = _values(scn.params, "task")
+    lam = get("lambda", 2.0)
+    n_samples = get("n_samples", 100, int)
     dom2 = RadialDomain(dom.core, ScaledField(lam, dom.field))
     F1 = BlackBoxMap.wrap_domain(dom, "base")
     F2 = BlackBoxMap.wrap_domain(dom2, "scaled")
@@ -394,14 +409,14 @@ def _task_scaling(scn, dom, out, rng):
     diag = scaling_ambiguity_diagnostic(F1, F2, samples)
     rows = [[_g17(c), _g17(r)] for c, r in zip(diag.cosines, diag.norm_ratios)]
     out.csv("scaling.csv", ["cosine", "norm_ratio"], rows)
-    if p.get("equivalence", "true").lower() == "true":
+    if get("equivalence", "true", str).lower() == "true":
         seeds = [SurfacePoint.from_chart(dom.core, ch)
-                 for ch in fibonacci_chart_grid(dom.core, int(p.get("equivalence_seeds", 120)))]
+                 for ch in fibonacci_chart_grid(dom.core, get("equivalence_seeds", 120, int))]
         verdict = dynamical_equivalence_check(
             F1, F2, seeds,
-            n_probe=int(p.get("equivalence_probe", 200)),
-            iter_tol=float(p.get("equivalence_tol", 1e-7)),
-            max_iters=int(float(p.get("equivalence_max_iters", 2e5))),
+            n_probe=get("equivalence_probe", 200, int),
+            iter_tol=get("equivalence_tol", 1e-7),
+            max_iters=get("equivalence_max_iters", 2e5, _count),
         )
         eq = verdict.verdict
     else:
@@ -417,15 +432,15 @@ def _task_scaling(scn, dom, out, rng):
 
 
 def _task_basins(scn, dom, out, rng):
-    p = scn.params
+    get = _values(scn.params, "task")
     F = BlackBoxMap.wrap_domain(dom, name=scn.name)
     seeds = [SurfacePoint.from_chart(dom.core, ch)
-             for ch in fibonacci_chart_grid(dom.core, int(p.get("n_seeds", 500)))]
+             for ch in fibonacci_chart_grid(dom.core, get("n_seeds", 500, int))]
     labeling = basin_decomposition(
         F, seeds,
-        tol=float(p.get("tol", 1e-8)),
-        max_iters=int(float(p.get("max_iters", 2e5))),
-        cluster_radius=float(p["cluster_radius"]) if "cluster_radius" in p else None,
+        tol=get("tol", 1e-8),
+        max_iters=get("max_iters", 2e5, _count),
+        cluster_radius=get("cluster_radius", None),
     )
     path = out.dir / "basins.csv"
     labeling.to_csv(path)
@@ -440,8 +455,8 @@ def _task_basins(scn, dom, out, rng):
 
 
 def _task_admissibility(scn, dom, out, rng):
-    p = scn.params
-    report = admissibility_check(dom, grid_size=int(p.get("grid", 4096)))
+    get = _values(scn.params, "task")
+    report = admissibility_check(dom, grid_size=get("grid", 4096, int))
     path = out.dir / "admissibility.csv"
     report.to_csv(path)
     out.files.append(path)
@@ -453,7 +468,7 @@ def _task_admissibility(scn, dom, out, rng):
     ])
 
 
-_TASK_FNS = {
+TASKS = {
     "orbit": _task_orbit,
     "fixed_points": _task_fixed_points,
     "linearize": _task_linearize,
@@ -483,7 +498,7 @@ def run_scenario(scenario: Scenario | str, out_dir=None, seed=None):
     fld = build_field(core, scenario.field_spec)
     dom = RadialDomain(core, fld)
     try:
-        _TASK_FNS[scenario.task](scenario, dom, out, rng)
+        TASKS[scenario.task](scenario, dom, out, rng)
     except ScenarioError:
         raise
     except ShellmapError as exc:

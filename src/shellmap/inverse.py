@@ -210,9 +210,11 @@ def basin_decomposition(F: BlackBoxMap, seeds, tol: float = 1e-8,
     seeds get label -1.  The continuum flag is raised when every seed
     converges and more than half of them stop within two steps (steps <= 2:
     the contraction rule stops a seed that is already fixed at its second
-    step).
+    step).  No seeds give an empty labeling without a map call.
     """
     seeds = list(seeds)
+    if not seeds:
+        return BasinLabeling([], np.array([], dtype=int), [], False)
     if cluster_radius is None:
         # wide enough to swallow the convergence ball around each attractor
         cluster_radius = max(10.0 * tol, 1e-3 * F.core.surface_scale())

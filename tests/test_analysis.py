@@ -27,7 +27,6 @@ from shellmap import (
     frame_at,
     linearize_analytic,
     linearize_fd,
-    legendre_p2,
     normal_expansion_residual,
     preconditioner_determinant,
     preconditioner_series_residual,
@@ -523,15 +522,13 @@ def test_residuals_agree_with_frame_formulas_on_tilted_ellipsoid(step_scale):
 
 
 def test_second_order_residual_in_the_zonal_profile_pole_band():
-    # ambient_hess is nan here; Hess d comes from the surface Hessian at frame_at
-    fld = ZonalProfileField(SPHERE, 0.5, 0.01, f=lambda t: legendre_p2(np.cos(t)),
-                            df=lambda t: -3.0 * np.cos(t) * np.sin(t),
-                            d2f=lambda t: -3.0 * np.cos(2.0 * t))
-    dom = RadialDomain(SPHERE, fld)
+    # 5e-5 from the pole a P2 profile of w has the Legendre field's closed-form Hess d
+    fld = ZonalProfileField(SPHERE, 0.5, g=lambda w: 0.01 * (1.5 * w * w - 0.5),
+                            dg=lambda w: 0.03 * w, d2g=lambda w: np.full_like(w, 0.03))
     c = pt(SPHERE, 5e-5, 0.3)
-    assert np.isnan(fld.ambient_hess(c.ambient)).all()
-    total, transverse = second_order_residual(dom, c)
-    assert abs(total / 1.5432755512195705e-06 - 1.0) < 1e-9
+    total, transverse = second_order_residual(RadialDomain(SPHERE, fld), c)
+    assert abs(total / 1.5432765468984404e-06 - 1.0) < 1e-9
+    assert abs(total / second_order_residual(zonal_domain(), c)[0] - 1.0) < 1e-12
     assert np.isfinite(transverse)
 
 
@@ -639,6 +636,18 @@ def test_fixed_point_search_polishes_every_candidate_at_once(monkeypatch):
     assert len(scan.points) >= 2
     assert 3 <= len(calls) <= 1 + 2 * analysis.NEWTON_MAX_STEPS
     assert calls[0] <= analysis.MAX_REFINE  # every candidate in the first call
+
+
+def test_fixed_point_search_with_no_seeds_is_empty():
+    # runs under the suite's error::RuntimeWarning filter
+    def no_call(X):
+        raise AssertionError("no map call expected")
+
+    scan = analysis.fixed_point_search(TILTED.core, no_call, 0, tol=1e-10)
+    assert (scan.points, scan.residuals.shape, scan.continuum, scan.unresolved) == ([], (0,), False, 0)
+    scan = find_fixed_points(zonal_domain(), n_seeds=0)
+    assert scan.points == [] and scan.grad_norms.shape == (0,)
+    assert not scan.continuum and scan.unresolved == 0
 
 
 def _quadric_shape_operator(core, x, E):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from shellmap import (
     ConstantField,
-    finite_difference_hessian,
     ConvexCore,
     Fourier2DField,
     InadmissibleThickness,
@@ -17,7 +16,6 @@ from shellmap import (
     ZonalLegendreField,
     ZonalProfileField,
     frame_at,
-    legendre_p2,
     retract,
 )
 from shellmap.surfaces import frames_batch
@@ -25,6 +23,7 @@ from shellmap.surfaces import frames_batch
 SPHERE = ConvexCore.sphere(1.0)
 CIRCLE = ConvexCore.circle(1.0)
 ELLIPSOID = ConvexCore.ellipsoid(2.0, 1.0, 1.0)
+TILTED_CORE = ConvexCore.ellipsoid(2.0, 1.0, 0.5)
 
 
 def pt(core, *chart):
@@ -240,14 +239,15 @@ def test_hessian_close_to_fd_of_gradient(core, make):
         assert np.abs(H - Hfd).max() < 5e-2 * max(1.0, np.abs(H).max())
 
 
+def _p2_profile(core, d0, eps):
+    """eps * P2 written out as a generic profile of w."""
+    return ZonalProfileField(core, d0, g=lambda w: eps * (1.5 * w * w - 0.5),
+                             dg=lambda w: 3.0 * eps * w, d2g=lambda w: np.full_like(w, 3.0 * eps))
+
+
 def test_profile_field_matches_legendre():
     lg = ZonalLegendreField(SPHERE, 0.5, 0.01)
-    pr = ZonalProfileField(
-        SPHERE, 0.5, 0.01,
-        f=lambda t: legendre_p2(np.cos(t)),
-        df=lambda t: -3.0 * np.cos(t) * np.sin(t),
-        d2f=lambda t: -3.0 * np.cos(2.0 * t),
-    )
+    pr = _p2_profile(SPHERE, 0.5, 0.01)
     for p in random_points(SPHERE, 20, seed=8):
         frame = frame_at(SPHERE, p)
         assert abs(lg.eval(p) - pr.eval(p)) < 1e-14
@@ -255,18 +255,52 @@ def test_profile_field_matches_legendre():
         assert np.allclose(lg.surface_hessian(p, frame), pr.surface_hessian(p, frame), atol=1e-10)
 
 
-def test_profile_field_pole_fallback():
-    pr = ZonalProfileField(
-        SPHERE, 0.5, 0.01,
-        f=lambda t: legendre_p2(np.cos(t)),
-        df=lambda t: -3.0 * np.cos(t) * np.sin(t),
-        d2f=lambda t: -3.0 * np.cos(2.0 * t),
-    )
-    p = pt(SPHERE, 0.0, 0.0)
-    H = pr.surface_hessian(p, frame_at(SPHERE, p))
-    assert np.allclose(H, -0.03 * np.eye(2), atol=1e-6)
-    g = pr.surface_gradient(p, frame_at(SPHERE, p))
-    assert np.linalg.norm(g) < 1e-12
+@pytest.mark.parametrize("theta", [0.0, 1e-6, 5e-5, 1.1e-4, 1e-3, 0.3])
+def test_profile_field_hessian_is_closed_form_up_to_the_pole(theta):
+    lg = ZonalLegendreField(SPHERE, 0.5, 0.01)
+    pr = _p2_profile(SPHERE, 0.5, 0.01)
+    for p in (pt(SPHERE, theta, 0.3), pt(SPHERE, np.pi - theta, 1.0)):
+        frame = frame_at(SPHERE, p)
+        assert np.abs(pr.surface_hessian(p, frame) - lg.surface_hessian(p, frame)).max() <= 1e-15
+    if theta == 0.0:
+        assert np.abs(pr.surface_hessian(p, frame) + 0.03 * np.eye(2)).max() <= 1e-15
+        assert np.linalg.norm(pr.surface_gradient(p, frame)) < 1e-15
+
+
+def _axis_poles(core, axis):
+    """The two core points where w = <x/s, axis> is +-1."""
+    u = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    return [SurfacePoint.from_ambient(core, s * core.axes * u) for s in (1.0, -1.0)]
+
+
+def test_legendre_field_ambient_calculus_is_the_p2_closed_form():
+    core, d0, eps, axis = TILTED_CORE, 0.25, 0.02, (0.3, 0.5, 0.8)
+    fld = ZonalLegendreField(core, d0, eps, axis=axis)
+    gw = np.asarray(axis) / np.linalg.norm(axis) / core.axes
+    X = np.array([p.ambient for p in random_points(core, 30, seed=19) + _axis_poles(core, axis)])
+    w = np.einsum("ij,j->i", X, gw)
+    assert np.array_equal(fld.ambient_value(X), d0 + eps * (0.5 * (3.0 * w * w - 1.0)))
+    assert np.array_equal(fld.ambient_grad(X), (3.0 * eps * w)[:, None] * gw)
+    assert np.array_equal(fld.ambient_hess(X), np.broadcast_to(3.0 * eps * np.outer(gw, gw), (32, 3, 3)))
+
+
+@pytest.mark.parametrize("core,d0,axis", [
+    (SPHERE, 0.5, (0.0, 0.0, 1.0)),
+    (TILTED_CORE, 0.25, (0.3, 0.5, 0.8)),
+], ids=["sphere", "tilted_ellipsoid"])
+def test_profile_field_surface_hessian_matches_fd_oracles(core, d0, axis):
+    # g = 0.01 P4(w), with its calculus closed form at the axis poles too
+    fld = ZonalProfileField(core, d0, g=lambda w: 0.01 * (35.0 * w**4 - 30.0 * w**2 + 3.0) / 8.0,
+                            dg=lambda w: 0.01 * (35.0 * w**3 - 15.0 * w) / 2.0,
+                            d2g=lambda w: 0.01 * (105.0 * w**2 - 15.0) / 2.0, axis=axis)
+    poles = _axis_poles(core, axis)
+    for p in random_points(core, 10, seed=17) + poles:
+        frame = frame_at(core, p)
+        H = fld.surface_hessian(p, frame)
+        assert np.abs(H - _fd_hessian_reference(fld, p, frame, 1e-4)).max() < 1e-6
+        assert np.abs(H - _fd_hessian_of_gradient(fld, p, frame, 1e-6)).max() < 1e-9
+    for p in poles:
+        assert np.linalg.norm(fld.surface_gradient(p, frame_at(core, p))) < 1e-15
 
 
 def test_fourier_gradient_and_hessian_formulas():
@@ -283,59 +317,23 @@ def test_fourier_gradient_and_hessian_formulas():
     assert abs(H[0, 0] - Hfd[0, 0]) < 1e-6
 
 
-def _fd_hessian_reference(fld, p, frame, h, richardson):
-    """The stencil loop finite_difference_hessian batches: one scalar
-    retract per stencil point."""
+def _fd_hessian_reference(fld, p, frame, h):
+    """Second differences of the value along retraction curves, polarized:
+    one scalar retract per stencil point."""
     f0 = fld.ambient_value(p.ambient)
 
-    def dd(v, step):
-        fp = fld.ambient_value(retract(fld.core, p, v, step).ambient)
-        fm = fld.ambient_value(retract(fld.core, p, v, -step).ambient)
-        return (fp - 2.0 * f0 + fm) / (step * step)
-
-    def entry(v):
-        return (4.0 * dd(v, h / 2.0) - dd(v, h)) / 3.0 if richardson else dd(v, h)
+    def dd(v):
+        fp = fld.ambient_value(retract(fld.core, p, v, h).ambient)
+        fm = fld.ambient_value(retract(fld.core, p, v, -h).ambient)
+        return (fp - 2.0 * f0 + fm) / (h * h)
 
     E = frame.vectors
     H = np.empty((E.shape[0], E.shape[0]))
     for i in range(E.shape[0]):
-        H[i, i] = entry(E[i])
+        H[i, i] = dd(E[i])
         for j in range(i + 1, E.shape[0]):
-            H[i, j] = H[j, i] = 0.25 * (entry(E[i] + E[j]) - entry(E[i] - E[j]))
+            H[i, j] = H[j, i] = 0.25 * (dd(E[i] + E[j]) - dd(E[i] - E[j]))
     return H
-
-
-@pytest.mark.parametrize("richardson", [False, True])
-@pytest.mark.parametrize("fld", [
-    ZonalLegendreField(SPHERE, 0.5, 0.01),
-    ZonalLegendreField(ConvexCore.ellipsoid(2.0, 1.0, 0.5), 0.25, 0.02, axis=(0.3, 0.5, 0.8)),
-    Fourier2DField(CIRCLE, 0.5, [(2, 0.05), (3, 0.02)]),
-], ids=["sphere", "tilted_ellipsoid", "circle"])
-def test_fd_hessian_matches_scalar_stencil_loop(fld, richardson):
-    for p in random_points(fld.core, 5, seed=21):
-        frame = frame_at(fld.core, p)
-        got = finite_difference_hessian(fld, p, frame, h=1e-3, richardson=richardson)
-        assert np.array_equal(got, _fd_hessian_reference(fld, p, frame, 1e-3, richardson))
-
-
-def test_fd_hessian_richardson_flag():
-    fld = ZonalLegendreField(SPHERE, 0.5, 0.01)
-    p = pt(SPHERE, 1.1, 0.4)
-    frame = frame_at(SPHERE, p)
-    H = fld.surface_hessian(p, frame)
-    plain = finite_difference_hessian(fld, p, frame)
-    rich = finite_difference_hessian(fld, p, frame, h=1e-3, richardson=True)
-    assert np.abs(plain - H).max() < 5e-6
-    assert np.abs(rich - H).max() < 1e-7
-
-
-def _p2_profile(core, d0, eps):
-    return ZonalProfileField(
-        core, d0, eps,
-        f=lambda t: legendre_p2(np.cos(t)),
-        df=lambda t: -3.0 * np.cos(t) * np.sin(t),
-        d2f=lambda t: -3.0 * np.cos(2.0 * t),
-    )
 
 
 @pytest.mark.parametrize("fld", [
@@ -349,36 +347,25 @@ def _p2_profile(core, d0, eps):
 def test_ambient_hess_is_batched_with_rows_equal_to_single_point_calls(fld):
     core = fld.core
     X = np.array([p.ambient for p in random_points(core, 12, seed=31)])
-    if core.dim == 3:  # two points inside the zonal pole band
+    if core.dim == 3:  # two points within 5e-5 of the chart poles
         X = np.concatenate([X, core.ambient_from_chart([[5e-5, 0.3], [np.pi - 2e-5, 1.0]])])
     H = fld.ambient_hess(X)
     assert H.shape == (X.shape[0], core.dim, core.dim)
+    assert np.isfinite(H).all()
     for x, row in zip(X, H):
         single = fld.ambient_hess(x)
         assert single.shape == (core.dim, core.dim)
-        assert np.array_equal(row, single, equal_nan=True)
-    banded = isinstance(fld, (ZonalProfileField, ScaledField, SumField))
-    assert np.isnan(H[-2:]).all() == banded
-    assert np.isfinite(H[:-2] if core.dim == 3 else H).all()
+        assert np.array_equal(row, single)
 
 
-def test_surface_hessian_falls_back_where_ambient_hess_is_nan():
-    pr = _p2_profile(SPHERE, 0.5, 0.01)
-    p = pt(SPHERE, 5e-5, 0.3)
-    frame = frame_at(SPHERE, p)
-    assert np.isnan(pr.ambient_hess(p.ambient)).all()
-    assert np.array_equal(pr.surface_hessian(p, frame), finite_difference_hessian(pr, p, frame))
-
-
-TILTED_CORE = ConvexCore.ellipsoid(2.0, 1.0, 0.5)
 _ACTION_FIELDS = {
     "sphere": ZonalLegendreField(SPHERE, 0.5, 0.05),
     "tilted_ellipsoid": ZonalLegendreField(TILTED_CORE, 0.25, 0.02, axis=(0.3, 0.5, 0.8)),
     "fourier_circle": Fourier2DField(CIRCLE, 0.5, [(2, 0.05), (3, 0.02)]),
-    "profile_pole_band": _p2_profile(SPHERE, 0.5, 0.01),
+    "zonal_profile": _p2_profile(SPHERE, 0.5, 0.01),
 }
-# the drawn point joins a mixed batch, two of whose points lie inside the
-# zonal pole band (finite-difference rows of the profile field)
+# the drawn point joins a mixed batch, two of whose points lie within 5e-5
+# of the chart poles
 _MIX_CHARTS = [(0.3, 0.2), (1.9, 4.0), (5e-5, 2.5), (np.pi - 3e-7, 0.4)]
 
 
@@ -402,7 +389,7 @@ def test_hessian_action_rows_equal_batch_of_one(theta, phi, a, b, slot, name):
 
 
 def test_surface_hessian_is_the_frame_matrix_of_hessian_action():
-    for fld in (_ACTION_FIELDS["tilted_ellipsoid"], _ACTION_FIELDS["profile_pole_band"]):
+    for fld in (_ACTION_FIELDS["tilted_ellipsoid"], _ACTION_FIELDS["zonal_profile"]):
         for p in random_points(fld.core, 6, seed=13) + [pt(fld.core, 5e-5, 0.3)]:
             frame = frame_at(fld.core, p)
             E = frame.vectors

@@ -225,6 +225,35 @@ def test_cli_orbit_error_exit_3(tmp_path, capsys):
         "step,theta,phi,x,y,z,d,displacement"]
 
 
+@pytest.mark.parametrize("old,new,key", [
+    ("task.point = equator", "task.point = equator\ntask.h = abc", "task.h"),
+    ("task.point = equator", "task.point = 1,2,3", "task.point"),
+    ("field.eps = 0.01", "field.eps = 1e", "field.eps"),
+    ("core.radius = 1.0", "core.radius = one", "core.radius"),
+    ("rng_seed = 0", "rng_seed = 0.5", "rng_seed"),
+], ids=["task.h", "task.point", "field.eps", "core.radius", "rng_seed"])
+def test_cli_bad_value_exit_2_names_the_key(tmp_path, capsys, old, new, key):
+    scn = scn_path(tmp_path, ZONAL_LINEARIZE.replace(old, new))
+    assert cli_main(["run", scn, "--out", str(tmp_path / "o")]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_cli_fixed_points_with_no_seeds(tmp_path, capsys):
+    scn = ZONAL_LINEARIZE.replace("task = linearize\ntask.point = equator",
+                                  "task = fixed_points\ntask.n_seeds = 0")
+    assert cli_main(["run", scn_path(tmp_path, scn), "--out", str(tmp_path / "o")]) == 0
+    bad = scn_path(tmp_path, scn.replace("n_seeds = 0", "n_seeds = abc"), "bad.scn")
+    assert cli_main(["run", bad, "--out", str(tmp_path / "p")]) == 2
+    assert "'task.n_seeds'" in capsys.readouterr().err
+    summary = (tmp_path / "o" / "summary.csv").read_text().splitlines()
+    assert summary[1:] == ["n_clusters,0", "continuum_of_fixed_points,False", "unresolved_seeds,0"]
+
+
+def test_build_core_names_a_missing_ellipsoid_axis():
+    with pytest.raises(ScenarioError, match="'core.c'"):
+        build_core({"kind": "ellipsoid", "a": "2", "b": "1"})
+
+
 def test_cli_list_scenarios(capsys):
     rc = cli_main(["list-scenarios"])
     assert rc == 0

@@ -314,6 +314,16 @@ def test_basin_csv(tmp_path):
     assert len(lines) == 21
 
 
+def test_basin_decomposition_of_no_seeds_is_empty():
+    # runs under the suite's error::RuntimeWarning filter
+    def no_call(X):
+        raise AssertionError("no map call expected")
+
+    lab = basin_decomposition(BlackBoxMap(SPHERE, no_call), [])
+    assert lab.seeds == [] and lab.labels.shape == (0,) and lab.cluster_reps == []
+    assert not lab.continuum
+
+
 # ---------------------------------------------------------------------------
 # dynamical equivalence battery
 # ---------------------------------------------------------------------------
