@@ -52,6 +52,7 @@ from .domain import (
 )
 from .dynamics import (
     BatchOrbitResult,
+    BlackBoxMap,
     OrbitRecord,
     iterate_batch,
     iterate_orbit,
@@ -71,6 +72,7 @@ from .analysis import (
     curvature_preconditioner,
     find_fixed_points,
     first_order_residual,
+    fixed_point_search,
     fit_loglog,
     linearize_analytic,
     linearize_fd,
@@ -83,13 +85,11 @@ from .analysis import (
 )
 from .inverse import (
     BasinLabeling,
-    BlackBoxMap,
     EquivalenceVerdict,
     IsotropicReconstruction,
     ReconstructionReport,
     ScalingDiagnostic,
     basin_decomposition,
-    detect_fixed_points_blackbox,
     dynamical_equivalence_check,
     estimate_composite_operator,
     reconstruct_hessian_isotropic,

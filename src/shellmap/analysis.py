@@ -9,21 +9,20 @@ predicted displacement is parametrized as
 so step_scale = -2 reproduces the classical descent-model prediction and
 step_scale = +1 the step law the exact ray dynamics actually follows (see
 tests/test_measured_law.py).  The residuals are batched on the closed-form
-tilt of the return map and the field's Hessian action.  The FD Jacobian
-and the Newton polish of fixed_point_search take batches of centres (one
-retract_batch and one map call per stencil); the scalar entry points are
-batch-of-one views.
+tilt of the return map and the field's Hessian action.  A map is passed
+as one BlackBoxMap F; the FD Jacobian and the Newton polish of
+fixed_point_search take batches of centres (one retract_batch and one map
+call per stencil).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .domain import RadialDomain, _outer_geometry_batch, _resolvent_batch
-from .dynamics import return_map_batch, settle_batch
+from .dynamics import BlackBoxMap, return_map_batch, settle_batch
 from .errors import CurvatureSingularity, InadmissibleThickness, NotAFixedPoint, OffSurface
 from .fields import ConstantField
 from .surfaces import (
@@ -267,32 +266,26 @@ def _classified(c_star, frame, DF, method, preconditioner, **extra) -> Lineariza
     return report
 
 
-def _require_fixed(X: np.ndarray, batch_map) -> None:
-    """NotAFixedPoint unless every row of X, (n, N), is fixed to tolerance."""
-    resid = float(np.max(np.linalg.norm(batch_map(X) - X, axis=-1)))
+def _require_fixed(F: BlackBoxMap, X: np.ndarray) -> None:
+    """NotAFixedPoint unless every row of X, (n, N), is fixed under F to tolerance."""
+    resid = float(np.max(np.linalg.norm(F.batch(X) - X, axis=-1)))
     if resid > FIXED_POINT_RESIDUAL_TOL:
         raise NotAFixedPoint(f"|F(c) - c| = {resid:.3e} exceeds {FIXED_POINT_RESIDUAL_TOL:.1e}")
 
 
-def finite_difference_jacobian_batch(core: ConvexCore, batch_map, X: np.ndarray, E: np.ndarray,
+def finite_difference_jacobian_batch(F: BlackBoxMap, X: np.ndarray, E: np.ndarray,
                                      h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Central-difference DF, (k, N-1, N-1), at centres X, (k, N), in frames
     E, (k, N-1, N), columns projected onto the tangent space at the centre
     (valid at fixed points).  The 2(N-1)k stencil points c +- h e_i take one
-    retract_batch and one batch_map call."""
+    retract_batch and one call of F; one centre is a batch of one."""
     k, m, n = E.shape
     V = (np.array([h, -h])[None, None, :, None] * E[:, :, None, :]).reshape(-1, n)
-    Y = batch_map(retract_batch(core, np.repeat(X, 2 * m, axis=0), V)).reshape(k, m, 2, n)
+    Y = F.batch(retract_batch(F.core, np.repeat(X, 2 * m, axis=0), V)).reshape(k, m, 2, n)
     diff = (Y[:, :, 0] - Y[:, :, 1]) / (2.0 * h)
-    nu = core.normal(X)
+    nu = F.core.normal(X)
     diff -= (diff @ nu[:, :, None]) * nu[:, None, :]
     return E @ diff.transpose(0, 2, 1)
-
-
-def finite_difference_jacobian(core: ConvexCore, batch_map, c: SurfacePoint,
-                               frame: TangentFrame, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """finite_difference_jacobian_batch at c, a batch of one."""
-    return finite_difference_jacobian_batch(core, batch_map, c.ambient[None], frame.vectors[None], h)[0]
 
 
 def linearize_fd(dom: RadialDomain, c_star: SurfacePoint, frame: TangentFrame | None = None,
@@ -300,9 +293,9 @@ def linearize_fd(dom: RadialDomain, c_star: SurfacePoint, frame: TangentFrame | 
     """Finite-difference linearization of the exact return map at a fixed point."""
     if frame is None:
         frame = frame_at(dom.core, c_star)
-    fmap = partial(return_map_batch, dom)
-    _require_fixed(c_star.ambient[None], fmap)
-    DF = finite_difference_jacobian(dom.core, fmap, c_star, frame, h)
+    F, X = BlackBoxMap.wrap_domain(dom), c_star.ambient[None]
+    _require_fixed(F, X)
+    DF = finite_difference_jacobian_batch(F, X, frame.vectors[None], h)[0]
     return _classified(c_star, frame, DF, "finite_difference", curvature_preconditioner(dom, c_star, frame), h=h)
 
 
@@ -316,7 +309,7 @@ def linearize_analytic(dom: RadialDomain, c_star: SurfacePoint, frame: TangentFr
     """
     if frame is None:
         frame = frame_at(dom.core, c_star)
-    _require_fixed(c_star.ambient[None], partial(return_map_batch, dom))
+    _require_fixed(BlackBoxMap.wrap_domain(dom), c_star.ambient[None])
     G = step_operator(dom, c_star, frame)
     H = dom.field.surface_hessian(c_star, frame)
     DF = np.eye(H.shape[0]) + step_scale * (G @ H)
@@ -385,7 +378,7 @@ class FixedPointScan:
     unresolved: int
 
 
-def _newton_polish(core: ConvexCore, batch_map, X: np.ndarray):
+def _newton_polish(F: BlackBoxMap, X: np.ndarray):
     """Newton on G(c) = F(c) - c in the tangent frame at c, on all rows of
     X at once (OffSurface if one is off the core); returns them and |G|.
 
@@ -396,11 +389,12 @@ def _newton_polish(core: ConvexCore, batch_map, X: np.ndarray):
     |G| <= eps * surface_scale(), at its first step that does not lower |G|,
     or after NEWTON_MAX_STEPS steps: at most 1 + 2 NEWTON_MAX_STEPS map calls.
     """
+    core = F.core
     X = np.array(X, dtype=float, ndmin=2)
     off = float(np.max(np.abs(core.implicit(X)), initial=0.0))
     if off > TOL_SURFACE:
         raise OffSurface(f"|implicit(x)| = {off:.3e} exceeds {TOL_SURFACE:.1e}")
-    G = batch_map(X) - X
+    G = F.batch(X) - X
     r = np.linalg.norm(G, axis=-1)
     target = np.finfo(float).eps * core.surface_scale()
     live = r > target
@@ -410,11 +404,11 @@ def _newton_polish(core: ConvexCore, batch_map, X: np.ndarray):
             break
         C = X[idx]
         E = frames_batch(core, C)
-        J = finite_difference_jacobian_batch(core, batch_map, C, E) - np.eye(core.dim - 1)
+        J = finite_difference_jacobian_batch(F, C, E) - np.eye(core.dim - 1)
         steps = np.array([np.linalg.lstsq(J[i], -(E[i] @ G[j]), rcond=1e-6)[0] @ E[i]
                           for i, j in enumerate(idx)])
         trial = retract_batch(core, C, steps)
-        G_trial = batch_map(trial) - trial
+        G_trial = F.batch(trial) - trial
         r_trial = np.linalg.norm(G_trial, axis=-1)
         better = r_trial < r[idx]
         acc = idx[better]
@@ -443,10 +437,11 @@ def _greedy_clusters(X: np.ndarray, radius: float):
     return labels
 
 
-def fixed_point_search(core: ConvexCore, batch_map, n_seeds: int,
+def fixed_point_search(F: BlackBoxMap, n_seeds: int,
                        tol: float = 1e-10, max_iters: int = 100_000) -> FixedPointScan:
-    """Shared engine: forward iteration for attractors plus a residual scan
-    with local minimization for fixed points iteration cannot reach.
+    """Fixed points of F from its calls alone: forward iteration for
+    attractors plus a residual scan with local minimization for fixed
+    points iteration cannot reach.
 
     Seeds on the deterministic near-uniform grid.  The residual scan is
     every orbit's first step: a seed fixed to tol there stops, the others
@@ -464,19 +459,20 @@ def fixed_point_search(core: ConvexCore, batch_map, n_seeds: int,
     """
     if n_seeds < 1:
         return FixedPointScan([], np.array([]), None, False, 0)
+    core = F.core
     X = core.ambient_from_chart(fibonacci_chart_grid(core, n_seeds))
-    limits = batch_map(X)
+    limits = F.batch(X)
     R = np.linalg.norm(limits - X, axis=-1)
     continuum = bool(np.mean(R < tol) > 0.5)
 
     # the scan is every orbit's first step: a seed fixed to tol stops there
     moving = np.flatnonzero(R >= tol)
     pre_radius = 1e-5 * core.surface_scale()
-    orbit = settle_batch(core, batch_map, limits[moving], 0.1 * pre_radius, tol, max_iters - 1)
+    orbit = settle_batch(F, limits[moving], 0.1 * pre_radius, tol, max_iters - 1)
     limits[moving] = orbit.limits
     unresolved = int(np.sum(~orbit.converged))
 
-    lim_res = np.linalg.norm(batch_map(limits) - limits, axis=-1)
+    lim_res = np.linalg.norm(F.batch(limits) - limits, axis=-1)
     pre = _greedy_clusters(limits, radius=pre_radius)
     lim_best = [members[np.argmin(lim_res[members])]
                 for members in (np.nonzero(pre == lab)[0] for lab in range(pre.max() + 1))]
@@ -485,17 +481,15 @@ def fixed_point_search(core: ConvexCore, batch_map, n_seeds: int,
     cand_res = np.concatenate([lim_res[lim_best], R[scan_idx]])
     cand = cand[np.argsort(cand_res, kind="stable")[:MAX_REFINE]]
 
-    pts, res = _newton_polish(core, batch_map, cand)
+    pts, res = _newton_polish(F, cand)
     keep = res < max(tol, 1e-9)
     pts, res = pts[keep], res[keep]
     if not pts.shape[0]:
         return FixedPointScan([], np.array([]), None, continuum, unresolved)
 
     labels = _greedy_clusters(pts, radius=10.0 * tol)
-    best = []
-    for lab in range(labels.max() + 1):
-        members = np.nonzero(labels == lab)[0]
-        best.append(members[np.argmin(res[members])])
+    best = [members[np.argmin(res[members])]
+            for members in (np.nonzero(labels == lab)[0] for lab in range(labels.max() + 1))]
     q = 1e-9 * core.surface_scale()
     best.sort(key=lambda i: tuple(np.round(pts[i] / q)))
     reps = [SurfacePoint.from_ambient(core, pts[i]) for i in best]
@@ -505,12 +499,7 @@ def fixed_point_search(core: ConvexCore, batch_map, n_seeds: int,
 def find_fixed_points(dom: RadialDomain, n_seeds: int, tol: float = 1e-10,
                       max_iters: int = 100_000) -> FixedPointScan:
     """Fixed points of the exact return map with thickness-gradient norms."""
-    scan = fixed_point_search(dom.core, partial(return_map_batch, dom), n_seeds,
-                              tol=tol, max_iters=max_iters)
-    if scan.points:
-        scan.grad_norms = np.array(
-            [float(np.linalg.norm(dom.field.surface_gradient_ambient(p))) for p in scan.points]
-        )
-    else:
-        scan.grad_norms = np.array([])
+    scan = fixed_point_search(BlackBoxMap.wrap_domain(dom), n_seeds, tol=tol, max_iters=max_iters)
+    scan.grad_norms = np.array([float(np.linalg.norm(dom.field.surface_gradient_ambient(p)))
+                                for p in scan.points])
     return scan

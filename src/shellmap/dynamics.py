@@ -1,4 +1,5 @@
-"""The exact forward dynamics: reciprocal map, return map, orbit iteration.
+"""The exact forward dynamics: reciprocal map, return map, orbit iteration,
+and BlackBoxMap, the one map object every map consumer takes.
 
 The forward map is computed purely by ray geometry (no asymptotic
 formulas), so it can serve as an independent oracle for every expansion
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -53,6 +55,35 @@ def return_map_batch(dom: RadialDomain, X: np.ndarray) -> np.ndarray:
     if np.any(miss):
         raise NormalRayMissesCore(f"{int(np.sum(miss))} inward rays miss the core")
     return Y
+
+
+@dataclass
+class BlackBoxMap:
+    """A deterministic surface-to-surface map observed only through calls:
+    one batched map, (n, N) ambient -> (n, N) ambient, on the core."""
+
+    core: ConvexCore
+    batch_fn: object
+
+    @staticmethod
+    def wrap_domain(dom: RadialDomain) -> "BlackBoxMap":
+        """Hide a radial domain behind the call interface."""
+        return BlackBoxMap(dom.core, partial(return_map_batch, dom))
+
+    def __call__(self, p: SurfacePoint) -> SurfacePoint:
+        return SurfacePoint.from_ambient(self.core, self.batch_fn(p.ambient[None])[0])
+
+    def batch(self, X: np.ndarray) -> np.ndarray:
+        return self.batch_fn(X)
+
+    def compose(self, k: int) -> "BlackBoxMap":
+        """The k-th iterate as a new black box."""
+        def batch_fn(X):
+            for _ in range(k):
+                X = self.batch_fn(X)
+            return X
+
+        return BlackBoxMap(self.core, batch_fn)
 
 
 @dataclass
@@ -138,8 +169,10 @@ def iterate_batch(
     max_iters: int = DEFAULT_MAX_ITERS,
     tol: float = DEFAULT_TOL,
 ) -> BatchOrbitResult:
-    """Iterate the return map on many seeds at once; a seed stops at the
-    first displacement below tol (plain iteration, no extrapolation)."""
+    """Iterate the return map of dom on many seeds at once; a seed stops at
+    the first displacement below tol (plain iteration, no extrapolation).
+    It takes the domain, not a BlackBoxMap, because its callers (the
+    criterion 9 descent and its benchmark) hold one."""
     X = np.atleast_2d(np.asarray(seeds, dtype=float)).copy()
     n = X.shape[0]
     steps = np.zeros(n, dtype=int)
@@ -162,10 +195,10 @@ def iterate_batch(
     return BatchOrbitResult(seeds0, X, steps, converged, final_disp)
 
 
-def settle_batch(core: ConvexCore, batch_map, seeds: np.ndarray, radius: float,
+def settle_batch(F: BlackBoxMap, seeds: np.ndarray, radius: float,
                  tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS) -> BatchOrbitResult:
-    """Iterate batch_map, (n, N) -> (n, N) on core points, from many seeds
-    until each one settles on an attractor.
+    """Iterate F from many seeds, ambient points on its core, until each
+    one settles on an attractor.
 
     A seed stops on the contraction rule, disp < tol and disp <= the
     previous displacement (so at least two steps), with the last iterate
@@ -195,7 +228,7 @@ def settle_batch(core: ConvexCore, batch_map, seeds: np.ndarray, radius: float,
     while ids.size and it < max_iters:
         it += 1
         m = ids.size
-        Z = batch_map(np.concatenate([Xa, L_hat]) if pending.size else Xa)
+        Z = F.batch(np.concatenate([Xa, L_hat]) if pending.size else Xa)
         Y = Z[:m]
         disp = np.linalg.norm(Y - Xa, axis=-1)
         stop = (disp < tol) & (disp <= prev)
@@ -213,7 +246,7 @@ def settle_batch(core: ConvexCore, batch_map, seeds: np.ndarray, radius: float,
             near = (np.linalg.norm(L - last_L, axis=-1) < radius) & ~stop
             last_L = L
             if near.any():
-                L_hat = retract_batch(core, L[near], 0.0)
+                L_hat = retract_batch(F.core, L[near], 0.0)
                 slack = (1.0 - rho[near]) * radius
                 pending = np.flatnonzero(near[~stop])
         Xa, prev = Y, disp

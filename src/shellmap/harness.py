@@ -30,7 +30,7 @@ from .analysis import (
     residual_sweep,
 )
 from .domain import RadialDomain, admissibility_check
-from .dynamics import iterate_orbit
+from .dynamics import BlackBoxMap, iterate_orbit
 from .errors import ScenarioError, ShellmapError
 from .fields import (
     ConstantField,
@@ -40,7 +40,6 @@ from .fields import (
     ZonalLegendreField,
 )
 from .inverse import (
-    BlackBoxMap,
     basin_decomposition,
     dynamical_equivalence_check,
     run_reconstruction,
@@ -146,11 +145,11 @@ def build_core(spec: dict) -> ConvexCore:
     get = _values(spec, "core")
     kind = get("kind", None, str)
     if kind == "circle":
-        return ConvexCore.circle(get("radius", 1.0))
+        return ConvexCore.circle(get("radius", 1.0, _positive))
     if kind == "sphere":
-        return ConvexCore.sphere(get("radius", 1.0))
+        return ConvexCore.sphere(get("radius", 1.0, _positive))
     if kind == "ellipsoid":
-        return ConvexCore.ellipsoid(get("a"), get("b"), get("c"))
+        return ConvexCore.ellipsoid(*(get(k, convert=_positive) for k in "abc"))
     raise ScenarioError(f"unknown core.kind {kind!r}")
 
 
@@ -193,6 +192,23 @@ def _parse_floats(text):
 def _count(text):
     """An integer count that may be written as a float, e.g. 1e5."""
     return int(float(text))
+
+
+def _checked(convert, ok, need: str):
+    """The converter convert, then ValueError(need) unless ok(value)."""
+    def checked(text):
+        value = convert(text)
+        if not ok(value):
+            raise ValueError(need)
+        return value
+    return checked
+
+
+_positive = _checked(float, lambda x: x > 0, "must be positive")
+_positive_int = _checked(int, lambda n: n > 0, "must be positive")
+_flag = _checked(str.lower, ("true", "false").__contains__, "expected true or false")
+_sweep_kind = _checked(str, ("series", "first_order", "second_order", "normal").__contains__,
+                       "expected series, first_order, second_order or normal")
 
 
 def list_scenarios():
@@ -271,7 +287,8 @@ def _named_point(core: ConvexCore, spec: str) -> SurfacePoint:
 def _task_orbit(scn, dom, out, rng):
     get = _values(scn.params, "task")
     seed_pt = get("point", "0.785398163,0", partial(_named_point, dom.core))
-    rec = iterate_orbit(dom, seed_pt, max_iters=get("max_iters", 1e5, _count), tol=get("tol", 1e-10))
+    rec = iterate_orbit(dom, seed_pt, max_iters=get("max_iters", 1e5, _count),
+                        tol=get("tol", 1e-10, _positive))
     path = out.dir / "orbit.csv"
     rec.to_csv(path)
     out.files.append(path)
@@ -287,7 +304,7 @@ def _task_orbit(scn, dom, out, rng):
 
 def _task_fixed_points(scn, dom, out, rng):
     get = _values(scn.params, "task")
-    scan = find_fixed_points(dom, n_seeds=get("n_seeds", 400, int), tol=get("tol", 1e-10))
+    scan = find_fixed_points(dom, n_seeds=get("n_seeds", 400, int), tol=get("tol", 1e-10, _positive))
     rows = []
     for pt, res, gn in zip(scan.points, scan.residuals, scan.grad_norms):
         amb = list(pt.ambient) + [0.0] * (3 - dom.core.dim)
@@ -304,7 +321,7 @@ def _task_fixed_points(scn, dom, out, rng):
 def _task_linearize(scn, dom, out, rng):
     get = _values(scn.params, "task")
     pt = get("point", "equator", partial(_named_point, dom.core))
-    h = get("h", 1e-5)
+    h = get("h", 1e-5, _positive)
     rep_fd = linearize_fd(dom, pt, h=h)
     rep_cl = linearize_analytic(dom, pt, step_scale=CLASSICAL_STEP_SCALE)
     rep_ms = linearize_analytic(dom, pt, step_scale=MEASURED_STEP_SCALE)
@@ -335,7 +352,7 @@ def _task_linearize(scn, dom, out, rng):
 
 def _task_expansion_sweep(scn, dom, out, rng):
     get = _values(scn.params, "task")
-    kind = get("kind", "first_order", str)
+    kind = get("kind", "first_order", _sweep_kind)
     core = dom.core
     if kind == "series":
         d_list = get("d_list", "1e-1,3e-2,1e-2,3e-3", _parse_floats)
@@ -345,7 +362,7 @@ def _task_expansion_sweep(scn, dom, out, rng):
         out.summary([("kind", kind), ("fitted_slope", float(slope))])
         return
     eps_list = get("eps_list", "1e-1,3e-2,1e-2,3e-3,1e-3", _parse_floats)
-    n_samples = get("n_samples", 10, int)
+    n_samples = get("n_samples", 10, _positive_int)
     step_scale = get("step_scale", CLASSICAL_STEP_SCALE)
     charts = _sample_charts(core, n_samples, rng)
     report = residual_sweep(core, lambda e: build_field(core, scn.field_spec, eps_override=e),
@@ -365,10 +382,10 @@ def _task_expansion_sweep(scn, dom, out, rng):
 
 def _task_reconstruct(scn, dom, out, rng):
     get = _values(scn.params, "task")
-    F = BlackBoxMap.wrap_domain(dom, name=scn.name)
+    F = BlackBoxMap.wrap_domain(dom)
     n_seeds = get("n_seeds", 400, int)
     n_samples = get("n_samples", 50, int)
-    h = get("h", 1e-5)
+    h = get("h", 1e-5, _positive)
     samples = [SurfacePoint.from_chart(dom.core, ch) for ch in _sample_charts(dom.core, n_samples, rng)]
     mode = get("alpha_mode", "known_measured", str)
     if mode in ("known_classical", "known_measured"):
@@ -403,19 +420,19 @@ def _task_scaling(scn, dom, out, rng):
     lam = get("lambda", 2.0)
     n_samples = get("n_samples", 100, int)
     dom2 = RadialDomain(dom.core, ScaledField(lam, dom.field))
-    F1 = BlackBoxMap.wrap_domain(dom, "base")
-    F2 = BlackBoxMap.wrap_domain(dom2, "scaled")
+    F1 = BlackBoxMap.wrap_domain(dom)
+    F2 = BlackBoxMap.wrap_domain(dom2)
     samples = [SurfacePoint.from_chart(dom.core, ch) for ch in _sample_charts(dom.core, n_samples, rng)]
     diag = scaling_ambiguity_diagnostic(F1, F2, samples)
     rows = [[_g17(c), _g17(r)] for c, r in zip(diag.cosines, diag.norm_ratios)]
     out.csv("scaling.csv", ["cosine", "norm_ratio"], rows)
-    if get("equivalence", "true", str).lower() == "true":
+    if get("equivalence", "true", _flag) == "true":
         seeds = [SurfacePoint.from_chart(dom.core, ch)
                  for ch in fibonacci_chart_grid(dom.core, get("equivalence_seeds", 120, int))]
         verdict = dynamical_equivalence_check(
             F1, F2, seeds,
             n_probe=get("equivalence_probe", 200, int),
-            iter_tol=get("equivalence_tol", 1e-7),
+            iter_tol=get("equivalence_tol", 1e-7, _positive),
             max_iters=get("equivalence_max_iters", 2e5, _count),
         )
         eq = verdict.verdict
@@ -433,14 +450,14 @@ def _task_scaling(scn, dom, out, rng):
 
 def _task_basins(scn, dom, out, rng):
     get = _values(scn.params, "task")
-    F = BlackBoxMap.wrap_domain(dom, name=scn.name)
+    F = BlackBoxMap.wrap_domain(dom)
     seeds = [SurfacePoint.from_chart(dom.core, ch)
              for ch in fibonacci_chart_grid(dom.core, get("n_seeds", 500, int))]
     labeling = basin_decomposition(
         F, seeds,
-        tol=get("tol", 1e-8),
+        tol=get("tol", 1e-8, _positive),
         max_iters=get("max_iters", 2e5, _count),
-        cluster_radius=get("cluster_radius", None),
+        cluster_radius=get("cluster_radius", None, _positive),
     )
     path = out.dir / "basins.csv"
     labeling.to_csv(path)
@@ -456,7 +473,7 @@ def _task_basins(scn, dom, out, rng):
 
 def _task_admissibility(scn, dom, out, rng):
     get = _values(scn.params, "task")
-    report = admissibility_check(dom, grid_size=get("grid", 4096, int))
+    report = admissibility_check(dom, grid_size=get("grid", 4096, _positive_int))
     path = out.dir / "admissibility.csv"
     report.to_csv(path)
     out.files.append(path)

@@ -9,58 +9,24 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .analysis import (
-    FixedPointScan,
-    classify_fixed_point,
-    finite_difference_jacobian,
     finite_difference_jacobian_batch,
     fixed_point_search,
-    fit_loglog,
     _greedy_clusters,
     _require_fixed,
     DEFAULT_FD_STEP,
     FIXED_POINT_RESIDUAL_TOL,
 )
-from .dynamics import return_map_batch, settle_batch
+from .dynamics import BlackBoxMap, settle_batch
 from .surfaces import ConvexCore, SurfacePoint, TangentFrame, frame_at, frames_batch
 
 SKIP_DISPLACEMENT_TOL = 1e-9
 DIR_TOL = 1e-3                      # line fields agree at mean cosine >= 1 - DIR_TOL
 EQUIVALENCE_FP_RESIDUAL_TOL = 1e-7  # |F(c) - c| under the other map at a fixed point
 BASIN_AGREEMENT = 0.98              # share of seeds whose matched basin labels agree
-
-
-@dataclass
-class BlackBoxMap:
-    """A deterministic surface-to-surface map observed only through calls."""
-
-    core: ConvexCore
-    batch_fn: object                # (n, N) ambient -> (n, N) ambient
-    name: str = ""
-
-    @staticmethod
-    def wrap_domain(dom, name: str = "") -> "BlackBoxMap":
-        """Hide a radial domain behind the call interface."""
-        return BlackBoxMap(dom.core, partial(return_map_batch, dom), name)
-
-    def __call__(self, p: SurfacePoint) -> SurfacePoint:
-        return SurfacePoint.from_ambient(self.core, self.batch_fn(p.ambient[None])[0])
-
-    def batch(self, X: np.ndarray) -> np.ndarray:
-        return self.batch_fn(X)
-
-    def compose(self, k: int) -> "BlackBoxMap":
-        """The k-th iterate as a new black box."""
-        def batch_fn(X):
-            for _ in range(k):
-                X = self.batch_fn(X)
-            return X
-
-        return BlackBoxMap(self.core, batch_fn, name=f"{self.name}^{k}")
 
 
 def _ambient_rows(core: ConvexCore, points) -> np.ndarray:
@@ -91,20 +57,14 @@ def recover_descent_field(F: BlackBoxMap, samples):
     return results, skipped
 
 
-def detect_fixed_points_blackbox(F: BlackBoxMap, n_seeds: int, tol: float = 1e-10,
-                                 max_iters: int = 100_000) -> FixedPointScan:
-    """Fixed-point search driven purely through black-box calls."""
-    return fixed_point_search(F.core, F.batch, n_seeds, tol=tol, max_iters=max_iters)
-
-
 def estimate_composite_operator(F: BlackBoxMap, c_star: SurfacePoint,
                                 frame: TangentFrame | None = None,
                                 h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """I - DF at a fixed point, DF by the central-difference stencil."""
     if frame is None:
         frame = frame_at(F.core, c_star)
-    _require_fixed(c_star.ambient[None], F.batch)
-    DF = finite_difference_jacobian(F.core, F.batch, c_star, frame, h)
+    _require_fixed(F, c_star.ambient[None])
+    DF = finite_difference_jacobian_batch(F, c_star.ambient[None], frame.vectors[None], h)[0]
     return np.eye(DF.shape[0]) - DF
 
 
@@ -218,8 +178,7 @@ def basin_decomposition(F: BlackBoxMap, seeds, tol: float = 1e-8,
     if cluster_radius is None:
         # wide enough to swallow the convergence ball around each attractor
         cluster_radius = max(10.0 * tol, 1e-3 * F.core.surface_scale())
-    result = settle_batch(F.core, F.batch, _ambient_rows(F.core, seeds), 0.1 * cluster_radius,
-                          tol, max_iters)
+    result = settle_batch(F, _ambient_rows(F.core, seeds), 0.1 * cluster_radius, tol, max_iters)
     labels = -np.ones(len(seeds), dtype=int)
     conv = result.converged
     continuum = bool(np.mean(result.steps <= 2) > 0.5 and np.all(conv))
@@ -272,8 +231,8 @@ def dynamical_equivalence_check(F1: BlackBoxMap, F2: BlackBoxMap, seeds,
         raise ValueError("maps live on different cores")
     evidence = {}
 
-    s1 = detect_fixed_points_blackbox(F1, n_probe, tol=1e-10, max_iters=max_iters)
-    s2 = detect_fixed_points_blackbox(F2, n_probe, tol=1e-10, max_iters=max_iters)
+    s1 = fixed_point_search(F1, n_probe, tol=1e-10, max_iters=max_iters)
+    s2 = fixed_point_search(F2, n_probe, tol=1e-10, max_iters=max_iters)
     A = _ambient_rows(F1.core, s1.points)
     B = _ambient_rows(F1.core, s2.points)
     cross = 0.0
@@ -358,15 +317,15 @@ def run_reconstruction(F: BlackBoxMap, n_seeds: int, samples, alphas,
     """Full black-box pass: fixed points, line field, composite operators,
     isotropic Hessian estimates (one per supplied alpha), basins; all
     composites take one fixed-point check and one stencil call."""
-    scan = detect_fixed_points_blackbox(F, n_seeds, tol=tol)
+    scan = fixed_point_search(F, n_seeds, tol=tol)
     fixed = list(zip(scan.points, scan.residuals))
     descent, skipped = recover_descent_field(F, samples)
     points = [p for p, r in fixed if r <= FIXED_POINT_RESIDUAL_TOL]
     composites, hessians = [], []
     if points:
         X = _ambient_rows(F.core, points)
-        _require_fixed(X, F.batch)
-        DF = finite_difference_jacobian_batch(F.core, F.batch, X, frames_batch(F.core, X), h)
+        _require_fixed(F, X)
+        DF = finite_difference_jacobian_batch(F, X, frames_batch(F.core, X), h)
         composites = [(p, np.eye(F.core.dim - 1) - J) for p, J in zip(points, DF)]
     for p, C in composites:
         for a in np.atleast_1d(alphas):

@@ -36,10 +36,10 @@ from shellmap import (
     SurfacePoint,
     ZonalLegendreField,
     classify_fixed_point,
-    detect_fixed_points_blackbox,
     dynamical_equivalence_check,
     estimate_composite_operator,
     find_fixed_points,
+    fixed_point_search,
     frame_at,
     iterate_batch,
     linearize_fd,
@@ -178,7 +178,7 @@ def _distance_to_critical_set(x):
 
 def test_criterion_03_critical_set_recovery():
     F = BlackBoxMap.wrap_domain(reference_domain())
-    scan = detect_fixed_points_blackbox(F, 600, tol=1e-10)
+    scan = fixed_point_search(F, 600, tol=1e-10)
     P = np.array([p.ambient for p in scan.points])
     worst_to_set = max(_distance_to_critical_set(x) for x in P)
     d_north = float(np.min(np.linalg.norm(P - np.array([0, 0, 1.0]), axis=1)))

@@ -1,7 +1,5 @@
 """Linearization, preconditioner, residual sweeps, fixed-point search."""
 
-from functools import partial
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +8,7 @@ from hypothesis import strategies as st
 from shellmap import (
     CLASSICAL_STEP_SCALE,
     MEASURED_STEP_SCALE,
+    BlackBoxMap,
     ConstantField,
     ConvexCore,
     Fourier2DField,
@@ -43,7 +42,6 @@ from shellmap import analysis
 from shellmap.analysis import (
     LinearizationReport,
     expansion_residual_batch,
-    finite_difference_jacobian,
     finite_difference_jacobian_batch,
 )
 from shellmap.errors import CurvatureSingularity, OffSurface
@@ -249,14 +247,14 @@ def test_linearize_analytic_measured_matches_fd_on_ellipsoid():
     assert np.abs(fd.DF - an.DF).max() < 1e-5
 
 
-def _fd_jacobian_reference(core, batch_map, c, frame, h):
-    """The per-column loop finite_difference_jacobian batches: one scalar
-    retract per stencil point, one projection per column."""
+def _fd_jacobian_reference(F, c, frame, h):
+    """The per-column loop finite_difference_jacobian_batch batches: one
+    scalar retract per stencil point, one projection per column."""
     E = frame.vectors
-    nu = core.normal(c.ambient)
+    nu = F.core.normal(c.ambient)
     DF = np.empty((E.shape[0], E.shape[0]))
     for i, e in enumerate(E):
-        Y = batch_map(np.array([retract(core, c, e, s * h).ambient for s in (1.0, -1.0)]))
+        Y = F.batch(np.array([retract(F.core, c, e, s * h).ambient for s in (1.0, -1.0)]))
         diff = (Y[0] - Y[1]) / (2.0 * h)
         DF[:, i] = E @ (diff - nu * float(np.dot(diff, nu)))
     return DF
@@ -271,10 +269,10 @@ def _fd_jacobian_reference(core, batch_map, c, frame, h):
 def test_fd_jacobian_matches_per_column_loop(dom, p):
     # the projection and the frame product are batched, so only their
     # summation order differs: a few ulps of the O(1) entries
-    fmap = partial(return_map_batch, dom)
+    F = BlackBoxMap.wrap_domain(dom)
     frame = frame_at(dom.core, p)
-    got = finite_difference_jacobian(dom.core, fmap, p, frame)
-    ref = _fd_jacobian_reference(dom.core, fmap, p, frame, 1e-5)
+    got = finite_difference_jacobian_batch(F, p.ambient[None], frame.vectors[None])[0]
+    ref = _fd_jacobian_reference(F, p, frame, 1e-5)
     assert np.abs(got - ref).max() <= 4 * np.finfo(float).eps
 
 
@@ -581,15 +579,16 @@ def _mixed_batch(core, theta, phi, slot):
        slot=st.integers(0, len(_MIX_CHARTS)), name=st.sampled_from(sorted(RESIDUAL_DOMAINS)))
 def test_fd_jacobian_batch_rows_equal_batch_of_one(theta, phi, slot, name):
     dom = RESIDUAL_DOMAINS[name]
-    fmap = partial(return_map_batch, dom)
+    F = BlackBoxMap.wrap_domain(dom)
     X = _mixed_batch(dom.core, theta, phi, slot)
     E = frames_batch(dom.core, X)
-    J = finite_difference_jacobian_batch(dom.core, fmap, X, E)
+    J = finite_difference_jacobian_batch(F, X, E)
     assert J.shape == (X.shape[0], dom.core.dim - 1, dom.core.dim - 1)
     for i in range(X.shape[0]):
-        assert np.array_equal(finite_difference_jacobian_batch(dom.core, fmap, X[i:i + 1], E[i:i + 1])[0], J[i])
+        assert np.array_equal(finite_difference_jacobian_batch(F, X[i:i + 1], E[i:i + 1])[0], J[i])
     p = SurfacePoint.from_ambient(dom.core, X[slot])
-    assert np.array_equal(finite_difference_jacobian(dom.core, fmap, p, frame_at(dom.core, p)), J[slot])
+    E1 = frame_at(dom.core, p).vectors[None]
+    assert np.array_equal(finite_difference_jacobian_batch(F, p.ambient[None], E1)[0], J[slot])
 
 
 @settings(max_examples=20, deadline=None)
@@ -597,12 +596,12 @@ def test_fd_jacobian_batch_rows_equal_batch_of_one(theta, phi, slot, name):
        slot=st.integers(0, len(_MIX_CHARTS)), name=st.sampled_from(sorted(RESIDUAL_DOMAINS)))
 def test_newton_polish_rows_equal_batch_of_one(theta, phi, slot, name):
     dom = RESIDUAL_DOMAINS[name]
-    fmap = partial(return_map_batch, dom)
+    F = BlackBoxMap.wrap_domain(dom)
     X = _mixed_batch(dom.core, theta, phi, slot)
-    P, r = analysis._newton_polish(dom.core, fmap, X)
+    P, r = analysis._newton_polish(F, X)
     assert P.shape == X.shape and r.shape == (X.shape[0],)
     for i, x in enumerate(X):
-        p1, r1 = analysis._newton_polish(dom.core, fmap, x[None])
+        p1, r1 = analysis._newton_polish(F, x[None])
         assert np.array_equal(p1[0], P[i]) and r1[0] == r[i]
 
 
@@ -611,7 +610,7 @@ def test_newton_polish_rejects_a_candidate_off_the_core():
     X = _residual_points(SPHERE, n=3)
     X[1] *= 1.0 + 1e-9
     with pytest.raises(OffSurface):
-        analysis._newton_polish(SPHERE, partial(return_map_batch, dom), X)
+        analysis._newton_polish(BlackBoxMap.wrap_domain(dom), X)
 
 
 def test_fixed_point_search_polishes_every_candidate_at_once(monkeypatch):
@@ -632,7 +631,7 @@ def test_fixed_point_search_polishes_every_candidate_at_once(monkeypatch):
             inside.clear()
 
     monkeypatch.setattr(analysis, "_newton_polish", traced)
-    scan = analysis.fixed_point_search(TILTED.core, counted, 200, tol=1e-10)
+    scan = analysis.fixed_point_search(BlackBoxMap(TILTED.core, counted), 200, tol=1e-10)
     assert len(scan.points) >= 2
     assert 3 <= len(calls) <= 1 + 2 * analysis.NEWTON_MAX_STEPS
     assert calls[0] <= analysis.MAX_REFINE  # every candidate in the first call
@@ -643,7 +642,7 @@ def test_fixed_point_search_with_no_seeds_is_empty():
     def no_call(X):
         raise AssertionError("no map call expected")
 
-    scan = analysis.fixed_point_search(TILTED.core, no_call, 0, tol=1e-10)
+    scan = analysis.fixed_point_search(BlackBoxMap(TILTED.core, no_call), 0, tol=1e-10)
     assert (scan.points, scan.residuals.shape, scan.continuum, scan.unresolved) == ([], (0,), False, 0)
     scan = find_fixed_points(zonal_domain(), n_seeds=0)
     assert scan.points == [] and scan.grad_norms.shape == (0,)

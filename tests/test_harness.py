@@ -34,6 +34,8 @@ task = linearize
 task.point = equator
 """
 
+LINEARIZE_TASK = "task = linearize\ntask.point = equator"
+
 
 def scn_path(tmp_path, text, name="s.scn"):
     p = tmp_path / name
@@ -231,11 +233,28 @@ def test_cli_orbit_error_exit_3(tmp_path, capsys):
     ("field.eps = 0.01", "field.eps = 1e", "field.eps"),
     ("core.radius = 1.0", "core.radius = one", "core.radius"),
     ("rng_seed = 0", "rng_seed = 0.5", "rng_seed"),
-], ids=["task.h", "task.point", "field.eps", "core.radius", "rng_seed"])
+    # values that parse but are out of range
+    ("core.radius = 1.0", "core.radius = -1", "core.radius"),
+    ("core.kind = sphere\ncore.radius = 1.0", "core.kind = ellipsoid\ncore.a = 2\ncore.b = 1\ncore.c = 0",
+     "core.c"),
+    (LINEARIZE_TASK, "task = orbit\ntask.tol = -1", "task.tol"),
+    (LINEARIZE_TASK, "task = expansion_sweep\ntask.kind = foo", "task.kind"),
+    (LINEARIZE_TASK, "task = admissibility\ntask.grid = 0", "task.grid"),
+    (LINEARIZE_TASK, "task = expansion_sweep\ntask.n_samples = 0", "task.n_samples"),
+    (LINEARIZE_TASK, "task = scaling\ntask.equivalence = ture", "task.equivalence"),
+], ids=["task.h", "task.point", "field.eps", "core.radius", "rng_seed", "core.radius=-1", "core.c=0",
+        "orbit.tol=-1", "sweep.kind=foo", "admissibility.grid=0", "sweep.n_samples=0",
+        "scaling.equivalence=ture"])
 def test_cli_bad_value_exit_2_names_the_key(tmp_path, capsys, old, new, key):
     scn = scn_path(tmp_path, ZONAL_LINEARIZE.replace(old, new))
     assert cli_main(["run", scn, "--out", str(tmp_path / "o")]) == 2
     assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_cli_validate_out_of_range_exit_2_names_the_key(tmp_path, capsys):
+    scn = scn_path(tmp_path, ZONAL_LINEARIZE.replace("core.radius = 1.0", "core.radius = -1"))
+    assert cli_main(["validate", scn]) == 2
+    assert "'core.radius'" in capsys.readouterr().err
 
 
 def test_cli_fixed_points_with_no_seeds(tmp_path, capsys):

@@ -13,11 +13,12 @@ from shellmap import (
     SurfacePoint,
     ZonalLegendreField,
     basin_decomposition,
-    detect_fixed_points_blackbox,
     dynamical_equivalence_check,
     estimate_composite_operator,
     find_fixed_points,
+    fixed_point_search,
     frame_at,
+    linearize_fd,
     reconstruct_hessian_isotropic,
     recover_descent_field,
     run_reconstruction,
@@ -122,28 +123,40 @@ def test_ellipsoid_direction_is_preconditioned_not_plain_gradient():
 
 def test_blackbox_matches_whitebox_clusters():
     F, dom = zonal_box()
-    black = detect_fixed_points_blackbox(F, 300, tol=1e-10)
+    black = fixed_point_search(F, 300, tol=1e-10)
     white = find_fixed_points(dom, 300, tol=1e-10)
+    # both paths query the same map object, so they agree bit for bit
     assert len(black.points) == len(white.points)
     for b, w in zip(black.points, white.points):
-        assert np.linalg.norm(b.ambient - w.ambient) < 1e-12
+        assert np.array_equal(b.ambient, w.ambient)
+    assert np.array_equal(black.residuals, white.residuals)
 
 
 def test_blackbox_constant_continuum():
     dom = RadialDomain(SPHERE, ConstantField(SPHERE, 0.5))
-    scan = detect_fixed_points_blackbox(BlackBoxMap.wrap_domain(dom), 200, tol=1e-10)
+    scan = fixed_point_search(BlackBoxMap.wrap_domain(dom), 200, tol=1e-10)
     assert scan.continuum
 
 
 def test_blackbox_circle_four_points():
     dom = RadialDomain(CIRCLE, Fourier2DField(CIRCLE, 0.5, [(2, 0.01)]))
-    scan = detect_fixed_points_blackbox(BlackBoxMap.wrap_domain(dom), 360, tol=1e-10)
+    scan = fixed_point_search(BlackBoxMap.wrap_domain(dom), 360, tol=1e-10)
     assert len(scan.points) == 4
 
 
 # ---------------------------------------------------------------------------
 # composite operator and isotropic reconstruction
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d0, eps, core, chart", [
+    (D0, EPS, SPHERE, (np.pi / 2, 0.0)),
+    (D0, EPS, SPHERE, (0.0, 0.0)),
+    (0.25, 0.01, ConvexCore.ellipsoid(2.0, 1.0, 0.5), (0.0, 0.0)),
+], ids=["reference_equator", "reference_pole", "ellipsoid_pole"])
+def test_whitebox_composite_equals_blackbox(d0, eps, core, chart):
+    F, dom = zonal_box(d0, eps, core)
+    c = SurfacePoint.from_chart(core, *chart)
+    assert np.array_equal(linearize_fd(dom, c).composite, estimate_composite_operator(F, c))
 
 def test_composite_constant_field_zero():
     dom = RadialDomain(SPHERE, ConstantField(SPHERE, 0.5))
@@ -409,11 +422,11 @@ def shift_box():
         Y = X + SHIFT * np.array([0.0, 0.0, 1.0])
         return Y / np.linalg.norm(Y, axis=-1, keepdims=True)
 
-    return BlackBoxMap(SPHERE, batch_fn, "shift")
+    return BlackBoxMap(SPHERE, batch_fn)
 
 
 def test_non_domain_box_fixed_points_are_the_poles():
-    scan = detect_fixed_points_blackbox(shift_box(), 200, tol=1e-10)
+    scan = fixed_point_search(shift_box(), 200, tol=1e-10)
     assert len(scan.points) == 2
     P = np.array(sorted((p.ambient for p in scan.points), key=lambda x: x[2]))
     assert np.abs(P - np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])).max() < 1e-8

@@ -6,8 +6,6 @@ basin_decomposition run once on settle_batch and once with the oracle in
 its place; their fixed-point sets and basin labels must agree.
 """
 
-from functools import partial
-
 import numpy as np
 import pytest
 
@@ -43,21 +41,21 @@ def spiral_map(X):
     return Y @ np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _domain_map(core, field):
-    return partial(return_map_batch, RadialDomain(core, field))
+def _domain_box(core, field):
+    return BlackBoxMap.wrap_domain(RadialDomain(core, field))
 
 
 BOXES = {
-    "zonal_sphere": lambda: BlackBoxMap(SPHERE, _domain_map(SPHERE, ZonalLegendreField(SPHERE, 0.5, 0.05))),
-    "tilted_ellipsoid": lambda: BlackBoxMap(ELLIPSOID, _domain_map(
-        ELLIPSOID, ZonalLegendreField(ELLIPSOID, 0.25, 0.02, axis=(0.3, 0.5, 0.8)))),
-    "fourier_circle": lambda: BlackBoxMap(CIRCLE, _domain_map(
-        CIRCLE, Fourier2DField(CIRCLE, 0.5, [(2, 0.05), (3, 0.02)]))),
+    "zonal_sphere": lambda: _domain_box(SPHERE, ZonalLegendreField(SPHERE, 0.5, 0.05)),
+    "tilted_ellipsoid": lambda: _domain_box(
+        ELLIPSOID, ZonalLegendreField(ELLIPSOID, 0.25, 0.02, axis=(0.3, 0.5, 0.8))),
+    "fourier_circle": lambda: _domain_box(
+        CIRCLE, Fourier2DField(CIRCLE, 0.5, [(2, 0.05), (3, 0.02)])),
     "spiral": lambda: BlackBoxMap(SPHERE, spiral_map),
 }
 
 
-def plain_orbits(core, batch_map, seeds, radius, tol, max_iters):
+def plain_orbits(F, seeds, radius, tol, max_iters):
     """The oracle: plain iteration to the contraction rule at tol 1e-10
     (radius and the caller's tol are ignored)."""
     X = np.array(seeds, dtype=float, ndmin=2)
@@ -71,7 +69,7 @@ def plain_orbits(core, batch_map, seeds, radius, tol, max_iters):
     for _ in range(max_iters):
         if active.size == 0:
             break
-        Y = batch_map(X[active])
+        Y = F.batch(X[active])
         disp = np.linalg.norm(Y - X[active], axis=-1)
         X[active] = Y
         steps[active] += 1
@@ -102,9 +100,9 @@ def test_basin_labels_equal_plain_iteration(name, monkeypatch):
 @pytest.mark.parametrize("name", sorted(BOXES))
 def test_fixed_point_sets_equal_plain_iteration(name, monkeypatch):
     F = BOXES[name]()
-    settled = analysis.fixed_point_search(F.core, F.batch, 120, tol=1e-10)
+    settled = analysis.fixed_point_search(F, 120, tol=1e-10)
     monkeypatch.setattr(analysis, "settle_batch", plain_orbits)
-    plain = analysis.fixed_point_search(F.core, F.batch, 120, tol=1e-10)
+    plain = analysis.fixed_point_search(F, 120, tol=1e-10)
     assert len(settled.points) == len(plain.points) > 0
     assert settled.continuum == plain.continuum
     assert settled.unresolved == plain.unresolved == 0
@@ -136,7 +134,7 @@ def test_spiral_overshoot_is_rejected_by_the_fixed_point_check(monkeypatch):
     X = SPHERE.ambient_from_chart(fibonacci_chart_grid(SPHERE, 60))
     X = X[X[:, 2] > -0.9]  # off the repelling south pole
     radius = 1e-4
-    res = settle_batch(SPHERE, spiral_map, X, radius, tol=1e-10, max_iters=20_000)
+    res = settle_batch(BOXES["spiral"](), X, radius, tol=1e-10, max_iters=20_000)
     assert res.converged.all()
     rho = 1.0 / (1.0 + SPIRAL_LIFT)
     lam = rho * np.exp(1j * SPIRAL_ANGLE)
@@ -151,8 +149,8 @@ def test_settle_batch_stops_on_contraction_or_a_checked_estimate():
     F = BOXES["zonal_sphere"]()
     X = SPHERE.ambient_from_chart(fibonacci_chart_grid(SPHERE, 50))
     radius = 1e-6
-    res = settle_batch(SPHERE, F.batch, X, radius, tol=1e-10)
-    plain = plain_orbits(SPHERE, F.batch, X, radius, 1e-10, 100_000)
+    res = settle_batch(F, X, radius, tol=1e-10)
+    plain = plain_orbits(F, X, radius, 1e-10, 100_000)
     assert res.converged.all()
     assert np.array_equal(res.seeds, X)
     assert np.all(res.steps <= plain.steps)
@@ -168,7 +166,7 @@ def test_settle_batch_leaves_a_repeller():
     F = BOXES["zonal_sphere"]()
     X = SPHERE.ambient_from_chart(np.array([[np.pi / 2 - 1e-11, 0.3], [np.pi / 2 + 1e-11, 2.0]]))
     assert np.all(np.linalg.norm(F.batch(X) - X, axis=-1) < 1e-10)
-    res = settle_batch(SPHERE, F.batch, X, 1e-6, tol=1e-10)
+    res = settle_batch(F, X, 1e-6, tol=1e-10)
     assert res.converged.all()
     assert np.allclose(res.limits[:, 2], [1.0, -1.0], atol=1e-5)
 
@@ -177,7 +175,7 @@ def test_settle_batch_on_no_seeds_makes_no_call():
     def never(X):
         raise AssertionError("map called")
 
-    res = settle_batch(SPHERE, never, np.empty((0, 3)), 1e-6)
+    res = settle_batch(BlackBoxMap(SPHERE, never), np.empty((0, 3)), 1e-6)
     assert res.limits.shape == (0, 3) and res.steps.size == 0
 
 
@@ -194,7 +192,6 @@ def test_scenario_map_budget(name, tmp_path, monkeypatch):
         points.append(len(X))
         return return_map_batch(dom, X)
 
-    monkeypatch.setattr(analysis, "return_map_batch", counted)
-    monkeypatch.setattr(inverse, "return_map_batch", counted)
+    monkeypatch.setattr(dynamics, "return_map_batch", counted)
     run_scenario(parse_scenario_text(load_bundled(name)), out_dir=tmp_path)
     assert 0 < sum(points) <= 0.4 * PLAIN_POINTS[name]
