@@ -21,6 +21,8 @@ from .surfaces import ConvexCore, SurfacePoint, _ray_hit_batch, ray_first_hit, r
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100_000
 SETTLE_EVERY = 8  # steps between Aitken estimates in settle_batch
+AMPLIFY_COS = 0.99  # direction agreement that doubles a seed's K in settle_batch
+TRUST_RADIUS = 0.05  # longest amplified step in settle_batch, in surface_scale()
 
 
 def reciprocal_map(dom: RadialDomain, x: OuterBoundaryPoint) -> SurfacePoint:
@@ -200,17 +202,30 @@ def settle_batch(F: BlackBoxMap, seeds: np.ndarray, radius: float,
     """Iterate F from many seeds, ambient points on its core, until each
     one settles on an attractor.
 
+    Each seed runs the amplified map G_K(x) = retract(x, K (F(x) - x)), a
+    reparametrization of F's orbits with F's fixed points and line field,
+    whose rate 1 - delta at a fixed point becomes 1 - K delta.  K is per
+    seed and starts at 1: it doubles while successive displacements
+    D = F(x) - x keep their direction (cosine >= AMPLIFY_COS) and halves,
+    never below 1, otherwise.  While displacements shrink by r < 1, K is
+    capped at K_prev / (1 - r), the 1 / (1 - rho) of the rate rho of F
+    that the last amplified step shows; K |D| never exceeds TRUST_RADIUS
+    surface_scale(), so no step jumps a separatrix.  Where K = 1 the next
+    iterate is F(x) itself.
+
     A seed stops on the contraction rule, disp < tol and disp <= the
-    previous displacement (so at least two steps), with the last iterate
-    as its limit.  Every SETTLE_EVERY steps it also forms the Aitken
-    estimate L = Y + rho/(1 - rho) (Y - X) of the limit of the step X -> Y,
-    rho = disp / previous disp, and retracts it onto the core, L^.  The
-    seed stops at L^ when rho < 1, L moved less than radius since the
-    seed's previous estimate, and L^ checks out as a fixed point to within
-    radius of the attractor, |F(L^) - L^| <= (1 - rho) radius; that check
-    rides in the next step's map call.  An estimate that fails it (a
-    spiral's chord overshoots) costs nothing but its row in that call.
-    final_displacement is the last step, or |F(L^) - L^| at a settled L^.
+    previous displacement (so at least two steps), both in F's units,
+    with its F image as its limit.  Every SETTLE_EVERY steps it also forms
+    the Aitken estimate L = Y + rho/(1 - rho) (Y - X) of the limit of the
+    step X -> Y = G_K(X), rho = |Y - X| / the previous step's length, and
+    retracts it onto the core, L^.  The seed stops at L^ when rho < 1, L
+    moved less than radius since the seed's previous estimate, and L^
+    checks out as a fixed point to within radius of the attractor,
+    |F(L^) - L^| <= (1 - rho) / K radius; that check rides in the next
+    step's map call.  An estimate that fails it (a spiral's chord
+    overshoots) costs nothing but its row in that call.  max_iters counts
+    map calls.  final_displacement is the last |F(x) - x|, or
+    |F(L^) - L^| at a settled L^.
     """
     X = np.array(seeds, dtype=float, ndmin=2)
     seeds0 = X.copy()
@@ -218,11 +233,15 @@ def settle_batch(F: BlackBoxMap, seeds: np.ndarray, radius: float,
     steps = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)
     final_disp = np.full(n, np.inf)
+    trust = TRUST_RADIUS * F.core.surface_scale()
     # the working rows are the seeds still running: ids, iterates, last
     # displacements (-inf forces two steps, so the first displacement cannot
-    # satisfy the contraction rule vacuously) and last Aitken estimates
+    # satisfy the contraction rule vacuously) with their vectors, gains K,
+    # last step lengths and last Aitken estimates
     ids, Xa = np.arange(n), X.copy()
-    prev, last_L = np.full(n, -np.inf), np.full(X.shape, np.nan)
+    prev, prev_D = np.full(n, -np.inf), np.zeros(X.shape)
+    K, prev_step = np.ones(n), np.zeros(n)
+    last_L = np.full(X.shape, np.nan)
     pending = np.empty(0, dtype=int)  # rows whose estimate is checked next
     it = 0
     while ids.size and it < max_iters:
@@ -230,31 +249,44 @@ def settle_batch(F: BlackBoxMap, seeds: np.ndarray, radius: float,
         m = ids.size
         Z = F.batch(np.concatenate([Xa, L_hat]) if pending.size else Xa)
         Y = Z[:m]
-        disp = np.linalg.norm(Y - Xa, axis=-1)
+        D = Y - Xa
+        disp = np.linalg.norm(D, axis=-1)
         stop = (disp < tol) & (disp <= prev)
         if pending.size:
             resid = np.linalg.norm(Z[m:] - L_hat, axis=-1)
             ok = (resid <= slack) & ~stop[pending]
             Y[pending[ok]], disp[pending[ok]], stop[pending[ok]] = L_hat[ok], resid[ok], True
             pending = pending[:0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cos = np.sum(D * prev_D, axis=-1) / (disp * prev)  # nan where undefined
+            r = np.where(prev > 0.0, disp / prev, np.inf)
+            K_next = np.where(cos >= AMPLIFY_COS, 2.0 * K, 0.5 * K)
+            K_next = np.where(r < 1.0, np.minimum(K_next, K / (1.0 - r)), K_next)
+            K_next = np.maximum(np.minimum(K_next, trust / disp), 1.0)
+        Xn = Y.copy()
+        amp = (K_next != 1.0) & ~stop
+        if amp.any():
+            Xn[amp] = retract_batch(F.core, Xa[amp], K_next[amp, None] * D[amp])
+        step = np.linalg.norm(Xn - Xa, axis=-1)
         if it % SETTLE_EVERY == 0:
             rho = np.full(m, np.inf)
-            np.divide(disp, prev, out=rho, where=prev > 0.0)
+            np.divide(step, prev_step, out=rho, where=prev_step > 0.0)
             gain = np.full(m, np.nan)  # nan where rho >= 1: no estimate
             np.divide(rho, 1.0 - rho, out=gain, where=rho < 1.0)
-            L = Y + gain[:, None] * (Y - Xa)
+            L = Xn + gain[:, None] * (Xn - Xa)
             near = (np.linalg.norm(L - last_L, axis=-1) < radius) & ~stop
             last_L = L
             if near.any():
                 L_hat = retract_batch(F.core, L[near], 0.0)
-                slack = (1.0 - rho[near]) * radius
+                slack = (1.0 - rho[near]) / K_next[near] * radius
                 pending = np.flatnonzero(near[~stop])
-        Xa, prev = Y, disp
+        Xa, prev, prev_D, K, prev_step = Xn, disp, D, K_next, step
         if stop.any():
             done = ids[stop]
             X[done], final_disp[done], steps[done], converged[done] = Y[stop], disp[stop], it, True
             keep = ~stop
             ids, Xa, prev, last_L = ids[keep], Xa[keep], prev[keep], last_L[keep]
+            prev_D, K, prev_step = prev_D[keep], K[keep], prev_step[keep]
     X[ids], final_disp[ids], steps[ids] = Xa, prev, it
     return BatchOrbitResult(seeds0, X, steps, converged, final_disp)
 

@@ -158,7 +158,10 @@ class ZonalProfileField(ThicknessField):
         self.d0 = float(d0)
         self.g, self.dg, self.d2g = g, dg, d2g
         ax = np.asarray(axis, dtype=float)
-        self.axis = ax / np.linalg.norm(ax)
+        norm = np.linalg.norm(ax)
+        if not 0.0 < norm < np.inf:  # also false for nan
+            raise ValueError(f"axis {axis} must be finite and nonzero")
+        self.axis = ax / norm
         # grad of w(x) = <x/s, axis> is constant
         self._gw = self.axis / core.axes
         self._gwgw = np.outer(self._gw, self._gw)

@@ -161,7 +161,7 @@ def build_field(core: ConvexCore, spec: dict, eps_override: float | None = None)
     if kind == "constant":
         return ConstantField(core, d0)
     if kind == "zonal_legendre":
-        axis = get("axis", "0,0,1", _parse_floats)
+        axis = get("axis", "0,0,1", _axis)
         return ZonalLegendreField(core, d0, eps, axis=axis)
     if kind == "fourier_2d":
         terms = get("terms", "2:0.01", _parse_terms)
@@ -169,7 +169,7 @@ def build_field(core: ConvexCore, spec: dict, eps_override: float | None = None)
             terms = [(k, eps_override) for k, _ in terms]
         return Fourier2DField(core, d0, terms)
     if kind == "two_axis_legendre":
-        axis2 = get("axis2", "1,1,1", _parse_floats)
+        axis2 = get("axis2", "1,1,1", _axis)
         return SumField([
             ZonalLegendreField(core, d0, eps),
             ZonalLegendreField(core, 0.0, eps, axis=axis2),
@@ -209,6 +209,18 @@ _positive_int = _checked(int, lambda n: n > 0, "must be positive")
 _flag = _checked(str.lower, ("true", "false").__contains__, "expected true or false")
 _sweep_kind = _checked(str, ("series", "first_order", "second_order", "normal").__contains__,
                        "expected series, first_order, second_order or normal")
+_axis = _checked(_parse_floats, lambda v: len(v) == 3 and 0 < np.linalg.norm(v) < np.inf,
+                 "expected three finite numbers, not all zero")
+# a slope is fitted through the sweep, so it needs two scales
+_scales = _checked(_parse_floats, lambda v: len(v) >= 2 and min(v) > 0,
+                   "expected at least two positive values")
+
+
+def _fd_step(core: ConvexCore):
+    """The FD step converter: positive and at most 1e-2 surface_scale(),
+    beyond which central differences cannot resolve DF."""
+    h_max = 1e-2 * core.surface_scale()
+    return _checked(float, lambda h: 0 < h <= h_max, f"must be positive and at most {h_max:g}")
 
 
 def list_scenarios():
@@ -321,7 +333,7 @@ def _task_fixed_points(scn, dom, out, rng):
 def _task_linearize(scn, dom, out, rng):
     get = _values(scn.params, "task")
     pt = get("point", "equator", partial(_named_point, dom.core))
-    h = get("h", 1e-5, _positive)
+    h = get("h", 1e-5, _fd_step(dom.core))
     rep_fd = linearize_fd(dom, pt, h=h)
     rep_cl = linearize_analytic(dom, pt, step_scale=CLASSICAL_STEP_SCALE)
     rep_ms = linearize_analytic(dom, pt, step_scale=MEASURED_STEP_SCALE)
@@ -355,13 +367,13 @@ def _task_expansion_sweep(scn, dom, out, rng):
     kind = get("kind", "first_order", _sweep_kind)
     core = dom.core
     if kind == "series":
-        d_list = get("d_list", "1e-1,3e-2,1e-2,3e-3", _parse_floats)
+        d_list = get("d_list", "1e-1,3e-2,1e-2,3e-3", _scales)
         chart = get("chart", "1.0,0.7", _parse_floats)[: core.dim - 1]
         res, slope = preconditioner_series_residual(core, chart, d_list)
         out.csv("sweep.csv", ["d", "residual"], [[_g17(d), _g17(r)] for d, r in zip(d_list, res)])
         out.summary([("kind", kind), ("fitted_slope", float(slope))])
         return
-    eps_list = get("eps_list", "1e-1,3e-2,1e-2,3e-3,1e-3", _parse_floats)
+    eps_list = get("eps_list", "1e-1,3e-2,1e-2,3e-3,1e-3", _scales)
     n_samples = get("n_samples", 10, _positive_int)
     step_scale = get("step_scale", CLASSICAL_STEP_SCALE)
     charts = _sample_charts(core, n_samples, rng)
@@ -385,7 +397,7 @@ def _task_reconstruct(scn, dom, out, rng):
     F = BlackBoxMap.wrap_domain(dom)
     n_seeds = get("n_seeds", 400, int)
     n_samples = get("n_samples", 50, int)
-    h = get("h", 1e-5, _positive)
+    h = get("h", 1e-5, _fd_step(dom.core))
     samples = [SurfacePoint.from_chart(dom.core, ch) for ch in _sample_charts(dom.core, n_samples, rng)]
     mode = get("alpha_mode", "known_measured", str)
     if mode in ("known_classical", "known_measured"):

@@ -265,7 +265,6 @@ def test_criterion_07_isotropic_hessian_reconstruction():
     ])
 
 
-@pytest.mark.slow
 def test_criterion_08_scaling_ambiguity():
     # thin shell: the lambda^2 step-length law holds within the stated 5%
     d0, eps, lam = 0.03, 1e-3, 2.0

@@ -171,6 +171,12 @@ def test_rotated_axis_moves_critical_set():
     assert abs(fld.eval(p) - 0.51) < 1e-15
 
 
+@pytest.mark.parametrize("axis", [(0.0, 0.0, 0.0), (np.nan, 0.0, 1.0), (np.inf, 0.0, 1.0)])
+def test_zonal_axis_must_be_finite_and_nonzero(axis):
+    with pytest.raises(ValueError, match="axis"):
+        ZonalLegendreField(SPHERE, 0.5, 0.01, axis=axis)
+
+
 # ---------------------------------------------------------------------------
 # hessians
 # ---------------------------------------------------------------------------

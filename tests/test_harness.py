@@ -242,9 +242,16 @@ def test_cli_orbit_error_exit_3(tmp_path, capsys):
     (LINEARIZE_TASK, "task = admissibility\ntask.grid = 0", "task.grid"),
     (LINEARIZE_TASK, "task = expansion_sweep\ntask.n_samples = 0", "task.n_samples"),
     (LINEARIZE_TASK, "task = scaling\ntask.equivalence = ture", "task.equivalence"),
+    ("field.eps = 0.01", "field.eps = 0.01\nfield.axis = 0,0,0", "field.axis"),
+    ("field.kind = zonal_legendre", "field.kind = two_axis_legendre\nfield.axis2 = nan,0,1", "field.axis2"),
+    ("task.point = equator", "task.point = equator\ntask.h = 1e9", "task.h"),
+    (LINEARIZE_TASK, "task = reconstruct\ntask.h = 0.5", "task.h"),
+    (LINEARIZE_TASK, "task = expansion_sweep\ntask.eps_list = 0.1", "task.eps_list"),
+    (LINEARIZE_TASK, "task = expansion_sweep\ntask.kind = series\ntask.d_list = 0.1,-0.01", "task.d_list"),
 ], ids=["task.h", "task.point", "field.eps", "core.radius", "rng_seed", "core.radius=-1", "core.c=0",
         "orbit.tol=-1", "sweep.kind=foo", "admissibility.grid=0", "sweep.n_samples=0",
-        "scaling.equivalence=ture"])
+        "scaling.equivalence=ture", "field.axis=0", "field.axis2=nan", "linearize.h=1e9",
+        "reconstruct.h=0.5", "sweep.eps_list=0.1", "series.d_list=negative"])
 def test_cli_bad_value_exit_2_names_the_key(tmp_path, capsys, old, new, key):
     scn = scn_path(tmp_path, ZONAL_LINEARIZE.replace(old, new))
     assert cli_main(["run", scn, "--out", str(tmp_path / "o")]) == 2

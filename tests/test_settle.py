@@ -182,10 +182,18 @@ def test_settle_batch_on_no_seeds_makes_no_call():
 # mapped points of the two scenarios before settle_batch (plain iteration
 # to tol), counted through harness.run_scenario
 PLAIN_POINTS = {"zonal_fixed_points": 754_110, "zonal_basins": 572_118}
+# mapped points of the four orbit-heavy scenarios when settle_batch took
+# only steps of F (K = 1 throughout, Aitken estimates as now), counted the
+# same way
+UNAMPLIFIED_POINTS = {"zonal_fixed_points": 255_400, "zonal_basins": 209_488,
+                      "zonal_reconstruct": 191_706, "circle_cos2_fixed_points": 156_652}
+# map calls of test_spiral_overshoot_is_rejected_by_the_fixed_point_check's
+# settle_batch run with K = 1 throughout
+SPIRAL_UNAMPLIFIED_CALLS = 1_825
 
 
-@pytest.mark.parametrize("name", sorted(PLAIN_POINTS))
-def test_scenario_map_budget(name, tmp_path, monkeypatch):
+def _mapped_points(name, tmp_path, monkeypatch):
+    """Points mapped by the kernel while the bundled scenario name runs."""
     points = []
 
     def counted(dom, X):
@@ -194,4 +202,56 @@ def test_scenario_map_budget(name, tmp_path, monkeypatch):
 
     monkeypatch.setattr(dynamics, "return_map_batch", counted)
     run_scenario(parse_scenario_text(load_bundled(name)), out_dir=tmp_path)
-    assert 0 < sum(points) <= 0.4 * PLAIN_POINTS[name]
+    return sum(points)
+
+
+@pytest.mark.parametrize("name", sorted(PLAIN_POINTS))
+def test_scenario_map_budget(name, tmp_path, monkeypatch):
+    assert 0 < _mapped_points(name, tmp_path, monkeypatch) <= 0.4 * PLAIN_POINTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(UNAMPLIFIED_POINTS))
+def test_amplified_steps_map_a_fifth_of_the_points(name, tmp_path, monkeypatch):
+    assert 0 < _mapped_points(name, tmp_path, monkeypatch) <= UNAMPLIFIED_POINTS[name] / 5
+
+
+def test_thin_shell_fixed_points_resolve_in_few_calls():
+    # criterion 8's base map: rates 1 - 1e-4 near the fixed points, where
+    # plain steps left seeds unresolved after 80k calls
+    calls = []
+    box = _domain_box(SPHERE, ZonalLegendreField(SPHERE, 0.03, 1e-3))
+    F = BlackBoxMap(SPHERE, lambda X: (calls.append(len(X)), box.batch(X))[1])
+    scan = analysis.fixed_point_search(F, 120, tol=1e-10, max_iters=80_000)
+    assert scan.unresolved == 0
+    assert 0 < len(calls) <= 1_000
+    P = np.array([p.ambient for p in scan.points])
+    # the critical set of P2: the two poles and the equator circle
+    gap = np.minimum.reduce([np.linalg.norm(P - [0.0, 0.0, 1.0], axis=-1),
+                             np.linalg.norm(P + [0.0, 0.0, 1.0], axis=-1), np.abs(P[:, 2])])
+    assert len(P) > 0 and np.max(gap) <= 1e-10
+
+
+def test_spiral_keeps_unit_gain():
+    # the spiral's displacements turn by SPIRAL_ANGLE a step, so their
+    # cosine stays below the amplification threshold and K stays at 1
+    calls = []
+    F = BlackBoxMap(SPHERE, lambda X: (calls.append(len(X)), spiral_map(X))[1])
+    X = SPHERE.ambient_from_chart(fibonacci_chart_grid(SPHERE, 60))
+    X = X[X[:, 2] > -0.9]
+    res = settle_batch(F, X, 1e-4, tol=1e-10, max_iters=20_000)
+    assert res.converged.all()
+    assert len(calls) <= SPIRAL_UNAMPLIFIED_CALLS
+
+
+@pytest.mark.parametrize("name", sorted(BOXES))
+def test_settle_batch_seeds_are_independent(name):
+    # K and every other settle state are per seed: a batch of n seeds gives
+    # the limits and steps of n batches of one
+    F = BOXES[name]()
+    X = F.core.ambient_from_chart(fibonacci_chart_grid(F.core, 12))
+    radius = 1e-6 * F.core.surface_scale()
+    res = settle_batch(F, X, radius, tol=1e-10)
+    one = [settle_batch(F, x[None], radius, tol=1e-10) for x in X]
+    assert np.array_equal(res.steps, np.concatenate([o.steps for o in one]))
+    assert np.array_equal(res.limits, np.concatenate([o.limits for o in one]))
+    assert np.array_equal(res.converged, np.concatenate([o.converged for o in one]))
