@@ -40,6 +40,7 @@ from .surfaces import (
 FIXED_POINT_RESIDUAL_TOL = 1e-8
 NEWTON_MAX_STEPS = 20
 MAX_REFINE = 64
+CLUSTER_CHUNK = 1 << 15  # floats in one distance temporary of _greedy_clusters (256 KiB)
 DEFAULT_FD_STEP = 1e-5
 SLOPE_FLOOR_FACTOR = 1e-13
 
@@ -418,23 +419,33 @@ def _newton_polish(F: BlackBoxMap, X: np.ndarray):
 
 
 def _greedy_clusters(X: np.ndarray, radius: float):
-    """Deterministic chain clustering; returns a label per row."""
-    n = X.shape[0]
-    labels = -np.ones(n, dtype=int)
+    """Deterministic chain clustering; returns a label per row.
+
+    The clusters are the components of the graph joining rows at distance
+    <= radius, numbered in order of their lowest row.  Each component is
+    grown breadth first, one distance call per chunk of its frontier
+    against the rows not yet labelled, so temporaries stay near
+    CLUSTER_CHUNK floats."""
+    n, dim = X.shape
+    labels = np.full(n, -1)
     current = 0
-    for i in range(n):
-        if labels[i] >= 0:
-            continue
-        stack = [i]
-        labels[i] = current
-        while stack:
-            j = stack.pop()
-            near = np.linalg.norm(X - X[j], axis=-1) <= radius
-            for k in np.nonzero(near & (labels < 0))[0]:
-                labels[k] = current
-                stack.append(int(k))
+    while True:
+        free = np.flatnonzero(labels < 0)
+        if not free.size:
+            return labels
+        frontier = free[:1]
+        while frontier.size:
+            labels[frontier] = current
+            free = np.flatnonzero(labels < 0)
+            if not free.size:
+                break
+            Xf, near = X[free], np.zeros(free.size, dtype=bool)
+            rows = max(1, CLUSTER_CHUNK // (free.size * dim))
+            for s in range(0, frontier.size, rows):
+                dist = np.linalg.norm(Xf - X[frontier[s:s + rows], None], axis=-1)
+                near |= (dist <= radius).any(axis=0)
+            frontier = free[near]
         current += 1
-    return labels
 
 
 def fixed_point_search(F: BlackBoxMap, n_seeds: int,

@@ -64,7 +64,7 @@ def _resolvent_batch(core: ConvexCore, X: np.ndarray, d: np.ndarray, V: np.ndarr
     mu' = -(nu . D v)/(nu . D nu) for the ambient vector v.  The tilt m is
     the case V = grad d; rows where I - d S is singular are not finite.
     """
-    w = 1.0 / core.axes**2
+    w = core.inv_axes_sq
     MX = X * w
     r = np.sqrt(np.einsum("ij,ij->i", MX, MX))
     nu = MX / r[:, None]
@@ -77,9 +77,10 @@ def _resolvent_batch(core: ConvexCore, X: np.ndarray, d: np.ndarray, V: np.ndarr
 
 def _outer_geometry_batch(dom: RadialDomain, X: np.ndarray, d=None):
     """Outer points and inward normals (m - nu)/|m - nu| above core points
-    X, vectorized; a degenerate normal raises ImmersionFailure."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X, vectorized; a degenerate normal raises ImmersionFailure.  With d
+    given, X must already be an (n, N) float array."""
     if d is None:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
         d = dom.field.ambient_value(X)
     nu, m = _resolvent_batch(dom.core, X, d, dom.field.ambient_grad(X))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -88,7 +89,7 @@ def _outer_geometry_batch(dom: RadialDomain, X: np.ndarray, d=None):
         nvec /= norms[:, None]
     # a nan seed is left to fail in the ray solve
     bad = ~(norms < np.inf) & np.isfinite(d)
-    if np.any(bad):
+    if bad.any():
         raise ImmersionFailure(f"degenerate outer normal at {int(np.sum(bad))} points")
     return X + d[:, None] * nu, nvec
 
@@ -107,7 +108,7 @@ def _outer_frames_batch(dom: RadialDomain, X: np.ndarray, d: np.ndarray, E=None)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if E is None:
         E = frames_batch(core, X)
-    MX = X * (1.0 / core.axes**2)
+    MX = X * core.inv_axes_sq
     nu = MX / np.linalg.norm(MX, axis=-1, keepdims=True)
     g = dom.field.ambient_grad(X)
     W = np.stack([E[:, i] - d[:, None] * shape_action_batch(core, X, E[:, i])

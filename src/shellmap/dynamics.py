@@ -15,8 +15,15 @@ from functools import partial
 import numpy as np
 
 from .domain import OuterBoundaryPoint, RadialDomain, _outer_geometry_batch
-from .errors import InadmissibleThickness, NormalRayMissesCore, ShellmapError
-from .surfaces import ConvexCore, SurfacePoint, _ray_hit_batch, ray_first_hit, retract_batch
+from .errors import InadmissibleThickness, NormalRayMissesCore, OffSurface, ShellmapError
+from .surfaces import (
+    TOL_SURFACE,
+    ConvexCore,
+    SurfacePoint,
+    _ray_hit_batch,
+    ray_first_hit,
+    retract_batch,
+)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100_000
@@ -49,13 +56,14 @@ def return_map_batch(dom: RadialDomain, X: np.ndarray) -> np.ndarray:
     """Vectorized return map on ambient points X, shape (n, N)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     d = dom.field.ambient_value(X)
-    if np.any(d <= 0.0):
+    if (d <= 0.0).any():
         raise InadmissibleThickness("nonpositive thickness encountered in batch step")
     Xout, nvec = _outer_geometry_batch(dom, X, d=d)
     Y, _ = _ray_hit_batch(dom.core, Xout, nvec)
-    miss = ~np.all(np.isfinite(Y), axis=-1)
-    if np.any(miss):
-        raise NormalRayMissesCore(f"{int(np.sum(miss))} inward rays miss the core")
+    finite = np.isfinite(Y)
+    if not finite.all():
+        miss = int((~finite.all(axis=-1)).sum())
+        raise NormalRayMissesCore(f"{miss} inward rays miss the core")
     return Y
 
 
@@ -124,34 +132,55 @@ def iterate_orbit(
     tol: float = DEFAULT_TOL,
 ) -> OrbitRecord:
     """Iterate F from seed until the ambient displacement drops below tol.
-    A point joins the record with its thickness, also on an error record."""
+
+    Each step is one return_map_batch call on a single ambient row.  After
+    the loop one batched pass over the rows takes the thickness values and
+    checks them as return_map and field.eval would each step: every
+    iterate is on the core (|implicit| <= TOL_SURFACE) and every row,
+    the seed's included, has d > 0.  The record ends before the first row
+    that fails, with status "error" and error kind OffSurface or
+    InadmissibleThickness; a ShellmapError raised by the kernel ends it at
+    the last point reached.  A point joins the record with its thickness,
+    also on an error record."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    points, thickness, disps = [], [], []
+    core = dom.core
+    if seed.core != core:
+        raise ValueError("surface point belongs to a different core")
+    x = np.asarray(seed.ambient, dtype=float)[None]
+    rows, disps = [x], []
+    status, error_kind = "max_iterations", None
     try:
-        thickness.append(dom.field.eval(seed))
-        points.append(seed)
-        current = seed
         for _ in range(max_iters):
-            nxt = return_map(dom, current)
-            thickness.append(dom.field.eval(nxt))
-            step = float(np.linalg.norm(nxt.ambient - current.ambient))
-            points.append(nxt)
+            y = return_map_batch(dom, x)
+            step = float(np.linalg.norm(y[0] - x[0]))
+            rows.append(y)
             disps.append(step)
-            current = nxt
+            x = y
             if step < tol:
-                gnorm = float(
-                    np.linalg.norm(dom.field.surface_gradient_ambient(current))
-                )
-                return OrbitRecord(
-                    seed, points, thickness, disps, "converged",
-                    limit=current, limit_grad_norm=gnorm,
-                )
-        return OrbitRecord(seed, points, thickness, disps, "max_iterations")
+                status = "converged"
+                break
     except ShellmapError as exc:
-        return OrbitRecord(
-            seed, points, thickness, disps, "error", error_kind=type(exc).__name__
-        )
+        status, error_kind = "error", type(exc).__name__
+    X = np.concatenate(rows)
+    del rows  # the step arrays go before the points are built
+    d = dom.field.ambient_value(X)
+    off = np.abs(core.implicit(X)) > TOL_SURFACE
+    off[0] = False  # the seed is taken as given
+    bad = off | (d <= 0.0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        status = "error"
+        error_kind = OffSurface.__name__ if off[k] else InadmissibleThickness.__name__
+        X, d, disps = X[:k], d[:k], disps[:max(k - 1, 0)]
+    charts = core.chart_from_ambient(X[1:])
+    points = [seed][:len(X)] + [SurfacePoint(core, c, a) for c, a in zip(charts, X[1:])]
+    thickness = d.tolist()
+    if status != "converged":
+        return OrbitRecord(seed, points, thickness, disps, status, error_kind=error_kind)
+    limit = points[-1]
+    gnorm = float(np.linalg.norm(dom.field.surface_gradient_ambient(limit)))
+    return OrbitRecord(seed, points, thickness, disps, status, limit=limit, limit_grad_norm=gnorm)
 
 
 @dataclass

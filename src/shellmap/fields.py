@@ -99,7 +99,7 @@ class ThicknessField:
         P_t(hess D v) + (grad D . nu) S v with hess D = ambient_hess(X)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         V = np.atleast_2d(np.asarray(V, dtype=float))
-        MX = X * (1.0 / self.core.axes**2)
+        MX = X * self.core.inv_axes_sq
         nu = MX / np.sqrt(np.einsum("ij,ij->i", MX, MX))[:, None]
         gn = np.einsum("ij,ij->i", self.ambient_grad(X), nu)
         HV = np.einsum("ijk,ik->ij", self.ambient_hess(X), V)

@@ -32,8 +32,9 @@ class ConvexCore:
     kind is one of "circle", "sphere", "ellipsoid"; semi_axes has length N
     and is constant for the sphere and the circle.
     The implicit function is f(x) = sum (x_i/s_i)^2 - 1 (negative inside).
-    axes is semi_axes as a read-only array, built once; equality and
-    hashing use kind and semi_axes only.
+    axes is semi_axes as a read-only array, and axes_sq and inv_axes_sq
+    are axes**2 and 1/axes**2, all built once; equality and hashing use
+    kind and semi_axes only.
     """
 
     kind: str
@@ -54,8 +55,9 @@ class ConvexCore:
             raise ValueError(f"{self.kind} core requires equal semi-axes")
         object.__setattr__(self, "semi_axes", axes)
         arr = np.array(axes)
-        arr.flags.writeable = False
-        object.__setattr__(self, "axes", arr)
+        for name, value in (("axes", arr), ("axes_sq", arr**2), ("inv_axes_sq", 1.0 / arr**2)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -83,7 +85,7 @@ class ConvexCore:
 
     def implicit_grad(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return 2.0 * x / self.axes**2
+        return 2.0 * x / self.axes_sq
 
     def normal(self, x) -> np.ndarray:
         """Outward unit normal (normalized implicit gradient), batched."""
@@ -258,9 +260,8 @@ def shape_action_batch(core: ConvexCore, X: np.ndarray, V: np.ndarray) -> np.nda
     """S applied to tangent vectors V at points X (both (n, N)): for the
     quadric x^T M x = 1 with M = diag(1/s_i^2) and nu = Mx/|Mx|,
     S v = -P_t(M v)/|Mx|."""
-    Minv2 = 1.0 / core.axes**2
-    MX = X * Minv2
-    MV = V * Minv2
+    MX = X * core.inv_axes_sq
+    MV = V * core.inv_axes_sq
     r = np.linalg.norm(MX, axis=-1, keepdims=True)
     nu = MX / r
     proj = MV - nu * np.sum(MV * nu, axis=-1, keepdims=True)
@@ -295,7 +296,7 @@ def ray_first_hit(core: ConvexCore, origin, direction):
 
 def _ray_solve_batch(core: ConvexCore, O: np.ndarray, D: np.ndarray):
     """Vectorized smallest nonnegative ray parameter; nan marks a miss."""
-    w = 1.0 / core.axes**2
+    w = core.inv_axes_sq
     DW = D * w
     A = np.einsum("ij,ij->i", DW, D)
     B = 2.0 * np.einsum("ij,ij->i", DW, O)
@@ -319,12 +320,10 @@ def _ray_hit_batch(core: ConvexCore, O: np.ndarray, D: np.ndarray):
     round-off; rows that miss are nan."""
     t, grazing = _ray_solve_batch(core, O, D)
     Y = O + t[:, None] * D
-    YM = Y / core.axes**2
+    YM = Y / core.axes_sq
     f = np.einsum("ij,ij->i", YM, Y) - 1.0
     df = 2.0 * np.einsum("ij,ij->i", YM, D)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = -f / df
-    step[df == 0] = 0.0
+    step = np.divide(-f, df, out=np.zeros_like(f), where=df != 0)
     Y += step[:, None] * D
     return Y, grazing
 

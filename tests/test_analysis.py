@@ -39,6 +39,7 @@ from shellmap import (
     step_operator,
 )
 from shellmap import analysis
+from shellmap import analysis
 from shellmap.analysis import (
     LinearizationReport,
     expansion_residual_batch,
@@ -673,3 +674,45 @@ def test_closed_forms_match_frame_matrix_formulas(name):
         assert np.abs(step_operator(dom, c, frame) - d * 0.5 * (R + R.T)).max() <= 1e-14
         H = E @ fld.ambient_hess(x) @ E.T + float(fld.ambient_grad(x) @ core.normal(x)) * S
         assert np.abs(fld.surface_hessian(c, frame) - 0.5 * (H + H.T)).max() <= 1e-14
+
+
+def _depth_first_clusters(X, radius):
+    """Chain clustering one point at a time: a distance row per visited
+    point, components numbered by their lowest row."""
+    labels = -np.ones(X.shape[0], dtype=int)
+    current = 0
+    for i in range(X.shape[0]):
+        if labels[i] >= 0:
+            continue
+        stack = [i]
+        labels[i] = current
+        while stack:
+            j = stack.pop()
+            near = np.linalg.norm(X - X[j], axis=-1) <= radius
+            for k in np.nonzero(near & (labels < 0))[0]:
+                labels[k] = current
+                stack.append(int(k))
+        current += 1
+    return labels
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_greedy_clusters_equal_depth_first_labels(dim, chunk, monkeypatch):
+    # blobs at several spreads, a shuffled chain whose links sit near the
+    # radius, and (chunk = 7) frontiers split into many distance calls
+    if chunk is not None:
+        monkeypatch.setattr(analysis, "CLUSTER_CHUNK", chunk)
+    rng = np.random.default_rng(dim)
+    t = rng.permutation(np.concatenate([np.linspace(0.0, 1.0, 120), np.linspace(1.5, 2.0, 60)]))
+    chain = np.zeros((t.size, dim))
+    chain[:, 0], chain[:, 1] = t, 0.2 * np.sin(5.0 * t)
+    for trial in range(12):
+        centres = rng.normal(size=(int(rng.integers(1, 6)), dim))
+        n = int(rng.integers(0, 250))
+        X = centres[rng.integers(0, len(centres), n)] + rng.normal(size=(n, dim)) * 10.0 ** -trial
+        for radius in (1e-4, 1e-2, 0.3):
+            assert np.array_equal(analysis._greedy_clusters(X, radius), _depth_first_clusters(X, radius))
+    for radius in (0.005, 0.0101, 0.02):
+        assert np.array_equal(analysis._greedy_clusters(chain, radius),
+                              _depth_first_clusters(chain, radius))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from shellmap import (
     BlackBoxMap,
+    NormalRayMissesCore,
     ConstantField,
     ConvexCore,
     Fourier2DField,
@@ -28,6 +29,9 @@ from shellmap import (
     return_map_batch,
     thickness_step_stats,
 )
+from shellmap import dynamics
+from shellmap.dynamics import OrbitRecord
+from shellmap.errors import ShellmapError
 from shellmap.surfaces import fibonacci_chart_grid
 
 SPHERE = ConvexCore.sphere(1.0)
@@ -157,6 +161,31 @@ def test_constant_shell_is_identity_to_round_off_near_poles(core):
     assert np.max(np.linalg.norm(return_map_batch(dom, X) - X, axis=-1)) <= tol
     for ch, x in zip(charts, X):
         assert np.linalg.norm(return_map(dom, SurfacePoint.from_chart(core, ch)).ambient - x) <= tol
+
+
+def test_return_map_batch_counts_missed_rays(monkeypatch):
+    dom = zonal_domain()
+    hit = dynamics._ray_hit_batch
+
+    def missing_two(core, O, D):
+        Y, grazing = hit(core, O, D)
+        Y[[1, 3]] = np.nan
+        return Y, grazing
+
+    monkeypatch.setattr(dynamics, "_ray_hit_batch", missing_two)
+    X = SPHERE.ambient_from_chart(fibonacci_chart_grid(SPHERE, 5))
+    with pytest.raises(NormalRayMissesCore, match="^2 inward rays miss the core$"):
+        return_map_batch(dom, X)
+
+
+@pytest.mark.parametrize("dom", [RadialDomain(SPHERE, ConstantField(SPHERE, 0.0)),
+                                 RadialDomain(SPHERE, ZonalLegendreField(SPHERE, 0.1, 0.5))],
+                         ids=["zero", "negative"])
+def test_return_map_batch_rejects_nonpositive_thickness(dom):
+    # the last row is on the equator: d = 0, and 0.1 + 0.5 P2(0) < 0
+    X = SPHERE.ambient_from_chart(np.array([[0.1, 0.0], [0.2, 1.0], [np.pi / 2, 0.0]]))
+    with pytest.raises(InadmissibleThickness):
+        return_map_batch(dom, X)
 
 
 def test_return_points_stay_on_surface():
@@ -307,3 +336,134 @@ def test_batch_limits_split_by_hemisphere():
     south = X[:, 2] < -0.05
     assert np.all(res.limits[north, 2] > 0.999)
     assert np.all(res.limits[south, 2] < -0.999)
+
+
+# ---------------------------------------------------------------------------
+# iterate_orbit against the per-step loop on SurfacePoints
+# ---------------------------------------------------------------------------
+
+def _per_step_orbit(dom, seed, max_iters, tol):
+    """The orbit as a loop of scalar steps: return_map checks each iterate
+    is on the core, field.eval checks its thickness."""
+    points, thickness, disps = [], [], []
+    try:
+        thickness.append(dom.field.eval(seed))
+        points.append(seed)
+        current = seed
+        for _ in range(max_iters):
+            nxt = return_map(dom, current)
+            thickness.append(dom.field.eval(nxt))
+            step = float(np.linalg.norm(nxt.ambient - current.ambient))
+            points.append(nxt)
+            disps.append(step)
+            current = nxt
+            if step < tol:
+                gnorm = float(np.linalg.norm(dom.field.surface_gradient_ambient(current)))
+                return OrbitRecord(seed, points, thickness, disps, "converged",
+                                   limit=current, limit_grad_norm=gnorm)
+        return OrbitRecord(seed, points, thickness, disps, "max_iterations")
+    except ShellmapError as exc:
+        return OrbitRecord(seed, points, thickness, disps, "error", error_kind=type(exc).__name__)
+
+
+def _assert_same_record(got, want):
+    assert (got.status, got.error_kind) == (want.status, want.error_kind)
+    assert got.thickness_values == want.thickness_values
+    assert got.displacement_norms == want.displacement_norms
+    assert len(got.points) == len(want.points)
+    for p, q in zip(got.points, want.points):
+        assert np.array_equal(p.ambient, q.ambient) and np.array_equal(p.chart, q.chart)
+    assert got.limit_grad_norm == want.limit_grad_norm
+    assert (got.limit is None) == (want.limit is None)
+    if want.limit is not None:
+        assert np.array_equal(got.limit.ambient, want.limit.ambient)
+
+
+@pytest.mark.parametrize("kind, chart, max_iters", [
+    ("sphere", (0.9, 0.4), 100_000),
+    ("sphere", (2.3, 5.0), 100_000),
+    ("ellipsoid", (1.1, 0.7), 600),
+    ("circle", (0.4,), 100_000),
+    ("circle", (2.2,), 100_000),
+])
+def test_orbit_matches_per_step_loop_bit_for_bit(kind, chart, max_iters):
+    dom = _BIT_DOMAINS[kind]
+    seed = SurfacePoint.from_chart(dom.core, *chart)
+    want = _per_step_orbit(dom, seed, max_iters, 1e-10)
+    got = iterate_orbit(dom, seed, max_iters=max_iters, tol=1e-10)
+    assert want.status in ("converged", "max_iterations") and len(want.points) > 50
+    _assert_same_record(got, want)
+    assert got.points[0] is seed
+
+
+def test_orbit_max_iterations_matches_per_step_loop():
+    dom = _BIT_DOMAINS["sphere"]
+    seed = pt(SPHERE, 1.0, 0.0)
+    got = iterate_orbit(dom, seed, max_iters=40, tol=1e-15)
+    assert got.status == "max_iterations" and len(got.points) == 41
+    _assert_same_record(got, _per_step_orbit(dom, seed, 40, 1e-15))
+
+
+def test_orbit_nonpositive_seed_matches_per_step_loop():
+    dom = RadialDomain(SPHERE, ZonalLegendreField(SPHERE, 0.1, 0.5))
+    seed = pt(SPHERE, np.pi / 2, 0.0)
+    got = iterate_orbit(dom, seed)
+    assert got.error_kind == "InadmissibleThickness" and got.points == []
+    _assert_same_record(got, _per_step_orbit(dom, seed, 100_000, 1e-10))
+
+
+def test_orbit_takes_an_off_core_seed_as_given():
+    # neither return_map nor field.eval checks the seed against the core
+    dom = _BIT_DOMAINS["sphere"]
+    on = pt(SPHERE, 0.9, 0.4)
+    seed = SurfacePoint(SPHERE, on.chart, on.ambient * (1.0 + 1e-9))
+    got = iterate_orbit(dom, seed)
+    assert got.status == "converged"
+    _assert_same_record(got, _per_step_orbit(dom, seed, 100_000, 1e-10))
+
+
+def _inject_at_step(monkeypatch, k, make):
+    """From the k-th map call on (counting from 1), return make(x, y) in
+    place of the map's value y at x."""
+    kernel, calls = dynamics.return_map_batch, [0]
+
+    def patched(dom, X):
+        calls[0] += 1
+        Y = kernel(dom, X)
+        return make(X, Y) if calls[0] == k else Y
+
+    monkeypatch.setattr(dynamics, "return_map_batch", patched)
+    return calls
+
+
+def _raise_miss(X, Y):
+    raise NormalRayMissesCore("1 inward rays miss the core")
+
+
+# d = 0.1 + 0.5 P2(w) is negative at the equator, d = 0.05 + 0.1 P2(w) is zero
+# there; both are positive near the poles
+_THIN_EQUATOR = RadialDomain(SPHERE, ZonalLegendreField(SPHERE, 0.1, 0.5))
+_ZERO_EQUATOR = RadialDomain(SPHERE, ZonalLegendreField(SPHERE, 0.05, 0.1))
+
+
+def _equator(X, Y):
+    return np.array([[1.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+@pytest.mark.parametrize("dom, make, kind", [
+    (_THIN_EQUATOR, lambda X, Y: Y * (1.0 + 1e-9), "OffSurface"),
+    (_THIN_EQUATOR, _equator, "InadmissibleThickness"),
+    (_ZERO_EQUATOR, _equator, "InadmissibleThickness"),
+    (_THIN_EQUATOR, _raise_miss, "NormalRayMissesCore"),
+], ids=["off_surface", "negative", "zero", "miss"])
+def test_orbit_error_is_truncated_where_the_per_step_loop_stops(monkeypatch, k, dom, make, kind):
+    seed = pt(SPHERE, 0.6, 0.3)
+    calls = _inject_at_step(monkeypatch, k, make)
+    want = _per_step_orbit(dom, seed, 100_000, 1e-10)
+    calls[0] = 0
+    got = iterate_orbit(dom, seed, tol=1e-10)
+    assert want.status == "error" and want.error_kind == kind
+    # the seed and the k - 1 iterates before the k-th map call's value
+    assert len(want.points) == k
+    _assert_same_record(got, want)

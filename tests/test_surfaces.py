@@ -1,5 +1,7 @@
 """Geometry kernel: normals, shape operators, rays, retraction, frames."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from shellmap import (
     retract,
     shape_operator_at,
 )
-from shellmap.surfaces import retract_batch
+from shellmap.surfaces import _ray_hit_batch, _ray_solve_batch, retract_batch
 
 SPHERE = ConvexCore.sphere(1.0)
 CIRCLE = ConvexCore.circle(1.0)
@@ -178,6 +180,41 @@ def test_ray_grazing_flagged():
 def test_ray_from_inside_exits():
     hit = ray_first_hit(SPHERE, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
     assert abs(hit.t - 1.0) < 1e-12
+
+
+def _ray_hit_masked(core, O, D):
+    """_ray_hit_batch with its Newton step as a masked division."""
+    t, grazing = _ray_solve_batch(core, O, D)
+    Y = O + t[:, None] * D
+    YM = Y / core.axes**2
+    f = np.einsum("ij,ij->i", YM, Y) - 1.0
+    df = 2.0 * np.einsum("ij,ij->i", YM, D)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = -f / df
+    step[df == 0] = 0.0
+    Y += step[:, None] * D
+    return Y, grazing, df
+
+
+@pytest.mark.parametrize("core", [SPHERE, ELLIPSOID, ConvexCore.sphere(0.7)],
+                         ids=["sphere", "ellipsoid", "sphere_0.7"])
+def test_ray_hit_newton_step_matches_masked_division_bit_for_bit(core):
+    s = core.semi_axes
+    # tangent rays (df == 0), a parallel miss, a null direction (nan rows)
+    # and inward normal rays from random outer points
+    special_O = [[2.0 * s[0], s[1], 0.0], [0.0, 2.0 * s[1], s[2]], [2.0 * s[0], 0.0, 2.0 * s[2]],
+                 [2.0, 2.0, 2.0]]
+    special_D = [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
+    X = np.array([p.ambient for p in random_points(core, 40, seed=4)])
+    O = np.concatenate([special_O, X + 0.3 * core.normal(X)])
+    D = np.concatenate([special_D, -core.normal(X)])
+    want_Y, want_grazing, df = _ray_hit_masked(core, O, D)
+    assert np.any(df == 0.0) and np.any(np.isnan(want_Y))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Y, grazing = _ray_hit_batch(core, O, D)
+    assert np.array_equal(Y, want_Y, equal_nan=True)
+    assert np.array_equal(grazing, want_grazing)
 
 
 @pytest.mark.parametrize("scale", [2.0, 0.5])
@@ -364,6 +401,12 @@ def test_axes_array_is_built_once_and_read_only():
     assert np.array_equal(core.axes, [2.0, 1.0, 0.5])
     with pytest.raises(ValueError):
         core.axes[0] = 3.0
+    for name, want in (("axes_sq", core.axes**2), ("inv_axes_sq", 1.0 / core.axes**2)):
+        cached = getattr(core, name)
+        assert cached is getattr(core, name)
+        assert np.array_equal(cached, want)
+        with pytest.raises(ValueError):
+            cached[0] = 3.0
     twin = ConvexCore("ellipsoid", (2, 1, 0.5))
     assert twin == core and hash(twin) == hash(core)
 
