@@ -12,7 +12,6 @@ the closed form.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,24 +155,6 @@ class AdmissibilityReport:
     min_sv: float
     hit_rate: float
     admissible: bool
-
-    def to_csv(self, path):
-        cols = ["theta", "phi", "d", "min_sv_DPhi", "normal_ray_hits"]
-        with open(path, "w", newline="\n") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(cols)
-            for i in range(self.chart.shape[0]):
-                theta = self.chart[i, 0]
-                phi = self.chart[i, 1] if self.chart.shape[1] > 1 else 0.0
-                w.writerow(
-                    [
-                        f"{theta:.17g}",
-                        f"{phi:.17g}",
-                        f"{self.d_values[i]:.17g}",
-                        f"{self.min_sv_dphi[i]:.17g}",
-                        int(self.normal_ray_hits[i]),
-                    ]
-                )
 
 
 def admissibility_check(dom: RadialDomain, grid_size: int = 4096) -> AdmissibilityReport:

@@ -8,7 +8,6 @@ tested elsewhere.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import partial
 
@@ -108,21 +107,6 @@ class OrbitRecord:
     error_kind: str | None = None
     limit: SurfacePoint | None = None
     limit_grad_norm: float | None = None
-
-    def to_csv(self, path):
-        with open(path, "w", newline="\n") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["step", "theta", "phi", "x", "y", "z", "d", "displacement"])
-            for k, p in enumerate(self.points):
-                amb = list(p.ambient) + [0.0] * (3 - p.ambient.shape[0])
-                phi = p.chart[1] if p.chart.shape[0] > 1 else 0.0
-                disp = self.displacement_norms[k] if k < len(self.displacement_norms) else 0.0
-                w.writerow(
-                    [k]
-                    + [f"{v:.17g}" for v in (p.theta, phi)]
-                    + [f"{v:.17g}" for v in amb]
-                    + [f"{self.thickness_values[k]:.17g}", f"{disp:.17g}"]
-                )
 
 
 def iterate_orbit(

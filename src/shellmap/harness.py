@@ -189,11 +189,6 @@ def _parse_floats(text):
     return [float(x) for x in str(text).split(",")]
 
 
-def _count(text):
-    """An integer count that may be written as a float, e.g. 1e5."""
-    return int(float(text))
-
-
 def _checked(convert, ok, need: str):
     """The converter convert, then ValueError(need) unless ok(value)."""
     def checked(text):
@@ -206,6 +201,15 @@ def _checked(convert, ok, need: str):
 
 _positive = _checked(float, lambda x: x > 0, "must be positive")
 _positive_int = _checked(int, lambda n: n > 0, "must be positive")
+_nonnegative_int = _checked(int, lambda n: n >= 0, "must be nonnegative")
+# an integer count that may be written as a float, e.g. 1e5
+_count = _checked(lambda text: int(float(text)), lambda n: n >= 0, "must be nonnegative")
+# a reconstruction gain alpha divides, so it is finite and nonzero
+_gain = _checked(float, lambda a: a != 0 and np.isfinite(a), "must be finite and nonzero")
+_gains = _checked(_parse_floats, lambda v: all(a != 0 and np.isfinite(a) for a in v),
+                  "expected finite nonzero values")
+_alpha_mode = _checked(str, ("known_classical", "known_measured", "assumed", "sweep").__contains__,
+                       "expected known_classical, known_measured, assumed or sweep")
 _flag = _checked(str.lower, ("true", "false").__contains__, "expected true or false")
 _sweep_kind = _checked(str, ("series", "first_order", "second_order", "normal").__contains__,
                        "expected series, first_order, second_order or normal")
@@ -242,19 +246,34 @@ def load_bundled(name: str) -> str:
 # ---------------------------------------------------------------------------
 
 class _Out:
+    """The one writer of a run's files; each file it opens joins self.files."""
+
     def __init__(self, directory: Path):
         self.dir = directory
         self.dir.mkdir(parents=True, exist_ok=True)
         self.files = []
 
-    def csv(self, name, header, rows):
+    def _open(self, name):
         path = self.dir / name
-        with open(path, "w", newline="\n") as fh:
+        self.files.append(path)
+        return open(path, "w", newline="\n")
+
+    def table(self, name, header, *columns):
+        """A numeric table, one column per argument: integer and boolean
+        columns are written with %d, the rest with %.17g, which reads back
+        as the same float.  No rows leave the header line alone."""
+        columns = [np.asarray(c) for c in columns]
+        row = ",".join("%d" if c.dtype.kind in "biu" else "%.17g" for c in columns) + "\n"
+        with self._open(name) as fh:
+            fh.write(",".join(header) + "\n")
+            fh.writelines(row % r for r in zip(*columns))
+
+    def csv(self, name, header, rows):
+        """A table of text cells, quoted where csv needs it."""
+        with self._open(name) as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(header)
             w.writerows(rows)
-        self.files.append(path)
-        return path
 
     def summary(self, pairs):
         rows = []
@@ -263,11 +282,27 @@ class _Out:
                 rows.append([k, f"{v:.6f}"])
             else:
                 rows.append([k, v])
-        return self.csv("summary.csv", ["quantity", "value"], rows)
+        self.csv("summary.csv", ["quantity", "value"], rows)
+
+    def manifest(self, pairs):
+        with self._open("manifest.txt") as fh:
+            fh.writelines(f"{k} = {v}\n" for k, v in pairs)
 
 
 def _g17(x) -> str:
     return f"{float(x):.17g}"
+
+
+def _theta_phi(core: ConvexCore, charts):
+    """The theta and phi columns of n >= 0 chart rows; phi = 0 for N = 2."""
+    C = np.reshape(charts, (-1, core.dim - 1))
+    return C[:, 0], (C[:, 1] if core.dim == 3 else np.zeros(len(C)))
+
+
+def _xyz(core: ConvexCore, X):
+    """The x, y and z columns of n >= 0 ambient rows; z = 0 for N = 2."""
+    X = np.reshape(X, (-1, core.dim))
+    return X[:, 0], X[:, 1], (X[:, 2] if core.dim == 3 else np.zeros(len(X)))
 
 
 def _sample_charts(core: ConvexCore, n: int, rng) -> np.ndarray:
@@ -301,9 +336,11 @@ def _task_orbit(scn, dom, out, rng):
     seed_pt = get("point", "0.785398163,0", partial(_named_point, dom.core))
     rec = iterate_orbit(dom, seed_pt, max_iters=get("max_iters", 1e5, _count),
                         tol=get("tol", 1e-10, _positive))
-    path = out.dir / "orbit.csv"
-    rec.to_csv(path)
-    out.files.append(path)
+    core, n = dom.core, len(rec.points)
+    disps = rec.displacement_norms + [0.0] * (n - len(rec.displacement_norms))
+    out.table("orbit.csv", ["step", "theta", "phi", "x", "y", "z", "d", "displacement"],
+              np.arange(n), *_theta_phi(core, [p.chart for p in rec.points]),
+              *_xyz(core, [p.ambient for p in rec.points]), rec.thickness_values, disps)
     if rec.status == "error":
         raise ShellmapError(f"{rec.error_kind} after {max(len(rec.points) - 1, 0)} steps")
     out.summary([
@@ -316,13 +353,12 @@ def _task_orbit(scn, dom, out, rng):
 
 def _task_fixed_points(scn, dom, out, rng):
     get = _values(scn.params, "task")
-    scan = find_fixed_points(dom, n_seeds=get("n_seeds", 400, int), tol=get("tol", 1e-10, _positive))
-    rows = []
-    for pt, res, gn in zip(scan.points, scan.residuals, scan.grad_norms):
-        amb = list(pt.ambient) + [0.0] * (3 - dom.core.dim)
-        phi = pt.chart[1] if dom.core.dim == 3 else 0.0
-        rows.append([_g17(pt.theta), _g17(phi)] + [_g17(v) for v in amb] + [_g17(res), _g17(gn)])
-    out.csv("fixed_points.csv", ["theta", "phi", "x", "y", "z", "residual", "grad_norm"], rows)
+    scan = find_fixed_points(dom, n_seeds=get("n_seeds", 400, _nonnegative_int),
+                             tol=get("tol", 1e-10, _positive))
+    core = dom.core
+    out.table("fixed_points.csv", ["theta", "phi", "x", "y", "z", "residual", "grad_norm"],
+              *_theta_phi(core, [p.chart for p in scan.points]),
+              *_xyz(core, [p.ambient for p in scan.points]), scan.residuals, scan.grad_norms)
     out.summary([
         ("n_clusters", len(scan.points)),
         ("continuum_of_fixed_points", str(scan.continuum)),
@@ -370,7 +406,7 @@ def _task_expansion_sweep(scn, dom, out, rng):
         d_list = get("d_list", "1e-1,3e-2,1e-2,3e-3", _scales)
         chart = get("chart", "1.0,0.7", _parse_floats)[: core.dim - 1]
         res, slope = preconditioner_series_residual(core, chart, d_list)
-        out.csv("sweep.csv", ["d", "residual"], [[_g17(d), _g17(r)] for d, r in zip(d_list, res)])
+        out.table("sweep.csv", ["d", "residual"], d_list, res)
         out.summary([("kind", kind), ("fitted_slope", float(slope))])
         return
     eps_list = get("eps_list", "1e-1,3e-2,1e-2,3e-3,1e-3", _scales)
@@ -379,9 +415,8 @@ def _task_expansion_sweep(scn, dom, out, rng):
     charts = _sample_charts(core, n_samples, rng)
     report = residual_sweep(core, lambda e: build_field(core, scn.field_spec, eps_override=e),
                             eps_list, charts, step_scale=step_scale, kind=kind)
-    rows = [[_g17(e), _g17(r), _g17(t)]
-            for e, r, t in zip(report.epsilons, report.residual_norms, report.transverse_residual_norms)]
-    out.csv("sweep.csv", ["eps", "residual", "transverse_residual"], rows)
+    out.table("sweep.csv", ["eps", "residual", "transverse_residual"],
+              report.epsilons, report.residual_norms, report.transverse_residual_norms)
     out.summary([
         ("kind", kind),
         ("step_scale", step_scale),
@@ -395,11 +430,11 @@ def _task_expansion_sweep(scn, dom, out, rng):
 def _task_reconstruct(scn, dom, out, rng):
     get = _values(scn.params, "task")
     F = BlackBoxMap.wrap_domain(dom)
-    n_seeds = get("n_seeds", 400, int)
-    n_samples = get("n_samples", 50, int)
+    n_seeds = get("n_seeds", 400, _nonnegative_int)
+    n_samples = get("n_samples", 50, _nonnegative_int)
     h = get("h", 1e-5, _fd_step(dom.core))
     samples = [SurfacePoint.from_chart(dom.core, ch) for ch in _sample_charts(dom.core, n_samples, rng)]
-    mode = get("alpha_mode", "known_measured", str)
+    mode = get("alpha_mode", "known_measured", _alpha_mode)
     if mode in ("known_classical", "known_measured"):
         probe = get("alpha_point", "equator" if dom.core.dim == 3 else "0", partial(_named_point, dom.core))
         frame = frame_at(dom.core, probe)
@@ -407,16 +442,22 @@ def _task_reconstruct(scn, dom, out, rng):
         a = float(np.trace(A)) / A.shape[0]
         alphas = [a if mode == "known_classical" else -0.5 * a]
     elif mode == "assumed":
-        alphas = [get("alpha", 1.0)]
-    elif mode == "sweep":
-        base = get("alpha", 1.0)
-        alphas = [base * m for m in get("alpha_factors", "0.25,0.5,1,2,4", _parse_floats)]
+        alphas = [get("alpha", 1.0, _gain)]
     else:
-        raise ScenarioError(f"unknown alpha_mode {mode!r}")
+        base = get("alpha", 1.0, _gain)
+        alphas = [base * m for m in get("alpha_factors", "0.25,0.5,1,2,4", _gains)]
     report = run_reconstruction(F, n_seeds, samples, alphas, alpha_mode=mode, h=h)
-    path = out.dir / "reconstruction.csv"
-    report.to_csv(path)
-    out.files.append(path)
+    records = (
+        [("fixed_point", p, r) for p, r in report.fixed_points]
+        + [("descent_dir", p, v) for p, v in report.descent_samples]
+        + [("composite", p, C) for p, C in report.composite_ops]
+        + [(f"hessian(alpha={rec.alpha:.6g},{rec.alpha_mode})", p, rec.hessian)
+           for p, rec in report.hessians_isotropic]
+    )
+    theta, phi = _theta_phi(dom.core, [p.chart for _, p, _ in records])
+    out.csv("reconstruction.csv", ["record", "theta", "phi", "data"],
+            [[tag, _g17(t), _g17(f), ";".join(map(_g17, np.ravel(data)))]
+             for (tag, _, data), t, f in zip(records, theta, phi)])
     out.summary([
         ("n_fixed_points", len(report.fixed_points)),
         ("n_descent_samples", len(report.descent_samples)),
@@ -430,20 +471,19 @@ def _task_reconstruct(scn, dom, out, rng):
 def _task_scaling(scn, dom, out, rng):
     get = _values(scn.params, "task")
     lam = get("lambda", 2.0)
-    n_samples = get("n_samples", 100, int)
+    n_samples = get("n_samples", 100, _nonnegative_int)
     dom2 = RadialDomain(dom.core, ScaledField(lam, dom.field))
     F1 = BlackBoxMap.wrap_domain(dom)
     F2 = BlackBoxMap.wrap_domain(dom2)
     samples = [SurfacePoint.from_chart(dom.core, ch) for ch in _sample_charts(dom.core, n_samples, rng)]
     diag = scaling_ambiguity_diagnostic(F1, F2, samples)
-    rows = [[_g17(c), _g17(r)] for c, r in zip(diag.cosines, diag.norm_ratios)]
-    out.csv("scaling.csv", ["cosine", "norm_ratio"], rows)
+    out.table("scaling.csv", ["cosine", "norm_ratio"], diag.cosines, diag.norm_ratios)
     if get("equivalence", "true", _flag) == "true":
         seeds = [SurfacePoint.from_chart(dom.core, ch)
-                 for ch in fibonacci_chart_grid(dom.core, get("equivalence_seeds", 120, int))]
+                 for ch in fibonacci_chart_grid(dom.core, get("equivalence_seeds", 120, _nonnegative_int))]
         verdict = dynamical_equivalence_check(
             F1, F2, seeds,
-            n_probe=get("equivalence_probe", 200, int),
+            n_probe=get("equivalence_probe", 200, _nonnegative_int),
             iter_tol=get("equivalence_tol", 1e-7, _positive),
             max_iters=get("equivalence_max_iters", 2e5, _count),
         )
@@ -464,16 +504,15 @@ def _task_basins(scn, dom, out, rng):
     get = _values(scn.params, "task")
     F = BlackBoxMap.wrap_domain(dom)
     seeds = [SurfacePoint.from_chart(dom.core, ch)
-             for ch in fibonacci_chart_grid(dom.core, get("n_seeds", 500, int))]
+             for ch in fibonacci_chart_grid(dom.core, get("n_seeds", 500, _nonnegative_int))]
     labeling = basin_decomposition(
         F, seeds,
         tol=get("tol", 1e-8, _positive),
         max_iters=get("max_iters", 2e5, _count),
         cluster_radius=get("cluster_radius", None, _positive),
     )
-    path = out.dir / "basins.csv"
-    labeling.to_csv(path)
-    out.files.append(path)
+    out.table("basins.csv", ["seed_theta", "seed_phi", "label"],
+              *_theta_phi(dom.core, [p.chart for p in labeling.seeds]), labeling.labels)
     counts = {int(l): int(np.sum(labeling.labels == l)) for l in sorted(set(labeling.labels))}
     out.summary([
         ("n_clusters", len(labeling.cluster_reps)),
@@ -486,9 +525,9 @@ def _task_basins(scn, dom, out, rng):
 def _task_admissibility(scn, dom, out, rng):
     get = _values(scn.params, "task")
     report = admissibility_check(dom, grid_size=get("grid", 4096, _positive_int))
-    path = out.dir / "admissibility.csv"
-    report.to_csv(path)
-    out.files.append(path)
+    out.table("admissibility.csv", ["theta", "phi", "d", "min_sv_DPhi", "normal_ray_hits"],
+              *_theta_phi(dom.core, report.chart), report.d_values, report.min_sv_dphi,
+              report.normal_ray_hits)
     out.summary([
         ("min_d", report.min_d),
         ("min_sv_dphi", report.min_sv),
@@ -533,15 +572,13 @@ def run_scenario(scenario: Scenario | str, out_dir=None, seed=None):
     except ShellmapError as exc:
         raise TaskFailure(scenario.task, exc) from exc
     elapsed = time.monotonic() - start
-    manifest = out.dir / "manifest.txt"
-    with open(manifest, "w", newline="\n") as fh:
-        fh.write(f"name = {scenario.name}\n")
-        fh.write(f"task = {scenario.task}\n")
-        fh.write(f"rng_seed = {scenario.rng_seed}\n")
-        for section, spec in (("core", scenario.core), ("field", scenario.field_spec), ("task", scenario.params)):
-            for k in sorted(spec):
-                fh.write(f"{section}.{k} = {spec[k]}\n")
-        fh.write(f"tool_version = {__version__}\n")
-        fh.write(f"wall_time_s = {elapsed:.3f}\n")
-    out.files.append(manifest)
+    sections = (("core", scenario.core), ("field", scenario.field_spec), ("task", scenario.params))
+    out.manifest([
+        ("name", scenario.name),
+        ("task", scenario.task),
+        ("rng_seed", scenario.rng_seed),
+        *((f"{section}.{k}", spec[k]) for section, spec in sections for k in sorted(spec)),
+        ("tool_version", __version__),
+        ("wall_time_s", f"{elapsed:.3f}"),
+    ])
     return out.files

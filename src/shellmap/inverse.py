@@ -7,7 +7,6 @@ single surface point is a batch of one.  No thickness data is read.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,14 +150,6 @@ class BasinLabeling:
     cluster_reps: list
     continuum: bool = False
 
-    def to_csv(self, path):
-        with open(path, "w", newline="\n") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["seed_theta", "seed_phi", "label"])
-            for p, lab in zip(self.seeds, self.labels):
-                phi = p.chart[1] if p.chart.shape[0] > 1 else 0.0
-                w.writerow([f"{p.theta:.17g}", f"{phi:.17g}", int(lab)])
-
 
 def basin_decomposition(F: BlackBoxMap, seeds, tol: float = 1e-8,
                         max_iters: int = 200_000,
@@ -286,29 +277,6 @@ class ReconstructionReport:
     hessians_isotropic: list                # (SurfacePoint, IsotropicReconstruction)
     basin_labels: BasinLabeling | None
     skipped_samples: int = 0
-
-    def to_csv(self, path):
-        with open(path, "w", newline="\n") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["record", "theta", "phi", "data"])
-            for p, r in self.fixed_points:
-                w.writerow(["fixed_point", f"{p.theta:.17g}", _phi_str(p), f"{r:.17g}"])
-            for p, v in self.descent_samples:
-                w.writerow(["descent_dir", f"{p.theta:.17g}", _phi_str(p),
-                            ";".join(f"{x:.17g}" for x in v)])
-            for p, C in self.composite_ops:
-                w.writerow(["composite", f"{p.theta:.17g}", _phi_str(p),
-                            ";".join(f"{x:.17g}" for x in C.ravel())])
-            for p, rec in self.hessians_isotropic:
-                w.writerow([
-                    f"hessian(alpha={rec.alpha:.6g},{rec.alpha_mode})",
-                    f"{p.theta:.17g}", _phi_str(p),
-                    ";".join(f"{x:.17g}" for x in rec.hessian.ravel()),
-                ])
-
-
-def _phi_str(p: SurfacePoint) -> str:
-    return f"{p.chart[1]:.17g}" if p.chart.shape[0] > 1 else "0"
 
 
 def run_reconstruction(F: BlackBoxMap, n_seeds: int, samples, alphas,

@@ -225,11 +225,3 @@ def test_large_perturbation_inadmissible():
     assert not report.admissible
     assert report.min_d < -0.149  # d(pi/2) = -0.15
 
-
-def test_admissibility_csv_schema(tmp_path):
-    report = admissibility_check(zonal_domain(), 500)
-    path = tmp_path / "adm.csv"
-    report.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "theta,phi,d,min_sv_DPhi,normal_ray_hits"
-    assert len(lines) == 501

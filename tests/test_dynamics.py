@@ -282,13 +282,11 @@ def test_orbit_error_captured():
     assert rec.error_kind == "InadmissibleThickness"
 
 
-def test_orbit_error_record_keeps_points_and_thickness_aligned(tmp_path):
+def test_orbit_error_record_keeps_points_and_thickness_aligned():
     dom = RadialDomain(SPHERE, ZonalLegendreField(SPHERE, 0.1, 0.5))
     rec = iterate_orbit(dom, pt(SPHERE, np.pi / 2, 0.0), tol=1e-10)
     assert rec.status == "error"
     assert len(rec.points) == len(rec.thickness_values) == 0
-    rec.to_csv(tmp_path / "orbit.csv")
-    assert len((tmp_path / "orbit.csv").read_text().splitlines()) == 1
 
 
 def test_nonpositive_thickness_has_one_name_on_every_path():
@@ -302,16 +300,6 @@ def test_nonpositive_thickness_has_one_name_on_every_path():
     with pytest.raises(InadmissibleThickness):
         BlackBoxMap.wrap_domain(dom)(p)
     assert iterate_orbit(dom, p).error_kind == "InadmissibleThickness"
-
-
-def test_orbit_csv(tmp_path):
-    dom = zonal_domain()
-    rec = iterate_orbit(dom, pt(SPHERE, 1.0, 0.0), max_iters=50, tol=1e-15)
-    path = tmp_path / "orbit.csv"
-    rec.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "step,theta,phi,x,y,z,d,displacement"
-    assert len(lines) == len(rec.points) + 1
 
 
 def test_iterate_batch_agrees_with_scalar_orbits():

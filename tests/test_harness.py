@@ -14,6 +14,9 @@ from shellmap import ScenarioError
 from shellmap.cli import main as cli_main
 from shellmap.harness import (
     Scenario,
+    _Out,
+    _theta_phi,
+    _xyz,
     build_core,
     build_field,
     list_scenarios,
@@ -183,6 +186,63 @@ def test_manifest_contents(tmp_path):
     assert "wall_time_s = " in manifest
 
 
+def _cells(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_out_writes_every_table_exactly(tmp_path):
+    # numeric tables: integer columns with %d, floats with %.17g, which reads
+    # back as the same float (0.1 + 0.2 needs all 17 digits); N = 2 rows
+    # are padded with phi = z = 0
+    circle = build_core({"kind": "circle"})
+    values = [-0.0, 0.1 + 0.2, 1 / 3, -2.5e-300, 6.02214076e23]
+    charts = np.array([[0.5], [1.0], [2.0], [3.0], [4.0]])
+    X = circle.ambient_from_chart(charts)
+    out = _Out(tmp_path / "t")
+    head = ["k", "v", "theta", "phi", "x", "y", "z"]
+    out.table("t.csv", head, np.arange(5), values, *_theta_phi(circle, charts), *_xyz(circle, X))
+    out.table("empty.csv", ["step", "d"], np.arange(0), [])
+    rows = _cells(tmp_path / "t" / "t.csv")
+    assert rows[0] == head and len(rows) == 6
+    for k, row in enumerate(rows[1:]):
+        assert row[0] == str(k)
+        assert [float(s) for s in row[1:]] == [values[k], charts[k, 0], 0.0, X[k, 0], X[k, 1], 0.0]
+        assert row[3] == row[6] == "0"
+    assert rows[1][1] == "-0"
+    assert (tmp_path / "t" / "empty.csv").read_text() == "step,d\n"
+    assert out.files == [tmp_path / "t" / "t.csv", tmp_path / "t" / "empty.csv"]
+
+    # each task's table, run small: header, one row per record, integer columns
+    def run(text, table):
+        d = tmp_path / table
+        run_scenario(scn_path(tmp_path, text, table + ".scn"), out_dir=d)
+        return _cells(d / table), dict(_cells(d / "summary.csv")[1:])
+
+    def task(lines):
+        return ZONAL_LINEARIZE.replace(LINEARIZE_TASK, lines)
+
+    rows, summary = run(task("task = orbit\ntask.max_iters = 30"), "orbit.csv")
+    assert rows[0] == ["step", "theta", "phi", "x", "y", "z", "d", "displacement"]
+    assert [r[0] for r in rows[1:]] == [str(k) for k in range(int(summary["steps"]) + 1)]
+    rows, _ = run(task("task = admissibility\ntask.grid = 64"), "admissibility.csv")
+    assert rows[0] == ["theta", "phi", "d", "min_sv_DPhi", "normal_ray_hits"] and len(rows) == 65
+    assert {r[4] for r in rows[1:]} == {"1"}
+    rows, _ = run(task("task = basins\ntask.n_seeds = 20"), "basins.csv")
+    assert rows[0] == ["seed_theta", "seed_phi", "label"] and len(rows) == 21
+    assert all(r[2].lstrip("-").isdigit() for r in rows[1:])
+    rows, summary = run(task("task = reconstruct\ntask.n_seeds = 40\ntask.n_samples = 3"),
+                        "reconstruction.csv")
+    counts = ("n_fixed_points", "n_descent_samples", "n_composites", "n_hessians")
+    assert rows[0] == ["record", "theta", "phi", "data"]
+    assert len(rows) == 1 + sum(int(summary[k]) for k in counts) and int(summary["n_hessians"]) > 0
+    rows, summary = run(load_bundled("circle_cos2_fixed_points").replace("n_seeds = 360", "n_seeds = 40"),
+                        "fixed_points.csv")
+    assert rows[0] == ["theta", "phi", "x", "y", "z", "residual", "grad_norm"]
+    assert len(rows) == 1 + int(summary["n_clusters"]) > 1
+    assert all(r[1] == r[4] == "0" for r in rows[1:])
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -248,10 +308,31 @@ def test_cli_orbit_error_exit_3(tmp_path, capsys):
     (LINEARIZE_TASK, "task = reconstruct\ntask.h = 0.5", "task.h"),
     (LINEARIZE_TASK, "task = expansion_sweep\ntask.eps_list = 0.1", "task.eps_list"),
     (LINEARIZE_TASK, "task = expansion_sweep\ntask.kind = series\ntask.d_list = 0.1,-0.01", "task.d_list"),
+    # negative counts
+    (LINEARIZE_TASK, "task = reconstruct\ntask.n_samples = -1", "task.n_samples"),
+    (LINEARIZE_TASK, "task = reconstruct\ntask.n_seeds = -1", "task.n_seeds"),
+    (LINEARIZE_TASK, "task = scaling\ntask.n_samples = -3", "task.n_samples"),
+    (LINEARIZE_TASK, "task = scaling\ntask.equivalence_seeds = -1", "task.equivalence_seeds"),
+    (LINEARIZE_TASK, "task = scaling\ntask.equivalence_probe = -1", "task.equivalence_probe"),
+    (LINEARIZE_TASK, "task = scaling\ntask.equivalence_max_iters = -1", "task.equivalence_max_iters"),
+    (LINEARIZE_TASK, "task = fixed_points\ntask.n_seeds = -1", "task.n_seeds"),
+    (LINEARIZE_TASK, "task = basins\ntask.n_seeds = -1", "task.n_seeds"),
+    (LINEARIZE_TASK, "task = basins\ntask.max_iters = -1", "task.max_iters"),
+    (LINEARIZE_TASK, "task = orbit\ntask.max_iters = -1", "task.max_iters"),
+    # reconstruction gains
+    (LINEARIZE_TASK, "task = reconstruct\ntask.alpha_mode = assumed\ntask.alpha = 0", "task.alpha"),
+    (LINEARIZE_TASK, "task = reconstruct\ntask.alpha_mode = assumed\ntask.alpha = nan", "task.alpha"),
+    (LINEARIZE_TASK, "task = reconstruct\ntask.alpha_mode = sweep\ntask.alpha_factors = 1,0", "task.alpha_factors"),
+    (LINEARIZE_TASK, "task = reconstruct\ntask.alpha_mode = guess", "task.alpha_mode"),
 ], ids=["task.h", "task.point", "field.eps", "core.radius", "rng_seed", "core.radius=-1", "core.c=0",
         "orbit.tol=-1", "sweep.kind=foo", "admissibility.grid=0", "sweep.n_samples=0",
         "scaling.equivalence=ture", "field.axis=0", "field.axis2=nan", "linearize.h=1e9",
-        "reconstruct.h=0.5", "sweep.eps_list=0.1", "series.d_list=negative"])
+        "reconstruct.h=0.5", "sweep.eps_list=0.1", "series.d_list=negative",
+        "reconstruct.n_samples=-1", "reconstruct.n_seeds=-1", "scaling.n_samples=-3",
+        "scaling.equivalence_seeds=-1", "scaling.equivalence_probe=-1",
+        "scaling.equivalence_max_iters=-1", "fixed_points.n_seeds=-1", "basins.n_seeds=-1",
+        "basins.max_iters=-1", "orbit.max_iters=-1", "assumed.alpha=0", "assumed.alpha=nan",
+        "sweep.alpha_factors=0", "reconstruct.alpha_mode=guess"])
 def test_cli_bad_value_exit_2_names_the_key(tmp_path, capsys, old, new, key):
     scn = scn_path(tmp_path, ZONAL_LINEARIZE.replace(old, new))
     assert cli_main(["run", scn, "--out", str(tmp_path / "o")]) == 2
@@ -300,15 +381,16 @@ def test_linearize_csv_has_eigenvalue_pairs(tmp_path):
     assert header.startswith("method,eig1_re,eig1_im,eig2_re,eig2_im,")
 
 
-@pytest.mark.slow
 def test_every_bundled_scenario_completes_quickly(tmp_path):
     for name in list_scenarios():
         start = time.monotonic()
-        run_scenario(scn_path(tmp_path, load_bundled(name), name + ".scn"),
-                     out_dir=tmp_path / name)
+        files = run_scenario(scn_path(tmp_path, load_bundled(name), name + ".scn"),
+                             out_dir=tmp_path / name)
         elapsed = time.monotonic() - start
         assert elapsed < 60.0, f"{name} took {elapsed:.1f} s"
         assert (tmp_path / name / "manifest.txt").exists()
+        # the returned list names every file of the output directory, once
+        assert sorted(files) == sorted((tmp_path / name).iterdir())
 
 
 BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"

@@ -316,17 +316,6 @@ def test_circle_two_basins_end_at_maxima():
         assert min(abs(rep.theta - 0.0), abs(rep.theta - np.pi), abs(rep.theta - 2 * np.pi)) < 1e-3
 
 
-def test_basin_csv(tmp_path):
-    F, _ = zonal_box()
-    seeds = pts(SPHERE, fibonacci_chart_grid(SPHERE, 20))
-    lab = basin_decomposition(F, seeds, tol=1e-7, max_iters=50_000)
-    path = tmp_path / "basins.csv"
-    lab.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "seed_theta,seed_phi,label"
-    assert len(lines) == 21
-
-
 def test_basin_decomposition_of_no_seeds_is_empty():
     # runs under the suite's error::RuntimeWarning filter
     def no_call(X):
@@ -370,7 +359,7 @@ def test_equivalence_distinguishes_rotated_zonal():
 # full pipeline
 # ---------------------------------------------------------------------------
 
-def test_run_reconstruction_bundle(tmp_path):
+def test_run_reconstruction_bundle():
     F, dom = zonal_box()
     samples = pts(SPHERE, [[1.1, 0.3], [0.8, 2.0], [2.3, 1.1]])
     report = run_reconstruction(F, 200, samples, alphas=[-0.5 * A_EQ], alpha_mode="known_measured")
@@ -378,9 +367,6 @@ def test_run_reconstruction_bundle(tmp_path):
     assert len(report.descent_samples) == 3
     assert len(report.composite_ops) == len(report.fixed_points)
     assert all(rec.alpha_mode == "known_measured" for _, rec in report.hessians_isotropic)
-    path = tmp_path / "rec.csv"
-    report.to_csv(path)
-    assert path.read_text().startswith("record,theta,phi,data")
 
 
 def test_run_reconstruction_composites_take_one_check_and_one_stencil(monkeypatch):
