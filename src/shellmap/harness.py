@@ -206,8 +206,6 @@ _nonnegative_int = _checked(int, lambda n: n >= 0, "must be nonnegative")
 _count = _checked(lambda text: int(float(text)), lambda n: n >= 0, "must be nonnegative")
 # a reconstruction gain alpha divides, so it is finite and nonzero
 _gain = _checked(float, lambda a: a != 0 and np.isfinite(a), "must be finite and nonzero")
-_gains = _checked(_parse_floats, lambda v: all(a != 0 and np.isfinite(a) for a in v),
-                  "expected finite nonzero values")
 _alpha_mode = _checked(str, ("known_classical", "known_measured", "assumed", "sweep").__contains__,
                        "expected known_classical, known_measured, assumed or sweep")
 _flag = _checked(str.lower, ("true", "false").__contains__, "expected true or false")
@@ -445,7 +443,8 @@ def _task_reconstruct(scn, dom, out, rng):
         alphas = [get("alpha", 1.0, _gain)]
     else:
         base = get("alpha", 1.0, _gain)
-        alphas = [base * m for m in get("alpha_factors", "0.25,0.5,1,2,4", _gains)]
+        alphas = get("alpha_factors", "0.25,0.5,1,2,4",
+                     lambda text: [_gain(base * m) for m in _parse_floats(text)])
     report = run_reconstruction(F, n_seeds, samples, alphas, alpha_mode=mode, h=h)
     records = (
         [("fixed_point", p, r) for p, r in report.fixed_points]

@@ -323,6 +323,8 @@ def test_cli_orbit_error_exit_3(tmp_path, capsys):
     (LINEARIZE_TASK, "task = reconstruct\ntask.alpha_mode = assumed\ntask.alpha = 0", "task.alpha"),
     (LINEARIZE_TASK, "task = reconstruct\ntask.alpha_mode = assumed\ntask.alpha = nan", "task.alpha"),
     (LINEARIZE_TASK, "task = reconstruct\ntask.alpha_mode = sweep\ntask.alpha_factors = 1,0", "task.alpha_factors"),
+    (LINEARIZE_TASK, "task = reconstruct\ntask.alpha_mode = sweep\ntask.alpha = 1e-200\n"
+     "task.alpha_factors = 1e-200,1", "task.alpha_factors"),
     (LINEARIZE_TASK, "task = reconstruct\ntask.alpha_mode = guess", "task.alpha_mode"),
 ], ids=["task.h", "task.point", "field.eps", "core.radius", "rng_seed", "core.radius=-1", "core.c=0",
         "orbit.tol=-1", "sweep.kind=foo", "admissibility.grid=0", "sweep.n_samples=0",
@@ -332,7 +334,7 @@ def test_cli_orbit_error_exit_3(tmp_path, capsys):
         "scaling.equivalence_seeds=-1", "scaling.equivalence_probe=-1",
         "scaling.equivalence_max_iters=-1", "fixed_points.n_seeds=-1", "basins.n_seeds=-1",
         "basins.max_iters=-1", "orbit.max_iters=-1", "assumed.alpha=0", "assumed.alpha=nan",
-        "sweep.alpha_factors=0", "reconstruct.alpha_mode=guess"])
+        "sweep.alpha_factors=0", "sweep.alpha_factors=underflow", "reconstruct.alpha_mode=guess"])
 def test_cli_bad_value_exit_2_names_the_key(tmp_path, capsys, old, new, key):
     scn = scn_path(tmp_path, ZONAL_LINEARIZE.replace(old, new))
     assert cli_main(["run", scn, "--out", str(tmp_path / "o")]) == 2
