@@ -21,6 +21,7 @@ from shellmap import (
 )
 from shellmap.domain import _outer_frames_batch, _outer_geometry_batch
 from shellmap.errors import ImmersionFailure
+from shellmap.harness import _Out, _task_admissibility, parse_scenario_text
 
 SPHERE = ConvexCore.sphere(1.0)
 CIRCLE = ConvexCore.circle(1.0)
@@ -224,4 +225,14 @@ def test_large_perturbation_inadmissible():
     report = admissibility_check(RadialDomain(SPHERE, ZonalLegendreField(SPHERE, 0.1, 0.5)), 4000)
     assert not report.admissible
     assert report.min_d < -0.149  # d(pi/2) = -0.15
+
+
+def test_admissibility_csv_schema(tmp_path):
+    # the admissibility table as the harness writes it: one row per grid point
+    dom = zonal_domain()
+    scn = parse_scenario_text("name = t\ntask = admissibility\ntask.grid = 500")
+    _task_admissibility(scn, dom, _Out(tmp_path), None)
+    lines = (tmp_path / "admissibility.csv").read_text().splitlines()
+    assert lines[0] == "theta,phi,d,min_sv_DPhi,normal_ray_hits"
+    assert len(lines) == 501
 

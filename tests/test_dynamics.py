@@ -32,6 +32,7 @@ from shellmap import (
 from shellmap import dynamics
 from shellmap.dynamics import OrbitRecord
 from shellmap.errors import ShellmapError
+from shellmap.harness import _Out, _task_orbit, parse_scenario_text
 from shellmap.surfaces import fibonacci_chart_grid
 
 SPHERE = ConvexCore.sphere(1.0)
@@ -300,6 +301,18 @@ def test_nonpositive_thickness_has_one_name_on_every_path():
     with pytest.raises(InadmissibleThickness):
         BlackBoxMap.wrap_domain(dom)(p)
     assert iterate_orbit(dom, p).error_kind == "InadmissibleThickness"
+
+
+def test_orbit_csv(tmp_path):
+    # the orbit table as the harness writes it: one row per orbit point
+    dom = zonal_domain()
+    rec = iterate_orbit(dom, pt(SPHERE, 1.0, 0.0), max_iters=50, tol=1e-15)
+    scn = parse_scenario_text("name = t\ntask = orbit\ntask.point = 1.0,0.0\n"
+                              "task.max_iters = 50\ntask.tol = 1e-15")
+    _task_orbit(scn, dom, _Out(tmp_path), None)
+    lines = (tmp_path / "orbit.csv").read_text().splitlines()
+    assert lines[0] == "step,theta,phi,x,y,z,d,displacement"
+    assert len(lines) == len(rec.points) + 1
 
 
 def test_iterate_batch_agrees_with_scalar_orbits():

@@ -26,6 +26,7 @@ from shellmap import (
     shape_operator_at,
 )
 from shellmap import inverse
+from shellmap.harness import _Out, _task_basins, parse_scenario_text
 from shellmap.surfaces import fibonacci_chart_grid
 
 SPHERE = ConvexCore.sphere(1.0)
@@ -314,6 +315,20 @@ def test_circle_two_basins_end_at_maxima():
     assert len(lab.cluster_reps) == 2
     for rep in lab.cluster_reps:
         assert min(abs(rep.theta - 0.0), abs(rep.theta - np.pi), abs(rep.theta - 2 * np.pi)) < 1e-3
+
+
+def test_basin_csv(tmp_path):
+    # the basins table as the harness writes it: one labelled row per seed
+    F, dom = zonal_box()
+    seeds = pts(SPHERE, fibonacci_chart_grid(SPHERE, 20))
+    lab = basin_decomposition(F, seeds, tol=1e-7, max_iters=50_000)
+    scn = parse_scenario_text("name = t\ntask = basins\ntask.n_seeds = 20\n"
+                              "task.tol = 1e-7\ntask.max_iters = 50000")
+    _task_basins(scn, dom, _Out(tmp_path), None)
+    lines = (tmp_path / "basins.csv").read_text().splitlines()
+    assert lines[0] == "seed_theta,seed_phi,label"
+    assert len(lines) == 21
+    assert [int(l.split(",")[2]) for l in lines[1:]] == list(lab.labels)
 
 
 def test_basin_decomposition_of_no_seeds_is_empty():
