@@ -456,9 +456,9 @@ def fixed_point_search(F: BlackBoxMap, n_seeds: int,
 
     Seeds on the deterministic near-uniform grid.  The residual scan is
     every orbit's first step: a seed fixed to tol there stops, the others
-    go to settle_batch with radius 1e-6 * surface_scale(), a tenth of the
-    radius at which the orbit endpoints are pre-clustered.  The endpoint of
-    least residual in each pre-cluster and the lowest-residual grid points,
+    settle (settle_batch) to tol, and the orbit endpoints are pre-clustered
+    at radius 1e-5 * surface_scale().  The endpoint of least residual in
+    each pre-cluster and the lowest-residual grid points,
     the MAX_REFINE of lowest residual among them, are polished by Newton on
     F(c) - c (_newton_polish, on the same central-difference Jacobian as
     linearize_fd), which is the final verification, then clustered at
@@ -478,13 +478,12 @@ def fixed_point_search(F: BlackBoxMap, n_seeds: int,
 
     # the scan is every orbit's first step: a seed fixed to tol stops there
     moving = np.flatnonzero(R >= tol)
-    pre_radius = 1e-5 * core.surface_scale()
-    orbit = settle_batch(F, limits[moving], 0.1 * pre_radius, tol, max_iters - 1)
+    orbit = settle_batch(F, limits[moving], tol, max_iters - 1)
     limits[moving] = orbit.limits
     unresolved = int(np.sum(~orbit.converged))
 
     lim_res = np.linalg.norm(F.batch(limits) - limits, axis=-1)
-    pre = _greedy_clusters(limits, radius=pre_radius)
+    pre = _greedy_clusters(limits, radius=1e-5 * core.surface_scale())
     lim_best = [members[np.argmin(lim_res[members])]
                 for members in (np.nonzero(pre == lab)[0] for lab in range(pre.max() + 1))]
     scan_idx = np.argsort(R)[:max(8, n_seeds // 20)]

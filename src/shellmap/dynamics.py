@@ -26,7 +26,6 @@ from .surfaces import (
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100_000
-SETTLE_EVERY = 8  # steps between Aitken estimates in settle_batch
 AMPLIFY_COS = 0.99  # direction agreement that doubles a seed's K in settle_batch
 TRUST_RADIUS = 0.05  # longest amplified step in settle_batch, in surface_scale()
 
@@ -175,7 +174,6 @@ class BatchOrbitResult:
     limits: np.ndarray       # (n, N) ambient, last iterate
     steps: np.ndarray        # (n,) int
     converged: np.ndarray    # (n,) bool
-    final_displacement: np.ndarray  # (n,)
 
 
 def iterate_batch(
@@ -192,7 +190,6 @@ def iterate_batch(
     n = X.shape[0]
     steps = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)
-    final_disp = np.full(n, np.inf)
     active = np.arange(n)
     seeds0 = X.copy()
     for _ in range(max_iters):
@@ -203,14 +200,13 @@ def iterate_batch(
         disp = np.linalg.norm(Y - Xa, axis=-1)
         X[active] = Y
         steps[active] += 1
-        final_disp[active] = disp
         done = disp < tol
         converged[active[done]] = True
         active = active[~done]
-    return BatchOrbitResult(seeds0, X, steps, converged, final_disp)
+    return BatchOrbitResult(seeds0, X, steps, converged)
 
 
-def settle_batch(F: BlackBoxMap, seeds: np.ndarray, radius: float,
+def settle_batch(F: BlackBoxMap, seeds: np.ndarray,
                  tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS) -> BatchOrbitResult:
     """Iterate F from many seeds, ambient points on its core, until each
     one settles on an attractor.
@@ -228,48 +224,27 @@ def settle_batch(F: BlackBoxMap, seeds: np.ndarray, radius: float,
 
     A seed stops on the contraction rule, disp < tol and disp <= the
     previous displacement (so at least two steps), both in F's units,
-    with its F image as its limit.  Every SETTLE_EVERY steps it also forms
-    the Aitken estimate L = Y + rho/(1 - rho) (Y - X) of the limit of the
-    step X -> Y = G_K(X), rho = |Y - X| / the previous step's length, and
-    retracts it onto the core, L^.  The seed stops at L^ when rho < 1, L
-    moved less than radius since the seed's previous estimate, and L^
-    checks out as a fixed point to within radius of the attractor,
-    |F(L^) - L^| <= (1 - rho) / K radius; that check rides in the next
-    step's map call.  An estimate that fails it (a spiral's chord
-    overshoots) costs nothing but its row in that call.  max_iters counts
-    map calls.  final_displacement is the last |F(x) - x|, or
-    |F(L^) - L^| at a settled L^.
+    with its F image as its limit.  Each map call maps exactly the seeds
+    still running, and max_iters counts map calls.
     """
     X = np.array(seeds, dtype=float, ndmin=2)
     seeds0 = X.copy()
     n = X.shape[0]
     steps = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)
-    final_disp = np.full(n, np.inf)
     trust = TRUST_RADIUS * F.core.surface_scale()
     # the working rows are the seeds still running: ids, iterates, last
     # displacements (-inf forces two steps, so the first displacement cannot
-    # satisfy the contraction rule vacuously) with their vectors, gains K,
-    # last step lengths and last Aitken estimates
+    # satisfy the contraction rule vacuously) with their vectors, and gains K
     ids, Xa = np.arange(n), X.copy()
-    prev, prev_D = np.full(n, -np.inf), np.zeros(X.shape)
-    K, prev_step = np.ones(n), np.zeros(n)
-    last_L = np.full(X.shape, np.nan)
-    pending = np.empty(0, dtype=int)  # rows whose estimate is checked next
+    prev, prev_D, K = np.full(n, -np.inf), np.zeros(X.shape), np.ones(n)
     it = 0
     while ids.size and it < max_iters:
         it += 1
-        m = ids.size
-        Z = F.batch(np.concatenate([Xa, L_hat]) if pending.size else Xa)
-        Y = Z[:m]
+        Y = F.batch(Xa)
         D = Y - Xa
         disp = np.linalg.norm(D, axis=-1)
         stop = (disp < tol) & (disp <= prev)
-        if pending.size:
-            resid = np.linalg.norm(Z[m:] - L_hat, axis=-1)
-            ok = (resid <= slack) & ~stop[pending]
-            Y[pending[ok]], disp[pending[ok]], stop[pending[ok]] = L_hat[ok], resid[ok], True
-            pending = pending[:0]
         with np.errstate(divide="ignore", invalid="ignore"):
             cos = np.sum(D * prev_D, axis=-1) / (disp * prev)  # nan where undefined
             r = np.where(prev > 0.0, disp / prev, np.inf)
@@ -280,28 +255,14 @@ def settle_batch(F: BlackBoxMap, seeds: np.ndarray, radius: float,
         amp = (K_next != 1.0) & ~stop
         if amp.any():
             Xn[amp] = retract_batch(F.core, Xa[amp], K_next[amp, None] * D[amp])
-        step = np.linalg.norm(Xn - Xa, axis=-1)
-        if it % SETTLE_EVERY == 0:
-            rho = np.full(m, np.inf)
-            np.divide(step, prev_step, out=rho, where=prev_step > 0.0)
-            gain = np.full(m, np.nan)  # nan where rho >= 1: no estimate
-            np.divide(rho, 1.0 - rho, out=gain, where=rho < 1.0)
-            L = Xn + gain[:, None] * (Xn - Xa)
-            near = (np.linalg.norm(L - last_L, axis=-1) < radius) & ~stop
-            last_L = L
-            if near.any():
-                L_hat = retract_batch(F.core, L[near], 0.0)
-                slack = (1.0 - rho[near]) / K_next[near] * radius
-                pending = np.flatnonzero(near[~stop])
-        Xa, prev, prev_D, K, prev_step = Xn, disp, D, K_next, step
+        Xa, prev, prev_D, K = Xn, disp, D, K_next
         if stop.any():
             done = ids[stop]
-            X[done], final_disp[done], steps[done], converged[done] = Y[stop], disp[stop], it, True
+            X[done], steps[done], converged[done] = Y[stop], it, True
             keep = ~stop
-            ids, Xa, prev, last_L = ids[keep], Xa[keep], prev[keep], last_L[keep]
-            prev_D, K, prev_step = prev_D[keep], K[keep], prev_step[keep]
-    X[ids], final_disp[ids], steps[ids] = Xa, prev, it
-    return BatchOrbitResult(seeds0, X, steps, converged, final_disp)
+            ids, Xa, prev, prev_D, K = ids[keep], Xa[keep], prev[keep], prev_D[keep], K[keep]
+    X[ids], steps[ids] = Xa, it
+    return BatchOrbitResult(seeds0, X, steps, converged)
 
 
 def thickness_step_stats(dom: RadialDomain, X: np.ndarray):

@@ -156,6 +156,9 @@ def build_core(spec: dict) -> ConvexCore:
 def build_field(core: ConvexCore, spec: dict, eps_override: float | None = None):
     get = _values(spec, "field")
     kind = get("kind", None, str)
+    dim = {"zonal_legendre": 3, "two_axis_legendre": 3, "fourier_2d": 2}.get(kind, core.dim)
+    if dim != core.dim:
+        raise ScenarioError(f"bad value {kind!r} for key 'field.kind': needs an N={dim} core")
     d0 = get("d0", 0.5)
     eps = get("eps", 0.0) if eps_override is None else eps_override
     if kind == "constant":
@@ -244,14 +247,16 @@ def load_bundled(name: str) -> str:
 # ---------------------------------------------------------------------------
 
 class _Out:
-    """The one writer of a run's files; each file it opens joins self.files."""
+    """The one writer of a run's files; each file it opens joins self.files.
+    The directory is made when the first file opens, so a run that fails
+    before it writes leaves none."""
 
     def __init__(self, directory: Path):
         self.dir = directory
-        self.dir.mkdir(parents=True, exist_ok=True)
         self.files = []
 
     def _open(self, name):
+        self.dir.mkdir(parents=True, exist_ok=True)
         path = self.dir / name
         self.files.append(path)
         return open(path, "w", newline="\n")
@@ -319,7 +324,7 @@ def _named_point(core: ConvexCore, spec: str) -> SurfacePoint:
         return SurfacePoint.from_chart(core, 0.0, 0.0) if core.dim == 3 else SurfacePoint.from_chart(core, 0.0)
     if spec == "equator":
         if core.dim != 3:
-            raise ScenarioError("'equator' needs an N=3 core")
+            raise ValueError("'equator' needs an N=3 core")
         return SurfacePoint.from_chart(core, np.pi / 2, 0.0)
     vals = _parse_floats(spec)
     return SurfacePoint.from_chart(core, *vals)
@@ -331,7 +336,8 @@ def _named_point(core: ConvexCore, spec: str) -> SurfacePoint:
 
 def _task_orbit(scn, dom, out, rng):
     get = _values(scn.params, "task")
-    seed_pt = get("point", "0.785398163,0", partial(_named_point, dom.core))
+    seed_pt = get("point", "0.785398163,0" if dom.core.dim == 3 else "0.785398163",
+                  partial(_named_point, dom.core))
     rec = iterate_orbit(dom, seed_pt, max_iters=get("max_iters", 1e5, _count),
                         tol=get("tol", 1e-10, _positive))
     core, n = dom.core, len(rec.points)
@@ -366,7 +372,7 @@ def _task_fixed_points(scn, dom, out, rng):
 
 def _task_linearize(scn, dom, out, rng):
     get = _values(scn.params, "task")
-    pt = get("point", "equator", partial(_named_point, dom.core))
+    pt = get("point", "equator" if dom.core.dim == 3 else "0", partial(_named_point, dom.core))
     h = get("h", 1e-5, _fd_step(dom.core))
     rep_fd = linearize_fd(dom, pt, h=h)
     rep_cl = linearize_analytic(dom, pt, step_scale=CLASSICAL_STEP_SCALE)
@@ -476,7 +482,6 @@ def _task_scaling(scn, dom, out, rng):
     F2 = BlackBoxMap.wrap_domain(dom2)
     samples = [SurfacePoint.from_chart(dom.core, ch) for ch in _sample_charts(dom.core, n_samples, rng)]
     diag = scaling_ambiguity_diagnostic(F1, F2, samples)
-    out.table("scaling.csv", ["cosine", "norm_ratio"], diag.cosines, diag.norm_ratios)
     if get("equivalence", "true", _flag) == "true":
         seeds = [SurfacePoint.from_chart(dom.core, ch)
                  for ch in fibonacci_chart_grid(dom.core, get("equivalence_seeds", 120, _nonnegative_int))]
@@ -489,6 +494,7 @@ def _task_scaling(scn, dom, out, rng):
         eq = verdict.verdict
     else:
         eq = "skipped"
+    out.table("scaling.csv", ["cosine", "norm_ratio"], diag.cosines, diag.norm_ratios)
     out.summary([
         ("lambda", lam),
         ("mean_cosine", diag.mean_cosine),

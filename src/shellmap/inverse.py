@@ -156,9 +156,8 @@ def basin_decomposition(F: BlackBoxMap, seeds, tol: float = 1e-8,
                         cluster_radius: float | None = None) -> BasinLabeling:
     """Settle each seed on its attractor and cluster the limits.
 
-    settle_batch runs the orbits with radius cluster_radius / 10, so an
-    Aitken-settled limit lies well inside its cluster.  Non-convergent
-    seeds get label -1.  The continuum flag is raised when every seed
+    settle_batch runs the orbits to tol; non-convergent seeds get
+    label -1.  The continuum flag is raised when every seed
     converges and more than half of them stop within two steps (steps <= 2:
     the contraction rule stops a seed that is already fixed at its second
     step).  No seeds give an empty labeling without a map call.
@@ -169,7 +168,7 @@ def basin_decomposition(F: BlackBoxMap, seeds, tol: float = 1e-8,
     if cluster_radius is None:
         # wide enough to swallow the convergence ball around each attractor
         cluster_radius = max(10.0 * tol, 1e-3 * F.core.surface_scale())
-    result = settle_batch(F, _ambient_rows(F.core, seeds), 0.1 * cluster_radius, tol, max_iters)
+    result = settle_batch(F, _ambient_rows(F.core, seeds), tol, max_iters)
     labels = -np.ones(len(seeds), dtype=int)
     conv = result.converged
     continuum = bool(np.mean(result.steps <= 2) > 0.5 and np.all(conv))
@@ -275,15 +274,14 @@ class ReconstructionReport:
     descent_samples: list                   # (SurfacePoint, unit ambient direction)
     composite_ops: list                     # (SurfacePoint, matrix)
     hessians_isotropic: list                # (SurfacePoint, IsotropicReconstruction)
-    basin_labels: BasinLabeling | None
     skipped_samples: int = 0
 
 
 def run_reconstruction(F: BlackBoxMap, n_seeds: int, samples, alphas,
                        alpha_mode: str = "assumed", h: float = DEFAULT_FD_STEP,
-                       tol: float = 1e-10, basin_seeds=None) -> ReconstructionReport:
-    """Full black-box pass: fixed points, line field, composite operators,
-    isotropic Hessian estimates (one per supplied alpha), basins; all
+                       tol: float = 1e-10) -> ReconstructionReport:
+    """Full black-box pass: fixed points, line field, composite operators
+    and isotropic Hessian estimates (one per supplied alpha); all
     composites take one fixed-point check and one stencil call."""
     scan = fixed_point_search(F, n_seeds, tol=tol)
     fixed = list(zip(scan.points, scan.residuals))
@@ -298,7 +296,4 @@ def run_reconstruction(F: BlackBoxMap, n_seeds: int, samples, alphas,
     for p, C in composites:
         for a in np.atleast_1d(alphas):
             hessians.append((p, reconstruct_hessian_isotropic(C, float(a), alpha_mode)))
-    basins = None
-    if basin_seeds is not None:
-        basins = basin_decomposition(F, basin_seeds, tol=max(tol, 1e-8))
-    return ReconstructionReport(fixed, descent, composites, hessians, basins, len(skipped))
+    return ReconstructionReport(fixed, descent, composites, hessians, len(skipped))

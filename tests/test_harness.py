@@ -38,6 +38,8 @@ task.point = equator
 """
 
 LINEARIZE_TASK = "task = linearize\ntask.point = equator"
+SPHERE_ZONAL = "core.kind = sphere\ncore.radius = 1.0\nfield.kind = zonal_legendre"
+CIRCLE_FOURIER = "core.kind = circle\ncore.radius = 1.0\nfield.kind = fourier_2d"
 
 
 def scn_path(tmp_path, text, name="s.scn"):
@@ -326,6 +328,11 @@ def test_cli_orbit_error_exit_3(tmp_path, capsys):
     (LINEARIZE_TASK, "task = reconstruct\ntask.alpha_mode = sweep\ntask.alpha = 1e-200\n"
      "task.alpha_factors = 1e-200,1", "task.alpha_factors"),
     (LINEARIZE_TASK, "task = reconstruct\ntask.alpha_mode = guess", "task.alpha_mode"),
+    # a field or a named point on a core of the wrong dimension
+    (SPHERE_ZONAL, SPHERE_ZONAL.replace("sphere", "circle"), "field.kind"),
+    (SPHERE_ZONAL, CIRCLE_FOURIER.replace("fourier_2d", "two_axis_legendre"), "field.kind"),
+    (SPHERE_ZONAL, SPHERE_ZONAL.replace("zonal_legendre", "fourier_2d"), "field.kind"),
+    (SPHERE_ZONAL, CIRCLE_FOURIER, "task.point"),
 ], ids=["task.h", "task.point", "field.eps", "core.radius", "rng_seed", "core.radius=-1", "core.c=0",
         "orbit.tol=-1", "sweep.kind=foo", "admissibility.grid=0", "sweep.n_samples=0",
         "scaling.equivalence=ture", "field.axis=0", "field.axis2=nan", "linearize.h=1e9",
@@ -334,17 +341,34 @@ def test_cli_orbit_error_exit_3(tmp_path, capsys):
         "scaling.equivalence_seeds=-1", "scaling.equivalence_probe=-1",
         "scaling.equivalence_max_iters=-1", "fixed_points.n_seeds=-1", "basins.n_seeds=-1",
         "basins.max_iters=-1", "orbit.max_iters=-1", "assumed.alpha=0", "assumed.alpha=nan",
-        "sweep.alpha_factors=0", "sweep.alpha_factors=underflow", "reconstruct.alpha_mode=guess"])
+        "sweep.alpha_factors=0", "sweep.alpha_factors=underflow", "reconstruct.alpha_mode=guess",
+        "zonal_on_circle", "two_axis_on_circle", "fourier_on_sphere", "equator_on_circle"])
 def test_cli_bad_value_exit_2_names_the_key(tmp_path, capsys, old, new, key):
     scn = scn_path(tmp_path, ZONAL_LINEARIZE.replace(old, new))
     assert cli_main(["run", scn, "--out", str(tmp_path / "o")]) == 2
     assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_validate_out_of_range_exit_2_names_the_key(tmp_path, capsys):
     scn = scn_path(tmp_path, ZONAL_LINEARIZE.replace("core.radius = 1.0", "core.radius = -1"))
     assert cli_main(["validate", scn]) == 2
     assert "'core.radius'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", [SPHERE_ZONAL.replace("sphere", "circle"),
+                                   SPHERE_ZONAL.replace("zonal_legendre", "fourier_2d")],
+                         ids=["zonal_on_circle", "fourier_on_sphere"])
+def test_cli_validate_field_on_the_wrong_core_exit_2_names_the_key(tmp_path, capsys, field):
+    assert cli_main(["validate", scn_path(tmp_path, ZONAL_LINEARIZE.replace(SPHERE_ZONAL, field))]) == 2
+    assert "'field.kind'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task", ["orbit", "linearize"])
+def test_cli_circle_task_runs_from_its_default_point(tmp_path, task):
+    scn = ZONAL_LINEARIZE.replace(SPHERE_ZONAL, CIRCLE_FOURIER).replace(LINEARIZE_TASK, f"task = {task}")
+    assert cli_main(["run", scn_path(tmp_path, scn), "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "summary.csv").exists()
 
 
 def test_cli_fixed_points_with_no_seeds(tmp_path, capsys):
