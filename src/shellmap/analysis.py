@@ -478,12 +478,13 @@ def fixed_point_search(F: BlackBoxMap, n_seeds: int,
 
     # the scan is every orbit's first step: a seed fixed to tol stops there
     moving = np.flatnonzero(R >= tol)
+    pre_radius = 1e-5 * core.surface_scale()
     orbit = settle_batch(F, limits[moving], tol, max_iters - 1)
     limits[moving] = orbit.limits
     unresolved = int(np.sum(~orbit.converged))
 
     lim_res = np.linalg.norm(F.batch(limits) - limits, axis=-1)
-    pre = _greedy_clusters(limits, radius=1e-5 * core.surface_scale())
+    pre = _greedy_clusters(limits, radius=pre_radius)
     lim_best = [members[np.argmin(lim_res[members])]
                 for members in (np.nonzero(pre == lab)[0] for lab in range(pre.max() + 1))]
     scan_idx = np.argsort(R)[:max(8, n_seeds // 20)]
