@@ -11,14 +11,7 @@ import os
 import sys
 
 from .errors import ScenarioError, ShellmapError
-from .harness import (
-    TaskFailure,
-    build_core,
-    build_field,
-    list_scenarios,
-    parse_scenario,
-    run_scenario,
-)
+from .harness import TaskFailure, list_scenarios, parse_scenario, resolve, run_scenario
 
 
 def _build_parser():
@@ -47,19 +40,16 @@ def main(argv=None) -> int:
             for name in list_scenarios():
                 print(name)
             return 0
+        scn = parse_scenario(args.scenario)
         if args.command == "validate":
-            scn = parse_scenario(args.scenario)
-            core = build_core(scn.core)
-            build_field(core, scn.field_spec)
+            resolve(scn)
             print(f"ok: scenario {scn.name!r} (task {scn.task})")
             return 0
         # run
         out_dir = args.out or os.environ.get("SHELLMAP_OUT")
         if out_dir and not args.out:
-            scn = parse_scenario(args.scenario)
             out_dir = os.path.join(out_dir, scn.name)
-        files = run_scenario(args.scenario, out_dir=out_dir, seed=args.seed)
-        for f in files:
+        for f in run_scenario(scn, out_dir=out_dir, seed=args.seed):
             print(f)
         return 0
     except ScenarioError as exc:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from importlib import resources
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,6 +59,7 @@ class TaskFailure(ShellmapError):
 
 @dataclass
 class Scenario:
+    """A parsed scenario: its top-level keys read, its sections as text, each key's line."""
     name: str
     core: dict
     field_spec: dict
@@ -65,12 +67,13 @@ class Scenario:
     params: dict
     rng_seed: int = 0
     output_dir: str | None = None
+    lines: dict = field(default_factory=dict)
 
 
 def parse_scenario_text(text: str) -> Scenario:
-    """Parse the flat key = value format; raises ScenarioError with the
-    offending line and column."""
-    data = {}
+    """Parse the flat key = value format and read its top-level keys;
+    raises ScenarioError with the offending line and column."""
+    sections, lines = {"": {}, "core": {}, "field": {}, "task": {}}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -84,32 +87,17 @@ def parse_scenario_text(text: str) -> Scenario:
             raise ScenarioError("empty key", line=lineno, column=1)
         if not value:
             raise ScenarioError(f"empty value for key {key!r}", line=lineno, column=raw.index("=") + 2)
-        if key in data:
+        if key in lines:
             raise ScenarioError(f"duplicate key {key!r}", line=lineno, column=1)
-        data[key] = (value, lineno)
-
-    def pop(key, default=None, required=False):
-        if key in data:
-            return data.pop(key)[0]
-        if required:
-            raise ScenarioError(f"missing required key {key!r}")
-        return default
-
-    name = pop("name", required=True)
-    task = pop("task", required=True)
-    if task not in TASKS:
-        raise ScenarioError(f"unknown task {task!r}; expected one of {', '.join(TASKS)}")
-    rng_seed = _convert(pop("rng_seed", "0"), int, "rng_seed")
-    outdir = pop("output_dir")
-    core = {k[len("core."):]: v for k, (v, _) in list(data.items()) if k.startswith("core.")}
-    fieldspec = {k[len("field."):]: v for k, (v, _) in list(data.items()) if k.startswith("field.")}
-    params = {k[len("task."):]: v for k, (v, _) in list(data.items()) if k.startswith("task.")}
-    leftovers = [k for k in data if not k.startswith(("core.", "field.", "task."))]
-    if leftovers:
-        key = leftovers[0]
-        raise ScenarioError(f"unknown key {key!r}", line=data[key][1], column=1)
-    return Scenario(name=name, core=core, field_spec=fieldspec, task=task,
-                    params=params, rng_seed=rng_seed, output_dir=outdir)
+        lines[key] = lineno
+        head, dot, rest = key.partition(".")
+        if dot and head in ("core", "field", "task"):
+            sections[head][rest] = value
+        else:
+            sections[""][key] = value
+    top = _read("", sections[""], SCENARIO_KEYS, lines, {})
+    return Scenario(**top, core=sections["core"], field_spec=sections["field"], params=sections["task"],
+                    lines=lines)
 
 
 def parse_scenario(path) -> Scenario:
@@ -119,65 +107,39 @@ def parse_scenario(path) -> Scenario:
 _REQUIRED = object()
 
 
-def _convert(text, convert, key: str):
-    """convert(text); a value that does not convert raises ScenarioError
-    naming the key."""
+class _Given(NamedTuple):
+    """A converter that depends on the core and on the keys declared before it."""
+    make: Callable  # (core, values) -> converter
+
+
+def _convert(text, convert, key: str, line: int = 0):
+    """convert(text), or a ScenarioError naming the key and, when known, its line."""
     try:
         return convert(text)
     except (ValueError, TypeError, OverflowError) as exc:
-        raise ScenarioError(f"bad value {text!r} for key {key!r}: {exc}") from None
+        raise ScenarioError(f"bad value {text!r} for key {key!r}: {exc}", line=line, column=1) from None
 
 
-def _values(spec: dict, section: str):
-    """The reader of one scenario section (core, field or task):
-    get(key, default, convert=float) is convert(spec[key]), or
-    convert(default) when the key is absent; a None default passes through
-    and a missing key without default raises ScenarioError."""
-    def get(key, default=_REQUIRED, convert=float):
-        text = spec.get(key, default)
+def _read(prefix: str, spec: dict, keys: dict, lines: dict, texts: dict, core=None) -> dict:
+    """The values of a section (prefix '', 'core.', 'field.' or 'task.'), its text spec read in order
+    against keys, name -> (default text, by core dimension if a dict, None if unset; converter or
+    _Given); texts gains each value's text.  A bad, missing or unknown key raises ScenarioError."""
+    values = {}
+    for key, (default, convert) in keys.items():
+        name, text = prefix + key, spec.get(key, default)
+        if isinstance(text, dict):
+            text = text[core.dim]
         if text is _REQUIRED:
-            raise ScenarioError(f"missing required key '{section}.{key}'")
-        return None if text is None else _convert(text, convert, f"{section}.{key}")
-    return get
-
-
-def build_core(spec: dict) -> ConvexCore:
-    get = _values(spec, "core")
-    kind = get("kind", None, str)
-    if kind == "circle":
-        return ConvexCore.circle(get("radius", 1.0, _positive))
-    if kind == "sphere":
-        return ConvexCore.sphere(get("radius", 1.0, _positive))
-    if kind == "ellipsoid":
-        return ConvexCore.ellipsoid(*(get(k, convert=_positive) for k in "abc"))
-    raise ScenarioError(f"unknown core.kind {kind!r}")
-
-
-def build_field(core: ConvexCore, spec: dict, eps_override: float | None = None):
-    get = _values(spec, "field")
-    kind = get("kind", None, str)
-    dim = {"zonal_legendre": 3, "two_axis_legendre": 3, "fourier_2d": 2}.get(kind, core.dim)
-    if dim != core.dim:
-        raise ScenarioError(f"bad value {kind!r} for key 'field.kind': needs an N={dim} core")
-    d0 = get("d0", 0.5)
-    eps = get("eps", 0.0) if eps_override is None else eps_override
-    if kind == "constant":
-        return ConstantField(core, d0)
-    if kind == "zonal_legendre":
-        axis = get("axis", "0,0,1", _axis)
-        return ZonalLegendreField(core, d0, eps, axis=axis)
-    if kind == "fourier_2d":
-        terms = get("terms", "2:0.01", _parse_terms)
-        if eps_override is not None:
-            terms = [(k, eps_override) for k, _ in terms]
-        return Fourier2DField(core, d0, terms)
-    if kind == "two_axis_legendre":
-        axis2 = get("axis2", "1,1,1", _axis)
-        return SumField([
-            ZonalLegendreField(core, d0, eps),
-            ZonalLegendreField(core, 0.0, eps, axis=axis2),
-        ])
-    raise ScenarioError(f"unknown field.kind {kind!r}")
+            raise ScenarioError(f"missing required key {name!r}")
+        if isinstance(convert, _Given):
+            convert = convert.make(core, values)
+        values[key] = None if text is None else _convert(text, convert, name, lines.get(name, 0))
+        if text is not None:
+            texts[name] = text
+    for key in spec:
+        if key not in keys:
+            raise ScenarioError(f"unknown key {prefix + key!r}", line=lines.get(prefix + key, 0), column=1)
+    return values
 
 
 def _parse_terms(text):
@@ -202,30 +164,92 @@ def _checked(convert, ok, need: str):
     return checked
 
 
+def _one_of(names):
+    return _checked(str, names.__contains__, f"expected one of {', '.join(names)}")
+
+
 _positive = _checked(float, lambda x: x > 0, "must be positive")
+_positive_finite = _checked(float, lambda x: 0 < x < np.inf, "must be positive and finite")
 _positive_int = _checked(int, lambda n: n > 0, "must be positive")
 _nonnegative_int = _checked(int, lambda n: n >= 0, "must be nonnegative")
 # an integer count that may be written as a float, e.g. 1e5
 _count = _checked(lambda text: int(float(text)), lambda n: n >= 0, "must be nonnegative")
 # a reconstruction gain alpha divides, so it is finite and nonzero
 _gain = _checked(float, lambda a: a != 0 and np.isfinite(a), "must be finite and nonzero")
-_alpha_mode = _checked(str, ("known_classical", "known_measured", "assumed", "sweep").__contains__,
-                       "expected known_classical, known_measured, assumed or sweep")
+_alpha_mode = _one_of(("known_classical", "known_measured", "assumed", "sweep"))
 _flag = _checked(str.lower, ("true", "false").__contains__, "expected true or false")
-_sweep_kind = _checked(str, ("series", "first_order", "second_order", "normal").__contains__,
-                       "expected series, first_order, second_order or normal")
+_sweep_kind = _one_of(("series", "first_order", "second_order", "normal"))
 _axis = _checked(_parse_floats, lambda v: len(v) == 3 and 0 < np.linalg.norm(v) < np.inf,
                  "expected three finite numbers, not all zero")
 # a slope is fitted through the sweep, so it needs two scales
 _scales = _checked(_parse_floats, lambda v: len(v) >= 2 and min(v) > 0,
                    "expected at least two positive values")
+# a named point (pole, equator) or a chart on the core
+_point = _Given(lambda core, _: partial(_named_point, core))
+_chart = _Given(lambda core, _: _checked(
+    _parse_floats, lambda v: len(v) == core.dim - 1 and np.all(np.isfinite(v)),
+    f"expected {core.dim - 1} finite values"))
+# the FD step: positive and at most 1e-2 surface_scale(), beyond which
+# central differences cannot resolve DF
+_fd_step = _Given(lambda core, _: _checked(
+    float, lambda h: 0 < h <= 1e-2 * core.surface_scale(),
+    f"must be positive and at most {1e-2 * core.surface_scale():g}"))
+_alpha_factors = _Given(lambda core, v: lambda text: [_gain(v["alpha"] * m) for m in _parse_floats(text)])
+
+CORES = {  # kind -> (constructor, keys)
+    "circle": (ConvexCore.circle, {"radius": ("1.0", _positive)}),
+    "sphere": (ConvexCore.sphere, {"radius": ("1.0", _positive)}),
+    "ellipsoid": (ConvexCore.ellipsoid, {k: (_REQUIRED, _positive) for k in "abc"}),
+}
 
 
-def _fd_step(core: ConvexCore):
-    """The FD step converter: positive and at most 1e-2 surface_scale(),
-    beyond which central differences cannot resolve DF."""
-    h_max = 1e-2 * core.surface_scale()
-    return _checked(float, lambda h: 0 < h <= h_max, f"must be positive and at most {h_max:g}")
+def _fourier_2d(core, d0, eps, terms):
+    # eps, when set, is the amplitude of every term
+    return Fourier2DField(core, d0, terms if eps is None else [(k, eps) for k, _ in terms])
+
+
+def _two_axis_legendre(core, d0, eps, axis2):
+    return SumField([ZonalLegendreField(core, d0, eps), ZonalLegendreField(core, 0.0, eps, axis=axis2)])
+
+
+_D0, _EPS = ("0.5", float), ("0.0", float)
+FIELDS = {  # kind -> (core dimension, or None for any, constructor, keys)
+    "constant": (None, ConstantField, {"d0": _D0}),
+    "zonal_legendre": (3, ZonalLegendreField, {"d0": _D0, "eps": _EPS, "axis": ("0,0,1", _axis)}),
+    "fourier_2d": (2, _fourier_2d, {"d0": _D0, "eps": (None, float), "terms": ("2:0.01", _parse_terms)}),
+    "two_axis_legendre": (3, _two_axis_legendre, {"d0": _D0, "eps": _EPS, "axis2": ("1,1,1", _axis)}),
+}
+_field_kind = _Given(lambda core, _: _checked(
+    _one_of(FIELDS), lambda kind: FIELDS[kind][0] in (None, core.dim), f"is not defined on an N={core.dim} core"))
+
+
+def build_core(spec: dict, lines: dict | None = None, texts: dict | None = None) -> ConvexCore:
+    """The core of a core section; texts, when given, gains the text of its keys."""
+    make, keys = CORES.get(spec.get("kind"), (None, {}))
+    kind = {"kind": (_REQUIRED, _one_of(CORES))}
+    values = _read("core.", spec, {**kind, **keys}, lines or {}, {} if texts is None else texts)
+    return make(**{k: values[k] for k in keys})
+
+
+class Resolved(NamedTuple):
+    """A scenario read against its declared keys."""
+    dom: RadialDomain
+    values: dict  # the task's
+    field_at: Callable  # eps -> the field with field.eps = eps
+    texts: dict  # the text of every key read, defaults included
+
+
+def resolve(scn: Scenario) -> Resolved:
+    """Read the core, field and task sections of scn against their declared
+    keys, before any computation."""
+    texts = {}
+    core = build_core(scn.core, scn.lines, texts)
+    _, make, keys = FIELDS.get(scn.field_spec.get("kind"), (None, None, {}))
+    fv = _read("field.", scn.field_spec, {"kind": (_REQUIRED, _field_kind), **keys}, scn.lines, texts, core)
+    def field_at(eps=fv.get("eps")):
+        return make(core, **{k: eps if k == "eps" else fv[k] for k in keys})
+    values = _read("task.", scn.params, TASKS[scn.task][1], scn.lines, texts, core)
+    return Resolved(RadialDomain(core, field_at()), values, field_at, texts)
 
 
 def list_scenarios():
@@ -334,13 +358,22 @@ def _named_point(core: ConvexCore, spec: str) -> SurfacePoint:
 # task implementations
 # ---------------------------------------------------------------------------
 
-def _task_orbit(scn, dom, out, rng):
-    get = _values(scn.params, "task")
-    seed_pt = get("point", "0.785398163,0" if dom.core.dim == 3 else "0.785398163",
-                  partial(_named_point, dom.core))
-    rec = iterate_orbit(dom, seed_pt, max_iters=get("max_iters", 1e5, _count),
-                        tol=get("tol", 1e-10, _positive))
-    core, n = dom.core, len(rec.points)
+TASKS = {}  # name -> (function of (Resolved, _Out, rng), declared keys)
+
+
+def _task(name: str, keys: dict):
+    def register(fn):
+        TASKS[name] = (fn, keys)
+        return fn
+    return register
+
+
+@_task("orbit", {"point": ({2: "0.785398163", 3: "0.785398163,0"}, _point), "max_iters": ("1e5", _count),
+                 "tol": ("1e-10", _positive)})
+def _task_orbit(r, out, rng):
+    v, core = r.values, r.dom.core
+    rec = iterate_orbit(r.dom, v["point"], max_iters=v["max_iters"], tol=v["tol"])
+    n = len(rec.points)
     disps = rec.displacement_norms + [0.0] * (n - len(rec.displacement_norms))
     out.table("orbit.csv", ["step", "theta", "phi", "x", "y", "z", "d", "displacement"],
               np.arange(n), *_theta_phi(core, [p.chart for p in rec.points]),
@@ -355,11 +388,10 @@ def _task_orbit(scn, dom, out, rng):
     ])
 
 
-def _task_fixed_points(scn, dom, out, rng):
-    get = _values(scn.params, "task")
-    scan = find_fixed_points(dom, n_seeds=get("n_seeds", 400, _nonnegative_int),
-                             tol=get("tol", 1e-10, _positive))
-    core = dom.core
+@_task("fixed_points", {"n_seeds": ("400", _nonnegative_int), "tol": ("1e-10", _positive)})
+def _task_fixed_points(r, out, rng):
+    scan = find_fixed_points(r.dom, n_seeds=r.values["n_seeds"], tol=r.values["tol"])
+    core = r.dom.core
     out.table("fixed_points.csv", ["theta", "phi", "x", "y", "z", "residual", "grad_norm"],
               *_theta_phi(core, [p.chart for p in scan.points]),
               *_xyz(core, [p.ambient for p in scan.points]), scan.residuals, scan.grad_norms)
@@ -370,11 +402,10 @@ def _task_fixed_points(scn, dom, out, rng):
     ])
 
 
-def _task_linearize(scn, dom, out, rng):
-    get = _values(scn.params, "task")
-    pt = get("point", "equator" if dom.core.dim == 3 else "0", partial(_named_point, dom.core))
-    h = get("h", 1e-5, _fd_step(dom.core))
-    rep_fd = linearize_fd(dom, pt, h=h)
+@_task("linearize", {"point": ({2: "0", 3: "equator"}, _point), "h": ("1e-5", _fd_step)})
+def _task_linearize(r, out, rng):
+    dom, pt = r.dom, r.values["point"]
+    rep_fd = linearize_fd(dom, pt, h=r.values["h"])
     rep_cl = linearize_analytic(dom, pt, step_scale=CLASSICAL_STEP_SCALE)
     rep_ms = linearize_analytic(dom, pt, step_scale=MEASURED_STEP_SCALE)
     rows = []
@@ -402,28 +433,25 @@ def _task_linearize(scn, dom, out, rng):
     ])
 
 
-def _task_expansion_sweep(scn, dom, out, rng):
-    get = _values(scn.params, "task")
-    kind = get("kind", "first_order", _sweep_kind)
-    core = dom.core
+# kind = series reads chart and d_list; the other kinds eps_list, n_samples and step_scale
+@_task("expansion_sweep", {
+    "kind": ("first_order", _sweep_kind), "d_list": ("1e-1,3e-2,1e-2,3e-3", _scales),
+    "chart": ({2: "1.0", 3: "1.0,0.7"}, _chart), "eps_list": ("1e-1,3e-2,1e-2,3e-3,1e-3", _scales),
+    "n_samples": ("10", _positive_int), "step_scale": (repr(CLASSICAL_STEP_SCALE), float)})
+def _task_expansion_sweep(r, out, rng):
+    v, kind, core = r.values, r.values["kind"], r.dom.core
     if kind == "series":
-        d_list = get("d_list", "1e-1,3e-2,1e-2,3e-3", _scales)
-        chart = get("chart", "1.0,0.7", _parse_floats)[: core.dim - 1]
-        res, slope = preconditioner_series_residual(core, chart, d_list)
-        out.table("sweep.csv", ["d", "residual"], d_list, res)
+        res, slope = preconditioner_series_residual(core, v["chart"], v["d_list"])
+        out.table("sweep.csv", ["d", "residual"], v["d_list"], res)
         out.summary([("kind", kind), ("fitted_slope", float(slope))])
         return
-    eps_list = get("eps_list", "1e-1,3e-2,1e-2,3e-3,1e-3", _scales)
-    n_samples = get("n_samples", 10, _positive_int)
-    step_scale = get("step_scale", CLASSICAL_STEP_SCALE)
-    charts = _sample_charts(core, n_samples, rng)
-    report = residual_sweep(core, lambda e: build_field(core, scn.field_spec, eps_override=e),
-                            eps_list, charts, step_scale=step_scale, kind=kind)
+    charts = _sample_charts(core, v["n_samples"], rng)
+    report = residual_sweep(core, r.field_at, v["eps_list"], charts, step_scale=v["step_scale"], kind=kind)
     out.table("sweep.csv", ["eps", "residual", "transverse_residual"],
               report.epsilons, report.residual_norms, report.transverse_residual_norms)
     out.summary([
         ("kind", kind),
-        ("step_scale", step_scale),
+        ("step_scale", v["step_scale"]),
         ("fitted_slope", float(report.fitted_slope)),
         ("transverse_slope", float(report.transverse_slope)),
         ("min_per_sample_slope", float(np.min(report.per_sample_slopes))),
@@ -431,30 +459,27 @@ def _task_expansion_sweep(scn, dom, out, rng):
     ])
 
 
-def _task_reconstruct(scn, dom, out, rng):
-    get = _values(scn.params, "task")
+# the known alpha modes read the gain at alpha_point; assumed takes alpha, sweep alpha times each factor
+@_task("reconstruct", {
+    "n_seeds": ("400", _nonnegative_int), "n_samples": ("50", _nonnegative_int), "h": ("1e-5", _fd_step),
+    "alpha_mode": ("known_measured", _alpha_mode), "alpha_point": ({2: "0", 3: "equator"}, _point),
+    "alpha": ("1.0", _gain), "alpha_factors": ("0.25,0.5,1,2,4", _alpha_factors)})
+def _task_reconstruct(r, out, rng):
+    v, dom = r.values, r.dom
     F = BlackBoxMap.wrap_domain(dom)
-    n_seeds = get("n_seeds", 400, _nonnegative_int)
-    n_samples = get("n_samples", 50, _nonnegative_int)
-    h = get("h", 1e-5, _fd_step(dom.core))
-    samples = [SurfacePoint.from_chart(dom.core, ch) for ch in _sample_charts(dom.core, n_samples, rng)]
-    mode = get("alpha_mode", "known_measured", _alpha_mode)
+    samples = [SurfacePoint.from_chart(dom.core, ch) for ch in _sample_charts(dom.core, v["n_samples"], rng)]
+    mode = v["alpha_mode"]
     if mode in ("known_classical", "known_measured"):
-        probe = get("alpha_point", "equator" if dom.core.dim == 3 else "0", partial(_named_point, dom.core))
-        frame = frame_at(dom.core, probe)
-        A = curvature_preconditioner(dom, probe, frame)
+        frame = frame_at(dom.core, v["alpha_point"])
+        A = curvature_preconditioner(dom, v["alpha_point"], frame)
         a = float(np.trace(A)) / A.shape[0]
         alphas = [a if mode == "known_classical" else -0.5 * a]
-    elif mode == "assumed":
-        alphas = [get("alpha", 1.0, _gain)]
     else:
-        base = get("alpha", 1.0, _gain)
-        alphas = get("alpha_factors", "0.25,0.5,1,2,4",
-                     lambda text: [_gain(base * m) for m in _parse_floats(text)])
-    report = run_reconstruction(F, n_seeds, samples, alphas, alpha_mode=mode, h=h)
+        alphas = [v["alpha"]] if mode == "assumed" else v["alpha_factors"]
+    report = run_reconstruction(F, v["n_seeds"], samples, alphas, alpha_mode=mode, h=v["h"])
     records = (
-        [("fixed_point", p, r) for p, r in report.fixed_points]
-        + [("descent_dir", p, v) for p, v in report.descent_samples]
+        [("fixed_point", p, res) for p, res in report.fixed_points]
+        + [("descent_dir", p, vec) for p, vec in report.descent_samples]
         + [("composite", p, C) for p, C in report.composite_ops]
         + [(f"hessian(alpha={rec.alpha:.6g},{rec.alpha_mode})", p, rec.hessian)
            for p, rec in report.hessians_isotropic]
@@ -473,30 +498,32 @@ def _task_reconstruct(scn, dom, out, rng):
     ])
 
 
-def _task_scaling(scn, dom, out, rng):
-    get = _values(scn.params, "task")
-    lam = get("lambda", 2.0)
-    n_samples = get("n_samples", 100, _nonnegative_int)
-    dom2 = RadialDomain(dom.core, ScaledField(lam, dom.field))
+@_task("scaling", {
+    "lambda": ("2.0", _positive_finite), "n_samples": ("100", _nonnegative_int), "equivalence": ("true", _flag),
+    "equivalence_seeds": ("120", _nonnegative_int), "equivalence_probe": ("200", _nonnegative_int),
+    "equivalence_tol": ("1e-7", _positive), "equivalence_max_iters": ("2e5", _count)})
+def _task_scaling(r, out, rng):
+    v, dom = r.values, r.dom
+    dom2 = RadialDomain(dom.core, ScaledField(v["lambda"], dom.field))
     F1 = BlackBoxMap.wrap_domain(dom)
     F2 = BlackBoxMap.wrap_domain(dom2)
-    samples = [SurfacePoint.from_chart(dom.core, ch) for ch in _sample_charts(dom.core, n_samples, rng)]
+    samples = [SurfacePoint.from_chart(dom.core, ch) for ch in _sample_charts(dom.core, v["n_samples"], rng)]
     diag = scaling_ambiguity_diagnostic(F1, F2, samples)
-    if get("equivalence", "true", _flag) == "true":
+    if v["equivalence"] == "true":
         seeds = [SurfacePoint.from_chart(dom.core, ch)
-                 for ch in fibonacci_chart_grid(dom.core, get("equivalence_seeds", 120, _nonnegative_int))]
+                 for ch in fibonacci_chart_grid(dom.core, v["equivalence_seeds"])]
         verdict = dynamical_equivalence_check(
             F1, F2, seeds,
-            n_probe=get("equivalence_probe", 200, _nonnegative_int),
-            iter_tol=get("equivalence_tol", 1e-7, _positive),
-            max_iters=get("equivalence_max_iters", 2e5, _count),
+            n_probe=v["equivalence_probe"],
+            iter_tol=v["equivalence_tol"],
+            max_iters=v["equivalence_max_iters"],
         )
         eq = verdict.verdict
     else:
         eq = "skipped"
     out.table("scaling.csv", ["cosine", "norm_ratio"], diag.cosines, diag.norm_ratios)
     out.summary([
-        ("lambda", lam),
+        ("lambda", v["lambda"]),
         ("mean_cosine", diag.mean_cosine),
         ("ratio_mean", diag.ratio_mean),
         ("ratio_median", diag.ratio_median),
@@ -505,17 +532,14 @@ def _task_scaling(scn, dom, out, rng):
     ])
 
 
-def _task_basins(scn, dom, out, rng):
-    get = _values(scn.params, "task")
+@_task("basins", {"n_seeds": ("500", _nonnegative_int), "tol": ("1e-8", _positive),
+                  "max_iters": ("2e5", _count), "cluster_radius": (None, _positive)})
+def _task_basins(r, out, rng):
+    v, dom = r.values, r.dom
     F = BlackBoxMap.wrap_domain(dom)
-    seeds = [SurfacePoint.from_chart(dom.core, ch)
-             for ch in fibonacci_chart_grid(dom.core, get("n_seeds", 500, _nonnegative_int))]
-    labeling = basin_decomposition(
-        F, seeds,
-        tol=get("tol", 1e-8, _positive),
-        max_iters=get("max_iters", 2e5, _count),
-        cluster_radius=get("cluster_radius", None, _positive),
-    )
+    seeds = [SurfacePoint.from_chart(dom.core, ch) for ch in fibonacci_chart_grid(dom.core, v["n_seeds"])]
+    labeling = basin_decomposition(F, seeds, tol=v["tol"], max_iters=v["max_iters"],
+                                   cluster_radius=v["cluster_radius"])
     out.table("basins.csv", ["seed_theta", "seed_phi", "label"],
               *_theta_phi(dom.core, [p.chart for p in labeling.seeds]), labeling.labels)
     counts = {int(l): int(np.sum(labeling.labels == l)) for l in sorted(set(labeling.labels))}
@@ -523,15 +547,15 @@ def _task_basins(scn, dom, out, rng):
         ("n_clusters", len(labeling.cluster_reps)),
         ("unresolved", counts.get(-1, 0)),
         ("continuum_of_fixed_points", str(labeling.continuum)),
-        ("largest_basin", max((v for k, v in counts.items() if k >= 0), default=0)),
+        ("largest_basin", max((c for k, c in counts.items() if k >= 0), default=0)),
     ])
 
 
-def _task_admissibility(scn, dom, out, rng):
-    get = _values(scn.params, "task")
-    report = admissibility_check(dom, grid_size=get("grid", 4096, _positive_int))
+@_task("admissibility", {"grid": ("4096", _positive_int)})
+def _task_admissibility(r, out, rng):
+    report = admissibility_check(r.dom, grid_size=r.values["grid"])
     out.table("admissibility.csv", ["theta", "phi", "d", "min_sv_DPhi", "normal_ray_hits"],
-              *_theta_phi(dom.core, report.chart), report.d_values, report.min_sv_dphi,
+              *_theta_phi(r.dom.core, report.chart), report.d_values, report.min_sv_dphi,
               report.normal_ray_hits)
     out.summary([
         ("min_d", report.min_d),
@@ -541,49 +565,35 @@ def _task_admissibility(scn, dom, out, rng):
     ])
 
 
-TASKS = {
-    "orbit": _task_orbit,
-    "fixed_points": _task_fixed_points,
-    "linearize": _task_linearize,
-    "expansion_sweep": _task_expansion_sweep,
-    "reconstruct": _task_reconstruct,
-    "scaling": _task_scaling,
-    "basins": _task_basins,
-    "admissibility": _task_admissibility,
-}
-
-
 def run_scenario(scenario: Scenario | str, out_dir=None, seed=None):
     """Execute a scenario, writing CSV reports plus a run manifest.
 
-    Numeric failures are re-raised as TaskFailure carrying the operation
-    name.  Returns the list of written files.
+    A bad key raises ScenarioError before any file is written; numeric
+    failures are re-raised as TaskFailure carrying the operation name.
+    Returns the list of written files.
     """
     if isinstance(scenario, (str, Path)):
         scenario = parse_scenario(scenario)
-    if seed is not None:
-        scenario.rng_seed = int(seed)
-    rng = np.random.default_rng(scenario.rng_seed)
-    directory = Path(out_dir or scenario.output_dir or Path("runs") / scenario.name)
-    out = _Out(directory)
     start = time.monotonic()
-    core = build_core(scenario.core)
-    fld = build_field(core, scenario.field_spec)
-    dom = RadialDomain(core, fld)
+    r = resolve(scenario)
+    rng_seed = scenario.rng_seed if seed is None else _convert(seed, _nonnegative_int, "rng_seed")
+    rng = np.random.default_rng(rng_seed)
+    out = _Out(Path(out_dir or scenario.output_dir or Path("runs") / scenario.name))
     try:
-        TASKS[scenario.task](scenario, dom, out, rng)
-    except ScenarioError:
-        raise
+        TASKS[scenario.task][0](r, out, rng)
     except ShellmapError as exc:
         raise TaskFailure(scenario.task, exc) from exc
     elapsed = time.monotonic() - start
-    sections = (("core", scenario.core), ("field", scenario.field_spec), ("task", scenario.params))
     out.manifest([
         ("name", scenario.name),
         ("task", scenario.task),
-        ("rng_seed", scenario.rng_seed),
-        *((f"{section}.{k}", spec[k]) for section, spec in sections for k in sorted(spec)),
+        ("rng_seed", rng_seed),
+        *sorted(r.texts.items()),
         ("tool_version", __version__),
         ("wall_time_s", f"{elapsed:.3f}"),
     ])
     return out.files
+
+
+SCENARIO_KEYS = {"name": (_REQUIRED, str), "task": (_REQUIRED, _one_of(TASKS)),  # named as Scenario's fields
+                 "rng_seed": ("0", _nonnegative_int), "output_dir": (None, str)}

@@ -32,7 +32,7 @@ from shellmap import (
 from shellmap import dynamics
 from shellmap.dynamics import OrbitRecord
 from shellmap.errors import ShellmapError
-from shellmap.harness import _Out, _task_orbit, parse_scenario_text
+from shellmap.harness import _Out, _task_orbit, parse_scenario_text, resolve
 from shellmap.surfaces import fibonacci_chart_grid
 
 SPHERE = ConvexCore.sphere(1.0)
@@ -307,9 +307,10 @@ def test_orbit_csv(tmp_path):
     # the orbit table as the harness writes it: one row per orbit point
     dom = zonal_domain()
     rec = iterate_orbit(dom, pt(SPHERE, 1.0, 0.0), max_iters=50, tol=1e-15)
-    scn = parse_scenario_text("name = t\ntask = orbit\ntask.point = 1.0,0.0\n"
+    scn = parse_scenario_text("name = t\ncore.kind = sphere\nfield.kind = zonal_legendre\n"
+                              "field.d0 = 0.5\nfield.eps = 0.01\ntask = orbit\ntask.point = 1.0,0.0\n"
                               "task.max_iters = 50\ntask.tol = 1e-15")
-    _task_orbit(scn, dom, _Out(tmp_path), None)
+    _task_orbit(resolve(scn), _Out(tmp_path), None)
     lines = (tmp_path / "orbit.csv").read_text().splitlines()
     assert lines[0] == "step,theta,phi,x,y,z,d,displacement"
     assert len(lines) == len(rec.points) + 1

@@ -18,10 +18,10 @@ from shellmap.harness import (
     _theta_phi,
     _xyz,
     build_core,
-    build_field,
     list_scenarios,
     load_bundled,
     parse_scenario_text,
+    resolve,
     run_scenario,
 )
 
@@ -95,11 +95,11 @@ def test_build_core_variants():
 
 
 def test_build_field_variants():
-    core = build_core({"kind": "sphere", "radius": "1.0"})
-    fld = build_field(core, {"kind": "zonal_legendre", "d0": "0.5", "eps": "0.01"})
+    # ZONAL_LINEARIZE: a zonal_legendre field with d0 = 0.5 and eps = 0.01 on the unit sphere
+    fld = resolve(parse_scenario_text(ZONAL_LINEARIZE)).dom.field
     assert fld.eps == 0.01
     with pytest.raises(ScenarioError):
-        build_field(core, {"kind": "mystery"})
+        resolve(parse_scenario_text(ZONAL_LINEARIZE.replace("zonal_legendre", "mystery")))
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +112,7 @@ def test_bundled_scenarios_parse_and_validate():
     assert "constant_shell" in names
     assert "residual_sweep" in names
     for name in names:
-        scn = parse_scenario_text(load_bundled(name))
-        core = build_core(scn.core)
-        build_field(core, scn.field_spec)
+        resolve(parse_scenario_text(load_bundled(name)))
 
 
 def test_unknown_bundled_name():
@@ -178,6 +176,25 @@ def test_admissibility_scenario(tmp_path):
     assert "admissible,True" in summary
     header = (tmp_path / "o" / "admissibility.csv").read_text().splitlines()[0]
     assert header == "theta,phi,d,min_sv_DPhi,normal_ray_hits"
+
+
+def test_manifest_lists_every_resolved_key(tmp_path):
+    # ZONAL_LINEARIZE sets neither field.axis nor task.h: their defaults are listed too
+    run_scenario(scn_path(tmp_path, ZONAL_LINEARIZE), out_dir=tmp_path / "o")
+    lines = (tmp_path / "o" / "manifest.txt").read_text().splitlines()
+    assert lines[:-2] == ["name = demo", "task = linearize", "rng_seed = 0", "core.kind = sphere",
+                          "core.radius = 1.0", "field.axis = 0,0,1", "field.d0 = 0.5", "field.eps = 0.01",
+                          "field.kind = zonal_legendre", "task.h = 1e-5", "task.point = equator"]
+
+
+def test_fourier_eps_sets_every_term_amplitude():
+    text = ZONAL_LINEARIZE.replace(SPHERE_ZONAL, CIRCLE_FOURIER + "\nfield.terms = 2:0.01,3:0.02")
+    text = text.replace(LINEARIZE_TASK, "task = orbit")
+
+    def terms(text):
+        return resolve(parse_scenario_text(text)).dom.field.terms
+    assert terms(text.replace("field.eps = 0.01\n", "")) == [(2, 0.01), (3, 0.02)]
+    assert terms(text.replace("field.eps = 0.01", "field.eps = 0.05")) == [(2, 0.05), (3, 0.05)]
 
 
 def test_manifest_contents(tmp_path):
@@ -333,6 +350,14 @@ def test_cli_orbit_error_exit_3(tmp_path, capsys):
     (SPHERE_ZONAL, CIRCLE_FOURIER.replace("fourier_2d", "two_axis_legendre"), "field.kind"),
     (SPHERE_ZONAL, SPHERE_ZONAL.replace("zonal_legendre", "fourier_2d"), "field.kind"),
     (SPHERE_ZONAL, CIRCLE_FOURIER, "task.point"),
+    # a negative seed, a series chart of the wrong length, a scale that is not positive and finite
+    ("rng_seed = 0", "rng_seed = -1", "rng_seed"),
+    (LINEARIZE_TASK, "task = expansion_sweep\ntask.kind = series\ntask.chart = 1.0", "task.chart"),
+    (LINEARIZE_TASK, "task = expansion_sweep\ntask.kind = series\ntask.chart = 1.0,0.7,0.3", "task.chart"),
+    (LINEARIZE_TASK, "task = scaling\ntask.lambda = 0", "task.lambda"),
+    (LINEARIZE_TASK, "task = scaling\ntask.lambda = -2", "task.lambda"),
+    (LINEARIZE_TASK, "task = scaling\ntask.lambda = nan", "task.lambda"),
+    (LINEARIZE_TASK, "task = scaling\ntask.lambda = inf", "task.lambda"),
 ], ids=["task.h", "task.point", "field.eps", "core.radius", "rng_seed", "core.radius=-1", "core.c=0",
         "orbit.tol=-1", "sweep.kind=foo", "admissibility.grid=0", "sweep.n_samples=0",
         "scaling.equivalence=ture", "field.axis=0", "field.axis2=nan", "linearize.h=1e9",
@@ -342,12 +367,54 @@ def test_cli_orbit_error_exit_3(tmp_path, capsys):
         "scaling.equivalence_max_iters=-1", "fixed_points.n_seeds=-1", "basins.n_seeds=-1",
         "basins.max_iters=-1", "orbit.max_iters=-1", "assumed.alpha=0", "assumed.alpha=nan",
         "sweep.alpha_factors=0", "sweep.alpha_factors=underflow", "reconstruct.alpha_mode=guess",
-        "zonal_on_circle", "two_axis_on_circle", "fourier_on_sphere", "equator_on_circle"])
+        "zonal_on_circle", "two_axis_on_circle", "fourier_on_sphere", "equator_on_circle",
+        "rng_seed=-1", "series.chart=1", "series.chart=3", "scaling.lambda=0", "scaling.lambda=-2",
+        "scaling.lambda=nan", "scaling.lambda=inf"])
 def test_cli_bad_value_exit_2_names_the_key(tmp_path, capsys, old, new, key):
     scn = scn_path(tmp_path, ZONAL_LINEARIZE.replace(old, new))
     assert cli_main(["run", scn, "--out", str(tmp_path / "o")]) == 2
     assert f"'{key}'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+    # validate reads every key that run reads
+    assert cli_main(["validate", scn]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,line", [
+    ("zonal_orbit", "task.tolerance = 1e-3"),
+    ("zonal_orbit", "field.epsilon = 0.5"),
+    ("zonal_orbit", "task.n_seed = 3"),
+    ("constant_shell", "field.eps = 0.01"),
+    ("circle_cos2_fixed_points", "field.axis = 0,0,1"),
+    ("zonal_basins", "task.lambda = 2"),
+], ids=["misspelt.tol", "misspelt.eps", "misspelt.n_seeds", "eps_on_constant", "axis_on_fourier",
+        "lambda_on_basins"])
+def test_cli_unknown_key_exit_2_names_the_key_and_its_line(tmp_path, capsys, name, line):
+    # a key that no declaration of the core, field or task names is not silently ignored
+    text = load_bundled(name).rstrip("\n") + "\n" + line + "\n"
+    scn, key, lineno = scn_path(tmp_path, text), line.split(" = ")[0], len(text.splitlines())
+    for argv in (["validate", scn], ["run", scn, "--out", str(tmp_path / "o")]):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"parse error at line {lineno}," in err and f"unknown key '{key}'" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_negative_seed_option_exit_2(tmp_path, capsys):
+    scn = scn_path(tmp_path, ZONAL_LINEARIZE)
+    assert cli_main(["run", scn, "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+    assert "'rng_seed'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_run_parses_the_file_once(tmp_path, monkeypatch):
+    import shellmap.harness as harness
+    calls = []
+    parse = harness.parse_scenario_text
+    monkeypatch.setattr(harness, "parse_scenario_text", lambda text: calls.append(text) or parse(text))
+    monkeypatch.setenv("SHELLMAP_OUT", str(tmp_path / "envout"))
+    assert cli_main(["run", scn_path(tmp_path, ZONAL_LINEARIZE)]) == 0
+    assert len(calls) == 1 and (tmp_path / "envout" / "demo" / "summary.csv").exists()
 
 
 def test_cli_validate_out_of_range_exit_2_names_the_key(tmp_path, capsys):

@@ -26,7 +26,7 @@ from shellmap import (
     shape_operator_at,
 )
 from shellmap import inverse
-from shellmap.harness import _Out, _task_basins, parse_scenario_text
+from shellmap.harness import _Out, _task_basins, parse_scenario_text, resolve
 from shellmap.surfaces import fibonacci_chart_grid
 
 SPHERE = ConvexCore.sphere(1.0)
@@ -319,12 +319,13 @@ def test_circle_two_basins_end_at_maxima():
 
 def test_basin_csv(tmp_path):
     # the basins table as the harness writes it: one labelled row per seed
-    F, dom = zonal_box()
+    F, _ = zonal_box()
     seeds = pts(SPHERE, fibonacci_chart_grid(SPHERE, 20))
     lab = basin_decomposition(F, seeds, tol=1e-7, max_iters=50_000)
-    scn = parse_scenario_text("name = t\ntask = basins\ntask.n_seeds = 20\n"
+    scn = parse_scenario_text("name = t\ncore.kind = sphere\nfield.kind = zonal_legendre\n"
+                              "field.d0 = 0.5\nfield.eps = 0.01\ntask = basins\ntask.n_seeds = 20\n"
                               "task.tol = 1e-7\ntask.max_iters = 50000")
-    _task_basins(scn, dom, _Out(tmp_path), None)
+    _task_basins(resolve(scn), _Out(tmp_path), None)
     lines = (tmp_path / "basins.csv").read_text().splitlines()
     assert lines[0] == "seed_theta,seed_phi,label"
     assert len(lines) == 21
