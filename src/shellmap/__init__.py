@@ -27,7 +27,6 @@ from .surfaces import (
     TangentFrame,
     fibonacci_chart_grid,
     frame_at,
-    normal_at,
     ray_first_hit,
     retract,
     shape_operator_at,
@@ -77,7 +76,6 @@ from .analysis import (
     linearize_analytic,
     linearize_fd,
     normal_expansion_residual,
-    preconditioner_determinant,
     preconditioner_series_residual,
     residual_sweep,
     second_order_residual,

@@ -43,6 +43,7 @@ MAX_REFINE = 64
 CLUSTER_CHUNK = 1 << 15  # floats in one distance temporary of _greedy_clusters (256 KiB)
 DEFAULT_FD_STEP = 1e-5
 SLOPE_FLOOR_FACTOR = 1e-13
+NEUTRAL_TOL = 1e-6  # classify_fixed_point: |mu| this close to 1 is neutral
 
 CLASSICAL_STEP_SCALE = -2.0  # descent-model coefficient of d (I-dS)^-1 grad d
 MEASURED_STEP_SCALE = 1.0    # coefficient the exact ray mechanism exhibits
@@ -70,15 +71,6 @@ def curvature_preconditioner(dom: RadialDomain, c: SurfacePoint, frame: TangentF
     """2 d (I - d S)^(-1), the operator through which the thickness Hessian
     is observed in the classical linearization model."""
     return 2.0 * step_operator(dom, c, frame)
-
-
-def preconditioner_determinant(dom: RadialDomain, c: SurfacePoint, frame: TangentFrame | None = None) -> float:
-    """det(I - d S), reported as the operative invertibility condition."""
-    if frame is None:
-        frame = frame_at(dom.core, c)
-    d = dom.field.eval(c)
-    S = shape_operator_at(dom.core, c, frame)
-    return float(np.linalg.det(np.eye(S.shape[0]) - d * S))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +142,7 @@ def normal_expansion_residual(dom: RadialDomain, c: SurfacePoint) -> float:
     return float(expansion_residual_batch(dom, c.ambient[None], kind="normal")[0][0])
 
 
-def fit_loglog(xs, ys, floor: float | None = None):
+def fit_loglog(xs, ys, floor: float):
     """Least-squares slope of log ys vs log xs.
 
     Values at or below the floor are excluded (they are indistinguishable
@@ -159,8 +151,6 @@ def fit_loglog(xs, ys, floor: float | None = None):
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if floor is None:
-        floor = 0.0
     keep = ys > floor
     if int(np.sum(keep)) < 2:
         return float("inf"), int(np.sum(keep))
@@ -255,7 +245,6 @@ class LinearizationReport:
     degenerate: bool = False
     preconditioner: np.ndarray | None = None
     hessian: np.ndarray | None = None
-    h: float | None = None
 
 
 def _classified(c_star, frame, DF, method, preconditioner, **extra) -> LinearizationReport:
@@ -272,6 +261,14 @@ def _require_fixed(F: BlackBoxMap, X: np.ndarray) -> None:
     resid = float(np.max(np.linalg.norm(F.batch(X) - X, axis=-1)))
     if resid > FIXED_POINT_RESIDUAL_TOL:
         raise NotAFixedPoint(f"|F(c) - c| = {resid:.3e} exceeds {FIXED_POINT_RESIDUAL_TOL:.1e}")
+
+
+def fixed_point_jacobian(F: BlackBoxMap, X: np.ndarray, E: np.ndarray,
+                         h: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """finite_difference_jacobian_batch at centres X, (k, N), in frames E,
+    after NotAFixedPoint unless every centre is fixed under F."""
+    _require_fixed(F, X)
+    return finite_difference_jacobian_batch(F, X, E, h)
 
 
 def finite_difference_jacobian_batch(F: BlackBoxMap, X: np.ndarray, E: np.ndarray,
@@ -294,10 +291,8 @@ def linearize_fd(dom: RadialDomain, c_star: SurfacePoint, frame: TangentFrame | 
     """Finite-difference linearization of the exact return map at a fixed point."""
     if frame is None:
         frame = frame_at(dom.core, c_star)
-    F, X = BlackBoxMap.wrap_domain(dom), c_star.ambient[None]
-    _require_fixed(F, X)
-    DF = finite_difference_jacobian_batch(F, X, frame.vectors[None], h)[0]
-    return _classified(c_star, frame, DF, "finite_difference", curvature_preconditioner(dom, c_star, frame), h=h)
+    DF = fixed_point_jacobian(BlackBoxMap.wrap_domain(dom), c_star.ambient[None], frame.vectors[None], h)[0]
+    return _classified(c_star, frame, DF, "finite_difference", curvature_preconditioner(dom, c_star, frame))
 
 
 def linearize_analytic(dom: RadialDomain, c_star: SurfacePoint, frame: TangentFrame | None = None,
@@ -317,19 +312,20 @@ def linearize_analytic(dom: RadialDomain, c_star: SurfacePoint, frame: TangentFr
     return _classified(c_star, frame, DF, "analytic", 2.0 * G, hessian=H)
 
 
-def classify_fixed_point(report: LinearizationReport, tol: float = 1e-6):
+def classify_fixed_point(report: LinearizationReport):
     """Per-eigenvalue stability labels and a Morse index estimate.
 
-    Eigenvalues within tol of the unit circle are Neutral and excluded
-    from index counting.  The index is the number of eigenvalues of the
-    analytic Hessian (when attached) or of A^(-1)(I - DF) below -tol.
+    Eigenvalues within NEUTRAL_TOL of the unit circle are Neutral and
+    excluded from index counting.  The index is the number of eigenvalues
+    of the analytic Hessian (when attached) or of A^(-1)(I - DF) below
+    -NEUTRAL_TOL.
     """
     labels = []
     for mu in report.eigenvalues:
         m = abs(mu)
-        if m < 1.0 - tol:
+        if m < 1.0 - NEUTRAL_TOL:
             labels.append("attracting")
-        elif m > 1.0 + tol:
+        elif m > 1.0 + NEUTRAL_TOL:
             labels.append("repelling")
         else:
             labels.append("neutral")
@@ -353,8 +349,8 @@ def classify_fixed_point(report: LinearizationReport, tol: float = 1e-6):
     morse = None
     degenerate = False
     if hess_est is not None:
-        morse = int(np.sum(hess_est < -tol))
-        degenerate = bool(np.any(np.abs(hess_est) <= tol))
+        morse = int(np.sum(hess_est < -NEUTRAL_TOL))
+        degenerate = bool(np.any(np.abs(hess_est) <= NEUTRAL_TOL))
 
     report.stability = stability
     report.eigen_labels = labels

@@ -78,9 +78,6 @@ class BlackBoxMap:
         """Hide a radial domain behind the call interface."""
         return BlackBoxMap(dom.core, partial(return_map_batch, dom))
 
-    def __call__(self, p: SurfacePoint) -> SurfacePoint:
-        return SurfacePoint.from_ambient(self.core, self.batch_fn(p.ambient[None])[0])
-
     def batch(self, X: np.ndarray) -> np.ndarray:
         return self.batch_fn(X)
 
@@ -98,8 +95,7 @@ class BlackBoxMap:
 class OrbitRecord:
     """Trajectory of the discrete dynamics with per-step diagnostics."""
 
-    seed: SurfacePoint
-    points: list
+    points: list                 # from the seed on
     thickness_values: list
     displacement_norms: list
     status: str                  # "converged" | "max_iterations" | "error"
@@ -160,17 +156,16 @@ def iterate_orbit(
     points = [seed][:len(X)] + [SurfacePoint(core, c, a) for c, a in zip(charts, X[1:])]
     thickness = d.tolist()
     if status != "converged":
-        return OrbitRecord(seed, points, thickness, disps, status, error_kind=error_kind)
+        return OrbitRecord(points, thickness, disps, status, error_kind=error_kind)
     limit = points[-1]
     gnorm = float(np.linalg.norm(dom.field.surface_gradient_ambient(limit)))
-    return OrbitRecord(seed, points, thickness, disps, status, limit=limit, limit_grad_norm=gnorm)
+    return OrbitRecord(points, thickness, disps, status, limit=limit, limit_grad_norm=gnorm)
 
 
 @dataclass
 class BatchOrbitResult:
     """Limits and step counts for a batch of seeds (no trajectories kept)."""
 
-    seeds: np.ndarray        # (n, N) ambient
     limits: np.ndarray       # (n, N) ambient, last iterate
     steps: np.ndarray        # (n,) int
     converged: np.ndarray    # (n,) bool
@@ -183,7 +178,7 @@ def iterate_batch(
     tol: float = DEFAULT_TOL,
 ) -> BatchOrbitResult:
     """Iterate the return map of dom on many seeds at once; a seed stops at
-    the first displacement below tol (plain iteration, no extrapolation).
+    the first displacement below tol (plain iteration).
     It takes the domain, not a BlackBoxMap, because its callers (the
     criterion 9 descent and its benchmark) hold one."""
     X = np.atleast_2d(np.asarray(seeds, dtype=float)).copy()
@@ -191,7 +186,6 @@ def iterate_batch(
     steps = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)
     active = np.arange(n)
-    seeds0 = X.copy()
     for _ in range(max_iters):
         if active.size == 0:
             break
@@ -203,7 +197,7 @@ def iterate_batch(
         done = disp < tol
         converged[active[done]] = True
         active = active[~done]
-    return BatchOrbitResult(seeds0, X, steps, converged)
+    return BatchOrbitResult(X, steps, converged)
 
 
 def settle_batch(F: BlackBoxMap, seeds: np.ndarray,
@@ -228,7 +222,6 @@ def settle_batch(F: BlackBoxMap, seeds: np.ndarray,
     still running, and max_iters counts map calls.
     """
     X = np.array(seeds, dtype=float, ndmin=2)
-    seeds0 = X.copy()
     n = X.shape[0]
     steps = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)
@@ -262,7 +255,7 @@ def settle_batch(F: BlackBoxMap, seeds: np.ndarray,
             keep = ~stop
             ids, Xa, prev, prev_D, K = ids[keep], Xa[keep], prev[keep], prev_D[keep], K[keep]
     X[ids], steps[ids] = Xa, it
-    return BatchOrbitResult(seeds0, X, steps, converged)
+    return BatchOrbitResult(X, steps, converged)
 
 
 def thickness_step_stats(dom: RadialDomain, X: np.ndarray):

@@ -24,7 +24,6 @@ from .surfaces import (
     ConvexCore,
     SurfacePoint,
     TangentFrame,
-    fibonacci_chart_grid,
     frame_at,
     shape_action_batch,
 )
@@ -62,10 +61,6 @@ class ThicknessField:
             raise InadmissibleThickness(f"d = {val:.6g} <= 0 at chart {p.chart}")
         return val
 
-    def value_unchecked(self, p: SurfacePoint) -> float:
-        """Raw value without the positivity guard (diagnostics only)."""
-        return float(self.ambient_value(p.ambient))
-
     def surface_gradient(self, p: SurfacePoint, frame: TangentFrame | None = None) -> np.ndarray:
         """Riemannian gradient components in the frame, length N-1."""
         self._check_point(p)
@@ -76,6 +71,7 @@ class ThicknessField:
 
     def surface_gradient_ambient(self, p: SurfacePoint) -> np.ndarray:
         """Riemannian gradient as an ambient tangent vector."""
+        self._check_point(p)
         g = self.ambient_grad(p.ambient)
         nu = self.core.normal(p.ambient)
         return g - nu * float(np.dot(g, nu))
@@ -107,17 +103,6 @@ class ThicknessField:
                 + gn[:, None] * shape_action_batch(self.core, X, V))
 
     # -- validation ----------------------------------------------------------
-    def check_positivity(self, n: int = 10000):
-        """Minimum of the raw field over a deterministic validation grid.
-
-        Returns (ok, min_value, argmin_chart).
-        """
-        grid = fibonacci_chart_grid(self.core, n)
-        X = self.core.ambient_from_chart(grid)
-        vals = self.ambient_value(X)
-        k = int(np.argmin(vals))
-        return bool(vals[k] > 0.0), float(vals[k]), grid[k]
-
     def _check_point(self, p: SurfacePoint):
         if p.core != self.core:
             raise ValueError("surface point belongs to a different core")

@@ -168,8 +168,7 @@ def _one_of(names):
     return _checked(str, names.__contains__, f"expected one of {', '.join(names)}")
 
 
-_positive = _checked(float, lambda x: x > 0, "must be positive")
-_positive_finite = _checked(float, lambda x: 0 < x < np.inf, "must be positive and finite")
+_positive = _checked(float, lambda x: 0 < x < np.inf, "must be positive and finite")
 _positive_int = _checked(int, lambda n: n > 0, "must be positive")
 _nonnegative_int = _checked(int, lambda n: n >= 0, "must be nonnegative")
 # an integer count that may be written as a float, e.g. 1e5
@@ -182,8 +181,8 @@ _sweep_kind = _one_of(("series", "first_order", "second_order", "normal"))
 _axis = _checked(_parse_floats, lambda v: len(v) == 3 and 0 < np.linalg.norm(v) < np.inf,
                  "expected three finite numbers, not all zero")
 # a slope is fitted through the sweep, so it needs two scales
-_scales = _checked(_parse_floats, lambda v: len(v) >= 2 and min(v) > 0,
-                   "expected at least two positive values")
+_scales = _checked(_parse_floats, lambda v: len(v) >= 2 and all(0 < x < np.inf for x in v),
+                   "expected at least two positive finite values")
 # a named point (pole, equator) or a chart on the core
 _point = _Given(lambda core, _: partial(_named_point, core))
 _chart = _Given(lambda core, _: _checked(
@@ -249,6 +248,10 @@ def resolve(scn: Scenario) -> Resolved:
     def field_at(eps=fv.get("eps")):
         return make(core, **{k: eps if k == "eps" else fv[k] for k in keys})
     values = _read("task.", scn.params, TASKS[scn.task][1], scn.lines, texts, core)
+    if scn.task == "expansion_sweep" and values["kind"] != "series" and "eps" not in keys:
+        raise ScenarioError(f"bad value {fv['kind']!r} for key 'field.kind': a {values['kind']} sweep "
+                            "varies the field's eps, and this kind has none",
+                            line=scn.lines.get("field.kind", 0), column=1)
     return Resolved(RadialDomain(core, field_at()), values, field_at, texts)
 
 
@@ -499,7 +502,7 @@ def _task_reconstruct(r, out, rng):
 
 
 @_task("scaling", {
-    "lambda": ("2.0", _positive_finite), "n_samples": ("100", _nonnegative_int), "equivalence": ("true", _flag),
+    "lambda": ("2.0", _positive), "n_samples": ("100", _nonnegative_int), "equivalence": ("true", _flag),
     "equivalence_seeds": ("120", _nonnegative_int), "equivalence_probe": ("200", _nonnegative_int),
     "equivalence_tol": ("1e-7", _positive), "equivalence_max_iters": ("2e5", _count)})
 def _task_scaling(r, out, rng):

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
-    finite_difference_jacobian_batch,
+    fixed_point_jacobian,
     fixed_point_search,
     _greedy_clusters,
-    _require_fixed,
     DEFAULT_FD_STEP,
     FIXED_POINT_RESIDUAL_TOL,
 )
@@ -62,8 +61,7 @@ def estimate_composite_operator(F: BlackBoxMap, c_star: SurfacePoint,
     """I - DF at a fixed point, DF by the central-difference stencil."""
     if frame is None:
         frame = frame_at(F.core, c_star)
-    _require_fixed(F, c_star.ambient[None])
-    DF = finite_difference_jacobian_batch(F, c_star.ambient[None], frame.vectors[None], h)[0]
+    DF = fixed_point_jacobian(F, c_star.ambient[None], frame.vectors[None], h)[0]
     return np.eye(DF.shape[0]) - DF
 
 
@@ -278,20 +276,18 @@ class ReconstructionReport:
 
 
 def run_reconstruction(F: BlackBoxMap, n_seeds: int, samples, alphas,
-                       alpha_mode: str = "assumed", h: float = DEFAULT_FD_STEP,
-                       tol: float = 1e-10) -> ReconstructionReport:
+                       alpha_mode: str = "assumed", h: float = DEFAULT_FD_STEP) -> ReconstructionReport:
     """Full black-box pass: fixed points, line field, composite operators
     and isotropic Hessian estimates (one per supplied alpha); all
     composites take one fixed-point check and one stencil call."""
-    scan = fixed_point_search(F, n_seeds, tol=tol)
+    scan = fixed_point_search(F, n_seeds)
     fixed = list(zip(scan.points, scan.residuals))
     descent, skipped = recover_descent_field(F, samples)
     points = [p for p, r in fixed if r <= FIXED_POINT_RESIDUAL_TOL]
     composites, hessians = [], []
     if points:
         X = _ambient_rows(F.core, points)
-        _require_fixed(F, X)
-        DF = finite_difference_jacobian_batch(F, X, frames_batch(F.core, X), h)
+        DF = fixed_point_jacobian(F, X, frames_batch(F.core, X), h)
         composites = [(p, np.eye(F.core.dim - 1) - J) for p, J in zip(points, DF)]
     for p, C in composites:
         for a in np.atleast_1d(alphas):

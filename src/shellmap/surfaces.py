@@ -166,7 +166,6 @@ class SurfacePoint:
 class TangentFrame:
     """Orthonormal tangent vectors at a surface point (deterministic rule)."""
 
-    base: SurfacePoint
     vectors: np.ndarray  # shape (N-1, N)
 
 
@@ -238,13 +237,7 @@ def frames_batch(core: ConvexCore, X: np.ndarray) -> np.ndarray:
 
 def frame_at(core: ConvexCore, p: SurfacePoint) -> TangentFrame:
     """Deterministic orthonormal tangent frame at p."""
-    return TangentFrame(p, frames_batch(core, p.ambient[None])[0])
-
-
-def normal_at(core: ConvexCore, p: SurfacePoint) -> np.ndarray:
-    """Outward unit normal at a surface point."""
-    _require_on_surface(core, p)
-    return core.normal(p.ambient)
+    return TangentFrame(frames_batch(core, p.ambient[None])[0])
 
 
 def shape_operator_at(core: ConvexCore, p: SurfacePoint, frame: TangentFrame) -> np.ndarray:

@@ -13,7 +13,6 @@ from shellmap import (
     ZonalLegendreField,
     admissibility_check,
     frame_at,
-    normal_at,
     outer_tangent_frame,
     radial_map,
     retract,
@@ -61,7 +60,7 @@ def test_radial_map_foot_and_offset():
     p = SurfacePoint.from_chart(SPHERE, 0.9, 0.4)
     x = radial_map(dom, p)
     d = dom.field.eval(p)
-    assert np.allclose(x.ambient, p.ambient + d * normal_at(SPHERE, p), atol=1e-14)
+    assert np.allclose(x.ambient, p.ambient + d * SPHERE.normal(p.ambient), atol=1e-14)
     assert x.base is p
 
 
@@ -89,7 +88,7 @@ def test_inward_normal_matches_resolvent_formula():
         S = shape_operator_at(ELLIPSOID, p, frame)
         g = dom.field.surface_gradient(p, frame)
         m = np.linalg.solve(np.eye(2) - d * S, g) @ frame.vectors
-        nu = normal_at(ELLIPSOID, p)
+        nu = ELLIPSOID.normal(p.ambient)
         expected = -(nu - m) / np.linalg.norm(nu - m)
         got = radial_map(dom, p).inward_normal
         assert np.allclose(got, expected, atol=1e-12)
@@ -101,7 +100,7 @@ def _cross_product_normal(dom, p):
     W = outer_tangent_frame(dom, p)
     n = np.cross(W[0], W[1]) if dom.core.dim == 3 else np.array([-W[0][1], W[0][0]])
     n = n / np.linalg.norm(n)
-    return -n if float(np.dot(n, normal_at(dom.core, p))) > 0 else n
+    return -n if float(np.dot(n, dom.core.normal(p.ambient))) > 0 else n
 
 
 TILTED_ELLIPSOID = ConvexCore.ellipsoid(2.0, 1.0, 0.5)
@@ -188,7 +187,7 @@ def test_normal_expansion_residual_second_order():
         g = dom.field.surface_gradient(p, frame)
         m = np.linalg.solve(np.eye(2) - d * S, g) @ frame.vectors
         n = radial_map(dom, p).inward_normal
-        res.append(float(np.linalg.norm(n + normal_at(SPHERE, p) - m)))
+        res.append(float(np.linalg.norm(n + SPHERE.normal(p.ambient) - m)))
     slope = np.polyfit(np.log(eps_list), np.log(res), 1)[0]
     assert 1.85 < slope < 2.15
 

@@ -299,7 +299,7 @@ def test_nonpositive_thickness_has_one_name_on_every_path():
     with pytest.raises(InadmissibleThickness):
         return_map(dom, p)
     with pytest.raises(InadmissibleThickness):
-        BlackBoxMap.wrap_domain(dom)(p)
+        BlackBoxMap.wrap_domain(dom).batch(p.ambient[None])
     assert iterate_orbit(dom, p).error_kind == "InadmissibleThickness"
 
 
@@ -361,11 +361,11 @@ def _per_step_orbit(dom, seed, max_iters, tol):
             current = nxt
             if step < tol:
                 gnorm = float(np.linalg.norm(dom.field.surface_gradient_ambient(current)))
-                return OrbitRecord(seed, points, thickness, disps, "converged",
+                return OrbitRecord(points, thickness, disps, "converged",
                                    limit=current, limit_grad_norm=gnorm)
-        return OrbitRecord(seed, points, thickness, disps, "max_iterations")
+        return OrbitRecord(points, thickness, disps, "max_iterations")
     except ShellmapError as exc:
-        return OrbitRecord(seed, points, thickness, disps, "error", error_kind=type(exc).__name__)
+        return OrbitRecord(points, thickness, disps, "error", error_kind=type(exc).__name__)
 
 
 def _assert_same_record(got, want):

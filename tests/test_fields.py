@@ -10,11 +10,13 @@ from shellmap import (
     ConvexCore,
     Fourier2DField,
     InadmissibleThickness,
+    RadialDomain,
     ScaledField,
     SumField,
     SurfacePoint,
     ZonalLegendreField,
     ZonalProfileField,
+    admissibility_check,
     frame_at,
     retract,
 )
@@ -69,17 +71,20 @@ def test_nonpositive_value_raises():
 
 
 def test_positivity_validation_grid():
-    ok, mn, _ = ZonalLegendreField(SPHERE, 0.5, 0.01).check_positivity(10000)
-    assert ok and mn > 0.49
-    ok2, mn2, argmin = ZonalLegendreField(SPHERE, 0.1, 0.5).check_positivity(10000)
-    assert not ok2 and mn2 < 0
+    good = admissibility_check(RadialDomain(SPHERE, ZonalLegendreField(SPHERE, 0.5, 0.01)), 10000)
+    assert good.min_d > 0.49
+    bad = admissibility_check(RadialDomain(SPHERE, ZonalLegendreField(SPHERE, 0.1, 0.5)), 10000)
+    assert bad.min_d < 0
+    argmin = bad.chart[np.argmin(bad.d_values)]
     assert abs(argmin[0] - np.pi / 2) < 0.05  # violation sits at the equator
 
 
 def test_field_rejects_foreign_point():
     fld = ZonalLegendreField(SPHERE, 0.5, 0.01)
-    with pytest.raises(ValueError):
-        fld.eval(pt(ELLIPSOID, 0.5, 0.5))
+    p = pt(ELLIPSOID, 0.5, 0.5)
+    for method in (fld.eval, fld.surface_gradient, fld.surface_gradient_ambient, fld.surface_hessian):
+        with pytest.raises(ValueError, match="different core"):
+            method(p)
 
 
 def test_zonal_requires_3d_core():
@@ -161,7 +166,8 @@ def test_sum_field_adds_parts():
     b = ZonalLegendreField(SPHERE, 0.0, 0.02, axis=(1.0, 0.0, 0.0))
     s = SumField([a, b])
     for p in random_points(SPHERE, 10, seed=5):
-        assert abs(s.value_unchecked(p) - (a.value_unchecked(p) + b.value_unchecked(p))) < 1e-15
+        x = p.ambient
+        assert abs(s.ambient_value(x) - (a.ambient_value(x) + b.ambient_value(x))) < 1e-15
 
 
 def test_rotated_axis_moves_critical_set():

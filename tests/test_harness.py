@@ -38,6 +38,7 @@ task.point = equator
 """
 
 LINEARIZE_TASK = "task = linearize\ntask.point = equator"
+ZONAL_TASK = "field.kind = zonal_legendre\nfield.d0 = 0.5\nfield.eps = 0.01\n" + LINEARIZE_TASK
 SPHERE_ZONAL = "core.kind = sphere\ncore.radius = 1.0\nfield.kind = zonal_legendre"
 CIRCLE_FOURIER = "core.kind = circle\ncore.radius = 1.0\nfield.kind = fourier_2d"
 
@@ -358,6 +359,18 @@ def test_cli_orbit_error_exit_3(tmp_path, capsys):
     (LINEARIZE_TASK, "task = scaling\ntask.lambda = -2", "task.lambda"),
     (LINEARIZE_TASK, "task = scaling\ntask.lambda = nan", "task.lambda"),
     (LINEARIZE_TASK, "task = scaling\ntask.lambda = inf", "task.lambda"),
+    # a positive real key that is not finite
+    ("core.radius = 1.0", "core.radius = inf", "core.radius"),
+    ("core.kind = sphere\ncore.radius = 1.0", "core.kind = ellipsoid\ncore.a = inf\ncore.b = 1\ncore.c = 1",
+     "core.a"),
+    (LINEARIZE_TASK, "task = fixed_points\ntask.tol = inf", "task.tol"),
+    (LINEARIZE_TASK, "task = basins\ntask.cluster_radius = inf", "task.cluster_radius"),
+    (LINEARIZE_TASK, "task = scaling\ntask.equivalence_tol = inf", "task.equivalence_tol"),
+    (LINEARIZE_TASK, "task = expansion_sweep\ntask.eps_list = 0.1,inf", "task.eps_list"),
+    # an eps sweep on a field kind that declares no eps (the series kind reads none: series_check)
+    (ZONAL_TASK, "field.kind = constant\ntask = expansion_sweep", "field.kind"),
+    (ZONAL_TASK, "field.kind = constant\ntask = expansion_sweep\ntask.kind = second_order", "field.kind"),
+    (ZONAL_TASK, "field.kind = constant\ntask = expansion_sweep\ntask.kind = normal", "field.kind"),
 ], ids=["task.h", "task.point", "field.eps", "core.radius", "rng_seed", "core.radius=-1", "core.c=0",
         "orbit.tol=-1", "sweep.kind=foo", "admissibility.grid=0", "sweep.n_samples=0",
         "scaling.equivalence=ture", "field.axis=0", "field.axis2=nan", "linearize.h=1e9",
@@ -369,7 +382,9 @@ def test_cli_orbit_error_exit_3(tmp_path, capsys):
         "sweep.alpha_factors=0", "sweep.alpha_factors=underflow", "reconstruct.alpha_mode=guess",
         "zonal_on_circle", "two_axis_on_circle", "fourier_on_sphere", "equator_on_circle",
         "rng_seed=-1", "series.chart=1", "series.chart=3", "scaling.lambda=0", "scaling.lambda=-2",
-        "scaling.lambda=nan", "scaling.lambda=inf"])
+        "scaling.lambda=nan", "scaling.lambda=inf", "core.radius=inf", "core.a=inf", "fixed_points.tol=inf",
+        "basins.cluster_radius=inf", "scaling.equivalence_tol=inf", "sweep.eps_list=inf",
+        "constant.first_order", "constant.second_order", "constant.normal"])
 def test_cli_bad_value_exit_2_names_the_key(tmp_path, capsys, old, new, key):
     scn = scn_path(tmp_path, ZONAL_LINEARIZE.replace(old, new))
     assert cli_main(["run", scn, "--out", str(tmp_path / "o")]) == 2

@@ -447,12 +447,4 @@ def test_non_domain_box_single_basin():
     assert np.linalg.norm(lab.cluster_reps[0].ambient - [0.0, 0.0, 1.0]) < 1e-3
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_box_call_is_a_batch_row_bit_for_bit(k):
-    charts = fibonacci_chart_grid(SPHERE, 40)
-    X = SPHERE.ambient_from_chart(charts)
-    for F in (shift_box().compose(k), zonal_box()[0].compose(k)):
-        Y = F.batch(X)
-        for i, ch in enumerate(charts):
-            assert np.array_equal(F(SurfacePoint.from_chart(SPHERE, ch)).ambient, Y[i])
 
