@@ -22,12 +22,10 @@ from .errors import (
 )
 from .surfaces import (
     ConvexCore,
-    RayHit,
     SurfacePoint,
     TangentFrame,
     fibonacci_chart_grid,
     frame_at,
-    ray_first_hit,
     retract,
     shape_operator_at,
 )
@@ -43,11 +41,8 @@ from .fields import (
 )
 from .domain import (
     AdmissibilityReport,
-    OuterBoundaryPoint,
     RadialDomain,
     admissibility_check,
-    outer_tangent_frame,
-    radial_map,
 )
 from .dynamics import (
     BatchOrbitResult,
@@ -55,7 +50,6 @@ from .dynamics import (
     OrbitRecord,
     iterate_batch,
     iterate_orbit,
-    reciprocal_map,
     return_map,
     return_map_batch,
     settle_batch,
@@ -70,15 +64,12 @@ from .analysis import (
     classify_fixed_point,
     curvature_preconditioner,
     find_fixed_points,
-    first_order_residual,
     fixed_point_search,
     fit_loglog,
     linearize_analytic,
     linearize_fd,
-    normal_expansion_residual,
     preconditioner_series_residual,
     residual_sweep,
-    second_order_residual,
     step_operator,
 )
 from .inverse import (

@@ -82,10 +82,12 @@ def expansion_residual_batch(dom: RadialDomain, X, step_scale: float = CLASSICAL
     """(total, transverse) residual norms, each (n,), at core points X with
     m = (I - dS)^-1 grad d from _resolvent_batch and w1 = step_scale * d * m.
 
-    The kinds are those of first_order_residual, second_order_residual
-    (w2 = w1 + 2 d^2 Hess d[g] + 2 d |g|^2 g with Hess d[g] from the
-    field's hessian_action, transverse in ambient coordinates) and
-    normal_expansion_residual; transverse is zero for the other two.
+    The kinds: "first_order", |F(c) - retract(c, w1)|; "second_order",
+    |F(c) - retract(c, w2)| with w2 = w1 + 2 d^2 Hess d[g] + 2 d |g|^2 g
+    (Hess d[g] from the field's hessian_action) and as transverse the part
+    of F(c) - c - w1 tangent to the core and orthogonal to grad d;
+    "normal", |n(Phi(c)) + nu(c) - m| for the exact inward normal n.
+    transverse is zero for first_order and normal.
     """
     if kind not in ("first_order", "second_order", "normal"):
         raise ValueError(f"unknown sweep kind {kind!r}")
@@ -116,30 +118,6 @@ def expansion_residual_batch(dom: RadialDomain, X, step_scale: float = CLASSICAL
     ghat = gt / gnorm[:, None]
     r -= np.einsum("ij,ij->i", r, ghat)[:, None] * ghat
     return total, np.linalg.norm(r, axis=-1)
-
-
-def first_order_residual(dom: RadialDomain, c: SurfacePoint, step_scale: float = CLASSICAL_STEP_SCALE) -> float:
-    """|F(c) - retract(c, step)| with step = step_scale * d (I-dS)^-1 grad d."""
-    dom.field.eval(c)  # the positivity guard and core check of the scalar API
-    return float(expansion_residual_batch(dom, c.ambient[None], step_scale, "first_order")[0][0])
-
-
-def second_order_residual(dom: RadialDomain, c: SurfacePoint, step_scale: float = CLASSICAL_STEP_SCALE):
-    """(total, transverse) residuals of the second-order displacement model.
-
-    total: |F(c) - retract(c, first-order step + 2 d^2 H[g] + 2 d |g|^2 g)|.
-    transverse: component of (F(c) - c - first-order step) orthogonal to
-    grad d within the tangent space.
-    """
-    dom.field.eval(c)
-    total, transverse = expansion_residual_batch(dom, c.ambient[None], step_scale, "second_order")
-    return float(total[0]), float(transverse[0])
-
-
-def normal_expansion_residual(dom: RadialDomain, c: SurfacePoint) -> float:
-    """|n(Phi(c)) + nu(c) - (I - dS)^-1 grad d| for the exact inward normal."""
-    dom.field.eval(c)
-    return float(expansion_residual_batch(dom, c.ambient[None], kind="normal")[0][0])
 
 
 def fit_loglog(xs, ys, floor: float):
@@ -238,7 +216,6 @@ class LinearizationReport:
     DF: np.ndarray
     composite: np.ndarray            # I - DF
     eigenvalues: np.ndarray          # complex, sorted by descending real part
-    method: str                      # "finite_difference" | "analytic"
     stability: str = "Unclassified"
     eigen_labels: list = field(default_factory=list)
     morse_index: int | None = None
@@ -247,11 +224,11 @@ class LinearizationReport:
     hessian: np.ndarray | None = None
 
 
-def _classified(c_star, frame, DF, method, preconditioner, **extra) -> LinearizationReport:
+def _classified(c_star, frame, DF, preconditioner, **extra) -> LinearizationReport:
     """The report of DF at a fixed point, after classify_fixed_point."""
     w = np.linalg.eigvals(DF)
     report = LinearizationReport(c_star, frame, DF, np.eye(DF.shape[0]) - DF, w[np.lexsort((-w.imag, -w.real))],
-                                 method, preconditioner=preconditioner, **extra)
+                                 preconditioner=preconditioner, **extra)
     classify_fixed_point(report)
     return report
 
@@ -292,7 +269,7 @@ def linearize_fd(dom: RadialDomain, c_star: SurfacePoint, frame: TangentFrame | 
     if frame is None:
         frame = frame_at(dom.core, c_star)
     DF = fixed_point_jacobian(BlackBoxMap.wrap_domain(dom), c_star.ambient[None], frame.vectors[None], h)[0]
-    return _classified(c_star, frame, DF, "finite_difference", curvature_preconditioner(dom, c_star, frame))
+    return _classified(c_star, frame, DF, curvature_preconditioner(dom, c_star, frame))
 
 
 def linearize_analytic(dom: RadialDomain, c_star: SurfacePoint, frame: TangentFrame | None = None,
@@ -309,7 +286,7 @@ def linearize_analytic(dom: RadialDomain, c_star: SurfacePoint, frame: TangentFr
     G = step_operator(dom, c_star, frame)
     H = dom.field.surface_hessian(c_star, frame)
     DF = np.eye(H.shape[0]) + step_scale * (G @ H)
-    return _classified(c_star, frame, DF, "analytic", 2.0 * G, hessian=H)
+    return _classified(c_star, frame, DF, 2.0 * G, hessian=H)
 
 
 def classify_fixed_point(report: LinearizationReport):

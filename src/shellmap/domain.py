@@ -20,11 +20,8 @@ from .errors import ImmersionFailure
 from .fields import ThicknessField
 from .surfaces import (
     ConvexCore,
-    SurfacePoint,
-    TangentFrame,
     _ray_solve_batch,
     fibonacci_chart_grid,
-    frame_at,
     frames_batch,
     shape_action_batch,
 )
@@ -42,15 +39,6 @@ class RadialDomain:
     def __post_init__(self):
         if self.field.core != self.core:
             raise ValueError("field is defined on a different core")
-
-
-@dataclass(frozen=True)
-class OuterBoundaryPoint:
-    """x = Phi(c) with its foot point and inward unit normal."""
-
-    base: SurfacePoint
-    ambient: np.ndarray
-    inward_normal: np.ndarray
 
 
 def _resolvent_batch(core: ConvexCore, X: np.ndarray, d: np.ndarray, V: np.ndarray):
@@ -93,11 +81,10 @@ def _outer_geometry_batch(dom: RadialDomain, X: np.ndarray, d=None):
     return X + d[:, None] * nu, nvec
 
 
-def _outer_frames_batch(dom: RadialDomain, X: np.ndarray, d: np.ndarray, E=None):
-    """DPhi columns in orthonormal frames, the independent check of the
-    closed form: w_i = e_i - d S e_i + (grad d . e_i) nu.
+def _outer_frames_batch(dom: RadialDomain, X: np.ndarray, d: np.ndarray):
+    """DPhi columns w_i = e_i - d S e_i + (grad d . e_i) nu in the frames
+    E = frames_batch(core, X), the independent check of the closed form.
 
-    E holds the frames, (n, N-1, N), frames_batch(core, X) by default.
     Returns (Xout, W, n_in, sv_min): the columns W, (n, N-1, N), their unit
     normal n_in oriented toward the core (cross product for N=3, a quarter
     turn for N=2) and sv_min, the smallest singular value of DPhi.
@@ -105,8 +92,7 @@ def _outer_frames_batch(dom: RadialDomain, X: np.ndarray, d: np.ndarray, E=None)
     """
     core = dom.core
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if E is None:
-        E = frames_batch(core, X)
+    E = frames_batch(core, X)
     MX = X * core.inv_axes_sq
     nu = MX / np.linalg.norm(MX, axis=-1, keepdims=True)
     g = dom.field.ambient_grad(X)
@@ -124,23 +110,6 @@ def _outer_frames_batch(dom: RadialDomain, X: np.ndarray, d: np.ndarray, E=None)
     # orient toward the core (cores are centered at the origin)
     nvec[np.sum(nvec * Xout, axis=-1) > 0] *= -1.0
     return Xout, W, nvec, sv
-
-
-def radial_map(dom: RadialDomain, c: SurfacePoint) -> OuterBoundaryPoint:
-    """Phi(c) = c + d(c) nu(c) together with the exact inward normal."""
-    d = dom.field.eval(c)  # positivity-guarded
-    Xout, nvec = _outer_geometry_batch(dom, c.ambient[None], d=np.array([d]))
-    return OuterBoundaryPoint(base=c, ambient=Xout[0], inward_normal=nvec[0])
-
-
-def outer_tangent_frame(dom: RadialDomain, c: SurfacePoint, frame: TangentFrame | None = None):
-    """Images DPhi(c)[v_i] of the frame vectors, analytic; a batch of one
-    through _outer_frames_batch."""
-    if frame is None:
-        frame = frame_at(dom.core, c)
-    d = np.array([dom.field.eval(c)])
-    _, W, _, _ = _outer_frames_batch(dom, c.ambient[None], d, frame.vectors[None])
-    return list(W[0])
 
 
 @dataclass

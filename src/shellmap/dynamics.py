@@ -1,5 +1,5 @@
-"""The exact forward dynamics: reciprocal map, return map, orbit iteration,
-and BlackBoxMap, the one map object every map consumer takes.
+"""The exact forward dynamics: return map, orbit iteration, and
+BlackBoxMap, the one map object every map consumer takes.
 
 The forward map is computed purely by ray geometry (no asymptotic
 formulas), so it can serve as an independent oracle for every expansion
@@ -13,14 +13,13 @@ from functools import partial
 
 import numpy as np
 
-from .domain import OuterBoundaryPoint, RadialDomain, _outer_geometry_batch
+from .domain import RadialDomain, _outer_geometry_batch
 from .errors import InadmissibleThickness, NormalRayMissesCore, OffSurface, ShellmapError
 from .surfaces import (
     TOL_SURFACE,
     ConvexCore,
     SurfacePoint,
     _ray_hit_batch,
-    ray_first_hit,
     retract_batch,
 )
 
@@ -28,16 +27,6 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100_000
 AMPLIFY_COS = 0.99  # direction agreement that doubles a seed's K in settle_batch
 TRUST_RADIUS = 0.05  # longest amplified step in settle_batch, in surface_scale()
-
-
-def reciprocal_map(dom: RadialDomain, x: OuterBoundaryPoint) -> SurfacePoint:
-    """First hit of the inward normal ray from x on the core surface."""
-    hit = ray_first_hit(dom.core, x.ambient, x.inward_normal)
-    if hit is None:
-        raise NormalRayMissesCore(
-            f"inward ray from chart {x.base.chart} misses the core"
-        )
-    return hit.point
 
 
 def return_map(dom: RadialDomain, c: SurfacePoint) -> SurfacePoint:

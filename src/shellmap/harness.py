@@ -146,7 +146,7 @@ def _parse_terms(text):
     out = []
     for part in text.split(","):
         k, _, a = part.partition(":")
-        out.append((int(k), float(a)))
+        out.append((int(k), _real(a)))
     return out
 
 
@@ -168,6 +168,7 @@ def _one_of(names):
     return _checked(str, names.__contains__, f"expected one of {', '.join(names)}")
 
 
+_real = _checked(float, np.isfinite, "must be finite")
 _positive = _checked(float, lambda x: 0 < x < np.inf, "must be positive and finite")
 _positive_int = _checked(int, lambda n: n > 0, "must be positive")
 _nonnegative_int = _checked(int, lambda n: n >= 0, "must be nonnegative")
@@ -211,11 +212,11 @@ def _two_axis_legendre(core, d0, eps, axis2):
     return SumField([ZonalLegendreField(core, d0, eps), ZonalLegendreField(core, 0.0, eps, axis=axis2)])
 
 
-_D0, _EPS = ("0.5", float), ("0.0", float)
+_D0, _EPS = ("0.5", _real), ("0.0", _real)
 FIELDS = {  # kind -> (core dimension, or None for any, constructor, keys)
     "constant": (None, ConstantField, {"d0": _D0}),
     "zonal_legendre": (3, ZonalLegendreField, {"d0": _D0, "eps": _EPS, "axis": ("0,0,1", _axis)}),
-    "fourier_2d": (2, _fourier_2d, {"d0": _D0, "eps": (None, float), "terms": ("2:0.01", _parse_terms)}),
+    "fourier_2d": (2, _fourier_2d, {"d0": _D0, "eps": (None, _real), "terms": ("2:0.01", _parse_terms)}),
     "two_axis_legendre": (3, _two_axis_legendre, {"d0": _D0, "eps": _EPS, "axis2": ("1,1,1", _axis)}),
 }
 _field_kind = _Given(lambda core, _: _checked(
@@ -353,8 +354,7 @@ def _named_point(core: ConvexCore, spec: str) -> SurfacePoint:
         if core.dim != 3:
             raise ValueError("'equator' needs an N=3 core")
         return SurfacePoint.from_chart(core, np.pi / 2, 0.0)
-    vals = _parse_floats(spec)
-    return SurfacePoint.from_chart(core, *vals)
+    return SurfacePoint.from_chart(core, *(_real(x) for x in spec.split(",")))
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +440,7 @@ def _task_linearize(r, out, rng):
 @_task("expansion_sweep", {
     "kind": ("first_order", _sweep_kind), "d_list": ("1e-1,3e-2,1e-2,3e-3", _scales),
     "chart": ({2: "1.0", 3: "1.0,0.7"}, _chart), "eps_list": ("1e-1,3e-2,1e-2,3e-3,1e-3", _scales),
-    "n_samples": ("10", _positive_int), "step_scale": (repr(CLASSICAL_STEP_SCALE), float)})
+    "n_samples": ("10", _positive_int), "step_scale": (repr(CLASSICAL_STEP_SCALE), _real)})
 def _task_expansion_sweep(r, out, rng):
     v, kind, core = r.values, r.values["kind"], r.dom.core
     if kind == "series":

@@ -56,12 +56,12 @@ def recover_descent_field(F: BlackBoxMap, samples):
 
 
 def estimate_composite_operator(F: BlackBoxMap, c_star: SurfacePoint,
-                                frame: TangentFrame | None = None,
-                                h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """I - DF at a fixed point, DF by the central-difference stencil."""
+                                frame: TangentFrame | None = None) -> np.ndarray:
+    """I - DF at a fixed point, DF by the central-difference stencil at
+    step DEFAULT_FD_STEP."""
     if frame is None:
         frame = frame_at(F.core, c_star)
-    DF = fixed_point_jacobian(F, c_star.ambient[None], frame.vectors[None], h)[0]
+    DF = fixed_point_jacobian(F, c_star.ambient[None], frame.vectors[None])[0]
     return np.eye(DF.shape[0]) - DF
 
 

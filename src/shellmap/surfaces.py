@@ -6,7 +6,7 @@ dimension N in {2, 3}.  The shape operator follows the sign convention
 S = -D(nu), so the unit sphere has S = -I and a circle of radius r has
 S = -1/r.  Ray hits and the retraction are batched (_ray_hit_batch,
 retract_batch) and leave points at round-off on the core; the scalar
-ray_first_hit and retract are batch-of-one views of them.
+retract is a batch-of-one view of retract_batch.
 """
 
 from __future__ import annotations
@@ -261,34 +261,10 @@ def shape_action_batch(core: ConvexCore, X: np.ndarray, V: np.ndarray) -> np.nda
     return -proj / r
 
 
-@dataclass(frozen=True)
-class RayHit:
-    """First intersection of a ray with the core surface."""
-
-    t: float
-    point: SurfacePoint
-    grazing: bool = False
-
-
-def ray_first_hit(core: ConvexCore, origin, direction):
-    """Smallest t >= 0 with origin + t*direction on the core, or None on a miss.
-
-    A batch of one through _ray_hit_batch: the closed-form (q-method)
-    solve with one Newton polish; a near-zero discriminant is flagged as
-    grazing.
-    """
-    origin = np.asarray(origin, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    Y, grazing = _ray_hit_batch(core, origin[None], direction[None])
-    x = Y[0]
-    if not np.all(np.isfinite(x)):
-        return None
-    t = float(np.dot(x - origin, direction) / np.dot(direction, direction))
-    return RayHit(t=t, point=SurfacePoint.from_ambient(core, x), grazing=bool(grazing[0]))
-
-
 def _ray_solve_batch(core: ConvexCore, O: np.ndarray, D: np.ndarray):
-    """Vectorized smallest nonnegative ray parameter; nan marks a miss."""
+    """Vectorized smallest nonnegative ray parameter by the closed-form
+    (q-method) solve, nan on a miss, with a grazing flag per row where the
+    discriminant is near zero."""
     w = core.inv_axes_sq
     DW = D * w
     A = np.einsum("ij,ij->i", DW, D)
@@ -375,10 +351,10 @@ def retract(core: ConvexCore, p: SurfacePoint, v, h: float) -> SurfacePoint:
     return SurfacePoint(core, core.chart_from_ambient(y), y)
 
 
-def _require_on_surface(core: ConvexCore, p: SurfacePoint, tol: float = TOL_SURFACE):
+def _require_on_surface(core: ConvexCore, p: SurfacePoint):
     resid = abs(float(core.implicit(p.ambient)))
-    if resid > tol:
-        raise OffSurface(f"|implicit(p)| = {resid:.3e} exceeds {tol:.1e}")
+    if resid > TOL_SURFACE:
+        raise OffSurface(f"|implicit(p)| = {resid:.3e} exceeds {TOL_SURFACE:.1e}")
 
 
 def fibonacci_chart_grid(core: ConvexCore, n: int) -> np.ndarray:

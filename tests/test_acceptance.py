@@ -43,7 +43,6 @@ from shellmap import (
     frame_at,
     iterate_batch,
     linearize_fd,
-    normal_expansion_residual,
     preconditioner_series_residual,
     reconstruct_hessian_isotropic,
     residual_sweep,

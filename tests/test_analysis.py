@@ -21,29 +21,25 @@ from shellmap import (
     classify_fixed_point,
     curvature_preconditioner,
     find_fixed_points,
-    first_order_residual,
     fit_loglog,
     frame_at,
     linearize_analytic,
     linearize_fd,
-    normal_expansion_residual,
     preconditioner_series_residual,
-    radial_map,
     residual_sweep,
     retract,
     return_map,
     return_map_batch,
-    second_order_residual,
     shape_operator_at,
     step_operator,
 )
-from shellmap import analysis
 from shellmap import analysis
 from shellmap.analysis import (
     LinearizationReport,
     expansion_residual_batch,
     finite_difference_jacobian_batch,
 )
+from shellmap.domain import _outer_geometry_batch
 from shellmap.errors import CurvatureSingularity, OffSurface
 from shellmap.surfaces import frames_batch
 
@@ -62,6 +58,12 @@ def zonal_domain(d0=D0, eps=EPS, core=SPHERE):
 
 def pt(core, *chart):
     return SurfacePoint.from_chart(core, *chart)
+
+
+def residuals(dom, c, kind, step_scale=CLASSICAL_STEP_SCALE):
+    """(total, transverse) at c: the row of expansion_residual_batch."""
+    total, transverse = expansion_residual_batch(dom, c.ambient[None], step_scale, kind)
+    return float(total[0]), float(transverse[0])
 
 
 # ---------------------------------------------------------------------------
@@ -136,13 +138,13 @@ def test_preconditioner_series_slope_three():
 
 def test_first_order_residual_constant_field_zero():
     dom = RadialDomain(SPHERE, ConstantField(SPHERE, 0.5))
-    assert first_order_residual(dom, pt(SPHERE, 1.0, 0.2)) < 1e-12
+    assert residuals(dom, pt(SPHERE, 1.0, 0.2), "first_order")[0] < 1e-12
 
 
 def test_first_order_residual_critical_point_zero():
     dom = zonal_domain()
-    assert first_order_residual(dom, pt(SPHERE, np.pi / 2, 0.5)) < 1e-10
-    assert first_order_residual(dom, pt(SPHERE, 0.0, 0.0)) < 1e-10
+    assert residuals(dom, pt(SPHERE, np.pi / 2, 0.5), "first_order")[0] < 1e-10
+    assert residuals(dom, pt(SPHERE, 0.0, 0.0), "first_order")[0] < 1e-10
 
 
 def test_residual_slopes_classical_vs_measured():
@@ -166,7 +168,7 @@ def test_residual_slopes_classical_vs_measured():
 def test_second_order_residual_requires_gradient():
     dom = RadialDomain(SPHERE, ConstantField(SPHERE, 0.5))
     with pytest.raises(ValueError):
-        second_order_residual(dom, pt(SPHERE, 1.0, 0.0))
+        residuals(dom, pt(SPHERE, 1.0, 0.0), "second_order")
 
 
 def test_transverse_residual_zero_on_sphere():
@@ -174,7 +176,7 @@ def test_transverse_residual_zero_on_sphere():
     # grad d, so the gradient-orthogonal residual vanishes identically
     dom = zonal_domain()
     for theta in (0.6, 1.2, 2.1):
-        _, trans = second_order_residual(dom, pt(SPHERE, theta, 0.8))
+        _, trans = residuals(dom, pt(SPHERE, theta, 0.8), "second_order")
         assert trans < 1e-14
 
 
@@ -301,7 +303,6 @@ def _report(DF, hessian=None, precond=None):
         DF=DF,
         composite=np.eye(k) - DF,
         eigenvalues=np.linalg.eigvals(DF),
-        method="analytic",
         hessian=hessian,
         preconditioner=precond,
     )
@@ -501,7 +502,8 @@ def _frame_residuals(dom, c, step_scale):
     ghat = g / np.linalg.norm(g)
     transverse = np.linalg.norm(resid - ghat * float(resid @ ghat))
     m = (R @ g) @ frame.vectors
-    normal = np.linalg.norm(radial_map(dom, c).inward_normal + dom.core.normal(c.ambient) - m)
+    n = _outer_geometry_batch(dom, c.ambient[None])[1][0]
+    normal = np.linalg.norm(n + dom.core.normal(c.ambient) - m)
     return first, total, transverse, normal
 
 
@@ -511,11 +513,11 @@ def test_residuals_agree_with_frame_formulas_on_tilted_ellipsoid(step_scale):
     for x in _residual_points(TILTED.core, n=10, seed=9):
         c = SurfacePoint.from_ambient(TILTED.core, x)
         first, total, transverse, normal = _frame_residuals(TILTED, c, step_scale)
-        assert abs(first_order_residual(TILTED, c, step_scale) - first) < 1e-14
-        got_total, got_transverse = second_order_residual(TILTED, c, step_scale)
+        assert abs(residuals(TILTED, c, "first_order", step_scale)[0] - first) < 1e-14
+        got_total, got_transverse = residuals(TILTED, c, "second_order", step_scale)
         assert abs(got_total - total) < 1e-14
         assert abs(got_transverse - transverse) < 1e-14
-        assert abs(normal_expansion_residual(TILTED, c) - normal) < 1e-14
+        assert abs(residuals(TILTED, c, "normal")[0] - normal) < 1e-14
 
 
 def test_second_order_residual_in_the_zonal_profile_pole_band():
@@ -523,9 +525,9 @@ def test_second_order_residual_in_the_zonal_profile_pole_band():
     fld = ZonalProfileField(SPHERE, 0.5, g=lambda w: 0.01 * (1.5 * w * w - 0.5),
                             dg=lambda w: 0.03 * w, d2g=lambda w: np.full_like(w, 0.03))
     c = pt(SPHERE, 5e-5, 0.3)
-    total, transverse = second_order_residual(RadialDomain(SPHERE, fld), c)
+    total, transverse = residuals(RadialDomain(SPHERE, fld), c, "second_order")
     assert abs(total / 1.5432765468984404e-06 - 1.0) < 1e-9
-    assert abs(total / second_order_residual(zonal_domain(), c)[0] - 1.0) < 1e-12
+    assert abs(total / residuals(zonal_domain(), c, "second_order")[0] - 1.0) < 1e-12
     assert np.isfinite(transverse)
 
 
@@ -551,10 +553,6 @@ def test_expansion_residuals_reject_nonpositive_thickness(kind):
     c = pt(SPHERE, np.pi / 2, 0.0)
     with pytest.raises(InadmissibleThickness):
         expansion_residual_batch(dom, c.ambient[None], kind=kind)
-    scalar = {"first_order": first_order_residual, "second_order": second_order_residual,
-              "normal": normal_expansion_residual}[kind]
-    with pytest.raises(InadmissibleThickness):
-        scalar(dom, c)
 
 
 # ---------------------------------------------------------------------------

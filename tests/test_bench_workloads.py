@@ -4,18 +4,22 @@ bench/workloads.py reaches shellmap by module path (for example
 inverse.BlackBoxMap, analysis.linearize_fd and harness.run_scenario), so a
 moved or renamed name breaks the benchmark.  One pass of each of the three
 gated workloads must complete with no failed operation, and the traced
-run's kernel sweep must find every entry point it times.
+run's kernel sweep must find every entry point it times.  Every name the
+package exports must have a caller in the package or the benchmark.
 bench/reference.json is read and never written; the scenarios write their
 reports under the test's temporary directory.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+PACKAGE = ROOT / "src" / "shellmap"
 
 
 @pytest.mark.parametrize("name", ["pointwise_probes", "descent_1k", "scenarios"])
@@ -40,3 +44,34 @@ def test_kernel_sweep_finds_every_entry_point(monkeypatch):
     metrics = run.kernel_sweep(0, absent)
     assert absent == []
     assert metrics and all(v > 0 for v in metrics.values())
+
+
+def _referenced(path: Path, strings: bool) -> set:
+    """The names that code in path refers to (ast.Name ids and ast.Attribute
+    attrs), and with strings its string constants too."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_export_has_a_caller():
+    # an exported name counts as used when the package (outside __init__.py) or
+    # the benchmark refers to it; bench/run.py looks entry points up by string, and
+    # bench/tracer.py's strings are names it tolerates missing, so they do not count
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in init.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            used |= _referenced(path, strings=False)
+    for path in BENCH.glob("*.py"):
+        used |= _referenced(path, strings=path.name != "tracer.py")
+    unused = sorted(exported - used)
+    assert not unused, f"exported with no caller in src/shellmap or bench: {unused}"

@@ -7,14 +7,11 @@ from shellmap import (
     ConstantField,
     ConvexCore,
     Fourier2DField,
-    InadmissibleThickness,
     RadialDomain,
     SurfacePoint,
     ZonalLegendreField,
     admissibility_check,
     frame_at,
-    outer_tangent_frame,
-    radial_map,
     retract,
     shape_operator_at,
 )
@@ -43,6 +40,12 @@ def random_points(core, n, seed=0):
     return [SurfacePoint.from_chart(core, ch) for ch in charts]
 
 
+def outer_tangents(dom, p):
+    """DPhi(p)[e_i] for the frame frame_at(core, p): the W row of _outer_frames_batch."""
+    X = p.ambient[None]
+    return _outer_frames_batch(dom, X, dom.field.ambient_value(X))[1][0]
+
+
 # ---------------------------------------------------------------------------
 # radial map
 # ---------------------------------------------------------------------------
@@ -50,31 +53,24 @@ def random_points(core, n, seed=0):
 def test_constant_shell_is_scaled_sphere():
     dom = RadialDomain(SPHERE, ConstantField(SPHERE, 0.5))
     for p in random_points(SPHERE, 20, seed=1):
-        x = radial_map(dom, p)
-        assert np.allclose(x.ambient, 1.5 * p.ambient, atol=1e-14)
-        assert np.allclose(x.inward_normal, -p.ambient, atol=1e-14)
+        x, n = _outer_geometry_batch(dom, p.ambient[None])
+        assert np.allclose(x[0], 1.5 * p.ambient, atol=1e-14)
+        assert np.allclose(n[0], -p.ambient, atol=1e-14)
 
 
 def test_radial_map_foot_and_offset():
     dom = zonal_domain()
     p = SurfacePoint.from_chart(SPHERE, 0.9, 0.4)
-    x = radial_map(dom, p)
+    x, _ = _outer_geometry_batch(dom, p.ambient[None])
     d = dom.field.eval(p)
-    assert np.allclose(x.ambient, p.ambient + d * SPHERE.normal(p.ambient), atol=1e-14)
-    assert x.base is p
-
-
-def test_radial_map_guards_nonpositive_thickness():
-    dom = RadialDomain(SPHERE, ZonalLegendreField(SPHERE, 0.1, 0.5))
-    with pytest.raises(InadmissibleThickness):
-        radial_map(dom, SurfacePoint.from_chart(SPHERE, np.pi / 2, 0.0))
+    assert np.allclose(x[0], p.ambient + d * SPHERE.normal(p.ambient), atol=1e-14)
 
 
 def test_inward_normal_points_at_core():
     for dom in (zonal_domain(), zonal_domain(0.25, 0.01, ELLIPSOID)):
         for p in random_points(dom.core, 30, seed=2):
-            x = radial_map(dom, p)
-            assert float(np.dot(x.inward_normal, -x.ambient)) > 0
+            x, n = _outer_geometry_batch(dom, p.ambient[None])
+            assert float(np.dot(n[0], -x[0])) > 0
 
 
 def test_inward_normal_matches_resolvent_formula():
@@ -90,14 +86,14 @@ def test_inward_normal_matches_resolvent_formula():
         m = np.linalg.solve(np.eye(2) - d * S, g) @ frame.vectors
         nu = ELLIPSOID.normal(p.ambient)
         expected = -(nu - m) / np.linalg.norm(nu - m)
-        got = radial_map(dom, p).inward_normal
+        got = _outer_geometry_batch(dom, p.ambient[None])[1][0]
         assert np.allclose(got, expected, atol=1e-12)
 
 
 def _cross_product_normal(dom, p):
     """Inward unit normal from the outer tangents DPhi[e_i] in the
     orthonormal frame: the cross product for N=3, a quarter turn for N=2."""
-    W = outer_tangent_frame(dom, p)
+    W = outer_tangents(dom, p)
     n = np.cross(W[0], W[1]) if dom.core.dim == 3 else np.array([-W[0][1], W[0][0]])
     n = n / np.linalg.norm(n)
     return -n if float(np.dot(n, dom.core.normal(p.ambient))) > 0 else n
@@ -122,7 +118,7 @@ def test_closed_form_normal_matches_cross_product_of_outer_tangents(dom):
         points += [SurfacePoint.from_chart(dom.core, t, 0.9) for t in (1e-5, 3e-6, 1e-7)]
         points += [SurfacePoint.from_chart(dom.core, np.pi - t, 2.1) for t in (1e-5, 1e-6)]
     for p in points:
-        got = radial_map(dom, p).inward_normal
+        got = _outer_geometry_batch(dom, p.ambient[None])[1][0]
         assert np.linalg.norm(got - _cross_product_normal(dom, p)) <= 1e-13
 
 
@@ -134,7 +130,7 @@ def test_outer_tangents_constant_field_scale():
     dom = RadialDomain(SPHERE, ConstantField(SPHERE, 0.5))
     p = SurfacePoint.from_chart(SPHERE, 1.1, 0.3)
     frame = frame_at(SPHERE, p)
-    for v, w in zip(frame.vectors, outer_tangent_frame(dom, p, frame)):
+    for v, w in zip(frame.vectors, outer_tangents(dom, p)):
         assert np.allclose(w, 1.5 * v, atol=1e-14)
 
 
@@ -145,7 +141,7 @@ def test_outer_tangents_at_critical_point():
     frame = frame_at(SPHERE, p)
     d = dom.field.eval(p)
     S = shape_operator_at(SPHERE, p, frame)
-    W = outer_tangent_frame(dom, p, frame)
+    W = outer_tangents(dom, p)
     for i, w in enumerate(W):
         expected = frame.vectors[i] - d * (S[:, i] @ frame.vectors)
         assert np.allclose(w, expected, atol=1e-13)
@@ -156,21 +152,21 @@ def test_outer_tangents_match_fd():
     h = 1e-6
     for p in random_points(ELLIPSOID, 15, seed=4):
         frame = frame_at(ELLIPSOID, p)
-        W = outer_tangent_frame(dom, p, frame)
+        W = outer_tangents(dom, p)
         for v, w in zip(frame.vectors, W):
             qp = retract(ELLIPSOID, p, v, h)
             qm = retract(ELLIPSOID, p, v, -h)
-            fd = (radial_map(dom, qp).ambient - radial_map(dom, qm).ambient) / (2 * h)
+            x, _ = _outer_geometry_batch(dom, np.array([qp.ambient, qm.ambient]))
+            fd = (x[0] - x[1]) / (2 * h)
             assert np.linalg.norm(fd - w) < 1e-6
 
 
 def test_normal_orthogonal_to_outer_tangents():
     for dom in (zonal_domain(), zonal_domain(0.25, 0.02, ELLIPSOID)):
         for p in random_points(dom.core, 40, seed=5):
-            x = radial_map(dom, p)
-            frame = frame_at(dom.core, p)
-            for w in outer_tangent_frame(dom, p, frame):
-                assert abs(float(np.dot(x.inward_normal, w))) < 1e-10
+            _, n = _outer_geometry_batch(dom, p.ambient[None])
+            for w in outer_tangents(dom, p):
+                assert abs(float(np.dot(n[0], w))) < 1e-10
 
 
 def test_normal_expansion_residual_second_order():
@@ -186,7 +182,7 @@ def test_normal_expansion_residual_second_order():
         S = shape_operator_at(SPHERE, p, frame)
         g = dom.field.surface_gradient(p, frame)
         m = np.linalg.solve(np.eye(2) - d * S, g) @ frame.vectors
-        n = radial_map(dom, p).inward_normal
+        n = _outer_geometry_batch(dom, p.ambient[None])[1][0]
         res.append(float(np.linalg.norm(n + SPHERE.normal(p.ambient) - m)))
     slope = np.polyfit(np.log(eps_list), np.log(res), 1)[0]
     assert 1.85 < slope < 2.15

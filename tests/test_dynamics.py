@@ -1,4 +1,4 @@
-"""Exact forward dynamics: reciprocal map, return map, orbits.
+"""Exact forward dynamics: return map, orbits.
 
 Expected values here are frozen from the ray-geometry oracle itself (the
 map is computed two independent ways where possible); in particular the
@@ -23,17 +23,16 @@ from shellmap import (
     ZonalLegendreField,
     iterate_batch,
     iterate_orbit,
-    radial_map,
-    reciprocal_map,
     return_map,
     return_map_batch,
     thickness_step_stats,
 )
 from shellmap import dynamics
+from shellmap.domain import _outer_geometry_batch
 from shellmap.dynamics import OrbitRecord
 from shellmap.errors import ShellmapError
 from shellmap.harness import _Out, _task_orbit, parse_scenario_text, resolve
-from shellmap.surfaces import fibonacci_chart_grid
+from shellmap.surfaces import _ray_hit_batch, fibonacci_chart_grid
 
 SPHERE = ConvexCore.sphere(1.0)
 CIRCLE = ConvexCore.circle(1.0)
@@ -48,24 +47,24 @@ def pt(core, *chart):
 
 
 # ---------------------------------------------------------------------------
-# reciprocal and return maps
+# the return map and its two legs
 # ---------------------------------------------------------------------------
 
 def test_constant_field_reciprocal_inverts_radial():
     dom = RadialDomain(SPHERE, ConstantField(SPHERE, 0.5))
     for theta, phi in [(0.3, 0.1), (1.2, 4.0), (2.8, 2.2)]:
         p = pt(SPHERE, theta, phi)
-        x = radial_map(dom, p)
-        back = reciprocal_map(dom, x)
-        assert np.linalg.norm(back.ambient - p.ambient) < 1e-13
+        x, n = _outer_geometry_batch(dom, p.ambient[None])
+        back, _ = _ray_hit_batch(SPHERE, x, n)
+        assert np.linalg.norm(back[0] - p.ambient) < 1e-13
 
 
 def test_constant_field_circle_reciprocal():
     dom = RadialDomain(CIRCLE, ConstantField(CIRCLE, 0.3))
     p = pt(CIRCLE, 0.77)
-    x = radial_map(dom, p)
-    assert np.allclose(x.ambient, 1.3 * p.ambient, atol=1e-14)
-    assert np.linalg.norm(reciprocal_map(dom, x).ambient - p.ambient) < 1e-13
+    x, n = _outer_geometry_batch(dom, p.ambient[None])
+    assert np.allclose(x[0], 1.3 * p.ambient, atol=1e-14)
+    assert np.linalg.norm(_ray_hit_batch(CIRCLE, x, n)[0][0] - p.ambient) < 1e-13
 
 
 def test_constant_field_return_is_identity():

@@ -41,6 +41,7 @@ LINEARIZE_TASK = "task = linearize\ntask.point = equator"
 ZONAL_TASK = "field.kind = zonal_legendre\nfield.d0 = 0.5\nfield.eps = 0.01\n" + LINEARIZE_TASK
 SPHERE_ZONAL = "core.kind = sphere\ncore.radius = 1.0\nfield.kind = zonal_legendre"
 CIRCLE_FOURIER = "core.kind = circle\ncore.radius = 1.0\nfield.kind = fourier_2d"
+ZONAL_BODY = "core.kind = sphere\ncore.radius = 1.0\n" + ZONAL_TASK
 
 
 def scn_path(tmp_path, text, name="s.scn"):
@@ -371,6 +372,15 @@ def test_cli_orbit_error_exit_3(tmp_path, capsys):
     (ZONAL_TASK, "field.kind = constant\ntask = expansion_sweep", "field.kind"),
     (ZONAL_TASK, "field.kind = constant\ntask = expansion_sweep\ntask.kind = second_order", "field.kind"),
     (ZONAL_TASK, "field.kind = constant\ntask = expansion_sweep\ntask.kind = normal", "field.kind"),
+    # a real field or step key that is not finite
+    (ZONAL_TASK, "field.kind = zonal_legendre\nfield.d0 = nan\nfield.eps = 0.01\ntask = fixed_points", "field.d0"),
+    ("field.eps = 0.01", "field.eps = inf", "field.eps"),
+    ("field.kind = zonal_legendre\nfield.d0 = 0.5\nfield.eps = 0.01",
+     "field.kind = two_axis_legendre\nfield.d0 = 0.5\nfield.eps = nan", "field.eps"),
+    (ZONAL_BODY, CIRCLE_FOURIER + "\nfield.eps = -inf\ntask = admissibility", "field.eps"),
+    (ZONAL_BODY, CIRCLE_FOURIER + "\nfield.terms = 2:inf\ntask = admissibility", "field.terms"),
+    (LINEARIZE_TASK, "task = expansion_sweep\ntask.step_scale = nan", "task.step_scale"),
+    (LINEARIZE_TASK, "task = orbit\ntask.point = nan,0", "task.point"),
 ], ids=["task.h", "task.point", "field.eps", "core.radius", "rng_seed", "core.radius=-1", "core.c=0",
         "orbit.tol=-1", "sweep.kind=foo", "admissibility.grid=0", "sweep.n_samples=0",
         "scaling.equivalence=ture", "field.axis=0", "field.axis2=nan", "linearize.h=1e9",
@@ -384,7 +394,9 @@ def test_cli_orbit_error_exit_3(tmp_path, capsys):
         "rng_seed=-1", "series.chart=1", "series.chart=3", "scaling.lambda=0", "scaling.lambda=-2",
         "scaling.lambda=nan", "scaling.lambda=inf", "core.radius=inf", "core.a=inf", "fixed_points.tol=inf",
         "basins.cluster_radius=inf", "scaling.equivalence_tol=inf", "sweep.eps_list=inf",
-        "constant.first_order", "constant.second_order", "constant.normal"])
+        "constant.first_order", "constant.second_order", "constant.normal", "field.d0=nan",
+        "field.eps=inf", "two_axis.eps=nan", "fourier.eps=-inf", "fourier.terms=inf",
+        "sweep.step_scale=nan", "orbit.point=nan"])
 def test_cli_bad_value_exit_2_names_the_key(tmp_path, capsys, old, new, key):
     scn = scn_path(tmp_path, ZONAL_LINEARIZE.replace(old, new))
     assert cli_main(["run", scn, "--out", str(tmp_path / "o")]) == 2
