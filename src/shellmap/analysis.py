@@ -23,13 +23,13 @@ import numpy as np
 
 from .domain import RadialDomain, _outer_geometry_batch, _resolvent_batch
 from .dynamics import BlackBoxMap, return_map_batch, settle_batch
-from .errors import CurvatureSingularity, InadmissibleThickness, NotAFixedPoint, OffSurface
+from .errors import CurvatureSingularity, InadmissibleThickness, NotAFixedPoint
 from .fields import ConstantField
 from .surfaces import (
-    TOL_SURFACE,
     ConvexCore,
     SurfacePoint,
     TangentFrame,
+    _require_on_core,
     fibonacci_chart_grid,
     frame_at,
     frames_batch,
@@ -145,7 +145,7 @@ class ExpansionResidualReport:
     fitted_slope: float
     transverse_residual_norms: list
     transverse_slope: float
-    per_sample_slopes: np.ndarray | None = None
+    per_sample_slopes: np.ndarray
 
 
 def residual_sweep(
@@ -211,8 +211,6 @@ def preconditioner_series_residual(core: ConvexCore, chart, d_values):
 class LinearizationReport:
     """Estimated DF at a fixed point and derived classification."""
 
-    point: SurfacePoint
-    frame: TangentFrame
     DF: np.ndarray
     composite: np.ndarray            # I - DF
     eigenvalues: np.ndarray          # complex, sorted by descending real part
@@ -224,10 +222,10 @@ class LinearizationReport:
     hessian: np.ndarray | None = None
 
 
-def _classified(c_star, frame, DF, preconditioner, **extra) -> LinearizationReport:
+def _classified(DF, preconditioner, **extra) -> LinearizationReport:
     """The report of DF at a fixed point, after classify_fixed_point."""
     w = np.linalg.eigvals(DF)
-    report = LinearizationReport(c_star, frame, DF, np.eye(DF.shape[0]) - DF, w[np.lexsort((-w.imag, -w.real))],
+    report = LinearizationReport(DF, np.eye(DF.shape[0]) - DF, w[np.lexsort((-w.imag, -w.real))],
                                  preconditioner=preconditioner, **extra)
     classify_fixed_point(report)
     return report
@@ -269,7 +267,7 @@ def linearize_fd(dom: RadialDomain, c_star: SurfacePoint, frame: TangentFrame | 
     if frame is None:
         frame = frame_at(dom.core, c_star)
     DF = fixed_point_jacobian(BlackBoxMap.wrap_domain(dom), c_star.ambient[None], frame.vectors[None], h)[0]
-    return _classified(c_star, frame, DF, curvature_preconditioner(dom, c_star, frame))
+    return _classified(DF, curvature_preconditioner(dom, c_star, frame))
 
 
 def linearize_analytic(dom: RadialDomain, c_star: SurfacePoint, frame: TangentFrame | None = None,
@@ -286,7 +284,7 @@ def linearize_analytic(dom: RadialDomain, c_star: SurfacePoint, frame: TangentFr
     G = step_operator(dom, c_star, frame)
     H = dom.field.surface_hessian(c_star, frame)
     DF = np.eye(H.shape[0]) + step_scale * (G @ H)
-    return _classified(c_star, frame, DF, 2.0 * G, hessian=H)
+    return _classified(DF, 2.0 * G, hessian=H)
 
 
 def classify_fixed_point(report: LinearizationReport):
@@ -345,9 +343,9 @@ class FixedPointScan:
     """Clustered fixed points with residuals (and gradient norms when the
     thickness field is visible)."""
 
-    points: list                    # SurfacePoint representatives
-    residuals: np.ndarray
-    grad_norms: np.ndarray | None
+    points: np.ndarray              # (k, N) ambient representatives, (0, N) when none
+    residuals: np.ndarray           # (k,) |F(c) - c|
+    grad_norms: np.ndarray | None   # (k,) |grad d|, from find_fixed_points
     continuum: bool                 # > 50% of the seed grid is fixed
     unresolved: int
 
@@ -365,9 +363,7 @@ def _newton_polish(F: BlackBoxMap, X: np.ndarray):
     """
     core = F.core
     X = np.array(X, dtype=float, ndmin=2)
-    off = float(np.max(np.abs(core.implicit(X)), initial=0.0))
-    if off > TOL_SURFACE:
-        raise OffSurface(f"|implicit(x)| = {off:.3e} exceeds {TOL_SURFACE:.1e}")
+    _require_on_core(core, X)
     G = F.batch(X) - X
     r = np.linalg.norm(G, axis=-1)
     target = np.finfo(float).eps * core.surface_scale()
@@ -438,12 +434,12 @@ def fixed_point_search(F: BlackBoxMap, n_seeds: int,
     radius 10 * tol keeping the smallest-residual member of each cluster.
     The representatives come in lexicographic order of their ambient
     coordinates rounded to 1e-9 * surface_scale(), so their order does
-    not follow round-off in the residuals.  No seeds give an empty scan
-    without a map call.
+    not follow round-off in the residuals, and each is checked to be on
+    the core.  No seeds give an empty scan without a map call.
     """
-    if n_seeds < 1:
-        return FixedPointScan([], np.array([]), None, False, 0)
     core = F.core
+    if n_seeds < 1:
+        return FixedPointScan(np.empty((0, core.dim)), np.array([]), None, False, 0)
     X = core.ambient_from_chart(fibonacci_chart_grid(core, n_seeds))
     limits = F.batch(X)
     R = np.linalg.norm(limits - X, axis=-1)
@@ -469,14 +465,15 @@ def fixed_point_search(F: BlackBoxMap, n_seeds: int,
     keep = res < max(tol, 1e-9)
     pts, res = pts[keep], res[keep]
     if not pts.shape[0]:
-        return FixedPointScan([], np.array([]), None, continuum, unresolved)
+        return FixedPointScan(pts, np.array([]), None, continuum, unresolved)
 
     labels = _greedy_clusters(pts, radius=10.0 * tol)
     best = [members[np.argmin(res[members])]
             for members in (np.nonzero(labels == lab)[0] for lab in range(labels.max() + 1))]
     q = 1e-9 * core.surface_scale()
     best.sort(key=lambda i: tuple(np.round(pts[i] / q)))
-    reps = [SurfacePoint.from_ambient(core, pts[i]) for i in best]
+    reps = pts[best]
+    _require_on_core(core, reps)
     return FixedPointScan(reps, res[best], None, continuum, unresolved)
 
 
@@ -484,6 +481,6 @@ def find_fixed_points(dom: RadialDomain, n_seeds: int, tol: float = 1e-10,
                       max_iters: int = 100_000) -> FixedPointScan:
     """Fixed points of the exact return map with thickness-gradient norms."""
     scan = fixed_point_search(BlackBoxMap.wrap_domain(dom), n_seeds, tol=tol, max_iters=max_iters)
-    scan.grad_norms = np.array([float(np.linalg.norm(dom.field.surface_gradient_ambient(p)))
-                                for p in scan.points])
+    # the norm row by row, as for one point: a norm over axis -1 can differ in the last bits
+    scan.grad_norms = np.array([np.linalg.norm(g) for g in dom.field.tangent_gradient(scan.points)])
     return scan

@@ -3,7 +3,8 @@ BlackBoxMap, the one map object every map consumer takes.
 
 The forward map is computed purely by ray geometry (no asymptotic
 formulas), so it can serve as an independent oracle for every expansion
-tested elsewhere.
+tested elsewhere.  Point sets are (n, N) ambient arrays; a SurfacePoint
+is built only where one point meets a scalar API (return_map).
 """
 
 from __future__ import annotations
@@ -84,13 +85,12 @@ class BlackBoxMap:
 class OrbitRecord:
     """Trajectory of the discrete dynamics with per-step diagnostics."""
 
-    points: list                 # from the seed on
-    thickness_values: list
-    displacement_norms: list
-    status: str                  # "converged" | "max_iterations" | "error"
+    points: np.ndarray              # (n, N) ambient rows, the seed's as given first
+    thickness_values: np.ndarray    # (n,) d at each row
+    displacement_norms: np.ndarray  # (max(n - 1, 0),) |x_{k+1} - x_k|
+    status: str                     # "converged" | "max_iterations" | "error"
     error_kind: str | None = None
-    limit: SurfacePoint | None = None
-    limit_grad_norm: float | None = None
+    limit_grad_norm: float | None = None  # |grad d| at the last row, when converged
 
 
 def iterate_orbit(
@@ -108,8 +108,8 @@ def iterate_orbit(
     the seed's included, has d > 0.  The record ends before the first row
     that fails, with status "error" and error kind OffSurface or
     InadmissibleThickness; a ShellmapError raised by the kernel ends it at
-    the last point reached.  A point joins the record with its thickness,
-    also on an error record."""
+    the last point reached.  A row joins the record with its thickness,
+    also on an error record; row 0 is seed.ambient as given."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     core = dom.core
@@ -131,7 +131,6 @@ def iterate_orbit(
     except ShellmapError as exc:
         status, error_kind = "error", type(exc).__name__
     X = np.concatenate(rows)
-    del rows  # the step arrays go before the points are built
     d = dom.field.ambient_value(X)
     off = np.abs(core.implicit(X)) > TOL_SURFACE
     off[0] = False  # the seed is taken as given
@@ -141,14 +140,8 @@ def iterate_orbit(
         status = "error"
         error_kind = OffSurface.__name__ if off[k] else InadmissibleThickness.__name__
         X, d, disps = X[:k], d[:k], disps[:max(k - 1, 0)]
-    charts = core.chart_from_ambient(X[1:])
-    points = [seed][:len(X)] + [SurfacePoint(core, c, a) for c, a in zip(charts, X[1:])]
-    thickness = d.tolist()
-    if status != "converged":
-        return OrbitRecord(points, thickness, disps, status, error_kind=error_kind)
-    limit = points[-1]
-    gnorm = float(np.linalg.norm(dom.field.surface_gradient_ambient(limit)))
-    return OrbitRecord(points, thickness, disps, status, limit=limit, limit_grad_norm=gnorm)
+    gnorm = float(np.linalg.norm(dom.field.tangent_gradient(X[-1:])[0])) if status == "converged" else None
+    return OrbitRecord(X, d, np.array(disps), status, error_kind, gnorm)
 
 
 @dataclass

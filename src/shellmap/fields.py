@@ -70,11 +70,14 @@ class ThicknessField:
         return frame.vectors @ g
 
     def surface_gradient_ambient(self, p: SurfacePoint) -> np.ndarray:
-        """Riemannian gradient as an ambient tangent vector."""
+        """Riemannian gradient as an ambient tangent vector (tangent_gradient of one row)."""
         self._check_point(p)
-        g = self.ambient_grad(p.ambient)
-        nu = self.core.normal(p.ambient)
-        return g - nu * float(np.dot(g, nu))
+        return self.tangent_gradient(p.ambient[None])[0]
+
+    def tangent_gradient(self, X) -> np.ndarray:
+        """Riemannian gradients as ambient tangent vectors at core points X, (n, N)."""
+        G, nu = self.ambient_grad(X), self.core.normal(X)
+        return G - nu * np.einsum("ij,ij->i", G, nu)[:, None]
 
     def surface_hessian(self, p: SurfacePoint, frame: TangentFrame | None = None) -> np.ndarray:
         """Riemannian Hessian matrix in the frame (symmetric).

@@ -377,15 +377,16 @@ def _task_orbit(r, out, rng):
     v, core = r.values, r.dom.core
     rec = iterate_orbit(r.dom, v["point"], max_iters=v["max_iters"], tol=v["tol"])
     n = len(rec.points)
-    disps = rec.displacement_norms + [0.0] * (n - len(rec.displacement_norms))
+    disps = np.concatenate([rec.displacement_norms, np.zeros(n - len(rec.displacement_norms))])
+    charts = core.chart_from_ambient(rec.points)
+    charts[:1] = v["point"].chart  # the seed's chart as drawn
     out.table("orbit.csv", ["step", "theta", "phi", "x", "y", "z", "d", "displacement"],
-              np.arange(n), *_theta_phi(core, [p.chart for p in rec.points]),
-              *_xyz(core, [p.ambient for p in rec.points]), rec.thickness_values, disps)
+              np.arange(n), *_theta_phi(core, charts), *_xyz(core, rec.points), rec.thickness_values, disps)
     if rec.status == "error":
-        raise ShellmapError(f"{rec.error_kind} after {max(len(rec.points) - 1, 0)} steps")
+        raise ShellmapError(f"{rec.error_kind} after {max(n - 1, 0)} steps")
     out.summary([
         ("status", rec.status),
-        ("steps", len(rec.points) - 1),
+        ("steps", n - 1),
         ("final_thickness", float(rec.thickness_values[-1])),
         ("limit_grad_norm", float(rec.limit_grad_norm) if rec.limit_grad_norm is not None else "n/a"),
     ])
@@ -396,8 +397,8 @@ def _task_fixed_points(r, out, rng):
     scan = find_fixed_points(r.dom, n_seeds=r.values["n_seeds"], tol=r.values["tol"])
     core = r.dom.core
     out.table("fixed_points.csv", ["theta", "phi", "x", "y", "z", "residual", "grad_norm"],
-              *_theta_phi(core, [p.chart for p in scan.points]),
-              *_xyz(core, [p.ambient for p in scan.points]), scan.residuals, scan.grad_norms)
+              *_theta_phi(core, core.chart_from_ambient(scan.points)), *_xyz(core, scan.points),
+              scan.residuals, scan.grad_norms)
     out.summary([
         ("n_clusters", len(scan.points)),
         ("continuum_of_fixed_points", str(scan.continuum)),
@@ -468,9 +469,10 @@ def _task_expansion_sweep(r, out, rng):
     "alpha_mode": ("known_measured", _alpha_mode), "alpha_point": ({2: "0", 3: "equator"}, _point),
     "alpha": ("1.0", _gain), "alpha_factors": ("0.25,0.5,1,2,4", _alpha_factors)})
 def _task_reconstruct(r, out, rng):
-    v, dom = r.values, r.dom
+    v, dom, core = r.values, r.dom, r.dom.core
     F = BlackBoxMap.wrap_domain(dom)
-    samples = [SurfacePoint.from_chart(dom.core, ch) for ch in _sample_charts(dom.core, v["n_samples"], rng)]
+    charts = _sample_charts(core, v["n_samples"], rng)
+    samples = [SurfacePoint.from_chart(core, ch) for ch in charts]
     mode = v["alpha_mode"]
     if mode in ("known_classical", "known_measured"):
         frame = frame_at(dom.core, v["alpha_point"])
@@ -480,24 +482,26 @@ def _task_reconstruct(r, out, rng):
     else:
         alphas = [v["alpha"]] if mode == "assumed" else v["alpha_factors"]
     report = run_reconstruction(F, v["n_seeds"], samples, alphas, alpha_mode=mode, h=v["h"])
-    records = (
-        [("fixed_point", p, res) for p, res in report.fixed_points]
-        + [("descent_dir", p, vec) for p, vec in report.descent_samples]
-        + [("composite", p, C) for p, C in report.composite_ops]
-        + [(f"hessian(alpha={rec.alpha:.6g},{rec.alpha_mode})", p, rec.hessian)
-           for p, rec in report.hessians_isotropic]
+    fixed = core.chart_from_ambient(report.fixed_points)
+    composite = fixed[report.composite_rows]
+    records = (  # (tag, chart, data); the descent samples keep the charts they were drawn at
+        [("fixed_point", ch, res) for ch, res in zip(fixed, report.residuals)]
+        + [("descent_dir", ch, vec) for ch, vec in zip(charts[report.descent_kept], report.descent_directions)]
+        + [("composite", ch, C) for ch, C in zip(composite, report.composite_ops)]
+        + [(f"hessian(alpha={rec.alpha:.6g},{rec.alpha_mode})", ch, rec.hessian)
+           for ch, recs in zip(composite, report.hessians_isotropic) for rec in recs]
     )
-    theta, phi = _theta_phi(dom.core, [p.chart for _, p, _ in records])
+    theta, phi = _theta_phi(core, [ch for _, ch, _ in records])
     out.csv("reconstruction.csv", ["record", "theta", "phi", "data"],
             [[tag, _g17(t), _g17(f), ";".join(map(_g17, np.ravel(data)))]
              for (tag, _, data), t, f in zip(records, theta, phi)])
     out.summary([
         ("n_fixed_points", len(report.fixed_points)),
-        ("n_descent_samples", len(report.descent_samples)),
+        ("n_descent_samples", len(report.descent_directions)),
         ("n_composites", len(report.composite_ops)),
-        ("n_hessians", len(report.hessians_isotropic)),
+        ("n_hessians", sum(map(len, report.hessians_isotropic))),
         ("alpha_mode", mode),
-        ("skipped_samples", report.skipped_samples),
+        ("skipped_samples", int(np.sum(~report.descent_kept))),
     ])
 
 
@@ -540,11 +544,11 @@ def _task_scaling(r, out, rng):
 def _task_basins(r, out, rng):
     v, dom = r.values, r.dom
     F = BlackBoxMap.wrap_domain(dom)
-    seeds = [SurfacePoint.from_chart(dom.core, ch) for ch in fibonacci_chart_grid(dom.core, v["n_seeds"])]
+    charts = fibonacci_chart_grid(dom.core, v["n_seeds"])
+    seeds = [SurfacePoint.from_chart(dom.core, ch) for ch in charts]
     labeling = basin_decomposition(F, seeds, tol=v["tol"], max_iters=v["max_iters"],
                                    cluster_radius=v["cluster_radius"])
-    out.table("basins.csv", ["seed_theta", "seed_phi", "label"],
-              *_theta_phi(dom.core, [p.chart for p in labeling.seeds]), labeling.labels)
+    out.table("basins.csv", ["seed_theta", "seed_phi", "label"], *_theta_phi(dom.core, charts), labeling.labels)
     counts = {int(l): int(np.sum(labeling.labels == l)) for l in sorted(set(labeling.labels))}
     out.summary([
         ("n_clusters", len(labeling.cluster_reps)),

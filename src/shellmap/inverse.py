@@ -3,6 +3,9 @@
 Everything here touches the dynamics only through a BlackBoxMap, whose
 one map takes ambient points in a batch, (n, N) -> (n, N); a call on a
 single surface point is a batch of one.  No thickness data is read.
+Seeds and samples come in as SurfacePoints, read once into (n, N) ambient
+rows by _ambient_rows; recovered point sets go out as (k, N) ambient
+arrays, per-sample results with a mask of the samples they keep.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .analysis import (
     FIXED_POINT_RESIDUAL_TOL,
 )
 from .dynamics import BlackBoxMap, settle_batch
-from .surfaces import ConvexCore, SurfacePoint, TangentFrame, frame_at, frames_batch
+from .surfaces import ConvexCore, SurfacePoint, TangentFrame, _require_on_core, frame_at, frames_batch
 
 SKIP_DISPLACEMENT_TOL = 1e-9
 DIR_TOL = 1e-3                      # line fields agree at mean cosine >= 1 - DIR_TOL
@@ -40,19 +43,18 @@ def _displacements(F: BlackBoxMap, X: np.ndarray):
 
 
 def recover_descent_field(F: BlackBoxMap, samples):
-    """Unit tangent direction of the displacement at each sample point.
+    """Unit tangent direction of the displacement at the sample points:
+    (directions, keep), directions (m, N) at the samples where keep, (n,)
+    bool, is set.
 
-    Points with |F(c) - c| <= 1e-9 are skipped and reported.  The
-    directions span the gradient line field of the thickness function (for
-    the ray mechanism they point along + (I - dS)^-1 grad d).
+    Points with |F(c) - c| <= 1e-9 are skipped.  The directions span the
+    gradient line field of the thickness function (for the ray mechanism
+    they point along + (I - dS)^-1 grad d).
     """
-    samples = list(samples)
     disp, tang = _displacements(F, _ambient_rows(F.core, samples))
     norm = np.linalg.norm(tang, axis=-1)
     keep = (np.linalg.norm(disp, axis=-1) > SKIP_DISPLACEMENT_TOL) & (norm != 0.0)
-    results = [(p, tang[i] / norm[i]) for i, p in enumerate(samples) if keep[i]]
-    skipped = [p for i, p in enumerate(samples) if not keep[i]]
-    return results, skipped
+    return tang[keep] / norm[keep, None], keep
 
 
 def estimate_composite_operator(F: BlackBoxMap, c_star: SurfacePoint,
@@ -143,9 +145,8 @@ def scaling_ambiguity_diagnostic(F1: BlackBoxMap, F2: BlackBoxMap, samples) -> S
 class BasinLabeling:
     """Limit-cluster label per seed; label -1 marks unresolved seeds."""
 
-    seeds: list
-    labels: np.ndarray
-    cluster_reps: list
+    labels: np.ndarray        # (n,) per seed, in the order given
+    cluster_reps: np.ndarray  # (k, N) ambient, the first limit of each label
     continuum: bool = False
 
 
@@ -158,28 +159,25 @@ def basin_decomposition(F: BlackBoxMap, seeds, tol: float = 1e-8,
     label -1.  The continuum flag is raised when every seed
     converges and more than half of them stop within two steps (steps <= 2:
     the contraction rule stops a seed that is already fixed at its second
-    step).  No seeds give an empty labeling without a map call.
+    step).  Each representative is checked to be within 1e-6 of the core.
+    No seeds give an empty labeling without a map call.
     """
-    seeds = list(seeds)
-    if not seeds:
-        return BasinLabeling([], np.array([], dtype=int), [], False)
+    X = _ambient_rows(F.core, seeds)
+    if not X.shape[0]:
+        return BasinLabeling(np.array([], dtype=int), X, False)
     if cluster_radius is None:
         # wide enough to swallow the convergence ball around each attractor
         cluster_radius = max(10.0 * tol, 1e-3 * F.core.surface_scale())
-    result = settle_batch(F, _ambient_rows(F.core, seeds), tol, max_iters)
-    labels = -np.ones(len(seeds), dtype=int)
+    result = settle_batch(F, X, tol, max_iters)
+    labels = -np.ones(X.shape[0], dtype=int)
     conv = result.converged
     continuum = bool(np.mean(result.steps <= 2) > 0.5 and np.all(conv))
-    if np.any(conv):
-        sub = _greedy_clusters(result.limits[conv], cluster_radius)
-        labels[conv] = sub
-        reps = []
-        for lab in range(sub.max() + 1):
-            idx = np.nonzero(sub == lab)[0][0]
-            reps.append(SurfacePoint.from_ambient(F.core, result.limits[conv][idx], tol=1e-6))
-    else:
-        reps = []
-    return BasinLabeling(seeds, labels, reps, continuum)
+    limits = result.limits[conv]
+    sub = _greedy_clusters(limits, cluster_radius)
+    labels[conv] = sub
+    reps = limits[np.unique(sub, return_index=True)[1]]
+    _require_on_core(F.core, reps, tol=1e-6)
+    return BasinLabeling(labels, reps, continuum)
 
 
 @dataclass
@@ -221,8 +219,7 @@ def dynamical_equivalence_check(F1: BlackBoxMap, F2: BlackBoxMap, seeds,
 
     s1 = fixed_point_search(F1, n_probe, tol=1e-10, max_iters=max_iters)
     s2 = fixed_point_search(F2, n_probe, tol=1e-10, max_iters=max_iters)
-    A = _ambient_rows(F1.core, s1.points)
-    B = _ambient_rows(F1.core, s2.points)
+    A, B = s1.points, s2.points
     cross = 0.0
     for P, other in ((A, F2), (B, F1)):
         if P.shape[0]:
@@ -268,11 +265,13 @@ def dynamical_equivalence_check(F1: BlackBoxMap, F2: BlackBoxMap, seeds,
 class ReconstructionReport:
     """Everything the black-box pipeline recovered in one pass."""
 
-    fixed_points: list                      # (SurfacePoint, residual)
-    descent_samples: list                   # (SurfacePoint, unit ambient direction)
-    composite_ops: list                     # (SurfacePoint, matrix)
-    hessians_isotropic: list                # (SurfacePoint, IsotropicReconstruction)
-    skipped_samples: int = 0
+    fixed_points: np.ndarray        # (k, N) ambient, from fixed_point_search
+    residuals: np.ndarray           # (k,) |F(c) - c| at them
+    descent_directions: np.ndarray  # (m, N) unit ambient direction per kept sample
+    descent_kept: np.ndarray        # (n,) bool per sample, as from recover_descent_field
+    composite_rows: np.ndarray      # (j,) fixed-point rows with residual <= FIXED_POINT_RESIDUAL_TOL
+    composite_ops: np.ndarray       # (j, N-1, N-1) I - DF at those rows
+    hessians_isotropic: list        # per composite row, an IsotropicReconstruction per alpha
 
 
 def run_reconstruction(F: BlackBoxMap, n_seeds: int, samples, alphas,
@@ -281,15 +280,11 @@ def run_reconstruction(F: BlackBoxMap, n_seeds: int, samples, alphas,
     and isotropic Hessian estimates (one per supplied alpha); all
     composites take one fixed-point check and one stencil call."""
     scan = fixed_point_search(F, n_seeds)
-    fixed = list(zip(scan.points, scan.residuals))
-    descent, skipped = recover_descent_field(F, samples)
-    points = [p for p, r in fixed if r <= FIXED_POINT_RESIDUAL_TOL]
-    composites, hessians = [], []
-    if points:
-        X = _ambient_rows(F.core, points)
-        DF = fixed_point_jacobian(F, X, frames_batch(F.core, X), h)
-        composites = [(p, np.eye(F.core.dim - 1) - J) for p, J in zip(points, DF)]
-    for p, C in composites:
-        for a in np.atleast_1d(alphas):
-            hessians.append((p, reconstruct_hessian_isotropic(C, float(a), alpha_mode)))
-    return ReconstructionReport(fixed, descent, composites, hessians, len(skipped))
+    directions, kept = recover_descent_field(F, samples)
+    rows = np.flatnonzero(scan.residuals <= FIXED_POINT_RESIDUAL_TOL)
+    X, m = scan.points[rows], F.core.dim - 1
+    composites = np.eye(m) - (fixed_point_jacobian(F, X, frames_batch(F.core, X), h) if rows.size
+                              else np.empty((0, m, m)))
+    hessians = [[reconstruct_hessian_isotropic(C, float(a), alpha_mode) for a in np.atleast_1d(alphas)]
+                for C in composites]
+    return ReconstructionReport(scan.points, scan.residuals, directions, kept, rows, composites, hessians)

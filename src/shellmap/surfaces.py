@@ -144,11 +144,9 @@ class SurfacePoint:
         return SurfacePoint(core, ch, core.ambient_from_chart(ch))
 
     @staticmethod
-    def from_ambient(core: ConvexCore, x, tol: float = TOL_SURFACE) -> "SurfacePoint":
+    def from_ambient(core: ConvexCore, x) -> "SurfacePoint":
         x = np.asarray(x, dtype=float)
-        resid = abs(float(core.implicit(x)))
-        if resid > tol:
-            raise OffSurface(f"|implicit(x)| = {resid:.3e} exceeds {tol:.1e}")
+        _require_on_core(core, x)
         return SurfacePoint(core, core.chart_from_ambient(x), x.copy())
 
     @property
@@ -243,7 +241,7 @@ def frame_at(core: ConvexCore, p: SurfacePoint) -> TangentFrame:
 def shape_operator_at(core: ConvexCore, p: SurfacePoint, frame: TangentFrame) -> np.ndarray:
     """Matrix of the shape operator S = -D(nu) in the given frame,
     S_ij = e_i . S e_j with S e_j from shape_action_batch (symmetrized)."""
-    _require_on_surface(core, p)
+    _require_on_core(core, p.ambient)
     E = frame.vectors
     S = E @ shape_action_batch(core, np.broadcast_to(p.ambient, E.shape), E).T
     return 0.5 * (S + S.T)
@@ -351,10 +349,12 @@ def retract(core: ConvexCore, p: SurfacePoint, v, h: float) -> SurfacePoint:
     return SurfacePoint(core, core.chart_from_ambient(y), y)
 
 
-def _require_on_surface(core: ConvexCore, p: SurfacePoint):
-    resid = abs(float(core.implicit(p.ambient)))
-    if resid > TOL_SURFACE:
-        raise OffSurface(f"|implicit(p)| = {resid:.3e} exceeds {TOL_SURFACE:.1e}")
+def _require_on_core(core: ConvexCore, X, tol: float = TOL_SURFACE) -> None:
+    """OffSurface unless every ambient point of X, one point or (n, N),
+    has |implicit| <= tol."""
+    resid = float(np.max(np.abs(core.implicit(X)), initial=0.0))
+    if resid > tol:
+        raise OffSurface(f"|implicit(x)| = {resid:.3e} exceeds {tol:.1e}")
 
 
 def fibonacci_chart_grid(core: ConvexCore, n: int) -> np.ndarray:

@@ -28,14 +28,12 @@ import pytest
 from shellmap import (
     BlackBoxMap,
     MEASURED_STEP_SCALE,
-    ConstantField,
     ConvexCore,
     Fourier2DField,
     RadialDomain,
     ScaledField,
     SurfacePoint,
     ZonalLegendreField,
-    classify_fixed_point,
     dynamical_equivalence_check,
     estimate_composite_operator,
     find_fixed_points,
@@ -49,7 +47,6 @@ from shellmap import (
     scaling_ambiguity_diagnostic,
     thickness_step_stats,
 )
-from shellmap.analysis import fit_loglog
 from shellmap.surfaces import fibonacci_chart_grid
 
 SPHERE = ConvexCore.sphere(1.0)
@@ -178,7 +175,7 @@ def _distance_to_critical_set(x):
 def test_criterion_03_critical_set_recovery():
     F = BlackBoxMap.wrap_domain(reference_domain())
     scan = fixed_point_search(F, 600, tol=1e-10)
-    P = np.array([p.ambient for p in scan.points])
+    P = scan.points
     worst_to_set = max(_distance_to_critical_set(x) for x in P)
     d_north = float(np.min(np.linalg.norm(P - np.array([0, 0, 1.0]), axis=1)))
     d_south = float(np.min(np.linalg.norm(P - np.array([0, 0, -1.0]), axis=1)))
@@ -381,7 +378,7 @@ def test_criterion_11_planar_brute_force_oracle():
     oracle_fp = np.sort(np.array(oracle_fp))
 
     scan = find_fixed_points(dom, n_seeds=360, tol=1e-10)
-    pipe_fp = np.sort([p.theta for p in scan.points])
+    pipe_fp = np.sort(CIRCLE.chart_from_ambient(scan.points)[:, 0])
     fp_err = float(np.abs(_wrap(pipe_fp - oracle_fp)).max()) if len(pipe_fp) == len(oracle_fp) else np.inf
 
     checks = [

@@ -298,8 +298,6 @@ def test_spectral_relation_in_aligned_case():
 def _report(DF, hessian=None, precond=None):
     k = DF.shape[0]
     return LinearizationReport(
-        point=pt(SPHERE, 1.0, 0.0),
-        frame=frame_at(SPHERE, pt(SPHERE, 1.0, 0.0)),
         DF=DF,
         composite=np.eye(k) - DF,
         eigenvalues=np.linalg.eigvals(DF),
@@ -359,7 +357,7 @@ def test_find_fixed_points_zonal_recovers_critical_set():
     dom = zonal_domain()
     scan = find_fixed_points(dom, n_seeds=400, tol=1e-10)
     assert not scan.continuum
-    P = np.array([p.ambient for p in scan.points])
+    P = scan.points
     assert np.min(np.linalg.norm(P - np.array([0, 0, 1.0]), axis=1)) < 1e-6
     assert np.min(np.linalg.norm(P - np.array([0, 0, -1.0]), axis=1)) < 1e-6
     # every representative lies on the analytic critical set
@@ -378,7 +376,7 @@ def test_find_fixed_points_circle_four_points():
     # d(theta) = 0.5 + 0.01 cos(2 theta): critical angles at multiples of pi/2
     dom = RadialDomain(CIRCLE, Fourier2DField(CIRCLE, 0.5, [(2, 0.01)]))
     scan = find_fixed_points(dom, n_seeds=360, tol=1e-10)
-    thetas = sorted(p.theta for p in scan.points)
+    thetas = sorted(CIRCLE.chart_from_ambient(scan.points)[:, 0])
     assert len(thetas) == 4
     for got, want in zip(thetas, [0.0, np.pi / 2, np.pi, 3 * np.pi / 2]):
         assert min(abs(got - want), abs(got - want - 2 * np.pi), abs(got - want + 2 * np.pi)) < 1e-8
@@ -388,9 +386,7 @@ def test_find_fixed_points_deterministic():
     dom = zonal_domain()
     s1 = find_fixed_points(dom, n_seeds=150, tol=1e-10)
     s2 = find_fixed_points(dom, n_seeds=150, tol=1e-10)
-    assert len(s1.points) == len(s2.points)
-    for a, b in zip(s1.points, s2.points):
-        assert np.array_equal(a.ambient, b.ambient)
+    assert np.array_equal(s1.points, s2.points)
 
 
 def test_fixed_point_polish_reaches_critical_points_on_tilted_ellipsoid():
@@ -400,7 +396,7 @@ def test_fixed_point_polish_reaches_critical_points_on_tilted_ellipsoid():
     assert len(scan.points) >= 2
     assert np.all(scan.grad_norms <= 1e-14)
     # the representatives lie on the core and are fixed to round-off
-    P = np.array([p.ambient for p in scan.points])
+    P = scan.points
     assert np.all(np.abs(core.implicit(P)) <= 4 * np.finfo(float).eps)
     assert np.all(scan.residuals <= 1e-15 * core.surface_scale())
 
@@ -410,7 +406,7 @@ def test_thin_shell_reports_each_pole_once():
     # poles are reached only through the polish
     dom = zonal_domain(0.03, 1e-3)
     scan = find_fixed_points(dom, n_seeds=120, tol=1e-10, max_iters=5000)
-    P = np.array([p.ambient for p in scan.points])
+    P = scan.points
     for pole in ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0]):
         assert int(np.sum(np.linalg.norm(P - pole, axis=1) <= 1e-6)) == 1
 
@@ -425,16 +421,17 @@ def test_fixed_points_come_in_canonical_order(dom, n_seeds):
     # the order cannot follow round-off in the residuals
     scan = find_fixed_points(dom, n_seeds=n_seeds, tol=1e-10)
     q = 1e-9 * dom.core.surface_scale()
-    keys = [tuple(np.round(p.ambient / q)) for p in scan.points]
+    keys = [tuple(np.round(x / q)) for x in scan.points]
     assert len(keys) >= 4
     assert keys == sorted(keys)
     # residuals and gradient norms travel with their points
-    X = np.array([p.ambient for p in scan.points])
-    F = np.array([return_map(dom, p).ambient for p in scan.points])
+    X = scan.points
+    points = [SurfacePoint.from_ambient(dom.core, x) for x in X]
+    F = np.array([return_map(dom, p).ambient for p in points])
     assert np.allclose(scan.residuals, np.linalg.norm(F - X, axis=-1), rtol=1e-12, atol=1e-30)
     # the Newton polish reaches round-off
     assert np.all(scan.residuals <= 1e-15 * dom.core.surface_scale())
-    grads = [np.linalg.norm(dom.field.surface_gradient_ambient(p)) for p in scan.points]
+    grads = [np.linalg.norm(dom.field.surface_gradient_ambient(p)) for p in points]
     assert np.array_equal(scan.grad_norms, grads)
 
 
@@ -640,9 +637,9 @@ def test_fixed_point_search_with_no_seeds_is_empty():
         raise AssertionError("no map call expected")
 
     scan = analysis.fixed_point_search(BlackBoxMap(TILTED.core, no_call), 0, tol=1e-10)
-    assert (scan.points, scan.residuals.shape, scan.continuum, scan.unresolved) == ([], (0,), False, 0)
+    assert (scan.points.shape, scan.residuals.shape, scan.continuum, scan.unresolved) == ((0, 3), (0,), False, 0)
     scan = find_fixed_points(zonal_domain(), n_seeds=0)
-    assert scan.points == [] and scan.grad_norms.shape == (0,)
+    assert scan.points.shape == (0, 3) and scan.grad_norms.shape == (0,)
     assert not scan.continuum and scan.unresolved == 0
 
 

@@ -5,7 +5,8 @@ inverse.BlackBoxMap, analysis.linearize_fd and harness.run_scenario), so a
 moved or renamed name breaks the benchmark.  One pass of each of the three
 gated workloads must complete with no failed operation, and the traced
 run's kernel sweep must find every entry point it times.  Every name the
-package exports must have a caller in the package or the benchmark.
+package exports must have a caller in the package or the benchmark, and
+every name a package or test module imports must be referred to in it.
 bench/reference.json is read and never written; the scenarios write their
 reports under the test's temporary directory.
 """
@@ -75,3 +76,25 @@ def test_every_export_has_a_caller():
         used |= _referenced(path, strings=path.name != "tracer.py")
     unused = sorted(exported - used)
     assert not unused, f"exported with no caller in src/shellmap or bench: {unused}"
+
+
+def _imported(path: Path) -> set:
+    """The names that the imports in path bind, __future__ imports aside."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names |= {alias.asname or alias.name for alias in node.names}
+    return names
+
+
+def test_every_import_is_used():
+    # __init__.py imports to export, which test_every_export_has_a_caller checks
+    unused = {}
+    for path in sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")]):
+        if path.name != "__init__.py":
+            names = sorted(_imported(path) - _referenced(path, strings=False))
+            if names:
+                unused[f"{path.parent.name}/{path.name}"] = names
+    assert not unused, f"imported and never referred to: {unused}"

@@ -244,7 +244,7 @@ def test_orbit_record_consistency():
     assert len(rec.points) == len(rec.thickness_values)
     assert len(rec.displacement_norms) == len(rec.points) - 1
     for k in range(len(rec.displacement_norms)):
-        d = np.linalg.norm(rec.points[k + 1].ambient - rec.points[k].ambient)
+        d = np.linalg.norm(rec.points[k + 1] - rec.points[k])
         assert abs(d - rec.displacement_norms[k]) < 1e-15
     assert rec.status == "converged"
     assert rec.displacement_norms[-1] < 1e-8
@@ -255,7 +255,7 @@ def test_orbit_from_quarter_colatitude_reaches_pole():
     dom = zonal_domain()
     rec = iterate_orbit(dom, pt(SPHERE, np.pi / 4, 0.0), tol=1e-10)
     assert rec.status == "converged"
-    assert rec.limit.theta < 1e-3
+    assert SPHERE.chart_from_ambient(rec.points[-1])[0] < 1e-3
     assert rec.limit_grad_norm < 1e-6
     assert abs(rec.thickness_values[-1] - 0.51) < 1e-6
 
@@ -323,7 +323,7 @@ def test_iterate_batch_agrees_with_scalar_orbits():
     for i, ch in enumerate(charts):
         rec = iterate_orbit(dom, SurfacePoint.from_chart(SPHERE, ch), max_iters=20_000, tol=1e-9)
         assert batch.converged[i] and rec.status == "converged"
-        assert np.linalg.norm(batch.limits[i] - rec.limit.ambient) < 1e-8
+        assert np.linalg.norm(batch.limits[i] - rec.points[-1]) < 1e-8
         assert batch.steps[i] == len(rec.points) - 1
 
 
@@ -345,8 +345,10 @@ def test_batch_limits_split_by_hemisphere():
 
 def _per_step_orbit(dom, seed, max_iters, tol):
     """The orbit as a loop of scalar steps: return_map checks each iterate
-    is on the core, field.eval checks its thickness."""
+    is on the core, field.eval checks its thickness.  Returns the record
+    and the SurfacePoints of the loop."""
     points, thickness, disps = [], [], []
+    status, error_kind, gnorm = "max_iterations", None, None
     try:
         thickness.append(dom.field.eval(seed))
         points.append(seed)
@@ -359,25 +361,21 @@ def _per_step_orbit(dom, seed, max_iters, tol):
             disps.append(step)
             current = nxt
             if step < tol:
+                status = "converged"
                 gnorm = float(np.linalg.norm(dom.field.surface_gradient_ambient(current)))
-                return OrbitRecord(points, thickness, disps, "converged",
-                                   limit=current, limit_grad_norm=gnorm)
-        return OrbitRecord(points, thickness, disps, "max_iterations")
+                break
     except ShellmapError as exc:
-        return OrbitRecord(points, thickness, disps, "error", error_kind=type(exc).__name__)
+        status, error_kind = "error", type(exc).__name__
+    X = np.array([p.ambient for p in points]).reshape(-1, dom.core.dim)
+    return OrbitRecord(X, np.array(thickness), np.array(disps), status, error_kind, gnorm), points
 
 
 def _assert_same_record(got, want):
     assert (got.status, got.error_kind) == (want.status, want.error_kind)
-    assert got.thickness_values == want.thickness_values
-    assert got.displacement_norms == want.displacement_norms
-    assert len(got.points) == len(want.points)
-    for p, q in zip(got.points, want.points):
-        assert np.array_equal(p.ambient, q.ambient) and np.array_equal(p.chart, q.chart)
+    for field in ("points", "thickness_values", "displacement_norms"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), field
     assert got.limit_grad_norm == want.limit_grad_norm
-    assert (got.limit is None) == (want.limit is None)
-    if want.limit is not None:
-        assert np.array_equal(got.limit.ambient, want.limit.ambient)
 
 
 @pytest.mark.parametrize("kind, chart, max_iters", [
@@ -390,11 +388,13 @@ def _assert_same_record(got, want):
 def test_orbit_matches_per_step_loop_bit_for_bit(kind, chart, max_iters):
     dom = _BIT_DOMAINS[kind]
     seed = SurfacePoint.from_chart(dom.core, *chart)
-    want = _per_step_orbit(dom, seed, max_iters, 1e-10)
+    want, points = _per_step_orbit(dom, seed, max_iters, 1e-10)
     got = iterate_orbit(dom, seed, max_iters=max_iters, tol=1e-10)
     assert want.status in ("converged", "max_iterations") and len(want.points) > 50
     _assert_same_record(got, want)
-    assert got.points[0] is seed
+    assert got.points[0].tobytes() == seed.ambient.tobytes()
+    # the charts of the iterates, taken from the rows in one batch, are those the scalar steps hold
+    assert np.array_equal(dom.core.chart_from_ambient(got.points[1:]), [p.chart for p in points[1:]])
 
 
 def test_orbit_max_iterations_matches_per_step_loop():
@@ -402,15 +402,15 @@ def test_orbit_max_iterations_matches_per_step_loop():
     seed = pt(SPHERE, 1.0, 0.0)
     got = iterate_orbit(dom, seed, max_iters=40, tol=1e-15)
     assert got.status == "max_iterations" and len(got.points) == 41
-    _assert_same_record(got, _per_step_orbit(dom, seed, 40, 1e-15))
+    _assert_same_record(got, _per_step_orbit(dom, seed, 40, 1e-15)[0])
 
 
 def test_orbit_nonpositive_seed_matches_per_step_loop():
     dom = RadialDomain(SPHERE, ZonalLegendreField(SPHERE, 0.1, 0.5))
     seed = pt(SPHERE, np.pi / 2, 0.0)
     got = iterate_orbit(dom, seed)
-    assert got.error_kind == "InadmissibleThickness" and got.points == []
-    _assert_same_record(got, _per_step_orbit(dom, seed, 100_000, 1e-10))
+    assert got.error_kind == "InadmissibleThickness" and got.points.shape == (0, 3)
+    _assert_same_record(got, _per_step_orbit(dom, seed, 100_000, 1e-10)[0])
 
 
 def test_orbit_takes_an_off_core_seed_as_given():
@@ -420,7 +420,7 @@ def test_orbit_takes_an_off_core_seed_as_given():
     seed = SurfacePoint(SPHERE, on.chart, on.ambient * (1.0 + 1e-9))
     got = iterate_orbit(dom, seed)
     assert got.status == "converged"
-    _assert_same_record(got, _per_step_orbit(dom, seed, 100_000, 1e-10))
+    _assert_same_record(got, _per_step_orbit(dom, seed, 100_000, 1e-10)[0])
 
 
 def _inject_at_step(monkeypatch, k, make):
@@ -461,7 +461,7 @@ def _equator(X, Y):
 def test_orbit_error_is_truncated_where_the_per_step_loop_stops(monkeypatch, k, dom, make, kind):
     seed = pt(SPHERE, 0.6, 0.3)
     calls = _inject_at_step(monkeypatch, k, make)
-    want = _per_step_orbit(dom, seed, 100_000, 1e-10)
+    want = _per_step_orbit(dom, seed, 100_000, 1e-10)[0]
     calls[0] = 0
     got = iterate_orbit(dom, seed, tol=1e-10)
     assert want.status == "error" and want.error_kind == kind

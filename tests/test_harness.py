@@ -13,8 +13,8 @@ import pytest
 from shellmap import ScenarioError
 from shellmap.cli import main as cli_main
 from shellmap.harness import (
-    Scenario,
     _Out,
+    _sample_charts,
     _theta_phi,
     _xyz,
     build_core,
@@ -262,6 +262,25 @@ def test_out_writes_every_table_exactly(tmp_path):
     assert rows[0] == ["theta", "phi", "x", "y", "z", "residual", "grad_norm"]
     assert len(rows) == 1 + int(summary["n_clusters"]) > 1
     assert all(r[1] == r[4] == "0" for r in rows[1:])
+
+
+def test_drawn_charts_are_written_as_drawn(tmp_path):
+    # the orbit seed and the descent samples are drawn as charts, and their rows carry
+    # those charts: the charts recomputed from their ambient points differ in the last bit
+    core = build_core({"kind": "sphere"})
+    seed = np.array([0.785398163, 0.0])  # the orbit task's default point on a sphere
+    assert core.chart_from_ambient(core.ambient_from_chart(seed))[0] != seed[0]
+    orbit = ZONAL_LINEARIZE.replace(LINEARIZE_TASK, "task = orbit\ntask.max_iters = 3")
+    run_scenario(scn_path(tmp_path, orbit, "orbit.scn"), out_dir=tmp_path / "orbit")
+    assert _cells(tmp_path / "orbit" / "orbit.csv")[1][:3] == ["0", "%.17g" % seed[0], "%.17g" % seed[1]]
+
+    n = 12
+    rec = ZONAL_LINEARIZE.replace(LINEARIZE_TASK, f"task = reconstruct\ntask.n_seeds = 40\ntask.n_samples = {n}")
+    run_scenario(scn_path(tmp_path, rec, "rec.scn"), out_dir=tmp_path / "rec")
+    charts = _sample_charts(core, n, np.random.default_rng(0))  # the scenario's rng_seed
+    assert np.any(core.chart_from_ambient(core.ambient_from_chart(charts)) != charts)
+    rows = [r for r in _cells(tmp_path / "rec" / "reconstruction.csv")[1:] if r[0] == "descent_dir"]
+    assert [r[1:3] for r in rows] == [["%.17g" % t, "%.17g" % f] for t, f in charts]
 
 
 # ---------------------------------------------------------------------------

@@ -55,13 +55,14 @@ def test_constant_field_all_samples_skipped():
     dom = RadialDomain(SPHERE, ConstantField(SPHERE, 0.5))
     F = BlackBoxMap.wrap_domain(dom)
     samples = pts(SPHERE, fibonacci_chart_grid(SPHERE, 30))
-    results, skipped = recover_descent_field(F, samples)
-    assert not results and len(skipped) == 30
+    directions, keep = recover_descent_field(F, samples)
+    assert directions.shape == (0, 3) and keep.shape == (30,) and not keep.any()
 
 
 def test_empty_sample_lists_keep_empty_results():
     F, _ = zonal_box()
-    assert recover_descent_field(F, []) == ([], [])
+    directions, keep = recover_descent_field(F, [])
+    assert directions.shape == (0, 3) and keep.shape == (0,)
     diag = scaling_ambiguity_diagnostic(F, F, [])
     assert diag.verdict == "DifferentLineField"
     assert diag.skipped == 0
@@ -70,9 +71,10 @@ def test_empty_sample_lists_keep_empty_results():
 
 
 def _worst_angle_to_preconditioned(F, dom, charts):
-    results, _ = recover_descent_field(F, pts(dom.core, charts))
+    samples = pts(dom.core, charts)
+    directions, keep = recover_descent_field(F, samples)
     worst = 0.0
-    for p, direction in results:
+    for p, direction in zip([p for p, k in zip(samples, keep) if k], directions):
         frame = frame_at(dom.core, p)
         d = dom.field.eval(p)
         S = shape_operator_at(dom.core, p, frame)
@@ -104,8 +106,8 @@ def test_recovered_directions_exact_on_ellipsoid():
 def test_ellipsoid_direction_is_preconditioned_not_plain_gradient():
     F, dom = zonal_box(0.4, 1e-3, ELLIPSOID)
     p = SurfacePoint.from_chart(ELLIPSOID, 1.0, 0.8)
-    results, _ = recover_descent_field(F, [p])
-    (_, direction), = results
+    directions, _ = recover_descent_field(F, [p])
+    direction, = directions
     frame = frame_at(ELLIPSOID, p)
     d = dom.field.eval(p)
     S = shape_operator_at(ELLIPSOID, p, frame)
@@ -127,9 +129,7 @@ def test_blackbox_matches_whitebox_clusters():
     black = fixed_point_search(F, 300, tol=1e-10)
     white = find_fixed_points(dom, 300, tol=1e-10)
     # both paths query the same map object, so they agree bit for bit
-    assert len(black.points) == len(white.points)
-    for b, w in zip(black.points, white.points):
-        assert np.array_equal(b.ambient, w.ambient)
+    assert np.array_equal(black.points, white.points)
     assert np.array_equal(black.residuals, white.residuals)
 
 
@@ -289,7 +289,7 @@ def test_zonal_basins_split_by_hemisphere():
     assert np.all(lab.labels[z > 0.05] == north_label)
     assert np.all(lab.labels[z < -0.05] == south_label)
     for rep in lab.cluster_reps:
-        assert abs(abs(rep.ambient[2]) - 1.0) < 1e-3
+        assert abs(abs(rep[2]) - 1.0) < 1e-3
 
 
 def test_constant_field_every_seed_its_own_fixed_point():
@@ -313,8 +313,8 @@ def test_circle_two_basins_end_at_maxima():
     lab = basin_decomposition(F, seeds, tol=1e-9, max_iters=100_000)
     assert np.all(lab.labels >= 0)
     assert len(lab.cluster_reps) == 2
-    for rep in lab.cluster_reps:
-        assert min(abs(rep.theta - 0.0), abs(rep.theta - np.pi), abs(rep.theta - 2 * np.pi)) < 1e-3
+    for theta in CIRCLE.chart_from_ambient(lab.cluster_reps)[:, 0]:
+        assert min(abs(theta - 0.0), abs(theta - np.pi), abs(theta - 2 * np.pi)) < 1e-3
 
 
 def test_basin_csv(tmp_path):
@@ -338,7 +338,7 @@ def test_basin_decomposition_of_no_seeds_is_empty():
         raise AssertionError("no map call expected")
 
     lab = basin_decomposition(BlackBoxMap(SPHERE, no_call), [])
-    assert lab.seeds == [] and lab.labels.shape == (0,) and lab.cluster_reps == []
+    assert lab.labels.shape == (0,) and lab.cluster_reps.shape == (0, 3)
     assert not lab.continuum
 
 
@@ -379,10 +379,10 @@ def test_run_reconstruction_bundle():
     F, dom = zonal_box()
     samples = pts(SPHERE, [[1.1, 0.3], [0.8, 2.0], [2.3, 1.1]])
     report = run_reconstruction(F, 200, samples, alphas=[-0.5 * A_EQ], alpha_mode="known_measured")
-    assert report.fixed_points
-    assert len(report.descent_samples) == 3
+    assert len(report.fixed_points)
+    assert len(report.descent_directions) == 3 and report.descent_kept.all()
     assert len(report.composite_ops) == len(report.fixed_points)
-    assert all(rec.alpha_mode == "known_measured" for _, rec in report.hessians_isotropic)
+    assert all(rec.alpha_mode == "known_measured" for recs in report.hessians_isotropic for rec in recs)
 
 
 def test_run_reconstruction_composites_take_one_check_and_one_stencil(monkeypatch):
@@ -404,9 +404,10 @@ def test_run_reconstruction_composites_take_one_check_and_one_stencil(monkeypatc
     samples = pts(SPHERE, [[1.1, 0.3], [0.8, 2.0]])
     report = run_reconstruction(BlackBoxMap(SPHERE, counted), 200, samples, alphas=[1.0, 2.0])
     n = len(report.composite_ops)
-    assert n >= 3 and len(report.hessians_isotropic) == 2 * n
+    assert n >= 3 and sum(len(recs) for recs in report.hessians_isotropic) == 2 * n
     assert calls == [n, 2 * (SPHERE.dim - 1) * n]
-    for p, C in report.composite_ops:
+    for j, C in zip(report.composite_rows, report.composite_ops):
+        p = SurfacePoint.from_ambient(SPHERE, report.fixed_points[j])
         assert np.array_equal(C, estimate_composite_operator(F, p))
 
 
@@ -430,7 +431,7 @@ def shift_box():
 def test_non_domain_box_fixed_points_are_the_poles():
     scan = fixed_point_search(shift_box(), 200, tol=1e-10)
     assert len(scan.points) == 2
-    P = np.array(sorted((p.ambient for p in scan.points), key=lambda x: x[2]))
+    P = scan.points[np.argsort(scan.points[:, 2])]
     assert np.abs(P - np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])).max() < 1e-8
 
 
@@ -444,7 +445,7 @@ def test_non_domain_box_single_basin():
     lab = basin_decomposition(shift_box(), seeds)
     assert np.all(lab.labels == 0)
     assert len(lab.cluster_reps) == 1
-    assert np.linalg.norm(lab.cluster_reps[0].ambient - [0.0, 0.0, 1.0]) < 1e-3
+    assert np.linalg.norm(lab.cluster_reps[0] - [0.0, 0.0, 1.0]) < 1e-3
 
 
 

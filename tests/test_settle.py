@@ -103,8 +103,7 @@ def test_fixed_point_sets_equal_plain_iteration(name, monkeypatch):
     assert len(settled.points) == len(plain.points) > 0
     assert settled.continuum == plain.continuum
     assert settled.unresolved == plain.unresolved == 0
-    A = np.array([p.ambient for p in settled.points])
-    B = np.array([p.ambient for p in plain.points])
+    A, B = settled.points, plain.points
     gap = np.linalg.norm(A[:, None] - B[None], axis=-1)
     scale = F.core.surface_scale()
     assert np.max(gap.min(axis=0)) <= 1e-12 * scale
@@ -186,7 +185,7 @@ def test_thin_shell_fixed_points_resolve_in_few_calls():
     scan = analysis.fixed_point_search(F, 120, tol=1e-10, max_iters=80_000)
     assert scan.unresolved == 0
     assert 0 < len(calls) <= 1_000
-    P = np.array([p.ambient for p in scan.points])
+    P = scan.points
     # the critical set of P2: the two poles and the equator circle
     gap = np.minimum.reduce([np.linalg.norm(P - [0.0, 0.0, 1.0], axis=-1),
                              np.linalg.norm(P + [0.0, 0.0, 1.0], axis=-1), np.abs(P[:, 2])])
