@@ -11,7 +11,7 @@ import os
 import sys
 
 from .errors import ScenarioError, ShellmapError
-from .harness import TaskFailure, list_scenarios, parse_scenario, resolve, run_scenario
+from .harness import list_scenarios, parse_scenario, resolve, run_scenario
 
 
 def _build_parser():
@@ -56,11 +56,9 @@ def main(argv=None) -> int:
         where = f" at line {exc.line}, column {exc.column}" if exc.line else ""
         print(f"parse error{where}: {exc}", file=sys.stderr)
         return 2
-    except TaskFailure as exc:
-        print(f"numeric failure in {exc.operation}: {exc.original}", file=sys.stderr)
-        return 3
     except ShellmapError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+        # parse_scenario raises only ScenarioError, so scn is bound here
+        print(f"numeric failure in {scn.task}: {exc}", file=sys.stderr)
         return 3
 
 

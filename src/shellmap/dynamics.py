@@ -71,15 +71,6 @@ class BlackBoxMap:
     def batch(self, X: np.ndarray) -> np.ndarray:
         return self.batch_fn(X)
 
-    def compose(self, k: int) -> "BlackBoxMap":
-        """The k-th iterate as a new black box."""
-        def batch_fn(X):
-            for _ in range(k):
-                X = self.batch_fn(X)
-            return X
-
-        return BlackBoxMap(self.core, batch_fn)
-
 
 @dataclass
 class OrbitRecord:

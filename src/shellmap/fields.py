@@ -61,19 +61,6 @@ class ThicknessField:
             raise InadmissibleThickness(f"d = {val:.6g} <= 0 at chart {p.chart}")
         return val
 
-    def surface_gradient(self, p: SurfacePoint, frame: TangentFrame | None = None) -> np.ndarray:
-        """Riemannian gradient components in the frame, length N-1."""
-        self._check_point(p)
-        if frame is None:
-            frame = frame_at(self.core, p)
-        g = self.ambient_grad(p.ambient)
-        return frame.vectors @ g
-
-    def surface_gradient_ambient(self, p: SurfacePoint) -> np.ndarray:
-        """Riemannian gradient as an ambient tangent vector (tangent_gradient of one row)."""
-        self._check_point(p)
-        return self.tangent_gradient(p.ambient[None])[0]
-
     def tangent_gradient(self, X) -> np.ndarray:
         """Riemannian gradients as ambient tangent vectors at core points X, (n, N)."""
         G, nu = self.ambient_grad(X), self.core.normal(X)

@@ -48,15 +48,6 @@ from .inverse import (
 )
 from .surfaces import ConvexCore, SurfacePoint, fibonacci_chart_grid, frame_at
 
-class TaskFailure(ShellmapError):
-    """A numeric failure inside a named operation (CLI exit code 3)."""
-
-    def __init__(self, operation: str, original: Exception):
-        super().__init__(f"{operation}: {original}")
-        self.operation = operation
-        self.original = original
-
-
 @dataclass
 class Scenario:
     """A parsed scenario: its top-level keys read, its sections as text, each key's line."""
@@ -472,7 +463,6 @@ def _task_reconstruct(r, out, rng):
     v, dom, core = r.values, r.dom, r.dom.core
     F = BlackBoxMap.wrap_domain(dom)
     charts = _sample_charts(core, v["n_samples"], rng)
-    samples = [SurfacePoint.from_chart(core, ch) for ch in charts]
     mode = v["alpha_mode"]
     if mode in ("known_classical", "known_measured"):
         frame = frame_at(dom.core, v["alpha_point"])
@@ -481,7 +471,8 @@ def _task_reconstruct(r, out, rng):
         alphas = [a if mode == "known_classical" else -0.5 * a]
     else:
         alphas = [v["alpha"]] if mode == "assumed" else v["alpha_factors"]
-    report = run_reconstruction(F, v["n_seeds"], samples, alphas, alpha_mode=mode, h=v["h"])
+    report = run_reconstruction(F, v["n_seeds"], core.ambient_from_chart(charts), alphas, alpha_mode=mode,
+                                h=v["h"])
     fixed = core.chart_from_ambient(report.fixed_points)
     composite = fixed[report.composite_rows]
     records = (  # (tag, chart, data); the descent samples keep the charts they were drawn at
@@ -507,18 +498,17 @@ def _task_reconstruct(r, out, rng):
 
 @_task("scaling", {
     "lambda": ("2.0", _positive), "n_samples": ("100", _nonnegative_int), "equivalence": ("true", _flag),
-    "equivalence_seeds": ("120", _nonnegative_int), "equivalence_probe": ("200", _nonnegative_int),
+    "equivalence_seeds": ("120", _positive_int), "equivalence_probe": ("200", _nonnegative_int),
     "equivalence_tol": ("1e-7", _positive), "equivalence_max_iters": ("2e5", _count)})
 def _task_scaling(r, out, rng):
     v, dom = r.values, r.dom
     dom2 = RadialDomain(dom.core, ScaledField(v["lambda"], dom.field))
     F1 = BlackBoxMap.wrap_domain(dom)
     F2 = BlackBoxMap.wrap_domain(dom2)
-    samples = [SurfacePoint.from_chart(dom.core, ch) for ch in _sample_charts(dom.core, v["n_samples"], rng)]
+    samples = dom.core.ambient_from_chart(_sample_charts(dom.core, v["n_samples"], rng))
     diag = scaling_ambiguity_diagnostic(F1, F2, samples)
     if v["equivalence"] == "true":
-        seeds = [SurfacePoint.from_chart(dom.core, ch)
-                 for ch in fibonacci_chart_grid(dom.core, v["equivalence_seeds"])]
+        seeds = dom.core.ambient_from_chart(fibonacci_chart_grid(dom.core, v["equivalence_seeds"]))
         verdict = dynamical_equivalence_check(
             F1, F2, seeds,
             n_probe=v["equivalence_probe"],
@@ -545,9 +535,8 @@ def _task_basins(r, out, rng):
     v, dom = r.values, r.dom
     F = BlackBoxMap.wrap_domain(dom)
     charts = fibonacci_chart_grid(dom.core, v["n_seeds"])
-    seeds = [SurfacePoint.from_chart(dom.core, ch) for ch in charts]
-    labeling = basin_decomposition(F, seeds, tol=v["tol"], max_iters=v["max_iters"],
-                                   cluster_radius=v["cluster_radius"])
+    labeling = basin_decomposition(F, dom.core.ambient_from_chart(charts), tol=v["tol"],
+                                   max_iters=v["max_iters"], cluster_radius=v["cluster_radius"])
     out.table("basins.csv", ["seed_theta", "seed_phi", "label"], *_theta_phi(dom.core, charts), labeling.labels)
     counts = {int(l): int(np.sum(labeling.labels == l)) for l in sorted(set(labeling.labels))}
     out.summary([
@@ -575,9 +564,8 @@ def _task_admissibility(r, out, rng):
 def run_scenario(scenario: Scenario | str, out_dir=None, seed=None):
     """Execute a scenario, writing CSV reports plus a run manifest.
 
-    A bad key raises ScenarioError before any file is written; numeric
-    failures are re-raised as TaskFailure carrying the operation name.
-    Returns the list of written files.
+    A bad key raises ScenarioError before any file is written; a numeric
+    failure raises its ShellmapError.  Returns the list of written files.
     """
     if isinstance(scenario, (str, Path)):
         scenario = parse_scenario(scenario)
@@ -586,10 +574,7 @@ def run_scenario(scenario: Scenario | str, out_dir=None, seed=None):
     rng_seed = scenario.rng_seed if seed is None else _convert(seed, _nonnegative_int, "rng_seed")
     rng = np.random.default_rng(rng_seed)
     out = _Out(Path(out_dir or scenario.output_dir or Path("runs") / scenario.name))
-    try:
-        TASKS[scenario.task][0](r, out, rng)
-    except ShellmapError as exc:
-        raise TaskFailure(scenario.task, exc) from exc
+    TASKS[scenario.task][0](r, out, rng)
     elapsed = time.monotonic() - start
     out.manifest([
         ("name", scenario.name),

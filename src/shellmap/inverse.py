@@ -3,9 +3,10 @@
 Everything here touches the dynamics only through a BlackBoxMap, whose
 one map takes ambient points in a batch, (n, N) -> (n, N); a call on a
 single surface point is a batch of one.  No thickness data is read.
-Seeds and samples come in as SurfacePoints, read once into (n, N) ambient
-rows by _ambient_rows; recovered point sets go out as (k, N) ambient
-arrays, per-sample results with a mask of the samples they keep.
+Point sets go in and out as ambient rows: seeds and samples are (n, N)
+arrays (a sequence of SurfacePoints is read as their .ambient rows by
+_ambient_rows), recovered point sets are (k, N) arrays, and per-sample
+results come with a mask of the samples they keep.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ BASIN_AGREEMENT = 0.98              # share of seeds whose matched basin labels 
 
 
 def _ambient_rows(core: ConvexCore, points) -> np.ndarray:
-    """Ambient coordinates of surface points as an (n, N) array, n >= 0."""
-    return np.array([p.ambient for p in points]).reshape(-1, core.dim)
+    """The points as an (n, N) array, n >= 0: an ambient row as it is, a
+    SurfacePoint as its .ambient."""
+    return np.array([getattr(p, "ambient", p) for p in points], dtype=float).reshape(-1, core.dim)
 
 
 def _displacements(F: BlackBoxMap, X: np.ndarray):
@@ -43,9 +45,9 @@ def _displacements(F: BlackBoxMap, X: np.ndarray):
 
 
 def recover_descent_field(F: BlackBoxMap, samples):
-    """Unit tangent direction of the displacement at the sample points:
-    (directions, keep), directions (m, N) at the samples where keep, (n,)
-    bool, is set.
+    """Unit tangent direction of the displacement at the samples, (n, N)
+    ambient rows: (directions, keep), directions (m, N) at the samples
+    where keep, (n,) bool, is set.
 
     Points with |F(c) - c| <= 1e-9 are skipped.  The directions span the
     gradient line field of the thickness function (for the ray mechanism
@@ -101,7 +103,6 @@ class ScalingDiagnostic:
     """Pointwise comparison of two maps' displacement fields."""
 
     cosines: np.ndarray
-    abs_cosines: np.ndarray
     norm_ratios: np.ndarray
     mean_cosine: float
     mean_abs_cosine: float
@@ -113,7 +114,8 @@ class ScalingDiagnostic:
 
 
 def scaling_ambiguity_diagnostic(F1: BlackBoxMap, F2: BlackBoxMap, samples) -> ScalingDiagnostic:
-    """Cosines and norm ratios between tangent displacements of two maps."""
+    """Cosines and norm ratios between tangent displacements of two maps
+    at the samples, (n, N) ambient rows."""
     if F1.core != F2.core:
         raise ValueError("maps live on different cores")
     X = _ambient_rows(F1.core, samples)
@@ -129,7 +131,6 @@ def scaling_ambiguity_diagnostic(F1: BlackBoxMap, F2: BlackBoxMap, samples) -> S
     verdict = "SameLineField" if cos.size and mean_cos >= 1.0 - DIR_TOL else "DifferentLineField"
     return ScalingDiagnostic(
         cosines=cos,
-        abs_cosines=np.abs(cos),
         norm_ratios=ratios,
         mean_cosine=mean_cos,
         mean_abs_cosine=float(np.mean(np.abs(cos))) if cos.size else float("nan"),
@@ -153,7 +154,8 @@ class BasinLabeling:
 def basin_decomposition(F: BlackBoxMap, seeds, tol: float = 1e-8,
                         max_iters: int = 200_000,
                         cluster_radius: float | None = None) -> BasinLabeling:
-    """Settle each seed on its attractor and cluster the limits.
+    """Settle each seed, a row of the (n, N) ambient array seeds, on its
+    attractor and cluster the limits.
 
     settle_batch runs the orbits to tol; non-convergent seeds get
     label -1.  The continuum flag is raised when every seed
@@ -193,13 +195,6 @@ class EquivalenceVerdict:
         return "ConsistentWithEquivalence" if self.consistent else f"Distinguished({self.failed_test})"
 
 
-def _set_hausdorff(A: np.ndarray, B: np.ndarray) -> float:
-    if A.shape[0] == 0 or B.shape[0] == 0:
-        return float("inf")
-    d = np.linalg.norm(A[:, None, :] - B[None, :, :], axis=-1)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
-
-
 def dynamical_equivalence_check(F1: BlackBoxMap, F2: BlackBoxMap, seeds,
                                 n_probe: int = 400,
                                 iter_tol: float = 1e-8,
@@ -211,27 +206,29 @@ def dynamical_equivalence_check(F1: BlackBoxMap, F2: BlackBoxMap, seeds,
     sampling-robust test even when the fixed set is a continuum), (b) basin
     partitions over the given seeds agree after label matching on at least
     BASIN_AGREEMENT of them, (c) the unsigned displacement line fields
-    agree on off-critical seeds to DIR_TOL.
+    agree on off-critical seeds to DIR_TOL.  The seeds are (n, N) ambient
+    rows, n >= 1.
     """
     if F1.core != F2.core:
         raise ValueError("maps live on different cores")
+    X = _ambient_rows(F1.core, seeds)
+    if not X.shape[0]:
+        raise ValueError("the equivalence check needs at least one seed")
     evidence = {}
 
     s1 = fixed_point_search(F1, n_probe, tol=1e-10, max_iters=max_iters)
     s2 = fixed_point_search(F2, n_probe, tol=1e-10, max_iters=max_iters)
-    A, B = s1.points, s2.points
     cross = 0.0
-    for P, other in ((A, F2), (B, F1)):
+    for P, other in ((s1.points, F2), (s2.points, F1)):
         if P.shape[0]:
             cross = max(cross, float(np.max(np.linalg.norm(other.batch(P) - P, axis=-1))))
     evidence["max_cross_residual"] = cross
-    evidence["fixed_point_hausdorff"] = _set_hausdorff(A, B)
     if not (cross <= EQUIVALENCE_FP_RESIDUAL_TOL):
         return EquivalenceVerdict(False, "fixed_points", evidence)
 
     radius = 0.1 * F1.core.surface_scale()
-    b1 = basin_decomposition(F1, seeds, tol=iter_tol, max_iters=max_iters, cluster_radius=radius)
-    b2 = basin_decomposition(F2, seeds, tol=iter_tol, max_iters=max_iters, cluster_radius=radius)
+    b1 = basin_decomposition(F1, X, tol=iter_tol, max_iters=max_iters, cluster_radius=radius)
+    b2 = basin_decomposition(F2, X, tol=iter_tol, max_iters=max_iters, cluster_radius=radius)
     ok = (b1.labels >= 0) & (b2.labels >= 0)
     agreement = 0.0
     if np.any(ok):
@@ -254,9 +251,9 @@ def dynamical_equivalence_check(F1: BlackBoxMap, F2: BlackBoxMap, seeds,
     if agreement < BASIN_AGREEMENT:
         return EquivalenceVerdict(False, "basins", evidence)
 
-    diag = scaling_ambiguity_diagnostic(F1, F2, seeds)
+    diag = scaling_ambiguity_diagnostic(F1, F2, X)
     evidence["mean_abs_cosine"] = diag.mean_abs_cosine
-    if not (diag.abs_cosines.size and diag.mean_abs_cosine >= 1.0 - DIR_TOL):
+    if not (diag.cosines.size and diag.mean_abs_cosine >= 1.0 - DIR_TOL):
         return EquivalenceVerdict(False, "line_field", evidence)
     return EquivalenceVerdict(True, None, evidence)
 
@@ -276,9 +273,10 @@ class ReconstructionReport:
 
 def run_reconstruction(F: BlackBoxMap, n_seeds: int, samples, alphas,
                        alpha_mode: str = "assumed", h: float = DEFAULT_FD_STEP) -> ReconstructionReport:
-    """Full black-box pass: fixed points, line field, composite operators
-    and isotropic Hessian estimates (one per supplied alpha); all
-    composites take one fixed-point check and one stencil call."""
+    """Full black-box pass: fixed points, line field at the samples ((n, N)
+    ambient rows), composite operators and isotropic Hessian estimates (one
+    per supplied alpha); all composites take one fixed-point check and one
+    stencil call."""
     scan = fixed_point_search(F, n_seeds)
     directions, kept = recover_descent_field(F, samples)
     rows = np.flatnonzero(scan.residuals <= FIXED_POINT_RESIDUAL_TOL)

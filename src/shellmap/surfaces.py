@@ -153,12 +153,6 @@ class SurfacePoint:
     def theta(self) -> float:
         return float(self.chart[0])
 
-    @property
-    def phi(self) -> float:
-        if self.core.dim != 3:
-            raise AttributeError("phi is defined only for N=3 cores")
-        return float(self.chart[1])
-
 
 @dataclass(frozen=True)
 class TangentFrame:
@@ -351,10 +345,12 @@ def retract(core: ConvexCore, p: SurfacePoint, v, h: float) -> SurfacePoint:
 
 def _require_on_core(core: ConvexCore, X, tol: float = TOL_SURFACE) -> None:
     """OffSurface unless every ambient point of X, one point or (n, N),
-    has |implicit| <= tol."""
-    resid = float(np.max(np.abs(core.implicit(X)), initial=0.0))
-    if resid > tol:
-        raise OffSurface(f"|implicit(x)| = {resid:.3e} exceeds {tol:.1e}")
+    is finite and has |implicit| <= tol."""
+    resid = np.abs(np.atleast_1d(core.implicit(X)))
+    bad = ~(resid <= tol)  # nan compares false, so a non-finite point is bad
+    if bad.any():
+        raise OffSurface(f"{int(bad.sum())} of {bad.size} points are not finite or off the core: "
+                         f"max |implicit(x)| = {np.max(resid[bad]):.3e} exceeds {tol:.1e}")
 
 
 def fibonacci_chart_grid(core: ConvexCore, n: int) -> np.ndarray:

@@ -5,8 +5,9 @@ inverse.BlackBoxMap, analysis.linearize_fd and harness.run_scenario), so a
 moved or renamed name breaks the benchmark.  One pass of each of the three
 gated workloads must complete with no failed operation, and the traced
 run's kernel sweep must find every entry point it times.  Every name the
-package exports must have a caller in the package or the benchmark, and
-every name a package or test module imports must be referred to in it.
+package exports, and every public method or property of an exported class,
+must have a reader in the package or the benchmark, and every name a
+package or test module imports must be referred to in it.
 bench/reference.json is read and never written; the scenarios write their
 reports under the test's temporary directory.
 """
@@ -15,8 +16,11 @@ import ast
 import importlib
 import importlib.util
 from pathlib import Path
+from types import FunctionType
 
 import pytest
+
+import shellmap
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -47,35 +51,55 @@ def test_kernel_sweep_finds_every_entry_point(monkeypatch):
     assert metrics and all(v > 0 for v in metrics.values())
 
 
-def _referenced(path: Path, strings: bool) -> set:
-    """The names that code in path refers to (ast.Name ids and ast.Attribute
-    attrs), and with strings its string constants too."""
-    names = set()
+def _referenced(path: Path, strings: bool, names: bool = True) -> set:
+    """The names that code in path refers to: ast.Attribute attrs, with names
+    ast.Name ids too, and with strings its string constants."""
+    found = set()
     for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
+        if names and isinstance(node, ast.Name):
+            found.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            found.add(node.attr)
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value)
-    return names
+            found.add(node.value)
+    return found
 
 
-def test_every_export_has_a_caller():
-    # an exported name counts as used when the package (outside __init__.py) or
-    # the benchmark refers to it; bench/run.py looks entry points up by string, and
-    # bench/tracer.py's strings are names it tolerates missing, so they do not count
-    init = ast.parse((PACKAGE / "__init__.py").read_text())
-    exported = {alias.asname or alias.name for node in init.body if isinstance(node, ast.ImportFrom)
-                for alias in node.names}
+def _readers(names: bool) -> set:
+    """What the package (outside __init__.py) and the benchmark refer to, as
+    _referenced; bench/run.py looks entry points up by string, and
+    bench/tracer.py's strings are names it tolerates missing, so they do not count."""
     used = set()
     for path in PACKAGE.glob("*.py"):
         if path.name != "__init__.py":
-            used |= _referenced(path, strings=False)
+            used |= _referenced(path, strings=False, names=names)
     for path in BENCH.glob("*.py"):
-        used |= _referenced(path, strings=path.name != "tracer.py")
-    unused = sorted(exported - used)
+        used |= _referenced(path, strings=path.name != "tracer.py", names=names)
+    return used
+
+
+def _exported() -> set:
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {alias.asname or alias.name for node in init.body if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+
+
+def test_every_export_has_a_caller():
+    unused = sorted(_exported() - _readers(names=True))
     assert not unused, f"exported with no caller in src/shellmap or bench: {unused}"
+
+
+def test_every_public_method_has_a_reader():
+    # a method or property is read as an attribute, so a bare name of the same
+    # spelling (a local phi, say) does not count
+    members = set()
+    for name in _exported():
+        cls = getattr(shellmap, name)
+        if isinstance(cls, type):
+            members |= {m for m, v in vars(cls).items() if not m.startswith("_")
+                        and isinstance(v, (FunctionType, property, staticmethod, classmethod))}
+    unread = sorted(members - _readers(names=False))
+    assert not unread, f"public methods with no reader in src/shellmap or bench: {unread}"
 
 
 def _imported(path: Path) -> set:

@@ -362,7 +362,7 @@ def _per_step_orbit(dom, seed, max_iters, tol):
             current = nxt
             if step < tol:
                 status = "converged"
-                gnorm = float(np.linalg.norm(dom.field.surface_gradient_ambient(current)))
+                gnorm = float(np.linalg.norm(dom.field.tangent_gradient(current.ambient[None])[0]))
                 break
     except ShellmapError as exc:
         status, error_kind = "error", type(exc).__name__

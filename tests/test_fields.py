@@ -44,6 +44,11 @@ def random_points(core, n, seed=0):
     return [SurfacePoint.from_chart(core, ch) for ch in charts]
 
 
+def frame_gradient(fld, p, frame):
+    """The surface gradient's components in the frame, e_i . grad D at p."""
+    return frame.vectors @ fld.ambient_grad(p.ambient)
+
+
 # ---------------------------------------------------------------------------
 # values
 # ---------------------------------------------------------------------------
@@ -82,7 +87,7 @@ def test_positivity_validation_grid():
 def test_field_rejects_foreign_point():
     fld = ZonalLegendreField(SPHERE, 0.5, 0.01)
     p = pt(ELLIPSOID, 0.5, 0.5)
-    for method in (fld.eval, fld.surface_gradient, fld.surface_gradient_ambient, fld.surface_hessian):
+    for method in (fld.eval, fld.surface_hessian):
         with pytest.raises(ValueError, match="different core"):
             method(p)
 
@@ -101,7 +106,7 @@ def test_zonal_requires_3d_core():
 def test_constant_gradient_zero():
     fld = ConstantField(SPHERE, 0.5)
     p = pt(SPHERE, 1.0, 2.0)
-    assert np.allclose(fld.surface_gradient(p, frame_at(SPHERE, p)), 0.0)
+    assert np.allclose(frame_gradient(fld, p, frame_at(SPHERE, p)), 0.0)
 
 
 def test_zonal_gradient_formula():
@@ -109,7 +114,7 @@ def test_zonal_gradient_formula():
     fld = ZonalLegendreField(SPHERE, 0.5, 0.01)
     for theta in (0.4, 1.0, 2.2):
         p = pt(SPHERE, theta, 0.9)
-        g = fld.surface_gradient(p, frame_at(SPHERE, p))
+        g = frame_gradient(fld, p, frame_at(SPHERE, p))
         assert abs(g[0] - (-3 * 0.01 * np.cos(theta) * np.sin(theta))) < 1e-14
         assert abs(g[1]) < 1e-15
 
@@ -118,7 +123,7 @@ def test_zonal_gradient_vanishes_on_critical_set():
     fld = ZonalLegendreField(SPHERE, 0.5, 0.01)
     for theta in (0.0, np.pi / 2, np.pi):
         p = pt(SPHERE, theta, 1.1)
-        assert np.linalg.norm(fld.surface_gradient(p, frame_at(SPHERE, p))) < 1e-14
+        assert np.linalg.norm(frame_gradient(fld, p, frame_at(SPHERE, p))) < 1e-14
 
 
 def _fd_gradient_oracle(fld, p, frame, h):
@@ -145,7 +150,7 @@ def test_gradient_matches_fd_oracle_with_quadratic_convergence(core, make):
     fld = make(core)
     p = random_points(core, 1, seed=3)[0]
     frame = frame_at(core, p)
-    exact = fld.surface_gradient(p, frame)
+    exact = frame_gradient(fld, p, frame)
     hs = [1e-2, 3e-3, 1e-3, 3e-4]
     errs = [float(np.linalg.norm(_fd_gradient_oracle(fld, p, frame, h) - exact)) for h in hs]
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
@@ -158,7 +163,7 @@ def test_scaled_field_exact():
     for p in random_points(SPHERE, 20, seed=4):
         frame = frame_at(SPHERE, p)
         assert fld.eval(p) == 2.0 * inner.eval(p)
-        assert np.array_equal(fld.surface_gradient(p, frame), 2.0 * inner.surface_gradient(p, frame))
+        assert np.array_equal(frame_gradient(fld, p, frame), 2.0 * frame_gradient(inner, p, frame))
 
 
 def test_sum_field_adds_parts():
@@ -173,7 +178,7 @@ def test_sum_field_adds_parts():
 def test_rotated_axis_moves_critical_set():
     fld = ZonalLegendreField(SPHERE, 0.5, 0.01, axis=(1.0, 0.0, 0.0))
     p = pt(SPHERE, np.pi / 2, 0.0)  # ambient (1,0,0): pole of the rotated field
-    assert np.linalg.norm(fld.surface_gradient(p, frame_at(SPHERE, p))) < 1e-14
+    assert np.linalg.norm(frame_gradient(fld, p, frame_at(SPHERE, p))) < 1e-14
     assert abs(fld.eval(p) - 0.51) < 1e-15
 
 
@@ -226,8 +231,8 @@ def _fd_hessian_of_gradient(fld, p, frame, h):
     for i, v in enumerate(frame.vectors):
         qp = retract(core, p, v, h)
         qm = retract(core, p, v, -h)
-        gp = frame.vectors @ fld.surface_gradient_ambient(qp)
-        gm = frame.vectors @ fld.surface_gradient_ambient(qm)
+        gp = frame.vectors @ fld.tangent_gradient(qp.ambient[None])[0]
+        gm = frame.vectors @ fld.tangent_gradient(qm.ambient[None])[0]
         H[:, i] = (gp - gm) / (2 * h)
     return 0.5 * (H + H.T)
 
@@ -263,7 +268,7 @@ def test_profile_field_matches_legendre():
     for p in random_points(SPHERE, 20, seed=8):
         frame = frame_at(SPHERE, p)
         assert abs(lg.eval(p) - pr.eval(p)) < 1e-14
-        assert np.allclose(lg.surface_gradient(p, frame), pr.surface_gradient(p, frame), atol=1e-12)
+        assert np.allclose(frame_gradient(lg, p, frame), frame_gradient(pr, p, frame), atol=1e-12)
         assert np.allclose(lg.surface_hessian(p, frame), pr.surface_hessian(p, frame), atol=1e-10)
 
 
@@ -276,7 +281,7 @@ def test_profile_field_hessian_is_closed_form_up_to_the_pole(theta):
         assert np.abs(pr.surface_hessian(p, frame) - lg.surface_hessian(p, frame)).max() <= 1e-15
     if theta == 0.0:
         assert np.abs(pr.surface_hessian(p, frame) + 0.03 * np.eye(2)).max() <= 1e-15
-        assert np.linalg.norm(pr.surface_gradient(p, frame)) < 1e-15
+        assert np.linalg.norm(frame_gradient(pr, p, frame)) < 1e-15
 
 
 def _axis_poles(core, axis):
@@ -312,7 +317,7 @@ def test_profile_field_surface_hessian_matches_fd_oracles(core, d0, axis):
         assert np.abs(H - _fd_hessian_reference(fld, p, frame, 1e-4)).max() < 1e-6
         assert np.abs(H - _fd_hessian_of_gradient(fld, p, frame, 1e-6)).max() < 1e-9
     for p in poles:
-        assert np.linalg.norm(fld.surface_gradient(p, frame_at(core, p))) < 1e-15
+        assert np.linalg.norm(frame_gradient(fld, p, frame_at(core, p))) < 1e-15
 
 
 def test_fourier_gradient_and_hessian_formulas():
@@ -320,7 +325,7 @@ def test_fourier_gradient_and_hessian_formulas():
     theta = 0.8
     p = pt(CIRCLE, theta)
     frame = frame_at(CIRCLE, p)
-    g = fld.surface_gradient(p, frame)
+    g = frame_gradient(fld, p, frame)
     assert abs(g[0] - (-0.02 * np.sin(2 * theta))) < 1e-13
     H = fld.surface_hessian(p, frame)
     # on the unit circle: second derivative along arclength plus the

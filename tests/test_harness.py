@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shellmap import ScenarioError
+from shellmap import ScenarioError, SurfacePoint
 from shellmap.cli import main as cli_main
 from shellmap.harness import (
     _Out,
@@ -461,6 +461,27 @@ def test_cli_run_parses_the_file_once(tmp_path, monkeypatch):
     monkeypatch.setenv("SHELLMAP_OUT", str(tmp_path / "envout"))
     assert cli_main(["run", scn_path(tmp_path, ZONAL_LINEARIZE)]) == 0
     assert len(calls) == 1 and (tmp_path / "envout" / "demo" / "summary.csv").exists()
+
+
+def test_cli_scaling_with_no_equivalence_seeds_exit_2_names_the_key(tmp_path, capsys):
+    # an equivalence check over no seeds compares no basins: a map would be told apart from itself
+    text = load_bundled("scaling_small_base").replace("task.lambda = 2.0", "task.lambda = 1.0").replace(
+        "task.equivalence = false", "task.equivalence = true\ntask.equivalence_seeds = 0")
+    scn = scn_path(tmp_path, text)
+    assert cli_main(["run", scn, "--out", str(tmp_path / "o")]) == 2
+    assert "'task.equivalence_seeds'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name,points", [("zonal_basins", 0), ("scaling_small_base", 0),
+                                         ("zonal_reconstruct", 1)])
+def test_point_sets_enter_the_inverse_pipeline_as_rows(tmp_path, monkeypatch, name, points):
+    # seeds and samples go in as ambient rows; zonal_reconstruct's one SurfacePoint is its alpha_point
+    calls = []
+    from_chart = SurfacePoint.from_chart
+    monkeypatch.setattr(SurfacePoint, "from_chart", staticmethod(lambda *a: calls.append(a) or from_chart(*a)))
+    run_scenario(parse_scenario_text(load_bundled(name)), out_dir=tmp_path)
+    assert len(calls) == points
 
 
 def test_cli_validate_out_of_range_exit_2_names_the_key(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Black-box reconstruction pipeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -78,7 +80,7 @@ def _worst_angle_to_preconditioned(F, dom, charts):
         frame = frame_at(dom.core, p)
         d = dom.field.eval(p)
         S = shape_operator_at(dom.core, p, frame)
-        g = dom.field.surface_gradient(p, frame)
+        g = frame.vectors @ dom.field.ambient_grad(p.ambient)
         m = np.linalg.solve(np.eye(len(g)) - d * S, g) @ frame.vectors
         ref = m / np.linalg.norm(m)
         worst = max(worst, float(np.arccos(np.clip(np.dot(direction, ref), -1, 1))))
@@ -111,7 +113,7 @@ def test_ellipsoid_direction_is_preconditioned_not_plain_gradient():
     frame = frame_at(ELLIPSOID, p)
     d = dom.field.eval(p)
     S = shape_operator_at(ELLIPSOID, p, frame)
-    g = dom.field.surface_gradient(p, frame)
+    g = frame.vectors @ dom.field.ambient_grad(p.ambient)
     m = np.linalg.solve(np.eye(2) - d * S, g) @ frame.vectors
     gamb = g @ frame.vectors
     cos_pre = float(np.dot(direction, m / np.linalg.norm(m)))
@@ -342,6 +344,51 @@ def test_basin_decomposition_of_no_seeds_is_empty():
     assert not lab.continuum
 
 
+def _bits(obj):
+    """obj as nested tuples in which arrays and floats are their dtype,
+    shape and bytes, so two results compare equal when equal bit for bit."""
+    if dataclasses.is_dataclass(obj):
+        return _bits(dataclasses.astuple(obj))
+    if isinstance(obj, dict):
+        return tuple((k, _bits(v)) for k, v in sorted(obj.items()))
+    if isinstance(obj, (list, tuple)):
+        return tuple(_bits(v) for v in obj)
+    if isinstance(obj, (np.ndarray, float)):
+        a = np.asarray(obj)
+        return a.dtype.str, a.shape, a.tobytes()
+    return obj
+
+
+def test_point_sets_are_ambient_rows_or_surface_points_bit_for_bit():
+    # every inverse function reads a point set as its (n, N) ambient rows; a
+    # SurfacePoint list of the same rows gives the same result bit for bit
+    F, dom = zonal_box()
+    F2 = BlackBoxMap.wrap_domain(RadialDomain(SPHERE, ScaledField(2.0, dom.field)))
+    points = pts(SPHERE, fibonacci_chart_grid(SPHERE, 24))
+    X = np.array([p.ambient for p in points])
+    calls = [
+        lambda P: recover_descent_field(F, P),
+        lambda P: scaling_ambiguity_diagnostic(F, F2, P),
+        lambda P: basin_decomposition(F, P),
+        lambda P: dynamical_equivalence_check(F, F2, P, n_probe=60),
+        lambda P: run_reconstruction(F, 60, P, [1.0, -0.5]),
+    ]
+    for call in calls:
+        assert _bits(call(X)) == _bits(call(points))
+
+
+def test_equivalence_check_with_no_seeds_raises_before_any_map_call():
+    # with no seeds the basin test compares nothing, so the check would call a
+    # map different from itself
+    def no_call(X):
+        raise AssertionError("no map call expected")
+
+    F = BlackBoxMap(SPHERE, no_call)
+    for seeds in ([], np.empty((0, 3))):
+        with pytest.raises(ValueError, match="at least one seed"):
+            dynamical_equivalence_check(F, F, seeds)
+
+
 # ---------------------------------------------------------------------------
 # dynamical equivalence battery
 # ---------------------------------------------------------------------------
@@ -349,7 +396,8 @@ def test_basin_decomposition_of_no_seeds_is_empty():
 def test_equivalence_map_with_its_square():
     F, _ = zonal_box()
     seeds = pts(SPHERE, fibonacci_chart_grid(SPHERE, 60))
-    verdict = dynamical_equivalence_check(F, F.compose(2), seeds, n_probe=200)
+    F2 = BlackBoxMap(SPHERE, lambda X: F.batch(F.batch(X)))
+    verdict = dynamical_equivalence_check(F, F2, seeds, n_probe=200)
     assert verdict.consistent
     assert verdict.verdict == "ConsistentWithEquivalence"
 

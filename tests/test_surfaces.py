@@ -17,7 +17,7 @@ from shellmap import (
     retract,
     shape_operator_at,
 )
-from shellmap.surfaces import _ray_hit_batch, _ray_solve_batch, retract_batch
+from shellmap.surfaces import _ray_hit_batch, _ray_solve_batch, _require_on_core, retract_batch
 
 SPHERE = ConvexCore.sphere(1.0)
 CIRCLE = ConvexCore.circle(1.0)
@@ -58,6 +58,29 @@ def test_normal_ellipsoid_axis_point():
 def test_normal_rejects_off_surface_point():
     with pytest.raises(OffSurface):
         SurfacePoint.from_ambient(SPHERE, [1.1, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("X,bad", [
+    ([[np.nan, 0.0, 0.0], [2.0, 0.0, 0.0]], 2),
+    ([[np.nan, 0.0, 0.0]], 1),
+    ([[1.0, 0.0, 0.0], [np.inf, 0.0, 0.0]], 1),
+    ([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, -1.0]], 1),
+], ids=["nan_beside_off_core", "nan", "inf", "off_core"])
+def test_require_on_core_rejects_every_nonfinite_or_off_core_row(X, bad):
+    # a nan row fails the check on its own and hides no off-core row beside it
+    with pytest.raises(OffSurface, match=f"^{bad} of {len(X)} points are not finite or off the core"):
+        _require_on_core(SPHERE, X)
+
+
+def test_require_on_core_passes_core_points_and_no_points():
+    _require_on_core(SPHERE, [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    _require_on_core(SPHERE, [0.0, 1.0, 0.0])
+    _require_on_core(SPHERE, np.empty((0, 3)))
+
+
+def test_from_ambient_rejects_a_nan_point():
+    with pytest.raises(OffSurface):
+        SurfacePoint.from_ambient(SPHERE, [np.nan, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("core", ALL_CORES, ids=lambda c: f"{c.kind}{c.semi_axes[0]}")
@@ -377,7 +400,8 @@ def test_chart_round_trip(theta, phi):
     p = SurfacePoint.from_chart(ELLIPSOID, theta, phi)
     q = SurfacePoint.from_ambient(ELLIPSOID, p.ambient)
     assert abs(q.theta - theta) < 1e-9
-    assert min(abs(q.phi - phi), abs(q.phi - phi + 2 * np.pi), abs(q.phi - phi - 2 * np.pi)) < 1e-9
+    qphi = float(q.chart[1])
+    assert min(abs(qphi - phi), abs(qphi - phi + 2 * np.pi), abs(qphi - phi - 2 * np.pi)) < 1e-9
 
 
 @pytest.mark.parametrize("core", [SPHERE, ConvexCore.ellipsoid(2.0, 1.0, 0.5)], ids=["sphere", "ellipsoid"])
