@@ -27,7 +27,6 @@ from .surfaces import (
     fibonacci_chart_grid,
     frame_at,
     retract,
-    shape_operator_at,
 )
 from .fields import (
     ConstantField,
@@ -61,16 +60,14 @@ from .analysis import (
     ExpansionResidualReport,
     FixedPointScan,
     LinearizationReport,
-    classify_fixed_point,
-    curvature_preconditioner,
     find_fixed_points,
     fixed_point_search,
     fit_loglog,
+    linearize,
     linearize_analytic,
     linearize_fd,
     preconditioner_series_residual,
     residual_sweep,
-    step_operator,
 )
 from .inverse import (
     BasinLabeling,

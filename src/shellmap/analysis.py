@@ -2,7 +2,9 @@
 
 Linearization reports, expansion residuals against the first/second-order
 step models, fixed-point search, and stability classification.  The
-predicted displacement is parametrized as
+linearization takes k fixed points as (k, N) ambient rows and returns
+stacked arrays; its frame operators (the step operator, S and Hess d) are
+batched over rows and frames.  The predicted displacement is parametrized as
 
     step = step_scale * d (I - d S)^(-1) grad d,
 
@@ -17,24 +19,22 @@ call per stencil).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import RadialDomain, _outer_geometry_batch, _resolvent_batch
 from .dynamics import BlackBoxMap, return_map_batch, settle_batch
 from .errors import CurvatureSingularity, InadmissibleThickness, NotAFixedPoint
-from .fields import ConstantField
 from .surfaces import (
     ConvexCore,
     SurfacePoint,
-    TangentFrame,
+    _frame_matrices,
     _require_on_core,
     fibonacci_chart_grid,
-    frame_at,
     frames_batch,
     retract_batch,
-    shape_operator_at,
+    shape_operator_batch,
 )
 
 FIXED_POINT_RESIDUAL_TOL = 1e-8
@@ -43,7 +43,7 @@ MAX_REFINE = 64
 CLUSTER_CHUNK = 1 << 15  # floats in one distance temporary of _greedy_clusters (256 KiB)
 DEFAULT_FD_STEP = 1e-5
 SLOPE_FLOOR_FACTOR = 1e-13
-NEUTRAL_TOL = 1e-6  # classify_fixed_point: |mu| this close to 1 is neutral
+NEUTRAL_TOL = 1e-6  # |mu| this close to 1 is neutral
 
 CLASSICAL_STEP_SCALE = -2.0  # descent-model coefficient of d (I-dS)^-1 grad d
 MEASURED_STEP_SCALE = 1.0    # coefficient the exact ray mechanism exhibits
@@ -53,24 +53,19 @@ MEASURED_STEP_SCALE = 1.0    # coefficient the exact ray mechanism exhibits
 # tangent-space operators
 # ---------------------------------------------------------------------------
 
-def step_operator(dom: RadialDomain, c: SurfacePoint, frame: TangentFrame | None = None) -> np.ndarray:
-    """d (I - d S)^(-1), the exact shell-normal tilt times the travel length:
-    d E R(E)^T with the closed-form resolvent R of domain._resolvent_batch.
-    I - dS >= I for d > 0; singular I - dS raises CurvatureSingularity."""
-    if frame is None:
-        frame = frame_at(dom.core, c)
-    d = dom.field.eval(c)
-    E = frame.vectors
-    _, RE = _resolvent_batch(dom.core, np.broadcast_to(c.ambient, E.shape), np.full(E.shape[0], d), E)
-    R = E @ RE.T
-    if not np.isfinite(R).all():
-        raise CurvatureSingularity(f"I - dS is singular at chart {c.chart} (d = {d:.6g})")
-    return d * (0.5 * (R + R.T))
-
-def curvature_preconditioner(dom: RadialDomain, c: SurfacePoint, frame: TangentFrame | None = None) -> np.ndarray:
-    """2 d (I - d S)^(-1), the operator through which the thickness Hessian
-    is observed in the classical linearization model."""
-    return 2.0 * step_operator(dom, c, frame)
+def step_operator_batch(core: ConvexCore, X: np.ndarray, d: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """d (I - d S)^(-1), (k, m, m), at core points X, (k, N), with thickness
+    d, (k,), in the frames E, (k, m, N): the exact shell-normal tilt times
+    the travel length, d sym(E R(E)^T) with the closed-form resolvent R of
+    domain._resolvent_batch.  Twice it is the classical preconditioner
+    A = 2d (I - dS)^(-1).  I - dS >= I for d > 0; singular I - dS raises
+    CurvatureSingularity."""
+    dm = np.repeat(d, E.shape[1])
+    R = _frame_matrices(X, E, lambda Y, V: _resolvent_batch(core, Y, dm, V)[1])
+    bad = ~np.isfinite(R).all(axis=(1, 2))
+    if bad.any():
+        raise CurvatureSingularity(f"I - dS is singular at {int(bad.sum())} of {bad.size} points")
+    return d[:, None, None] * R
 
 
 # ---------------------------------------------------------------------------
@@ -187,20 +182,20 @@ def residual_sweep(
 def preconditioner_series_residual(core: ConvexCore, chart, d_values):
     """||A - 2dI - 2d^2 S|| over a thickness sweep, with fitted slope.
 
-    With constant thickness d the preconditioner expands as
-    2dI + 2d^2 S + O(d^3).
+    With constant thickness d the preconditioner A = 2d (I - dS)^(-1)
+    expands as 2dI + 2d^2 S + O(d^3); one step-operator call takes A at
+    every d.
     """
-    p = SurfacePoint.from_chart(core, chart)
-    frame = frame_at(core, p)
-    S = shape_operator_at(core, p, frame)
-    k = S.shape[0]
-    res = []
-    for d0 in d_values:
-        dom = RadialDomain(core, ConstantField(core, d0))
-        A = curvature_preconditioner(dom, p, frame)
-        res.append(float(np.linalg.norm(A - 2.0 * d0 * np.eye(k) - 2.0 * d0 * d0 * S)))
-    slope, _ = fit_loglog(d_values, res, 0.0)
-    return np.asarray(res), slope
+    x = core.ambient_from_chart(np.reshape(np.asarray(chart, dtype=float), (1, core.dim - 1)))
+    E = frames_batch(core, x)
+    S = shape_operator_batch(core, x, E)[0]
+    d = np.asarray(d_values, dtype=float)
+    A = 2.0 * step_operator_batch(core, np.repeat(x, d.size, axis=0), d, np.repeat(E, d.size, axis=0))
+    dd = d[:, None, None]
+    # the norm matrix by matrix, as for one d: a norm over two axes can differ in the last bits
+    res = np.array([np.linalg.norm(r) for r in A - 2.0 * dd * np.eye(S.shape[0]) - 2.0 * dd * dd * S])
+    slope, _ = fit_loglog(d, res, 0.0)
+    return res, slope
 
 
 # ---------------------------------------------------------------------------
@@ -209,30 +204,57 @@ def preconditioner_series_residual(core: ConvexCore, chart, d_values):
 
 @dataclass
 class LinearizationReport:
-    """Estimated DF at a fixed point and derived classification."""
+    """DF at k fixed points and its classification, stacked by row.
 
-    DF: np.ndarray
-    composite: np.ndarray            # I - DF
-    eigenvalues: np.ndarray          # complex, sorted by descending real part
-    stability: str = "Unclassified"
-    eigen_labels: list = field(default_factory=list)
-    morse_index: int | None = None
-    degenerate: bool = False
-    preconditioner: np.ndarray | None = None
-    hessian: np.ndarray | None = None
+    report[i] is the report of row i alone: DF (m, m), eigenvalues (m,),
+    the labels as a list, stability a str, morse_index an int, degenerate
+    a bool and hessian (m, m) or None.
+    """
+
+    DF: np.ndarray            # (k, m, m)
+    eigenvalues: np.ndarray   # (k, m), by descending real part, then imaginary part
+    eigen_labels: np.ndarray  # (k, m) "attracting" | "repelling" | "neutral"
+    stability: np.ndarray     # (k,) "Attracting" | "Repelling" | "Neutral" | "Mixed" | "Saddle"
+    morse_index: np.ndarray   # (k,) int
+    degenerate: np.ndarray    # (k,) bool
+    hessian: np.ndarray | None = None  # (k, m, m) Hess d, analytic mode only
+
+    def __getitem__(self, i: int) -> "LinearizationReport":
+        return LinearizationReport(self.DF[i], self.eigenvalues[i], self.eigen_labels[i].tolist(),
+                                   str(self.stability[i]), int(self.morse_index[i]),
+                                   bool(self.degenerate[i]), None if self.hessian is None else self.hessian[i])
 
 
-def _classified(DF, preconditioner, **extra) -> LinearizationReport:
-    """The report of DF at a fixed point, after classify_fixed_point."""
+_LABELS = np.array(["attracting", "repelling", "neutral"])
+# a row's stability by the labels it has: 4 if attracting, + 2 if repelling, + 1 if neutral
+_STABILITY = np.array(["", "Neutral", "Repelling", "Mixed", "Attracting", "Mixed", "Saddle", "Mixed"])
+
+
+def _classify(DF: np.ndarray, hess_est: np.ndarray, hessian=None) -> LinearizationReport:
+    """The report of DF, (k, m, m), at k fixed points.
+
+    Eigenvalues within NEUTRAL_TOL of the unit circle are neutral; a row is
+    Attracting, Repelling or Neutral when all its labels agree, Mixed when
+    some but not all are neutral, and Saddle otherwise.  The index counts
+    the eigenvalues of a row of hess_est, (k, m) real, below -NEUTRAL_TOL;
+    one within NEUTRAL_TOL of 0 makes the row degenerate.
+    """
     w = np.linalg.eigvals(DF)
-    report = LinearizationReport(DF, np.eye(DF.shape[0]) - DF, w[np.lexsort((-w.imag, -w.real))],
-                                 preconditioner=preconditioner, **extra)
-    classify_fixed_point(report)
-    return report
+    w = np.take_along_axis(w, np.lexsort((-w.imag, -w.real), axis=-1), axis=-1)
+    mod = np.abs(w)
+    attracting, repelling = mod < 1.0 - NEUTRAL_TOL, mod > 1.0 + NEUTRAL_TOL
+    neutral = ~(attracting | repelling)
+    labels = _LABELS[repelling + 2 * neutral]
+    stability = _STABILITY[4 * attracting.any(-1) + 2 * repelling.any(-1) + neutral.any(-1)]
+    return LinearizationReport(DF, w, labels, stability, np.sum(hess_est < -NEUTRAL_TOL, axis=-1),
+                               np.any(np.abs(hess_est) <= NEUTRAL_TOL, axis=-1), hessian)
 
 
 def _require_fixed(F: BlackBoxMap, X: np.ndarray) -> None:
-    """NotAFixedPoint unless every row of X, (n, N), is fixed under F to tolerance."""
+    """NotAFixedPoint unless every row of X, (k, N), is fixed under F to
+    tolerance; no rows make no map call."""
+    if not X.shape[0]:
+        return
     resid = float(np.max(np.linalg.norm(F.batch(X) - X, axis=-1)))
     if resid > FIXED_POINT_RESIDUAL_TOL:
         raise NotAFixedPoint(f"|F(c) - c| = {resid:.3e} exceeds {FIXED_POINT_RESIDUAL_TOL:.1e}")
@@ -241,7 +263,10 @@ def _require_fixed(F: BlackBoxMap, X: np.ndarray) -> None:
 def fixed_point_jacobian(F: BlackBoxMap, X: np.ndarray, E: np.ndarray,
                          h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """finite_difference_jacobian_batch at centres X, (k, N), in frames E,
-    after NotAFixedPoint unless every centre is fixed under F."""
+    after NotAFixedPoint unless every centre is fixed under F; no centres
+    give an empty (0, m, m) stack without a map call."""
+    if not X.shape[0]:
+        return np.empty((0, E.shape[1], E.shape[1]))
     _require_fixed(F, X)
     return finite_difference_jacobian_batch(F, X, E, h)
 
@@ -261,77 +286,49 @@ def finite_difference_jacobian_batch(F: BlackBoxMap, X: np.ndarray, E: np.ndarra
     return E @ diff.transpose(0, 2, 1)
 
 
-def linearize_fd(dom: RadialDomain, c_star: SurfacePoint, frame: TangentFrame | None = None,
-                 h: float = DEFAULT_FD_STEP) -> LinearizationReport:
-    """Finite-difference linearization of the exact return map at a fixed point."""
-    if frame is None:
-        frame = frame_at(dom.core, c_star)
-    DF = fixed_point_jacobian(BlackBoxMap.wrap_domain(dom), c_star.ambient[None], frame.vectors[None], h)[0]
-    return _classified(DF, curvature_preconditioner(dom, c_star, frame))
+def linearize(dom: RadialDomain, X, mode: str = "fd", step_scale: float = CLASSICAL_STEP_SCALE,
+              h: float = DEFAULT_FD_STEP) -> LinearizationReport:
+    """DF of the exact return map and its classification at the k fixed
+    points X, (k, N) ambient rows, in the frames frames_batch(core, X).
+
+    mode "fd": DF by central differences at step h (fixed_point_jacobian).
+    The index counts the eigenvalues of (2G)^(-1) (I - DF) below
+    -NEUTRAL_TOL, with G = d (I - dS)^(-1) the step operator: the classical
+    model's quotient, which for this map is -Hess d / 2, so it reports the
+    index of -d, not of d.
+    mode "analytic": DF = I + step_scale G Hess d, with the Hessian stack
+    attached and the index counted on it.  step_scale = -2 gives the
+    classical model DF = I - A Hess with A = 2G; step_scale = +1 the law
+    the ray dynamics measures.
+
+    step_scale is read in analytic mode only and h in fd mode only.  Raises
+    NotAFixedPoint unless every row is fixed; no rows give empty stacks
+    without a map call.
+    """
+    if mode not in ("fd", "analytic"):
+        raise ValueError(f"unknown linearization mode {mode!r}")
+    core = dom.core
+    X = np.asarray(X, dtype=float).reshape(-1, core.dim)
+    F, E, I = BlackBoxMap.wrap_domain(dom), frames_batch(core, X), np.eye(core.dim - 1)
+    if mode == "fd":
+        DF = fixed_point_jacobian(F, X, E, h)
+        G = step_operator_batch(core, X, dom.field.ambient_value(X), E)
+        return _classify(DF, np.linalg.eigvals(np.linalg.solve(2.0 * G, I - DF)).real)
+    _require_fixed(F, X)
+    G = step_operator_batch(core, X, dom.field.ambient_value(X), E)
+    H = dom.field.surface_hessian_batch(X, E)
+    return _classify(I + step_scale * (G @ H), np.linalg.eigvals(H).real, H)
 
 
-def linearize_analytic(dom: RadialDomain, c_star: SurfacePoint, frame: TangentFrame | None = None,
+def linearize_fd(dom: RadialDomain, c_star: SurfacePoint) -> LinearizationReport:
+    """linearize in fd mode at one point: the report of a batch of one."""
+    return linearize(dom, c_star.ambient[None], "fd")[0]
+
+
+def linearize_analytic(dom: RadialDomain, c_star: SurfacePoint,
                        step_scale: float = CLASSICAL_STEP_SCALE) -> LinearizationReport:
-    """DF = I + step_scale * d (I-dS)^-1 Hess d in the frame.
-
-    step_scale = -2 gives the classical model DF = I - A Hess with
-    A = 2d (I-dS)^-1; step_scale = +1 gives the law the ray dynamics
-    measures.
-    """
-    if frame is None:
-        frame = frame_at(dom.core, c_star)
-    _require_fixed(BlackBoxMap.wrap_domain(dom), c_star.ambient[None])
-    G = step_operator(dom, c_star, frame)
-    H = dom.field.surface_hessian(c_star, frame)
-    DF = np.eye(H.shape[0]) + step_scale * (G @ H)
-    return _classified(DF, 2.0 * G, hessian=H)
-
-
-def classify_fixed_point(report: LinearizationReport):
-    """Per-eigenvalue stability labels and a Morse index estimate.
-
-    Eigenvalues within NEUTRAL_TOL of the unit circle are Neutral and
-    excluded from index counting.  The index is the number of eigenvalues
-    of the analytic Hessian (when attached) or of A^(-1)(I - DF) below
-    -NEUTRAL_TOL.
-    """
-    labels = []
-    for mu in report.eigenvalues:
-        m = abs(mu)
-        if m < 1.0 - NEUTRAL_TOL:
-            labels.append("attracting")
-        elif m > 1.0 + NEUTRAL_TOL:
-            labels.append("repelling")
-        else:
-            labels.append("neutral")
-    uniq = set(labels)
-    if uniq == {"attracting"}:
-        stability = "Attracting"
-    elif uniq == {"repelling"}:
-        stability = "Repelling"
-    elif uniq == {"neutral"}:
-        stability = "Neutral"
-    elif "neutral" in uniq:
-        stability = "Mixed"
-    else:
-        stability = "Saddle"
-
-    hess_est = None
-    if report.hessian is not None:
-        hess_est = np.linalg.eigvals(report.hessian).real
-    elif report.preconditioner is not None:
-        hess_est = np.linalg.eigvals(np.linalg.solve(report.preconditioner, report.composite)).real
-    morse = None
-    degenerate = False
-    if hess_est is not None:
-        morse = int(np.sum(hess_est < -NEUTRAL_TOL))
-        degenerate = bool(np.any(np.abs(hess_est) <= NEUTRAL_TOL))
-
-    report.stability = stability
-    report.eigen_labels = labels
-    report.morse_index = morse
-    report.degenerate = degenerate
-    return stability, morse
+    """linearize in analytic mode at one point: the report of a batch of one."""
+    return linearize(dom, c_star.ambient[None], "analytic", step_scale=step_scale)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ BlackBoxMap, the one map object every map consumer takes.
 The forward map is computed purely by ray geometry (no asymptotic
 formulas), so it can serve as an independent oracle for every expansion
 tested elsewhere.  Point sets are (n, N) ambient arrays; a SurfacePoint
-is built only where one point meets a scalar API (return_map).
+is built only by the scalar view return_map.
 """
 
 from __future__ import annotations
@@ -33,10 +33,11 @@ TRUST_RADIUS = 0.05  # longest amplified step in settle_batch, in surface_scale(
 def return_map(dom: RadialDomain, c: SurfacePoint) -> SurfacePoint:
     """F(c): out along the core normal, back along the shell's inward normal.
 
-    A batch of one through return_map_batch, after the positivity guard
-    of field.eval.
+    A batch of one through return_map_batch, after a check that c is a
+    point of dom's core.
     """
-    dom.field.eval(c)
+    if c.core != dom.core:
+        raise ValueError("surface point belongs to a different core")
     return SurfacePoint.from_ambient(dom.core, return_map_batch(dom, c.ambient[None])[0])
 
 
@@ -86,27 +87,26 @@ class OrbitRecord:
 
 def iterate_orbit(
     dom: RadialDomain,
-    seed: SurfacePoint,
+    x0: np.ndarray,
     max_iters: int = DEFAULT_MAX_ITERS,
     tol: float = DEFAULT_TOL,
 ) -> OrbitRecord:
-    """Iterate F from seed until the ambient displacement drops below tol.
+    """Iterate F from the ambient row x0, (N,), until the ambient
+    displacement drops below tol.
 
     Each step is one return_map_batch call on a single ambient row.  After
     the loop one batched pass over the rows takes the thickness values and
-    checks them as return_map and field.eval would each step: every
-    iterate is on the core (|implicit| <= TOL_SURFACE) and every row,
-    the seed's included, has d > 0.  The record ends before the first row
-    that fails, with status "error" and error kind OffSurface or
-    InadmissibleThickness; a ShellmapError raised by the kernel ends it at
-    the last point reached.  A row joins the record with its thickness,
-    also on an error record; row 0 is seed.ambient as given."""
+    checks them as a loop of scalar steps would each step: every iterate is
+    on the core (|implicit| <= TOL_SURFACE) and every row, the seed's
+    included, has d > 0.  The record ends before the first row that fails,
+    with status "error" and error kind OffSurface or InadmissibleThickness;
+    a ShellmapError raised by the kernel ends it at the last point reached.
+    A row joins the record with its thickness, also on an error record;
+    row 0 is x0 as given."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     core = dom.core
-    if seed.core != core:
-        raise ValueError("surface point belongs to a different core")
-    x = np.asarray(seed.ambient, dtype=float)[None]
+    x = np.asarray(x0, dtype=float)[None]
     rows, disps = [x], []
     status, error_kind = "max_iterations", None
     try:

@@ -12,21 +12,14 @@ the second derivative along retraction curves (for the projection
 retractions used here the curve acceleration is S(v,v) nu, so this
 coincides with the intrinsic Hessian).  Its one closed form is the batched
 action Hess d[v] = P_t(hess D v) + (grad D . nu) S v (hessian_action);
-the frame matrix surface_hessian is E Hess d[E]^T.
+the frame matrices surface_hessian_batch are E Hess d[E]^T.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InadmissibleThickness
-from .surfaces import (
-    ConvexCore,
-    SurfacePoint,
-    TangentFrame,
-    frame_at,
-    shape_action_batch,
-)
+from .surfaces import ConvexCore, _frame_matrices, shape_action_batch
 
 
 def legendre_p2(x):
@@ -53,32 +46,17 @@ class ThicknessField:
         raise NotImplementedError
 
     # -- surface operations --------------------------------------------------
-    def eval(self, p: SurfacePoint) -> float:
-        """Thickness d(p) > 0; raises InadmissibleThickness otherwise."""
-        self._check_point(p)
-        val = float(self.ambient_value(p.ambient))
-        if val <= 0.0:
-            raise InadmissibleThickness(f"d = {val:.6g} <= 0 at chart {p.chart}")
-        return val
-
     def tangent_gradient(self, X) -> np.ndarray:
         """Riemannian gradients as ambient tangent vectors at core points X, (n, N)."""
         G, nu = self.ambient_grad(X), self.core.normal(X)
         return G - nu * np.einsum("ij,ij->i", G, nu)[:, None]
 
-    def surface_hessian(self, p: SurfacePoint, frame: TangentFrame | None = None) -> np.ndarray:
-        """Riemannian Hessian matrix in the frame (symmetric).
-
-        Defined as the second derivative along retraction curves; computed
-        from the ambient extension plus the curvature correction.
-        """
-        self._check_point(p)
-        if frame is None:
-            frame = frame_at(self.core, p)
-        E = frame.vectors
-        X = np.broadcast_to(p.ambient, E.shape)
-        H = E @ self.hessian_action(X, E).T
-        return 0.5 * (H + H.T)
+    def surface_hessian_batch(self, X, E) -> np.ndarray:
+        """Riemannian Hessian matrices, (k, m, m), at core points X, (k, N),
+        in the frames E, (k, m, N): E Hess d[E]^T from hessian_action,
+        symmetrized.  The Hessian is the second derivative along retraction
+        curves, from the ambient extension plus the curvature correction."""
+        return _frame_matrices(X, E, self.hessian_action)
 
     def hessian_action(self, X, V) -> np.ndarray:
         """Hess d applied to tangent vectors V at core points X, both (n, N):
@@ -91,11 +69,6 @@ class ThicknessField:
         HV = np.einsum("ijk,ik->ij", self.ambient_hess(X), V)
         return (HV - np.einsum("ij,ij->i", HV, nu)[:, None] * nu
                 + gn[:, None] * shape_action_batch(self.core, X, V))
-
-    # -- validation ----------------------------------------------------------
-    def _check_point(self, p: SurfacePoint):
-        if p.core != self.core:
-            raise ValueError("surface point belongs to a different core")
 
 
 class ConstantField(ThicknessField):

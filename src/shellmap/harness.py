@@ -23,16 +23,15 @@ from . import __version__
 from .analysis import (
     CLASSICAL_STEP_SCALE,
     MEASURED_STEP_SCALE,
-    curvature_preconditioner,
     find_fixed_points,
-    linearize_analytic,
-    linearize_fd,
+    linearize,
     preconditioner_series_residual,
     residual_sweep,
+    step_operator_batch,
 )
 from .domain import RadialDomain, admissibility_check
 from .dynamics import BlackBoxMap, iterate_orbit
-from .errors import ScenarioError, ShellmapError
+from .errors import InadmissibleThickness, ScenarioError, ShellmapError
 from .fields import (
     ConstantField,
     Fourier2DField,
@@ -46,7 +45,7 @@ from .inverse import (
     run_reconstruction,
     scaling_ambiguity_diagnostic,
 )
-from .surfaces import ConvexCore, SurfacePoint, fibonacci_chart_grid, frame_at
+from .surfaces import ConvexCore, fibonacci_chart_grid, frames_batch
 
 @dataclass
 class Scenario:
@@ -338,14 +337,18 @@ def _sample_charts(core: ConvexCore, n: int, rng) -> np.ndarray:
     return np.stack([theta, phi], axis=-1)
 
 
-def _named_point(core: ConvexCore, spec: str) -> SurfacePoint:
+def _named_point(core: ConvexCore, spec: str) -> np.ndarray:
+    """The chart row, (N-1,), of a named point (pole, equator) or of a chart written out."""
     if spec == "pole":
-        return SurfacePoint.from_chart(core, 0.0, 0.0) if core.dim == 3 else SurfacePoint.from_chart(core, 0.0)
+        return np.zeros(core.dim - 1)
     if spec == "equator":
         if core.dim != 3:
             raise ValueError("'equator' needs an N=3 core")
-        return SurfacePoint.from_chart(core, np.pi / 2, 0.0)
-    return SurfacePoint.from_chart(core, *(_real(x) for x in spec.split(",")))
+        return np.array([np.pi / 2, 0.0])
+    chart = np.array([_real(x) for x in spec.split(",")])
+    if chart.shape != (core.dim - 1,):
+        raise ValueError(f"chart must have {core.dim - 1} parameters")
+    return chart
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +369,11 @@ def _task(name: str, keys: dict):
                  "tol": ("1e-10", _positive)})
 def _task_orbit(r, out, rng):
     v, core = r.values, r.dom.core
-    rec = iterate_orbit(r.dom, v["point"], max_iters=v["max_iters"], tol=v["tol"])
+    rec = iterate_orbit(r.dom, core.ambient_from_chart(v["point"]), max_iters=v["max_iters"], tol=v["tol"])
     n = len(rec.points)
     disps = np.concatenate([rec.displacement_norms, np.zeros(n - len(rec.displacement_norms))])
     charts = core.chart_from_ambient(rec.points)
-    charts[:1] = v["point"].chart  # the seed's chart as drawn
+    charts[:1] = v["point"]  # the seed's chart as drawn
     out.table("orbit.csv", ["step", "theta", "phi", "x", "y", "z", "d", "displacement"],
               np.arange(n), *_theta_phi(core, charts), *_xyz(core, rec.points), rec.thickness_values, disps)
     if rec.status == "error":
@@ -399,10 +402,11 @@ def _task_fixed_points(r, out, rng):
 
 @_task("linearize", {"point": ({2: "0", 3: "equator"}, _point), "h": ("1e-5", _fd_step)})
 def _task_linearize(r, out, rng):
-    dom, pt = r.dom, r.values["point"]
-    rep_fd = linearize_fd(dom, pt, h=r.values["h"])
-    rep_cl = linearize_analytic(dom, pt, step_scale=CLASSICAL_STEP_SCALE)
-    rep_ms = linearize_analytic(dom, pt, step_scale=MEASURED_STEP_SCALE)
+    dom, chart = r.dom, r.values["point"]
+    X = dom.core.ambient_from_chart(chart)[None]
+    rep_fd = linearize(dom, X, "fd", h=r.values["h"])[0]
+    rep_cl = linearize(dom, X, "analytic", step_scale=CLASSICAL_STEP_SCALE)[0]
+    rep_ms = linearize(dom, X, "analytic", step_scale=MEASURED_STEP_SCALE)[0]
     rows = []
     for tag, rep in (("finite_difference", rep_fd), ("analytic_classical", rep_cl), ("analytic_measured", rep_ms)):
         eig_cols = []
@@ -411,7 +415,7 @@ def _task_linearize(r, out, rng):
         rows.append(
             [tag]
             + eig_cols
-            + [rep.stability, "" if rep.morse_index is None else rep.morse_index]
+            + [rep.stability, rep.morse_index]
             + [_g17(v) for v in rep.DF.ravel()]
         )
     k = rep_fd.DF.shape[0]
@@ -421,7 +425,7 @@ def _task_linearize(r, out, rng):
     head += ["stability", "morse_index"] + [f"DF{i}{j}" for i in range(k) for j in range(k)]
     out.csv("linearize.csv", head, rows)
     out.summary([
-        ("point_theta", pt.theta),
+        ("point_theta", float(chart[0])),
         ("fd_eig_max", float(np.max(rep_fd.eigenvalues.real))),
         ("fd_eig_min", float(np.min(rep_fd.eigenvalues.real))),
         ("fd_stability", rep_fd.stability),
@@ -465,9 +469,13 @@ def _task_reconstruct(r, out, rng):
     charts = _sample_charts(core, v["n_samples"], rng)
     mode = v["alpha_mode"]
     if mode in ("known_classical", "known_measured"):
-        frame = frame_at(dom.core, v["alpha_point"])
-        A = curvature_preconditioner(dom, v["alpha_point"], frame)
-        a = float(np.trace(A)) / A.shape[0]
+        # the gain of the classical A = 2G: doubling is exact, so trace(A) = 2 trace(G)
+        x = core.ambient_from_chart(v["alpha_point"])[None]
+        d = dom.field.ambient_value(x)
+        if d[0] <= 0.0:
+            raise InadmissibleThickness(f"d = {d[0]:.6g} <= 0 at alpha_point")
+        G = step_operator_batch(core, x, d, frames_batch(core, x))[0]
+        a = 2.0 * float(np.trace(G)) / G.shape[0]
         alphas = [a if mode == "known_classical" else -0.5 * a]
     else:
         alphas = [v["alpha"]] if mode == "assumed" else v["alpha_factors"]

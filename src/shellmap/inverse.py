@@ -280,9 +280,8 @@ def run_reconstruction(F: BlackBoxMap, n_seeds: int, samples, alphas,
     scan = fixed_point_search(F, n_seeds)
     directions, kept = recover_descent_field(F, samples)
     rows = np.flatnonzero(scan.residuals <= FIXED_POINT_RESIDUAL_TOL)
-    X, m = scan.points[rows], F.core.dim - 1
-    composites = np.eye(m) - (fixed_point_jacobian(F, X, frames_batch(F.core, X), h) if rows.size
-                              else np.empty((0, m, m)))
+    X = scan.points[rows]
+    composites = np.eye(F.core.dim - 1) - fixed_point_jacobian(F, X, frames_batch(F.core, X), h)
     hessians = [[reconstruct_hessian_isotropic(C, float(a), alpha_mode) for a in np.atleast_1d(alphas)]
                 for C in composites]
     return ReconstructionReport(scan.points, scan.residuals, directions, kept, rows, composites, hessians)

@@ -6,7 +6,10 @@ dimension N in {2, 3}.  The shape operator follows the sign convention
 S = -D(nu), so the unit sphere has S = -I and a circle of radius r has
 S = -1/r.  Ray hits and the retraction are batched (_ray_hit_batch,
 retract_batch) and leave points at round-off on the core; the scalar
-retract is a batch-of-one view of retract_batch.
+retract is a batch-of-one view of retract_batch.  Frame matrices of
+tangent operators (shape_operator_batch, and the step operator and
+surface Hessian elsewhere) are batched over rows and frames by
+_frame_matrices.
 """
 
 from __future__ import annotations
@@ -149,10 +152,6 @@ class SurfacePoint:
         _require_on_core(core, x)
         return SurfacePoint(core, core.chart_from_ambient(x), x.copy())
 
-    @property
-    def theta(self) -> float:
-        return float(self.chart[0])
-
 
 @dataclass(frozen=True)
 class TangentFrame:
@@ -232,13 +231,22 @@ def frame_at(core: ConvexCore, p: SurfacePoint) -> TangentFrame:
     return TangentFrame(frames_batch(core, p.ambient[None])[0])
 
 
-def shape_operator_at(core: ConvexCore, p: SurfacePoint, frame: TangentFrame) -> np.ndarray:
-    """Matrix of the shape operator S = -D(nu) in the given frame,
-    S_ij = e_i . S e_j with S e_j from shape_action_batch (symmetrized)."""
-    _require_on_core(core, p.ambient)
-    E = frame.vectors
-    S = E @ shape_action_batch(core, np.broadcast_to(p.ambient, E.shape), E).T
-    return 0.5 * (S + S.T)
+def _frame_matrices(X: np.ndarray, E: np.ndarray, action) -> np.ndarray:
+    """Symmetrized frame matrices sym(E op(E)^T), (k, m, m), of a tangent
+    operator at the rows of X, (k, N), in the frames E, (k, m, N): one call
+    of its action, action(Y, V) on rows Y and vectors V both (k m, N), with
+    each row of X repeated over its m frame vectors."""
+    k, m, n = E.shape
+    A = action(np.repeat(X, m, axis=0), E.reshape(-1, n)).reshape(k, m, n)
+    M = E @ A.transpose(0, 2, 1)
+    return 0.5 * (M + M.transpose(0, 2, 1))
+
+
+def shape_operator_batch(core: ConvexCore, X: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Matrices of the shape operator S = -D(nu), (k, m, m), at core points
+    X, (k, N), in the frames E, (k, m, N): S_ij = e_i . S e_j with S e_j
+    from shape_action_batch (symmetrized)."""
+    return _frame_matrices(X, E, lambda Y, V: shape_action_batch(core, Y, V))
 
 
 def shape_action_batch(core: ConvexCore, X: np.ndarray, V: np.ndarray) -> np.ndarray:

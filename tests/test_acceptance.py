@@ -15,9 +15,9 @@ G = d/(1+d), half the abstract's A(c*) = 2d (I - dS)^-1.  Criteria 1 and 2
 check their closed-form eigenvalues against a self-contained ray oracle
 in the meridian plane, the arithmetic criterion 11 uses on the circle.
 
-Criterion 2 fails on its Morse index: without an attached Hessian,
-classify_fixed_point divides I - DF by A, which for this map gives
--Hess d / 2, so it counts the index of -d (0 at the pole, not 2).
+Criterion 2 fails on its Morse index: linearize's fd mode has no
+Hessian and divides I - DF by A, which for this map gives -Hess d / 2,
+so it counts the index of -d (0 at the pole, not 2).
 """
 
 import time

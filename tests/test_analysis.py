@@ -18,30 +18,28 @@ from shellmap import (
     SurfacePoint,
     ZonalLegendreField,
     ZonalProfileField,
-    classify_fixed_point,
-    curvature_preconditioner,
     find_fixed_points,
     fit_loglog,
     frame_at,
+    linearize,
     linearize_analytic,
     linearize_fd,
     preconditioner_series_residual,
     residual_sweep,
     retract,
+    run_reconstruction,
     return_map,
     return_map_batch,
-    shape_operator_at,
-    step_operator,
 )
-from shellmap import analysis
+from shellmap import analysis, dynamics
 from shellmap.analysis import (
-    LinearizationReport,
     expansion_residual_batch,
     finite_difference_jacobian_batch,
+    step_operator_batch,
 )
 from shellmap.domain import _outer_geometry_batch
 from shellmap.errors import CurvatureSingularity, OffSurface
-from shellmap.surfaces import frames_batch
+from shellmap.surfaces import frames_batch, shape_operator_batch
 
 SPHERE = ConvexCore.sphere(1.0)
 CIRCLE = ConvexCore.circle(1.0)
@@ -60,6 +58,22 @@ def pt(core, *chart):
     return SurfacePoint.from_chart(core, *chart)
 
 
+def step_at(dom, p):
+    """G = d (I - dS)^-1 at p in frame_at's frame: step_operator_batch on a batch of one."""
+    X = p.ambient[None]
+    return step_operator_batch(dom.core, X, dom.field.ambient_value(X), frame_at(dom.core, p).vectors[None])[0]
+
+
+def shape_at(core, p):
+    """S at p in frame_at's frame: shape_operator_batch on a batch of one."""
+    return shape_operator_batch(core, p.ambient[None], frame_at(core, p).vectors[None])[0]
+
+
+def hessian_at(fld, p):
+    """Hess d at p in frame_at's frame: surface_hessian_batch on a batch of one."""
+    return fld.surface_hessian_batch(p.ambient[None], frame_at(fld.core, p).vectors[None])[0]
+
+
 def residuals(dom, c, kind, step_scale=CLASSICAL_STEP_SCALE):
     """(total, transverse) at c: the row of expansion_residual_batch."""
     total, transverse = expansion_residual_batch(dom, c.ambient[None], step_scale, kind)
@@ -72,13 +86,13 @@ def residuals(dom, c, kind, step_scale=CLASSICAL_STEP_SCALE):
 
 def test_preconditioner_sphere_constant():
     dom = RadialDomain(SPHERE, ConstantField(SPHERE, 0.5))
-    A = curvature_preconditioner(dom, pt(SPHERE, 1.0, 0.0))
+    A = 2.0 * step_at(dom, pt(SPHERE, 1.0, 0.0))
     assert np.allclose(A, (2.0 / 3.0) * np.eye(2), atol=1e-14)
 
 
 def test_preconditioner_equator_value():
     dom = zonal_domain()
-    A = curvature_preconditioner(dom, pt(SPHERE, np.pi / 2, 0.0))
+    A = 2.0 * step_at(dom, pt(SPHERE, np.pi / 2, 0.0))
     assert np.allclose(A, A_EQ * np.eye(2), atol=1e-12)
     assert abs(A_EQ - 0.6622073578595318) < 1e-12
 
@@ -87,10 +101,9 @@ def test_preconditioner_ellipsoid_eigenvalues():
     # eigenvalues 2d/(1 - d kappa_i) with kappa_i the shape-operator spectrum
     dom = RadialDomain(ELLIPSOID, ConstantField(ELLIPSOID, 0.25))
     p = pt(ELLIPSOID, 1.0, 0.7)
-    frame = frame_at(ELLIPSOID, p)
-    S = shape_operator_at(ELLIPSOID, p, frame)
+    S = shape_at(ELLIPSOID, p)
     kappas = np.linalg.eigvalsh(S)
-    A = curvature_preconditioner(dom, p, frame)
+    A = 2.0 * step_at(dom, p)
     expected = np.sort(2 * 0.25 / (1 - 0.25 * kappas))
     assert np.allclose(np.sort(np.linalg.eigvalsh(A)), expected, atol=1e-12)
 
@@ -100,29 +113,17 @@ def test_preconditioner_symmetric_positive_definite():
         rng = np.random.default_rng(3)
         for _ in range(20):
             p = pt(dom.core, np.arccos(rng.uniform(-0.9, 0.9)), rng.uniform(0, 2 * np.pi))
-            A = curvature_preconditioner(dom, p)
+            A = 2.0 * step_at(dom, p)
             assert np.abs(A - A.T).max() < 1e-10
             assert np.linalg.eigvalsh(A).min() > 0
 
 
-def test_step_operator_is_half_preconditioner():
-    dom = zonal_domain()
-    p = pt(SPHERE, 1.2, 0.4)
-    assert np.allclose(2.0 * step_operator(dom, p), curvature_preconditioner(dom, p), atol=1e-15)
-
-
 def test_preconditioner_singularity_raises():
     # d = -1 makes (I - dS) = 0 on the unit sphere; reachable only by
-    # bypassing the positivity guard, so fake the field value via constant
-    dom = RadialDomain(SPHERE, ConstantField(SPHERE, 1.0))
-
-    class NegatedEval(ConstantField):
-        def eval(self, p):  # bypass the positivity guard deliberately
-            return -1.0
-
-    dom_bad = RadialDomain(SPHERE, NegatedEval(SPHERE, 1.0))
+    # passing the step operator a thickness no field admits
+    x = SPHERE.ambient_from_chart(np.array([[1.0, 0.0]]))
     with pytest.raises(CurvatureSingularity):
-        curvature_preconditioner(dom_bad, pt(SPHERE, 1.0, 0.0))
+        step_operator_batch(SPHERE, x, np.array([-1.0]), frames_batch(SPHERE, x))
 
 
 def test_preconditioner_series_slope_three():
@@ -197,8 +198,7 @@ def test_linearize_fd_equator_matches_measured_law():
     mu = np.sort(rep.eigenvalues.real)
     expected = np.sort([1.0, 1.0 + 3.0 * (A_EQ / 2.0) * EPS])
     assert np.abs(mu - expected).max() < 1e-6
-    assert rep.composite.shape == (2, 2)
-    assert np.allclose(rep.composite, np.eye(2) - rep.DF)
+    assert rep.DF.shape == (2, 2)
 
 
 def test_linearize_fd_pole_attracting():
@@ -281,10 +281,9 @@ def test_spectral_relation_in_aligned_case():
     # classical model: mu_i = 1 - alpha_i lambda_i when A and Hess commute
     dom = zonal_domain()
     p = pt(SPHERE, np.pi / 2, 0.0)
-    frame = frame_at(SPHERE, p)
-    rep = linearize_analytic(dom, p, frame, step_scale=CLASSICAL_STEP_SCALE)
-    A = curvature_preconditioner(dom, p, frame)
-    H = dom.field.surface_hessian(p, frame)
+    rep = linearize_analytic(dom, p, step_scale=CLASSICAL_STEP_SCALE)
+    A = 2.0 * step_at(dom, p)
+    H = hessian_at(dom.field, p)
     alphas = np.linalg.eigvalsh(A)
     lams = np.sort(np.linalg.eigvalsh(H))
     mus = np.sort([1 - a * l for a, l in zip(alphas, lams)])
@@ -295,25 +294,27 @@ def test_spectral_relation_in_aligned_case():
 # classification
 # ---------------------------------------------------------------------------
 
-def _report(DF, hessian=None, precond=None):
-    k = DF.shape[0]
-    return LinearizationReport(
-        DF=DF,
-        composite=np.eye(k) - DF,
-        eigenvalues=np.linalg.eigvals(DF),
-        hessian=hessian,
-        preconditioner=precond,
-    )
+def _classify_one(DF):
+    """The batched classifier on one DF, with no Hessian estimate to count."""
+    return analysis._classify(DF[None], np.zeros((1, DF.shape[0])))[0]
 
 
 def test_classify_identity_neutral():
-    stability, morse = classify_fixed_point(_report(np.eye(2)))
-    assert stability == "Neutral" and morse is None
+    assert _classify_one(np.eye(2)).stability == "Neutral"
 
 
 def test_classify_saddle():
-    stability, _ = classify_fixed_point(_report(np.diag([0.5, 1.5])))
-    assert stability == "Saddle"
+    assert _classify_one(np.diag([0.5, 1.5])).stability == "Saddle"
+
+
+def test_classify_labels_every_row_of_a_batch():
+    DF = np.array([np.diag(mu) for mu in ([0.5, 0.5], [1.5, 1.5], [1.0, 1.0], [1.0, 0.5], [1.5, 1.0],
+                                          [0.5, 1.5])])
+    rep = analysis._classify(DF, np.zeros((len(DF), 2)))
+    assert rep.stability.tolist() == ["Attracting", "Repelling", "Neutral", "Mixed", "Mixed", "Saddle"]
+    assert rep.eigen_labels.tolist() == [["attracting"] * 2, ["repelling"] * 2, ["neutral"] * 2,
+                                         ["neutral", "attracting"], ["repelling", "neutral"],
+                                         ["repelling", "attracting"]]
 
 
 def test_classify_equator_mixed_with_index_zero():
@@ -339,7 +340,7 @@ def test_classify_morse_from_composite_when_no_hessian():
     # dynamics yields -Hess/2: the counted index complements the true one
     dom = zonal_domain()
     rep = linearize_fd(dom, pt(SPHERE, 0.0, 0.0))
-    assert rep.hessian is None and rep.preconditioner is not None
+    assert rep.hessian is None
     assert rep.morse_index == 0
 
 
@@ -474,14 +475,14 @@ def test_expansion_residual_batch_rows_equal_batch_of_one(name, kind):
 def _frame_step(dom, c, frame, step_scale, second_order=False):
     """The frame-based predicted step: components in the tangent frame,
     pushed to ambient coordinates."""
-    d = dom.field.eval(c)
-    S = shape_operator_at(dom.core, c, frame)
+    d = float(dom.field.ambient_value(c.ambient))
+    S = shape_at(dom.core, c)
     R = np.linalg.inv(np.eye(S.shape[0]) - d * S)
     R = 0.5 * (R + R.T)
     g = frame.vectors @ dom.field.ambient_grad(c.ambient)
     w = step_scale * d * (R @ g)
     if second_order:
-        H = dom.field.surface_hessian(c, frame)
+        H = hessian_at(dom.field, c)
         w = w + 2.0 * d * d * (H @ g) + 2.0 * d * float(g @ g) * g
     return w @ frame.vectors, R, g
 
@@ -643,6 +644,42 @@ def test_fixed_point_search_with_no_seeds_is_empty():
     assert not scan.continuum and scan.unresolved == 0
 
 
+def test_zero_rows_give_empty_stacks_without_a_map_call(monkeypatch):
+    def no_call(X):
+        raise AssertionError("no map call expected")
+
+    F, X = BlackBoxMap(SPHERE, no_call), np.empty((0, 3))
+    analysis._require_fixed(F, X)
+    assert analysis.fixed_point_jacobian(F, X, np.empty((0, 2, 3))).shape == (0, 2, 2)
+    report = run_reconstruction(F, 0, X, [1.0])
+    assert report.composite_ops.shape == (0, 2, 2) and report.hessians_isotropic == []
+    monkeypatch.setattr(dynamics, "return_map_batch", lambda dom, X: no_call(X))
+    for mode in ("fd", "analytic"):
+        rep = linearize(zonal_domain(), X, mode)
+        assert rep.DF.shape == (0, 2, 2) and rep.eigenvalues.shape == rep.eigen_labels.shape == (0, 2)
+        assert rep.stability.shape == rep.morse_index.shape == rep.degenerate.shape == (0,)
+        assert (rep.hessian is None) == (mode == "fd")
+
+
+@pytest.mark.parametrize("mode", ["fd", "analytic"])
+@pytest.mark.parametrize("name", ["reference_sphere", "tilted_ellipsoid", "fourier_circle"])
+def test_linearize_rows_equal_batch_of_one(name, mode):
+    # every fixed point the search returns, in one call and one at a time
+    dom = {"reference_sphere": zonal_domain(), "tilted_ellipsoid": TILTED,
+           "fourier_circle": RESIDUAL_DOMAINS["fourier_circle"]}[name]
+    X = find_fixed_points(dom, n_seeds=200).points
+    m = dom.core.dim - 1
+    rep = linearize(dom, X, mode, step_scale=MEASURED_STEP_SCALE)
+    assert len(X) >= 2 and rep.DF.shape == (len(X), m, m) and rep.eigenvalues.shape == (len(X), m)
+    for i in range(len(X)):
+        row, one = rep[i], linearize(dom, X[i:i + 1], mode, step_scale=MEASURED_STEP_SCALE)[0]
+        assert row.DF.tobytes() == one.DF.tobytes()
+        assert row.eigenvalues.tobytes() == one.eigenvalues.tobytes()
+        assert (row.eigen_labels, row.stability, row.morse_index, row.degenerate) == \
+            (one.eigen_labels, one.stability, one.morse_index, one.degenerate)
+        assert (row.hessian is None and one.hessian is None) or row.hessian.tobytes() == one.hessian.tobytes()
+
+
 def _quadric_shape_operator(core, x, E):
     """S = -(E M E^T)/|Mx| with M = diag(1/s_i^2), symmetrized."""
     M = np.diag(1.0 / core.axes**2)
@@ -658,15 +695,14 @@ def test_closed_forms_match_frame_matrix_formulas(name):
     core, fld = dom.core, dom.field
     for x in _residual_points(core, n=10, seed=11):
         c = SurfacePoint.from_ambient(core, x)
-        frame = frame_at(core, c)
-        E = frame.vectors
+        E = frame_at(core, c).vectors
         S = _quadric_shape_operator(core, x, E)
-        assert np.abs(shape_operator_at(core, c, frame) - S).max() <= 1e-14
-        d = fld.eval(c)
+        assert np.abs(shape_at(core, c) - S).max() <= 1e-14
+        d = float(fld.ambient_value(x))
         R = np.linalg.inv(np.eye(E.shape[0]) - d * S)
-        assert np.abs(step_operator(dom, c, frame) - d * 0.5 * (R + R.T)).max() <= 1e-14
+        assert np.abs(step_at(dom, c) - d * 0.5 * (R + R.T)).max() <= 1e-14
         H = E @ fld.ambient_hess(x) @ E.T + float(fld.ambient_grad(x) @ core.normal(x)) * S
-        assert np.abs(fld.surface_hessian(c, frame) - 0.5 * (H + H.T)).max() <= 1e-14
+        assert np.abs(hessian_at(fld, c) - 0.5 * (H + H.T)).max() <= 1e-14
 
 
 def _depth_first_clusters(X, radius):

@@ -7,7 +7,8 @@ gated workloads must complete with no failed operation, and the traced
 run's kernel sweep must find every entry point it times.  Every name the
 package exports, and every public method or property of an exported class,
 must have a reader in the package or the benchmark, and every name a
-package or test module imports must be referred to in it.
+package or test module imports must be referred to in it.  SurfacePoint
+and TangentFrame are named only by the scalar views the benchmark calls.
 bench/reference.json is read and never written; the scenarios write their
 reports under the test's temporary directory.
 """
@@ -51,11 +52,11 @@ def test_kernel_sweep_finds_every_entry_point(monkeypatch):
     assert metrics and all(v > 0 for v in metrics.values())
 
 
-def _referenced(path: Path, strings: bool, names: bool = True) -> set:
-    """The names that code in path refers to: ast.Attribute attrs, with names
-    ast.Name ids too, and with strings its string constants."""
+def _referenced(path: Path | ast.AST, strings: bool, names: bool = True) -> set:
+    """The names that code in path (or a parsed node) refers to: ast.Attribute
+    attrs, with names ast.Name ids too, and with strings its string constants."""
     found = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(ast.parse(path.read_text()) if isinstance(path, Path) else path):
         if names and isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -122,3 +123,27 @@ def test_every_import_is_used():
             if names:
                 unused[f"{path.parent.name}/{path.name}"] = names
     assert not unused, f"imported and never referred to: {unused}"
+
+
+# the scalar views bench/ calls with a SurfacePoint; everything else takes (n, N) rows
+POINT_VIEWS = {"return_map", "retract", "frame_at", "linearize_fd", "linearize_analytic",
+               "estimate_composite_operator"}
+POINT_CLASSES = {"SurfacePoint", "TangentFrame"}
+
+
+def test_only_the_bench_views_name_a_surface_point():
+    # annotations count: `from __future__ import annotations` leaves them in the tree
+    naming = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and node.name not in POINT_CLASSES:
+                defs = [(f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, ast.FunctionDef)]
+            elif isinstance(node, ast.FunctionDef) and node.name not in POINT_VIEWS:
+                defs = [(node.name, node)]
+            else:
+                continue
+            naming += [f"{path.stem}.{name}" for name, f in defs
+                       if _referenced(f, strings=True) & POINT_CLASSES]
+    assert not naming, f"functions that name SurfacePoint or TangentFrame: {naming}"

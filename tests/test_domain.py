@@ -13,10 +13,10 @@ from shellmap import (
     admissibility_check,
     frame_at,
     retract,
-    shape_operator_at,
 )
 from shellmap.domain import _outer_frames_batch, _outer_geometry_batch
 from shellmap.errors import ImmersionFailure
+from shellmap.surfaces import shape_operator_batch
 from shellmap.harness import _Out, _task_admissibility, parse_scenario_text, resolve
 
 SPHERE = ConvexCore.sphere(1.0)
@@ -62,7 +62,7 @@ def test_radial_map_foot_and_offset():
     dom = zonal_domain()
     p = SurfacePoint.from_chart(SPHERE, 0.9, 0.4)
     x, _ = _outer_geometry_batch(dom, p.ambient[None])
-    d = dom.field.eval(p)
+    d = float(dom.field.ambient_value(p.ambient))
     assert np.allclose(x[0], p.ambient + d * SPHERE.normal(p.ambient), atol=1e-14)
 
 
@@ -80,8 +80,8 @@ def test_inward_normal_matches_resolvent_formula():
     dom = zonal_domain(0.25, 0.02, ELLIPSOID)
     for p in random_points(ELLIPSOID, 25, seed=3):
         frame = frame_at(ELLIPSOID, p)
-        d = dom.field.eval(p)
-        S = shape_operator_at(ELLIPSOID, p, frame)
+        d = float(dom.field.ambient_value(p.ambient))
+        S = shape_operator_batch(ELLIPSOID, p.ambient[None], frame.vectors[None])[0]
         g = frame.vectors @ dom.field.ambient_grad(p.ambient)
         m = np.linalg.solve(np.eye(2) - d * S, g) @ frame.vectors
         nu = ELLIPSOID.normal(p.ambient)
@@ -139,8 +139,8 @@ def test_outer_tangents_at_critical_point():
     dom = zonal_domain()
     p = SurfacePoint.from_chart(SPHERE, np.pi / 2, 0.7)
     frame = frame_at(SPHERE, p)
-    d = dom.field.eval(p)
-    S = shape_operator_at(SPHERE, p, frame)
+    d = float(dom.field.ambient_value(p.ambient))
+    S = shape_operator_batch(SPHERE, p.ambient[None], frame.vectors[None])[0]
     W = outer_tangents(dom, p)
     for i, w in enumerate(W):
         expected = frame.vectors[i] - d * (S[:, i] @ frame.vectors)
@@ -178,8 +178,8 @@ def test_normal_expansion_residual_second_order():
         dom = zonal_domain(0.5, eps)
         p = SurfacePoint.from_chart(SPHERE, *p_chart)
         frame = frame_at(SPHERE, p)
-        d = dom.field.eval(p)
-        S = shape_operator_at(SPHERE, p, frame)
+        d = float(dom.field.ambient_value(p.ambient))
+        S = shape_operator_batch(SPHERE, p.ambient[None], frame.vectors[None])[0]
         g = frame.vectors @ dom.field.ambient_grad(p.ambient)
         m = np.linalg.solve(np.eye(2) - d * S, g) @ frame.vectors
         n = _outer_geometry_batch(dom, p.ambient[None])[1][0]

@@ -93,8 +93,8 @@ def test_return_map_moves_toward_thickness_maximum():
     dom = zonal_domain()
     p = pt(SPHERE, np.pi / 4, 0.0)
     q = return_map(dom, p)
-    assert q.theta < p.theta  # toward the pole (the maximum of d)
-    assert dom.field.eval(q) > dom.field.eval(p)
+    assert q.chart[0] < p.chart[0]  # toward the pole (the maximum of d)
+    assert dom.field.ambient_value(q.ambient) > dom.field.ambient_value(p.ambient)
 
 
 def test_reciprocal_lands_within_eps_of_foot():
@@ -233,14 +233,14 @@ def test_descent_violation_counter_measures_ascent():
 
 def test_orbit_constant_field_converges_immediately():
     dom = RadialDomain(SPHERE, ConstantField(SPHERE, 0.5))
-    rec = iterate_orbit(dom, pt(SPHERE, 1.0, 2.0), tol=1e-10)
+    rec = iterate_orbit(dom, pt(SPHERE, 1.0, 2.0).ambient, tol=1e-10)
     assert rec.status == "converged"
     assert len(rec.points) == 2 and rec.displacement_norms[0] < 1e-12
 
 
 def test_orbit_record_consistency():
     dom = zonal_domain()
-    rec = iterate_orbit(dom, pt(SPHERE, 1.0, 0.5), max_iters=5000, tol=1e-8)
+    rec = iterate_orbit(dom, pt(SPHERE, 1.0, 0.5).ambient, max_iters=5000, tol=1e-8)
     assert len(rec.points) == len(rec.thickness_values)
     assert len(rec.displacement_norms) == len(rec.points) - 1
     for k in range(len(rec.displacement_norms)):
@@ -253,7 +253,7 @@ def test_orbit_record_consistency():
 def test_orbit_from_quarter_colatitude_reaches_pole():
     # the maximum of d sits at the poles; the orbit climbs there
     dom = zonal_domain()
-    rec = iterate_orbit(dom, pt(SPHERE, np.pi / 4, 0.0), tol=1e-10)
+    rec = iterate_orbit(dom, pt(SPHERE, np.pi / 4, 0.0).ambient, tol=1e-10)
     assert rec.status == "converged"
     assert SPHERE.chart_from_ambient(rec.points[-1])[0] < 1e-3
     assert rec.limit_grad_norm < 1e-6
@@ -262,14 +262,14 @@ def test_orbit_from_quarter_colatitude_reaches_pole():
 
 def test_orbit_thickness_monotone_nondecreasing():
     dom = zonal_domain()
-    rec = iterate_orbit(dom, pt(SPHERE, 1.2, 0.3), max_iters=4000, tol=1e-9)
+    rec = iterate_orbit(dom, pt(SPHERE, 1.2, 0.3).ambient, max_iters=4000, tol=1e-9)
     t = np.array(rec.thickness_values)
     assert np.all(np.diff(t) >= -1e-12)
 
 
 def test_orbit_seed_at_pole_fixed():
     dom = zonal_domain()
-    rec = iterate_orbit(dom, pt(SPHERE, 0.0, 0.0), tol=1e-10)
+    rec = iterate_orbit(dom, pt(SPHERE, 0.0, 0.0).ambient, tol=1e-10)
     assert rec.status == "converged"
     assert len(rec.points) == 2
     assert rec.displacement_norms[0] < 1e-12
@@ -277,14 +277,14 @@ def test_orbit_seed_at_pole_fixed():
 
 def test_orbit_error_captured():
     dom = RadialDomain(SPHERE, ZonalLegendreField(SPHERE, 0.1, 0.5))
-    rec = iterate_orbit(dom, pt(SPHERE, np.pi / 2, 0.0), tol=1e-10)
+    rec = iterate_orbit(dom, pt(SPHERE, np.pi / 2, 0.0).ambient, tol=1e-10)
     assert rec.status == "error"
     assert rec.error_kind == "InadmissibleThickness"
 
 
 def test_orbit_error_record_keeps_points_and_thickness_aligned():
     dom = RadialDomain(SPHERE, ZonalLegendreField(SPHERE, 0.1, 0.5))
-    rec = iterate_orbit(dom, pt(SPHERE, np.pi / 2, 0.0), tol=1e-10)
+    rec = iterate_orbit(dom, pt(SPHERE, np.pi / 2, 0.0).ambient, tol=1e-10)
     assert rec.status == "error"
     assert len(rec.points) == len(rec.thickness_values) == 0
 
@@ -299,13 +299,13 @@ def test_nonpositive_thickness_has_one_name_on_every_path():
         return_map(dom, p)
     with pytest.raises(InadmissibleThickness):
         BlackBoxMap.wrap_domain(dom).batch(p.ambient[None])
-    assert iterate_orbit(dom, p).error_kind == "InadmissibleThickness"
+    assert iterate_orbit(dom, p.ambient).error_kind == "InadmissibleThickness"
 
 
 def test_orbit_csv(tmp_path):
     # the orbit table as the harness writes it: one row per orbit point
     dom = zonal_domain()
-    rec = iterate_orbit(dom, pt(SPHERE, 1.0, 0.0), max_iters=50, tol=1e-15)
+    rec = iterate_orbit(dom, pt(SPHERE, 1.0, 0.0).ambient, max_iters=50, tol=1e-15)
     scn = parse_scenario_text("name = t\ncore.kind = sphere\nfield.kind = zonal_legendre\n"
                               "field.d0 = 0.5\nfield.eps = 0.01\ntask = orbit\ntask.point = 1.0,0.0\n"
                               "task.max_iters = 50\ntask.tol = 1e-15")
@@ -321,7 +321,7 @@ def test_iterate_batch_agrees_with_scalar_orbits():
     X = SPHERE.ambient_from_chart(charts)
     batch = iterate_batch(dom, X, max_iters=20_000, tol=1e-9)
     for i, ch in enumerate(charts):
-        rec = iterate_orbit(dom, SurfacePoint.from_chart(SPHERE, ch), max_iters=20_000, tol=1e-9)
+        rec = iterate_orbit(dom, X[i], max_iters=20_000, tol=1e-9)
         assert batch.converged[i] and rec.status == "converged"
         assert np.linalg.norm(batch.limits[i] - rec.points[-1]) < 1e-8
         assert batch.steps[i] == len(rec.points) - 1
@@ -343,19 +343,27 @@ def test_batch_limits_split_by_hemisphere():
 # iterate_orbit against the per-step loop on SurfacePoints
 # ---------------------------------------------------------------------------
 
+def _thickness(dom, p):
+    """d(p), InadmissibleThickness unless it is positive."""
+    d = float(dom.field.ambient_value(p.ambient))
+    if d <= 0.0:
+        raise InadmissibleThickness(f"d = {d:.6g} <= 0")
+    return d
+
+
 def _per_step_orbit(dom, seed, max_iters, tol):
     """The orbit as a loop of scalar steps: return_map checks each iterate
-    is on the core, field.eval checks its thickness.  Returns the record
+    is on the core, _thickness checks its thickness.  Returns the record
     and the SurfacePoints of the loop."""
     points, thickness, disps = [], [], []
     status, error_kind, gnorm = "max_iterations", None, None
     try:
-        thickness.append(dom.field.eval(seed))
+        thickness.append(_thickness(dom, seed))
         points.append(seed)
         current = seed
         for _ in range(max_iters):
             nxt = return_map(dom, current)
-            thickness.append(dom.field.eval(nxt))
+            thickness.append(_thickness(dom, nxt))
             step = float(np.linalg.norm(nxt.ambient - current.ambient))
             points.append(nxt)
             disps.append(step)
@@ -389,7 +397,7 @@ def test_orbit_matches_per_step_loop_bit_for_bit(kind, chart, max_iters):
     dom = _BIT_DOMAINS[kind]
     seed = SurfacePoint.from_chart(dom.core, *chart)
     want, points = _per_step_orbit(dom, seed, max_iters, 1e-10)
-    got = iterate_orbit(dom, seed, max_iters=max_iters, tol=1e-10)
+    got = iterate_orbit(dom, seed.ambient, max_iters=max_iters, tol=1e-10)
     assert want.status in ("converged", "max_iterations") and len(want.points) > 50
     _assert_same_record(got, want)
     assert got.points[0].tobytes() == seed.ambient.tobytes()
@@ -400,7 +408,7 @@ def test_orbit_matches_per_step_loop_bit_for_bit(kind, chart, max_iters):
 def test_orbit_max_iterations_matches_per_step_loop():
     dom = _BIT_DOMAINS["sphere"]
     seed = pt(SPHERE, 1.0, 0.0)
-    got = iterate_orbit(dom, seed, max_iters=40, tol=1e-15)
+    got = iterate_orbit(dom, seed.ambient, max_iters=40, tol=1e-15)
     assert got.status == "max_iterations" and len(got.points) == 41
     _assert_same_record(got, _per_step_orbit(dom, seed, 40, 1e-15)[0])
 
@@ -408,17 +416,17 @@ def test_orbit_max_iterations_matches_per_step_loop():
 def test_orbit_nonpositive_seed_matches_per_step_loop():
     dom = RadialDomain(SPHERE, ZonalLegendreField(SPHERE, 0.1, 0.5))
     seed = pt(SPHERE, np.pi / 2, 0.0)
-    got = iterate_orbit(dom, seed)
+    got = iterate_orbit(dom, seed.ambient)
     assert got.error_kind == "InadmissibleThickness" and got.points.shape == (0, 3)
     _assert_same_record(got, _per_step_orbit(dom, seed, 100_000, 1e-10)[0])
 
 
 def test_orbit_takes_an_off_core_seed_as_given():
-    # neither return_map nor field.eval checks the seed against the core
+    # neither return_map nor the thickness check tests the seed against the core
     dom = _BIT_DOMAINS["sphere"]
     on = pt(SPHERE, 0.9, 0.4)
     seed = SurfacePoint(SPHERE, on.chart, on.ambient * (1.0 + 1e-9))
-    got = iterate_orbit(dom, seed)
+    got = iterate_orbit(dom, seed.ambient)
     assert got.status == "converged"
     _assert_same_record(got, _per_step_orbit(dom, seed, 100_000, 1e-10)[0])
 
@@ -463,7 +471,7 @@ def test_orbit_error_is_truncated_where_the_per_step_loop_stops(monkeypatch, k, 
     calls = _inject_at_step(monkeypatch, k, make)
     want = _per_step_orbit(dom, seed, 100_000, 1e-10)[0]
     calls[0] = 0
-    got = iterate_orbit(dom, seed, tol=1e-10)
+    got = iterate_orbit(dom, seed.ambient, tol=1e-10)
     assert want.status == "error" and want.error_kind == kind
     # the seed and the k - 1 iterates before the k-th map call's value
     assert len(want.points) == k

@@ -19,6 +19,8 @@ from shellmap import (
     admissibility_check,
     frame_at,
     retract,
+    return_map,
+    return_map_batch,
 )
 from shellmap.surfaces import frames_batch
 
@@ -44,6 +46,16 @@ def random_points(core, n, seed=0):
     return [SurfacePoint.from_chart(core, ch) for ch in charts]
 
 
+def value(fld, p):
+    """d(p) from the ambient extension."""
+    return float(fld.ambient_value(p.ambient))
+
+
+def hessian_at(fld, p, frame):
+    """Hess d at p in the frame: surface_hessian_batch on a batch of one."""
+    return fld.surface_hessian_batch(p.ambient[None], frame.vectors[None])[0]
+
+
 def frame_gradient(fld, p, frame):
     """The surface gradient's components in the frame, e_i . grad D at p."""
     return frame.vectors @ fld.ambient_grad(p.ambient)
@@ -55,24 +67,24 @@ def frame_gradient(fld, p, frame):
 
 def test_constant_field_value():
     fld = ConstantField(SPHERE, 0.5)
-    assert fld.eval(pt(SPHERE, 1.234, 0.7)) == 0.5
+    assert value(fld, pt(SPHERE, 1.234, 0.7)) == 0.5
 
 
 def test_zonal_value_at_pole():
     fld = ZonalLegendreField(SPHERE, 0.5, 0.01)
-    assert abs(fld.eval(pt(SPHERE, 0.0, 0.0)) - 0.51) < 1e-15
-    assert abs(fld.eval(pt(SPHERE, np.pi, 0.0)) - 0.51) < 1e-15
+    assert abs(value(fld, pt(SPHERE, 0.0, 0.0)) - 0.51) < 1e-15
+    assert abs(value(fld, pt(SPHERE, np.pi, 0.0)) - 0.51) < 1e-15
 
 
 def test_zonal_value_at_equator():
     fld = ZonalLegendreField(SPHERE, 0.5, 0.01)
-    assert abs(fld.eval(pt(SPHERE, np.pi / 2, 0.3)) - 0.495) < 1e-15
+    assert abs(value(fld, pt(SPHERE, np.pi / 2, 0.3)) - 0.495) < 1e-15
 
 
 def test_nonpositive_value_raises():
     fld = ZonalLegendreField(SPHERE, 0.1, 0.5)
     with pytest.raises(InadmissibleThickness):
-        fld.eval(pt(SPHERE, np.pi / 2, 0.0))  # 0.1 - 0.25 < 0
+        return_map_batch(RadialDomain(SPHERE, fld), pt(SPHERE, np.pi / 2, 0.0).ambient[None])  # 0.1 - 0.25 < 0
 
 
 def test_positivity_validation_grid():
@@ -85,11 +97,10 @@ def test_positivity_validation_grid():
 
 
 def test_field_rejects_foreign_point():
-    fld = ZonalLegendreField(SPHERE, 0.5, 0.01)
-    p = pt(ELLIPSOID, 0.5, 0.5)
-    for method in (fld.eval, fld.surface_hessian):
-        with pytest.raises(ValueError, match="different core"):
-            method(p)
+    # the one scalar view that takes a SurfacePoint of the field's core
+    dom = RadialDomain(SPHERE, ZonalLegendreField(SPHERE, 0.5, 0.01))
+    with pytest.raises(ValueError, match="different core"):
+        return_map(dom, pt(ELLIPSOID, 0.5, 0.5))
 
 
 def test_zonal_requires_3d_core():
@@ -162,7 +173,7 @@ def test_scaled_field_exact():
     fld = ScaledField(2.0, inner)
     for p in random_points(SPHERE, 20, seed=4):
         frame = frame_at(SPHERE, p)
-        assert fld.eval(p) == 2.0 * inner.eval(p)
+        assert value(fld, p) == 2.0 * value(inner, p)
         assert np.array_equal(frame_gradient(fld, p, frame), 2.0 * frame_gradient(inner, p, frame))
 
 
@@ -179,7 +190,7 @@ def test_rotated_axis_moves_critical_set():
     fld = ZonalLegendreField(SPHERE, 0.5, 0.01, axis=(1.0, 0.0, 0.0))
     p = pt(SPHERE, np.pi / 2, 0.0)  # ambient (1,0,0): pole of the rotated field
     assert np.linalg.norm(frame_gradient(fld, p, frame_at(SPHERE, p))) < 1e-14
-    assert abs(fld.eval(p) - 0.51) < 1e-15
+    assert abs(value(fld, p) - 0.51) < 1e-15
 
 
 @pytest.mark.parametrize("axis", [(0.0, 0.0, 0.0), (np.nan, 0.0, 1.0), (np.inf, 0.0, 1.0)])
@@ -195,27 +206,27 @@ def test_zonal_axis_must_be_finite_and_nonzero(axis):
 def test_zonal_hessian_at_pole():
     fld = ZonalLegendreField(SPHERE, 0.5, 0.01)
     p = pt(SPHERE, 0.0, 0.0)
-    H = fld.surface_hessian(p, frame_at(SPHERE, p))
+    H = hessian_at(fld, p, frame_at(SPHERE, p))
     assert np.allclose(H, -3 * 0.01 * np.eye(2), atol=1e-12)
 
 
 def test_zonal_hessian_at_equator():
     fld = ZonalLegendreField(SPHERE, 0.5, 0.01)
     p = pt(SPHERE, np.pi / 2, 0.0)
-    H = fld.surface_hessian(p, frame_at(SPHERE, p))
+    H = hessian_at(fld, p, frame_at(SPHERE, p))
     assert np.allclose(H, 3 * 0.01 * np.diag([1.0, 0.0]), atol=1e-12)
 
 
 def test_constant_hessian_zero():
     fld = ConstantField(SPHERE, 0.5)
     p = pt(SPHERE, 0.8, 0.3)
-    assert np.allclose(fld.surface_hessian(p, frame_at(SPHERE, p)), 0.0)
+    assert np.allclose(hessian_at(fld, p, frame_at(SPHERE, p)), 0.0)
 
 
 def test_hessian_symmetric():
     fld = ZonalLegendreField(ELLIPSOID, 0.3, 0.02)
     for p in random_points(ELLIPSOID, 25, seed=6):
-        H = fld.surface_hessian(p, frame_at(ELLIPSOID, p))
+        H = hessian_at(fld, p, frame_at(ELLIPSOID, p))
         assert np.abs(H - H.T).max() < 1e-10
 
 
@@ -251,7 +262,7 @@ def test_hessian_close_to_fd_of_gradient(core, make):
     h = 1e-5
     for p in random_points(core, 100, seed=7):
         frame = frame_at(core, p)
-        H = fld.surface_hessian(p, frame)
+        H = hessian_at(fld, p, frame)
         Hfd = _fd_hessian_of_gradient(fld, p, frame, h)
         assert np.abs(H - Hfd).max() < 5e-2 * max(1.0, np.abs(H).max())
 
@@ -267,9 +278,9 @@ def test_profile_field_matches_legendre():
     pr = _p2_profile(SPHERE, 0.5, 0.01)
     for p in random_points(SPHERE, 20, seed=8):
         frame = frame_at(SPHERE, p)
-        assert abs(lg.eval(p) - pr.eval(p)) < 1e-14
+        assert abs(value(lg, p) - value(pr, p)) < 1e-14
         assert np.allclose(frame_gradient(lg, p, frame), frame_gradient(pr, p, frame), atol=1e-12)
-        assert np.allclose(lg.surface_hessian(p, frame), pr.surface_hessian(p, frame), atol=1e-10)
+        assert np.allclose(hessian_at(lg, p, frame), hessian_at(pr, p, frame), atol=1e-10)
 
 
 @pytest.mark.parametrize("theta", [0.0, 1e-6, 5e-5, 1.1e-4, 1e-3, 0.3])
@@ -278,9 +289,9 @@ def test_profile_field_hessian_is_closed_form_up_to_the_pole(theta):
     pr = _p2_profile(SPHERE, 0.5, 0.01)
     for p in (pt(SPHERE, theta, 0.3), pt(SPHERE, np.pi - theta, 1.0)):
         frame = frame_at(SPHERE, p)
-        assert np.abs(pr.surface_hessian(p, frame) - lg.surface_hessian(p, frame)).max() <= 1e-15
+        assert np.abs(hessian_at(pr, p, frame) - hessian_at(lg, p, frame)).max() <= 1e-15
     if theta == 0.0:
-        assert np.abs(pr.surface_hessian(p, frame) + 0.03 * np.eye(2)).max() <= 1e-15
+        assert np.abs(hessian_at(pr, p, frame) + 0.03 * np.eye(2)).max() <= 1e-15
         assert np.linalg.norm(frame_gradient(pr, p, frame)) < 1e-15
 
 
@@ -313,7 +324,7 @@ def test_profile_field_surface_hessian_matches_fd_oracles(core, d0, axis):
     poles = _axis_poles(core, axis)
     for p in random_points(core, 10, seed=17) + poles:
         frame = frame_at(core, p)
-        H = fld.surface_hessian(p, frame)
+        H = hessian_at(fld, p, frame)
         assert np.abs(H - _fd_hessian_reference(fld, p, frame, 1e-4)).max() < 1e-6
         assert np.abs(H - _fd_hessian_of_gradient(fld, p, frame, 1e-6)).max() < 1e-9
     for p in poles:
@@ -327,7 +338,7 @@ def test_fourier_gradient_and_hessian_formulas():
     frame = frame_at(CIRCLE, p)
     g = frame_gradient(fld, p, frame)
     assert abs(g[0] - (-0.02 * np.sin(2 * theta))) < 1e-13
-    H = fld.surface_hessian(p, frame)
+    H = hessian_at(fld, p, frame)
     # on the unit circle: second derivative along arclength plus the
     # curvature correction (grad D . nu) S vanishes at... compare with oracle
     Hfd = _fd_hessian_of_gradient(fld, p, frame, 1e-6)
@@ -411,4 +422,4 @@ def test_surface_hessian_is_the_frame_matrix_of_hessian_action():
             frame = frame_at(fld.core, p)
             E = frame.vectors
             H = E @ fld.hessian_action(np.broadcast_to(p.ambient, E.shape), E).T
-            assert np.abs(fld.surface_hessian(p, frame) - H).max() <= 1e-12
+            assert np.abs(hessian_at(fld, p, frame) - H).max() <= 1e-12

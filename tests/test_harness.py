@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shellmap import ScenarioError, SurfacePoint
+from shellmap import InadmissibleThickness, ScenarioError, SurfacePoint
 from shellmap.cli import main as cli_main
 from shellmap.harness import (
     _Out,
@@ -474,14 +474,23 @@ def test_cli_scaling_with_no_equivalence_seeds_exit_2_names_the_key(tmp_path, ca
 
 
 @pytest.mark.parametrize("name,points", [("zonal_basins", 0), ("scaling_small_base", 0),
-                                         ("zonal_reconstruct", 1)])
+                                         ("zonal_reconstruct", 0)])
 def test_point_sets_enter_the_inverse_pipeline_as_rows(tmp_path, monkeypatch, name, points):
-    # seeds and samples go in as ambient rows; zonal_reconstruct's one SurfacePoint is its alpha_point
+    # seeds, samples and zonal_reconstruct's alpha_point go in as ambient rows
     calls = []
     from_chart = SurfacePoint.from_chart
     monkeypatch.setattr(SurfacePoint, "from_chart", staticmethod(lambda *a: calls.append(a) or from_chart(*a)))
     run_scenario(parse_scenario_text(load_bundled(name)), out_dir=tmp_path)
     assert len(calls) == points
+
+
+@pytest.mark.parametrize("mode", ["known_classical", "known_measured"])
+def test_reconstruct_rejects_a_known_gain_at_nonpositive_thickness(tmp_path, mode):
+    # d = 0.1 + 0.5 P2(0) = -0.15 at the equator, the default alpha_point; no seeds, so no map call
+    text = ZONAL_LINEARIZE.replace("field.d0 = 0.5\nfield.eps = 0.01", "field.d0 = 0.1\nfield.eps = 0.5").replace(
+        LINEARIZE_TASK, f"task = reconstruct\ntask.n_seeds = 0\ntask.n_samples = 0\ntask.alpha_mode = {mode}")
+    with pytest.raises(InadmissibleThickness):
+        run_scenario(parse_scenario_text(text), out_dir=tmp_path)
 
 
 def test_cli_validate_out_of_range_exit_2_names_the_key(tmp_path, capsys):

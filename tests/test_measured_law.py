@@ -34,11 +34,10 @@ from shellmap import (
     reconstruct_hessian_isotropic,
     residual_sweep,
     return_map,
-    shape_operator_at,
-    step_operator,
     thickness_step_stats,
 )
-from shellmap.surfaces import fibonacci_chart_grid
+from shellmap.analysis import step_operator_batch
+from shellmap.surfaces import fibonacci_chart_grid, shape_operator_batch
 
 SPHERE = ConvexCore.sphere(1.0)
 CIRCLE = ConvexCore.circle(1.0)
@@ -49,6 +48,15 @@ EPS_SWEEP = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
 
 def pt(core, *chart):
     return SurfacePoint.from_chart(core, *chart)
+
+
+def operators_at(dom, p):
+    """(d, S, G, Hess d) at p in frame_at's frame, from the batched operators
+    on a batch of one."""
+    X, E = p.ambient[None], frame_at(dom.core, p).vectors[None]
+    d = dom.field.ambient_value(X)
+    return (float(d[0]), shape_operator_batch(dom.core, X, E)[0], step_operator_batch(dom.core, X, d, E)[0],
+            dom.field.surface_hessian_batch(X, E)[0])
 
 
 def asymmetric_field(core, d0, eps):
@@ -99,8 +107,7 @@ def test_displacement_parallel_to_preconditioned_gradient_everywhere():
             g = frame.vectors @ fld.ambient_grad(p.ambient)
             if np.linalg.norm(g) < 1e-6:
                 continue
-            d = fld.eval(p)
-            S = shape_operator_at(core, p, frame)
+            d, S, _, _ = operators_at(dom, p)
             m = np.linalg.solve(np.eye(len(g)) - d * S, g)
             mhat = m / np.linalg.norm(m)
             disp = frame.vectors @ (return_map(dom, p).ambient - p.ambient)
@@ -138,19 +145,16 @@ def test_linearization_law_zonal_sphere():
     dom = RadialDomain(SPHERE, ZonalLegendreField(SPHERE, D0, EPS))
     for chart in ((np.pi / 2, 0.0), (0.0, 0.0), (np.pi, 1.0)):
         p = pt(SPHERE, *chart)
-        frame = frame_at(SPHERE, p)
-        fd = linearize_fd(dom, p, frame)
-        G = step_operator(dom, p, frame)
-        H = dom.field.surface_hessian(p, frame)
+        fd = linearize_fd(dom, p)
+        _, _, G, H = operators_at(dom, p)
         assert np.abs(fd.DF - (np.eye(2) + G @ H)).max() < 1e-6
 
 
 def test_linearization_law_anisotropic_core():
     dom = RadialDomain(ELLIPSOID, ZonalLegendreField(ELLIPSOID, 0.3, EPS))
     p = pt(ELLIPSOID, np.pi / 2, 0.8)   # on the critical circle, S anisotropic
-    frame = frame_at(ELLIPSOID, p)
-    fd = linearize_fd(dom, p, frame)
-    an = linearize_analytic(dom, p, frame, step_scale=MEASURED_STEP_SCALE)
+    fd = linearize_fd(dom, p)
+    an = linearize_analytic(dom, p, step_scale=MEASURED_STEP_SCALE)
     assert np.abs(fd.DF - an.DF).max() < 1e-5
 
 
@@ -163,12 +167,10 @@ def test_linearization_law_with_noncommuting_factors():
     dom = RadialDomain(core, fld)
     u = np.array([1.0, -1.0, 0.0]) / np.sqrt(2)     # on the critical circle
     p = SurfacePoint.from_ambient(core, core.axes * u)
-    frame = frame_at(core, p)
-    G = step_operator(dom, p, frame)
-    H = fld.surface_hessian(p, frame)
+    _, _, G, H = operators_at(dom, p)
     assert np.abs(G @ H - H @ G).max() > 1e-4
-    fd = linearize_fd(dom, p, frame)
-    an = linearize_analytic(dom, p, frame, step_scale=MEASURED_STEP_SCALE)
+    fd = linearize_fd(dom, p)
+    an = linearize_analytic(dom, p, step_scale=MEASURED_STEP_SCALE)
     assert np.abs(fd.DF - an.DF).max() < 1e-6
 
 
@@ -196,7 +198,7 @@ def test_circle_fixed_point_derivatives():
     for theta, ddpp in ((0.0, -0.04), (np.pi / 2, 0.04)):
         p = pt(CIRCLE, theta)
         rep = linearize_fd(dom, p)
-        d = dom.field.eval(p)
+        d = operators_at(dom, p)[0]
         expected = 1.0 + d / (1.0 + d) * ddpp
         assert abs(rep.DF[0, 0] - expected) < 1e-6
 
@@ -215,7 +217,7 @@ def test_thickness_is_a_lyapunov_function_increasing():
 
 def test_orbits_terminate_at_local_maxima():
     dom = RadialDomain(SPHERE, ZonalLegendreField(SPHERE, D0, EPS))
-    rec = iterate_orbit(dom, pt(SPHERE, 2.5, 1.0), tol=1e-10)
+    rec = iterate_orbit(dom, pt(SPHERE, 2.5, 1.0).ambient, tol=1e-10)
     assert rec.status == "converged"
     assert SPHERE.chart_from_ambient(rec.points[-1])[0] > np.pi - 1e-3      # south pole
     assert abs(rec.thickness_values[-1] - (D0 + EPS)) < 1e-6
@@ -244,9 +246,8 @@ def test_isotropic_reconstruction_with_signed_gain():
     p = pt(SPHERE, np.pi / 2, 0.0)
     frame = frame_at(SPHERE, p)
     C = estimate_composite_operator(F, p, frame)
-    d = dom.field.eval(p)
+    d, _, _, H = operators_at(dom, p)
     rec = reconstruct_hessian_isotropic(C, -d / (1 + d), "known_measured")
-    H = dom.field.surface_hessian(p, frame)
     assert np.abs(rec.hessian - H).max() < 1e-3 * np.abs(H).max()
 
 
@@ -258,8 +259,6 @@ def test_measured_vs_classical_composite_ratio():
     p = pt(SPHERE, np.pi / 2, 0.0)
     frame = frame_at(SPHERE, p)
     C = estimate_composite_operator(F, p, frame)
-    from shellmap import curvature_preconditioner
-
-    A = curvature_preconditioner(dom, p, frame)
-    H = dom.field.surface_hessian(p, frame)
+    _, _, G, H = operators_at(dom, p)
+    A = 2.0 * G
     assert np.abs(C - (-0.5) * (A @ H)).max() < 1e-6
