@@ -35,6 +35,7 @@ from .surfaces import (
     frames_batch,
     retract_batch,
     shape_operator_batch,
+    tangent_part,
 )
 
 FIXED_POINT_RESIDUAL_TOL = 1e-8
@@ -101,17 +102,14 @@ def expansion_residual_batch(dom: RadialDomain, X, step_scale: float = CLASSICAL
     F = return_map_batch(dom, X)
     if kind == "first_order":
         return np.linalg.norm(F - retract_batch(core, X, w1), axis=-1), transverse
-    gt = g - np.einsum("ij,ij->i", g, nu)[:, None] * nu
+    gt = tangent_part(nu, g)
     gnorm = np.linalg.norm(gt, axis=-1)
     if np.any(gnorm == 0.0):
         raise ValueError("second_order residual requires grad d != 0")
     Hg = fld.hessian_action(X, gt)
     w2 = w1 + (2.0 * d * d)[:, None] * Hg + (2.0 * d * gnorm**2)[:, None] * gt
     total = np.linalg.norm(F - retract_batch(core, X, w2), axis=-1)
-    r = F - X - w1
-    r -= np.einsum("ij,ij->i", r, nu)[:, None] * nu
-    ghat = gt / gnorm[:, None]
-    r -= np.einsum("ij,ij->i", r, ghat)[:, None] * ghat
+    r = tangent_part(gt / gnorm[:, None], tangent_part(nu, F - X - w1))
     return total, np.linalg.norm(r, axis=-1)
 
 
@@ -192,8 +190,7 @@ def preconditioner_series_residual(core: ConvexCore, chart, d_values):
     d = np.asarray(d_values, dtype=float)
     A = 2.0 * step_operator_batch(core, np.repeat(x, d.size, axis=0), d, np.repeat(E, d.size, axis=0))
     dd = d[:, None, None]
-    # the norm matrix by matrix, as for one d: a norm over two axes can differ in the last bits
-    res = np.array([np.linalg.norm(r) for r in A - 2.0 * dd * np.eye(S.shape[0]) - 2.0 * dd * dd * S])
+    res = np.linalg.norm(A - 2.0 * dd * np.eye(S.shape[0]) - 2.0 * dd * dd * S, axis=(1, 2))
     slope, _ = fit_loglog(d, res, 0.0)
     return res, slope
 
@@ -280,9 +277,7 @@ def finite_difference_jacobian_batch(F: BlackBoxMap, X: np.ndarray, E: np.ndarra
     k, m, n = E.shape
     V = (np.array([h, -h])[None, None, :, None] * E[:, :, None, :]).reshape(-1, n)
     Y = F.batch(retract_batch(F.core, np.repeat(X, 2 * m, axis=0), V)).reshape(k, m, 2, n)
-    diff = (Y[:, :, 0] - Y[:, :, 1]) / (2.0 * h)
-    nu = F.core.normal(X)
-    diff -= (diff @ nu[:, :, None]) * nu[:, None, :]
+    diff = tangent_part(F.core.normal(X)[:, None, :], (Y[:, :, 0] - Y[:, :, 1]) / (2.0 * h))
     return E @ diff.transpose(0, 2, 1)
 
 
@@ -351,12 +346,12 @@ def _newton_polish(F: BlackBoxMap, X: np.ndarray):
     """Newton on G(c) = F(c) - c in the tangent frame at c, on all rows of
     X at once (OffSurface if one is off the core); returns them and |G|.
 
-    DG = DF - I with DF from finite_difference_jacobian_batch; the step
-    solves DG s = -G by least squares with singular values below 1e-6 of
-    the largest dropped (along a curve of fixed points they are stencil
-    noise).  The trial evaluation becomes the next centre.  A row stops at
-    |G| <= eps * surface_scale(), at its first step that does not lower |G|,
-    or after NEWTON_MAX_STEPS steps: at most 1 + 2 NEWTON_MAX_STEPS map calls.
+    DG = DF - I with DF from finite_difference_jacobian_batch; the step is
+    -pinv(DG) G in frame components, one batched pinv with singular values
+    below 1e-6 of the largest dropped (along a curve of fixed points they
+    are stencil noise).  The trial evaluation becomes the next centre.  A row
+    stops at |G| <= eps * surface_scale(), at its first step that does not
+    lower |G|, or after NEWTON_MAX_STEPS steps: at most 1 + 2 NEWTON_MAX_STEPS map calls.
     """
     core = F.core
     X = np.array(X, dtype=float, ndmin=2)
@@ -372,8 +367,8 @@ def _newton_polish(F: BlackBoxMap, X: np.ndarray):
         C = X[idx]
         E = frames_batch(core, C)
         J = finite_difference_jacobian_batch(F, C, E) - np.eye(core.dim - 1)
-        steps = np.array([np.linalg.lstsq(J[i], -(E[i] @ G[j]), rcond=1e-6)[0] @ E[i]
-                          for i, j in enumerate(idx)])
+        s = np.linalg.pinv(J, rcond=1e-6) @ (E @ -G[idx][:, :, None])
+        steps = (s.transpose(0, 2, 1) @ E)[:, 0]
         trial = retract_batch(core, C, steps)
         G_trial = F.batch(trial) - trial
         r_trial = np.linalg.norm(G_trial, axis=-1)

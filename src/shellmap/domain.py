@@ -4,10 +4,10 @@ The outer boundary is x = Phi(c) = c + d(c) nu(c).  Its exact tangents are
 DPhi(c)[v] = (I - d S)v + <grad d, v> nu, and the inward unit normal is the
 closed form (-nu + m)/|-nu + m| with m = (I - d S)^(-1) grad d, computed
 pointwise without a tangent basis or chart (_resolvent_batch, the one
-closed form of (I - d S)^(-1)).  The admissibility diagnostics
-build the DPhi columns in orthonormal frames instead (cross product for
-N=3, a quarter turn for N=2), which also serves as an independent check of
-the closed form.
+closed form of (I - d S)^(-1), and the one reader of the core's axes
+outside surfaces, as it needs |Mx| too).  The admissibility diagnostics
+build the DPhi columns in the frames of surfaces instead (cross product
+for N=3, a quarter turn for N=2), an independent check of the closed form.
 """
 
 from __future__ import annotations
@@ -93,19 +93,16 @@ def _outer_frames_batch(dom: RadialDomain, X: np.ndarray, d: np.ndarray):
     core = dom.core
     X = np.atleast_2d(np.asarray(X, dtype=float))
     E = frames_batch(core, X)
-    MX = X * core.inv_axes_sq
-    nu = MX / np.linalg.norm(MX, axis=-1, keepdims=True)
-    g = dom.field.ambient_grad(X)
-    W = np.stack([E[:, i] - d[:, None] * shape_action_batch(core, X, E[:, i])
-                  + np.sum(g * E[:, i], axis=-1, keepdims=True) * nu
-                  for i in range(core.dim - 1)], axis=1)
+    nu, g = core.normal(X)[:, None, :], dom.field.ambient_grad(X)[:, None, :]
+    SE = shape_action_batch(core, np.repeat(X, core.dim - 1, axis=0), E.reshape(-1, core.dim))
+    W = E - d[:, None, None] * SE.reshape(E.shape) + np.sum(g * E, axis=-1, keepdims=True) * nu
 
     if core.dim == 2:
         nvec = np.stack([-W[:, 0, 1], W[:, 0, 0]], axis=-1)
     else:
         nvec = np.cross(W[:, 0], W[:, 1])
     sv = np.linalg.svd(W, compute_uv=False)[:, -1]
-    Xout = X + d[:, None] * nu
+    Xout = X + d[:, None] * nu[:, 0]
     nvec = nvec / np.maximum(np.linalg.norm(nvec, axis=-1), 1e-300)[:, None]
     # orient toward the core (cores are centered at the origin)
     nvec[np.sum(nvec * Xout, axis=-1) > 0] *= -1.0

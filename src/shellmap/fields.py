@@ -12,14 +12,15 @@ the second derivative along retraction curves (for the projection
 retractions used here the curve acceleration is S(v,v) nu, so this
 coincides with the intrinsic Hessian).  Its one closed form is the batched
 action Hess d[v] = P_t(hess D v) + (grad D . nu) S v (hessian_action);
-the frame matrices surface_hessian_batch are E Hess d[E]^T.
+the frame matrices surface_hessian_batch are E Hess d[E]^T.  nu, P_t and S
+are surfaces' ConvexCore.normal, tangent_part and shape_action_batch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .surfaces import ConvexCore, _frame_matrices, shape_action_batch
+from .surfaces import ConvexCore, _frame_matrices, shape_action_batch, tangent_part
 
 
 def legendre_p2(x):
@@ -48,8 +49,7 @@ class ThicknessField:
     # -- surface operations --------------------------------------------------
     def tangent_gradient(self, X) -> np.ndarray:
         """Riemannian gradients as ambient tangent vectors at core points X, (n, N)."""
-        G, nu = self.ambient_grad(X), self.core.normal(X)
-        return G - nu * np.einsum("ij,ij->i", G, nu)[:, None]
+        return tangent_part(self.core.normal(X), self.ambient_grad(X))
 
     def surface_hessian_batch(self, X, E) -> np.ndarray:
         """Riemannian Hessian matrices, (k, m, m), at core points X, (k, N),
@@ -63,12 +63,10 @@ class ThicknessField:
         P_t(hess D v) + (grad D . nu) S v with hess D = ambient_hess(X)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         V = np.atleast_2d(np.asarray(V, dtype=float))
-        MX = X * self.core.inv_axes_sq
-        nu = MX / np.sqrt(np.einsum("ij,ij->i", MX, MX))[:, None]
+        nu = self.core.normal(X)
         gn = np.einsum("ij,ij->i", self.ambient_grad(X), nu)
         HV = np.einsum("ijk,ik->ij", self.ambient_hess(X), V)
-        return (HV - np.einsum("ij,ij->i", HV, nu)[:, None] * nu
-                + gn[:, None] * shape_action_batch(self.core, X, V))
+        return tangent_part(nu, HV) + gn[:, None] * shape_action_batch(self.core, X, V)
 
 
 class ConstantField(ThicknessField):

@@ -23,7 +23,8 @@ from .analysis import (
     FIXED_POINT_RESIDUAL_TOL,
 )
 from .dynamics import BlackBoxMap, settle_batch
-from .surfaces import ConvexCore, SurfacePoint, TangentFrame, _require_on_core, frame_at, frames_batch
+from .surfaces import (ConvexCore, SurfacePoint, TangentFrame, _require_on_core, frame_at, frames_batch,
+                       tangent_part)
 
 SKIP_DISPLACEMENT_TOL = 1e-9
 DIR_TOL = 1e-3                      # line fields agree at mean cosine >= 1 - DIR_TOL
@@ -40,8 +41,7 @@ def _ambient_rows(core: ConvexCore, points) -> np.ndarray:
 def _displacements(F: BlackBoxMap, X: np.ndarray):
     """F(x) - x and its tangent part at the rows of X, both (n, N)."""
     disp = F.batch(X) - X if X.shape[0] else np.empty_like(X)
-    nu = F.core.normal(X)
-    return disp, disp - nu * np.einsum("ij,ij->i", disp, nu)[:, None]
+    return disp, tangent_part(F.core.normal(X), disp)
 
 
 def recover_descent_field(F: BlackBoxMap, samples):

@@ -6,10 +6,12 @@ dimension N in {2, 3}.  The shape operator follows the sign convention
 S = -D(nu), so the unit sphere has S = -I and a circle of radius r has
 S = -1/r.  Ray hits and the retraction are batched (_ray_hit_batch,
 retract_batch) and leave points at round-off on the core; the scalar
-retract is a batch-of-one view of retract_batch.  Frame matrices of
-tangent operators (shape_operator_batch, and the step operator and
-surface Hessian elsewhere) are batched over rows and frames by
-_frame_matrices.
+retract is a batch-of-one view of retract_batch.  The tangent space is
+computed here alone: one unit normal (ConvexCore.normal, Mx/|Mx|), one
+projection (tangent_part) and frames that are the projected chart tangents
+in closed form.  Frame matrices of tangent operators (shape_operator_batch,
+and the step operator and surface Hessian elsewhere) are batched over rows
+and frames by _frame_matrices.
 """
 
 from __future__ import annotations
@@ -91,9 +93,10 @@ class ConvexCore:
         return 2.0 * x / self.axes_sq
 
     def normal(self, x) -> np.ndarray:
-        """Outward unit normal (normalized implicit gradient), batched."""
-        g = self.implicit_grad(x)
-        return g / np.linalg.norm(g, axis=-1, keepdims=True)
+        """Outward unit normal Mx/|Mx|, M = diag(1/s_i^2), batched: the one
+        unit normal of the package."""
+        MX = np.asarray(x, dtype=float) * self.inv_axes_sq
+        return MX / np.linalg.norm(MX, axis=-1, keepdims=True)
 
     # -- charts ------------------------------------------------------------
     def chart_from_ambient(self, x) -> np.ndarray:
@@ -160,68 +163,43 @@ class TangentFrame:
     vectors: np.ndarray  # shape (N-1, N)
 
 
-def _chart_tangents(core: ConvexCore, X: np.ndarray) -> np.ndarray:
-    """Coordinate tangents of the canonical chart, (n, N-1, N).
+def tangent_part(nu: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """V - (V . nu) nu: the part of V orthogonal to the unit vectors nu, the
+    one tangent projection.  Broadcasts over leading axes, so nu of shape
+    (k, 1, N) projects V of shape (k, m, N) row by row."""
+    return V - nu * np.sum(V * nu, axis=-1, keepdims=True)
 
-    For N=3, points with sin(theta) < POLE_SIN_TOL use the x-colatitude
-    chart instead; the choice is internal and deterministic.
-    """
+
+def _chart_tangents(core: ConvexCore, X: np.ndarray) -> np.ndarray:
+    """Tangents of the colatitude chart about the axis e at ambient points
+    X, each times the sine of the colatitude, (n, N-1, N): with u = x/s,
+    s(u(u . e) - e) and s(e x u).  For N=3, e is the z-axis, or the x-axis
+    where sin(theta) < POLE_SIN_TOL; for N=2, e is out of the plane and
+    only s(e x u) is a tangent.  Written component by component, so one
+    point costs a few small ufunc calls."""
     a = core.axes
-    if core.dim == 2:
-        u = X / a
-        t = np.stack([-a[0] * u[..., 1], a[1] * u[..., 0]], axis=-1)
-        return t[:, None, :]
     u = X / a
-    st = np.sqrt(np.clip(1.0 - u[..., 2] ** 2, 0.0, 1.0))
-    out = np.empty((X.shape[0], 2, 3))
-    main = st >= POLE_SIN_TOL
-    if np.any(main):
-        um = u[main]
-        stm = st[main]
-        ct = um[..., 2]
-        cp = um[..., 0] / stm
-        sp = um[..., 1] / stm
-        out[main, 0, 0] = a[0] * ct * cp
-        out[main, 0, 1] = a[1] * ct * sp
-        out[main, 0, 2] = -a[2] * stm
-        out[main, 1, 0] = -a[0] * stm * sp
-        out[main, 1, 1] = a[1] * stm * cp
-        out[main, 1, 2] = 0.0
-    if np.any(~main):
-        # rotated chart: colatitude measured from the x-axis
-        ur = u[~main]
-        str_ = np.sqrt(np.clip(1.0 - ur[..., 0] ** 2, 0.0, 1.0))
-        str_ = np.maximum(str_, 1e-300)
-        ctr = ur[..., 0]
-        cpr = ur[..., 1] / str_
-        spr = ur[..., 2] / str_
-        sub = np.empty((ur.shape[0], 2, 3))
-        sub[:, 0, 0] = -a[0] * str_
-        sub[:, 0, 1] = a[1] * ctr * cpr
-        sub[:, 0, 2] = a[2] * ctr * spr
-        sub[:, 1, 0] = 0.0
-        sub[:, 1, 1] = -a[1] * str_ * spr
-        sub[:, 1, 2] = a[2] * str_ * cpr
-        out[~main] = sub
-    return out
+    if core.dim == 2:
+        return (a * np.stack([-u[:, 1], u[:, 0]], axis=-1))[:, None, :]
+    ux, uy, uz = u[:, 0], u[:, 1], u[:, 2]
+    ez = (np.hypot(ux, uy) >= POLE_SIN_TOL).astype(float)
+    ex = 1.0 - ez
+    c = ex * ux + ez * uz  # u . e
+    T = np.stack([ux * c - ex, uy * c, uz * c - ez,
+                  -ez * uy, ez * ux - ex * uz, ex * uy], axis=-1)
+    return T.reshape(-1, 2, 3) * a
 
 
 def frames_batch(core: ConvexCore, X: np.ndarray) -> np.ndarray:
-    """Orthonormal tangent frames at ambient points X, shape (n, N-1, N).
-
-    Gram-Schmidt on the chart coordinate tangents, with the normal
-    component projected out first so orthogonality to nu holds to
-    round-off regardless of chart conditioning.
-    """
+    """Orthonormal tangent frames at ambient points X, shape (n, N-1, N):
+    Gram-Schmidt on the chart tangents, their normal parts removed first so
+    orthogonality to nu holds to round-off however the chart is conditioned."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    nu = core.normal(X)
-    t = _chart_tangents(core, X)
-    e1 = t[:, 0] - nu * np.sum(t[:, 0] * nu, axis=-1, keepdims=True)
-    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
+    T = tangent_part(core.normal(X)[:, None, :], _chart_tangents(core, X))
+    e1 = T[:, 0] / np.linalg.norm(T[:, 0], axis=-1, keepdims=True)
     if core.dim == 2:
         return e1[:, None, :]
-    e2 = t[:, 1] - nu * np.sum(t[:, 1] * nu, axis=-1, keepdims=True)
-    e2 -= e1 * np.sum(e2 * e1, axis=-1, keepdims=True)
+    e2 = tangent_part(e1, T[:, 1])
     e2 /= np.linalg.norm(e2, axis=-1, keepdims=True)
     return np.stack([e1, e2], axis=1)
 
@@ -253,12 +231,8 @@ def shape_action_batch(core: ConvexCore, X: np.ndarray, V: np.ndarray) -> np.nda
     """S applied to tangent vectors V at points X (both (n, N)): for the
     quadric x^T M x = 1 with M = diag(1/s_i^2) and nu = Mx/|Mx|,
     S v = -P_t(M v)/|Mx|."""
-    MX = X * core.inv_axes_sq
-    MV = V * core.inv_axes_sq
-    r = np.linalg.norm(MX, axis=-1, keepdims=True)
-    nu = MX / r
-    proj = MV - nu * np.sum(MV * nu, axis=-1, keepdims=True)
-    return -proj / r
+    r = np.linalg.norm(X * core.inv_axes_sq, axis=-1, keepdims=True)
+    return -tangent_part(core.normal(X), V * core.inv_axes_sq) / r
 
 
 def _ray_solve_batch(core: ConvexCore, O: np.ndarray, D: np.ndarray):
@@ -343,8 +317,7 @@ def retract(core: ConvexCore, p: SurfacePoint, v, h: float) -> SurfacePoint:
     retract_batch.
     """
     v = np.asarray(v, dtype=float)
-    nu = core.normal(p.ambient)
-    vn = abs(float(np.dot(v, nu)))
+    vn = abs(float(np.dot(v, core.normal(p.ambient))))
     if vn > 1e-8 * max(1.0, float(np.linalg.norm(v))):
         raise ValueError(f"v is not tangent: |v.nu| = {vn:.3e}")
     y = retract_batch(core, p.ambient, h * v)[0]

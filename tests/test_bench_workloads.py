@@ -9,6 +9,7 @@ package exports, and every public method or property of an exported class,
 must have a reader in the package or the benchmark, and every name a
 package or test module imports must be referred to in it.  SurfacePoint
 and TangentFrame are named only by the scalar views the benchmark calls.
+Outside surfaces, only the kernel's resolvent reads the quadric's axes.
 bench/reference.json is read and never written; the scenarios write their
 reports under the test's temporary directory.
 """
@@ -147,3 +148,26 @@ def test_only_the_bench_views_name_a_surface_point():
             naming += [f"{path.stem}.{name}" for name, f in defs
                        if _referenced(f, strings=True) & POINT_CLASSES]
     assert not naming, f"functions that name SurfacePoint or TangentFrame: {naming}"
+
+
+# outside surfaces the tangent space comes from ConvexCore.normal, tangent_part and the
+# frames; the kernel's resolvent alone reads M = diag(1/s_i^2), as it needs |Mx| too
+AXES_READERS = {"domain._resolvent_batch"}
+
+
+def test_only_surfaces_reads_the_quadric_axes():
+    reading = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("__init__.py", "surfaces.py"):
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                defs = [(f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, ast.FunctionDef)]
+            elif isinstance(node, ast.FunctionDef):
+                defs = [(node.name, node)]
+            else:
+                defs = [("<module>", node)]
+            reading += [f"{path.stem}.{name}" for name, f in defs
+                        if _referenced(f, strings=True) & {"inv_axes_sq", "implicit_grad"}]
+    extra = sorted(set(reading) - AXES_READERS)
+    assert not extra, f"functions outside surfaces that read inv_axes_sq or implicit_grad: {extra}"

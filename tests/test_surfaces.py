@@ -17,11 +17,14 @@ from shellmap import (
     retract,
 )
 from shellmap.surfaces import (
+    POLE_SIN_TOL,
     _ray_hit_batch,
     _ray_solve_batch,
     _require_on_core,
+    frames_batch,
     retract_batch,
     shape_operator_batch,
+    tangent_part,
 )
 
 SPHERE = ConvexCore.sphere(1.0)
@@ -97,6 +100,35 @@ def test_from_ambient_rejects_a_nan_point():
 def test_normals_unit_length_everywhere(core):
     for p in random_points(core, 50, seed=1):
         assert abs(np.linalg.norm(core.normal(p.ambient)) - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("core", ALL_CORES + [ConvexCore.ellipsoid(2.0, 1.0, 0.5)],
+                         ids=lambda c: f"{c.kind}{c.semi_axes}")
+def test_normal_is_the_unit_implicit_gradient(core):
+    X = np.array([p.ambient for p in random_points(core, 200, seed=4)])
+    nu, g = core.normal(X), core.implicit_grad(X)
+    assert np.abs(np.linalg.norm(nu, axis=-1) - 1.0).max() <= 1e-15
+    # parallel and pointing the same way: nu . g/|g| = 1
+    cos = np.sum(nu * g, axis=-1) / np.linalg.norm(g, axis=-1)
+    assert np.abs(cos - 1.0).max() <= 1e-15
+
+
+def test_tangent_part_is_the_orthogonal_projection():
+    rng = np.random.default_rng(5)
+    nu = rng.normal(size=(40, 1, 3))
+    nu /= np.linalg.norm(nu, axis=-1, keepdims=True)
+    V = rng.normal(size=(40, 2, 3))
+    P = tangent_part(nu, V)
+    assert P.shape == V.shape
+    # orthogonal to nu, and idempotent
+    assert np.abs(np.sum(P * nu, axis=-1)).max() <= 1e-15
+    assert np.abs(tangent_part(nu, P) - P).max() <= 1e-15
+    # nu of shape (k, 1, N) projects every one of the m vectors of its row
+    for i in range(V.shape[0]):
+        for j in range(V.shape[1]):
+            assert np.array_equal(P[i, j], tangent_part(nu[i, 0], V[i, j]))
+    # it removes exactly the normal part: V = P + (V . nu) nu
+    assert np.abs(P + np.sum(V * nu, axis=-1, keepdims=True) * nu - V).max() <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +426,51 @@ def test_frame_at_pole_uses_rotated_chart():
     frame = frame_at(SPHERE, p)
     assert np.abs(frame.vectors @ np.array([0, 0, 1.0])).max() < 1e-12
     assert np.abs(frame.vectors @ frame.vectors.T - np.eye(2)).max() < 1e-12
+
+
+def _x_colatitude_chart(core, ch):
+    """The chart with colatitude alpha from the x-axis and longitude beta
+    about it: x = s (cos alpha, sin alpha cos beta, sin alpha sin beta)."""
+    alpha, beta = ch[..., 0], ch[..., 1]
+    return core.axes * np.stack([np.cos(alpha), np.sin(alpha) * np.cos(beta),
+                                 np.sin(alpha) * np.sin(beta)], axis=-1)
+
+
+def _oracle_frame(core, theta, phi, h=1e-5):
+    """Gram-Schmidt of the central-difference chart derivatives at the point
+    of chart (theta, phi) (theta alone for N=2): the z-colatitude chart of
+    ambient_from_chart, or the x-colatitude chart within POLE_SIN_TOL of
+    the z-poles."""
+    if core.dim == 2:
+        chart, ch = core.ambient_from_chart, np.array([theta])
+    elif np.sin(theta) >= POLE_SIN_TOL:
+        chart, ch = core.ambient_from_chart, np.array([theta, phi])
+    else:
+        u = core.ambient_from_chart(np.array([theta, phi])) / core.axes
+        chart, ch = (lambda c: _x_colatitude_chart(core, c)), np.array([np.arccos(u[0]),
+                                                                        np.arctan2(u[2], u[1])])
+    steps = h * np.eye(ch.size)
+    T = np.array([(chart(ch + s) - chart(ch - s)) / (2.0 * h) for s in steps])
+    frame = []
+    for t in T:
+        for e in frame:
+            t = t - np.dot(t, e) * e
+        frame.append(t / np.linalg.norm(t))
+    return np.array(frame)
+
+
+@pytest.mark.parametrize("core", [SPHERE, ConvexCore.ellipsoid(2.0, 1.0, 0.5), CIRCLE],
+                         ids=["sphere", "ellipsoid", "circle"])
+def test_frames_are_gram_schmidt_of_the_chart_derivatives(core):
+    # the direction of each frame vector, not only orthonormality, on an
+    # ellipsoid and in the rotated chart at the poles
+    rng = np.random.default_rng(6)
+    thetas = np.concatenate([np.arccos(rng.uniform(-1, 1, 60)), [0.0, 1e-7, 1e-5, np.pi - 1e-7, np.pi]])
+    phis = rng.uniform(0, 2 * np.pi, thetas.size)
+    charts = np.stack([thetas, phis], axis=-1)[:, :core.dim - 1]
+    E = frames_batch(core, core.ambient_from_chart(charts))
+    for e, theta, phi in zip(E, thetas, phis):
+        assert np.abs(e - _oracle_frame(core, theta, phi)).max() <= 1e-8, (theta, phi)
 
 
 def test_frame_first_vector_along_colatitude():
