@@ -93,16 +93,17 @@ def _outer_frames_batch(dom: RadialDomain, X: np.ndarray, d: np.ndarray):
     core = dom.core
     X = np.atleast_2d(np.asarray(X, dtype=float))
     E = frames_batch(core, X)
-    nu, g = core.normal(X)[:, None, :], dom.field.ambient_grad(X)[:, None, :]
+    nu, g = core.normal(X), dom.field.ambient_grad(X)
     SE = shape_action_batch(core, np.repeat(X, core.dim - 1, axis=0), E.reshape(-1, core.dim))
-    W = E - d[:, None, None] * SE.reshape(E.shape) + np.sum(g * E, axis=-1, keepdims=True) * nu
+    W = (E - d[:, None, None] * SE.reshape(E.shape)
+         + np.sum(g[:, None] * E, axis=-1, keepdims=True) * nu[:, None])
 
     if core.dim == 2:
         nvec = np.stack([-W[:, 0, 1], W[:, 0, 0]], axis=-1)
     else:
         nvec = np.cross(W[:, 0], W[:, 1])
     sv = np.linalg.svd(W, compute_uv=False)[:, -1]
-    Xout = X + d[:, None] * nu[:, 0]
+    Xout = X + d[:, None] * nu
     nvec = nvec / np.maximum(np.linalg.norm(nvec, axis=-1), 1e-300)[:, None]
     # orient toward the core (cores are centered at the origin)
     nvec[np.sum(nvec * Xout, axis=-1) > 0] *= -1.0
