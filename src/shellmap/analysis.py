@@ -62,7 +62,8 @@ def step_operator_batch(core: ConvexCore, X: np.ndarray, d: np.ndarray, E: np.nd
     A = 2d (I - dS)^(-1).  I - dS >= I for d > 0; singular I - dS raises
     CurvatureSingularity."""
     dm = np.repeat(d, E.shape[1])
-    R = _frame_matrices(X, E, lambda Y, V: _resolvent_batch(core, Y, dm, V)[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        R = _frame_matrices(X, E, lambda Y, V: _resolvent_batch(core, Y.T, dm, V.T)[1].T)
     bad = ~np.isfinite(R).all(axis=(1, 2))
     if bad.any():
         raise CurvatureSingularity(f"I - dS is singular at {int(bad.sum())} of {bad.size} points")
@@ -93,7 +94,7 @@ def expansion_residual_batch(dom: RadialDomain, X, step_scale: float = CLASSICAL
     if np.any(d <= 0.0):
         raise InadmissibleThickness(f"nonpositive thickness at {int(np.sum(d <= 0.0))} points")
     g = fld.ambient_grad(X)
-    nu, m = _resolvent_batch(core, X, d, g)
+    nu, m = (R.T.copy() for R in _resolvent_batch(core, X.T, d, g.T))
     transverse = np.zeros(X.shape[0])
     if kind == "normal":
         _, n = _outer_geometry_batch(dom, X, d)

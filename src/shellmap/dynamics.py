@@ -4,7 +4,11 @@ BlackBoxMap, the one map object every map consumer takes.
 The forward map is computed purely by ray geometry (no asymptotic
 formulas), so it can serve as an independent oracle for every expansion
 tested elsewhere.  Point sets are (n, N) ambient arrays; a SurfacePoint
-is built only by the scalar view return_map.
+is built only by the scalar view return_map.  The one kernel,
+return_map_batch, makes one field call on the rows and runs the outer
+geometry and the ray hit on contiguous component rows (N, n), in blocks of
+at most BLOCK_ROWS rows; iterate_batch and settle_batch keep the seeds
+still running as compact working rows.
 """
 
 from __future__ import annotations
@@ -14,13 +18,13 @@ from functools import partial
 
 import numpy as np
 
-from .domain import RadialDomain, _outer_geometry_batch
+from .domain import RadialDomain, _outer_geometry_cols
 from .errors import InadmissibleThickness, NormalRayMissesCore, OffSurface, ShellmapError
 from .surfaces import (
     TOL_SURFACE,
     ConvexCore,
     SurfacePoint,
-    _ray_hit_batch,
+    _ray_hit_cols,
     retract_batch,
 )
 
@@ -28,6 +32,7 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100_000
 AMPLIFY_COS = 0.99  # direction agreement that doubles a seed's K in settle_batch
 TRUST_RADIUS = 0.05  # longest amplified step in settle_batch, in surface_scale()
+BLOCK_ROWS = 4096  # rows of one return_map_batch pass: (N, rows) temporaries of 96 KiB at N=3
 
 
 def return_map(dom: RadialDomain, c: SurfacePoint) -> SurfacePoint:
@@ -42,18 +47,33 @@ def return_map(dom: RadialDomain, c: SurfacePoint) -> SurfacePoint:
 
 
 def return_map_batch(dom: RadialDomain, X: np.ndarray) -> np.ndarray:
-    """Vectorized return map on ambient points X, shape (n, N)."""
+    """Vectorized return map on ambient points X, shape (n, N).
+
+    The field is evaluated on the rows of X; the outer geometry and the
+    ray hit run on contiguous component rows (N, n), X and grad d
+    transposed once in and Y once out.  Batches of more than BLOCK_ROWS
+    rows go through in blocks of BLOCK_ROWS, each checked for d > 0 and a
+    degenerate normal as it runs; rays that miss are counted over the
+    whole batch."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    d = dom.field.ambient_value(X)
-    if (d <= 0.0).any():
-        raise InadmissibleThickness("nonpositive thickness encountered in batch step")
-    Xout, nvec = _outer_geometry_batch(dom, X, d=d)
-    Y, _ = _ray_hit_batch(dom.core, Xout, nvec)
+    Y = np.empty(X.shape)
+    for i in range(0, len(X), BLOCK_ROWS):
+        Y[i:i + BLOCK_ROWS] = _return_map_cols(dom, X[i:i + BLOCK_ROWS]).T
     finite = np.isfinite(Y)
     if not finite.all():
         miss = int((~finite.all(axis=-1)).sum())
         raise NormalRayMissesCore(f"{miss} inward rays miss the core")
     return Y
+
+
+def _return_map_cols(dom: RadialDomain, X: np.ndarray) -> np.ndarray:
+    """The return map of the (n, N) rows X as component rows (N, n), nan
+    where the inward ray misses the core."""
+    d, G = dom.field.ambient_value_grad(X)
+    if (d <= 0.0).any():
+        raise InadmissibleThickness("nonpositive thickness encountered in batch step")
+    Xout, nvec = _outer_geometry_cols(dom.core, np.ascontiguousarray(X.T), d, np.ascontiguousarray(G.T))
+    return _ray_hit_cols(dom.core, Xout, nvec)[0]
 
 
 @dataclass
@@ -154,22 +174,25 @@ def iterate_batch(
     the first displacement below tol (plain iteration).
     It takes the domain, not a BlackBoxMap, because its callers (the
     criterion 9 descent and its benchmark) hold one."""
-    X = np.atleast_2d(np.asarray(seeds, dtype=float)).copy()
+    X = np.array(seeds, dtype=float, ndmin=2)
     n = X.shape[0]
     steps = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)
-    active = np.arange(n)
-    for _ in range(max_iters):
-        if active.size == 0:
-            break
-        Xa = X[active]
+    # the working rows are the seeds still running, ids and iterates; a seed
+    # is written back when it stops, with the number of map calls so far
+    ids, Xa = np.arange(n), X.copy()
+    it = 0
+    while ids.size and it < max_iters:
+        it += 1
         Y = return_map_batch(dom, Xa)
-        disp = np.linalg.norm(Y - Xa, axis=-1)
-        X[active] = Y
-        steps[active] += 1
-        done = disp < tol
-        converged[active[done]] = True
-        active = active[~done]
+        done = np.linalg.norm(Y - Xa, axis=-1) < tol
+        if done.any():
+            stop = ids[done]
+            X[stop], steps[stop], converged[stop] = Y[done], it, True
+            keep = ~done
+            ids, Y = ids[keep], Y[keep]
+        Xa = Y
+    X[ids], steps[ids] = Xa, it
     return BatchOrbitResult(X, steps, converged)
 
 

@@ -46,6 +46,12 @@ class ThicknessField:
         """Ambient Hessian, shape X.shape + (N,)."""
         raise NotImplementedError
 
+    def ambient_value_grad(self, X):
+        """(ambient_value(X), ambient_grad(X)) in one call, the one field
+        call of the return-map kernel; a field whose value and gradient
+        share work overrides it with the same arithmetic."""
+        return self.ambient_value(X), self.ambient_grad(X)
+
     # -- surface operations --------------------------------------------------
     def tangent_gradient(self, X) -> np.ndarray:
         """Riemannian gradients as ambient tangent vectors at core points X, (n, N)."""
@@ -122,6 +128,13 @@ class ZonalProfileField(ThicknessField):
         w = self._w(X)
         return self.dg(w)[..., None] * self._gw
 
+    def ambient_value_grad(self, X):
+        # the gradient is formed as component rows (N, n), the layout the
+        # return-map kernel reads, and returned as their transpose
+        w = self._w(X)
+        G = self._gw[:, None] * self.dg(w).ravel()
+        return self.d0 + self.g(w), G.T.reshape(w.shape + self._gw.shape)
+
     def ambient_hess(self, X):
         w = self._w(X)
         return self.d2g(w)[..., None, None] * self._gwgw
@@ -168,20 +181,28 @@ class Fourier2DField(ThicknessField):
         rho2 = u[..., 0] ** 2 + u[..., 1] ** 2
         return np.stack([-u[..., 1] / (a[0] * rho2), u[..., 0] / (a[1] * rho2)], axis=-1)
 
-    def ambient_value(self, X):
-        th = self._theta(X)
+    def _value(self, th):
         val = np.full_like(th, self.d0, dtype=float)
         for k, amp in self.terms:
             val = val + amp * np.cos(k * th)
         return val
 
-    def ambient_grad(self, X):
-        th = self._theta(X)
+    def _grad(self, X, th):
         gth = self._grad_theta(X)
         dval = np.zeros_like(th, dtype=float)
         for k, amp in self.terms:
             dval = dval - amp * k * np.sin(k * th)
         return dval[..., None] * gth
+
+    def ambient_value(self, X):
+        return self._value(self._theta(X))
+
+    def ambient_grad(self, X):
+        return self._grad(X, self._theta(X))
+
+    def ambient_value_grad(self, X):
+        th = self._theta(X)
+        return self._value(th), self._grad(X, th)
 
     def ambient_hess(self, X):
         a = self.core.axes

@@ -4,14 +4,18 @@ and the retraction.
 Cores are centered quadrics (x/s1)^2 + ... + (x_N/s_N)^2 = 1 in ambient
 dimension N in {2, 3}.  The shape operator follows the sign convention
 S = -D(nu), so the unit sphere has S = -I and a circle of radius r has
-S = -1/r.  Ray hits and the retraction are batched (_ray_hit_batch,
-retract_batch) and leave points at round-off on the core; the scalar
-retract is a batch-of-one view of retract_batch.  The tangent space is
-computed here alone: one unit normal (ConvexCore.normal, Mx/|Mx|), one
-projection (tangent_part) and frames that are the projected chart tangents
-in closed form.  Frame matrices of tangent operators (shape_operator_batch,
-and the step operator and surface Hessian elsewhere) are batched over rows
-and frames by _frame_matrices.
+S = -1/r.  Ray hits and the retraction are batched and leave points at
+round-off on the core; the scalar retract is a batch-of-one view of
+retract_batch.  The ray stages of the return-map kernel (_ray_solve_cols,
+_ray_hit_cols) take points as the columns of contiguous component rows
+(N, n), so every arithmetic step runs on whole rows, and they sum dot
+products with _component_dot in einsum's order; _ray_solve_batch is their
+view on (n, N) rows.  The tangent space is computed here alone: one unit
+normal (ConvexCore.normal, Mx/|Mx|), one projection (tangent_part) and
+frames that are the projected chart tangents in closed form.  Frame
+matrices of tangent operators (shape_operator_batch, and the step operator
+and surface Hessian elsewhere) are batched over rows and frames by
+_frame_matrices.
 """
 
 from __future__ import annotations
@@ -235,19 +239,33 @@ def shape_action_batch(core: ConvexCore, X: np.ndarray, V: np.ndarray) -> np.nda
     return -tangent_part(core.normal(X), V * core.inv_axes_sq) / r
 
 
-def _ray_solve_batch(core: ConvexCore, O: np.ndarray, D: np.ndarray):
-    """Vectorized smallest nonnegative ray parameter by the closed-form
-    (q-method) solve, nan on a miss, with a grazing flag per row where the
+def _component_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Dot products of the points of A and B, component rows (N, n) each:
+    p = A * B summed as (p[0] + p[2]) + p[1] for N=3 and p[0] + p[1] for
+    N=2, the order in which numpy's einsum("ij,ij->i") sums C-ordered
+    (n, N) rows, so the sums equal its row dots bit for bit."""
+    p = A * B
+    if len(p) == 3:
+        return (p[0] + p[2]) + p[1]
+    return p[0] + p[1]
+
+
+def _ray_solve_cols(core: ConvexCore, O: np.ndarray, D: np.ndarray):
+    """Smallest nonnegative parameters t of the rays O + t D, origins and
+    directions as component rows (N, n), by the closed-form (q-method)
+    solve: nan on a miss, with a grazing flag per ray where the
     discriminant is near zero."""
-    w = core.inv_axes_sq
+    w = core.inv_axes_sq[:, None]
     DW = D * w
-    A = np.einsum("ij,ij->i", DW, D)
-    B = 2.0 * np.einsum("ij,ij->i", DW, O)
-    C = np.einsum("ij,ij->i", O * w, O) - 1.0
+    A = _component_dot(DW, D)
+    B = 2.0 * _component_dot(DW, O)
+    C = _component_dot(O * w, O) - 1.0
     disc = B * B - 4.0 * A * C
     grazing = np.abs(disc) < GRAZING_TOL
     disc_c = np.sqrt(np.maximum(disc, 0.0))
     q = -0.5 * (B + np.where(B < 0, -disc_c, disc_c))
+    # A = 0 (a null direction) leaves q / A undefined, as nan or +-inf, so
+    # no mask can stand in for this block
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = q / A
         t2 = np.where(q != 0, C / q, np.inf)
@@ -257,17 +275,22 @@ def _ray_solve_batch(core: ConvexCore, O: np.ndarray, D: np.ndarray):
     return t, grazing
 
 
-def _ray_hit_batch(core: ConvexCore, O: np.ndarray, D: np.ndarray):
-    """First hits of the rays O + t D on the core, shape (n, N), with the
-    grazing flags.  One Newton step along each ray keeps |implicit| at
-    round-off; rows that miss are nan."""
-    t, grazing = _ray_solve_batch(core, O, D)
-    Y = O + t[:, None] * D
-    YM = Y / core.axes_sq
-    f = np.einsum("ij,ij->i", YM, Y) - 1.0
-    df = 2.0 * np.einsum("ij,ij->i", YM, D)
+def _ray_solve_batch(core: ConvexCore, O: np.ndarray, D: np.ndarray):
+    """_ray_solve_cols on rays given as (n, N) rows, one transpose each."""
+    return _ray_solve_cols(core, O.T, D.T)
+
+
+def _ray_hit_cols(core: ConvexCore, O: np.ndarray, D: np.ndarray):
+    """First hits of the rays O + t D on the core, component rows (N, n)
+    like O and D, with the grazing flags.  One Newton step along each ray
+    keeps |implicit| at round-off; rays that miss are nan."""
+    t, grazing = _ray_solve_cols(core, O, D)
+    Y = O + t * D
+    YM = Y / core.axes_sq[:, None]
+    f = _component_dot(YM, Y) - 1.0
+    df = 2.0 * _component_dot(YM, D)
     step = np.divide(-f, df, out=np.zeros_like(f), where=df != 0)
-    Y += step[:, None] * D
+    Y += step * D
     return Y, grazing
 
 

@@ -32,7 +32,7 @@ from shellmap.domain import _outer_geometry_batch
 from shellmap.dynamics import OrbitRecord
 from shellmap.errors import ShellmapError
 from shellmap.harness import _Out, _task_orbit, parse_scenario_text, resolve
-from shellmap.surfaces import _ray_hit_batch, fibonacci_chart_grid
+from shellmap.surfaces import _ray_hit_cols, fibonacci_chart_grid
 
 SPHERE = ConvexCore.sphere(1.0)
 CIRCLE = ConvexCore.circle(1.0)
@@ -55,8 +55,8 @@ def test_constant_field_reciprocal_inverts_radial():
     for theta, phi in [(0.3, 0.1), (1.2, 4.0), (2.8, 2.2)]:
         p = pt(SPHERE, theta, phi)
         x, n = _outer_geometry_batch(dom, p.ambient[None])
-        back, _ = _ray_hit_batch(SPHERE, x, n)
-        assert np.linalg.norm(back[0] - p.ambient) < 1e-13
+        back, _ = _ray_hit_cols(SPHERE, x.T, n.T)
+        assert np.linalg.norm(back[:, 0] - p.ambient) < 1e-13
 
 
 def test_constant_field_circle_reciprocal():
@@ -64,7 +64,7 @@ def test_constant_field_circle_reciprocal():
     p = pt(CIRCLE, 0.77)
     x, n = _outer_geometry_batch(dom, p.ambient[None])
     assert np.allclose(x[0], 1.3 * p.ambient, atol=1e-14)
-    assert np.linalg.norm(_ray_hit_batch(CIRCLE, x, n)[0][0] - p.ambient) < 1e-13
+    assert np.linalg.norm(_ray_hit_cols(CIRCLE, x.T, n.T)[0][:, 0] - p.ambient) < 1e-13
 
 
 def test_constant_field_return_is_identity():
@@ -143,6 +143,20 @@ def test_scalar_return_map_is_a_batch_row_bit_for_bit(theta, phi, slot, kind):
     assert np.array_equal(return_map(dom, p).ambient, Y[slot])
 
 
+
+@pytest.mark.parametrize("n", [4095, 4096, 4097, 8195])
+def test_return_map_batch_rows_across_blocks_equal_batch_of_one(n):
+    # batches of more than BLOCK_ROWS rows run block by block
+    assert dynamics.BLOCK_ROWS == 4096
+    dom = _BIT_DOMAINS["ellipsoid"]
+    X = _TILTED.ambient_from_chart(fibonacci_chart_grid(_TILTED, n))
+    Y = return_map_batch(dom, X)
+    assert Y.shape == X.shape and Y.flags.c_contiguous
+    rows = np.r_[np.arange(0, n, 97), 4094, 4095, 4096, 8191, 8192, n - 1]
+    for i in np.unique(rows[rows < n]):
+        assert np.array_equal(Y[i], return_map_batch(dom, X[i:i + 1])[0])
+
+
 POLE_THETAS = [1e-7, 1.1e-6, 3e-6, 1e-5, 1e-4, 1e-3, 1e-2]
 
 
@@ -165,14 +179,14 @@ def test_constant_shell_is_identity_to_round_off_near_poles(core):
 
 def test_return_map_batch_counts_missed_rays(monkeypatch):
     dom = zonal_domain()
-    hit = dynamics._ray_hit_batch
+    hit = dynamics._ray_hit_cols
 
     def missing_two(core, O, D):
         Y, grazing = hit(core, O, D)
-        Y[[1, 3]] = np.nan
+        Y[:, [1, 3]] = np.nan
         return Y, grazing
 
-    monkeypatch.setattr(dynamics, "_ray_hit_batch", missing_two)
+    monkeypatch.setattr(dynamics, "_ray_hit_cols", missing_two)
     X = SPHERE.ambient_from_chart(fibonacci_chart_grid(SPHERE, 5))
     with pytest.raises(NormalRayMissesCore, match="^2 inward rays miss the core$"):
         return_map_batch(dom, X)
@@ -325,6 +339,50 @@ def test_iterate_batch_agrees_with_scalar_orbits():
         assert batch.converged[i] and rec.status == "converged"
         assert np.linalg.norm(batch.limits[i] - rec.points[-1]) < 1e-8
         assert batch.steps[i] == len(rec.points) - 1
+
+
+
+def _active_index_loop(dom, seeds, max_iters, tol):
+    """iterate_batch as one loop over the indices of the seeds still running,
+    every limit and step count written on every step."""
+    X = np.array(seeds, dtype=float)
+    steps = np.zeros(len(X), dtype=int)
+    converged = np.zeros(len(X), dtype=bool)
+    active = np.arange(len(X))
+    for _ in range(max_iters):
+        if active.size == 0:
+            break
+        Xa = X[active]
+        Y = return_map_batch(dom, Xa)
+        disp = np.linalg.norm(Y - Xa, axis=-1)
+        X[active] = Y
+        steps[active] += 1
+        done = disp < tol
+        converged[active[done]] = True
+        active = active[~done]
+    return X, steps, converged
+
+
+@pytest.mark.parametrize("kind", sorted(_BIT_DOMAINS))
+@pytest.mark.parametrize("max_iters", [10, 25, 100_000], ids=["segment_10", "segment_25", "uncut"])
+def test_iterate_batch_equals_the_active_index_loop_bit_for_bit(kind, max_iters):
+    # a seed at a critical point stops after one step and the others at many
+    # different steps; a cut max_iters stops the others mid-orbit, as the
+    # benchmark's 10-step segments do
+    dom = _BIT_DOMAINS[kind]
+    core = dom.core
+    critical = core.axes * dom.field.axis if core.dim == 3 else core.ambient_from_chart([0.0])
+    X = np.concatenate([core.ambient_from_chart(fibonacci_chart_grid(core, 60)), [critical]])
+    res = iterate_batch(dom, X, max_iters=max_iters, tol=1e-10)
+    want = _active_index_loop(dom, X, max_iters, 1e-10)
+    assert res.limits.tobytes() == want[0].tobytes()
+    assert np.array_equal(res.steps, want[1]) and np.array_equal(res.converged, want[2])
+    assert res.converged[-1] and res.steps[-1] == 1
+    if max_iters < 100_000:
+        running = ~res.converged
+        assert running.sum() > 50 and (res.steps[running] == max_iters).all()
+    else:
+        assert res.converged.all() and len(np.unique(res.steps)) > 10
 
 
 def test_batch_limits_split_by_hemisphere():

@@ -386,6 +386,25 @@ def test_ambient_hess_is_batched_with_rows_equal_to_single_point_calls(fld):
         assert np.array_equal(row, single)
 
 
+
+@pytest.mark.parametrize("fld", [
+    ConstantField(SPHERE, 0.5),
+    ZonalLegendreField(TILTED_CORE, 0.25, 0.02, axis=(0.3, 0.5, 0.8)),
+    _p2_profile(SPHERE, 0.5, 0.01),
+    Fourier2DField(CIRCLE, 0.5, [(2, 0.05), (3, 0.02)]),
+    ScaledField(2.5, _p2_profile(SPHERE, 0.5, 0.01)),
+    SumField([ZonalLegendreField(SPHERE, 0.3, 0.01), _p2_profile(SPHERE, 0.2, 0.02)]),
+], ids=["constant", "zonal_legendre", "zonal_profile", "fourier", "scaled", "sum"])
+def test_ambient_value_grad_is_value_and_grad_bit_for_bit(fld):
+    # the kernel's one field call: rows, a single point and a stack of rows
+    X = np.array([p.ambient for p in random_points(fld.core, 40, seed=37)])
+    for Z in (X, X[3], X.reshape(4, 10, -1)):
+        value, grad = fld.ambient_value_grad(Z)
+        assert value.shape == Z.shape[:-1] and grad.shape == Z.shape
+        assert np.array_equal(value, fld.ambient_value(Z))
+        assert np.array_equal(grad, fld.ambient_grad(Z))
+
+
 _ACTION_FIELDS = {
     "sphere": ZonalLegendreField(SPHERE, 0.5, 0.05),
     "tilted_ellipsoid": ZonalLegendreField(TILTED_CORE, 0.25, 0.02, axis=(0.3, 0.5, 0.8)),

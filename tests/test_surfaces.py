@@ -18,7 +18,8 @@ from shellmap import (
 )
 from shellmap.surfaces import (
     POLE_SIN_TOL,
-    _ray_hit_batch,
+    _component_dot,
+    _ray_hit_cols,
     _ray_solve_batch,
     _require_on_core,
     frames_batch,
@@ -219,10 +220,10 @@ def test_normal_consistency_along_retractions():
 
 def first_hit(core, origin, direction):
     """(t, point, grazing) for one ray: t from _ray_solve_batch, the point
-    (nan on a miss) and the grazing flag from _ray_hit_batch."""
+    (nan on a miss) and the grazing flag from _ray_hit_cols."""
     O, D = np.array([origin], dtype=float), np.array([direction], dtype=float)
-    Y, grazing = _ray_hit_batch(core, O, D)
-    return _ray_solve_batch(core, O, D)[0][0], Y[0], bool(grazing[0])
+    Y, grazing = _ray_hit_cols(core, O.T, D.T)
+    return _ray_solve_batch(core, O, D)[0][0], Y[:, 0], bool(grazing[0])
 
 
 def test_ray_axial_hit_unit_sphere():
@@ -254,7 +255,7 @@ def test_ray_from_inside_exits():
 
 
 def _ray_hit_masked(core, O, D):
-    """_ray_hit_batch with its Newton step as a masked division."""
+    """_ray_hit_cols on (n, N) rows with its Newton step as a masked division."""
     t, grazing = _ray_solve_batch(core, O, D)
     Y = O + t[:, None] * D
     YM = Y / core.axes**2
@@ -283,9 +284,22 @@ def test_ray_hit_newton_step_matches_masked_division_bit_for_bit(core):
     assert np.any(df == 0.0) and np.any(np.isnan(want_Y))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        Y, grazing = _ray_hit_batch(core, O, D)
-    assert np.array_equal(Y, want_Y, equal_nan=True)
+        Y, grazing = _ray_hit_cols(core, O.T, D.T)
+    assert np.array_equal(Y.T, want_Y, equal_nan=True)
     assert np.array_equal(grazing, want_grazing)
+
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 700])
+def test_component_dot_sums_in_einsums_order(dim, n):
+    # the kernel's dots on component rows equal einsum's row dots on C-ordered
+    # (n, N) rows; a numpy whose einsum sums in another order fails here
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, dim)) * np.exp(rng.uniform(-20.0, 20.0, (n, dim)))
+    B = rng.standard_normal((n, dim))
+    want = np.einsum("ij,ij->i", A, B)
+    assert _component_dot(np.ascontiguousarray(A.T), np.ascontiguousarray(B.T)).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("scale", [2.0, 0.5])
