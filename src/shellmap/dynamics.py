@@ -58,22 +58,17 @@ def return_map_batch(dom: RadialDomain, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.empty(X.shape)
     for i in range(0, len(X), BLOCK_ROWS):
-        Y[i:i + BLOCK_ROWS] = _return_map_cols(dom, X[i:i + BLOCK_ROWS]).T
+        rows = X[i:i + BLOCK_ROWS]
+        d, G = dom.field.ambient_value_grad(rows)
+        if (d <= 0.0).any():
+            raise InadmissibleThickness("nonpositive thickness encountered in batch step")
+        Xout, nvec = _outer_geometry_cols(dom.core, np.ascontiguousarray(rows.T), d, np.ascontiguousarray(G.T))
+        Y[i:i + BLOCK_ROWS] = _ray_hit_cols(dom.core, Xout, nvec)[0].T
     finite = np.isfinite(Y)
     if not finite.all():
         miss = int((~finite.all(axis=-1)).sum())
         raise NormalRayMissesCore(f"{miss} inward rays miss the core")
     return Y
-
-
-def _return_map_cols(dom: RadialDomain, X: np.ndarray) -> np.ndarray:
-    """The return map of the (n, N) rows X as component rows (N, n), nan
-    where the inward ray misses the core."""
-    d, G = dom.field.ambient_value_grad(X)
-    if (d <= 0.0).any():
-        raise InadmissibleThickness("nonpositive thickness encountered in batch step")
-    Xout, nvec = _outer_geometry_cols(dom.core, np.ascontiguousarray(X.T), d, np.ascontiguousarray(G.T))
-    return _ray_hit_cols(dom.core, Xout, nvec)[0]
 
 
 @dataclass
