@@ -10,8 +10,10 @@ batched over rows and frames.  The predicted displacement is parametrized as
 
 so step_scale = -2 reproduces the classical descent-model prediction and
 step_scale = +1 the step law the exact ray dynamics actually follows (see
-tests/test_measured_law.py).  The residuals are batched on the closed-form
-tilt of the return map and the field's Hessian action.  A map is passed
+tests/test_measured_law.py).  The step operator and the residuals take
+the kernel's own resolvent on (n, N) rows (surfaces._resolvent_rows), so
+the residuals are batched on the closed-form tilt of the return map and
+the field's Hessian action.  A map is passed
 as one BlackBoxMap F; the FD Jacobian and the Newton polish of
 fixed_point_search take batches of centres (one retract_batch and one map
 call per stencil).
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import RadialDomain, _outer_geometry_batch, _resolvent_batch
+from .domain import RadialDomain, _outer_geometry_batch
 from .dynamics import BlackBoxMap, return_map_batch, settle_batch
 from .errors import CurvatureSingularity, InadmissibleThickness, NotAFixedPoint
 from .surfaces import (
@@ -31,6 +33,7 @@ from .surfaces import (
     SurfacePoint,
     _frame_matrices,
     _require_on_core,
+    _resolvent_rows,
     fibonacci_chart_grid,
     frames_batch,
     retract_batch,
@@ -58,12 +61,12 @@ def step_operator_batch(core: ConvexCore, X: np.ndarray, d: np.ndarray, E: np.nd
     """d (I - d S)^(-1), (k, m, m), at core points X, (k, N), with thickness
     d, (k,), in the frames E, (k, m, N): the exact shell-normal tilt times
     the travel length, d sym(E R(E)^T) with the closed-form resolvent R of
-    domain._resolvent_batch.  Twice it is the classical preconditioner
+    surfaces._resolvent_rows.  Twice it is the classical preconditioner
     A = 2d (I - dS)^(-1).  I - dS >= I for d > 0; singular I - dS raises
     CurvatureSingularity."""
     dm = np.repeat(d, E.shape[1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        R = _frame_matrices(X, E, lambda Y, V: _resolvent_batch(core, Y.T, dm, V.T)[1].T)
+        R = _frame_matrices(X, E, lambda Y, V: _resolvent_rows(core, Y, dm, V)[1])
     bad = ~np.isfinite(R).all(axis=(1, 2))
     if bad.any():
         raise CurvatureSingularity(f"I - dS is singular at {int(bad.sum())} of {bad.size} points")
@@ -77,7 +80,7 @@ def step_operator_batch(core: ConvexCore, X: np.ndarray, d: np.ndarray, E: np.nd
 def expansion_residual_batch(dom: RadialDomain, X, step_scale: float = CLASSICAL_STEP_SCALE,
                              kind: str = "first_order"):
     """(total, transverse) residual norms, each (n,), at core points X with
-    m = (I - dS)^-1 grad d from _resolvent_batch and w1 = step_scale * d * m.
+    m = (I - dS)^-1 grad d from _resolvent_rows and w1 = step_scale * d * m.
 
     The kinds: "first_order", |F(c) - retract(c, w1)|; "second_order",
     |F(c) - retract(c, w2)| with w2 = w1 + 2 d^2 Hess d[g] + 2 d |g|^2 g
@@ -94,7 +97,7 @@ def expansion_residual_batch(dom: RadialDomain, X, step_scale: float = CLASSICAL
     if np.any(d <= 0.0):
         raise InadmissibleThickness(f"nonpositive thickness at {int(np.sum(d <= 0.0))} points")
     g = fld.ambient_grad(X)
-    nu, m = (R.T.copy() for R in _resolvent_batch(core, X.T, d, g.T))
+    nu, m = _resolvent_rows(core, X, d, g)
     transverse = np.zeros(X.shape[0])
     if kind == "normal":
         _, n = _outer_geometry_batch(dom, X, d)

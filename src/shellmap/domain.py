@@ -3,13 +3,9 @@
 The outer boundary is x = Phi(c) = c + d(c) nu(c).  Its exact tangents are
 DPhi(c)[v] = (I - d S)v + <grad d, v> nu, and the inward unit normal is the
 closed form (-nu + m)/|-nu + m| with m = (I - d S)^(-1) grad d, computed
-pointwise without a tangent basis or chart (_resolvent_batch, the one
-closed form of (I - d S)^(-1), and the one reader of the core's axes
-outside surfaces, as it needs |Mx| too).  Like the ray stages of
-surfaces, the resolvent and _outer_geometry_cols, the kernel's outer
-geometry, take points as the columns of component rows (N, n);
-_outer_geometry_batch is their view on (n, N) rows.  For d > 0 no step
-divides by zero, so the kernel enters no floating-point error state here.
+pointwise without a tangent basis or chart.  That closed form, like the
+rest of the return leg, lives in surfaces; _outer_geometry_batch takes
+the field's value and gradient on (n, N) rows and hands them to it.
 The admissibility diagnostics build the DPhi columns in the frames of
 surfaces instead (cross product for N=3, a quarter turn for N=2), an
 independent check of the closed form.
@@ -21,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ImmersionFailure
 from .fields import ThicknessField
 from .surfaces import (
     ConvexCore,
-    _component_dot,
+    _outer_geometry_rows,
     _ray_solve_batch,
     fibonacci_chart_grid,
     frames_batch,
@@ -47,58 +42,16 @@ class RadialDomain:
             raise ValueError("field is defined on a different core")
 
 
-def _resolvent_batch(core: ConvexCore, X: np.ndarray, d: np.ndarray, V: np.ndarray):
-    """Core normals nu and (I - d S)^(-1) applied to the tangent parts of
-    V at core points X with thickness d: (nu, R).  X, V, nu and R are
-    component rows (N, n), d is (n,).
-
-    With r = |Mx|, nu = Mx/r and D = (I + (d/r) M)^(-1), the tangent
-    solution of (I - d S) u = v_t is u = D (v_t + mu nu) with
-    mu = -(nu . D v_t)/(nu . D nu), which equals D v + mu' D nu with
-    mu' = -(nu . D v)/(nu . D nu) for the ambient vector v.  The tilt m is
-    the case V = grad d.  For d > 0 every step is defined; rows where
-    I - d S is singular (d <= 0) are not finite and raise floating-point
-    warnings, which a caller that admits such d silences.
-    """
-    w = core.inv_axes_sq[:, None]
-    MX = X * w
-    r = np.sqrt(_component_dot(MX, MX))
-    nu = MX / r
-    D = 1.0 / (1.0 + d / r * w)
-    Dnu = D * nu
-    mu = -_component_dot(Dnu, V) / _component_dot(Dnu, nu)
-    return nu, D * V + mu * Dnu
-
-
-def _outer_geometry_cols(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarray):
-    """Outer points X + d nu and inward normals (m - nu)/|m - nu| above core
-    points X with thickness d and ambient gradient G of the field, X and G
-    component rows (N, n); a degenerate normal raises ImmersionFailure.
-    |m - nu| >= 1 wherever m is finite, so for d > 0 no step divides by
-    zero."""
-    nu, m = _resolvent_batch(core, X, d, G)
-    nvec = m - nu
-    norms = np.sqrt(_component_dot(nvec, nvec))
-    nvec /= norms
-    ok = norms < np.inf
-    if not ok.all():
-        # a nan seed is left to fail in the ray solve
-        bad = ~ok & np.isfinite(d)
-        if bad.any():
-            raise ImmersionFailure(f"degenerate outer normal at {int(np.sum(bad))} points")
-    return X + d * nu, nvec
-
-
 def _outer_geometry_batch(dom: RadialDomain, X: np.ndarray, d=None):
-    """_outer_geometry_cols on (n, N) rows X, one transpose in and out.  d
-    defaults to the field's value at X; any d is taken, and a singular
-    I - d S raises ImmersionFailure without a floating-point warning."""
+    """Outer points and inward normals above core points X, (n, N) rows,
+    from surfaces._outer_geometry_rows.  d defaults to the field's value at
+    X; any d is taken, and a singular I - d S raises ImmersionFailure
+    without a floating-point warning."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if d is None:
         d = dom.field.ambient_value(X)
     with np.errstate(divide="ignore", invalid="ignore"):
-        Xout, nvec = _outer_geometry_cols(dom.core, X.T, d, dom.field.ambient_grad(X).T)
-    return Xout.T.copy(), nvec.T.copy()
+        return _outer_geometry_rows(dom.core, X, d, dom.field.ambient_grad(X))
 
 
 def _outer_frames_batch(dom: RadialDomain, X: np.ndarray, d: np.ndarray):

@@ -5,10 +5,10 @@ The forward map is computed purely by ray geometry (no asymptotic
 formulas), so it can serve as an independent oracle for every expansion
 tested elsewhere.  Point sets are (n, N) ambient arrays; a SurfacePoint
 is built only by the scalar view return_map.  The one kernel,
-return_map_batch, makes one field call on the rows and runs the outer
-geometry and the ray hit on contiguous component rows (N, n), in blocks of
-at most BLOCK_ROWS rows; iterate_batch and settle_batch keep the seeds
-still running as compact working rows.
+return_map_batch, makes one field call on the rows and hands them to the
+return leg of surfaces (_return_leg_rows), in blocks of at most
+BLOCK_ROWS rows; iterate_batch and settle_batch keep the seeds still
+running as compact working rows.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ from functools import partial
 
 import numpy as np
 
-from .domain import RadialDomain, _outer_geometry_cols
+from .domain import RadialDomain
 from .errors import InadmissibleThickness, NormalRayMissesCore, OffSurface, ShellmapError
 from .surfaces import (
     TOL_SURFACE,
     ConvexCore,
     SurfacePoint,
-    _ray_hit_cols,
+    _return_leg_rows,
     retract_batch,
 )
 
@@ -32,7 +32,7 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100_000
 AMPLIFY_COS = 0.99  # direction agreement that doubles a seed's K in settle_batch
 TRUST_RADIUS = 0.05  # longest amplified step in settle_batch, in surface_scale()
-BLOCK_ROWS = 4096  # rows of one return_map_batch pass: (N, rows) temporaries of 96 KiB at N=3
+BLOCK_ROWS = 4096  # rows of one return_map_batch pass: temporaries of 96 KiB at N=3
 
 
 def return_map(dom: RadialDomain, c: SurfacePoint) -> SurfacePoint:
@@ -49,12 +49,10 @@ def return_map(dom: RadialDomain, c: SurfacePoint) -> SurfacePoint:
 def return_map_batch(dom: RadialDomain, X: np.ndarray) -> np.ndarray:
     """Vectorized return map on ambient points X, shape (n, N).
 
-    The field is evaluated on the rows of X; the outer geometry and the
-    ray hit run on contiguous component rows (N, n), X and grad d
-    transposed once in and Y once out.  Batches of more than BLOCK_ROWS
-    rows go through in blocks of BLOCK_ROWS, each checked for d > 0 and a
-    degenerate normal as it runs; rays that miss are counted over the
-    whole batch."""
+    The field is evaluated on the rows of X and the return leg of
+    surfaces maps them.  Batches of more than BLOCK_ROWS rows go through
+    in blocks of BLOCK_ROWS, each checked for d > 0 and a degenerate
+    normal as it runs; rays that miss are counted over the whole batch."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.empty(X.shape)
     for i in range(0, len(X), BLOCK_ROWS):
@@ -62,8 +60,7 @@ def return_map_batch(dom: RadialDomain, X: np.ndarray) -> np.ndarray:
         d, G = dom.field.ambient_value_grad(rows)
         if (d <= 0.0).any():
             raise InadmissibleThickness("nonpositive thickness encountered in batch step")
-        Xout, nvec = _outer_geometry_cols(dom.core, np.ascontiguousarray(rows.T), d, np.ascontiguousarray(G.T))
-        Y[i:i + BLOCK_ROWS] = _ray_hit_cols(dom.core, Xout, nvec)[0].T
+        Y[i:i + BLOCK_ROWS] = _return_leg_rows(dom.core, rows, d, G)
     finite = np.isfinite(Y)
     if not finite.all():
         miss = int((~finite.all(axis=-1)).sum())

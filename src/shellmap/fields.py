@@ -129,11 +129,8 @@ class ZonalProfileField(ThicknessField):
         return self.dg(w)[..., None] * self._gw
 
     def ambient_value_grad(self, X):
-        # the gradient is formed as component rows (N, n), the layout the
-        # return-map kernel reads, and returned as their transpose
         w = self._w(X)
-        G = self._gw[:, None] * self.dg(w).ravel()
-        return self.d0 + self.g(w), G.T.reshape(w.shape + self._gw.shape)
+        return self.d0 + self.g(w), self.dg(w)[..., None] * self._gw
 
     def ambient_hess(self, X):
         w = self._w(X)

@@ -6,15 +6,23 @@ dimension N in {2, 3}.  The shape operator follows the sign convention
 S = -D(nu), so the unit sphere has S = -I and a circle of radius r has
 S = -1/r.  Ray hits and the retraction are batched and leave points at
 round-off on the core; the scalar retract is a batch-of-one view of
-retract_batch.  The ray stages of the return-map kernel (_ray_solve_cols,
-_ray_hit_cols) take points as the columns of contiguous component rows
-(N, n), so every arithmetic step runs on whole rows, and they sum dot
-products with _component_dot in einsum's order; _ray_solve_batch is their
-view on (n, N) rows.  The tangent space is computed here alone: one unit
-normal (ConvexCore.normal, Mx/|Mx|), one projection (tangent_part) and
-frames that are the projected chart tangents in closed form.  Frame
-matrices of tangent operators (shape_operator_batch, and the step operator
-and surface Hessian elsewhere) are batched over rows and frames by
+retract_batch.
+
+The return leg of the return-map kernel lives here: the resolvent
+(I - d S)^(-1) (_resolvent_cols), the outer points and inward normals
+(_outer_geometry_cols) and the ray solve and hit (_ray_solve_cols,
+_ray_hit_cols).  These stages take points as the columns of contiguous
+component rows (N, n), so every arithmetic step runs on whole rows, and
+they sum dot products with _component_dot in einsum's order.  The layout
+stays inside this module: the other modules call the (n, N)-row entry
+points _return_leg_rows, _resolvent_rows, _outer_geometry_rows and
+_ray_solve_batch, each of which transposes once in and once out.
+
+The tangent space is computed here alone: one unit normal
+(ConvexCore.normal, Mx/|Mx|), one projection (tangent_part) and frames
+that are the projected chart tangents in closed form.  Frame matrices of
+tangent operators (shape_operator_batch, and the step operator and
+surface Hessian elsewhere) are batched over rows and frames by
 _frame_matrices.
 """
 
@@ -24,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OffSurface, ProjectionFailed
+from .errors import ImmersionFailure, OffSurface, ProjectionFailed
 
 TOL_SURFACE = 1e-12
 # below this value of sin(theta) the z-colatitude chart degenerates and
@@ -292,6 +300,70 @@ def _ray_hit_cols(core: ConvexCore, O: np.ndarray, D: np.ndarray):
     step = np.divide(-f, df, out=np.zeros_like(f), where=df != 0)
     Y += step * D
     return Y, grazing
+
+
+def _resolvent_cols(core: ConvexCore, X: np.ndarray, d: np.ndarray, V: np.ndarray):
+    """Core normals nu and (I - d S)^(-1) applied to the tangent parts of
+    V at core points X with thickness d: (nu, R).  X, V, nu and R are
+    component rows (N, n), d is (n,).
+
+    With r = |Mx|, nu = Mx/r and D = (I + (d/r) M)^(-1), the tangent
+    solution of (I - d S) u = v_t is u = D (v_t + mu nu) with
+    mu = -(nu . D v_t)/(nu . D nu), which equals D v + mu' D nu with
+    mu' = -(nu . D v)/(nu . D nu) for the ambient vector v.  The tilt m is
+    the case V = grad d.  For d > 0 every step is defined; rows where
+    I - d S is singular (d <= 0) are not finite and raise floating-point
+    warnings, which a caller that admits such d silences.
+    """
+    w = core.inv_axes_sq[:, None]
+    MX = X * w
+    r = np.sqrt(_component_dot(MX, MX))
+    nu = MX / r
+    D = 1.0 / (1.0 + d / r * w)
+    Dnu = D * nu
+    mu = -_component_dot(Dnu, V) / _component_dot(Dnu, nu)
+    return nu, D * V + mu * Dnu
+
+
+def _outer_geometry_cols(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarray):
+    """Outer points X + d nu and inward normals (m - nu)/|m - nu| above core
+    points X with thickness d and ambient gradient G of the field, X and G
+    component rows (N, n); a degenerate normal raises ImmersionFailure.
+    |m - nu| >= 1 wherever m is finite, so for d > 0 no step divides by
+    zero."""
+    nu, m = _resolvent_cols(core, X, d, G)
+    nvec = m - nu
+    norms = np.sqrt(_component_dot(nvec, nvec))
+    nvec /= norms
+    ok = norms < np.inf
+    if not ok.all():
+        # a nan seed is left to fail in the ray solve
+        bad = ~ok & np.isfinite(d)
+        if bad.any():
+            raise ImmersionFailure(f"degenerate outer normal at {int(np.sum(bad))} points")
+    return X + d * nu, nvec
+
+
+def _return_leg_rows(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The return leg on (n, N) rows: from core points X with thickness d
+    and ambient gradient G, out to the outer points, then back along the
+    inward normals to their first hits on the core (_outer_geometry_cols,
+    then _ray_hit_cols).  X and G are transposed once into contiguous
+    component rows and the hits once out, as a view; rays that miss are
+    nan."""
+    Xout, nvec = _outer_geometry_cols(core, np.ascontiguousarray(X.T), d, np.ascontiguousarray(G.T))
+    return _ray_hit_cols(core, Xout, nvec)[0].T
+
+
+def _resolvent_rows(core: ConvexCore, X: np.ndarray, d: np.ndarray, V: np.ndarray):
+    """_resolvent_cols on (n, N) rows X and V: (nu, R) as (n, N) rows."""
+    return tuple(A.T.copy() for A in _resolvent_cols(core, X.T, d, V.T))
+
+
+def _outer_geometry_rows(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarray):
+    """_outer_geometry_cols on (n, N) rows X and G: (outer points, inward
+    normals) as (n, N) rows."""
+    return tuple(A.T.copy() for A in _outer_geometry_cols(core, X.T, d, G.T))
 
 
 def retract_batch(core: ConvexCore, X, V) -> np.ndarray:

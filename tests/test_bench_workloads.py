@@ -9,7 +9,8 @@ package exports, and every public method or property of an exported class,
 must have a reader in the package or the benchmark, and every name a
 package or test module imports must be referred to in it.  SurfacePoint
 and TangentFrame are named only by the scalar views the benchmark calls.
-Outside surfaces, only the kernel's resolvent reads the quadric's axes.
+Outside surfaces no function reads the quadric's axes or names a stage of
+the return leg's component-row layout.
 bench/reference.json is read and never written; the scenarios write their
 reports under the test's temporary directory.
 """
@@ -151,8 +152,14 @@ def test_only_the_bench_views_name_a_surface_point():
 
 
 # outside surfaces the tangent space comes from ConvexCore.normal, tangent_part and the
-# frames; the kernel's resolvent alone reads M = diag(1/s_i^2), as it needs |Mx| too
-AXES_READERS = {"domain._resolvent_batch"}
+# frames, and the return leg from its (n, N)-row entry points: no function reads
+# M = diag(1/s_i^2) or names _component_dot or a component-row stage (a private *_cols)
+AXES_READERS = set()
+AXES_NAMES = {"inv_axes_sq", "axes_sq", "implicit_grad", "_component_dot"}
+
+
+def _reads_the_axes(names: set) -> bool:
+    return bool(names & AXES_NAMES) or any(n.startswith("_") and n.endswith("_cols") for n in names)
 
 
 def test_only_surfaces_reads_the_quadric_axes():
@@ -168,6 +175,6 @@ def test_only_surfaces_reads_the_quadric_axes():
             else:
                 defs = [("<module>", node)]
             reading += [f"{path.stem}.{name}" for name, f in defs
-                        if _referenced(f, strings=True) & {"inv_axes_sq", "implicit_grad"}]
+                        if _reads_the_axes(_referenced(f, strings=True))]
     extra = sorted(set(reading) - AXES_READERS)
-    assert not extra, f"functions outside surfaces that read inv_axes_sq or implicit_grad: {extra}"
+    assert not extra, f"functions outside surfaces that read the axes or a component-row stage: {extra}"

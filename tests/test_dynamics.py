@@ -179,14 +179,14 @@ def test_constant_shell_is_identity_to_round_off_near_poles(core):
 
 def test_return_map_batch_counts_missed_rays(monkeypatch):
     dom = zonal_domain()
-    hit = dynamics._ray_hit_cols
+    leg = dynamics._return_leg_rows
 
-    def missing_two(core, O, D):
-        Y, grazing = hit(core, O, D)
-        Y[:, [1, 3]] = np.nan
-        return Y, grazing
+    def missing_two(core, X, d, G):
+        Y = leg(core, X, d, G)
+        Y[[1, 3]] = np.nan
+        return Y
 
-    monkeypatch.setattr(dynamics, "_ray_hit_cols", missing_two)
+    monkeypatch.setattr(dynamics, "_return_leg_rows", missing_two)
     X = SPHERE.ambient_from_chart(fibonacci_chart_grid(SPHERE, 5))
     with pytest.raises(NormalRayMissesCore, match="^2 inward rays miss the core$"):
         return_map_batch(dom, X)
