@@ -275,13 +275,14 @@ def fixed_point_jacobian(F: BlackBoxMap, X: np.ndarray, E: np.ndarray,
 def finite_difference_jacobian_batch(F: BlackBoxMap, X: np.ndarray, E: np.ndarray,
                                      h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Central-difference DF, (k, N-1, N-1), at centres X, (k, N), in frames
-    E, (k, N-1, N), columns projected onto the tangent space at the centre
-    (valid at fixed points).  The 2(N-1)k stencil points c +- h e_i take one
-    retract_batch and one call of F; one centre is a batch of one."""
+    E, (k, N-1, N): the frame components E diff^T of the difference
+    quotients, which read only their tangent parts (valid at fixed
+    points).  The 2(N-1)k stencil points c +- h e_i take one retract_batch
+    and one call of F; one centre is a batch of one."""
     k, m, n = E.shape
     V = (np.array([h, -h])[None, None, :, None] * E[:, :, None, :]).reshape(-1, n)
     Y = F.batch(retract_batch(F.core, np.repeat(X, 2 * m, axis=0), V)).reshape(k, m, 2, n)
-    diff = tangent_part(F.core.normal(X)[:, None, :], (Y[:, :, 0] - Y[:, :, 1]) / (2.0 * h))
+    diff = (Y[:, :, 0] - Y[:, :, 1]) / (2.0 * h)
     return E @ diff.transpose(0, 2, 1)
 
 
