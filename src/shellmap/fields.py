@@ -119,7 +119,9 @@ class ZonalProfileField(ThicknessField):
         self._gwgw = np.outer(self._gw, self._gw)
 
     def _w(self, X):
-        return np.einsum("...j,j->...", np.asarray(X, dtype=float), self._gw)
+        # einsum sums in an order that follows the memory layout of X, so X
+        # is made C-contiguous first and w does not depend on how X is stored
+        return np.einsum("...j,j->...", np.ascontiguousarray(X, dtype=float), self._gw)
 
     def ambient_value(self, X):
         return self.d0 + self.g(self._w(X))

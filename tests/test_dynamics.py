@@ -19,6 +19,7 @@ from shellmap import (
     Fourier2DField,
     InadmissibleThickness,
     RadialDomain,
+    SumField,
     SurfacePoint,
     ZonalLegendreField,
     iterate_batch,
@@ -155,6 +156,22 @@ def test_return_map_batch_rows_across_blocks_equal_batch_of_one(n):
     rows = np.r_[np.arange(0, n, 97), 4094, 4095, 4096, 8191, 8192, n - 1]
     for i in np.unique(rows[rows < n]):
         assert np.array_equal(Y[i], return_map_batch(dom, X[i:i + 1])[0])
+
+
+_TWO_AXIS = RadialDomain(SPHERE, SumField([ZonalLegendreField(SPHERE, 0.25, 0.02),
+                                           ZonalLegendreField(SPHERE, 0.25, 0.02, axis=(0.3, 0.5, 0.8))]))
+
+
+@pytest.mark.parametrize("dom", [_BIT_DOMAINS["ellipsoid"], _TWO_AXIS], ids=["tilted_ellipsoid", "two_axis_sphere"])
+def test_return_map_batch_does_not_depend_on_the_memory_layout(dom):
+    # einsum sums in an order that follows its operand's layout, so a zonal field
+    # must read the same w from Fortran-ordered and strided rows as from C rows
+    X = dom.core.ambient_from_chart(fibonacci_chart_grid(dom.core, 2000))
+    Y, G = return_map_batch(dom, X), dom.field.ambient_grad(X)
+    for view, rows in ((np.asfortranarray(X), slice(None)), (X[::2], slice(None, None, 2))):
+        assert np.array_equal(return_map_batch(dom, view), Y[rows])
+        assert np.array_equal(dom.field.ambient_grad(view), G[rows])
+        assert np.array_equal(dom.field.ambient_value_grad(view)[1], G[rows])
 
 
 POLE_THETAS = [1e-7, 1.1e-6, 3e-6, 1e-5, 1e-4, 1e-3, 1e-2]
