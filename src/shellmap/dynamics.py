@@ -7,8 +7,11 @@ tested elsewhere.  Point sets are (n, N) ambient arrays; a SurfacePoint
 is built only by the scalar view return_map.  The one kernel,
 return_map_batch, makes one field call on the rows and hands them to the
 return leg of surfaces (_return_leg_rows), in blocks of at most
-BLOCK_ROWS rows; iterate_batch and settle_batch keep the seeds still
-running as compact working rows.
+BLOCK_ROWS rows.  Orbits run in one loop, _orbits, on compact working
+rows (the seeds still running) with one displacement norm, _row_norm;
+iterate_batch (plain steps of F), settle_batch (amplified steps and the
+contraction rule) and iterate_orbit (one seed, its image rows recorded)
+are configurations of it, and none of them calls another.
 """
 
 from __future__ import annotations
@@ -97,6 +100,85 @@ class OrbitRecord:
     limit_grad_norm: float | None = None  # |grad d| at the last row, when converged
 
 
+@dataclass
+class BatchOrbitResult:
+    """Limits and step counts for a batch of seeds (no trajectories kept)."""
+
+    limits: np.ndarray       # (n, N) ambient, last iterate
+    steps: np.ndarray        # (n,) int
+    converged: np.ndarray    # (n,) bool
+
+
+def _row_norm(D: np.ndarray) -> np.ndarray:
+    """|D| of each (n, N) row: the squares summed over the columns one
+    after another, the order in which np.linalg.norm(D, axis=-1) sums
+    them, so the norms equal its bit for bit without its reduction over a
+    length-N inner loop."""
+    return np.sqrt(sum((D * D).T))
+
+
+def _orbits(step, core: ConvexCore, seeds: np.ndarray, tol: float, max_iters: int,
+            amplify: bool = False, record=None) -> BatchOrbitResult:
+    """The one orbit loop: iterate step, a batched map (n, N) -> (n, N)
+    on core, from each seed, a row of seeds, until the seed stops.
+
+    Plain, a seed's next iterate is its image y = step(x), and it stops at
+    the first displacement |y - x| below tol.  Amplified, it takes
+    settle_batch's G_K steps and stops on the contraction rule.  Each map
+    call maps exactly the seeds still running, and max_iters counts map
+    calls.  A seed that stops keeps its image as its limit and the number
+    of map calls so far as its steps; the others keep their last iterate
+    and the number of calls made.  record, when given, receives each
+    call's image rows."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    X = np.array(seeds, dtype=float, ndmin=2)
+    n = X.shape[0]
+    steps = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+    # the working rows are the seeds still running: ids, iterates and, when
+    # amplified, the settle state: last displacements (-inf forces two steps,
+    # so the first displacement cannot satisfy the contraction rule
+    # vacuously) with their vectors, and gains K
+    work = [np.arange(n), X.copy()]
+    if amplify:
+        trust = TRUST_RADIUS * core.surface_scale()
+        work += [np.full(n, -np.inf), np.zeros(X.shape), np.ones(n)]
+    it = 0
+    while work[0].size and it < max_iters:
+        it += 1
+        ids, Xa = work[:2]
+        Y = step(Xa)
+        if record is not None:
+            record(Y)
+        D = Y - Xa
+        disp = _row_norm(D)
+        stop = disp < tol
+        if amplify:
+            prev, prev_D, K = work[2:]
+            stop &= disp <= prev
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cos = np.sum(D * prev_D, axis=-1) / (disp * prev)  # nan where undefined
+                r = np.where(prev > 0.0, disp / prev, np.inf)
+                K_next = np.where(cos >= AMPLIFY_COS, 2.0 * K, 0.5 * K)
+                K_next = np.where(r < 1.0, np.minimum(K_next, K / (1.0 - r)), K_next)
+                K_next = np.maximum(np.minimum(K_next, trust / disp), 1.0)
+            Xn = Y.copy()
+            amp = (K_next != 1.0) & ~stop
+            if amp.any():
+                Xn[amp] = retract_batch(core, Xa[amp], K_next[amp, None] * D[amp])
+            work = [ids, Xn, disp, D, K_next]
+        else:
+            work = [ids, Y]
+        if stop.any():
+            done = ids[stop]
+            X[done], steps[done], converged[done] = Y[stop], it, True
+            work = [w[~stop] for w in work]
+    ids, Xa = work[:2]
+    X[ids], steps[ids] = Xa, it
+    return BatchOrbitResult(X, steps, converged)
+
+
 def iterate_orbit(
     dom: RadialDomain,
     x0: np.ndarray,
@@ -106,8 +188,9 @@ def iterate_orbit(
     """Iterate F from the ambient row x0, (N,), until the ambient
     displacement drops below tol.
 
-    Each step is one return_map_batch call on a single ambient row.  After
-    the loop one batched pass over the rows takes the thickness values and
+    The orbit engine runs the one seed, each step one return_map_batch
+    call on a single ambient row, and records each image row.  After the
+    loop one batched pass over the rows takes the thickness values and
     checks them as a loop of scalar steps would each step: every iterate is
     on the core (|implicit| <= TOL_SURFACE) and every row, the seed's
     included, has d > 0.  The record ends before the first row that fails,
@@ -115,25 +198,19 @@ def iterate_orbit(
     a ShellmapError raised by the kernel ends it at the last point reached.
     A row joins the record with its thickness, also on an error record;
     row 0 is x0 as given."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     core = dom.core
     x = np.asarray(x0, dtype=float)[None]
-    rows, disps = [x], []
+    rows = [x]
     status, error_kind = "max_iterations", None
     try:
-        for _ in range(max_iters):
-            y = return_map_batch(dom, x)
-            step = float(np.linalg.norm(y[0] - x[0]))
-            rows.append(y)
-            disps.append(step)
-            x = y
-            if step < tol:
-                status = "converged"
-                break
+        if _orbits(partial(return_map_batch, dom), core, x, tol, max_iters, record=rows.append).converged[0]:
+            status = "converged"
     except ShellmapError as exc:
         status, error_kind = "error", type(exc).__name__
     X = np.concatenate(rows)
+    S = np.diff(X, axis=0)
+    # each step's norm as for one point, which an axis norm can differ from in the last bit
+    disps = np.sqrt(np.vecdot(S, S))
     d = dom.field.ambient_value(X)
     off = np.abs(core.implicit(X)) > TOL_SURFACE
     off[0] = False  # the seed is taken as given
@@ -144,16 +221,7 @@ def iterate_orbit(
         error_kind = OffSurface.__name__ if off[k] else InadmissibleThickness.__name__
         X, d, disps = X[:k], d[:k], disps[:max(k - 1, 0)]
     gnorm = float(np.linalg.norm(dom.field.tangent_gradient(X[-1:])[0])) if status == "converged" else None
-    return OrbitRecord(X, d, np.array(disps), status, error_kind, gnorm)
-
-
-@dataclass
-class BatchOrbitResult:
-    """Limits and step counts for a batch of seeds (no trajectories kept)."""
-
-    limits: np.ndarray       # (n, N) ambient, last iterate
-    steps: np.ndarray        # (n,) int
-    converged: np.ndarray    # (n,) bool
+    return OrbitRecord(X, d, disps, status, error_kind, gnorm)
 
 
 def iterate_batch(
@@ -166,26 +234,7 @@ def iterate_batch(
     the first displacement below tol (plain iteration).
     It takes the domain, not a BlackBoxMap, because its callers (the
     criterion 9 descent and its benchmark) hold one."""
-    X = np.array(seeds, dtype=float, ndmin=2)
-    n = X.shape[0]
-    steps = np.zeros(n, dtype=int)
-    converged = np.zeros(n, dtype=bool)
-    # the working rows are the seeds still running, ids and iterates; a seed
-    # is written back when it stops, with the number of map calls so far
-    ids, Xa = np.arange(n), X.copy()
-    it = 0
-    while ids.size and it < max_iters:
-        it += 1
-        Y = return_map_batch(dom, Xa)
-        done = np.linalg.norm(Y - Xa, axis=-1) < tol
-        if done.any():
-            stop = ids[done]
-            X[stop], steps[stop], converged[stop] = Y[done], it, True
-            keep = ~done
-            ids, Y = ids[keep], Y[keep]
-        Xa = Y
-    X[ids], steps[ids] = Xa, it
-    return BatchOrbitResult(X, steps, converged)
+    return _orbits(partial(return_map_batch, dom), dom.core, seeds, tol, max_iters)
 
 
 def settle_batch(F: BlackBoxMap, seeds: np.ndarray,
@@ -209,41 +258,7 @@ def settle_batch(F: BlackBoxMap, seeds: np.ndarray,
     with its F image as its limit.  Each map call maps exactly the seeds
     still running, and max_iters counts map calls.
     """
-    X = np.array(seeds, dtype=float, ndmin=2)
-    n = X.shape[0]
-    steps = np.zeros(n, dtype=int)
-    converged = np.zeros(n, dtype=bool)
-    trust = TRUST_RADIUS * F.core.surface_scale()
-    # the working rows are the seeds still running: ids, iterates, last
-    # displacements (-inf forces two steps, so the first displacement cannot
-    # satisfy the contraction rule vacuously) with their vectors, and gains K
-    ids, Xa = np.arange(n), X.copy()
-    prev, prev_D, K = np.full(n, -np.inf), np.zeros(X.shape), np.ones(n)
-    it = 0
-    while ids.size and it < max_iters:
-        it += 1
-        Y = F.batch(Xa)
-        D = Y - Xa
-        disp = np.linalg.norm(D, axis=-1)
-        stop = (disp < tol) & (disp <= prev)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cos = np.sum(D * prev_D, axis=-1) / (disp * prev)  # nan where undefined
-            r = np.where(prev > 0.0, disp / prev, np.inf)
-            K_next = np.where(cos >= AMPLIFY_COS, 2.0 * K, 0.5 * K)
-            K_next = np.where(r < 1.0, np.minimum(K_next, K / (1.0 - r)), K_next)
-            K_next = np.maximum(np.minimum(K_next, trust / disp), 1.0)
-        Xn = Y.copy()
-        amp = (K_next != 1.0) & ~stop
-        if amp.any():
-            Xn[amp] = retract_batch(F.core, Xa[amp], K_next[amp, None] * D[amp])
-        Xa, prev, prev_D, K = Xn, disp, D, K_next
-        if stop.any():
-            done = ids[stop]
-            X[done], steps[done], converged[done] = Y[stop], it, True
-            keep = ~stop
-            ids, Xa, prev, prev_D, K = ids[keep], Xa[keep], prev[keep], prev_D[keep], K[keep]
-    X[ids], steps[ids] = Xa, it
-    return BatchOrbitResult(X, steps, converged)
+    return _orbits(F.batch, F.core, seeds, tol, max_iters, amplify=True)
 
 
 def thickness_step_stats(dom: RadialDomain, X: np.ndarray):
@@ -256,4 +271,4 @@ def thickness_step_stats(dom: RadialDomain, X: np.ndarray):
     Y = return_map_batch(dom, X)
     d0 = dom.field.ambient_value(X)
     d1 = dom.field.ambient_value(Y)
-    return d0, d1, np.linalg.norm(Y - X, axis=-1)
+    return d0, d1, _row_norm(Y - X)

@@ -10,7 +10,8 @@ must have a reader in the package or the benchmark, and every name a
 package or test module imports must be referred to in it.  SurfacePoint
 and TangentFrame are named only by the scalar views the benchmark calls.
 Outside surfaces no function reads the quadric's axes or names a stage of
-the return leg's component-row layout.
+the return leg's component-row layout.  In dynamics only the orbit engine
+has a while loop.
 bench/reference.json is read and never written; the scenarios write their
 reports under the test's temporary directory.
 """
@@ -178,3 +179,13 @@ def test_only_surfaces_reads_the_quadric_axes():
                         if _reads_the_axes(_referenced(f, strings=True))]
     extra = sorted(set(reading) - AXES_READERS)
     assert not extra, f"functions outside surfaces that read the axes or a component-row stage: {extra}"
+
+
+def test_only_the_orbit_engine_has_a_while_loop():
+    # iterate_orbit, iterate_batch and settle_batch are configurations of one
+    # orbit loop, dynamics._orbits; a while loop elsewhere in dynamics is a
+    # second copy of its working rows and stop test
+    tree = ast.parse((PACKAGE / "dynamics.py").read_text())
+    looping = sorted(f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                     and any(isinstance(node, ast.While) for node in ast.walk(f)))
+    assert looping == ["_orbits"], f"functions in dynamics with a while loop: {looping}"

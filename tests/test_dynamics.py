@@ -22,15 +22,18 @@ from shellmap import (
     SumField,
     SurfacePoint,
     ZonalLegendreField,
+    basin_decomposition,
+    fixed_point_search,
     iterate_batch,
     iterate_orbit,
     return_map,
     return_map_batch,
+    settle_batch,
     thickness_step_stats,
 )
 from shellmap import dynamics
 from shellmap.domain import _outer_geometry_batch
-from shellmap.dynamics import OrbitRecord
+from shellmap.dynamics import OrbitRecord, _row_norm
 from shellmap.errors import ShellmapError
 from shellmap.harness import _Out, _task_orbit, parse_scenario_text, resolve
 from shellmap.surfaces import _ray_hit_cols, fibonacci_chart_grid
@@ -354,9 +357,55 @@ def test_iterate_batch_agrees_with_scalar_orbits():
     for i, ch in enumerate(charts):
         rec = iterate_orbit(dom, X[i], max_iters=20_000, tol=1e-9)
         assert batch.converged[i] and rec.status == "converged"
-        assert np.linalg.norm(batch.limits[i] - rec.points[-1]) < 1e-8
+        # one orbit loop runs both, so the limits and steps are the same
+        assert batch.limits[i].tobytes() == rec.points[-1].tobytes()
         assert batch.steps[i] == len(rec.points) - 1
 
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 700])
+def test_row_norm_sums_in_the_axis_norms_order(dim, n):
+    # the orbit loop's displacements equal np.linalg.norm(D, axis=-1) row by
+    # row; a numpy whose axis norm sums the columns in another order fails here
+    rng = np.random.default_rng(n)
+    D = rng.standard_normal((n, dim)) * np.exp(rng.uniform(-20.0, 20.0, (n, dim)))
+    assert _row_norm(D).tobytes() == np.linalg.norm(D, axis=-1).tobytes()
+
+
+def _counted_calls(monkeypatch):
+    """Count the kernel's calls, through dynamics and through a wrapped domain."""
+    kernel, calls = dynamics.return_map_batch, []
+
+    def counted(dom, X):
+        calls.append(len(X))
+        return kernel(dom, X)
+
+    monkeypatch.setattr(dynamics, "return_map_batch", counted)
+    return calls
+
+
+_ORBIT_ENTRIES = {
+    "iterate_orbit": lambda dom, X, tol: iterate_orbit(dom, X[0], max_iters=50, tol=tol),
+    "iterate_batch": lambda dom, X, tol: iterate_batch(dom, X, max_iters=50, tol=tol),
+    "settle_batch": lambda dom, X, tol: settle_batch(BlackBoxMap.wrap_domain(dom), X, tol=tol, max_iters=50),
+    "basin_decomposition": lambda dom, X, tol: basin_decomposition(BlackBoxMap.wrap_domain(dom), X, tol=tol,
+                                                                   max_iters=50),
+    "fixed_point_search": lambda dom, X, tol: fixed_point_search(BlackBoxMap.wrap_domain(dom), len(X), tol=tol,
+                                                                 max_iters=50),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10])
+@pytest.mark.parametrize("entry", sorted(_ORBIT_ENTRIES))
+def test_nonpositive_tol_raises_before_iterating(entry, tol, monkeypatch):
+    # no displacement is below a tol <= 0, so an orbit would run to max_iters
+    calls = _counted_calls(monkeypatch)
+    dom = zonal_domain()
+    X = SPHERE.ambient_from_chart(fibonacci_chart_grid(SPHERE, 8))
+    with pytest.raises(ValueError, match="tol must be positive"):
+        _ORBIT_ENTRIES[entry](dom, X, tol)
+    # fixed_point_search takes every seed's first step before it settles them
+    assert len(calls) == (entry == "fixed_point_search")
 
 
 def _active_index_loop(dom, seeds, max_iters, tol):
