@@ -478,6 +478,8 @@ def find_fixed_points(dom: RadialDomain, n_seeds: int, tol: float = 1e-10,
                       max_iters: int = 100_000) -> FixedPointScan:
     """Fixed points of the exact return map with thickness-gradient norms."""
     scan = fixed_point_search(BlackBoxMap.wrap_domain(dom), n_seeds, tol=tol, max_iters=max_iters)
-    # the norm row by row, as for one point: a norm over axis -1 can differ in the last bits
-    scan.grad_norms = np.array([np.linalg.norm(g) for g in dom.field.tangent_gradient(scan.points)])
+    # each row's norm as for one point (vecdot's dot equals the 1-D norm's bit
+    # for bit): a norm over axis -1 can differ in the last bits
+    G = dom.field.tangent_gradient(scan.points)
+    scan.grad_norms = np.sqrt(np.vecdot(G, G))
     return scan
