@@ -372,18 +372,6 @@ def test_row_norm_sums_in_the_axis_norms_order(dim, n):
     assert _row_norm(D).tobytes() == np.linalg.norm(D, axis=-1).tobytes()
 
 
-def _counted_calls(monkeypatch):
-    """Count the kernel's calls, through dynamics and through a wrapped domain."""
-    kernel, calls = dynamics.return_map_batch, []
-
-    def counted(dom, X):
-        calls.append(len(X))
-        return kernel(dom, X)
-
-    monkeypatch.setattr(dynamics, "return_map_batch", counted)
-    return calls
-
-
 _ORBIT_ENTRIES = {
     "iterate_orbit": lambda dom, X, tol: iterate_orbit(dom, X[0], max_iters=50, tol=tol),
     "iterate_batch": lambda dom, X, tol: iterate_batch(dom, X, max_iters=50, tol=tol),
@@ -399,13 +387,13 @@ _ORBIT_ENTRIES = {
 @pytest.mark.parametrize("entry", sorted(_ORBIT_ENTRIES))
 def test_nonpositive_tol_raises_before_iterating(entry, tol, monkeypatch):
     # no displacement is below a tol <= 0, so an orbit would run to max_iters
-    calls = _counted_calls(monkeypatch)
+    calls = _inject_at_step(monkeypatch, 0, None)  # counts the kernel's calls, replaces none
     dom = zonal_domain()
     X = SPHERE.ambient_from_chart(fibonacci_chart_grid(SPHERE, 8))
     with pytest.raises(ValueError, match="tol must be positive"):
         _ORBIT_ENTRIES[entry](dom, X, tol)
     # fixed_point_search takes every seed's first step before it settles them
-    assert len(calls) == (entry == "fixed_point_search")
+    assert calls[0] == (entry == "fixed_point_search")
 
 
 def _active_index_loop(dom, seeds, max_iters, tol):
