@@ -13,7 +13,10 @@ step_scale = +1 the step law the exact ray dynamics actually follows (see
 tests/test_measured_law.py).  The step operator and the residuals take
 the kernel's own resolvent on (n, N) rows (surfaces._resolvent_rows), so
 the residuals are batched on the closed-form tilt of the return map and
-the field's Hessian action.  A map is passed
+the field's Hessian action.  A residual sweep stacks the rows of all its
+fields into one batch (_expansion_residual_rows): one resolvent, one call
+of the kernel's row stage and one retraction per sweep, and one
+fit_loglog call for all its slopes.  A map is passed
 as one BlackBoxMap F; the FD Jacobian and the Newton polish of
 fixed_point_search take batches of centres (one retract_batch and one map
 call per stencil).
@@ -25,13 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import RadialDomain, _outer_geometry_batch
-from .dynamics import BlackBoxMap, return_map_batch, settle_batch
+from .domain import RadialDomain
+from .dynamics import BlackBoxMap, _return_map_rows, settle_batch
 from .errors import CurvatureSingularity, InadmissibleThickness, NotAFixedPoint
 from .surfaces import (
     ConvexCore,
     SurfacePoint,
     _frame_matrices,
+    _outer_geometry_rows,
     _require_on_core,
     _resolvent_rows,
     fibonacci_chart_grid,
@@ -87,50 +91,84 @@ def expansion_residual_batch(dom: RadialDomain, X, step_scale: float = CLASSICAL
     (Hess d[g] from the field's hessian_action) and as transverse the part
     of F(c) - c - w1 tangent to the core and orthogonal to grad d;
     "normal", |n(Phi(c)) + nu(c) - m| for the exact inward normal n.
-    transverse is zero for first_order and normal.
+    transverse is zero for first_order and normal.  The one-field view of
+    _expansion_residual_rows.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    total, transverse = _expansion_residual_rows(dom.core, [dom.field], X, step_scale, kind)
+    return total[0], transverse[0]
+
+
+def _expansion_residual_rows(core: ConvexCore, fields, X: np.ndarray, step_scale: float, kind: str):
+    """(total, transverse), each (E, n): expansion_residual_batch of each
+    of the E fields on core at the core points X, (n, N), as one batch.
+
+    The fields' (d, grad d) from ambient_value_grad are stacked into E n
+    rows, which take one _resolvent_rows, one kernel row call
+    (_return_map_rows) and one retract_batch; second_order calls each
+    field's hessian_action once, on its n rows.  A row's arithmetic does
+    not depend on the rows stacked with it, so each field's rows equal its
+    batch alone bit for bit.
     """
     if kind not in ("first_order", "second_order", "normal"):
         raise ValueError(f"unknown sweep kind {kind!r}")
-    core, fld = dom.core, dom.field
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    d = fld.ambient_value(X)
+    n_fields, n = len(fields), X.shape[0]
+    d, g = map(np.concatenate, zip(*(f.ambient_value_grad(X) for f in fields)))
     if np.any(d <= 0.0):
         raise InadmissibleThickness(f"nonpositive thickness at {int(np.sum(d <= 0.0))} points")
-    g = fld.ambient_grad(X)
+    X = np.tile(X, (n_fields, 1))
     nu, m = _resolvent_rows(core, X, d, g)
     transverse = np.zeros(X.shape[0])
     if kind == "normal":
-        _, n = _outer_geometry_batch(dom, X, d)
-        return np.linalg.norm(n + nu - m, axis=-1), transverse
-    w1 = step_scale * d[:, None] * m
-    F = return_map_batch(dom, X)
-    if kind == "first_order":
-        return np.linalg.norm(F - retract_batch(core, X, w1), axis=-1), transverse
-    gt = tangent_part(nu, g)
-    gnorm = np.linalg.norm(gt, axis=-1)
-    if np.any(gnorm == 0.0):
-        raise ValueError("second_order residual requires grad d != 0")
-    Hg = fld.hessian_action(X, gt)
-    w2 = w1 + (2.0 * d * d)[:, None] * Hg + (2.0 * d * gnorm**2)[:, None] * gt
-    total = np.linalg.norm(F - retract_batch(core, X, w2), axis=-1)
-    r = tangent_part(gt / gnorm[:, None], tangent_part(nu, F - X - w1))
-    return total, np.linalg.norm(r, axis=-1)
+        total = np.linalg.norm(_outer_geometry_rows(core, X, d, g)[1] + nu - m, axis=-1)
+        return total.reshape(n_fields, n), transverse.reshape(n_fields, n)
+    w = w1 = step_scale * d[:, None] * m
+    F = _return_map_rows(core, X, d, g)
+    if kind == "second_order":
+        gt = tangent_part(nu, g)
+        gnorm = np.linalg.norm(gt, axis=-1)
+        if np.any(gnorm == 0.0):
+            raise ValueError("second_order residual requires grad d != 0")
+        Hg = np.concatenate([f.hessian_action(X[:n], gt[i * n:(i + 1) * n]) for i, f in enumerate(fields)])
+        w = w1 + (2.0 * d * d)[:, None] * Hg + (2.0 * d * gnorm**2)[:, None] * gt
+        transverse = np.linalg.norm(tangent_part(gt / gnorm[:, None], tangent_part(nu, F - X - w1)), axis=-1)
+    total = np.linalg.norm(F - retract_batch(core, X, w), axis=-1)
+    return total.reshape(n_fields, n), transverse.reshape(n_fields, n)
 
 
 def fit_loglog(xs, ys, floor: float):
-    """Least-squares slope of log ys vs log xs.
+    """Least-squares slope of log ys vs log xs, for ys of shape (n,) or
+    (n, k) (one slope per column).
 
     Values at or below the floor are excluded (they are indistinguishable
     from round-off); if fewer than two points survive, the quantity
     vanishes at all tested scales and the slope is reported as +inf.
+    Returns (slope, points kept): a float and an int for 1-D ys, (k,)
+    arrays for 2-D ys.  Columns that keep the same points share one
+    np.polyfit, whose slopes equal per-column fits bit for bit.  Raises
+    ValueError on a non-finite y, which no floor can tell from a vanishing
+    or a diverging quantity.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    if not np.isfinite(ys).all():
+        raise ValueError(f"{int(np.sum(~np.isfinite(ys)))} non-finite values to fit")
     keep = ys > floor
-    if int(np.sum(keep)) < 2:
-        return float("inf"), int(np.sum(keep))
-    slope = np.polyfit(np.log(xs[keep]), np.log(ys[keep]), 1)[0]
-    return float(slope), int(np.sum(keep))
+    if ys.ndim == 1:
+        used = int(np.sum(keep))
+        if used < 2:
+            return float("inf"), used
+        return float(np.polyfit(np.log(xs[keep]), np.log(ys[keep]), 1)[0]), used
+    used = keep.sum(axis=0)
+    slopes = np.full(ys.shape[1], np.inf)
+    groups = {}
+    for j, mask in enumerate(keep.T):
+        groups.setdefault(mask.tobytes(), []).append(j)
+    for cols in groups.values():
+        mask = keep[:, cols[0]]
+        if used[cols[0]] >= 2:
+            slopes[cols] = np.polyfit(np.log(xs[mask]), np.log(ys[mask][:, cols]), 1)[0]
+    return slopes, used
 
 
 @dataclass
@@ -155,29 +193,36 @@ def residual_sweep(
 ) -> ExpansionResidualReport:
     """Evaluate residuals at fixed sample points for each epsilon.
 
-    field_factory(eps) builds the thickness field; kind selects the
-    residual: "first_order" (total only), "second_order" (total and
-    transverse), or "normal" (inward-normal expansion).  One
-    expansion_residual_batch call per epsilon.
+    field_factory(eps) builds the thickness field, which must be defined
+    on core; kind selects the residual: "first_order" (total only),
+    "second_order" (total and transverse), or "normal" (inward-normal
+    expansion).  All (epsilon, sample) rows go through one
+    _expansion_residual_rows call, so one kernel call per sweep, and the
+    pooled, per-sample and transverse slopes through one fit_loglog call.
+    An empty epsilon list or sample set raises ValueError.
     """
     eps_list = list(eps_list)
-    X = core.ambient_from_chart(np.atleast_2d(sample_charts))
-    res = np.array([expansion_residual_batch(RadialDomain(core, field_factory(eps)), X, step_scale, kind)
-                    for eps in eps_list])  # (epsilon, total | transverse, sample)
-    vals, tvals = res[:, 0], res[:, 1]
-    floor = SLOPE_FLOOR_FACTOR * core.surface_scale()
+    if not eps_list:
+        raise ValueError("residual_sweep needs at least one epsilon")
+    charts = np.atleast_2d(np.asarray(sample_charts, dtype=float))
+    if not charts.size:
+        raise ValueError("residual_sweep needs at least one sample point")
+    fields = [field_factory(eps) for eps in eps_list]
+    if any(f.core != core for f in fields):
+        raise ValueError("field is defined on a different core")
+    X = core.ambient_from_chart(charts)
+    vals, tvals = _expansion_residual_rows(core, fields, X, step_scale, kind)  # (epsilon, sample) each
     mean_res = vals.mean(axis=1)
-    slope, _ = fit_loglog(eps_list, mean_res, floor)
-    per_sample = np.array([fit_loglog(eps_list, vals[:, j], floor)[0] for j in range(X.shape[0])])
     mean_t = tvals.mean(axis=1)  # zero unless kind is second_order
-    t_slope = fit_loglog(eps_list, mean_t, floor)[0] if kind == "second_order" else float("nan")
+    columns = [mean_res[:, None], vals] + ([mean_t[:, None]] if kind == "second_order" else [])
+    slopes, _ = fit_loglog(eps_list, np.hstack(columns), SLOPE_FLOOR_FACTOR * core.surface_scale())
     return ExpansionResidualReport(
         epsilons=eps_list,
         residual_norms=list(mean_res),
-        fitted_slope=slope,
+        fitted_slope=float(slopes[0]),
         transverse_residual_norms=list(mean_t),
-        transverse_slope=t_slope,
-        per_sample_slopes=per_sample,
+        transverse_slope=float(slopes[-1]) if kind == "second_order" else float("nan"),
+        per_sample_slopes=slopes[1:1 + X.shape[0]],
     )
 
 

@@ -5,9 +5,12 @@ The forward map is computed purely by ray geometry (no asymptotic
 formulas), so it can serve as an independent oracle for every expansion
 tested elsewhere.  Point sets are (n, N) ambient arrays; a SurfacePoint
 is built only by the scalar view return_map.  The one kernel,
-return_map_batch, makes one field call on the rows and hands them to the
-return leg of surfaces (_return_leg_rows), in blocks of at most
-BLOCK_ROWS rows.  Orbits run in one loop, _orbits, on compact working
+return_map_batch, makes one field call on the rows and hands them with
+their d and grad d to its field-free row stage, _return_map_rows, which
+checks d > 0, runs the return leg of surfaces (_return_leg_rows) in
+blocks of at most BLOCK_ROWS rows and counts the rays that miss; the
+residual sweeps of analysis call the row stage on the rows of many
+fields at once.  Orbits run in one loop, _orbits, on compact working
 rows (the seeds still running) with one displacement norm, _row_norm;
 iterate_batch (plain steps of F), settle_batch (amplified steps and the
 contraction rule) and iterate_orbit (one seed, its image rows recorded)
@@ -50,20 +53,25 @@ def return_map(dom: RadialDomain, c: SurfacePoint) -> SurfacePoint:
 
 
 def return_map_batch(dom: RadialDomain, X: np.ndarray) -> np.ndarray:
-    """Vectorized return map on ambient points X, shape (n, N).
-
-    The field is evaluated on the rows of X and the return leg of
-    surfaces maps them.  Batches of more than BLOCK_ROWS rows go through
-    in blocks of BLOCK_ROWS, each checked for d > 0 and a degenerate
-    normal as it runs; rays that miss are counted over the whole batch."""
+    """Vectorized return map on ambient points X, shape (n, N): one field
+    call on the rows, then the row stage _return_map_rows."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    return _return_map_rows(dom.core, X, *dom.field.ambient_value_grad(X))
+
+
+def _return_map_rows(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The field-free row stage of the kernel: the return leg of surfaces
+    on core points X, (n, N), with thickness d, (n,), and ambient gradient
+    G, (n, N), of any fields on core.  d > 0 is checked on every row, the
+    leg runs in blocks of at most BLOCK_ROWS rows, each checked for a
+    degenerate normal as it runs, and rays that miss are counted over the
+    whole batch."""
+    if (d <= 0.0).any():
+        raise InadmissibleThickness("nonpositive thickness encountered in batch step")
     Y = np.empty(X.shape)
     for i in range(0, len(X), BLOCK_ROWS):
-        rows = X[i:i + BLOCK_ROWS]
-        d, G = dom.field.ambient_value_grad(rows)
-        if (d <= 0.0).any():
-            raise InadmissibleThickness("nonpositive thickness encountered in batch step")
-        Y[i:i + BLOCK_ROWS] = _return_leg_rows(dom.core, rows, d, G)
+        s = slice(i, i + BLOCK_ROWS)
+        Y[s] = _return_leg_rows(core, X[s], d[s], G[s])
     finite = np.isfinite(Y)
     if not finite.all():
         miss = int((~finite.all(axis=-1)).sum())
@@ -158,7 +166,7 @@ def _orbits(step, core: ConvexCore, seeds: np.ndarray, tol: float, max_iters: in
             prev, prev_D, K = work[2:]
             stop &= disp <= prev
             with np.errstate(divide="ignore", invalid="ignore"):
-                cos = np.sum(D * prev_D, axis=-1) / (disp * prev)  # nan where undefined
+                cos = sum((D * prev_D).T) / (disp * prev)  # _row_norm's column order; nan where undefined
                 r = np.where(prev > 0.0, disp / prev, np.inf)
                 K_next = np.where(cos >= AMPLIFY_COS, 2.0 * K, 0.5 * K)
                 K_next = np.where(r < 1.0, np.minimum(K_next, K / (1.0 - r)), K_next)

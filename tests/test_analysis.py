@@ -529,20 +529,111 @@ def test_second_order_residual_in_the_zonal_profile_pole_band():
     assert np.isfinite(transverse)
 
 
-def test_residual_sweep_makes_one_map_call_per_epsilon(monkeypatch):
-    calls = []
+@pytest.mark.parametrize("n_eps", [1, 3, 5])
+def test_residual_sweep_makes_one_kernel_call_per_sweep(monkeypatch, n_eps):
+    # every (epsilon, sample) row goes through one call of the return leg;
+    # the normal kind reads the outer normals alone and makes none
+    calls, leg = [], dynamics._return_leg_rows
 
-    def counted(dom, X):
+    def counted(core, X, d, G):
         calls.append(len(X))
-        return return_map_batch(dom, X)
+        return leg(core, X, d, G)
 
-    monkeypatch.setattr(analysis, "return_map_batch", counted)
+    monkeypatch.setattr(dynamics, "_return_leg_rows", counted)
     charts = np.array([[1.1, 0.3], [0.7, 2.0], [2.0, 4.0], [0.5, 5.0]])
-    eps_list = [1e-1, 1e-2, 1e-3]
-    for kind, n_calls in (("first_order", 3), ("second_order", 3), ("normal", 0)):
+    eps_list = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3][:n_eps]
+    for kind, expected in (("first_order", [4 * n_eps]), ("second_order", [4 * n_eps]), ("normal", [])):
         calls.clear()
         residual_sweep(SPHERE, lambda e: ZonalLegendreField(SPHERE, 0.5, e), eps_list, charts, kind=kind)
-        assert calls == [4] * n_calls
+        assert calls == expected
+
+
+SWEEP_EPS = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
+FIELD_FAMILIES = {
+    "sphere": (SPHERE, lambda e: ZonalLegendreField(SPHERE, 0.5, e)),
+    "probe_ellipsoid": (ELLIPSOID, lambda e: ZonalLegendreField(ELLIPSOID, 0.25, e)),
+    "tilted_ellipsoid": (TILTED_CORE, lambda e: ZonalLegendreField(TILTED_CORE, 0.25, e, axis=(0.3, 0.5, 0.8))),
+    "fourier_circle": (CIRCLE, lambda e: Fourier2DField(CIRCLE, 0.5, [(2, e), (3, 0.4 * e)])),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", sorted(FIELD_FAMILIES))
+def test_stacked_residual_rows_equal_per_field_batches(name, kind):
+    # the tilted ellipsoid takes retract_batch's Newton loop, whose rows stop
+    # at different steps, across the stacked rows of all fields
+    core, factory = FIELD_FAMILIES[name]
+    X = _residual_points(core, n=8)
+    fields = [factory(e) for e in SWEEP_EPS]
+    total, transverse = analysis._expansion_residual_rows(core, fields, X, MEASURED_STEP_SCALE, kind)
+    assert total.shape == transverse.shape == (len(fields), X.shape[0])
+    for i, fld in enumerate(fields):
+        t1, tr1 = expansion_residual_batch(RadialDomain(core, fld), X, MEASURED_STEP_SCALE, kind)
+        assert np.array_equal(total[i], t1) and np.array_equal(transverse[i], tr1)
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_FAMILIES))
+def test_residual_sweep_equals_per_epsilon_batches_and_fits(name):
+    # the sweep's one batch and one fit give the per-epsilon batches' means and
+    # the per-column fits bit for bit
+    core, factory = FIELD_FAMILIES[name]
+    X = _residual_points(core, n=6)
+    charts = core.chart_from_ambient(X)
+    floor = analysis.SLOPE_FLOOR_FACTOR * core.surface_scale()
+    rep = residual_sweep(core, factory, SWEEP_EPS, charts, kind="second_order")
+    Xc = core.ambient_from_chart(charts)
+    res = np.array([expansion_residual_batch(RadialDomain(core, factory(e)), Xc, kind="second_order")
+                    for e in SWEEP_EPS])
+    assert rep.residual_norms == list(res[:, 0].mean(axis=1))
+    assert rep.transverse_residual_norms == list(res[:, 1].mean(axis=1))
+    assert rep.fitted_slope == fit_loglog(SWEEP_EPS, res[:, 0].mean(axis=1), floor)[0]
+    assert rep.transverse_slope == fit_loglog(SWEEP_EPS, res[:, 1].mean(axis=1), floor)[0]
+    assert rep.per_sample_slopes.tolist() == [fit_loglog(SWEEP_EPS, res[:, 0, j], floor)[0]
+                                             for j in range(Xc.shape[0])]
+
+
+def test_fit_loglog_columns_equal_per_column_fits():
+    rng = np.random.default_rng(11)
+    xs = np.array([1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4])
+    for _ in range(200):
+        k = int(rng.integers(1, 9))
+        ys = np.exp(rng.uniform(-40.0, 0.0, size=(xs.size, k)))
+        # some columns keep every point, some share a mask, some keep one or none
+        ys[rng.uniform(size=ys.shape) < 0.25] = 1e-20
+        ys[:, rng.uniform(size=k) < 0.2] = 1e-20
+        slopes, used = fit_loglog(xs, ys, 1e-13)
+        assert slopes.shape == used.shape == (k,)
+        for j in range(k):
+            s1, u1 = fit_loglog(xs, ys[:, j], 1e-13)
+            assert slopes[j] == s1 and used[j] == u1
+    slopes, used = fit_loglog(xs, np.full((xs.size, 2), 1e-20), 1e-13)
+    assert np.all(slopes == np.inf) and np.all(used == 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_loglog_rejects_non_finite_values(bad):
+    # a nan once read as "vanishes at all tested scales" (slope +inf) and an inf gave a nan slope
+    with pytest.raises(ValueError, match="non-finite"):
+        fit_loglog([1.0, 2.0, 3.0], [bad, 1.0, 2.0], 0.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        fit_loglog([1.0, 2.0, 3.0], [[1.0, 1.0], [2.0, bad], [3.0, 4.0]], 0.0)
+
+
+def test_residual_sweep_rejects_an_empty_epsilon_list():
+    with pytest.raises(ValueError, match="epsilon"):
+        residual_sweep(SPHERE, lambda e: ZonalLegendreField(SPHERE, 0.5, e), [], [[1.1, 0.3]])
+
+
+def test_residual_sweep_rejects_an_empty_sample_set():
+    # runs under the suite's error::RuntimeWarning filter: no mean of an empty set
+    for charts in ([], np.empty((0, 2))):
+        with pytest.raises(ValueError, match="sample"):
+            residual_sweep(SPHERE, lambda e: ZonalLegendreField(SPHERE, 0.5, e), [1e-1, 1e-2], charts)
+
+
+def test_residual_sweep_rejects_a_field_on_another_core():
+    with pytest.raises(ValueError, match="different core"):
+        residual_sweep(SPHERE, lambda e: ZonalLegendreField(ELLIPSOID, 0.25, e), [1e-1, 1e-2], [[1.1, 0.3]])
 
 
 @pytest.mark.parametrize("kind", KINDS)

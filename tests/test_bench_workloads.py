@@ -11,7 +11,7 @@ package or test module imports must be referred to in it.  SurfacePoint
 and TangentFrame are named only by the scalar views the benchmark calls.
 Outside surfaces no function reads the quadric's axes or names a stage of
 the return leg's component-row layout.  In dynamics only the orbit engine
-has a while loop.
+has a while loop, and only the kernel's row stage calls the return leg.
 bench/reference.json is read and never written; the scenarios write their
 reports under the test's temporary directory.
 """
@@ -189,3 +189,16 @@ def test_only_the_orbit_engine_has_a_while_loop():
     looping = sorted(f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
                      and any(isinstance(node, ast.While) for node in ast.walk(f)))
     assert looping == ["_orbits"], f"functions in dynamics with a while loop: {looping}"
+
+
+def test_only_the_row_stage_calls_the_return_leg():
+    # return_map_batch and the residual sweeps reach the return leg through one
+    # row stage, dynamics._return_map_rows, which holds the d > 0 check, the
+    # blocks and the miss count; a second caller is a second kernel path
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        callers += [f"{path.stem}.{f.name}" for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                    and any(isinstance(node, ast.Call) and "_return_leg_rows" in _referenced(node.func, False)
+                            for node in ast.walk(f))]
+    assert callers == ["dynamics._return_map_rows"], f"functions that call the return leg: {callers}"
