@@ -10,7 +10,10 @@ their d and grad d to its field-free row stage, _return_map_rows, which
 checks d > 0, runs the return leg of surfaces (_return_leg_rows) in
 blocks of at most BLOCK_ROWS rows and counts the rays that miss; the
 residual sweeps of analysis call the row stage on the rows of many
-fields at once.  Orbits run in one loop, _orbits, on compact working
+fields at once.  A batch of one runs the same stages on its row as a
+point (N,), so its per-point values are numpy scalars, whose arithmetic
+skips the ufunc dispatch that dominates a one-row call; the image is
+returned as a (1, N) row, bit for bit the row a wider batch gives.  Orbits run in one loop, _orbits, on compact working
 rows (the seeds still running) with one displacement norm, _row_norm;
 iterate_batch (plain steps of F), settle_batch (amplified steps and the
 contraction rule) and iterate_orbit (one seed, its image rows recorded)
@@ -54,8 +57,11 @@ def return_map(dom: RadialDomain, c: SurfacePoint) -> SurfacePoint:
 
 def return_map_batch(dom: RadialDomain, X: np.ndarray) -> np.ndarray:
     """Vectorized return map on ambient points X, shape (n, N): one field
-    call on the rows, then the row stage _return_map_rows."""
+    call on the rows, then the row stage _return_map_rows.  One row runs
+    as the point X[0], (N,), and its image comes back as a (1, N) row."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if len(X) == 1:
+        return _return_map_rows(dom.core, X[0], *dom.field.ambient_value_grad(X[0]))[None]
     return _return_map_rows(dom.core, X, *dom.field.ambient_value_grad(X))
 
 
@@ -65,13 +71,17 @@ def _return_map_rows(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarr
     G, (n, N), of any fields on core.  d > 0 is checked on every row, the
     leg runs in blocks of at most BLOCK_ROWS rows, each checked for a
     degenerate normal as it runs, and rays that miss are counted over the
-    whole batch."""
+    whole batch.  A point X, (N,), with scalar d and G, (N,), runs the leg
+    once, with the same checks and messages."""
     if (d <= 0.0).any():
         raise InadmissibleThickness("nonpositive thickness encountered in batch step")
-    Y = np.empty(X.shape)
-    for i in range(0, len(X), BLOCK_ROWS):
-        s = slice(i, i + BLOCK_ROWS)
-        Y[s] = _return_leg_rows(core, X[s], d[s], G[s])
+    if X.ndim == 1:
+        Y = _return_leg_rows(core, X, d, G)
+    else:
+        Y = np.empty(X.shape)
+        for i in range(0, len(X), BLOCK_ROWS):
+            s = slice(i, i + BLOCK_ROWS)
+            Y[s] = _return_leg_rows(core, X[s], d[s], G[s])
     finite = np.isfinite(Y)
     if not finite.all():
         miss = int((~finite.all(axis=-1)).sum())

@@ -91,7 +91,13 @@ def parse_scenario_text(text: str) -> Scenario:
 
 
 def parse_scenario(path) -> Scenario:
-    return parse_scenario_text(Path(path).read_text())
+    """parse_scenario_text on the file at path, read as UTF-8; a file that
+    cannot be read or decoded raises ScenarioError naming the path."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read {str(path)!r}: {getattr(exc, 'strerror', None) or exc}") from None
+    return parse_scenario_text(text)
 
 
 _REQUIRED = object()
@@ -287,7 +293,8 @@ class _Out:
         row = ",".join("%d" if c.dtype.kind in "biu" else "%.17g" for c in columns) + "\n"
         with self._open(name) as fh:
             fh.write(",".join(header) + "\n")
-            fh.writelines(row % r for r in zip(*columns))
+            # Python numbers format faster than numpy scalars, to the same text
+            fh.writelines(row % r for r in zip(*(c.tolist() for c in columns)))
 
     def csv(self, name, header, rows):
         """A table of text cells, quoted where csv needs it."""

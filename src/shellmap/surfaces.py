@@ -13,10 +13,14 @@ The return leg of the return-map kernel lives here: the resolvent
 (_outer_geometry_cols) and the ray solve and hit (_ray_solve_cols,
 _ray_hit_cols).  These stages take points as the columns of contiguous
 component rows (N, n), so every arithmetic step runs on whole rows, and
-they sum dot products with _component_dot in einsum's order.  The layout
-stays inside this module: the other modules call the (n, N)-row entry
-points _return_leg_rows, _resolvent_rows, _outer_geometry_rows and
-_ray_solve_batch, each of which transposes once in and once out.
+they sum dot products with _component_dot in einsum's order.  They also
+take a single point (N,), for which every per-point value is a numpy
+scalar; _per_component shapes the per-axis constants to either form, so
+each stage's arithmetic is written once.  The layout stays inside this
+module: the other modules call the (n, N)-row entry points
+_return_leg_rows, _resolvent_rows, _outer_geometry_rows and
+_ray_solve_batch, each of which transposes once in and once out
+(_return_leg_rows also takes a point as it is).
 
 The tangent space is computed here alone: one unit normal
 (ConvexCore.normal, Mx/|Mx|), one projection (tangent_part) and frames
@@ -258,12 +262,18 @@ def _component_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return p[0] + p[1]
 
 
+def _per_component(v: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """v, one value per component, shaped to scale component rows X: a
+    column (N, 1) against rows (N, n), and v itself against a point (N,)."""
+    return v[:, None] if X.ndim > 1 else v
+
+
 def _ray_solve_cols(core: ConvexCore, O: np.ndarray, D: np.ndarray):
     """Smallest nonnegative parameters t of the rays O + t D, origins and
     directions as component rows (N, n), by the closed-form (q-method)
     solve: nan on a miss, with a grazing flag per ray where the
     discriminant is near zero."""
-    w = core.inv_axes_sq[:, None]
+    w = _per_component(core.inv_axes_sq, O)
     DW = D * w
     A = _component_dot(DW, D)
     B = 2.0 * _component_dot(DW, O)
@@ -294,7 +304,7 @@ def _ray_hit_cols(core: ConvexCore, O: np.ndarray, D: np.ndarray):
     keeps |implicit| at round-off; rays that miss are nan."""
     t, grazing = _ray_solve_cols(core, O, D)
     Y = O + t * D
-    YM = Y / core.axes_sq[:, None]
+    YM = Y / _per_component(core.axes_sq, Y)
     f = _component_dot(YM, Y) - 1.0
     df = 2.0 * _component_dot(YM, D)
     step = np.divide(-f, df, out=np.zeros_like(f), where=df != 0)
@@ -311,11 +321,12 @@ def _resolvent_cols(core: ConvexCore, X: np.ndarray, d: np.ndarray, V: np.ndarra
     solution of (I - d S) u = v_t is u = D (v_t + mu nu) with
     mu = -(nu . D v_t)/(nu . D nu), which equals D v + mu' D nu with
     mu' = -(nu . D v)/(nu . D nu) for the ambient vector v.  The tilt m is
-    the case V = grad d.  For d > 0 every step is defined; rows where
+    the case V = grad d.  X and V may also be one point (N,), with d a
+    scalar.  For d > 0 every step is defined; rows where
     I - d S is singular (d <= 0) are not finite and raise floating-point
     warnings, which a caller that admits such d silences.
     """
-    w = core.inv_axes_sq[:, None]
+    w = _per_component(core.inv_axes_sq, X)
     MX = X * w
     r = np.sqrt(_component_dot(MX, MX))
     nu = MX / r
@@ -350,7 +361,8 @@ def _return_leg_rows(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarr
     inward normals to their first hits on the core (_outer_geometry_cols,
     then _ray_hit_cols).  X and G are transposed once into contiguous
     component rows and the hits once out, as a view; rays that miss are
-    nan."""
+    nan.  A point X, (N,), with scalar d and G, (N,), is its own
+    transpose and gives its hit as a point."""
     Xout, nvec = _outer_geometry_cols(core, np.ascontiguousarray(X.T), d, np.ascontiguousarray(G.T))
     return _ray_hit_cols(core, Xout, nvec)[0].T
 

@@ -22,6 +22,7 @@ from shellmap import (
     SumField,
     SurfacePoint,
     ZonalLegendreField,
+    ZonalProfileField,
     basin_decomposition,
     fixed_point_search,
     iterate_batch,
@@ -34,7 +35,7 @@ from shellmap import (
 from shellmap import dynamics
 from shellmap.domain import _outer_geometry_batch
 from shellmap.dynamics import OrbitRecord, _row_norm
-from shellmap.errors import ShellmapError
+from shellmap.errors import ImmersionFailure, ShellmapError
 from shellmap.harness import _Out, _task_orbit, parse_scenario_text, resolve
 from shellmap.surfaces import _ray_hit_cols, fibonacci_chart_grid
 
@@ -163,6 +164,55 @@ def test_return_map_batch_rows_across_blocks_equal_batch_of_one(n):
 
 _TWO_AXIS = RadialDomain(SPHERE, SumField([ZonalLegendreField(SPHERE, 0.25, 0.02),
                                            ZonalLegendreField(SPHERE, 0.25, 0.02, axis=(0.3, 0.5, 0.8))]))
+
+
+_POINT_DOMAINS = {
+    "zonal_sphere": zonal_domain(0.5, 0.01),
+    "tilted_ellipsoid": _BIT_DOMAINS["ellipsoid"],
+    "fourier_circle": _BIT_DOMAINS["circle"],
+    "two_axis_sphere": _TWO_AXIS,
+    "constant_ellipsoid": RadialDomain(_TILTED, ConstantField(_TILTED, 0.25)),
+}
+
+
+@pytest.mark.parametrize("dom", _POINT_DOMAINS.values(), ids=_POINT_DOMAINS.keys())
+def test_batch_of_one_runs_as_a_point_and_equals_its_row_in_a_wide_batch(dom, monkeypatch):
+    # a batch of one runs the kernel stages on a point (N,), whose per-point
+    # values are numpy scalars; a batch of 1,000 runs them on component rows
+    X = dom.core.ambient_from_chart(fibonacci_chart_grid(dom.core, 1000))
+    Y = return_map_batch(dom, X)
+    rows, shapes = dynamics._return_map_rows, []
+
+    def spy(core, P, d, G):
+        shapes.append(P.shape)
+        return rows(core, P, d, G)
+
+    monkeypatch.setattr(dynamics, "_return_map_rows", spy)
+    for i, x in enumerate(X):
+        y = return_map_batch(dom, X[i:i + 1])
+        assert y.shape == (1, dom.core.dim) and np.array_equal(y[0], Y[i]), i
+        assert np.array_equal(return_map_batch(dom, x), y)
+    assert set(shapes) == {(dom.core.dim,)}
+
+
+_NAN_GRAD = RadialDomain(SPHERE, ZonalProfileField(SPHERE, 0.5, lambda w: 0.0 * w, lambda w: np.nan * w,
+                                                   lambda w: np.nan * w))
+
+
+@pytest.mark.parametrize("dom, seed, kind, message", [
+    (RadialDomain(SPHERE, ConstantField(SPHERE, 0.0)), (0.6, 0.0, 0.8), InadmissibleThickness,
+     "nonpositive thickness encountered in batch step"),
+    (RadialDomain(SPHERE, ZonalLegendreField(SPHERE, 0.1, 0.5)), (1.0, 0.0, 0.0), InadmissibleThickness, "nonpositive thickness encountered in batch step"),
+    (zonal_domain(), (np.nan,) * 3, NormalRayMissesCore, "1 inward rays miss the core"),
+    (_NAN_GRAD, (0.6, 0.0, 0.8), ImmersionFailure, "degenerate outer normal at 1 points"),
+], ids=["zero", "negative", "nan_seed", "degenerate_normal"])
+def test_batch_of_one_fails_with_the_kind_and_message_of_a_batch(dom, seed, kind, message):
+    # RuntimeWarnings are errors under pytest.ini, so a warning on the point
+    # path would surface here in place of the kernel's error
+    for X in (np.array([seed]), np.array(seed)):
+        with pytest.raises(kind) as err:
+            return_map_batch(dom, X)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("dom", [_BIT_DOMAINS["ellipsoid"], _TWO_AXIS], ids=["tilted_ellipsoid", "two_axis_sphere"])

@@ -207,6 +207,20 @@ def test_manifest_contents(tmp_path):
     assert "wall_time_s = " in manifest
 
 
+def test_out_table_formats_as_numpy_scalars_would(tmp_path):
+    # the rows are formatted from Python numbers; the text must be that of the
+    # numpy scalars: %d for int and bool columns, %.17g for floats, with signed
+    # zero, nan, infinities and a subnormal among the values
+    ints = np.array([0, -3, 2**62, 7, 1, -1])
+    flags = np.array([True, False, True, False, True, False])
+    floats = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1 + 0.2])
+    _Out(tmp_path).table("t.csv", ["i", "b", "f"], ints, flags, floats, list(floats))
+    want = "".join("%d,%d,%.17g,%.17g\n" % r for r in zip(ints, flags, floats, floats))
+    assert (tmp_path / "t.csv").read_text() == "i,b,f\n" + want
+    assert [line.split(",")[2] for line in want.splitlines()] == \
+        ["-0", "nan", "inf", "-inf", "4.9406564584124654e-324", "0.30000000000000004"]
+
+
 def _cells(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -297,6 +311,23 @@ def test_cli_validate_parse_error(tmp_path, capsys):
     rc = cli_main(["validate", scn_path(tmp_path, "name = x\nnot a kv line\n")])
     assert rc == 2
     assert "parse error at line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("kind, reason", [("missing", "No such file or directory"),
+                                          ("directory", "Is a directory"),
+                                          ("not_utf8", "can't decode byte 0xff")])
+def test_cli_unreadable_scenario_exit_2_names_the_path(tmp_path, capsys, command, kind, reason):
+    path = tmp_path / "s.scn"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_utf8":
+        path.write_bytes(b"name = \xff\n")
+    out = ["--out", str(tmp_path / "o")] if command == "run" else []
+    assert cli_main([command, str(path), *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: cannot read {str(path)!r}: ") and reason in err
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
 
 
 def test_cli_run_writes_files(tmp_path, capsys):

@@ -1,0 +1,14 @@
+"""The declared dependencies cover what the package calls."""
+
+import re
+from pathlib import Path
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def test_numpy_floor_is_at_least_2_0():
+    # np.vecdot (dynamics.iterate_orbit, analysis.find_fixed_points) is numpy
+    # 2.0+, and the bit-for-bit tests pin numpy 2.x summation orders
+    m = re.search(r'"numpy\s*>=\s*(\d+)(?:\.(\d+))?', PYPROJECT.read_text())
+    assert m, "pyproject.toml declares no numpy floor"
+    assert (int(m[1]), int(m[2] or 0)) >= (2, 0), f"numpy floor {m[0][1:]} is below 2.0"
