@@ -181,11 +181,11 @@ def test_batch_of_one_runs_as_a_point_and_equals_its_row_in_a_wide_batch(dom, mo
     # values are numpy scalars; a batch of 1,000 runs them on component rows
     X = dom.core.ambient_from_chart(fibonacci_chart_grid(dom.core, 1000))
     Y = return_map_batch(dom, X)
-    rows, shapes = dynamics._return_map_rows, []
+    stage, shapes = dynamics._return_map_rows, []
 
     def spy(core, P, d, G):
         shapes.append(P.shape)
-        return rows(core, P, d, G)
+        return stage(core, P, d, G)
 
     monkeypatch.setattr(dynamics, "_return_map_rows", spy)
     for i, x in enumerate(X):
@@ -199,14 +199,17 @@ _NAN_GRAD = RadialDomain(SPHERE, ZonalProfileField(SPHERE, 0.5, lambda w: 0.0 * 
                                                    lambda w: np.nan * w))
 
 
+_NONPOSITIVE = "nonpositive thickness encountered in batch step"
+
+
 @pytest.mark.parametrize("dom, seed, kind, message", [
-    (RadialDomain(SPHERE, ConstantField(SPHERE, 0.0)), (0.6, 0.0, 0.8), InadmissibleThickness,
-     "nonpositive thickness encountered in batch step"),
-    (RadialDomain(SPHERE, ZonalLegendreField(SPHERE, 0.1, 0.5)), (1.0, 0.0, 0.0), InadmissibleThickness, "nonpositive thickness encountered in batch step"),
+    (RadialDomain(SPHERE, ConstantField(SPHERE, 0.0)), (0.6, 0.0, 0.8), InadmissibleThickness, _NONPOSITIVE),
+    (RadialDomain(SPHERE, ZonalLegendreField(SPHERE, 0.1, 0.5)), (1.0, 0.0, 0.0), InadmissibleThickness,
+     _NONPOSITIVE),
     (zonal_domain(), (np.nan,) * 3, NormalRayMissesCore, "1 inward rays miss the core"),
     (_NAN_GRAD, (0.6, 0.0, 0.8), ImmersionFailure, "degenerate outer normal at 1 points"),
 ], ids=["zero", "negative", "nan_seed", "degenerate_normal"])
-def test_batch_of_one_fails_with_the_kind_and_message_of_a_batch(dom, seed, kind, message):
+def test_batch_of_one_fails_with_the_kernels_kinds_and_messages(dom, seed, kind, message):
     # RuntimeWarnings are errors under pytest.ini, so a warning on the point
     # path would surface here in place of the kernel's error
     for X in (np.array([seed]), np.array(seed)):
