@@ -49,7 +49,7 @@ FIXED_POINT_RESIDUAL_TOL = 1e-8
 NEWTON_MAX_STEPS = 20
 MAX_REFINE = 64
 CLUSTER_CHUNK = 1 << 15  # floats in one distance temporary of _greedy_clusters (256 KiB)
-DEFAULT_FD_STEP = 1e-5
+DEFAULT_FD_STEP = 1e-5  # in units of surface_scale()
 SLOPE_FLOOR_FACTOR = 1e-13
 NEUTRAL_TOL = 1e-6  # |mu| this close to 1 is neutral
 
@@ -322,8 +322,11 @@ def finite_difference_jacobian_batch(F: BlackBoxMap, X: np.ndarray, E: np.ndarra
     """Central-difference DF, (k, N-1, N-1), at centres X, (k, N), in frames
     E, (k, N-1, N): the frame components E diff^T of the difference
     quotients, which read only their tangent parts (valid at fixed
-    points).  The 2(N-1)k stencil points c +- h e_i take one retract_batch
-    and one call of F; one centre is a batch of one."""
+    points).  The step h is in units of F.core.surface_scale(), so DF does
+    not change when the problem is rescaled.  The 2(N-1)k stencil points
+    c +- h e_i take one retract_batch and one call of F; one centre is a
+    batch of one."""
+    h = h * F.core.surface_scale()
     k, m, n = E.shape
     V = (np.array([h, -h])[None, None, :, None] * E[:, :, None, :]).reshape(-1, n)
     Y = F.batch(retract_batch(F.core, np.repeat(X, 2 * m, axis=0), V)).reshape(k, m, 2, n)
@@ -336,7 +339,8 @@ def linearize(dom: RadialDomain, X, mode: str = "fd", step_scale: float = CLASSI
     """DF of the exact return map and its classification at the k fixed
     points X, (k, N) ambient rows, in the frames frames_batch(core, X).
 
-    mode "fd": DF by central differences at step h (fixed_point_jacobian).
+    mode "fd": DF by central differences at step h surface_scale()
+    (fixed_point_jacobian).
     The index counts the eigenvalues of (2G)^(-1) (I - DF) below
     -NEUTRAL_TOL, with G = d (I - dS)^(-1) the step operator: the classical
     model's quotient, which for this map is -Hess d / 2, so it reports the

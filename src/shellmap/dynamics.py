@@ -10,14 +10,19 @@ their d and grad d to its field-free row stage, _return_map_rows, which
 checks d > 0, runs the return leg of surfaces (_return_leg_rows) in
 blocks of at most BLOCK_ROWS rows and counts the rays that miss; the
 residual sweeps of analysis call the row stage on the rows of many
-fields at once.  A batch of one runs the same stages on its row as a
+fields at once.  The kernel coerces X only when it is not already a 2-D
+float64 array.  A batch of one runs the same stages on its row as a
 point (N,), so its per-point values are numpy scalars, whose arithmetic
 skips the ufunc dispatch that dominates a one-row call; the image is
-returned as a (1, N) row, bit for bit the row a wider batch gives.  Orbits run in one loop, _orbits, on compact working
-rows (the seeds still running) with one displacement norm, _row_norm;
+returned as a (1, N) row, bit for bit the row a wider batch gives.
+
+Orbits run in one loop, _orbits, on compact working rows (the seeds
+still running) with one displacement norm, _row_norm, which adds the
+squared columns in np.linalg.norm's order without a length-N inner loop;
 iterate_batch (plain steps of F), settle_batch (amplified steps and the
-contraction rule) and iterate_orbit (one seed, its image rows recorded)
-are configurations of it, and none of them calls another.
+contraction rule) and iterate_orbit (one seed, an owning copy of each
+image row recorded) are configurations of it, and none of them calls
+another.
 """
 
 from __future__ import annotations
@@ -59,7 +64,8 @@ def return_map_batch(dom: RadialDomain, X: np.ndarray) -> np.ndarray:
     """Vectorized return map on ambient points X, shape (n, N): one field
     call on the rows, then the row stage _return_map_rows.  One row runs
     as the point X[0], (N,), and its image comes back as a (1, N) row."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if not (type(X) is np.ndarray and X.ndim == 2 and X.dtype == np.float64):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
     if len(X) == 1:
         return _return_map_rows(dom.core, X[0], *dom.field.ambient_value_grad(X[0]))[None]
     return _return_map_rows(dom.core, X, *dom.field.ambient_value_grad(X))
@@ -129,10 +135,14 @@ class BatchOrbitResult:
 
 def _row_norm(D: np.ndarray) -> np.ndarray:
     """|D| of each (n, N) row: the squares summed over the columns one
-    after another, the order in which np.linalg.norm(D, axis=-1) sums
-    them, so the norms equal its bit for bit without its reduction over a
-    length-N inner loop."""
-    return np.sqrt(sum((D * D).T))
+    after another, (P0 + P1) + P2, the order in which
+    np.linalg.norm(D, axis=-1) sums them, so the norms equal its bit for
+    bit without its reduction over a length-N inner loop."""
+    P = D * D
+    s = P[:, 0] + P[:, 1]
+    if P.shape[1] == 3:
+        s += P[:, 2]
+    return np.sqrt(s, out=s)
 
 
 def _orbits(step, core: ConvexCore, seeds: np.ndarray, tol: float, max_iters: int,
@@ -189,9 +199,9 @@ def _orbits(step, core: ConvexCore, seeds: np.ndarray, tol: float, max_iters: in
         else:
             work = [ids, Y]
         if stop.any():
-            done = ids[stop]
+            done, keep = ids[stop], ~stop
             X[done], steps[done], converged[done] = Y[stop], it, True
-            work = [w[~stop] for w in work]
+            work = [w[keep] for w in work]
     ids, Xa = work[:2]
     X[ids], steps[ids] = Xa, it
     return BatchOrbitResult(X, steps, converged)
@@ -219,13 +229,19 @@ def iterate_orbit(
     core = dom.core
     x = np.asarray(x0, dtype=float)[None]
     rows = [x]
+    def record(Y):
+        # a copy: a batch of one returns a view of its point, which would keep
+        # a second array alive per step until the rows are joined
+        rows.append(Y.copy())
+
     status, error_kind = "max_iterations", None
     try:
-        if _orbits(partial(return_map_batch, dom), core, x, tol, max_iters, record=rows.append).converged[0]:
+        if _orbits(partial(return_map_batch, dom), core, x, tol, max_iters, record=record).converged[0]:
             status = "converged"
     except ShellmapError as exc:
         status, error_kind = "error", type(exc).__name__
     X = np.concatenate(rows)
+    rows.clear()  # the joined block replaces the per-step rows
     S = np.diff(X, axis=0)
     # each step's norm as for one point, which an axis norm can differ from in the last bit
     disps = np.sqrt(np.vecdot(S, S))

@@ -126,13 +126,21 @@ class ZonalProfileField(ThicknessField):
     def ambient_value(self, X):
         return self.d0 + self.g(self._w(X))
 
+    def _grad(self, w):
+        # g'(w) grad w written column by column: the products of the broadcast
+        # g'(w)[..., None] * grad w, without its length-N inner loop
+        dg = self.dg(w)
+        G = np.empty(np.shape(w) + self._gw.shape)
+        for j, c in enumerate(self._gw.tolist()):
+            G[..., j] = dg * c
+        return G
+
     def ambient_grad(self, X):
-        w = self._w(X)
-        return self.dg(w)[..., None] * self._gw
+        return self._grad(self._w(X))
 
     def ambient_value_grad(self, X):
         w = self._w(X)
-        return self.d0 + self.g(w), self.dg(w)[..., None] * self._gw
+        return self.d0 + self.g(w), self._grad(w)
 
     def ambient_hess(self, X):
         w = self._w(X)

@@ -185,11 +185,9 @@ _point = _Given(lambda core, _: partial(_named_point, core))
 _chart = _Given(lambda core, _: _checked(
     _parse_floats, lambda v: len(v) == core.dim - 1 and np.all(np.isfinite(v)),
     f"expected {core.dim - 1} finite values"))
-# the FD step: positive and at most 1e-2 surface_scale(), beyond which
-# central differences cannot resolve DF
-_fd_step = _Given(lambda core, _: _checked(
-    float, lambda h: 0 < h <= 1e-2 * core.surface_scale(),
-    f"must be positive and at most {1e-2 * core.surface_scale():g}"))
+# the FD step, in units of surface_scale(): positive and at most 1e-2, beyond
+# which central differences cannot resolve DF
+_fd_step = _checked(float, lambda h: 0 < h <= 1e-2, "must be positive and at most 0.01")
 _alpha_factors = _Given(lambda core, v: lambda text: [_gain(v["alpha"] * m) for m in _parse_floats(text)])
 
 CORES = {  # kind -> (constructor, keys)

@@ -62,7 +62,7 @@ def recover_descent_field(F: BlackBoxMap, samples):
 def estimate_composite_operator(F: BlackBoxMap, c_star: SurfacePoint,
                                 frame: TangentFrame | None = None) -> np.ndarray:
     """I - DF at a fixed point, DF by the central-difference stencil at
-    step DEFAULT_FD_STEP."""
+    step DEFAULT_FD_STEP surface_scale()."""
     if frame is None:
         frame = frame_at(F.core, c_star)
     DF = fixed_point_jacobian(F, c_star.ambient[None], frame.vectors[None])[0]

@@ -16,11 +16,16 @@ component rows (N, n), so every arithmetic step runs on whole rows, and
 they sum dot products with _component_dot in einsum's order.  They also
 take a single point (N,), for which every per-point value is a numpy
 scalar; _per_component shapes the per-axis constants to either form, so
-each stage's arithmetic is written once.  The layout stays inside this
+each stage's arithmetic is written once.  A sphere's or circle's
+constants are one value, handed on as a scalar, so a per-point value
+scaled by them, such as the resolvent's diagonal, stays one (n,) row.
+The ray solve picks its root with ufuncs (copysign for the sign of B,
+fmax for the q = 0 guard) where a select would cost a pass; every output
+is bit for bit that of the selects.  The layout stays inside this
 module: the other modules call the (n, N)-row entry points
 _return_leg_rows, _resolvent_rows, _outer_geometry_rows and
 _ray_solve_batch, each of which transposes once in and once out
-(_return_leg_rows also takes a point as it is).
+(_return_leg_rows takes a point as it is).
 
 The tangent space is computed here alone: one unit normal
 (ConvexCore.normal, Mx/|Mx|), one projection (tangent_part) and frames
@@ -54,8 +59,10 @@ class ConvexCore:
     and is constant for the sphere and the circle.
     The implicit function is f(x) = sum (x_i/s_i)^2 - 1 (negative inside).
     axes is semi_axes as a read-only array, and axes_sq and inv_axes_sq
-    are axes**2 and 1/axes**2, all built once; equality and hashing use
-    kind and semi_axes only.
+    are axes**2 and 1/axes**2, all built once; for the sphere and the
+    circle these two hold their one value as a single entry, which
+    broadcasts over every component.  Equality and hashing use kind and
+    semi_axes only.
     """
 
     kind: str
@@ -76,7 +83,8 @@ class ConvexCore:
             raise ValueError(f"{self.kind} core requires equal semi-axes")
         object.__setattr__(self, "semi_axes", axes)
         arr = np.array(axes)
-        for name, value in (("axes", arr), ("axes_sq", arr**2), ("inv_axes_sq", 1.0 / arr**2)):
+        per_axis = arr if self.kind == "ellipsoid" else arr[:1]
+        for name, value in (("axes", arr), ("axes_sq", per_axis**2), ("inv_axes_sq", 1.0 / per_axis**2)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
@@ -255,16 +263,23 @@ def _component_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Dot products of the points of A and B, component rows (N, n) each:
     p = A * B summed as (p[0] + p[2]) + p[1] for N=3 and p[0] + p[1] for
     N=2, the order in which numpy's einsum("ij,ij->i") sums C-ordered
-    (n, N) rows, so the sums equal its row dots bit for bit."""
+    (n, N) rows, so the sums equal its row dots bit for bit.  The sums
+    accumulate in place in the row p[0], or in a scalar for points."""
     p = A * B
+    s = p[0]
     if len(p) == 3:
-        return (p[0] + p[2]) + p[1]
-    return p[0] + p[1]
+        s += p[2]
+    s += p[1]
+    return s
 
 
-def _per_component(v: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _per_component(v: np.ndarray, X: np.ndarray):
     """v, one value per component, shaped to scale component rows X: a
-    column (N, 1) against rows (N, n), and v itself against a point (N,)."""
+    column (N, 1) against rows (N, n), and v itself against a point (N,).
+    The one entry of an isotropic core's v is handed on as a scalar, so
+    a per-point value scaled by it stays one (n,) row or one scalar."""
+    if len(v) == 1:
+        return v[0]
     return v[:, None] if X.ndim > 1 else v
 
 
@@ -276,17 +291,26 @@ def _ray_solve_cols(core: ConvexCore, O: np.ndarray, D: np.ndarray):
     w = _per_component(core.inv_axes_sq, O)
     DW = D * w
     A = _component_dot(DW, D)
-    B = 2.0 * _component_dot(DW, O)
-    C = _component_dot(O * w, O) - 1.0
-    disc = B * B - 4.0 * A * C
+    B = _component_dot(DW, O)
+    B *= 2.0
+    C = _component_dot(O * w, O)
+    C -= 1.0
+    disc = B * B
+    disc -= 4.0 * A * C
     grazing = np.abs(disc) < GRAZING_TOL
     disc_c = np.sqrt(np.maximum(disc, 0.0))
-    q = -0.5 * (B + np.where(B < 0, -disc_c, disc_c))
+    # disc_c with the sign of B; + 0.0 turns B = -0.0 into +0.0, so it
+    # takes +disc_c as B < 0 is false there
+    q = B + np.copysign(disc_c, B + 0.0)
+    q *= -0.5
     # A = 0 (a null direction) leaves q / A undefined, as nan or +-inf, so
-    # no mask can stand in for this block
+    # no mask can stand in for this block.  Where q = +-0, C / q is +-inf or
+    # nan and t1 = q / A is +-0 or nan, so t2 = -inf there (fmax takes nan
+    # to -inf) leaves the choice below at t1, as t2 = +inf would; where
+    # q != 0, C / q is nan only if q is, and then so is t1
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = q / A
-        t2 = np.where(q != 0, C / q, np.inf)
+        t2 = np.fmax(C / q, -np.inf)
     lo = np.minimum(t1, t2)
     t = np.where(lo >= 0, lo, np.maximum(t1, t2))
     t[(t < 0) | (disc < -GRAZING_TOL)] = np.nan
@@ -303,11 +327,14 @@ def _ray_hit_cols(core: ConvexCore, O: np.ndarray, D: np.ndarray):
     like O and D, with the grazing flags.  One Newton step along each ray
     keeps |implicit| at round-off; rays that miss are nan."""
     t, grazing = _ray_solve_cols(core, O, D)
-    Y = O + t * D
+    Y = t * D
+    Y += O
     YM = Y / _per_component(core.axes_sq, Y)
-    f = _component_dot(YM, Y) - 1.0
-    df = 2.0 * _component_dot(YM, D)
-    step = np.divide(-f, df, out=np.zeros_like(f), where=df != 0)
+    f = _component_dot(YM, Y)
+    f -= 1.0
+    df = _component_dot(YM, D)
+    df *= 2.0
+    step = np.divide(-f, df, out=np.zeros(np.shape(f)), where=df != 0)
     Y += step * D
     return Y, grazing
 
@@ -322,18 +349,23 @@ def _resolvent_cols(core: ConvexCore, X: np.ndarray, d: np.ndarray, V: np.ndarra
     mu = -(nu . D v_t)/(nu . D nu), which equals D v + mu' D nu with
     mu' = -(nu . D v)/(nu . D nu) for the ambient vector v.  The tilt m is
     the case V = grad d.  X and V may also be one point (N,), with d a
-    scalar.  For d > 0 every step is defined; rows where
+    scalar.  On a sphere or circle M is a scalar, so the diagonal D is one
+    (n,) row (a scalar at a point).  For d > 0 every step is defined; rows where
     I - d S is singular (d <= 0) are not finite and raise floating-point
     warnings, which a caller that admits such d silences.
     """
     w = _per_component(core.inv_axes_sq, X)
-    MX = X * w
-    r = np.sqrt(_component_dot(MX, MX))
-    nu = MX / r
-    D = 1.0 / (1.0 + d / r * w)
+    nu = X * w
+    r = np.sqrt(_component_dot(nu, nu))
+    nu /= r
+    D = d / r * w
+    D += 1.0
+    D = 1.0 / D
     Dnu = D * nu
     mu = -_component_dot(Dnu, V) / _component_dot(Dnu, nu)
-    return nu, D * V + mu * Dnu
+    R = D * V
+    R += mu * Dnu
+    return nu, R
 
 
 def _outer_geometry_cols(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarray):
@@ -342,8 +374,8 @@ def _outer_geometry_cols(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.n
     component rows (N, n); a degenerate normal raises ImmersionFailure.
     |m - nu| >= 1 wherever m is finite, so for d > 0 no step divides by
     zero."""
-    nu, m = _resolvent_cols(core, X, d, G)
-    nvec = m - nu
+    nu, nvec = _resolvent_cols(core, X, d, G)
+    nvec -= nu  # m - nu
     norms = np.sqrt(_component_dot(nvec, nvec))
     nvec /= norms
     ok = norms < np.inf
@@ -352,7 +384,9 @@ def _outer_geometry_cols(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.n
         bad = ~ok & np.isfinite(d)
         if bad.any():
             raise ImmersionFailure(f"degenerate outer normal at {int(np.sum(bad))} points")
-    return X + d * nu, nvec
+    Xout = d * nu
+    Xout += X
+    return Xout, nvec
 
 
 def _return_leg_rows(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -361,9 +395,11 @@ def _return_leg_rows(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarr
     inward normals to their first hits on the core (_outer_geometry_cols,
     then _ray_hit_cols).  X and G are transposed once into contiguous
     component rows and the hits once out, as a view; rays that miss are
-    nan.  A point X, (N,), with scalar d and G, (N,), is its own
-    transpose and gives its hit as a point."""
-    Xout, nvec = _outer_geometry_cols(core, np.ascontiguousarray(X.T), d, np.ascontiguousarray(G.T))
+    nan.  A point X, (N,), with scalar d and G, (N,), goes to the stages
+    as it is and gives its hit as a point."""
+    if X.ndim > 1:
+        X, G = np.ascontiguousarray(X.T), np.ascontiguousarray(G.T)
+    Xout, nvec = _outer_geometry_cols(core, X, d, G)
     return _ray_hit_cols(core, Xout, nvec)[0].T
 
 

@@ -15,6 +15,7 @@ from shellmap import (
     InadmissibleThickness,
     NotAFixedPoint,
     RadialDomain,
+    ScaledField,
     SurfacePoint,
     ZonalLegendreField,
     ZonalProfileField,
@@ -209,6 +210,19 @@ def test_linearize_fd_pole_attracting():
     assert rep.stability == "Attracting"
 
 
+@pytest.mark.parametrize("chart", [(0.0, 0.0), (np.pi / 2, 0.0)], ids=["pole", "equator"])
+def test_linearize_fd_is_scale_covariant(chart):
+    # the FD step is in units of surface_scale(), so rescaling the core and d
+    # together by R leaves DF unchanged; an absolute step of 1e-5 read the
+    # pole eigenvalue 0.98981909 at R = 1e-3 against 0.98986755 at R = 1
+    eigs = []
+    for R in (1e-3, 1.0, 1e3):
+        core = ConvexCore.sphere(R)
+        dom = RadialDomain(core, ScaledField(R, ZonalLegendreField(core, D0, EPS)))
+        eigs.append(np.sort(linearize_fd(dom, pt(core, *chart)).eigenvalues.real))
+    assert np.abs(np.array(eigs) - eigs[1]).max() < 1e-8, eigs
+
+
 def test_linearize_fd_constant_field_identity():
     dom = RadialDomain(SPHERE, ConstantField(SPHERE, 0.5))
     rep = linearize_fd(dom, pt(SPHERE, 0.9, 0.4))
@@ -250,7 +264,9 @@ def test_linearize_analytic_measured_matches_fd_on_ellipsoid():
 
 def _fd_jacobian_reference(F, c, frame, h):
     """The per-column loop finite_difference_jacobian_batch batches: one
-    scalar retract per stencil point, one projection per column."""
+    scalar retract per stencil point, one projection per column, at the
+    step h in units of surface_scale()."""
+    h = h * F.core.surface_scale()
     E = frame.vectors
     nu = F.core.normal(c.ambient)
     DF = np.empty((E.shape[0], E.shape[0]))

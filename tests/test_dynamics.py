@@ -6,6 +6,8 @@ dynamics provably climbs the thickness field, so orbits terminate at
 thickness maxima and the thickness sequence is nondecreasing.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,6 +195,40 @@ def test_batch_of_one_runs_as_a_point_and_equals_its_row_in_a_wide_batch(dom, mo
         assert y.shape == (1, dom.core.dim) and np.array_equal(y[0], Y[i]), i
         assert np.array_equal(return_map_batch(dom, x), y)
     assert set(shapes) == {(dom.core.dim,)}
+
+
+@pytest.mark.parametrize("kind", ["sphere", "circle"])
+def test_isotropic_kernel_equals_its_per_axis_columns_bit_for_bit(kind):
+    # a sphere or circle hands the one entry of its axes_sq and inv_axes_sq to
+    # the stages as a scalar; the same core with a column per axis, as an
+    # ellipsoid has, must give the same bytes as rows and as points
+    dom = _BIT_DOMAINS[kind]
+    columns = ConvexCore(dom.core.kind, dom.core.semi_axes)
+    for name in ("axes_sq", "inv_axes_sq"):
+        value = np.full(dom.core.dim, getattr(dom.core, name)[0])
+        value.flags.writeable = False
+        object.__setattr__(columns, name, value)
+    forced = RadialDomain(columns, dom.field)
+    X = dom.core.ambient_from_chart(fibonacci_chart_grid(dom.core, 1000))
+    assert return_map_batch(dom, X).tobytes() == return_map_batch(forced, X).tobytes()
+    for x in X[::20]:
+        assert return_map_batch(dom, x[None]).tobytes() == return_map_batch(forced, x[None]).tobytes()
+
+
+def test_return_map_batch_takes_any_array_like_as_float_rows():
+    # only input that is not already a 2-D float64 ndarray is coerced; lists,
+    # ints, points and float rows of any layout or byte order map as their
+    # C-ordered float64 rows
+    dom = _BIT_DOMAINS["sphere"]
+    X = SPHERE.ambient_from_chart(fibonacci_chart_grid(SPHERE, 40))
+    wide = np.zeros((40, 5))
+    wide[:, 1:4] = X
+    ints = np.array([[0, 0, 1], [1, 0, 0], [0, -1, 0]])
+    for given in (X.tolist(), X[7].tolist(), ints, ints[2], X[5], X[5:6], np.asfortranarray(X), X[::3],
+                  wide[:, 1:4], X.astype(">f8"), X.astype(np.float32)):
+        want = return_map_batch(dom, np.array(given, dtype=float, ndmin=2, order="C"))
+        got = return_map_batch(dom, given)
+        assert got.dtype == np.float64 and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 _NAN_GRAD = RadialDomain(SPHERE, ZonalProfileField(SPHERE, 0.5, lambda w: 0.0 * w, lambda w: np.nan * w,
@@ -568,6 +604,22 @@ def test_orbit_matches_per_step_loop_bit_for_bit(kind, chart, max_iters):
     assert got.points[0].tobytes() == seed.ambient.tobytes()
     # the charts of the iterates, taken from the rows in one batch, are those the scalar steps hold
     assert np.array_equal(dom.core.chart_from_ambient(got.points[1:]), [p.chart for p in points[1:]])
+
+
+def test_orbit_records_one_array_per_step():
+    # the bundled zonal_orbit seed takes 1,813 steps; a recorded (1, N) view
+    # that kept its (N,) point alive until the rows were joined read 0.70 MB
+    dom = zonal_domain()
+    x0 = SPHERE.ambient_from_chart(np.array([np.pi / 4, 0.0]))
+    iterate_orbit(dom, x0)
+    tracemalloc.start()
+    try:
+        rec = iterate_orbit(dom, x0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.status == "converged" and len(rec.points) == 1814
+    assert peak <= 0.5e6, peak
 
 
 def test_orbit_max_iterations_matches_per_step_loop():

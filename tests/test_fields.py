@@ -405,6 +405,22 @@ def test_ambient_value_grad_is_value_and_grad_bit_for_bit(fld):
         assert np.array_equal(grad, fld.ambient_grad(Z))
 
 
+@pytest.mark.parametrize("fld", [
+    ZonalLegendreField(TILTED_CORE, 0.25, 0.02, axis=(0.3, 0.5, 0.8)),
+    _p2_profile(SPHERE, 0.5, 0.01),
+], ids=["zonal_legendre", "zonal_profile"])
+def test_zonal_gradient_by_columns_is_the_broadcast_product_bit_for_bit(fld):
+    # the gradient is written column by column, G[..., j] = g'(w) grad_j w; its
+    # bytes are those of the broadcast g'(w)[..., None] * grad w
+    X = np.array([p.ambient for p in random_points(fld.core, 5000, seed=41)])
+    wide = np.zeros((len(X), 7))
+    wide[:, 2:5] = X
+    for Z in (X[17], X[:0], X[:2], X[:739], X, np.asfortranarray(X[:739]), X[::3], wide[:, 2:5]):
+        want = fld.dg(fld._w(Z))[..., None] * fld._gw
+        for G in (fld.ambient_grad(Z), fld.ambient_value_grad(Z)[1]):
+            assert G.shape == Z.shape and G.tobytes() == want.tobytes()
+
+
 _ACTION_FIELDS = {
     "sphere": ZonalLegendreField(SPHERE, 0.5, 0.05),
     "tilted_ellipsoid": ZonalLegendreField(TILTED_CORE, 0.25, 0.02, axis=(0.3, 0.5, 0.8)),

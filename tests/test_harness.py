@@ -377,6 +377,8 @@ def test_cli_orbit_error_exit_3(tmp_path, capsys):
     ("field.kind = zonal_legendre", "field.kind = two_axis_legendre\nfield.axis2 = nan,0,1", "field.axis2"),
     ("task.point = equator", "task.point = equator\ntask.h = 1e9", "task.h"),
     (LINEARIZE_TASK, "task = reconstruct\ntask.h = 0.5", "task.h"),
+    # h is in units of surface_scale(), so its bound does not grow with the core
+    ("core.radius = 1.0", "core.radius = 1e3\ntask.h = 0.05", "task.h"),
     (LINEARIZE_TASK, "task = expansion_sweep\ntask.eps_list = 0.1", "task.eps_list"),
     (LINEARIZE_TASK, "task = expansion_sweep\ntask.kind = series\ntask.d_list = 0.1,-0.01", "task.d_list"),
     # negative counts
@@ -434,7 +436,7 @@ def test_cli_orbit_error_exit_3(tmp_path, capsys):
 ], ids=["task.h", "task.point", "field.eps", "core.radius", "rng_seed", "core.radius=-1", "core.c=0",
         "orbit.tol=-1", "sweep.kind=foo", "admissibility.grid=0", "sweep.n_samples=0",
         "scaling.equivalence=ture", "field.axis=0", "field.axis2=nan", "linearize.h=1e9",
-        "reconstruct.h=0.5", "sweep.eps_list=0.1", "series.d_list=negative",
+        "reconstruct.h=0.5", "linearize.h=0.05@radius=1e3", "sweep.eps_list=0.1", "series.d_list=negative",
         "reconstruct.n_samples=-1", "reconstruct.n_seeds=-1", "scaling.n_samples=-3",
         "scaling.equivalence_seeds=-1", "scaling.equivalence_probe=-1",
         "scaling.equivalence_max_iters=-1", "fixed_points.n_seeds=-1", "basins.n_seeds=-1",

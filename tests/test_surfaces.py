@@ -17,10 +17,12 @@ from shellmap import (
     retract,
 )
 from shellmap.surfaces import (
+    GRAZING_TOL,
     POLE_SIN_TOL,
     _component_dot,
     _ray_hit_cols,
     _ray_solve_batch,
+    _ray_solve_cols,
     _require_on_core,
     frames_batch,
     retract_batch,
@@ -290,6 +292,77 @@ def test_ray_hit_newton_step_matches_masked_division_bit_for_bit(core):
 
 
 
+def _ray_solve_three_wheres(core, O, D):
+    """The ray solve on C-ordered (n, N) rows with the sign choice, the
+    q = 0 guard and the root choice as np.where selects: the form that
+    _ray_solve_cols computes with copysign and fmax in place of the first
+    two."""
+    w = 1.0 / core.axes**2
+    A = np.einsum("ij,ij->i", D * w, D)
+    B = 2.0 * np.einsum("ij,ij->i", D * w, O)
+    C = np.einsum("ij,ij->i", O * w, O) - 1.0
+    disc = B * B - 4.0 * A * C
+    grazing = np.abs(disc) < GRAZING_TOL
+    disc_c = np.sqrt(np.maximum(disc, 0.0))
+    q = -0.5 * (B + np.where(B < 0, -disc_c, disc_c))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = q / A
+        t2 = np.where(q != 0, C / q, np.inf)
+    lo = np.minimum(t1, t2)
+    t = np.where(lo >= 0, lo, np.maximum(t1, t2))
+    t[(t < 0) | (disc < -GRAZING_TOL)] = np.nan
+    return t, grazing
+
+
+def _edge_rays(core, rng, n):
+    """n random rays of several lengths about core, (n, N) origins and
+    directions, then the edge rays: zero directions inside and outside the
+    core, tangent rays from surface points (B = 0, C = 0), nan origins,
+    inf directions, -0.0 components and inward normal rays."""
+    N, s = core.dim, core.surface_scale()
+    O = rng.standard_normal((n, N)) * s * rng.choice([0.1, 1.0, 3.0], (n, 1))
+    D = rng.standard_normal((n, N)) * rng.choice([1e-3, 1.0, 1e3], (n, 1))
+    X = core.ambient_from_chart(rng.uniform(0.0, np.pi, (8, N - 1)))
+    nu = core.normal(X)
+    T = tangent_part(nu, np.roll(nu, 1, axis=1))
+    zero = np.zeros((2, N))
+    signed = np.where(rng.uniform(size=(8, N)) < 0.5, -0.0, 0.0)
+    O = np.concatenate([O, [0.1 * s * np.ones(N), 3.0 * s * np.ones(N)], X, X[:2] * np.nan,
+                        X[2:4], signed, X + 0.3 * s * nu])
+    D = np.concatenate([D, zero, T, nu[:2], nu[2:4] * np.inf, signed[::-1] + 0.5, -nu])
+    return np.ascontiguousarray(O), np.ascontiguousarray(D)
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shapes, nan at the same places and the same bytes elsewhere."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return a.shape == b.shape and np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+RAY_CORES = [SPHERE, ConvexCore.sphere(1e-3), ConvexCore.sphere(1e3), ConvexCore.ellipsoid(2.0, 1.0, 0.5),
+             CIRCLE]
+
+
+@pytest.mark.parametrize("core", RAY_CORES, ids=lambda c: f"{c.kind}{c.semi_axes}")
+def test_ray_solve_equals_the_three_where_form_bit_for_bit(core):
+    # copysign(disc_c, B + 0.0) and fmax(C / q, -inf) stand in for two np.where
+    # selects; the B = -0.0 ray tells copysign(disc_c, B) from the select
+    O, D = _edge_rays(core, np.random.default_rng(11), 4000)
+    if core.dim == 3:
+        O = np.concatenate([O, [[-0.0, -0.0, 0.5 * core.semi_axes[2]]]])
+        D = np.concatenate([D, [[0.0, 1.0, -0.0]]])
+    with np.errstate(all="ignore"):  # the nan and inf rays warn in both forms
+        want_t, want_grazing = _ray_solve_three_wheres(core, O, D)
+        t, grazing = _ray_solve_cols(core, np.ascontiguousarray(O.T), np.ascontiguousarray(D.T))
+        assert np.isnan(want_t).any() and np.isfinite(want_t).any()
+        assert _same_bits(t, want_t) and np.array_equal(grazing, want_grazing)
+        # as points, one ray at a time: the random rays after the first 300 are skipped
+        for i in [*range(300), *range(4000, len(O))]:
+            t_i, grazing_i = _ray_solve_cols(core, O[i], D[i])
+            assert _same_bits(t_i, want_t[i]) and grazing_i == want_grazing[i], (i, O[i], D[i])
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 700])
 def test_component_dot_sums_in_einsums_order(dim, n):
@@ -527,19 +600,23 @@ def test_fibonacci_grid_shape_and_determinism():
 
 
 def test_axes_array_is_built_once_and_read_only():
-    core = ConvexCore.ellipsoid(2.0, 1.0, 0.5)
-    assert core.axes is core.axes
-    assert np.array_equal(core.axes, [2.0, 1.0, 0.5])
-    with pytest.raises(ValueError):
-        core.axes[0] = 3.0
-    for name, want in (("axes_sq", core.axes**2), ("inv_axes_sq", 1.0 / core.axes**2)):
-        cached = getattr(core, name)
-        assert cached is getattr(core, name)
-        assert np.array_equal(cached, want)
+    # a sphere or circle keeps the one entry of axes_sq and inv_axes_sq, which
+    # the return leg's stages take as a scalar
+    for core, per_axis in ((ConvexCore.ellipsoid(2.0, 1.0, 0.5), [2.0, 1.0, 0.5]),
+                           (ConvexCore.sphere(2.5), [2.5]), (ConvexCore.circle(0.7), [0.7])):
+        assert core.axes is core.axes
+        assert np.array_equal(core.axes, core.semi_axes)
         with pytest.raises(ValueError):
-            cached[0] = 3.0
+            core.axes[0] = 3.0
+        per_axis = np.array(per_axis)
+        for name, want in (("axes_sq", per_axis**2), ("inv_axes_sq", 1.0 / per_axis**2)):
+            cached = getattr(core, name)
+            assert cached is getattr(core, name)
+            assert cached.shape == want.shape and cached.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):
+                cached[0] = 3.0
     twin = ConvexCore("ellipsoid", (2, 1, 0.5))
-    assert twin == core and hash(twin) == hash(core)
+    assert twin == ConvexCore.ellipsoid(2.0, 1.0, 0.5) and hash(twin) == hash(ConvexCore.ellipsoid(2.0, 1.0, 0.5))
 
 
 @pytest.mark.parametrize("kind, axes", [("sphere", (1, 2, 3)), ("sphere", (1.0, 1.0, 1.5)),
