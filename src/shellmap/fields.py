@@ -22,8 +22,6 @@ import numpy as np
 
 from .surfaces import ConvexCore, _frame_matrices, shape_action_batch, tangent_part
 
-COLUMN_ROWS = 256  # points from which a zonal gradient is written by columns
-
 
 def legendre_p2(x):
     """Degree-2 Legendre polynomial (3x^2 - 1)/2."""
@@ -129,14 +127,10 @@ class ZonalProfileField(ThicknessField):
         return self.d0 + self.g(self._w(X))
 
     def _grad(self, w):
-        # g'(w) grad w.  From COLUMN_ROWS points on it is written column by
-        # column, which skips the broadcast's length-N inner loop per point;
-        # below that the broadcast's one call costs less than N column writes.
-        # Both form the same products, so the same bits.
+        # g'(w) grad w written column by column: the products of the broadcast
+        # g'(w)[..., None] * grad w, without its length-N inner loop
         dg = self.dg(w)
-        if np.size(dg) < COLUMN_ROWS:
-            return dg[..., None] * self._gw
-        G = np.empty(dg.shape + self._gw.shape)
+        G = np.empty(np.shape(w) + self._gw.shape)
         for j, c in enumerate(self._gw.tolist()):
             G[..., j] = dg * c
         return G

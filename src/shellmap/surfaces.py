@@ -263,14 +263,11 @@ def _component_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Dot products of the points of A and B, component rows (N, n) each:
     p = A * B summed as (p[0] + p[2]) + p[1] for N=3 and p[0] + p[1] for
     N=2, the order in which numpy's einsum("ij,ij->i") sums C-ordered
-    (n, N) rows, so the sums equal its row dots bit for bit.  The sums
-    accumulate in place in the row p[0], or in a scalar for points."""
+    (n, N) rows, so the sums equal its row dots bit for bit."""
     p = A * B
-    s = p[0]
     if len(p) == 3:
-        s += p[2]
-    s += p[1]
-    return s
+        return (p[0] + p[2]) + p[1]
+    return p[0] + p[1]
 
 
 def _per_component(v: np.ndarray, X: np.ndarray):
@@ -291,18 +288,14 @@ def _ray_solve_cols(core: ConvexCore, O: np.ndarray, D: np.ndarray):
     w = _per_component(core.inv_axes_sq, O)
     DW = D * w
     A = _component_dot(DW, D)
-    B = _component_dot(DW, O)
-    B *= 2.0
-    C = _component_dot(O * w, O)
-    C -= 1.0
-    disc = B * B
-    disc -= 4.0 * A * C
+    B = 2.0 * _component_dot(DW, O)
+    C = _component_dot(O * w, O) - 1.0
+    disc = B * B - 4.0 * A * C
     grazing = np.abs(disc) < GRAZING_TOL
     disc_c = np.sqrt(np.maximum(disc, 0.0))
     # disc_c with the sign of B; + 0.0 turns B = -0.0 into +0.0, so it
     # takes +disc_c as B < 0 is false there
-    q = B + np.copysign(disc_c, B + 0.0)
-    q *= -0.5
+    q = -0.5 * (B + np.copysign(disc_c, B + 0.0))
     # A = 0 (a null direction) leaves q / A undefined, as nan or +-inf, so
     # no mask can stand in for this block.  Where q = +-0, C / q is +-inf or
     # nan and t1 = q / A is +-0 or nan, so t2 = -inf there (fmax takes nan
@@ -327,13 +320,10 @@ def _ray_hit_cols(core: ConvexCore, O: np.ndarray, D: np.ndarray):
     like O and D, with the grazing flags.  One Newton step along each ray
     keeps |implicit| at round-off; rays that miss are nan."""
     t, grazing = _ray_solve_cols(core, O, D)
-    Y = t * D
-    Y += O
+    Y = O + t * D
     YM = Y / _per_component(core.axes_sq, Y)
-    f = _component_dot(YM, Y)
-    f -= 1.0
-    df = _component_dot(YM, D)
-    df *= 2.0
+    f = _component_dot(YM, Y) - 1.0
+    df = 2.0 * _component_dot(YM, D)
     step = np.divide(-f, df, out=np.zeros(np.shape(f)), where=df != 0)
     Y += step * D
     return Y, grazing
@@ -355,17 +345,13 @@ def _resolvent_cols(core: ConvexCore, X: np.ndarray, d: np.ndarray, V: np.ndarra
     warnings, which a caller that admits such d silences.
     """
     w = _per_component(core.inv_axes_sq, X)
-    nu = X * w
-    r = np.sqrt(_component_dot(nu, nu))
-    nu /= r
-    D = d / r * w
-    D += 1.0
-    D = 1.0 / D
+    MX = X * w
+    r = np.sqrt(_component_dot(MX, MX))
+    nu = MX / r
+    D = 1.0 / (1.0 + d / r * w)
     Dnu = D * nu
     mu = -_component_dot(Dnu, V) / _component_dot(Dnu, nu)
-    R = D * V
-    R += mu * Dnu
-    return nu, R
+    return nu, D * V + mu * Dnu
 
 
 def _outer_geometry_cols(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarray):
@@ -374,8 +360,8 @@ def _outer_geometry_cols(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.n
     component rows (N, n); a degenerate normal raises ImmersionFailure.
     |m - nu| >= 1 wherever m is finite, so for d > 0 no step divides by
     zero."""
-    nu, nvec = _resolvent_cols(core, X, d, G)
-    nvec -= nu  # m - nu
+    nu, m = _resolvent_cols(core, X, d, G)
+    nvec = m - nu
     norms = np.sqrt(_component_dot(nvec, nvec))
     nvec /= norms
     ok = norms < np.inf
@@ -384,9 +370,7 @@ def _outer_geometry_cols(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.n
         bad = ~ok & np.isfinite(d)
         if bad.any():
             raise ImmersionFailure(f"degenerate outer normal at {int(np.sum(bad))} points")
-    Xout = d * nu
-    Xout += X
-    return Xout, nvec
+    return X + d * nu, nvec
 
 
 def _return_leg_rows(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarray) -> np.ndarray:

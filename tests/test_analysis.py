@@ -223,6 +223,22 @@ def test_linearize_fd_is_scale_covariant(chart):
     assert np.abs(np.array(eigs) - eigs[1]).max() < 1e-8, eigs
 
 
+def test_fixed_point_search_is_scale_covariant():
+    # the Newton polish takes its FD Jacobian at a step in units of
+    # surface_scale(), so rescaling the core, d and tol together by R rescales
+    # the fixed points found; an absolute step of 1e-5 moved them by up to
+    # 0.65 R at R = 1e-3 and 4.5e-5 R at R = 1e3
+    found = []
+    for R in (1e-3, 1.0, 1e3):
+        core = ConvexCore.ellipsoid(1.5 * R, R, 0.7 * R)
+        dom = RadialDomain(core, ScaledField(R, ZonalLegendreField(core, D0, EPS, axis=(0.3, 0.5, 0.8))))
+        scan = analysis.fixed_point_search(BlackBoxMap.wrap_domain(dom), 60, tol=1e-10 * R)
+        found.append(scan.points / R)
+    assert len(found[1]) == 9
+    for pts in found:
+        assert pts.shape == found[1].shape and np.abs(pts - found[1]).max() < 1e-6
+
+
 def test_linearize_fd_constant_field_identity():
     dom = RadialDomain(SPHERE, ConstantField(SPHERE, 0.5))
     rep = linearize_fd(dom, pt(SPHERE, 0.9, 0.4))
