@@ -276,14 +276,19 @@ _LABELS = np.array(["attracting", "repelling", "neutral"])
 _STABILITY = np.array(["", "Neutral", "Repelling", "Mixed", "Attracting", "Mixed", "Saddle", "Mixed"])
 
 
-def _classify(DF: np.ndarray, hess_est: np.ndarray, hessian=None) -> LinearizationReport:
+def _classify(DF: np.ndarray, hessian=None) -> LinearizationReport:
     """The report of DF, (k, m, m), at k fixed points.
 
     Eigenvalues within NEUTRAL_TOL of the unit circle are neutral; a row is
     Attracting, Repelling or Neutral when all its labels agree, Mixed when
-    some but not all are neutral, and Saddle otherwise.  The index counts
-    the eigenvalues of a row of hess_est, (k, m) real, below -NEUTRAL_TOL;
-    one within NEUTRAL_TOL of 0 makes the row degenerate.
+    some but not all are neutral, and Saddle otherwise.  The index counts a
+    row's values below -NEUTRAL_TOL, and one within NEUTRAL_TOL of 0 makes
+    the row degenerate.  The values are the eigenvalues of hessian,
+    (k, m, m), when it is given, and else 1 - Re mu for the eigenvalues mu
+    of DF: at a fixed point DF - I = G Hess d with G symmetric positive
+    definite on an admissible shell, so by Sylvester's law of inertia the
+    mu above 1 + NEUTRAL_TOL count the index of -d.  A black box whose gain
+    sign is unknown fixes the index only up to i -> m - i.
     """
     w = np.linalg.eigvals(DF)
     w = np.take_along_axis(w, np.lexsort((-w.imag, -w.real), axis=-1), axis=-1)
@@ -292,8 +297,9 @@ def _classify(DF: np.ndarray, hess_est: np.ndarray, hessian=None) -> Linearizati
     neutral = ~(attracting | repelling)
     labels = _LABELS[repelling + 2 * neutral]
     stability = _STABILITY[4 * attracting.any(-1) + 2 * repelling.any(-1) + neutral.any(-1)]
-    return LinearizationReport(DF, w, labels, stability, np.sum(hess_est < -NEUTRAL_TOL, axis=-1),
-                               np.any(np.abs(hess_est) <= NEUTRAL_TOL, axis=-1), hessian)
+    est = 1.0 - w.real if hessian is None else np.linalg.eigvals(hessian).real
+    return LinearizationReport(DF, w, labels, stability, np.sum(est < -NEUTRAL_TOL, axis=-1),
+                               np.any(np.abs(est) <= NEUTRAL_TOL, axis=-1), hessian)
 
 
 def _require_fixed(F: BlackBoxMap, X: np.ndarray) -> None:
@@ -340,15 +346,14 @@ def linearize(dom: RadialDomain, X, mode: str = "fd", step_scale: float = CLASSI
     points X, (k, N) ambient rows, in the frames frames_batch(core, X).
 
     mode "fd": DF by central differences at step h surface_scale()
-    (fixed_point_jacobian).
-    The index counts the eigenvalues of (2G)^(-1) (I - DF) below
-    -NEUTRAL_TOL, with G = d (I - dS)^(-1) the step operator: the classical
-    model's quotient, which for this map is -Hess d / 2, so it reports the
-    index of -d, not of d.
-    mode "analytic": DF = I + step_scale G Hess d, with the Hessian stack
-    attached and the index counted on it.  step_scale = -2 gives the
-    classical model DF = I - A Hess with A = 2G; step_scale = +1 the law
-    the ray dynamics measures.
+    (fixed_point_jacobian), classified from DF alone: the index counts the
+    eigenvalues of DF above 1 + NEUTRAL_TOL, which by Sylvester's law of
+    inertia is the index of -d, not of d.  It reads only F and the core's
+    frames, not the field.
+    mode "analytic": DF = I + step_scale G Hess d, with G = d (I - dS)^(-1)
+    the step operator and the Hessian stack attached and the index counted
+    on it.  step_scale = -2 gives the classical model DF = I - A Hess with
+    A = 2G; step_scale = +1 the law the ray dynamics measures.
 
     step_scale is read in analytic mode only and h in fd mode only.  Raises
     NotAFixedPoint unless every row is fixed; no rows give empty stacks
@@ -358,15 +363,13 @@ def linearize(dom: RadialDomain, X, mode: str = "fd", step_scale: float = CLASSI
         raise ValueError(f"unknown linearization mode {mode!r}")
     core = dom.core
     X = np.asarray(X, dtype=float).reshape(-1, core.dim)
-    F, E, I = BlackBoxMap.wrap_domain(dom), frames_batch(core, X), np.eye(core.dim - 1)
+    F, E = BlackBoxMap.wrap_domain(dom), frames_batch(core, X)
     if mode == "fd":
-        DF = fixed_point_jacobian(F, X, E, h)
-        G = step_operator_batch(core, X, dom.field.ambient_value(X), E)
-        return _classify(DF, np.linalg.eigvals(np.linalg.solve(2.0 * G, I - DF)).real)
+        return _classify(fixed_point_jacobian(F, X, E, h))
     _require_fixed(F, X)
     G = step_operator_batch(core, X, dom.field.ambient_value(X), E)
     H = dom.field.surface_hessian_batch(X, E)
-    return _classify(I + step_scale * (G @ H), np.linalg.eigvals(H).real, H)
+    return _classify(np.eye(core.dim - 1) + step_scale * (G @ H), H)
 
 
 def linearize_fd(dom: RadialDomain, c_star: SurfacePoint) -> LinearizationReport:

@@ -17,8 +17,9 @@ skips the ufunc dispatch that dominates a one-row call; the image is
 returned as a (1, N) row, bit for bit the row a wider batch gives.
 
 Orbits run in one loop, _orbits, on compact working rows (the seeds
-still running) with one displacement norm, _row_norm, which adds the
-squared columns in np.linalg.norm's order without a length-N inner loop;
+still running) with one row reduction, _row_dot, which adds the column
+products in np.linalg.norm's order without a length-N inner loop, for
+the displacement norms (_row_norm) and settle's cosine;
 iterate_batch (plain steps of F), settle_batch (amplified steps and the
 contraction rule) and iterate_orbit (one seed, an owning copy of each
 image row recorded) are configurations of it, and none of them calls
@@ -78,7 +79,9 @@ def _return_map_rows(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarr
     leg runs in blocks of at most BLOCK_ROWS rows, each checked for a
     degenerate normal as it runs, and rays that miss are counted over the
     whole batch.  A point X, (N,), with scalar d and G, (N,), runs the leg
-    once, with the same checks and messages."""
+    once, with the same checks and messages.  The count of missed rays
+    names how many of them come from rows whose point or thickness is not
+    finite."""
     if (d <= 0.0).any():
         raise InadmissibleThickness("nonpositive thickness encountered in batch step")
     if X.ndim == 1:
@@ -91,7 +94,9 @@ def _return_map_rows(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarr
     finite = np.isfinite(Y)
     if not finite.all():
         miss = int((~finite.all(axis=-1)).sum())
-        raise NormalRayMissesCore(f"{miss} inward rays miss the core")
+        bad = int(np.sum(~(np.isfinite(X).all(axis=-1) & np.isfinite(d))))
+        tail = f", {bad} of them from rows that are not finite" if bad else ""
+        raise NormalRayMissesCore(f"{miss} inward rays miss the core{tail}")
     return Y
 
 
@@ -133,15 +138,22 @@ class BatchOrbitResult:
     converged: np.ndarray    # (n,) bool
 
 
-def _row_norm(D: np.ndarray) -> np.ndarray:
-    """|D| of each (n, N) row: the squares summed over the columns one
-    after another, (P0 + P1) + P2, the order in which
-    np.linalg.norm(D, axis=-1) sums them, so the norms equal its bit for
-    bit without its reduction over a length-N inner loop."""
-    P = D * D
+def _row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The dot of each pair of (n, N) rows of A and B: the products summed
+    over the columns one after another, (P0 + P1) + P2, the order in which
+    np.linalg.norm(A, axis=-1) sums the squares, without a reduction over
+    a length-N inner loop."""
+    P = A * B
     s = P[:, 0] + P[:, 1]
     if P.shape[1] == 3:
         s += P[:, 2]
+    return s
+
+
+def _row_norm(D: np.ndarray) -> np.ndarray:
+    """|D| of each (n, N) row, the square root of _row_dot(D, D): equal to
+    np.linalg.norm(D, axis=-1) bit for bit."""
+    s = _row_dot(D, D)
     return np.sqrt(s, out=s)
 
 
@@ -186,7 +198,7 @@ def _orbits(step, core: ConvexCore, seeds: np.ndarray, tol: float, max_iters: in
             prev, prev_D, K = work[2:]
             stop &= disp <= prev
             with np.errstate(divide="ignore", invalid="ignore"):
-                cos = sum((D * prev_D).T) / (disp * prev)  # _row_norm's column order; nan where undefined
+                cos = _row_dot(D, prev_D) / (disp * prev)  # nan where undefined
                 r = np.where(prev > 0.0, disp / prev, np.inf)
                 K_next = np.where(cos >= AMPLIFY_COS, 2.0 * K, 0.5 * K)
                 K_next = np.where(r < 1.0, np.minimum(K_next, K / (1.0 - r)), K_next)

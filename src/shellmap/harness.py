@@ -261,7 +261,7 @@ def load_bundled(name: str) -> str:
     path = root / f"{name}.scn"
     if not path.is_file():
         raise ScenarioError(f"no bundled scenario named {name!r}")
-    return path.read_text()
+    return path.read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +474,14 @@ def _task_reconstruct(r, out, rng):
     charts = _sample_charts(core, v["n_samples"], rng)
     mode = v["alpha_mode"]
     if mode in ("known_classical", "known_measured"):
-        # the gain of the classical A = 2G: doubling is exact, so trace(A) = 2 trace(G)
+        # the known gains at alpha_point: measured -trace(G)/m, classical trace(A)/m with A = 2G
         x = core.ambient_from_chart(v["alpha_point"])[None]
         d = dom.field.ambient_value(x)
         if d[0] <= 0.0:
             raise InadmissibleThickness(f"d = {d[0]:.6g} <= 0 at alpha_point")
         G = step_operator_batch(core, x, d, frames_batch(core, x))[0]
-        a = 2.0 * float(np.trace(G)) / G.shape[0]
-        alphas = [a if mode == "known_classical" else -0.5 * a]
+        a = float(np.trace(G)) / G.shape[0]
+        alphas = [2.0 * a if mode == "known_classical" else -a]
     else:
         alphas = [v["alpha"]] if mode == "assumed" else v["alpha_factors"]
     report = run_reconstruction(F, v["n_seeds"], core.ambient_from_chart(charts), alphas, alpha_mode=mode,

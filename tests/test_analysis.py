@@ -16,6 +16,7 @@ from shellmap import (
     NotAFixedPoint,
     RadialDomain,
     ScaledField,
+    SumField,
     SurfacePoint,
     ZonalLegendreField,
     ZonalProfileField,
@@ -34,6 +35,7 @@ from shellmap import (
 )
 from shellmap import analysis, dynamics
 from shellmap.analysis import (
+    NEUTRAL_TOL,
     expansion_residual_batch,
     finite_difference_jacobian_batch,
     step_operator_batch,
@@ -327,8 +329,8 @@ def test_spectral_relation_in_aligned_case():
 # ---------------------------------------------------------------------------
 
 def _classify_one(DF):
-    """The batched classifier on one DF, with no Hessian estimate to count."""
-    return analysis._classify(DF[None], np.zeros((1, DF.shape[0])))[0]
+    """The batched classifier on one DF, with no Hessian attached."""
+    return analysis._classify(DF[None])[0]
 
 
 def test_classify_identity_neutral():
@@ -342,7 +344,7 @@ def test_classify_saddle():
 def test_classify_labels_every_row_of_a_batch():
     DF = np.array([np.diag(mu) for mu in ([0.5, 0.5], [1.5, 1.5], [1.0, 1.0], [1.0, 0.5], [1.5, 1.0],
                                           [0.5, 1.5])])
-    rep = analysis._classify(DF, np.zeros((len(DF), 2)))
+    rep = analysis._classify(DF)
     assert rep.stability.tolist() == ["Attracting", "Repelling", "Neutral", "Mixed", "Mixed", "Saddle"]
     assert rep.eigen_labels.tolist() == [["attracting"] * 2, ["repelling"] * 2, ["neutral"] * 2,
                                          ["neutral", "attracting"], ["repelling", "neutral"],
@@ -368,12 +370,51 @@ def test_classify_pole_morse_index_from_hessian():
 
 
 def test_classify_morse_from_composite_when_no_hessian():
-    # A^{-1}(I - DF) with the classical positive A applied to the measured
-    # dynamics yields -Hess/2: the counted index complements the true one
+    # with no Hessian the index counts the eigenvalues of DF above 1; for the
+    # measured dynamics DF - I = G Hess d with G > 0, so this is the index of
+    # -d: the pole, a maximum of d, reads 0
     dom = zonal_domain()
     rep = linearize_fd(dom, pt(SPHERE, 0.0, 0.0))
     assert rep.hessian is None
     assert rep.morse_index == 0
+
+
+_INDEX_DOMAINS = {
+    "reference_sphere": zonal_domain,
+    "tilted_ellipsoid": lambda: TILTED,
+    "two_axis_sphere": lambda: RadialDomain(SPHERE, SumField([
+        ZonalLegendreField(SPHERE, 0.25, 0.02), ZonalLegendreField(SPHERE, 0.25, 0.02, axis=(0.3, 0.5, 0.8))])),
+    "fourier_circle": lambda: RESIDUAL_DOMAINS["fourier_circle"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INDEX_DOMAINS))
+def test_fd_index_is_the_index_of_minus_d_at_every_fixed_point(name):
+    # DF - I = G Hess d with G > 0, so the eigenvalues of DF above 1 count the
+    # positive eigenvalues of Hess d, and those near 1 its null directions
+    dom = _INDEX_DOMAINS[name]()
+    X = find_fixed_points(dom, 200).points
+    fd = linearize(dom, X, "fd")
+    an = linearize(dom, X, "analytic", step_scale=MEASURED_STEP_SCALE)
+    assert len(X) > 1
+    assert fd.morse_index.tolist() == np.sum(np.linalg.eigvals(an.hessian).real > NEUTRAL_TOL, axis=-1).tolist()
+    assert fd.degenerate.tolist() == an.degenerate.tolist()
+
+
+def test_fd_linearize_reads_neither_the_step_operator_nor_the_field(monkeypatch):
+    dom = zonal_domain()
+    X = SPHERE.ambient_from_chart(np.array([[np.pi / 2, 0.0], [0.0, 0.0]]))
+    want = linearize(dom, X, "fd")
+
+    def forbidden(*args):
+        raise AssertionError("fd linearize must classify from DF alone")
+
+    monkeypatch.setattr(analysis, "step_operator_batch", forbidden)
+    monkeypatch.setattr(dom.field, "ambient_value", forbidden)
+    got = linearize(dom, X, "fd")
+    assert got.hessian is None
+    for field in ("DF", "eigenvalues", "eigen_labels", "stability", "morse_index", "degenerate"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
 # ---------------------------------------------------------------------------

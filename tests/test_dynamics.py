@@ -36,7 +36,7 @@ from shellmap import (
 )
 from shellmap import dynamics
 from shellmap.domain import _outer_geometry_batch
-from shellmap.dynamics import OrbitRecord, _row_norm
+from shellmap.dynamics import OrbitRecord, _row_dot, _row_norm
 from shellmap.errors import ImmersionFailure, ShellmapError
 from shellmap.harness import _Out, _task_orbit, parse_scenario_text, resolve
 from shellmap.surfaces import _ray_hit_cols, fibonacci_chart_grid
@@ -242,7 +242,8 @@ _NONPOSITIVE = "nonpositive thickness encountered in batch step"
     (RadialDomain(SPHERE, ConstantField(SPHERE, 0.0)), (0.6, 0.0, 0.8), InadmissibleThickness, _NONPOSITIVE),
     (RadialDomain(SPHERE, ZonalLegendreField(SPHERE, 0.1, 0.5)), (1.0, 0.0, 0.0), InadmissibleThickness,
      _NONPOSITIVE),
-    (zonal_domain(), (np.nan,) * 3, NormalRayMissesCore, "1 inward rays miss the core"),
+    (zonal_domain(), (np.nan,) * 3, NormalRayMissesCore,
+     "1 inward rays miss the core, 1 of them from rows that are not finite"),
     (_NAN_GRAD, (0.6, 0.0, 0.8), ImmersionFailure, "degenerate outer normal at 1 points"),
 ], ids=["zero", "negative", "nan_seed", "degenerate_normal"])
 def test_batch_of_one_fails_with_the_kernels_kinds_and_messages(dom, seed, kind, message):
@@ -299,6 +300,16 @@ def test_return_map_batch_counts_missed_rays(monkeypatch):
     X = SPHERE.ambient_from_chart(fibonacci_chart_grid(SPHERE, 5))
     with pytest.raises(NormalRayMissesCore, match="^2 inward rays miss the core$"):
         return_map_batch(dom, X)
+
+
+def test_a_nan_seed_among_ten_rows_is_counted_as_not_finite():
+    dom = zonal_domain()
+    X = SPHERE.ambient_from_chart(fibonacci_chart_grid(SPHERE, 10))
+    X[4] = np.nan
+    message = "^1 inward rays miss the core, 1 of them from rows that are not finite$"
+    for run in (return_map_batch, iterate_batch, lambda dom, X: settle_batch(BlackBoxMap.wrap_domain(dom), X)):
+        with pytest.raises(NormalRayMissesCore, match=message):
+            run(dom, X)
 
 
 @pytest.mark.parametrize("dom", [RadialDomain(SPHERE, ConstantField(SPHERE, 0.0)),
@@ -459,6 +470,9 @@ def test_row_norm_sums_in_the_axis_norms_order(dim, n):
     rng = np.random.default_rng(n)
     D = rng.standard_normal((n, dim)) * np.exp(rng.uniform(-20.0, 20.0, (n, dim)))
     assert _row_norm(D).tobytes() == np.linalg.norm(D, axis=-1).tobytes()
+    # settle's cosine takes its row dot in the same order
+    B = rng.standard_normal((n, dim))
+    assert _row_dot(D, B).tobytes() == np.sum(D * B, axis=-1).tobytes()
 
 
 _ORBIT_ENTRIES = {
