@@ -4,26 +4,33 @@ BlackBoxMap, the one map object every map consumer takes.
 The forward map is computed purely by ray geometry (no asymptotic
 formulas), so it can serve as an independent oracle for every expansion
 tested elsewhere.  Point sets are (n, N) ambient arrays; a SurfacePoint
-is built only by the scalar view return_map.  The one kernel,
-return_map_batch, makes one field call on the rows and hands them with
+is built only by the scalar view return_map.  The one plain
+step, _map_step, makes one field call on the rows and hands them with
 their d and grad d to its field-free row stage, _return_map_rows, which
 checks d > 0, runs the return leg of surfaces (_return_leg_rows) in
 blocks of at most BLOCK_ROWS rows and counts the rays that miss; the
 residual sweeps of analysis call the row stage on the rows of many
-fields at once.  The kernel coerces X only when it is not already a 2-D
-float64 array.  A batch of one runs the same stages on its row as a
-point (N,), so its per-point values are numpy scalars, whose arithmetic
-skips the ufunc dispatch that dominates a one-row call; the image is
-returned as a (1, N) row, bit for bit the row a wider batch gives.
+fields at once.  The row stage leaves its image rows as the leg gives
+them, the Fortran-ordered view of the hits' component rows (N, n), which
+the next step's leg takes without a copy.  The kernel, return_map_batch,
+is the C-ordered copy of that step, after coercing X only when it is
+not already a 2-D float64 array.  A batch of one runs the same stages on
+its row as a point (N,), so its per-point values are numpy scalars,
+whose arithmetic skips the ufunc dispatch that dominates a one-row call;
+the image is returned as a (1, N) row, bit for bit the row a wider batch
+gives.
 
 Orbits run in one loop, _orbits, on compact working rows (the seeds
-still running) with one row reduction, _row_dot, which adds the column
-products in np.linalg.norm's order without a length-N inner loop, for
-the displacement norms (_row_norm) and settle's cosine;
+still running, compacted in their own layout) with one row reduction,
+_row_dot, which adds the column products in np.linalg.norm's order
+without a length-N inner loop, for the displacement norms (_row_norm)
+and settle's cosine;
 iterate_batch (plain steps of F), settle_batch (amplified steps and the
 contraction rule) and iterate_orbit (one seed, an owning copy of each
 image row recorded) are configurations of it, and none of them calls
-another.
+another.  iterate_batch and iterate_orbit step with _map_step itself,
+so their working rows stay component-major; settle_batch steps through
+its BlackBoxMap, return_map_batch for a wrapped domain.
 """
 
 from __future__ import annotations
@@ -62,11 +69,20 @@ def return_map(dom: RadialDomain, c: SurfacePoint) -> SurfacePoint:
 
 
 def return_map_batch(dom: RadialDomain, X: np.ndarray) -> np.ndarray:
-    """Vectorized return map on ambient points X, shape (n, N): one field
-    call on the rows, then the row stage _return_map_rows.  One row runs
-    as the point X[0], (N,), and its image comes back as a (1, N) row."""
+    """Vectorized return map on ambient points X, shape (n, N): the
+    C-ordered rows of the plain step _map_step.  One row runs as the point
+    X[0], (N,), and its image comes back as a (1, N) row."""
     if not (type(X) is np.ndarray and X.ndim == 2 and X.dtype == np.float64):
         X = np.atleast_2d(np.asarray(X, dtype=float))
+    return np.ascontiguousarray(_map_step(dom, X))
+
+
+def _map_step(dom: RadialDomain, X: np.ndarray) -> np.ndarray:
+    """One plain step of F on the 2-D float64 rows X, (n, N): one field
+    call on the rows, then the row stage _return_map_rows, whose image rows
+    come in its layout, a view of component rows.  One row runs as the
+    point X[0], (N,), and its image comes back as a (1, N) row.  The step
+    of iterate_batch and iterate_orbit, and of return_map_batch."""
     if len(X) == 1:
         return _return_map_rows(dom.core, X[0], *dom.field.ambient_value_grad(X[0]))[None]
     return _return_map_rows(dom.core, X, *dom.field.ambient_value_grad(X))
@@ -78,16 +94,18 @@ def _return_map_rows(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarr
     G, (n, N), of any fields on core.  d > 0 is checked on every row, the
     leg runs in blocks of at most BLOCK_ROWS rows, each checked for a
     degenerate normal as it runs, and rays that miss are counted over the
-    whole batch.  A point X, (N,), with scalar d and G, (N,), runs the leg
+    whole batch.  The image rows are the (n, N) view of contiguous
+    component rows (N, n), as the leg leaves them: Fortran-ordered, not
+    copied out.  A point X, (N,), with scalar d and G, (N,), runs the leg
     once, with the same checks and messages.  The count of missed rays
     names how many of them come from rows whose point or thickness is not
     finite."""
     if (d <= 0.0).any():
         raise InadmissibleThickness("nonpositive thickness encountered in batch step")
-    if X.ndim == 1:
+    if X.ndim == 1 or len(X) <= BLOCK_ROWS:
         Y = _return_leg_rows(core, X, d, G)
     else:
-        Y = np.empty(X.shape)
+        Y = np.empty(X.shape[::-1]).T
         for i in range(0, len(X), BLOCK_ROWS):
             s = slice(i, i + BLOCK_ROWS)
             Y[s] = _return_leg_rows(core, X[s], d[s], G[s])
@@ -170,7 +188,7 @@ def _orbits(step, core: ConvexCore, seeds: np.ndarray, tol: float, max_iters: in
     of map calls so far as its steps; the others keep their last iterate
     and the number of calls made.  record, when given, receives each
     call's image rows."""
-    if tol <= 0:
+    if not tol > 0:  # also true for a nan tol
         raise ValueError("tol must be positive")
     X = np.array(seeds, dtype=float, ndmin=2)
     n = X.shape[0]
@@ -213,7 +231,9 @@ def _orbits(step, core: ConvexCore, seeds: np.ndarray, tol: float, max_iters: in
         if stop.any():
             done, keep = ids[stop], ~stop
             X[done], steps[done], converged[done] = Y[stop], it, True
-            work = [w[keep] for w in work]
+            # compress along the rows of each array's transpose, so component
+            # rows (N, n), the plain step's layout, stay contiguous
+            work = [w.T.compress(keep, axis=-1).T for w in work]
     ids, Xa = work[:2]
     X[ids], steps[ids] = Xa, it
     return BatchOrbitResult(X, steps, converged)
@@ -228,8 +248,8 @@ def iterate_orbit(
     """Iterate F from the ambient row x0, (N,), until the ambient
     displacement drops below tol.
 
-    The orbit engine runs the one seed, each step one return_map_batch
-    call on a single ambient row, and records each image row.  After the
+    The orbit engine runs the one seed, each step one plain step
+    (_map_step) on a single ambient row, and records each image row.  After the
     loop one batched pass over the rows takes the thickness values and
     checks them as a loop of scalar steps would each step: every iterate is
     on the core (|implicit| <= TOL_SURFACE) and every row, the seed's
@@ -248,7 +268,7 @@ def iterate_orbit(
 
     status, error_kind = "max_iterations", None
     try:
-        if _orbits(partial(return_map_batch, dom), core, x, tol, max_iters, record=record).converged[0]:
+        if _orbits(partial(_map_step, dom), core, x, tol, max_iters, record=record).converged[0]:
             status = "converged"
     except ShellmapError as exc:
         status, error_kind = "error", type(exc).__name__
@@ -280,7 +300,7 @@ def iterate_batch(
     the first displacement below tol (plain iteration).
     It takes the domain, not a BlackBoxMap, because its callers (the
     criterion 9 descent and its benchmark) hold one."""
-    return _orbits(partial(return_map_batch, dom), dom.core, seeds, tol, max_iters)
+    return _orbits(partial(_map_step, dom), dom.core, seeds, tol, max_iters)
 
 
 def settle_batch(F: BlackBoxMap, seeds: np.ndarray,

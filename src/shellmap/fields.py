@@ -14,6 +14,13 @@ coincides with the intrinsic Hessian).  Its one closed form is the batched
 action Hess d[v] = P_t(hess D v) + (grad D . nu) S v (hessian_action);
 the frame matrices surface_hessian_batch are E Hess d[E]^T.  nu, P_t and S
 are surfaces' ConvexCore.normal, tangent_part and shape_action_batch.
+
+ambient_value_grad is the return-map kernel's one field call.  Its values
+equal those of ambient_value and ambient_grad bit for bit, but a zonal
+field hands its gradient rows as the (n, N) view of their component rows
+(N, n), made in one product, whose transpose the return leg takes without
+a copy; ambient_grad stays C-ordered, because hessian_action's einsum sums
+in its operands' memory order.
 """
 
 from __future__ import annotations
@@ -47,9 +54,11 @@ class ThicknessField:
         raise NotImplementedError
 
     def ambient_value_grad(self, X):
-        """(ambient_value(X), ambient_grad(X)) in one call, the one field
-        call of the return-map kernel; a field whose value and gradient
-        share work overrides it with the same arithmetic."""
+        """(ambient_value(X), ambient_grad(X)) at a point (N,) or at rows
+        (n, N) in one call, the one field call of the return-map kernel; a
+        field whose value and gradient share work overrides it with the
+        same arithmetic.  The values are those of the two calls bit for bit,
+        but the gradient rows may come in another memory layout."""
         return self.ambient_value(X), self.ambient_grad(X)
 
     # -- surface operations --------------------------------------------------
@@ -87,8 +96,7 @@ class ConstantField(ThicknessField):
         return np.full(X.shape[:-1], self.d0)
 
     def ambient_grad(self, X):
-        X = np.asarray(X, dtype=float)
-        return np.zeros_like(X)
+        return np.zeros(np.shape(X))
 
     def ambient_hess(self, X):
         X = np.asarray(X, dtype=float)
@@ -117,11 +125,15 @@ class ZonalProfileField(ThicknessField):
         # grad of w(x) = <x/s, axis> is constant
         self._gw = self.axis / core.axes
         self._gwgw = np.outer(self._gw, self._gw)
+        self._gw_columns = self._gw.tolist()
 
     def _w(self, X):
-        # einsum sums in an order that follows the memory layout of X, so X
-        # is made C-contiguous first and w does not depend on how X is stored
-        return np.einsum("...j,j->...", np.ascontiguousarray(X, dtype=float), self._gw)
+        # the column products summed as (x0 g0 + x2 g2) + x1 g1, the order in
+        # which einsum("...j,j->...") sums C-ordered rows: w does not depend on
+        # how X is stored, and component-major rows are read without a copy
+        X = np.asarray(X, dtype=float)
+        g0, g1, g2 = self._gw_columns
+        return (X[..., 0] * g0 + X[..., 2] * g2) + X[..., 1] * g1
 
     def ambient_value(self, X):
         return self.d0 + self.g(self._w(X))
@@ -131,7 +143,7 @@ class ZonalProfileField(ThicknessField):
         # g'(w)[..., None] * grad w, without its length-N inner loop
         dg = self.dg(w)
         G = np.empty(np.shape(w) + self._gw.shape)
-        for j, c in enumerate(self._gw.tolist()):
+        for j, c in enumerate(self._gw_columns):
             G[..., j] = dg * c
         return G
 
@@ -139,8 +151,15 @@ class ZonalProfileField(ThicknessField):
         return self._grad(self._w(X))
 
     def ambient_value_grad(self, X):
+        # the gradient of rows (n, N) as the view of its component rows
+        # grad w[:, None] * g'(w), (N, n), made in one pass; their transpose is
+        # the contiguous component rows the return leg takes.  Over more
+        # leading axes the outer product of grad w and g'(w).T is transposed
+        # the same way, and at a point it is the one product grad w * g'(w)
         w = self._w(X)
-        return self.d0 + self.g(w), self._grad(w)
+        dg = self.dg(w)
+        G = self._gw * dg if w.ndim == 0 else np.multiply.outer(self._gw, dg.T).T
+        return self.d0 + self.g(w), G
 
     def ambient_hess(self, X):
         w = self._w(X)

@@ -13,7 +13,11 @@ The return leg of the return-map kernel lives here: the resolvent
 (_outer_geometry_cols) and the ray solve and hit (_ray_solve_cols,
 _ray_hit_cols).  These stages take points as the columns of contiguous
 component rows (N, n), so every arithmetic step runs on whole rows, and
-they sum dot products with _component_dot in einsum's order.  They also
+they sum dot products with _component_dot in einsum's order.  Each stage
+updates its own products in place (the dots sum into their row p[0], the
+ray solve scales B, C and q in place, and the resolvent, the outer
+geometry and the Newton update add into their products), with the bits of
+the one-expression forms.  They also
 take a single point (N,), for which every per-point value is a numpy
 scalar; _per_component shapes the per-axis constants to either form, so
 each stage's arithmetic is written once.  A sphere's or circle's
@@ -24,8 +28,11 @@ fmax for the q = 0 guard) where a select would cost a pass; every output
 is bit for bit that of the selects.  The layout stays inside this
 module: the other modules call the (n, N)-row entry points
 _return_leg_rows, _resolvent_rows, _outer_geometry_rows and
-_ray_solve_batch, each of which transposes once in and once out
-(_return_leg_rows takes a point as it is).
+_ray_solve_batch, each of which transposes its rows into contiguous
+component rows, a copy only where they are not already the view of such
+rows (_return_leg_rows takes a point as it is).  _return_leg_rows hands
+its hits back as the (n, N) view of their component rows, not copied
+out; the other three copy their outputs into C-ordered rows.
 
 The tangent space is computed here alone: one unit normal
 (ConvexCore.normal, Mx/|Mx|), one projection (tangent_part) and frames
@@ -263,11 +270,14 @@ def _component_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Dot products of the points of A and B, component rows (N, n) each:
     p = A * B summed as (p[0] + p[2]) + p[1] for N=3 and p[0] + p[1] for
     N=2, the order in which numpy's einsum("ij,ij->i") sums C-ordered
-    (n, N) rows, so the sums equal its row dots bit for bit."""
+    (n, N) rows, so the sums equal its row dots bit for bit.  The sums
+    accumulate in place in the row p[0], or in a scalar for points."""
     p = A * B
+    s = p[0]
     if len(p) == 3:
-        return (p[0] + p[2]) + p[1]
-    return p[0] + p[1]
+        s += p[2]
+    s += p[1]
+    return s
 
 
 def _per_component(v: np.ndarray, X: np.ndarray):
@@ -288,14 +298,18 @@ def _ray_solve_cols(core: ConvexCore, O: np.ndarray, D: np.ndarray):
     w = _per_component(core.inv_axes_sq, O)
     DW = D * w
     A = _component_dot(DW, D)
-    B = 2.0 * _component_dot(DW, O)
-    C = _component_dot(O * w, O) - 1.0
-    disc = B * B - 4.0 * A * C
+    B = _component_dot(DW, O)
+    B *= 2.0
+    C = _component_dot(O * w, O)
+    C -= 1.0
+    disc = B * B
+    disc -= 4.0 * A * C
     grazing = np.abs(disc) < GRAZING_TOL
     disc_c = np.sqrt(np.maximum(disc, 0.0))
     # disc_c with the sign of B; + 0.0 turns B = -0.0 into +0.0, so it
     # takes +disc_c as B < 0 is false there
-    q = -0.5 * (B + np.copysign(disc_c, B + 0.0))
+    q = B + np.copysign(disc_c, B + 0.0)
+    q *= -0.5
     # A = 0 (a null direction) leaves q / A undefined, as nan or +-inf, so
     # no mask can stand in for this block.  Where q = +-0, C / q is +-inf or
     # nan and t1 = q / A is +-0 or nan, so t2 = -inf there (fmax takes nan
@@ -311,8 +325,9 @@ def _ray_solve_cols(core: ConvexCore, O: np.ndarray, D: np.ndarray):
 
 
 def _ray_solve_batch(core: ConvexCore, O: np.ndarray, D: np.ndarray):
-    """_ray_solve_cols on rays given as (n, N) rows, one transpose each."""
-    return _ray_solve_cols(core, O.T, D.T)
+    """_ray_solve_cols on rays given as (n, N) rows, each transposed into
+    contiguous component rows."""
+    return _ray_solve_cols(core, np.ascontiguousarray(O.T), np.ascontiguousarray(D.T))
 
 
 def _ray_hit_cols(core: ConvexCore, O: np.ndarray, D: np.ndarray):
@@ -320,10 +335,13 @@ def _ray_hit_cols(core: ConvexCore, O: np.ndarray, D: np.ndarray):
     like O and D, with the grazing flags.  One Newton step along each ray
     keeps |implicit| at round-off; rays that miss are nan."""
     t, grazing = _ray_solve_cols(core, O, D)
-    Y = O + t * D
+    Y = t * D
+    Y += O
     YM = Y / _per_component(core.axes_sq, Y)
-    f = _component_dot(YM, Y) - 1.0
-    df = 2.0 * _component_dot(YM, D)
+    f = _component_dot(YM, Y)
+    f -= 1.0
+    df = _component_dot(YM, D)
+    df *= 2.0
     step = np.divide(-f, df, out=np.zeros(np.shape(f)), where=df != 0)
     Y += step * D
     return Y, grazing
@@ -345,13 +363,17 @@ def _resolvent_cols(core: ConvexCore, X: np.ndarray, d: np.ndarray, V: np.ndarra
     warnings, which a caller that admits such d silences.
     """
     w = _per_component(core.inv_axes_sq, X)
-    MX = X * w
-    r = np.sqrt(_component_dot(MX, MX))
-    nu = MX / r
-    D = 1.0 / (1.0 + d / r * w)
+    nu = X * w
+    r = np.sqrt(_component_dot(nu, nu))
+    nu /= r
+    D = d / r * w
+    D += 1.0
+    D = 1.0 / D
     Dnu = D * nu
     mu = -_component_dot(Dnu, V) / _component_dot(Dnu, nu)
-    return nu, D * V + mu * Dnu
+    R = D * V
+    R += mu * Dnu
+    return nu, R
 
 
 def _outer_geometry_cols(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarray):
@@ -360,8 +382,8 @@ def _outer_geometry_cols(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.n
     component rows (N, n); a degenerate normal raises ImmersionFailure.
     |m - nu| >= 1 wherever m is finite, so for d > 0 no step divides by
     zero."""
-    nu, m = _resolvent_cols(core, X, d, G)
-    nvec = m - nu
+    nu, nvec = _resolvent_cols(core, X, d, G)
+    nvec -= nu  # m - nu
     norms = np.sqrt(_component_dot(nvec, nvec))
     nvec /= norms
     ok = norms < np.inf
@@ -370,16 +392,19 @@ def _outer_geometry_cols(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.n
         bad = ~ok & np.isfinite(d)
         if bad.any():
             raise ImmersionFailure(f"degenerate outer normal at {int(np.sum(bad))} points")
-    return X + d * nu, nvec
+    Xout = d * nu
+    Xout += X
+    return Xout, nvec
 
 
 def _return_leg_rows(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarray) -> np.ndarray:
     """The return leg on (n, N) rows: from core points X with thickness d
     and ambient gradient G, out to the outer points, then back along the
     inward normals to their first hits on the core (_outer_geometry_cols,
-    then _ray_hit_cols).  X and G are transposed once into contiguous
-    component rows and the hits once out, as a view; rays that miss are
-    nan.  A point X, (N,), with scalar d and G, (N,), goes to the stages
+    then _ray_hit_cols).  X and G are transposed into contiguous
+    component rows (no copy where they are the view of such rows, as the
+    plain step's rows and a zonal field's gradient are) and the hits come
+    out as the (n, N) view of theirs; rays that miss are nan.  A point X, (N,), with scalar d and G, (N,), goes to the stages
     as it is and gives its hit as a point."""
     if X.ndim > 1:
         X, G = np.ascontiguousarray(X.T), np.ascontiguousarray(G.T)
@@ -388,14 +413,18 @@ def _return_leg_rows(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarr
 
 
 def _resolvent_rows(core: ConvexCore, X: np.ndarray, d: np.ndarray, V: np.ndarray):
-    """_resolvent_cols on (n, N) rows X and V: (nu, R) as (n, N) rows."""
-    return tuple(A.T.copy() for A in _resolvent_cols(core, X.T, d, V.T))
+    """_resolvent_cols on (n, N) rows X and V, each transposed into
+    contiguous component rows: (nu, R) as (n, N) rows."""
+    X, V = np.ascontiguousarray(X.T), np.ascontiguousarray(V.T)
+    return tuple(A.T.copy() for A in _resolvent_cols(core, X, d, V))
 
 
 def _outer_geometry_rows(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarray):
     """_outer_geometry_cols on (n, N) rows X and G: (outer points, inward
-    normals) as (n, N) rows."""
-    return tuple(A.T.copy() for A in _outer_geometry_cols(core, X.T, d, G.T))
+    normals) as (n, N) rows; X and G are transposed into contiguous
+    component rows first."""
+    X, G = np.ascontiguousarray(X.T), np.ascontiguousarray(G.T)
+    return tuple(A.T.copy() for A in _outer_geometry_cols(core, X, d, G))
 
 
 def retract_batch(core: ConvexCore, X, V) -> np.ndarray:

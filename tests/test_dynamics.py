@@ -486,10 +486,11 @@ _ORBIT_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-10])
+@pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan])
 @pytest.mark.parametrize("entry", sorted(_ORBIT_ENTRIES))
 def test_nonpositive_tol_raises_before_iterating(entry, tol, monkeypatch):
-    # no displacement is below a tol <= 0, so an orbit would run to max_iters
+    # no displacement is below a tol <= 0 or a nan tol, so an orbit would run
+    # to max_iters
     calls = _inject_at_step(monkeypatch, 0, None)  # counts the kernel's calls, replaces none
     dom = zonal_domain()
     X = SPHERE.ambient_from_chart(fibonacci_chart_grid(SPHERE, 8))
@@ -497,6 +498,16 @@ def test_nonpositive_tol_raises_before_iterating(entry, tol, monkeypatch):
         _ORBIT_ENTRIES[entry](dom, X, tol)
     # fixed_point_search takes every seed's first step before it settles them
     assert calls[0] == (entry == "fixed_point_search")
+
+
+@pytest.mark.parametrize("entry", sorted(_ORBIT_ENTRIES))
+def test_every_orbit_entry_maps_through_the_injection_seam(entry, monkeypatch):
+    # _inject_at_step patches the plain step; an entry whose map calls bypass it
+    # would let the call counts and injected errors above pass vacuously
+    calls = _inject_at_step(monkeypatch, 0, None)
+    dom = zonal_domain()
+    _ORBIT_ENTRIES[entry](dom, SPHERE.ambient_from_chart(fibonacci_chart_grid(SPHERE, 8)), 1e-10)
+    assert calls[0] >= 2
 
 
 def _active_index_loop(dom, seeds, max_iters, tol):
@@ -540,6 +551,23 @@ def test_iterate_batch_equals_the_active_index_loop_bit_for_bit(kind, max_iters)
         assert running.sum() > 50 and (res.steps[running] == max_iters).all()
     else:
         assert res.converged.all() and len(np.unique(res.steps)) > 10
+
+
+@pytest.mark.parametrize("kind", sorted(_BIT_DOMAINS))
+def test_iterate_batch_across_blocks_equals_the_active_index_loop_bit_for_bit(kind):
+    # 4,097 seeds cross BLOCK_ROWS: the first step fills the row stage's
+    # component-major buffer block by block, the critical seed stops there, and
+    # the engine compacts the rest in that layout for one-block steps
+    dom = _BIT_DOMAINS[kind]
+    core = dom.core
+    critical = core.axes * dom.field.axis if core.dim == 3 else core.ambient_from_chart([0.0])
+    X = np.concatenate([[critical], core.ambient_from_chart(fibonacci_chart_grid(core, dynamics.BLOCK_ROWS))])
+    assert len(X) == 4097
+    res = iterate_batch(dom, X, max_iters=10, tol=1e-10)
+    want = _active_index_loop(dom, X, 10, 1e-10)
+    assert res.limits.flags.c_contiguous and res.limits.tobytes() == want[0].tobytes()
+    assert np.array_equal(res.steps, want[1]) and np.array_equal(res.converged, want[2])
+    assert res.converged[0] and res.steps[0] == 1 and (~res.converged).sum() > 4000
 
 
 def test_batch_limits_split_by_hemisphere():
@@ -664,15 +692,17 @@ def test_orbit_takes_an_off_core_seed_as_given():
 
 def _inject_at_step(monkeypatch, k, make):
     """From the k-th map call on (counting from 1), return make(x, y) in
-    place of the map's value y at x."""
-    kernel, calls = dynamics.return_map_batch, [0]
+    place of the map's value y at x.  The seam is the plain step
+    dynamics._map_step, which iterate_orbit and iterate_batch call and
+    return_map_batch wraps, so every orbit entry's map calls pass it."""
+    kernel, calls = dynamics._map_step, [0]
 
     def patched(dom, X):
         calls[0] += 1
         Y = kernel(dom, X)
         return make(X, Y) if calls[0] == k else Y
 
-    monkeypatch.setattr(dynamics, "return_map_batch", patched)
+    monkeypatch.setattr(dynamics, "_map_step", patched)
     return calls
 
 

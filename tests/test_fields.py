@@ -410,8 +410,9 @@ def test_ambient_value_grad_is_value_and_grad_bit_for_bit(fld):
     _p2_profile(SPHERE, 0.5, 0.01),
 ], ids=["zonal_legendre", "zonal_profile"])
 def test_zonal_gradient_by_columns_is_the_broadcast_product_bit_for_bit(fld):
-    # the gradient is written column by column, G[..., j] = g'(w) grad_j w; its
-    # bytes are those of the broadcast g'(w)[..., None] * grad w
+    # ambient_grad writes the gradient column by column, G[..., j] = g'(w) grad_j w,
+    # and ambient_value_grad as one outer product of grad w and g'(w); the bytes
+    # of both are those of the broadcast g'(w)[..., None] * grad w
     X = np.array([p.ambient for p in random_points(fld.core, 5000, seed=41)])
     wide = np.zeros((len(X), 7))
     wide[:, 2:5] = X
@@ -420,6 +421,55 @@ def test_zonal_gradient_by_columns_is_the_broadcast_product_bit_for_bit(fld):
         want = fld.dg(fld._w(Z))[..., None] * fld._gw
         for G in (fld.ambient_grad(Z), fld.ambient_value_grad(Z)[1]):
             assert G.shape == Z.shape and G.tobytes() == want.tobytes()
+
+
+_LAYOUT_FIELDS = {
+    "zonal": ZonalLegendreField(TILTED_CORE, 0.25, 0.02, axis=(0.3, 0.5, 0.8)),
+    "two_axis_sum": SumField([ZonalLegendreField(SPHERE, 0.25, 0.02),
+                              ZonalLegendreField(SPHERE, 0.25, 0.02, axis=(0.3, 0.5, 0.8))]),
+    "scaled": ScaledField(2.5, _p2_profile(SPHERE, 0.5, 0.01)),
+    "fourier": Fourier2DField(CIRCLE, 0.5, [(2, 0.05), (3, 0.02)]),
+    "constant": ConstantField(TILTED_CORE, 0.25),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 739, 5000])
+@pytest.mark.parametrize("kind", sorted(_LAYOUT_FIELDS))
+def test_value_grad_gradient_is_ambient_grad_in_any_input_layout(kind, n):
+    # the kernel's field call may hand its gradient rows in another layout (the
+    # zonal field gives the view of its component rows), but not other values;
+    # ambient_grad itself stays C-ordered, as hessian_action's einsum needs
+    fld = _LAYOUT_FIELDS[kind]
+    X = np.array([p.ambient for p in random_points(fld.core, n, seed=n)])
+    N = fld.core.dim
+    wide = np.zeros((2 * n, N + 4))
+    wide[::2, 2:2 + N] = X
+    layouts = {"C": X, "F": np.asfortranarray(X), "strided": wide[::2, 2:2 + N],
+               "column_sliced": np.ascontiguousarray(wide[::2])[:, 2:2 + N]}
+    if n == 1:
+        layouts["point"] = X[0]
+    want_value, want_grad = fld.ambient_value(X), fld.ambient_grad(X)
+    for name, Z in layouts.items():
+        value, grad = fld.ambient_value_grad(Z)
+        rows = fld.ambient_grad(Z)
+        assert rows.flags.c_contiguous, name
+        assert grad.shape == rows.shape == Z.shape and grad.tobytes() == rows.tobytes(), name
+        assert value.tobytes() == np.reshape(want_value, np.shape(value)).tobytes(), name
+        assert grad.tobytes() == want_grad.tobytes(), name
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided", "point"])
+def test_zonal_w_sums_in_einsums_order(layout):
+    # w is the column sum (x0 g0 + x2 g2) + x1 g1, einsum's order on C-ordered
+    # rows, read from any layout; a numpy whose einsum sums in another order
+    # fails here, and the bundled digests with it
+    fld = _LAYOUT_FIELDS["zonal"]
+    rng = np.random.default_rng(43)
+    X = rng.standard_normal((2000, 3)) * np.exp(rng.uniform(-20.0, 20.0, (2000, 3)))
+    want = np.einsum("ij,j->i", X, fld._gw)
+    Z = {"C": X, "F": np.asfortranarray(X), "strided": np.repeat(X, 2, axis=0)[::2], "point": X[7]}[layout]
+    got = fld._w(Z)
+    assert np.asarray(got).tobytes() == (want[7] if layout == "point" else want).tobytes()
 
 
 _ACTION_FIELDS = {

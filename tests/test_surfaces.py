@@ -20,9 +20,13 @@ from shellmap.surfaces import (
     GRAZING_TOL,
     POLE_SIN_TOL,
     _component_dot,
+    _outer_geometry_cols,
+    _per_component,
     _ray_hit_cols,
     _ray_solve_batch,
     _ray_solve_cols,
+    _resolvent_cols,
+    _return_leg_rows,
     _require_on_core,
     frames_batch,
     retract_batch,
@@ -373,6 +377,94 @@ def test_component_dot_sums_in_einsums_order(dim, n):
     B = rng.standard_normal((n, dim))
     want = np.einsum("ij,ij->i", A, B)
     assert _component_dot(np.ascontiguousarray(A.T), np.ascontiguousarray(B.T)).tobytes() == want.tobytes()
+
+
+# the return leg's stages with every update a fresh one-expression array, on
+# component rows (N, n) or a point (N,): the oracle of the in-place stages
+def _dot_fresh(A, B):
+    p = A * B
+    return (p[0] + p[2]) + p[1] if len(p) == 3 else p[0] + p[1]
+
+
+def _ray_hit_fresh(core, O, D):
+    """(hits, t, grazing) of the rays O + t D."""
+    w = _per_component(core.inv_axes_sq, O)
+    A = _dot_fresh(D * w, D)
+    B = 2.0 * _dot_fresh(D * w, O)
+    C = _dot_fresh(O * w, O) - 1.0
+    disc = B * B - 4.0 * A * C
+    grazing = np.abs(disc) < GRAZING_TOL
+    q = -0.5 * (B + np.copysign(np.sqrt(np.maximum(disc, 0.0)), B + 0.0))
+    t1, t2 = q / A, np.fmax(C / q, -np.inf)
+    lo = np.minimum(t1, t2)
+    t = np.where(lo >= 0, lo, np.maximum(t1, t2))
+    t[(t < 0) | (disc < -GRAZING_TOL)] = np.nan
+    Y = O + t * D
+    YM = Y / _per_component(core.axes_sq, Y)
+    f = _dot_fresh(YM, Y) - 1.0
+    df = 2.0 * _dot_fresh(YM, D)
+    return Y + np.divide(-f, df, out=np.zeros(np.shape(f)), where=df != 0) * D, t, grazing
+
+
+def _outer_geometry_fresh(core, X, d, G):
+    """(outer points, inward normals, nu, m) above core points X."""
+    w = _per_component(core.inv_axes_sq, X)
+    r = np.sqrt(_dot_fresh(X * w, X * w))
+    nu = X * w / r
+    Dg = 1.0 / (1.0 + d / r * w)
+    mu = -_dot_fresh(Dg * nu, G) / _dot_fresh(Dg * nu, nu)
+    m = Dg * G + mu * (Dg * nu)
+    nvec = m - nu
+    return X + d * nu, nvec / np.sqrt(_dot_fresh(nvec, nvec)), nu, m
+
+
+def _leg_inputs(core, rng, n):
+    """n random core points with thickness and gradient over several scales,
+    then the edge rows: zero and normal gradients, the axis points, -0.0
+    components, a thickness of 1e-300 and a row whose point and thickness
+    are nan."""
+    N, s = core.dim, core.surface_scale()
+    X = core.ambient_from_chart(rng.uniform(0.0, 2.0 * np.pi, (n, N - 1)))
+    d = s * rng.uniform(1e-3, 2.0, n)
+    G = rng.standard_normal((n, N)) * rng.choice([1e-3, 1.0, 1e3], (n, 1)) / s
+    axis = np.diag(core.axes)
+    X = np.concatenate([X, axis, -axis, X[:2] * np.where(X[:2] == 0.0, -0.0, 1.0), X[:1], X[:1] * np.nan])
+    d = np.concatenate([d, np.full(2 * N + 2, 0.5 * s), [1e-300, np.nan]])
+    G = np.concatenate([G, np.zeros((N, N)), 0.3 * core.normal(-axis) / s, np.full((2, N), -0.0),
+                        G[:1], G[:1]])
+    return X, d, G
+
+
+@pytest.mark.parametrize("core", RAY_CORES, ids=lambda c: f"{c.kind}{c.semi_axes}")
+def test_in_place_leg_stages_equal_the_fresh_array_forms_bit_for_bit(core):
+    # the stages update their rows in place (sums into p[0], B *= 2, C -= 1,
+    # q *= -0.5, the resolvent, the outer geometry and the Newton update); every
+    # output is that of the one-expression forms, nan where they are nan
+    rng = np.random.default_rng(29)
+    O, D = _edge_rays(core, rng, 4000)
+    X, d, G = _leg_inputs(core, rng, 4000)
+    random_and_edges = [*range(300), *range(4000, len(O))]
+    with np.errstate(all="ignore"):  # the nan and inf rows warn in both forms
+        want_Y, want_t, want_grazing = _ray_hit_fresh(core, O.T, D.T)
+        Y, grazing = _ray_hit_cols(core, np.ascontiguousarray(O.T), np.ascontiguousarray(D.T))
+        t, _ = _ray_solve_cols(core, np.ascontiguousarray(O.T), np.ascontiguousarray(D.T))
+        assert np.isnan(want_t).any() and np.isfinite(want_t).any()
+        assert _same_bits(Y, want_Y) and _same_bits(t, want_t) and np.array_equal(grazing, want_grazing)
+        want_out = _outer_geometry_fresh(core, X.T, d, G.T)
+        Xc, Gc = np.ascontiguousarray(X.T), np.ascontiguousarray(G.T)
+        got_out = (*_outer_geometry_cols(core, Xc, d, Gc), *_resolvent_cols(core, Xc, d, Gc))
+        assert all(_same_bits(a, b) for a, b in zip(got_out, want_out))
+        want_hits = _ray_hit_fresh(core, *want_out[:2])[0]
+        assert _same_bits(_return_leg_rows(core, X, d, G), want_hits.T)
+        # as points, one row at a time: the random rows after the first 300 are skipped
+        for i in random_and_edges:
+            Y_i, grazing_i = _ray_hit_cols(core, O[i], D[i])
+            assert _same_bits(Y_i, want_Y[:, i]) and grazing_i == want_grazing[i], (i, O[i], D[i])
+            assert _same_bits(_ray_solve_cols(core, O[i], D[i])[0], want_t[i]), (i, O[i], D[i])
+        for i in [*range(300), *range(4000, len(X))]:
+            got_i = (*_outer_geometry_cols(core, X[i], d[i], G[i]), *_resolvent_cols(core, X[i], d[i], G[i]))
+            assert all(_same_bits(a, b[..., i]) for a, b in zip(got_i, want_out)), (i, X[i], d[i], G[i])
+            assert _same_bits(_return_leg_rows(core, X[i], d[i], G[i]), want_hits[:, i]), (i, X[i], d[i])
 
 
 @pytest.mark.parametrize("scale", [2.0, 0.5])
