@@ -404,8 +404,9 @@ def _return_leg_rows(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarr
     then _ray_hit_cols).  X and G are transposed into contiguous
     component rows (no copy where they are the view of such rows, as the
     plain step's rows and a zonal field's gradient are) and the hits come
-    out as the (n, N) view of theirs; rays that miss are nan.  A point X, (N,), with scalar d and G, (N,), goes to the stages
-    as it is and gives its hit as a point."""
+    out as the (n, N) view of theirs; rays that miss are nan.  A point X,
+    (N,), with scalar d and G, (N,), goes to the stages as it is and gives
+    its hit as a point."""
     if X.ndim > 1:
         X, G = np.ascontiguousarray(X.T), np.ascontiguousarray(G.T)
     Xout, nvec = _outer_geometry_cols(core, X, d, G)
