@@ -48,7 +48,7 @@ from .surfaces import (
 FIXED_POINT_RESIDUAL_TOL = 1e-8
 NEWTON_MAX_STEPS = 20
 MAX_REFINE = 64
-CLUSTER_CHUNK = 1 << 15  # floats in one distance temporary of _greedy_clusters (256 KiB)
+CLUSTER_CHUNK = 1 << 15  # floats in one (rows x unlabelled rows) distance temporary of _greedy_clusters (256 KiB)
 DEFAULT_FD_STEP = 1e-5  # in units of surface_scale()
 SLOPE_FLOOR_FACTOR = 1e-13
 NEUTRAL_TOL = 1e-6  # |mu| this close to 1 is neutral
@@ -436,34 +436,76 @@ def _newton_polish(F: BlackBoxMap, X: np.ndarray):
     return X, r
 
 
+def _within(XT: np.ndarray, A: np.ndarray, B: np.ndarray, radius: float) -> np.ndarray:
+    """(len(A), len(B)) bool: rows A of the points within radius of rows B,
+    the points given as their component rows XT, (N, n).  The squared
+    distances are summed column by column, (s0 + s1) + s2, the order of
+    np.linalg.norm(..., axis=-1), so each distance is that norm bit for bit;
+    a nan distance is not within any radius."""
+    s = None
+    for col in XT:
+        c = col[A, None] - col[B]
+        c *= c
+        s = c if s is None else np.add(s, c, out=s)
+    np.sqrt(s, out=s)
+    return s <= radius
+
+
 def _greedy_clusters(X: np.ndarray, radius: float):
     """Deterministic chain clustering; returns a label per row.
 
     The clusters are the components of the graph joining rows at distance
-    <= radius, numbered in order of their lowest row.  Each component is
-    grown breadth first, one distance call per chunk of its frontier
-    against the rows not yet labelled, so temporaries stay near
-    CLUSTER_CHUNK floats."""
-    n, dim = X.shape
-    labels = np.full(n, -1)
+    <= radius, numbered in order of their lowest row.  A block of the rows
+    not yet labelled is tested against all of them at once: the leading
+    rows whose only neighbour is themselves (or none, for a row that is
+    not finite) become one-row clusters in bulk, and the first row with a
+    neighbour grows its component breadth first, one distance call per
+    chunk of the frontier against the rows not yet labelled.  Each
+    distance temporary holds at most CLUSTER_CHUNK floats (one row's
+    distances, where more rows than that are unlabelled), so a call costs
+    one distance pass per block of isolated rows and a few per component
+    with neighbours.  A radius that is not > 0 (nan included) raises
+    ValueError."""
+    if not radius > 0:
+        raise ValueError("cluster radius must be positive")
+    XT = np.ascontiguousarray(X.T)
+    labels = np.full(X.shape[0], -1)
+    free = np.arange(X.shape[0])
     current = 0
-    while True:
-        free = np.flatnonzero(labels < 0)
-        if not free.size:
-            return labels
-        frontier = free[:1]
+    while free.size:
+        block = free[:max(1, CLUSTER_CHUNK // free.size)]
+        near = _within(XT, block, free, radius)
+        lone = np.count_nonzero(near, axis=1) <= 1
+        k = block.size if lone.all() else int(np.argmin(lone))
+        labels[block[:k]] = np.arange(current, current + k)
+        current += k
+        if k == block.size:
+            free = free[k:]
+            continue
+        frontier = free[near[k]]
         while frontier.size:
             labels[frontier] = current
-            free = np.flatnonzero(labels < 0)
+            free = free[labels[free] < 0]
             if not free.size:
                 break
-            Xf, near = X[free], np.zeros(free.size, dtype=bool)
-            rows = max(1, CLUSTER_CHUNK // (free.size * dim))
+            reach = np.zeros(free.size, dtype=bool)
+            rows = max(1, CLUSTER_CHUNK // free.size)
             for s in range(0, frontier.size, rows):
-                dist = np.linalg.norm(Xf - X[frontier[s:s + rows], None], axis=-1)
-                near |= (dist <= radius).any(axis=0)
-            frontier = free[near]
+                reach |= _within(XT, frontier[s:s + rows], free, radius).any(axis=0)
+            frontier = free[reach]
         current += 1
+    return labels
+
+
+def _least_per_label(labels: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The row of least value in each label group, by label: the lowest row
+    among ties and the first nan row of a group with one, as np.argmin over
+    the group's rows in ascending order gives.  One stable lexsort by
+    label, nan or not and value, and the first row of each group."""
+    order = np.lexsort((values, ~np.isnan(values), labels))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = labels[order[1:]] != labels[order[:-1]]
+    return order[first]
 
 
 def fixed_point_search(F: BlackBoxMap, n_seeds: int,
@@ -503,8 +545,7 @@ def fixed_point_search(F: BlackBoxMap, n_seeds: int,
 
     lim_res = np.linalg.norm(F.batch(limits) - limits, axis=-1)
     pre = _greedy_clusters(limits, radius=pre_radius)
-    lim_best = [members[np.argmin(lim_res[members])]
-                for members in (np.nonzero(pre == lab)[0] for lab in range(pre.max() + 1))]
+    lim_best = _least_per_label(pre, lim_res)
     scan_idx = np.argsort(R)[:max(8, n_seeds // 20)]
     cand = np.concatenate([limits[lim_best], X[scan_idx]])
     cand_res = np.concatenate([lim_res[lim_best], R[scan_idx]])
@@ -517,8 +558,7 @@ def fixed_point_search(F: BlackBoxMap, n_seeds: int,
         return FixedPointScan(pts, np.array([]), None, continuum, unresolved)
 
     labels = _greedy_clusters(pts, radius=10.0 * tol)
-    best = [members[np.argmin(res[members])]
-            for members in (np.nonzero(labels == lab)[0] for lab in range(labels.max() + 1))]
+    best = _least_per_label(labels, res).tolist()
     q = 1e-9 * core.surface_scale()
     best.sort(key=lambda i: tuple(np.round(pts[i] / q)))
     reps = pts[best]

@@ -18,13 +18,16 @@ not already a 2-D float64 array.  A batch of one runs the same stages on
 its row as a point (N,), so its per-point values are numpy scalars,
 whose arithmetic skips the ufunc dispatch that dominates a one-row call;
 the image is returned as a (1, N) row, bit for bit the row a wider batch
-gives.
+gives.  The checks of a step (d <= 0, finite images) and of the orbit
+loop (stopped rows, amplified rows) are taken as np.count_nonzero of
+their masks, which costs about half an .any() or .all() on a scalar, a
+short row or a mask of a few hundred rows.
 
 Orbits run in one loop, _orbits, on compact working rows (the seeds
-still running, compacted in their own layout) with one row reduction,
-_row_dot, which adds the column products in np.linalg.norm's order
-without a length-N inner loop, for the displacement norms (_row_norm)
-and settle's cosine;
+still running, compacted in their own layout by one index) with one row
+reduction, surfaces' _row_dot, which adds the column products in
+np.linalg.norm's order without a length-N inner loop, for the
+displacement norms (_row_norm) and settle's cosine;
 iterate_batch (plain steps of F), settle_batch (amplified steps and the
 contraction rule) and iterate_orbit (one seed, an owning copy of each
 image row recorded) are configurations of it, and none of them calls
@@ -47,6 +50,7 @@ from .surfaces import (
     ConvexCore,
     SurfacePoint,
     _return_leg_rows,
+    _row_dot,
     retract_batch,
 )
 
@@ -100,7 +104,7 @@ def _return_map_rows(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarr
     once, with the same checks and messages.  The count of missed rays
     names how many of them come from rows whose point or thickness is not
     finite."""
-    if (d <= 0.0).any():
+    if np.count_nonzero(d <= 0.0):
         raise InadmissibleThickness("nonpositive thickness encountered in batch step")
     if X.ndim == 1 or len(X) <= BLOCK_ROWS:
         Y = _return_leg_rows(core, X, d, G)
@@ -110,7 +114,7 @@ def _return_map_rows(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarr
             s = slice(i, i + BLOCK_ROWS)
             Y[s] = _return_leg_rows(core, X[s], d[s], G[s])
     finite = np.isfinite(Y)
-    if not finite.all():
+    if np.count_nonzero(finite) < finite.size:
         miss = int((~finite.all(axis=-1)).sum())
         bad = int(np.sum(~(np.isfinite(X).all(axis=-1) & np.isfinite(d))))
         tail = f", {bad} of them from rows that are not finite" if bad else ""
@@ -154,18 +158,6 @@ class BatchOrbitResult:
     limits: np.ndarray       # (n, N) ambient, last iterate
     steps: np.ndarray        # (n,) int
     converged: np.ndarray    # (n,) bool
-
-
-def _row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The dot of each pair of (n, N) rows of A and B: the products summed
-    over the columns one after another, (P0 + P1) + P2, the order in which
-    np.linalg.norm(A, axis=-1) sums the squares, without a reduction over
-    a length-N inner loop."""
-    P = A * B
-    s = P[:, 0] + P[:, 1]
-    if P.shape[1] == 3:
-        s += P[:, 2]
-    return s
 
 
 def _row_norm(D: np.ndarray) -> np.ndarray:
@@ -218,22 +210,27 @@ def _orbits(step, core: ConvexCore, seeds: np.ndarray, tol: float, max_iters: in
             with np.errstate(divide="ignore", invalid="ignore"):
                 cos = _row_dot(D, prev_D) / (disp * prev)  # nan where undefined
                 r = np.where(prev > 0.0, disp / prev, np.inf)
-                K_next = np.where(cos >= AMPLIFY_COS, 2.0 * K, 0.5 * K)
-                K_next = np.where(r < 1.0, np.minimum(K_next, K / (1.0 - r)), K_next)
-                K_next = np.maximum(np.minimum(K_next, trust / disp), 1.0)
+                K_next = K * np.where(cos >= AMPLIFY_COS, 2.0, 0.5)
+                # the cap K / (1 - r) where r < 1; where r >= 1 or r is nan,
+                # fmax makes it K / 0 = +inf, which caps nothing
+                np.minimum(K_next, K / np.fmax(1.0 - r, 0.0), out=K_next)
+                np.minimum(K_next, trust / disp, out=K_next)
+                np.maximum(K_next, 1.0, out=K_next)
             Xn = Y.copy()
-            amp = (K_next != 1.0) & ~stop
-            if amp.any():
-                Xn[amp] = retract_batch(core, Xa[amp], K_next[amp, None] * D[amp])
+            amp = np.flatnonzero((K_next != 1.0) & ~stop)
+            if amp.size:
+                Xn[amp] = retract_batch(core, Xa.take(amp, axis=0),
+                                        K_next.take(amp)[:, None] * D.take(amp, axis=0))
             work = [ids, Xn, disp, D, K_next]
         else:
             work = [ids, Y]
-        if stop.any():
-            done, keep = ids[stop], ~stop
+        if np.count_nonzero(stop):
+            keep = np.flatnonzero(~stop)
+            done = ids[stop]
             X[done], steps[done], converged[done] = Y[stop], it, True
-            # compress along the rows of each array's transpose, so component
+            # take along the rows of each array's transpose, so component
             # rows (N, n), the plain step's layout, stay contiguous
-            work = [w.T.compress(keep, axis=-1).T for w in work]
+            work = [w.T.take(keep, axis=-1).T for w in work]
     ids, Xa = work[:2]
     X[ids], steps[ids] = Xa, it
     return BatchOrbitResult(X, steps, converged)
@@ -323,6 +320,11 @@ def settle_batch(F: BlackBoxMap, seeds: np.ndarray,
     previous displacement (so at least two steps), both in F's units,
     with its F image as its limit.  Each map call maps exactly the seeds
     still running, and max_iters counts map calls.
+
+    A step's bookkeeping is a few whole-row passes: K is updated in
+    place, the cap K / (1 - r) taken as K / max(1 - r, 0), which is +inf
+    and caps nothing where r >= 1, and the rows to amplify are found once
+    as an index, by which they are gathered, retracted and scattered back.
     """
     return _orbits(F.batch, F.core, seeds, tol, max_iters, amplify=True)
 

@@ -19,8 +19,14 @@ ambient_value_grad is the return-map kernel's one field call.  Its values
 equal those of ambient_value and ambient_grad bit for bit, but a zonal
 field hands its gradient rows as the (n, N) view of their component rows
 (N, n), made in one product, whose transpose the return leg takes without
-a copy; ambient_grad stays C-ordered, because hessian_action's einsum sums
-in its operands' memory order.
+a copy; ambient_grad stays C-ordered, because hessian_action's einsums sum
+in their operands' memory order, and hessian_action takes C-ordered copies
+of rows stored otherwise, so its bits do not depend on the layout.
+
+At a point (N,) a zonal field reads x's components as numpy scalars (the
+rows of X.T), not as the 0-d arrays X[..., j] would give, and legendre_p2
+takes a float64 scalar as it is, so a one-row step's field call is scalar
+arithmetic, in the same order and with the same bits as on rows.
 """
 
 from __future__ import annotations
@@ -31,8 +37,10 @@ from .surfaces import ConvexCore, _frame_matrices, shape_action_batch, tangent_p
 
 
 def legendre_p2(x):
-    """Degree-2 Legendre polynomial (3x^2 - 1)/2."""
-    x = np.asarray(x, dtype=float)
+    """Degree-2 Legendre polynomial (3x^2 - 1)/2; a float64 array or numpy
+    scalar is taken as it is, so a scalar gives a scalar."""
+    if getattr(x, "dtype", None) != np.float64:
+        x = np.asarray(x, dtype=float)
     return 0.5 * (3.0 * x * x - 1.0)
 
 
@@ -76,8 +84,9 @@ class ThicknessField:
     def hessian_action(self, X, V) -> np.ndarray:
         """Hess d applied to tangent vectors V at core points X, both (n, N):
         P_t(hess D v) + (grad D . nu) S v with hess D = ambient_hess(X)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        V = np.atleast_2d(np.asarray(V, dtype=float))
+        # C-ordered rows: the einsums sum in their operands' memory order
+        X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=float)))
+        V = np.ascontiguousarray(np.atleast_2d(np.asarray(V, dtype=float)))
         nu = self.core.normal(X)
         gn = np.einsum("ij,ij->i", self.ambient_grad(X), nu)
         HV = np.einsum("ijk,ik->ij", self.ambient_hess(X), V)
@@ -130,10 +139,13 @@ class ZonalProfileField(ThicknessField):
     def _w(self, X):
         # the column products summed as (x0 g0 + x2 g2) + x1 g1, the order in
         # which einsum("...j,j->...") sums C-ordered rows: w does not depend on
-        # how X is stored, and component-major rows are read without a copy
+        # how X is stored, and component-major rows are read without a copy.
+        # The columns are the rows of X's transpose, so a point (N,) gives
+        # numpy scalars, not the 0-d arrays of X[..., j]
         X = np.asarray(X, dtype=float)
+        x0, x1, x2 = X.T if X.ndim < 3 else np.moveaxis(X, -1, 0)
         g0, g1, g2 = self._gw_columns
-        return (X[..., 0] * g0 + X[..., 2] * g2) + X[..., 1] * g1
+        return (x0 * g0 + x2 * g2) + x1 * g1
 
     def ambient_value(self, X):
         return self.d0 + self.g(self._w(X))

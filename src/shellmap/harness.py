@@ -551,7 +551,7 @@ def _task_basins(r, out, rng):
     labeling = basin_decomposition(F, dom.core.ambient_from_chart(charts), tol=v["tol"],
                                    max_iters=v["max_iters"], cluster_radius=v["cluster_radius"])
     out.table("basins.csv", ["seed_theta", "seed_phi", "label"], *_theta_phi(dom.core, charts), labeling.labels)
-    counts = {int(l): int(np.sum(labeling.labels == l)) for l in sorted(set(labeling.labels))}
+    counts = dict(zip(*(a.tolist() for a in np.unique(labeling.labels, return_counts=True))))
     out.summary([
         ("n_clusters", len(labeling.cluster_reps)),
         ("unresolved", counts.get(-1, 0)),

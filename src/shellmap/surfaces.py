@@ -266,6 +266,18 @@ def shape_action_batch(core: ConvexCore, X: np.ndarray, V: np.ndarray) -> np.nda
     return -tangent_part(core.normal(X), V * core.inv_axes_sq) / r
 
 
+def _row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The dot of each pair of (n, N) rows of A and B: the products summed
+    over the columns one after another, (P0 + P1) + P2, the order in which
+    np.linalg.norm(A, axis=-1) and (A * B).sum(axis=-1) sum them, without a
+    reduction over a length-N inner loop."""
+    P = A * B
+    s = P[:, 0] + P[:, 1]
+    if P.shape[1] == 3:
+        s += P[:, 2]
+    return s
+
+
 def _component_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Dot products of the points of A and B, component rows (N, n) each:
     p = A * B summed as (p[0] + p[2]) + p[1] for N=3 and p[0] + p[1] for
@@ -387,7 +399,7 @@ def _outer_geometry_cols(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.n
     norms = np.sqrt(_component_dot(nvec, nvec))
     nvec /= norms
     ok = norms < np.inf
-    if not ok.all():
+    if np.count_nonzero(ok) < ok.size:
         # a nan seed is left to fail in the ray solve
         bad = ~ok & np.isfinite(d)
         if bad.any():
@@ -432,17 +444,19 @@ def retract_batch(core: ConvexCore, X, V) -> np.ndarray:
     """The rows of X + V (X may be one point) projected back onto the core,
     shape (n, N).
 
-    Sphere and circle cores scale each row radially (closed form).  The
-    ellipsoid takes Newton steps along the implicit gradient, each row
-    until |implicit| <= TOL_SURFACE, then one final Newton step on every
-    row; Newton converges quadratically, so that step takes 1e-12 down to
-    round-off.  Raises ProjectionFailed if a row is still off the core
-    after _NEWTON_MAX_ITERS steps or is not finite.
+    Sphere and circle cores scale each row radially (closed form), by the
+    radius over the root of its sum of squares, which _row_dot adds column
+    by column with the bits of (Y * Y).sum(axis=-1).  The ellipsoid takes
+    Newton steps along the implicit gradient, each row until |implicit| <=
+    TOL_SURFACE, then one final Newton step on every row; Newton converges
+    quadratically, so that step takes 1e-12 down to round-off.  Raises
+    ProjectionFailed if a row is still off the core after _NEWTON_MAX_ITERS
+    steps or is not finite.
     """
     Y = np.atleast_2d(np.asarray(X, dtype=float) + np.asarray(V, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):
         if core.kind != "ellipsoid":
-            Y = Y * (core.semi_axes[0] / np.sqrt((Y * Y).sum(axis=-1, keepdims=True)))
+            Y *= (core.semi_axes[0] / np.sqrt(_row_dot(Y, Y)))[:, None]
         else:
             for _ in range(_NEWTON_MAX_ITERS):
                 f = core.implicit(Y)

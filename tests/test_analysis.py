@@ -909,3 +909,75 @@ def test_greedy_clusters_equal_depth_first_labels(dim, chunk, monkeypatch):
     for radius in (0.005, 0.0101, 0.02):
         assert np.array_equal(analysis._greedy_clusters(chain, radius),
                               _depth_first_clusters(chain, radius))
+
+
+@st.composite
+def _cluster_cases(draw):
+    """(points, radius): blobs with exact duplicates, integer grid points at
+    distance exactly 1.0 with radius 1.0, or a shuffled chain with links
+    near the radius; some rows nan, and n = 0 among the sizes."""
+    dim, kind = draw(st.sampled_from([2, 3])), draw(st.sampled_from(["blobs", "grid", "chain"]))
+    n = draw(st.integers(0, 40) | st.integers(200, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "grid":
+        X, radius = rng.integers(0, 4, (n, dim)).astype(float), 1.0
+    elif kind == "chain":
+        radius = 0.01
+        t = np.cumsum(rng.uniform(0.5, 1.5, n) * radius)
+        X = np.zeros((n, dim))
+        X[:, 0], X[:, 1] = t, 0.2 * np.sin(t)
+        X = X[rng.permutation(n)]
+    else:
+        radius = draw(st.sampled_from([1e-4, 1e-2, 0.3]))
+        centres = rng.normal(size=(int(rng.integers(1, 8)), dim))
+        X = centres[rng.integers(0, len(centres), n)] + rng.normal(size=(n, dim)) * 10.0 ** -rng.integers(0, 6)
+        X = X[rng.integers(0, max(n, 1), n)]  # drawn with replacement: exact duplicates
+    X[rng.random(n) < draw(st.sampled_from([0.0, 0.05]))] = np.nan
+    return X, radius
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_cluster_cases(), chunk=st.sampled_from([1, 7, 64, analysis.CLUSTER_CHUNK]))
+def test_greedy_clusters_equal_depth_first_labels_on_drawn_sets(case, chunk):
+    X, radius = case
+    saved = analysis.CLUSTER_CHUNK
+    analysis.CLUSTER_CHUNK = chunk
+    try:
+        labels = analysis._greedy_clusters(X, radius)
+    finally:
+        analysis.CLUSTER_CHUNK = saved
+    assert labels.shape == (X.shape[0],)
+    assert np.array_equal(labels, _depth_first_clusters(X, radius))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=30), seed=st.integers(0, 2**32 - 1),
+       with_nan=st.booleans())
+def test_least_per_label_is_the_per_label_argmin(sizes, seed, with_nan):
+    # values from a few levels, so ties are common; one-row groups included
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    values = rng.integers(0, 3, labels.size).astype(float)
+    if with_nan:
+        values[rng.random(labels.size) < 0.2] = np.nan
+    want = [members[np.argmin(values[members])]
+            for members in (np.flatnonzero(labels == lab) for lab in range(len(sizes)))]
+    assert analysis._least_per_label(labels, values).tolist() == want
+
+
+@pytest.mark.parametrize("radius", [np.nan, 0.0, -1.0])
+def test_greedy_clusters_need_a_positive_radius(radius):
+    # dist <= radius is false for every pair at such a radius, so every row
+    # would be its own cluster
+    for X in (np.zeros((5, 3)), np.empty((0, 2))):
+        with pytest.raises(ValueError, match="cluster radius must be positive"):
+            analysis._greedy_clusters(X, radius)
+
+
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-10])
+def test_fixed_point_search_needs_a_positive_tol(tol):
+    # the search clusters its polished points at radius 10 tol; a tol that is
+    # not positive stops it before any clustering
+    F = BlackBoxMap.wrap_domain(zonal_domain())
+    with pytest.raises(ValueError, match="must be positive"):
+        analysis.fixed_point_search(F, 20, tol=tol)

@@ -12,6 +12,7 @@ and TangentFrame are named only by the scalar views the benchmark calls.
 Outside surfaces no function reads the quadric's axes or names a stage of
 the return leg's component-row layout.  In dynamics only the orbit engine
 has a while loop, and only the kernel's row stage calls the return leg.
+No loop in analysis, inverse or harness runs once per cluster label.
 bench/reference.json is read and never written; the scenarios write their
 reports under the test's temporary directory.
 """
@@ -189,6 +190,32 @@ def test_only_the_orbit_engine_has_a_while_loop():
     looping = sorted(f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
                      and any(isinstance(node, ast.While) for node in ast.walk(f)))
     assert looping == ["_orbits"], f"functions in dynamics with a while loop: {looping}"
+
+
+def _per_label_iteration(node: ast.AST) -> bool:
+    """Whether the iterable node runs over range(<labels>.max() + 1) or over
+    set(<labels>), anywhere inside it (sorted(set(labels)) included)."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == "set":
+            return True
+        if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == "range"
+                and any(isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Add)
+                        and isinstance(arg.left, ast.Call) and isinstance(arg.left.func, ast.Attribute)
+                        and arg.left.func.attr == "max" for arg in sub.args)):
+            return True
+    return False
+
+
+def test_no_pass_per_label_in_the_clustering_consumers():
+    # per-cluster results are one sort or one np.unique over the labels; a
+    # loop or comprehension over range(labels.max() + 1) or set(labels) is a
+    # pass over every row per label
+    looping = []
+    for name in ("analysis", "inverse", "harness"):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        looping += [f"{name}: {ast.unparse(node.iter)}" for node in ast.walk(tree)
+                    if isinstance(node, (ast.For, ast.comprehension)) and _per_label_iteration(node.iter)]
+    assert not looping, f"loops over every label: {looping}"
 
 
 def test_only_the_row_stage_calls_the_return_leg():

@@ -17,12 +17,14 @@ from shellmap import (
     ZonalLegendreField,
     ZonalProfileField,
     admissibility_check,
+    fibonacci_chart_grid,
     frame_at,
+    legendre_p2,
     retract,
     return_map,
     return_map_batch,
 )
-from shellmap.surfaces import frames_batch
+from shellmap.surfaces import frames_batch, retract_batch, shape_action_batch, tangent_part
 
 SPHERE = ConvexCore.sphere(1.0)
 CIRCLE = ConvexCore.circle(1.0)
@@ -470,6 +472,49 @@ def test_zonal_w_sums_in_einsums_order(layout):
     Z = {"C": X, "F": np.asfortranarray(X), "strided": np.repeat(X, 2, axis=0)[::2], "point": X[7]}[layout]
     got = fld._w(Z)
     assert np.asarray(got).tobytes() == (want[7] if layout == "point" else want).tobytes()
+
+
+def test_zonal_field_at_a_point_is_scalar_arithmetic():
+    # a point's components are read as numpy scalars, and P2 takes a float64
+    # scalar as it is: no 0-d array is made, and the bits are the rows'
+    fld = _LAYOUT_FIELDS["zonal"]
+    X = np.array([p.ambient for p in random_points(fld.core, 5, seed=47)])
+    w, value = fld._w(X[2]), fld.ambient_value(X[2])
+    assert type(w) is np.float64 and type(value) is np.float64
+    assert w == fld._w(X)[2] and value == fld.ambient_value(X)[2]
+    assert type(legendre_p2(w)) is np.float64 and legendre_p2(w) == legendre_p2(np.array([w]))[0]
+    assert legendre_p2(0.5) == legendre_p2([0.5])[0] == -0.125
+
+
+_ROW_CALLS = {
+    "normal": lambda dom, X, V, E: dom.core.normal(X),
+    "tangent_part": lambda dom, X, V, E: tangent_part(dom.core.normal(X), V),
+    "frames_batch": lambda dom, X, V, E: frames_batch(dom.core, X),
+    "retract_batch": lambda dom, X, V, E: retract_batch(dom.core, X, 1e-3 * V),
+    "shape_action_batch": lambda dom, X, V, E: shape_action_batch(dom.core, X, V),
+    "ambient_value": lambda dom, X, V, E: dom.field.ambient_value(X),
+    "ambient_grad": lambda dom, X, V, E: dom.field.ambient_grad(X),
+    "tangent_gradient": lambda dom, X, V, E: dom.field.tangent_gradient(X),
+    "hessian_action": lambda dom, X, V, E: dom.field.hessian_action(X, V),
+    "surface_hessian_batch": lambda dom, X, V, E: dom.field.surface_hessian_batch(X, E),
+    "return_map_batch": lambda dom, X, V, E: return_map_batch(dom, X),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_CALLS))
+def test_row_calls_give_the_same_bits_for_c_and_f_ordered_rows(name):
+    # every row function reads Fortran-ordered rows (the orbit loop's working
+    # rows) with the bits of C-ordered ones; hessian_action's einsums sum in
+    # memory order, so it takes C-ordered copies
+    fld = _LAYOUT_FIELDS["zonal"]
+    dom = RadialDomain(fld.core, fld)
+    X = fld.core.ambient_from_chart(fibonacci_chart_grid(fld.core, 5000))
+    V = fld.tangent_gradient(X)
+    E = frames_batch(fld.core, X)
+    F = np.asfortranarray
+    want = _ROW_CALLS[name](dom, X, V, E)
+    got = _ROW_CALLS[name](dom, F(X), F(V), F(E))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 _ACTION_FIELDS = {

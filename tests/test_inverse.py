@@ -333,6 +333,17 @@ def test_basin_csv(tmp_path):
     assert [int(l.split(",")[2]) for l in lines[1:]] == list(lab.labels)
 
 
+def test_basin_decomposition_needs_a_positive_cluster_radius():
+    # at a nan, zero or negative radius no two limits are joined, so each of
+    # the 60 seeds would be its own basin
+    F, _ = zonal_box()
+    seeds = SPHERE.ambient_from_chart(fibonacci_chart_grid(SPHERE, 60))
+    assert len(basin_decomposition(F, seeds).cluster_reps) == 2
+    for radius in (np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="cluster radius must be positive"):
+            basin_decomposition(F, seeds, cluster_radius=radius)
+
+
 def test_basin_decomposition_of_no_seeds_is_empty():
     # runs under the suite's error::RuntimeWarning filter
     def no_call(X):

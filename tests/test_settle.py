@@ -24,7 +24,7 @@ from shellmap import (
 )
 from shellmap import analysis, dynamics, inverse
 from shellmap.harness import load_bundled, parse_scenario_text, run_scenario
-from shellmap.surfaces import fibonacci_chart_grid
+from shellmap.surfaces import fibonacci_chart_grid, retract_batch
 
 SPHERE = ConvexCore.sphere(1.0)
 ELLIPSOID = ConvexCore.ellipsoid(2.0, 1.0, 0.5)
@@ -75,6 +75,44 @@ def plain_orbits(F, seeds, tol, max_iters):
         prev[active] = disp
         converged[active[done]] = True
         active = active[~done]
+    return BatchOrbitResult(X, steps, converged)
+
+
+def boolean_mask_settle(F, seeds, tol, max_iters):
+    """settle_batch's amplified loop with the bookkeeping it had before one
+    index took the place of its masks: boolean gathers and scatters of the
+    amplified rows, K through a chain of np.where, and working rows
+    compressed by a mask along each array's transpose (the layout
+    settle_batch keeps, so F sees rows stored the same way)."""
+    core = F.core
+    X = np.array(seeds, dtype=float, ndmin=2)
+    n = X.shape[0]
+    steps, converged = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
+    trust = dynamics.TRUST_RADIUS * core.surface_scale()
+    work = [np.arange(n), X.copy(), np.full(n, -np.inf), np.zeros(X.shape), np.ones(n)]
+    it = 0
+    while work[0].size and it < max_iters:
+        it += 1
+        ids, Xa, prev, prev_D, K = work
+        Y = F.batch(Xa)
+        D = Y - Xa
+        disp = np.linalg.norm(D, axis=-1)
+        stop = (disp < tol) & (disp <= prev)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cos = np.sum(D * prev_D, axis=-1) / (disp * prev)
+            r = np.where(prev > 0.0, disp / prev, np.inf)
+            K_next = np.where(cos >= dynamics.AMPLIFY_COS, 2.0 * K, 0.5 * K)
+            K_next = np.where(r < 1.0, np.minimum(K_next, K / (1.0 - r)), K_next)
+            K_next = np.maximum(np.minimum(K_next, trust / disp), 1.0)
+        Xn = Y.copy()
+        amp = (K_next != 1.0) & ~stop
+        if amp.any():
+            Xn[amp] = retract_batch(core, Xa[amp], K_next[amp, None] * D[amp])
+        work = [ids, Xn, disp, D, K_next]
+        if stop.any():
+            X[ids[stop]], steps[ids[stop]], converged[ids[stop]] = Y[stop], it, True
+            work = [w.T.compress(~stop, axis=-1).T for w in work]
+    X[work[0]], steps[work[0]] = work[1], it
     return BatchOrbitResult(X, steps, converged)
 
 
@@ -217,3 +255,32 @@ def test_settle_batch_seeds_are_independent(name):
     assert np.array_equal(res.steps, np.concatenate([o.steps for o in one]))
     assert np.array_equal(res.limits, np.concatenate([o.limits for o in one]))
     assert np.array_equal(res.converged, np.concatenate([o.converged for o in one]))
+
+
+@pytest.mark.parametrize("name", sorted(BOXES))
+def test_settle_batch_equals_the_boolean_mask_step_bit_for_bit(name):
+    # the index gathers, the in-place K update (K / max(1 - r, 0) for the
+    # where on r < 1) and the compaction by one index change no bit of a
+    # limit, a step count or a flag
+    F = BOXES[name]()
+    X = F.core.ambient_from_chart(fibonacci_chart_grid(F.core, 400))
+    got = settle_batch(F, X, tol=1e-10, max_iters=20_000)
+    want = boolean_mask_settle(F, X, 1e-10, 20_000)
+    assert got.limits.tobytes() == want.limits.tobytes()
+    assert np.array_equal(got.steps, want.steps)
+    assert np.array_equal(got.converged, want.converged)
+
+
+@pytest.mark.parametrize("core", [ConvexCore.sphere(1.7), ConvexCore.circle(0.6)], ids=["sphere", "circle"])
+def test_retract_batch_scales_by_the_axis_sum_of_squares(core):
+    # the radial scaling sums each row's squares column by column; its bits
+    # are those of (Y * Y).sum(axis=-1), on rows with zero components too
+    rng = np.random.default_rng(17)
+    N = core.dim
+    Y = rng.normal(size=(10_000, N)) * 10.0 ** rng.uniform(-6.0, 6.0, (10_000, 1))
+    zeros = np.array([mask for mask in np.ndindex(*(2,) * N) if 0 < sum(mask) < N], dtype=bool)
+    Y = np.concatenate([Y, np.where(zeros, 0.0, Y[:len(zeros)])])
+    want = Y * (core.semi_axes[0] / np.sqrt((Y * Y).sum(axis=-1, keepdims=True)))
+    assert retract_batch(core, Y[:5], np.zeros_like(Y[:5])).tobytes() == want[:5].tobytes()
+    assert retract_batch(core, Y, np.zeros_like(Y)).tobytes() == want.tobytes()
+    assert retract_batch(core, 0.5 * Y, 0.5 * Y).tobytes() == want.tobytes()
