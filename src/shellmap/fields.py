@@ -23,10 +23,10 @@ a copy; ambient_grad stays C-ordered, because hessian_action's einsums sum
 in their operands' memory order, and hessian_action takes C-ordered copies
 of rows stored otherwise, so its bits do not depend on the layout.
 
-At a point (N,) a zonal field reads x's components as numpy scalars (the
-rows of X.T), not as the 0-d arrays X[..., j] would give, and legendre_p2
-takes a float64 scalar as it is, so a one-row step's field call is scalar
-arithmetic, in the same order and with the same bits as on rows.
+At a point (N,) a zonal field reads x's components as numpy scalars, not
+as the 0-d arrays X[..., j] would give, and legendre_p2 takes a float64
+scalar as it is, so a one-row step's field call is scalar arithmetic, in
+the same order and with the same bits as on rows.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ class ThicknessField:
         """Hess d applied to tangent vectors V at core points X, both (n, N):
         P_t(hess D v) + (grad D . nu) S v with hess D = ambient_hess(X)."""
         # C-ordered rows: the einsums sum in their operands' memory order
-        X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=float)))
-        V = np.ascontiguousarray(np.atleast_2d(np.asarray(V, dtype=float)))
+        X = np.array(X, dtype=float, ndmin=2, order="C", copy=None)
+        V = np.array(V, dtype=float, ndmin=2, order="C", copy=None)
         nu = self.core.normal(X)
         gn = np.einsum("ij,ij->i", self.ambient_grad(X), nu)
         HV = np.einsum("ijk,ik->ij", self.ambient_hess(X), V)
@@ -140,10 +140,10 @@ class ZonalProfileField(ThicknessField):
         # the column products summed as (x0 g0 + x2 g2) + x1 g1, the order in
         # which einsum("...j,j->...") sums C-ordered rows: w does not depend on
         # how X is stored, and component-major rows are read without a copy.
-        # The columns are the rows of X's transpose, so a point (N,) gives
-        # numpy scalars, not the 0-d arrays of X[..., j]
+        # A point (N,) is unpacked into numpy scalars, not the 0-d arrays
+        # of X[..., j]
         X = np.asarray(X, dtype=float)
-        x0, x1, x2 = X.T if X.ndim < 3 else np.moveaxis(X, -1, 0)
+        x0, x1, x2 = X if X.ndim == 1 else (X[..., 0], X[..., 1], X[..., 2])
         g0, g1, g2 = self._gw_columns
         return (x0 * g0 + x2 * g2) + x1 * g1
 
