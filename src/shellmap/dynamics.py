@@ -10,7 +10,10 @@ their d and grad d to its field-free row stage, _return_map_rows, which
 checks d > 0, runs the return leg of surfaces (_return_leg_rows) in
 blocks of at most BLOCK_ROWS rows and counts the rays that miss; the
 residual sweeps of analysis call the row stage on the rows of many
-fields at once.  The row stage leaves its image rows as the leg gives
+fields at once.  The leg does not check its outer normals, as a
+degenerate one gives a hit that is not finite: only when a step has such
+hits does the row stage rerun the checking outer geometry, block by
+block, to name a degenerate normal before it counts the misses.  The row stage leaves its image rows as the leg gives
 them, the Fortran-ordered view of the hits' component rows (N, n), which
 the next step's leg takes without a copy.  The kernel, return_map_batch,
 is the C-ordered copy of that step, after coercing X only when it is
@@ -49,6 +52,7 @@ from .surfaces import (
     TOL_SURFACE,
     ConvexCore,
     SurfacePoint,
+    _outer_geometry_rows,
     _return_leg_rows,
     _row_dot,
     retract_batch,
@@ -95,15 +99,19 @@ def _map_step(dom: RadialDomain, X: np.ndarray) -> np.ndarray:
 def _return_map_rows(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarray) -> np.ndarray:
     """The field-free row stage of the kernel: the return leg of surfaces
     on core points X, (n, N), with thickness d, (n,), and ambient gradient
-    G, (n, N), of any fields on core.  d > 0 is checked on every row, the
-    leg runs in blocks of at most BLOCK_ROWS rows, each checked for a
-    degenerate normal as it runs, and rays that miss are counted over the
-    whole batch.  The image rows are the (n, N) view of contiguous
-    component rows (N, n), as the leg leaves them: Fortran-ordered, not
-    copied out.  A point X, (N,), with scalar d and G, (N,), runs the leg
-    once, with the same checks and messages.  The count of missed rays
-    names how many of them come from rows whose point or thickness is not
-    finite."""
+    G, (n, N), of any fields on core.  d > 0 is checked on every row, and
+    the leg runs in blocks of at most BLOCK_ROWS rows.  The image rows are
+    the (n, N) view of contiguous component rows (N, n), as the leg leaves
+    them: Fortran-ordered, not copied out.  A point X, (N,), with scalar d
+    and G, (N,), runs the leg once, with the same checks and messages.
+
+    The failure branch runs only when some hit is not finite.  It first
+    reruns the checking outer geometry (_outer_geometry_rows) on the same
+    blocks, which raises ImmersionFailure with the count of degenerate
+    normals in the first block that has any, as a leg that checked each
+    block as it ran would; otherwise the rays that miss are counted over
+    the whole batch, and the count names how many of them come from rows
+    whose point or thickness is not finite."""
     if np.count_nonzero(d <= 0.0):
         raise InadmissibleThickness("nonpositive thickness encountered in batch step")
     if X.ndim == 1 or len(X) <= BLOCK_ROWS:
@@ -115,6 +123,14 @@ def _return_map_rows(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarr
             Y[s] = _return_leg_rows(core, X[s], d[s], G[s])
     finite = np.isfinite(Y)
     if np.count_nonzero(finite) < finite.size:
+        # a degenerate outer normal gives a hit that is not finite: the
+        # checking outer geometry names it, block by block as the leg runs
+        if X.ndim == 1:
+            _outer_geometry_rows(core, X, d, G)
+        else:
+            for i in range(0, len(X), BLOCK_ROWS):
+                s = slice(i, i + BLOCK_ROWS)
+                _outer_geometry_rows(core, X[s], d[s], G[s])
         miss = int((~finite.all(axis=-1)).sum())
         bad = int(np.sum(~(np.isfinite(X).all(axis=-1) & np.isfinite(d))))
         tail = f", {bad} of them from rows that are not finite" if bad else ""
@@ -216,9 +232,12 @@ def _orbits(step, core: ConvexCore, seeds: np.ndarray, tol: float, max_iters: in
                 np.minimum(K_next, K / np.fmax(1.0 - r, 0.0), out=K_next)
                 np.minimum(K_next, trust / disp, out=K_next)
                 np.maximum(K_next, 1.0, out=K_next)
-            Xn = Y.copy()
+            # the images are copied only to take amplified rows, so the map's
+            # array is never written
+            Xn = Y
             amp = np.flatnonzero((K_next != 1.0) & ~stop)
             if amp.size:
+                Xn = Y.copy()
                 Xn[amp] = retract_batch(core, Xa.take(amp, axis=0),
                                         K_next.take(amp)[:, None] * D.take(amp, axis=0))
             work = [ids, Xn, disp, D, K_next]
@@ -324,7 +343,9 @@ def settle_batch(F: BlackBoxMap, seeds: np.ndarray,
     A step's bookkeeping is a few whole-row passes: K is updated in
     place, the cap K / (1 - r) taken as K / max(1 - r, 0), which is +inf
     and caps nothing where r >= 1, and the rows to amplify are found once
-    as an index, by which they are gathered, retracted and scattered back.
+    as an index, by which they are gathered, retracted and scattered back
+    into a copy of the images; a step with no amplified row keeps F's
+    images as they are, uncopied.  F's arrays are never written.
     """
     return _orbits(F.batch, F.core, seeds, tol, max_iters, amplify=True)
 

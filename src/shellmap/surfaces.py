@@ -10,22 +10,21 @@ retract_batch.
 
 The return leg of the return-map kernel lives here: the resolvent
 (I - d S)^(-1) (_resolvent_cols), the outer points and inward normals
-(_outer_geometry_cols) and the ray solve and hit (_ray_solve_cols,
-_ray_hit_cols).  These stages take points as the columns of contiguous
+(_outer_normals_cols, unchecked, and _outer_geometry_cols, which raises
+ImmersionFailure on a degenerate normal) and the leg's ray hit
+(_near_hit_cols).  These stages take points as the columns of contiguous
 component rows (N, n), so every arithmetic step runs on whole rows, and
 they sum dot products with _component_dot in einsum's order.  Each stage
 updates its own products in place (the dots sum into their row p[0], the
-ray solve scales B, C and q in place, and the resolvent, the outer
-geometry and the Newton update add into their products), with the bits of
-the one-expression forms.  They also
+ray solves shift C and the general one scales B and q in place, and the
+resolvent, the outer geometry and the Newton update add into their
+products), with the bits of the one-expression forms.  They also
 take a single point (N,), for which every per-point value is a numpy
 scalar; _per_component shapes the per-axis constants to either form, so
 each stage's arithmetic is written once.  A sphere's or circle's
 constants are one value, handed on as a scalar, so a per-point value
 scaled by them, such as the resolvent's diagonal, stays one (n,) row.
-The ray solve picks its root with ufuncs (copysign for the sign of B,
-fmax for the q = 0 guard) where a select would cost a pass; every output
-is bit for bit that of the selects.  The layout stays inside this
+The layout stays inside this
 module: the other modules call the (n, N)-row entry points
 _return_leg_rows, _resolvent_rows, _outer_geometry_rows and
 _ray_solve_batch, each of which transposes its rows into contiguous
@@ -33,6 +32,45 @@ component rows, a copy only where they are not already the view of such
 rows (_return_leg_rows takes a point as it is).  _return_leg_rows hands
 its hits back as the (n, N) view of their component rows, not copied
 out; the other three copy their outputs into C-ordered rows.
+
+Two ray solves.  The general one, _ray_solve_cols (and _ray_solve_batch
+on rows), takes any ray: an origin on, inside or outside the core, and a
+null, infinite or outward direction.  It solves A t^2 + B t + C = 0 by
+the q-method, picks the smallest nonnegative root with ufuncs (copysign
+for the sign of B, fmax for the q = 0 guard, bit for bit the selects they
+stand for) and flags grazing rays, |disc| below GRAZING_TOL in units of
+surface_scale()**-2, so the band scales with the core.  It serves
+admissibility_check, whose outer points lie inside the core wherever
+d <= 0.  The leg's rays always start outside the core, as the kernel
+checks d > 0 first and the origin is c + d nu, so the leg takes its own
+hit, _near_hit_cols, with no case analysis: with b = DW . O, the dot that
+B doubles, and s = sqrt(b^2 - AC), the near root is t = C / fmax(s - b, 0).
+Multiplying by 2 or 4 is exact and sqrt(4 x) = 2 sqrt(x), so the general
+solve's disc is exactly 4 (b^2 - AC) and, for B < 0, its q is exactly
+s - b; its min(q / A, C / q) picks C / q except where rounding puts q / A
+below it, which needs the two roots equal to rounding, at grazing.  So on
+every ray from outside the core that the general solve hits outside its
+grazing band, the leg's hit has its bits (the tests check this against a
+fresh-array copy of the general solve's hit).  The rows where the two
+differ:
+
+- a thickness below round-off (d of about 1e-16 of the scale or less),
+  where c + d nu rounds inside the core (C < 0): the general root choice
+  takes the far root, across the core, and the near root is a tiny
+  t < 0, so F is the d -> 0 limit, the identity, to round-off;
+- rays inside the grazing band, which the general solve hits with s
+  taken as 0, where the leg's hit misses wherever b^2 < AC;
+- nearly tangent rays whose Newton polish divides by df of about 0: a
+  polish step longer than POLISH_STEP_TOL surface_scale() means the ray
+  grazes, and the leg's hit counts it as a miss, so every finite hit has
+  |implicit| at round-off.
+
+A ray that misses, points away from the core or grazes gives a hit that
+is not finite (the divisor fmax(s - b, 0) is 0 or the grazing step is
+divided by False), which the kernel's row stage counts as a miss; a
+degenerate outer normal gives one too, so the leg runs the unchecked
+outer geometry and the row stage names a degenerate normal only on its
+failure branch.
 
 The tangent space is computed here alone: one unit normal
 (ConvexCore.normal, Mx/|Mx|), one projection (tangent_part) and frames
@@ -54,7 +92,10 @@ TOL_SURFACE = 1e-12
 # below this value of sin(theta) the z-colatitude chart degenerates and
 # frame construction switches to the x-colatitude chart
 POLE_SIN_TOL = 1e-6
-GRAZING_TOL = 1e-14
+GRAZING_TOL = 1e-14  # the general ray solve's grazing band, in surface_scale()**-2
+# longest Newton polish step of a return-leg hit, in surface_scale(): a
+# longer step means the ray grazes the core, and the hit counts as a miss
+POLISH_STEP_TOL = 1e-6
 _NEWTON_MAX_ITERS = 50
 
 
@@ -89,6 +130,7 @@ class ConvexCore:
         if self.kind != "ellipsoid" and len(set(axes)) != 1:
             raise ValueError(f"{self.kind} core requires equal semi-axes")
         object.__setattr__(self, "semi_axes", axes)
+        object.__setattr__(self, "_scale", max(axes))
         arr = np.array(axes)
         per_axis = arr if self.kind == "ellipsoid" else arr[:1]
         for name, value in (("axes", arr), ("axes_sq", per_axis**2), ("inv_axes_sq", 1.0 / per_axis**2)):
@@ -162,7 +204,7 @@ class ConvexCore:
 
     def surface_scale(self) -> float:
         """Characteristic chart length scale (largest semi-axis)."""
-        return float(np.max(self.axes))
+        return self._scale
 
 
 @dataclass(frozen=True)
@@ -316,7 +358,8 @@ def _ray_solve_cols(core: ConvexCore, O: np.ndarray, D: np.ndarray):
     C -= 1.0
     disc = B * B
     disc -= 4.0 * A * C
-    grazing = np.abs(disc) < GRAZING_TOL
+    band = GRAZING_TOL / core.surface_scale() ** 2
+    grazing = np.abs(disc) < band
     disc_c = np.sqrt(np.maximum(disc, 0.0))
     # disc_c with the sign of B; + 0.0 turns B = -0.0 into +0.0, so it
     # takes +disc_c as B < 0 is false there
@@ -332,7 +375,7 @@ def _ray_solve_cols(core: ConvexCore, O: np.ndarray, D: np.ndarray):
         t2 = np.fmax(C / q, -np.inf)
     lo = np.minimum(t1, t2)
     t = np.where(lo >= 0, lo, np.maximum(t1, t2))
-    t[(t < 0) | (disc < -GRAZING_TOL)] = np.nan
+    t[(t < 0) | (disc < -band)] = np.nan
     return t, grazing
 
 
@@ -342,21 +385,42 @@ def _ray_solve_batch(core: ConvexCore, O: np.ndarray, D: np.ndarray):
     return _ray_solve_cols(core, np.ascontiguousarray(O.T), np.ascontiguousarray(D.T))
 
 
-def _ray_hit_cols(core: ConvexCore, O: np.ndarray, D: np.ndarray):
-    """First hits of the rays O + t D on the core, component rows (N, n)
-    like O and D, with the grazing flags.  One Newton step along each ray
-    keeps |implicit| at round-off; rays that miss are nan."""
-    t, grazing = _ray_solve_cols(core, O, D)
-    Y = t * D
-    Y += O
-    YM = Y / _per_component(core.axes_sq, Y)
-    f = _component_dot(YM, Y)
-    f -= 1.0
-    df = _component_dot(YM, D)
-    df *= 2.0
-    step = np.divide(-f, df, out=np.zeros(np.shape(f)), where=df != 0)
-    Y += step * D
-    return Y, grazing
+def _near_hit_cols(core: ConvexCore, O: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """First hits on the core of the rays O + t D of the return leg, which
+    start outside the core and have unit directions, as component rows
+    (N, n) like O and D; a ray that misses gives a hit that is not finite.
+
+    With the quadratic written A t^2 + 2 b t + C = 0 and s = sqrt(b^2 - AC),
+    the near root is t = C / (s - b), taken as C / fmax(s - b, 0): where the
+    ray misses (b^2 < AC, s nan) or points away from the core (s - b <= 0)
+    the divisor is 0 and t is infinite, so the hit is not finite.  One Newton
+    step along the ray, the guarded division of the general solve's hit,
+    keeps |implicit| at round-off; a step longer than POLISH_STEP_TOL
+    surface_scale() means the ray grazes the core, and its hit is not
+    finite either.  See the module docstring for why these are the bits of the
+    general solve (_ray_solve_cols) on every ray it hits outside its grazing
+    band, and for the rows where they differ: a thickness below round-off,
+    the grazing band and nearly tangent rays."""
+    w = _per_component(core.inv_axes_sq, O)
+    DW = D * w
+    A = _component_dot(DW, D)
+    b = _component_dot(DW, O)
+    C = _component_dot(O * w, O)
+    C -= 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = C / np.fmax(np.sqrt(b * b - A * C) - b, 0.0)
+        Y = t * D
+        Y += O
+        YM = Y / _per_component(core.axes_sq, Y)
+        f = _component_dot(YM, Y)
+        f -= 1.0
+        df = _component_dot(YM, D)
+        df *= 2.0
+        # [()] takes a point's 0-d step as a scalar (rows stay an array);
+        # a grazing step is divided by False, so its hit is not finite
+        step = np.divide(-f, df, out=np.zeros(np.shape(f)), where=df != 0)[()]
+        Y += step / (abs(step) <= POLISH_STEP_TOL * core.surface_scale()) * D
+    return Y
 
 
 def _resolvent_cols(core: ConvexCore, X: np.ndarray, d: np.ndarray, V: np.ndarray):
@@ -388,41 +452,49 @@ def _resolvent_cols(core: ConvexCore, X: np.ndarray, d: np.ndarray, V: np.ndarra
     return nu, R
 
 
-def _outer_geometry_cols(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarray):
-    """Outer points X + d nu and inward normals (m - nu)/|m - nu| above core
-    points X with thickness d and ambient gradient G of the field, X and G
-    component rows (N, n); a degenerate normal raises ImmersionFailure.
-    |m - nu| >= 1 wherever m is finite, so for d > 0 no step divides by
-    zero."""
+def _outer_normals_cols(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarray):
+    """Outer points X + d nu, inward normals (m - nu)/|m - nu| and the norms
+    |m - nu| above core points X with thickness d and ambient gradient G of
+    the field, X and G component rows (N, n), unchecked.  |m - nu| >= 1
+    wherever m is finite, so for d > 0 no step divides by zero."""
     nu, nvec = _resolvent_cols(core, X, d, G)
     nvec -= nu  # m - nu
     norms = np.sqrt(_component_dot(nvec, nvec))
     nvec /= norms
+    Xout = d * nu
+    Xout += X
+    return Xout, nvec, norms
+
+
+def _outer_geometry_cols(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarray):
+    """_outer_normals_cols' outer points and inward normals, where a
+    degenerate normal (|m - nu| not below inf at a finite d) raises
+    ImmersionFailure."""
+    Xout, nvec, norms = _outer_normals_cols(core, X, d, G)
     ok = norms < np.inf
     if np.count_nonzero(ok) < ok.size:
         # a nan seed is left to fail in the ray solve
         bad = ~ok & np.isfinite(d)
         if bad.any():
             raise ImmersionFailure(f"degenerate outer normal at {int(np.sum(bad))} points")
-    Xout = d * nu
-    Xout += X
     return Xout, nvec
 
 
 def _return_leg_rows(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarray) -> np.ndarray:
     """The return leg on (n, N) rows: from core points X with thickness d
     and ambient gradient G, out to the outer points, then back along the
-    inward normals to their first hits on the core (_outer_geometry_cols,
-    then _ray_hit_cols).  X and G are transposed into contiguous
+    inward normals to their first hits on the core (_outer_normals_cols,
+    then _near_hit_cols), with no check for a degenerate normal, whose
+    hit is not finite.  X and G are transposed into contiguous
     component rows (no copy where they are the view of such rows, as the
     plain step's rows and a zonal field's gradient are) and the hits come
-    out as the (n, N) view of theirs; rays that miss are nan.  A point X,
+    out as the (n, N) view of theirs; rays that miss are not finite.  A point X,
     (N,), with scalar d and G, (N,), goes to the stages as it is and gives
     its hit as a point."""
     if X.ndim > 1:
         X, G = np.ascontiguousarray(X.T), np.ascontiguousarray(G.T)
-    Xout, nvec = _outer_geometry_cols(core, X, d, G)
-    return _ray_hit_cols(core, Xout, nvec)[0].T
+    Xout, nvec, _ = _outer_normals_cols(core, X, d, G)
+    return _near_hit_cols(core, Xout, nvec).T
 
 
 def _resolvent_rows(core: ConvexCore, X: np.ndarray, d: np.ndarray, V: np.ndarray):

@@ -11,7 +11,8 @@ package or test module imports must be referred to in it.  SurfacePoint
 and TangentFrame are named only by the scalar views the benchmark calls.
 Outside surfaces no function reads the quadric's axes or names a stage of
 the return leg's component-row layout.  In dynamics only the orbit engine
-has a while loop, and only the kernel's row stage calls the return leg.
+has a while loop, and only the kernel's row stage calls the return leg,
+whose stages call neither the general ray solve nor np.where.
 No loop in analysis, inverse or harness runs once per cluster label.
 bench/reference.json is read and never written; the scenarios write their
 reports under the test's temporary directory.
@@ -229,3 +230,20 @@ def test_only_the_row_stage_calls_the_return_leg():
                     and any(isinstance(node, ast.Call) and "_return_leg_rows" in _referenced(node.func, False)
                             for node in ast.walk(f))]
     assert callers == ["dynamics._return_map_rows"], f"functions that call the return leg: {callers}"
+
+
+def test_the_return_leg_takes_no_case_analysis():
+    # the leg's rays start outside the core, so its hit takes the near root in
+    # closed form; the general solve's root choice (_ray_solve_cols) or a select
+    # (np.where) on the kernel path would be the case analysis back
+    tree = ast.parse((PACKAGE / "surfaces.py").read_text())
+    defs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    reached, todo = set(), ["_return_leg_rows"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo += [n for n in _referenced(defs[name], False) & defs.keys() if n not in reached]
+    assert {"_near_hit_cols", "_outer_normals_cols", "_resolvent_cols"} <= reached
+    offending = sorted(f"{name}: {ast.unparse(node.func)}" for name in reached for node in ast.walk(defs[name])
+                       if isinstance(node, ast.Call) and _referenced(node.func, False) & {"_ray_solve_cols", "where"})
+    assert not offending, f"case analysis on the return leg: {offending}"

@@ -39,7 +39,8 @@ from shellmap.domain import _outer_geometry_batch
 from shellmap.dynamics import OrbitRecord, _row_dot, _row_norm
 from shellmap.errors import ImmersionFailure, ShellmapError
 from shellmap.harness import _Out, _task_orbit, parse_scenario_text, resolve
-from shellmap.surfaces import _ray_hit_cols, fibonacci_chart_grid
+from shellmap.fields import ThicknessField
+from shellmap.surfaces import _near_hit_cols, fibonacci_chart_grid, tangent_part
 
 SPHERE = ConvexCore.sphere(1.0)
 CIRCLE = ConvexCore.circle(1.0)
@@ -62,7 +63,7 @@ def test_constant_field_reciprocal_inverts_radial():
     for theta, phi in [(0.3, 0.1), (1.2, 4.0), (2.8, 2.2)]:
         p = pt(SPHERE, theta, phi)
         x, n = _outer_geometry_batch(dom, p.ambient[None])
-        back, _ = _ray_hit_cols(SPHERE, x.T, n.T)
+        back = _near_hit_cols(SPHERE, x.T, n.T)
         assert np.linalg.norm(back[:, 0] - p.ambient) < 1e-13
 
 
@@ -71,7 +72,7 @@ def test_constant_field_circle_reciprocal():
     p = pt(CIRCLE, 0.77)
     x, n = _outer_geometry_batch(dom, p.ambient[None])
     assert np.allclose(x[0], 1.3 * p.ambient, atol=1e-14)
-    assert np.linalg.norm(_ray_hit_cols(CIRCLE, x.T, n.T)[0][:, 0] - p.ambient) < 1e-13
+    assert np.linalg.norm(_near_hit_cols(CIRCLE, x.T, n.T)[:, 0] - p.ambient) < 1e-13
 
 
 def test_constant_field_return_is_identity():
@@ -287,6 +288,84 @@ def test_constant_shell_is_identity_to_round_off_near_poles(core):
         assert np.linalg.norm(return_map(dom, SurfacePoint.from_chart(core, ch)).ambient - x) <= tol
 
 
+def _failing_rows(kind, n):
+    """n rows of the unit sphere, d = 0.5, whose rays hit, with the rows of a
+    failure kind set in place, (X, d, G): thin rows (d <= 0); degenerate rows
+    (a nan gradient at a finite d) beside rows whose rays miss; or rows whose
+    rays miss (a tangent gradient of length 3) beside rows that are not
+    finite.  At 2 BLOCK_ROWS + 1 rows the degenerate rows lie in the second
+    and third blocks and the misses in the first two."""
+    X = SPHERE.ambient_from_chart(fibonacci_chart_grid(SPHERE, n))
+    d = np.full(n, 0.5)
+    T = tangent_part(SPHERE.normal(X), np.roll(X, 1, axis=1) + 0.3)
+    G = 0.1 * T
+    B = dynamics.BLOCK_ROWS
+    rows = {1: {"thin": [0], "degenerate": [0], "miss": [0], "not_finite": []},
+            10: {"thin": [3, 9], "degenerate": [2, 7], "miss": [1, 4, 8], "not_finite": [5]},
+            2 * B + 1: {"thin": [5, 2 * B], "degenerate": [B + 1, B + 9, 2 * B], "miss": [3, 2 * B - 1],
+                        "not_finite": [B + 2]}}[n]
+    if kind == "thin":
+        d[rows["thin"]] = [0.0, -0.1][:len(rows["thin"])]
+    if kind in ("degenerate", "miss"):
+        G[rows["miss"]] = 3.0 * T[rows["miss"]] / np.linalg.norm(T[rows["miss"]], axis=-1, keepdims=True)
+    if kind == "degenerate":
+        G[rows["degenerate"]] = np.nan
+    if kind == "miss":
+        X[rows["not_finite"]], d[rows["not_finite"]] = np.nan, np.nan
+    return X, d, G
+
+
+@pytest.mark.parametrize("kind, n, error, message", [
+    ("thin", 1, InadmissibleThickness, _NONPOSITIVE),
+    ("thin", 10, InadmissibleThickness, _NONPOSITIVE),
+    ("thin", 2 * dynamics.BLOCK_ROWS + 1, InadmissibleThickness, _NONPOSITIVE),
+    ("degenerate", 1, ImmersionFailure, "degenerate outer normal at 1 points"),
+    ("degenerate", 10, ImmersionFailure, "degenerate outer normal at 2 points"),
+    ("degenerate", 2 * dynamics.BLOCK_ROWS + 1, ImmersionFailure, "degenerate outer normal at 2 points"),
+    ("miss", 1, NormalRayMissesCore, "1 inward rays miss the core"),
+    ("miss", 10, NormalRayMissesCore, "4 inward rays miss the core, 1 of them from rows that are not finite"),
+    ("miss", 2 * dynamics.BLOCK_ROWS + 1, NormalRayMissesCore,
+     "3 inward rays miss the core, 1 of them from rows that are not finite"),
+], ids=lambda v: str(v) if isinstance(v, (str, int)) else "")
+def test_row_stage_failures_keep_their_kinds_messages_and_block_counts(kind, n, error, message):
+    # the leg does not check its outer normals; the row stage's failure branch
+    # reruns the checking outer geometry block by block, so a degenerate normal
+    # still raises before the miss count, with the first such block's count.
+    # The messages are those of the kernel that checked every block as it ran
+    X, d, G = _failing_rows(kind, n)
+    for args in ([(X[0], d[0], G[0])] if n == 1 else []) + [(X, d, G)]:
+        with pytest.raises(error) as err:
+            dynamics._return_map_rows(SPHERE, *args)
+        assert str(err.value) == message
+
+
+class _TinyShell(ThicknessField):
+    """d = 1e-300 everywhere, with the gradient x M of a fixed matrix M."""
+
+    def __init__(self, core, M):
+        super().__init__(core)
+        self.M = M
+
+    def ambient_value(self, X):
+        return np.full(np.shape(X)[:-1], 1e-300)
+
+    def ambient_grad(self, X):
+        return np.asarray(X) @ self.M
+
+
+def test_a_thickness_below_round_off_maps_each_point_to_itself():
+    # c + d nu rounds to c, which can lie inside the core (C < 0); the near
+    # root is then a tiny t < 0, not the far root across the core, so F is the
+    # d -> 0 limit, the identity, to round-off
+    core = ConvexCore.ellipsoid(2.0, 1.0, 0.5)
+    rng = np.random.default_rng(0)
+    X = core.ambient_from_chart(np.stack([np.arccos(rng.uniform(-1.0, 1.0, 2000)),
+                                          rng.uniform(0.0, 2.0 * np.pi, 2000)], axis=-1))
+    assert np.count_nonzero(core.implicit(X) < 0.0) > 100
+    Y = return_map_batch(RadialDomain(core, _TinyShell(core, rng.standard_normal((3, 3)))), X)
+    assert np.linalg.norm(Y - X, axis=-1).max() <= 4 * np.finfo(float).eps * core.surface_scale()
+
+
 def test_return_map_batch_counts_missed_rays(monkeypatch):
     dom = zonal_domain()
     leg = dynamics._return_leg_rows
@@ -473,6 +552,24 @@ def test_row_norm_sums_in_the_axis_norms_order(dim, n):
     # settle's cosine takes its row dot in the same order
     B = rng.standard_normal((n, dim))
     assert _row_dot(D, B).tobytes() == np.sum(D * B, axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("dom", [zonal_domain(0.5, 0.05), _BIT_DOMAINS["ellipsoid"]],
+                         ids=["zonal_sphere", "tilted_ellipsoid"])
+def test_settle_batch_never_writes_into_the_maps_images(dom):
+    # settle keeps its images as they are where no row is amplified and copies
+    # them before it writes the amplified rows: a black box whose images are
+    # read-only settles to the limits and steps of the wrapped domain
+    def read_only(X):
+        Y = return_map_batch(dom, X)
+        Y.flags.writeable = False
+        return Y
+
+    X = dom.core.ambient_from_chart(fibonacci_chart_grid(dom.core, 60))
+    want = settle_batch(BlackBoxMap.wrap_domain(dom), X, tol=1e-10)
+    got = settle_batch(BlackBoxMap(dom.core, read_only), X, tol=1e-10)
+    assert got.limits.tobytes() == want.limits.tobytes() and np.array_equal(got.steps, want.steps)
+    assert got.converged.all() and got.steps.max() > 2
 
 
 _ORBIT_ENTRIES = {

@@ -19,10 +19,12 @@ from shellmap import (
 from shellmap.surfaces import (
     GRAZING_TOL,
     POLE_SIN_TOL,
+    POLISH_STEP_TOL,
+    TOL_SURFACE,
     _component_dot,
+    _near_hit_cols,
     _outer_geometry_cols,
     _per_component,
-    _ray_hit_cols,
     _ray_solve_batch,
     _ray_solve_cols,
     _resolvent_cols,
@@ -225,11 +227,12 @@ def test_normal_consistency_along_retractions():
 # ---------------------------------------------------------------------------
 
 def first_hit(core, origin, direction):
-    """(t, point, grazing) for one ray: t from _ray_solve_batch, the point
-    (nan on a miss) and the grazing flag from _ray_hit_cols."""
+    """(t, point, grazing) for one ray: t and the grazing flag from the
+    general solve _ray_solve_batch, the point (not finite on a miss) from
+    the return leg's hit _near_hit_cols."""
     O, D = np.array([origin], dtype=float), np.array([direction], dtype=float)
-    Y, grazing = _ray_hit_cols(core, O.T, D.T)
-    return _ray_solve_batch(core, O, D)[0][0], Y[:, 0], bool(grazing[0])
+    t, grazing = _ray_solve_batch(core, O, D)
+    return t[0], _near_hit_cols(core, O.T, D.T)[:, 0], bool(grazing[0])
 
 
 def test_ray_axial_hit_unit_sphere():
@@ -240,7 +243,10 @@ def test_ray_axial_hit_unit_sphere():
 
 
 def test_ray_parallel_miss():
-    assert np.isnan(first_hit(SPHERE, [2.0, 0.0, 0.0], [0.0, 1.0, 0.0])[1]).all()
+    # a ray the leg never casts, as it does not point at the core: the general
+    # solve misses, and the leg's hit is not finite
+    t, x, _ = first_hit(SPHERE, [2.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    assert np.isnan(t) and not np.isfinite(x).any()
 
 
 def test_ray_axial_hit_ellipsoid():
@@ -260,40 +266,55 @@ def test_ray_from_inside_exits():
     assert abs(t - 1.0) < 1e-12
 
 
-def _ray_hit_masked(core, O, D):
-    """_ray_hit_cols on (n, N) rows with its Newton step as a masked division."""
-    t, grazing = _ray_solve_batch(core, O, D)
-    Y = O + t[:, None] * D
-    YM = Y / core.axes**2
-    f = np.einsum("ij,ij->i", YM, Y) - 1.0
-    df = 2.0 * np.einsum("ij,ij->i", YM, D)
+def _near_hit_masked(core, O, D):
+    """_near_hit_cols on (n, N) rows with the near root in one expression,
+    its Newton step as a masked division and the grazing step as a masked
+    setitem: the hits (not finite where the ray misses or grazes) and df."""
+    w = 1.0 / core.axes**2
+    A = np.einsum("ij,ij->i", D * w, D)
+    b = np.einsum("ij,ij->i", D * w, O)
+    C = np.einsum("ij,ij->i", O * w, O) - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
+        t = C / np.fmax(np.sqrt(b * b - A * C) - b, 0.0)
+        Y = O + t[:, None] * D
+        YM = Y / core.axes**2
+        f = np.einsum("ij,ij->i", YM, Y) - 1.0
+        df = 2.0 * np.einsum("ij,ij->i", YM, D)
         step = -f / df
     step[df == 0] = 0.0
-    Y += step[:, None] * D
-    return Y, grazing, df
+    step[np.abs(step) > POLISH_STEP_TOL * core.surface_scale()] = np.inf
+    with np.errstate(invalid="ignore"):
+        Y += step[:, None] * D
+    return Y, df
+
+
+def _same_hits(a, b) -> bool:
+    """Equal shapes, the same rows (the last axis) not finite, and the same
+    bytes on the finite ones."""
+    a, b = np.asarray(a), np.asarray(b)
+    ok = np.isfinite(a).all(axis=-1)
+    return a.shape == b.shape and np.array_equal(ok, np.isfinite(b).all(axis=-1)) and a[ok].tobytes() == b[ok].tobytes()
 
 
 @pytest.mark.parametrize("core", [SPHERE, ELLIPSOID, ConvexCore.sphere(0.7)],
                          ids=["sphere", "ellipsoid", "sphere_0.7"])
 def test_ray_hit_newton_step_matches_masked_division_bit_for_bit(core):
     s = core.semi_axes
-    # tangent rays (df == 0), a parallel miss, a null direction (nan rows)
-    # and inward normal rays from random outer points
-    special_O = [[2.0 * s[0], s[1], 0.0], [0.0, 2.0 * s[1], s[2]], [2.0 * s[0], 0.0, 2.0 * s[2]],
+    # tangent rays (df == 0; from 2 s the near root of the 0.7 sphere misses
+    # the tangent point by rounding), a parallel miss, a null direction (rows
+    # that are not finite) and inward normal rays from random outer points
+    special_O = [[2.5 * s[0], s[1], 0.0], [0.0, 2.5 * s[1], s[2]], [2.0 * s[0], 0.0, 2.0 * s[2]],
                  [2.0, 2.0, 2.0]]
     special_D = [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
     X = np.array([p.ambient for p in random_points(core, 40, seed=4)])
     O = np.concatenate([special_O, X + 0.3 * core.normal(X)])
     D = np.concatenate([special_D, -core.normal(X)])
-    want_Y, want_grazing, df = _ray_hit_masked(core, O, D)
-    assert np.any(df == 0.0) and np.any(np.isnan(want_Y))
+    want_Y, df = _near_hit_masked(core, O, D)
+    assert np.any(df == 0.0) and not np.isfinite(want_Y).all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        Y, grazing = _ray_hit_cols(core, O.T, D.T)
-    assert np.array_equal(Y.T, want_Y, equal_nan=True)
-    assert np.array_equal(grazing, want_grazing)
-
+        Y = _near_hit_cols(core, O.T, D.T)
+    assert _same_hits(Y.T, want_Y)
 
 
 def _ray_solve_three_wheres(core, O, D):
@@ -306,7 +327,8 @@ def _ray_solve_three_wheres(core, O, D):
     B = 2.0 * np.einsum("ij,ij->i", D * w, O)
     C = np.einsum("ij,ij->i", O * w, O) - 1.0
     disc = B * B - 4.0 * A * C
-    grazing = np.abs(disc) < GRAZING_TOL
+    band = GRAZING_TOL / core.surface_scale() ** 2
+    grazing = np.abs(disc) < band
     disc_c = np.sqrt(np.maximum(disc, 0.0))
     q = -0.5 * (B + np.where(B < 0, -disc_c, disc_c))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -314,7 +336,7 @@ def _ray_solve_three_wheres(core, O, D):
         t2 = np.where(q != 0, C / q, np.inf)
     lo = np.minimum(t1, t2)
     t = np.where(lo >= 0, lo, np.maximum(t1, t2))
-    t[(t < 0) | (disc < -GRAZING_TOL)] = np.nan
+    t[(t < 0) | (disc < -band)] = np.nan
     return t, grazing
 
 
@@ -393,12 +415,13 @@ def _ray_hit_fresh(core, O, D):
     B = 2.0 * _dot_fresh(D * w, O)
     C = _dot_fresh(O * w, O) - 1.0
     disc = B * B - 4.0 * A * C
-    grazing = np.abs(disc) < GRAZING_TOL
+    band = GRAZING_TOL / core.surface_scale() ** 2
+    grazing = np.abs(disc) < band
     q = -0.5 * (B + np.copysign(np.sqrt(np.maximum(disc, 0.0)), B + 0.0))
     t1, t2 = q / A, np.fmax(C / q, -np.inf)
     lo = np.minimum(t1, t2)
     t = np.where(lo >= 0, lo, np.maximum(t1, t2))
-    t[(t < 0) | (disc < -GRAZING_TOL)] = np.nan
+    t[(t < 0) | (disc < -band)] = np.nan
     Y = O + t * D
     YM = Y / _per_component(core.axes_sq, Y)
     f = _dot_fresh(YM, Y) - 1.0
@@ -445,11 +468,12 @@ def test_in_place_leg_stages_equal_the_fresh_array_forms_bit_for_bit(core):
     X, d, G = _leg_inputs(core, rng, 4000)
     random_and_edges = [*range(300), *range(4000, len(O))]
     with np.errstate(all="ignore"):  # the nan and inf rows warn in both forms
-        want_Y, want_t, want_grazing = _ray_hit_fresh(core, O.T, D.T)
-        Y, grazing = _ray_hit_cols(core, np.ascontiguousarray(O.T), np.ascontiguousarray(D.T))
-        t, _ = _ray_solve_cols(core, np.ascontiguousarray(O.T), np.ascontiguousarray(D.T))
+        # the general solve on rays the leg never casts as well (origins on or
+        # inside the core, null, infinite and outward directions)
+        _, want_t, want_grazing = _ray_hit_fresh(core, O.T, D.T)
+        t, grazing = _ray_solve_cols(core, np.ascontiguousarray(O.T), np.ascontiguousarray(D.T))
         assert np.isnan(want_t).any() and np.isfinite(want_t).any()
-        assert _same_bits(Y, want_Y) and _same_bits(t, want_t) and np.array_equal(grazing, want_grazing)
+        assert _same_bits(t, want_t) and np.array_equal(grazing, want_grazing)
         want_out = _outer_geometry_fresh(core, X.T, d, G.T)
         Xc, Gc = np.ascontiguousarray(X.T), np.ascontiguousarray(G.T)
         got_out = (*_outer_geometry_cols(core, Xc, d, Gc), *_resolvent_cols(core, Xc, d, Gc))
@@ -458,13 +482,98 @@ def test_in_place_leg_stages_equal_the_fresh_array_forms_bit_for_bit(core):
         assert _same_bits(_return_leg_rows(core, X, d, G), want_hits.T)
         # as points, one row at a time: the random rows after the first 300 are skipped
         for i in random_and_edges:
-            Y_i, grazing_i = _ray_hit_cols(core, O[i], D[i])
-            assert _same_bits(Y_i, want_Y[:, i]) and grazing_i == want_grazing[i], (i, O[i], D[i])
-            assert _same_bits(_ray_solve_cols(core, O[i], D[i])[0], want_t[i]), (i, O[i], D[i])
+            t_i, grazing_i = _ray_solve_cols(core, O[i], D[i])
+            assert _same_bits(t_i, want_t[i]) and grazing_i == want_grazing[i], (i, O[i], D[i])
         for i in [*range(300), *range(4000, len(X))]:
             got_i = (*_outer_geometry_cols(core, X[i], d[i], G[i]), *_resolvent_cols(core, X[i], d[i], G[i]))
             assert all(_same_bits(a, b[..., i]) for a, b in zip(got_i, want_out)), (i, X[i], d[i], G[i])
             assert _same_bits(_return_leg_rows(core, X[i], d[i], G[i]), want_hits[:, i]), (i, X[i], d[i])
+
+
+def _leg_core(kind, R):
+    """The core of kind at scale R: a sphere or circle of radius R, or the
+    ellipsoid (2 R, R, R / 2)."""
+    return {"sphere": ConvexCore.sphere, "circle": ConvexCore.circle,
+            "ellipsoid": lambda R: ConvexCore.ellipsoid(2.0 * R, R, 0.5 * R)}[kind](R)
+
+
+def _nearly_tangent_rays(core, rng, off):
+    """Unit rays, (n, N) rows, tangent to the core at n random points, from
+    0.2 to 3 times the scale before them, moved along the normal by off, (n,),
+    times the scale: (O, D)."""
+    n, N, s = len(off), core.dim, core.surface_scale()
+    X = core.ambient_from_chart(rng.uniform(0.0, 2.0 * np.pi, (n, N - 1)))
+    nu = core.normal(X)
+    T = tangent_part(nu, rng.standard_normal((n, N)))
+    T /= np.linalg.norm(T, axis=-1, keepdims=True)
+    return X + (off * s)[:, None] * nu - (s * rng.uniform(0.2, 3.0, n))[:, None] * T, T
+
+
+def _offsets(rng, n, lo, hi):
+    """n offsets 10**uniform(lo, hi), each of either sign."""
+    return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(lo, hi, n)
+
+
+def _rays_from_outside(core, rng, n):
+    """2 n unit rays, (2 n, N) rows: n from points at heights 1e-6 to 3 times
+    the scale above random core points, aimed at random points of the core's
+    bounding box grown by 20%, then n nearly tangent rays."""
+    N, s = core.dim, core.surface_scale()
+    X = core.ambient_from_chart(rng.uniform(0.0, 2.0 * np.pi, (n, N - 1)))
+    O = X + (s * 10.0 ** rng.uniform(-6.0, np.log10(3.0), n))[:, None] * core.normal(X)
+    D = rng.uniform(-1.2, 1.2, (n, N)) * core.axes - O
+    O_t, D_t = _nearly_tangent_rays(core, rng, _offsets(rng, n, -9.0, -3.0))
+    return np.concatenate([O, O_t]), np.concatenate([D / np.linalg.norm(D, axis=-1, keepdims=True), D_t])
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["sphere", "ellipsoid", "circle"]), R=st.floats(1e-3, 1e3),
+       seed=st.integers(0, 2**32 - 1))
+def test_near_hit_equals_the_general_hit_outside_the_grazing_band(kind, R, seed):
+    # rays that start outside the core (C > 0), point at it (B < 0) and lie
+    # outside the grazing band: the near root with its grazing-step check has
+    # the bits of the general solve's hit, as rows and as points
+    core = _leg_core(kind, R)
+    O, D = _rays_from_outside(core, np.random.default_rng(seed), 64)
+    Oc, Dc = np.ascontiguousarray(O.T), np.ascontiguousarray(D.T)
+    w = _per_component(core.inv_axes_sq, Oc)
+    B = 2.0 * _dot_fresh(Dc * w, Oc)
+    C = _dot_fresh(Oc * w, Oc) - 1.0
+    disc = B * B - 4.0 * _dot_fresh(Dc * w, Dc) * C
+    cast = np.flatnonzero((C > 0) & (B < 0) & (np.abs(disc) >= GRAZING_TOL / core.surface_scale() ** 2))
+    want = _ray_hit_fresh(core, Oc, Dc)[0]
+    assert _same_bits(_near_hit_cols(core, Oc, Dc)[:, cast], want[:, cast])
+    for i in cast:
+        assert _same_bits(_near_hit_cols(core, O[i], D[i]), want[:, i]), (O[i], D[i])
+
+
+@pytest.mark.parametrize("R", [1e-3, 1.0, 1e3])
+def test_ray_solve_grazing_band_scales_with_the_core(R):
+    # the band on the discriminant is in units of surface_scale()**-2: a ray
+    # that passes 1e-9 R outside the sphere misses at every R, and the exactly
+    # tangent ray is a grazing hit
+    core, D = ConvexCore.sphere(R), np.array([[1.0, 0.0, 0.0]])
+    t, grazing = _ray_solve_batch(core, np.array([[-2.0 * R, R * (1.0 + 1e-9), 0.0]]), D)
+    assert np.isnan(t[0]) and not grazing[0]
+    t, grazing = _ray_solve_batch(core, np.array([[-2.0 * R, R, 0.0]]), D)
+    assert grazing[0] and abs(t[0] - 2.0 * R) <= 1e-12 * R
+
+
+@pytest.mark.parametrize("kind", ["sphere", "ellipsoid", "circle"])
+@pytest.mark.parametrize("R", [1e-3, 1.0, 1e3])
+def test_near_hits_of_nearly_tangent_rays_stay_on_the_core(kind, R):
+    # rays tangent to the core, moved off it along the normal by up to 1e-4
+    # R either way: a polish step longer than POLISH_STEP_TOL R makes the hit
+    # a miss, so every hit is on the core, and every ray that cuts 1e-12 R
+    # deep or more still hits
+    core, rng = _leg_core(kind, R), np.random.default_rng(17)
+    off = _offsets(rng, 20000, -17.0, -4.0)
+    off[:1000] = 0.0
+    O, T = _nearly_tangent_rays(core, rng, off)
+    Y = _near_hit_cols(core, np.ascontiguousarray(O.T), np.ascontiguousarray(T.T)).T
+    hit = np.isfinite(Y).all(axis=-1)
+    assert np.abs(core.implicit(Y[hit])).max() <= TOL_SURFACE
+    assert hit[off <= -1e-12].all() and not hit[off >= 1e-12].any()
 
 
 @pytest.mark.parametrize("scale", [2.0, 0.5])
