@@ -13,9 +13,10 @@ residual sweeps of analysis call the row stage on the rows of many
 fields at once.  The leg does not check its outer normals, as a
 degenerate one gives a hit that is not finite: only when a step has such
 hits does the row stage rerun the checking outer geometry, block by
-block, to name a degenerate normal before it counts the misses.  The row stage leaves its image rows as the leg gives
-them, the Fortran-ordered view of the hits' component rows (N, n), which
-the next step's leg takes without a copy.  The kernel, return_map_batch,
+block, to name a degenerate normal before it counts the misses.  The row
+stage leaves its image rows as the leg gives them, the Fortran-ordered
+view of the hits' component rows (N, n), which the next step's leg takes
+without a copy.  The kernel, return_map_batch,
 is the C-ordered copy of that step, after coercing X only when it is
 not already a 2-D float64 array.  A batch of one runs the same stages on
 its row as a point (N,), so its per-point values are numpy scalars,

@@ -24,14 +24,14 @@ scalar; _per_component shapes the per-axis constants to either form, so
 each stage's arithmetic is written once.  A sphere's or circle's
 constants are one value, handed on as a scalar, so a per-point value
 scaled by them, such as the resolvent's diagonal, stays one (n,) row.
-The layout stays inside this
-module: the other modules call the (n, N)-row entry points
-_return_leg_rows, _resolvent_rows, _outer_geometry_rows and
-_ray_solve_batch, each of which transposes its rows into contiguous
-component rows, a copy only where they are not already the view of such
-rows (_return_leg_rows takes a point as it is).  _return_leg_rows hands
-its hits back as the (n, N) view of their component rows, not copied
-out; the other three copy their outputs into C-ordered rows.
+The layout stays inside this module: the other modules call the
+(n, N)-row entry points _return_leg_rows, _resolvent_rows,
+_outer_geometry_rows and _ray_solve_batch, each of which transposes its
+rows into contiguous component rows, a copy only where they are not
+already the view of such rows (_return_leg_rows takes a point as it is).
+_return_leg_rows hands its hits back as the (n, N) view of their
+component rows, not copied out; the other three copy their outputs into
+C-ordered rows.
 
 Two ray solves.  The general one, _ray_solve_cols (and _ray_solve_batch
 on rows), takes any ray: an origin on, inside or outside the core, and a
@@ -44,7 +44,8 @@ admissibility_check, whose outer points lie inside the core wherever
 d <= 0.  The leg's rays always start outside the core, as the kernel
 checks d > 0 first and the origin is c + d nu, so the leg takes its own
 hit, _near_hit_cols, with no case analysis: with b = DW . O, the dot that
-B doubles, and s = sqrt(b^2 - AC), the near root is t = C / fmax(s - b, 0).
+B doubles (both solves take A, b and C from _ray_quadratic), and
+s = sqrt(b^2 - AC), the near root is t = C / fmax(s - b, 0).
 Multiplying by 2 or 4 is exact and sqrt(4 x) = 2 sqrt(x), so the general
 solve's disc is exactly 4 (b^2 - AC) and, for B < 0, its q is exactly
 s - b; its min(q / A, C / q) picks C / q except where rounding puts q / A
@@ -344,18 +345,25 @@ def _per_component(v: np.ndarray, X: np.ndarray):
     return v[:, None] if X.ndim > 1 else v
 
 
+def _ray_quadratic(core: ConvexCore, O: np.ndarray, D: np.ndarray):
+    """A, b and C of the rays O + t D on the core, A t^2 + 2 b t + C = 0,
+    origins and directions as component rows (N, n)."""
+    w = _per_component(core.inv_axes_sq, O)
+    DW = D * w
+    A = _component_dot(DW, D)
+    b = _component_dot(DW, O)
+    C = _component_dot(O * w, O)
+    C -= 1.0
+    return A, b, C
+
+
 def _ray_solve_cols(core: ConvexCore, O: np.ndarray, D: np.ndarray):
     """Smallest nonnegative parameters t of the rays O + t D, origins and
     directions as component rows (N, n), by the closed-form (q-method)
     solve: nan on a miss, with a grazing flag per ray where the
     discriminant is near zero."""
-    w = _per_component(core.inv_axes_sq, O)
-    DW = D * w
-    A = _component_dot(DW, D)
-    B = _component_dot(DW, O)
+    A, B, C = _ray_quadratic(core, O, D)
     B *= 2.0
-    C = _component_dot(O * w, O)
-    C -= 1.0
     disc = B * B
     disc -= 4.0 * A * C
     band = GRAZING_TOL / core.surface_scale() ** 2
@@ -394,19 +402,14 @@ def _near_hit_cols(core: ConvexCore, O: np.ndarray, D: np.ndarray) -> np.ndarray
     the near root is t = C / (s - b), taken as C / fmax(s - b, 0): where the
     ray misses (b^2 < AC, s nan) or points away from the core (s - b <= 0)
     the divisor is 0 and t is infinite, so the hit is not finite.  One Newton
-    step along the ray, the guarded division of the general solve's hit,
+    step along the ray, a division that takes the step as 0 where df = 0,
     keeps |implicit| at round-off; a step longer than POLISH_STEP_TOL
     surface_scale() means the ray grazes the core, and its hit is not
-    finite either.  See the module docstring for why these are the bits of the
-    general solve (_ray_solve_cols) on every ray it hits outside its grazing
-    band, and for the rows where they differ: a thickness below round-off,
-    the grazing band and nearly tangent rays."""
-    w = _per_component(core.inv_axes_sq, O)
-    DW = D * w
-    A = _component_dot(DW, D)
-    b = _component_dot(DW, O)
-    C = _component_dot(O * w, O)
-    C -= 1.0
+    finite either.  See the module docstring for why these are the bits of
+    the general solve (_ray_solve_cols) on every ray it hits outside its
+    grazing band, and for the rows where they differ: a thickness below
+    round-off, the grazing band and nearly tangent rays."""
+    A, b, C = _ray_quadratic(core, O, D)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = C / np.fmax(np.sqrt(b * b - A * C) - b, 0.0)
         Y = t * D
@@ -485,10 +488,10 @@ def _return_leg_rows(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarr
     and ambient gradient G, out to the outer points, then back along the
     inward normals to their first hits on the core (_outer_normals_cols,
     then _near_hit_cols), with no check for a degenerate normal, whose
-    hit is not finite.  X and G are transposed into contiguous
-    component rows (no copy where they are the view of such rows, as the
-    plain step's rows and a zonal field's gradient are) and the hits come
-    out as the (n, N) view of theirs; rays that miss are not finite.  A point X,
+    hit is not finite.  X and G are transposed into contiguous component
+    rows (no copy where they are the view of such rows, as the plain
+    step's rows and a zonal field's gradient are) and the hits come out as
+    the (n, N) view of theirs; rays that miss are not finite.  A point X,
     (N,), with scalar d and G, (N,), goes to the stages as it is and gives
     its hit as a point."""
     if X.ndim > 1:
