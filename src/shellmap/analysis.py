@@ -49,6 +49,7 @@ FIXED_POINT_RESIDUAL_TOL = 1e-8
 NEWTON_MAX_STEPS = 20
 MAX_REFINE = 64
 CLUSTER_CHUNK = 1 << 15  # floats in one (rows x unlabelled rows) distance temporary of _greedy_clusters (256 KiB)
+CLUSTER_FIRST_ROWS = 16  # rows of _greedy_clusters' first block on a set larger than one temporary
 DEFAULT_FD_STEP = 1e-5  # in units of surface_scale()
 SLOPE_FLOOR_FACTOR = 1e-13
 NEUTRAL_TOL = 1e-6  # |mu| this close to 1 is neutral
@@ -456,45 +457,80 @@ def _greedy_clusters(X: np.ndarray, radius: float):
 
     The clusters are the components of the graph joining rows at distance
     <= radius, numbered in order of their lowest row.  A block of the rows
-    not yet labelled is tested against all of them at once: the leading
-    rows whose only neighbour is themselves (or none, for a row that is
-    not finite) become one-row clusters in bulk, and the first row with a
-    neighbour grows its component breadth first, one distance call per
-    chunk of the frontier against the rows not yet labelled.  Each
-    distance temporary holds at most CLUSTER_CHUNK floats (one row's
-    distances, where more rows than that are unlabelled), so a call costs
-    one distance pass per block of isolated rows and a few per component
-    with neighbours.  A radius that is not > 0 (nan included) raises
-    ValueError."""
+    not yet labelled is tested against all of them at once, and every
+    block row is labelled from that test: a row whose only neighbour is
+    itself (or none, for a row that is not finite) is a one-row cluster,
+    and the others grow their components (_block_component).  The block's
+    clusters are then numbered by their lowest rows, which are block rows,
+    as the block holds the lowest rows not yet labelled.  A set whose
+    distances fit one temporary of CLUSTER_CHUNK floats is one block; a
+    larger one starts with CLUSTER_FIRST_ROWS rows, and each later block
+    has twice as many rows as the last block had clusters, so a few large
+    clusters take small blocks and many small ones large blocks.  A
+    radius that is not > 0 (nan included) raises ValueError."""
     if not radius > 0:
         raise ValueError("cluster radius must be positive")
     XT = np.ascontiguousarray(X.T)
-    labels = np.full(X.shape[0], -1)
-    free = np.arange(X.shape[0])
-    current = 0
+    n = X.shape[0]
+    labels = np.full(n, -1)
+    free = np.arange(n)
+    current, rows = 0, (n if n * n <= CLUSTER_CHUNK else CLUSTER_FIRST_ROWS)
     while free.size:
-        block = free[:max(1, CLUSTER_CHUNK // free.size)]
+        block = free[:max(1, min(rows, CLUSTER_CHUNK // free.size))]
         near = _within(XT, block, free, radius)
         lone = np.count_nonzero(near, axis=1) <= 1
-        k = block.size if lone.all() else int(np.argmin(lone))
-        labels[block[:k]] = np.arange(current, current + k)
-        current += k
-        if k == block.size:
-            free = free[k:]
+        if lone.all():  # one-row clusters in bulk
+            labels[block] = np.arange(current, current + block.size)
+            current, rows, free = current + block.size, 2 * block.size, free[block.size:]
             continue
-        frontier = free[near[k]]
-        while frontier.size:
-            labels[frontier] = current
-            free = free[labels[free] < 0]
-            if not free.size:
-                break
-            reach = np.zeros(free.size, dtype=bool)
-            rows = max(1, CLUSTER_CHUNK // free.size)
-            for s in range(0, frontier.size, rows):
-                reach |= _within(XT, frontier[s:s + rows], free, radius).any(axis=0)
-            frontier = free[reach]
-        current += 1
+        # owner: the block row of each free row's cluster that starts it, its
+        # lowest; -1 for a row outside the block's clusters
+        owner = np.full(free.size, -1)
+        owner[:block.size][lone] = np.flatnonzero(lone)
+        for i in np.flatnonzero(~lone):
+            if owner[i] < 0:
+                owner[_block_component(XT, free, near, owner, i, radius)] = i
+        got = owner >= 0
+        starts = np.zeros(block.size, dtype=bool)
+        starts[owner[got]] = True
+        number = np.cumsum(starts) + (current - 1)
+        labels[free[got]] = number[owner[got]]
+        rows = 2 * (number[-1] + 1 - current)
+        current = number[-1] + 1
+        free = free[~got]
     return labels
+
+
+def _block_component(XT, free, near, owner, i, radius: float) -> np.ndarray:
+    """The component of block row i among the free rows, a mask over them.
+
+    near is the block's test (block rows x free rows), the block being the
+    first len(near) free rows.  A block row's neighbours are its row of
+    near, and the block rows next to a later row its column, as a distance
+    is the same both ways; a later row's neighbours beyond the block are
+    found by distance, one call per chunk of such rows against the rows not
+    yet in a component (owner < 0)."""
+    b = len(near)
+    comp = near[i].copy()
+    grown = np.zeros(free.size, dtype=bool)
+    while True:
+        edge = np.flatnonzero(comp & ~grown)
+        if not edge.size:
+            return comp
+        grown[edge] = True
+        cut = np.searchsorted(edge, b)
+        comp |= near[edge[:cut]].any(axis=0)
+        later = edge[cut:]
+        if not later.size:
+            continue
+        comp[:b] |= near[:, later].any(axis=1)
+        rest = b + np.flatnonzero(~comp[b:] & (owner[b:] < 0))
+        if rest.size:
+            reach = np.zeros(rest.size, dtype=bool)
+            rows = max(1, CLUSTER_CHUNK // rest.size)
+            for s in range(0, later.size, rows):
+                reach |= _within(XT, free[later[s:s + rows]], free[rest], radius).any(axis=0)
+            comp[rest[reach]] = True
 
 
 def _least_per_label(labels: np.ndarray, values: np.ndarray) -> np.ndarray:

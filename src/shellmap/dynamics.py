@@ -22,10 +22,11 @@ not already a 2-D float64 array.  A batch of one runs the same stages on
 its row as a point (N,), so its per-point values are numpy scalars,
 whose arithmetic skips the ufunc dispatch that dominates a one-row call;
 the image is returned as a (1, N) row, bit for bit the row a wider batch
-gives.  The checks of a step (d <= 0, finite images) and of the orbit
-loop (stopped rows, amplified rows) are taken as np.count_nonzero of
-their masks, which costs about half an .any() or .all() on a scalar, a
-short row or a mask of a few hundred rows.
+gives.  The checks of a step on rows (d <= 0, finite images) and of the
+orbit loop (stopped rows, amplified rows) are taken as np.count_nonzero
+of their masks, which costs about half an .any() or .all() on a short
+row or a mask of a few hundred rows; a point's d is checked by one
+scalar comparison, which a nan d passes on to the miss count, as on rows.
 
 Orbits run in one loop, _orbits, on compact working rows (the seeds
 still running, compacted in their own layout by one index) with one row
@@ -34,14 +35,17 @@ np.linalg.norm's order without a length-N inner loop, for the
 displacement norms (_row_norm) and settle's cosine;
 iterate_batch (plain steps of F), settle_batch (amplified steps and the
 contraction rule) and iterate_orbit (one seed, an owning copy of each
-image row recorded) are configurations of it, and none of them calls
+image point recorded) are configurations of it, and none of them calls
 another.  iterate_batch and iterate_orbit step with _map_step itself,
-so their working rows stay component-major; settle_batch steps through
-its BlackBoxMap, return_map_batch for a wrapped domain.
+so their working rows stay component-major; one plain seed steps as its
+point (N,), with a scalar displacement norm and a one-comparison stop.
+settle_batch steps through its BlackBoxMap, return_map_batch for a
+wrapped domain.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -90,8 +94,10 @@ def _map_step(dom: RadialDomain, X: np.ndarray) -> np.ndarray:
     """One plain step of F on the 2-D float64 rows X, (n, N): one field
     call on the rows, then the row stage _return_map_rows, whose image rows
     come in its layout, a view of component rows.  One row runs as the
-    point X[0], (N,), and its image comes back as a (1, N) row.  The step
-    of iterate_batch and iterate_orbit, and of return_map_batch."""
+    point X[0], (N,), and its image comes back as a (1, N) row; a point X,
+    (N,), as the orbit engine steps one plain seed, gives its image as a
+    point.  The step of iterate_batch and iterate_orbit, and of
+    return_map_batch."""
     if len(X) == 1:
         return _return_map_rows(dom.core, X[0], *dom.field.ambient_value_grad(X[0]))[None]
     return _return_map_rows(dom.core, X, *dom.field.ambient_value_grad(X))
@@ -113,7 +119,7 @@ def _return_map_rows(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarr
     block as it ran would; otherwise the rays that miss are counted over
     the whole batch, and the count names how many of them come from rows
     whose point or thickness is not finite."""
-    if np.count_nonzero(d <= 0.0):
+    if (d <= 0.0) if X.ndim == 1 else np.count_nonzero(d <= 0.0):
         raise InadmissibleThickness("nonpositive thickness encountered in batch step")
     if X.ndim == 1 or len(X) <= BLOCK_ROWS:
         Y = _return_leg_rows(core, X, d, G)
@@ -179,8 +185,11 @@ class BatchOrbitResult:
 
 def _row_norm(D: np.ndarray) -> np.ndarray:
     """|D| of each (n, N) row, the square root of _row_dot(D, D): equal to
-    np.linalg.norm(D, axis=-1) bit for bit."""
+    np.linalg.norm(D, axis=-1) bit for bit.  A point D, (N,), gives its
+    norm as a float, the same correctly rounded square root."""
     s = _row_dot(D, D)
+    if D.ndim == 1:
+        return math.sqrt(s)
     return np.sqrt(s, out=s)
 
 
@@ -196,18 +205,22 @@ def _orbits(step, core: ConvexCore, seeds: np.ndarray, tol: float, max_iters: in
     calls.  A seed that stops keeps its image as its limit and the number
     of map calls so far as its steps; the others keep their last iterate
     and the number of calls made.  record, when given, receives each
-    call's image rows."""
+    call's image rows.
+
+    One plain seed runs as its point, (N,): the step maps the point, its
+    displacement norm is a scalar and its stop one comparison."""
     if not tol > 0:  # also true for a nan tol
         raise ValueError("tol must be positive")
     X = np.array(seeds, dtype=float, ndmin=2)
     n = X.shape[0]
     steps = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)
+    point = n == 1 and not amplify
     # the working rows are the seeds still running: ids, iterates and, when
     # amplified, the settle state: last displacements (-inf forces two steps,
     # so the first displacement cannot satisfy the contraction rule
     # vacuously) with their vectors, and gains K
-    work = [np.arange(n), X.copy()]
+    work = [np.arange(n), X[0].copy() if point else X.copy()]
     if amplify:
         trust = TRUST_RADIUS * core.surface_scale()
         work += [np.full(n, -np.inf), np.zeros(X.shape), np.ones(n)]
@@ -226,25 +239,34 @@ def _orbits(step, core: ConvexCore, seeds: np.ndarray, tol: float, max_iters: in
             stop &= disp <= prev
             with np.errstate(divide="ignore", invalid="ignore"):
                 cos = _row_dot(D, prev_D) / (disp * prev)  # nan where undefined
-                r = np.where(prev > 0.0, disp / prev, np.inf)
+                r = disp / prev
                 K_next = K * np.where(cos >= AMPLIFY_COS, 2.0, 0.5)
                 # the cap K / (1 - r) where r < 1; where r >= 1 or r is nan,
-                # fmax makes it K / 0 = +inf, which caps nothing
+                # fmax makes it K / 0 = +inf, which caps nothing.  On the
+                # first step (prev = -inf) r is -0.0 and the cap is K = 1
                 np.minimum(K_next, K / np.fmax(1.0 - r, 0.0), out=K_next)
                 np.minimum(K_next, trust / disp, out=K_next)
                 np.maximum(K_next, 1.0, out=K_next)
-            # the images are copied only to take amplified rows, so the map's
-            # array is never written
+            # the map's array is never written: where every row that goes on
+            # is amplified, all rows are retracted at once (a stopping row's
+            # retracted point is dropped with it); where only some are, they
+            # are gathered, retracted and scattered into a copy of the images
             Xn = Y
             amp = np.flatnonzero((K_next != 1.0) & ~stop)
-            if amp.size:
+            if amp.size and amp.size + np.count_nonzero(stop) == len(stop):
+                Xn = retract_batch(core, Xa, K_next[:, None] * D)
+            elif amp.size:
                 Xn = Y.copy()
                 Xn[amp] = retract_batch(core, Xa.take(amp, axis=0),
                                         K_next.take(amp)[:, None] * D.take(amp, axis=0))
             work = [ids, Xn, disp, D, K_next]
         else:
             work = [ids, Y]
-        if np.count_nonzero(stop):
+        if point:
+            if stop:  # the point goes to its limit as work's iterate
+                converged[0] = True
+                break
+        elif np.count_nonzero(stop):
             keep = np.flatnonzero(~stop)
             done = ids[stop]
             X[done], steps[done], converged[done] = Y[stop], it, True
@@ -265,9 +287,10 @@ def iterate_orbit(
     """Iterate F from the ambient row x0, (N,), until the ambient
     displacement drops below tol.
 
-    The orbit engine runs the one seed, each step one plain step
-    (_map_step) on a single ambient row, and records each image row.  After the
-    loop one batched pass over the rows takes the thickness values and
+    The orbit engine runs the one seed as its point, (N,), each step one
+    plain step (_map_step) on the point, and records a copy of each image
+    point; the points are joined into (n, N) rows after the loop.  Then
+    one batched pass over the rows takes the thickness values and
     checks them as a loop of scalar steps would each step: every iterate is
     on the core (|implicit| <= TOL_SURFACE) and every row, the seed's
     included, has d > 0.  The record ends before the first row that fails,
@@ -276,12 +299,12 @@ def iterate_orbit(
     A row joins the record with its thickness, also on an error record;
     row 0 is x0 as given."""
     core = dom.core
-    x = np.asarray(x0, dtype=float)[None]
+    x = np.asarray(x0, dtype=float)
     rows = [x]
-    def record(Y):
-        # a copy: a batch of one returns a view of its point, which would keep
-        # a second array alive per step until the rows are joined
-        rows.append(Y.copy())
+    def record(y):
+        # a copy: the step's image is a view, which would keep a second array
+        # alive per step until the points are joined
+        rows.append(y.copy())
 
     status, error_kind = "max_iterations", None
     try:
@@ -289,8 +312,8 @@ def iterate_orbit(
             status = "converged"
     except ShellmapError as exc:
         status, error_kind = "error", type(exc).__name__
-    X = np.concatenate(rows)
-    rows.clear()  # the joined block replaces the per-step rows
+    X = np.concatenate(rows).reshape(-1, core.dim)
+    rows.clear()  # the joined block replaces the per-step points
     S = np.diff(X, axis=0)
     # each step's norm as for one point, which an axis norm can differ from in the last bit
     disps = np.sqrt(np.vecdot(S, S))
@@ -343,10 +366,13 @@ def settle_batch(F: BlackBoxMap, seeds: np.ndarray,
 
     A step's bookkeeping is a few whole-row passes: K is updated in
     place, the cap K / (1 - r) taken as K / max(1 - r, 0), which is +inf
-    and caps nothing where r >= 1, and the rows to amplify are found once
-    as an index, by which they are gathered, retracted and scattered back
-    into a copy of the images; a step with no amplified row keeps F's
-    images as they are, uncopied.  F's arrays are never written.
+    and caps nothing where r >= 1 (r = disp / prev, which is -0.0 on the
+    first step, where prev = -inf, so the cap is then K = 1), and the rows
+    to amplify are found once as an index.  Where every row that goes on
+    is amplified, all rows are retracted at once; where only some are,
+    those are gathered, retracted and scattered back into a copy of the
+    images; a step with no amplified row keeps F's images as they are,
+    uncopied.  F's arrays are never written.
     """
     return _orbits(F.batch, F.core, seeds, tol, max_iters, amplify=True)
 

@@ -270,15 +270,16 @@ def load_bundled(name: str) -> str:
 
 class _Out:
     """The one writer of a run's files; each file it opens joins self.files.
-    The directory is made when the first file opens, so a run that fails
-    before it writes leaves none."""
+    The directory is made once, when the first file opens, so a run that
+    fails before it writes leaves none."""
 
     def __init__(self, directory: Path):
         self.dir = directory
         self.files = []
 
     def _open(self, name):
-        self.dir.mkdir(parents=True, exist_ok=True)
+        if not self.files:
+            self.dir.mkdir(parents=True, exist_ok=True)
         path = self.dir / name
         self.files.append(path)
         return open(path, "w", newline="\n")

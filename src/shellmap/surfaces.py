@@ -313,11 +313,12 @@ def _row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """The dot of each pair of (n, N) rows of A and B: the products summed
     over the columns one after another, (P0 + P1) + P2, the order in which
     np.linalg.norm(A, axis=-1) and (A * B).sum(axis=-1) sum them, without a
-    reduction over a length-N inner loop."""
-    P = A * B
-    s = P[:, 0] + P[:, 1]
-    if P.shape[1] == 3:
-        s += P[:, 2]
+    reduction over a length-N inner loop.  Two points, (N,), give their dot
+    as a numpy scalar, summed in the same order."""
+    P = (A * B).T
+    s = P[0] + P[1]
+    if len(P) == 3:
+        s += P[2]
     return s
 
 

@@ -814,7 +814,7 @@ _ZERO_EQUATOR = RadialDomain(SPHERE, ZonalLegendreField(SPHERE, 0.05, 0.1))
 
 
 def _equator(X, Y):
-    return np.array([[1.0, 0.0, 0.0]])
+    return np.reshape([1.0, 0.0, 0.0], np.shape(Y))
 
 
 @pytest.mark.parametrize("k", [1, 2, 7])
@@ -834,3 +834,143 @@ def test_orbit_error_is_truncated_where_the_per_step_loop_stops(monkeypatch, k, 
     # the seed and the k - 1 iterates before the k-th map call's value
     assert len(want.points) == k
     _assert_same_record(got, want)
+
+
+# ---------------------------------------------------------------------------
+# one seed steps as its point
+# ---------------------------------------------------------------------------
+
+def _batch_rows(dom, X, max_iters, tol, inject=None):
+    """Plain iteration of the seeds X as one batch: a test-local loop of
+    return_map_batch over the indices still running, which records each
+    seed's image rows.  inject = (i, k, make) puts make(x, y) in place of
+    seed i's k-th image y.  Returns the rows of each seed, the limits, the
+    steps, the converged flags and the kind of error a step raised (None
+    if none did)."""
+    X = np.array(X, dtype=float)
+    rows = [[] for _ in X]
+    steps, converged = np.zeros(len(X), dtype=int), np.zeros(len(X), dtype=bool)
+    active, raised = np.arange(len(X)), None
+    try:
+        for _ in range(max_iters):
+            if not active.size:
+                break
+            Y = return_map_batch(dom, X[active])
+            for j, y in zip(active, Y):
+                if inject is not None and (j, steps[j] + 1) == inject[:2]:
+                    y[:] = inject[2](X[j], y)
+                rows[j].append(y.copy())
+            disp = np.linalg.norm(Y - X[active], axis=-1)
+            X[active] = Y
+            steps[active] += 1
+            done = disp < tol
+            converged[active[done]] = True
+            active = active[~done]
+    except ShellmapError as exc:
+        raised = type(exc).__name__
+    return rows, X, steps, converged, raised
+
+
+def _spy_step_shapes(monkeypatch):
+    """The shape of every array the plain step _map_step is called on."""
+    step, shapes = dynamics._map_step, []
+
+    def spy(dom, X):
+        shapes.append(np.shape(X))
+        return step(dom, X)
+
+    monkeypatch.setattr(dynamics, "_map_step", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("kind, max_iters", [("circle", 100_000), ("sphere", 100_000), ("ellipsoid", 600)])
+def test_one_seed_steps_as_its_point_and_equals_its_row_in_a_batch_of_50(kind, max_iters, monkeypatch):
+    # iterate_orbit and a one-seed iterate_batch step the seed as its point
+    # (N,); a batch of 50 steps it as one of its rows.  Every recorded row, the
+    # limit, the steps and the flag are the same bytes; the ellipsoid's cut
+    # leaves some seeds running, and a seed at a critical point stops at once
+    dom = _BIT_DOMAINS[kind]
+    core = dom.core
+    critical = core.axes * dom.field.axis if core.dim == 3 else core.ambient_from_chart([0.0])
+    X = np.concatenate([core.ambient_from_chart(fibonacci_chart_grid(core, 49)), [critical]])
+    rows, limits, steps, converged, raised = _batch_rows(dom, X, max_iters, 1e-10)
+    assert raised is None and converged.any() and len(np.unique(steps)) > (1 if max_iters < 100_000 else 10)
+    batch = iterate_batch(dom, X, max_iters=max_iters, tol=1e-10)
+    assert batch.limits.tobytes() == limits.tobytes() and np.array_equal(batch.steps, steps)
+    shapes = _spy_step_shapes(monkeypatch)
+    for i in [*np.flatnonzero(converged)[[0, -1]], *np.flatnonzero(~converged)[:1]]:
+        rec = iterate_orbit(dom, X[i], max_iters=max_iters, tol=1e-10)
+        one = iterate_batch(dom, X[i:i + 1], max_iters=max_iters, tol=1e-10)
+        assert rec.points.tobytes() == np.concatenate([X[i:i + 1], rows[i]]).tobytes()
+        assert rec.status == ("converged" if converged[i] else "max_iterations")
+        assert one.limits.tobytes() == limits[i:i + 1].tobytes()
+        assert (one.steps[0], one.converged[0]) == (steps[i], converged[i])
+    assert set(shapes) == {(core.dim,)}
+
+
+# fields negative about their equators and positive about their poles, so
+# that an image set to the point of least d has d <= 0
+_THIN_DOMAINS = {
+    "circle": RadialDomain(CIRCLE, Fourier2DField(CIRCLE, 0.1, [(2, 0.5)])),
+    "sphere": _THIN_EQUATOR,
+    "ellipsoid": RadialDomain(_TILTED, ZonalLegendreField(_TILTED, 0.1, 0.5, axis=(0.3, 0.5, 0.8))),
+}
+
+
+@pytest.mark.parametrize("error", ["OffSurface", "InadmissibleThickness", "NormalRayMissesCore"])
+@pytest.mark.parametrize("kind", sorted(_THIN_DOMAINS))
+def test_one_seed_record_ends_in_its_error_as_its_row_in_a_batch_of_50(kind, error, monkeypatch):
+    # seed 7's 5th image is set off the core, to a point of d < 0 or to nan,
+    # alone and as a row of a batch of 50.  The record keeps the batch's rows
+    # up to the first that fails its check; the map raises on the image after
+    # a point of d < 0 or a nan, in the batch and for the seed alone
+    dom = _THIN_DOMAINS[kind]
+    core = dom.core
+    P = core.ambient_from_chart(fibonacci_chart_grid(core, 400))
+    d = dom.field.ambient_value(P)
+    X, low = P[d > 0.2][:50], P[np.argmin(d)]
+    assert len(X) == 50 and dom.field.ambient_value(low) < 0.0
+    make = {"OffSurface": lambda x, y: y * (1.0 + 1e-9),
+            "InadmissibleThickness": lambda x, y: np.reshape(low, np.shape(y)),
+            "NormalRayMissesCore": lambda x, y: np.full_like(y, np.nan)}[error]
+    i, k = 7, 5
+    rows, _, _, _, raised = _batch_rows(dom, X, 100, 1e-10, inject=(i, k, make))
+    assert raised == (None if error == "OffSurface" else error)
+    calls = _inject_at_step(monkeypatch, k, make)
+    rec = iterate_orbit(dom, X[i], max_iters=100, tol=1e-10)
+    assert (rec.status, rec.error_kind) == ("error", error)
+    # a nan row is neither off the core nor of d <= 0 by its checks: the miss
+    # it gives ends the record after it
+    want = np.concatenate([X[i:i + 1], rows[i]])[:k + (error == "NormalRayMissesCore")]
+    assert rec.points.tobytes() == want.tobytes()
+    assert rec.thickness_values.tobytes() == dom.field.ambient_value(want).tobytes()
+    if error != "OffSurface":
+        calls[0] = 0
+        with pytest.raises(ShellmapError) as err:
+            iterate_batch(dom, X[i:i + 1], max_iters=100, tol=1e-10)
+        assert type(err.value).__name__ == error
+
+
+@pytest.mark.parametrize("d, error, message", [
+    (0.0, InadmissibleThickness, _NONPOSITIVE),
+    (-1e-300, InadmissibleThickness, _NONPOSITIVE),
+    (np.nan, NormalRayMissesCore, "1 inward rays miss the core, 1 of them from rows that are not finite"),
+], ids=["zero", "tiny_negative", "nan"])
+def test_row_stage_at_a_point_checks_its_thickness_as_a_one_row_batch(d, error, message):
+    # a point's d is a numpy scalar, tested by one comparison; a nan d passes
+    # it and reaches the miss count, as on rows
+    x = SPHERE.ambient_from_chart(np.array([0.6, 0.3]))
+    g = 0.1 * tangent_part(SPHERE.normal(x[None]), np.array([[0.3, -0.2, 0.5]]))
+    for args in ((x, np.float64(d), g[0]), (x[None], np.array([d]), g)):
+        with pytest.raises(error) as err:
+            dynamics._return_map_rows(SPHERE, *args)
+        assert str(err.value) == message
+
+
+def test_the_bundled_orbit_steps_its_point(monkeypatch):
+    # the seam: the zonal_orbit seed's 1,813 plain steps each map the point
+    # (3,), not a (1, 3) row
+    shapes = _spy_step_shapes(monkeypatch)
+    rec = iterate_orbit(zonal_domain(), SPHERE.ambient_from_chart(np.array([np.pi / 4, 0.0])))
+    assert rec.status == "converged"
+    assert len(shapes) == 1813 and set(shapes) == {(3,)}

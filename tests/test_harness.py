@@ -145,6 +145,20 @@ def test_constant_shell_flags_continuum(tmp_path):
     assert "continuum_of_fixed_points,True" in summary
 
 
+def test_a_run_makes_its_directory_once(tmp_path, monkeypatch):
+    # the run's first file makes the directory; its later files only open
+    made, mkdir = [], Path.mkdir
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        return mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counted)
+    files = run_scenario(scn_path(tmp_path, load_bundled("constant_shell")), out_dir=tmp_path / "o")
+    assert len(files) > 2 and all(f.exists() for f in files)
+    assert made == [tmp_path / "o"]
+
+
 def test_circle_fixed_points_scenario(tmp_path):
     run_scenario(scn_path(tmp_path, load_bundled("circle_cos2_fixed_points")), out_dir=tmp_path / "o")
     lines = (tmp_path / "o" / "fixed_points.csv").read_text().splitlines()

@@ -271,6 +271,32 @@ def test_settle_batch_equals_the_boolean_mask_step_bit_for_bit(name):
     assert np.array_equal(got.converged, want.converged)
 
 
+# the branches of an amplified step each box takes on the oracle's seeds:
+# "all" where every running row that goes on is amplified (all rows retracted
+# at once), "some" where only some are (those gathered, retracted and
+# scattered).  The meridian orbits of the zonal fields keep their direction,
+# so after the first step every row that goes on is amplified; the circle's
+# take both branches, and the spiral keeps K = 1
+ORACLE_BRANCHES = {"fourier_circle": {"all", "some"}, "spiral": set(), "tilted_ellipsoid": {"all"},
+                   "zonal_sphere": {"all"}}
+
+
+@pytest.mark.parametrize("name", sorted(BOXES))
+def test_the_oracle_boxes_take_both_amplified_branches(name, monkeypatch):
+    F = BOXES[name]()
+    X = F.core.ambient_from_chart(fibonacci_chart_grid(F.core, 400))
+    mapped, branches = [], set()
+    box = BlackBoxMap(F.core, lambda X: (mapped.append(len(X)), F.batch(X))[1])
+
+    def retract(core, X, V):
+        branches.add("all" if len(X) == mapped[-1] else "some")
+        return retract_batch(core, X, V)
+
+    monkeypatch.setattr(dynamics, "retract_batch", retract)
+    settle_batch(box, X, tol=1e-10, max_iters=20_000)
+    assert branches == ORACLE_BRANCHES[name]
+
+
 @pytest.mark.parametrize("core", [ConvexCore.sphere(1.7), ConvexCore.circle(0.6)], ids=["sphere", "circle"])
 def test_retract_batch_scales_by_the_axis_sum_of_squares(core):
     # the radial scaling sums each row's squares column by column; its bits
