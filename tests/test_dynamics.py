@@ -38,7 +38,7 @@ from shellmap import dynamics
 from shellmap.domain import _outer_geometry_batch
 from shellmap.dynamics import OrbitRecord, _row_dot, _row_norm
 from shellmap.errors import ImmersionFailure, ShellmapError
-from shellmap.harness import _Out, _task_orbit, parse_scenario_text, resolve
+from shellmap.harness import _Out, _task_orbit, load_bundled, parse_scenario_text, resolve, run_scenario
 from shellmap.fields import ThicknessField
 from shellmap.surfaces import _near_hit_cols, fibonacci_chart_grid, tangent_part
 
@@ -967,10 +967,9 @@ def test_row_stage_at_a_point_checks_its_thickness_as_a_one_row_batch(d, error, 
         assert str(err.value) == message
 
 
-def test_the_bundled_orbit_steps_its_point(monkeypatch):
-    # the seam: the zonal_orbit seed's 1,813 plain steps each map the point
-    # (3,), not a (1, 3) row
+def test_the_bundled_orbit_steps_its_point(tmp_path, monkeypatch):
+    # the seam: the bundled zonal_orbit seed's 1,813 plain steps each map the
+    # point (3,), not a (1, 3) row
     shapes = _spy_step_shapes(monkeypatch)
-    rec = iterate_orbit(zonal_domain(), SPHERE.ambient_from_chart(np.array([np.pi / 4, 0.0])))
-    assert rec.status == "converged"
+    run_scenario(parse_scenario_text(load_bundled("zonal_orbit")), out_dir=tmp_path)
     assert len(shapes) == 1813 and set(shapes) == {(3,)}
