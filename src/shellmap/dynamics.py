@@ -26,7 +26,8 @@ gives.  The checks of a step on rows (d <= 0, finite images) and of the
 orbit loop (stopped rows, amplified rows) are taken as np.count_nonzero
 of their masks, which costs about half an .any() or .all() on a short
 row or a mask of a few hundred rows; a point's d is checked by one
-scalar comparison, which a nan d passes on to the miss count, as on rows.
+scalar comparison, which a nan d passes on to the miss count, as on rows,
+and its image component by component with math.isfinite.
 
 Orbits run in one loop, _orbits, on compact working rows (the seeds
 still running, compacted in their own layout by one index) with one row
@@ -34,8 +35,9 @@ reduction, surfaces' _row_dot, which adds the column products in
 np.linalg.norm's order without a length-N inner loop, for the
 displacement norms (_row_norm) and settle's cosine;
 iterate_batch (plain steps of F), settle_batch (amplified steps and the
-contraction rule) and iterate_orbit (one seed, an owning copy of each
-image point recorded) are configurations of it, and none of them calls
+contraction rule) and iterate_orbit (one seed, each image point
+recorded as the leg hands it back, an array that owns its data) are
+configurations of it, and none of them calls
 another.  iterate_batch and iterate_orbit step with _map_step itself,
 so their working rows stay component-major; one plain seed steps as its
 point (N,), with a scalar displacement norm and a one-comparison stop.
@@ -128,8 +130,14 @@ def _return_map_rows(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarr
         for i in range(0, len(X), BLOCK_ROWS):
             s = slice(i, i + BLOCK_ROWS)
             Y[s] = _return_leg_rows(core, X[s], d[s], G[s])
-    finite = np.isfinite(Y)
-    if np.count_nonzero(finite) < finite.size:
+    if X.ndim == 1:
+        # each component tested as it is: a sum of them overflows to inf
+        # for a finite point near the largest float
+        ok = all(map(math.isfinite, Y.tolist()))
+    else:
+        finite = np.isfinite(Y)
+        ok = np.count_nonzero(finite) == finite.size
+    if not ok:
         # a degenerate outer normal gives a hit that is not finite: the
         # checking outer geometry names it, block by block as the leg runs
         if X.ndim == 1:
@@ -138,7 +146,7 @@ def _return_map_rows(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarr
             for i in range(0, len(X), BLOCK_ROWS):
                 s = slice(i, i + BLOCK_ROWS)
                 _outer_geometry_rows(core, X[s], d[s], G[s])
-        miss = int((~finite.all(axis=-1)).sum())
+        miss = int((~np.isfinite(Y).all(axis=-1)).sum())
         bad = int(np.sum(~(np.isfinite(X).all(axis=-1) & np.isfinite(d))))
         tail = f", {bad} of them from rows that are not finite" if bad else ""
         raise NormalRayMissesCore(f"{miss} inward rays miss the core{tail}")
@@ -288,8 +296,9 @@ def iterate_orbit(
     displacement drops below tol.
 
     The orbit engine runs the one seed as its point, (N,), each step one
-    plain step (_map_step) on the point, and records a copy of each image
-    point; the points are joined into (n, N) rows after the loop.  Then
+    plain step (_map_step) on the point, and records each image point as
+    the step returns it, an array that owns its data, which nothing writes
+    into; the points are joined into (n, N) rows after the loop.  Then
     one batched pass over the rows takes the thickness values and
     checks them as a loop of scalar steps would each step: every iterate is
     on the core (|implicit| <= TOL_SURFACE) and every row, the seed's
@@ -301,14 +310,9 @@ def iterate_orbit(
     core = dom.core
     x = np.asarray(x0, dtype=float)
     rows = [x]
-    def record(y):
-        # a copy: the step's image is a view, which would keep a second array
-        # alive per step until the points are joined
-        rows.append(y.copy())
-
     status, error_kind = "max_iterations", None
     try:
-        if _orbits(partial(_map_step, dom), core, x, tol, max_iters, record=record).converged[0]:
+        if _orbits(partial(_map_step, dom), core, x, tol, max_iters, record=rows.append).converged[0]:
             status = "converged"
     except ShellmapError as exc:
         status, error_kind = "error", type(exc).__name__

@@ -16,12 +16,18 @@ ImmersionFailure on a degenerate normal) and the leg's ray hit
 component rows (N, n), so every arithmetic step runs on whole rows, and
 they sum dot products with _component_dot in einsum's order.  Each stage
 updates its own products in place (the dots sum into their row p[0], the
-ray solves shift C and the general one scales B and q in place, and the
-resolvent, the outer geometry and the Newton update add into their
-products), with the bits of the one-expression forms.  They also
-take a single point (N,), for which every per-point value is a numpy
-scalar; _per_component shapes the per-axis constants to either form, so
-each stage's arithmetic is written once.  A sphere's or circle's
+ray solves shift C and the general one scales B and q in place, the
+resolvent scales D nu by mu and adds it, the outer points are nu scaled
+by d plus X, and the Newton update adds into its product), with the bits
+of the one-expression forms.  They also take a single point (N,), for
+which every per-point value is a numpy scalar; _per_component shapes the
+per-axis constants to either form, so each stage's arithmetic is written
+once.  Where the row form is a masked or reducing ufunc call, the stage
+holds a point form beside it with the same IEEE values in the same
+order: _component_dot sums a point's indexed products
+(a0 b0 + a2 b2) + a1 b1, and the polish's guarded division takes a
+point's step as -f / df if df != 0 else 0.0, the bits of the masked
+np.divide (+0.0 where df = +-0, nan where df is nan).  A sphere's or circle's
 constants are one value, handed on as a scalar, so a per-point value
 scaled by them, such as the resolvent's diagonal, stays one (n,) row.
 The layout stays inside this module: the other modules call the
@@ -30,8 +36,9 @@ _outer_geometry_rows and _ray_solve_batch, each of which transposes its
 rows into contiguous component rows, a copy only where they are not
 already the view of such rows (_return_leg_rows takes a point as it is).
 _return_leg_rows hands its hits back as the (n, N) view of their
-component rows, not copied out; the other three copy their outputs into
-C-ordered rows.
+component rows, not copied out, and a point's hit as itself, an array
+that owns its data; the other three copy their outputs into C-ordered
+rows.
 
 Two ray solves.  The general one, _ray_solve_cols (and _ray_solve_batch
 on rows), takes any ray: an origin on, inside or outside the core, and a
@@ -326,8 +333,14 @@ def _component_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Dot products of the points of A and B, component rows (N, n) each:
     p = A * B summed as (p[0] + p[2]) + p[1] for N=3 and p[0] + p[1] for
     N=2, the order in which numpy's einsum("ij,ij->i") sums C-ordered
-    (n, N) rows, so the sums equal its row dots bit for bit.  The sums
-    accumulate in place in the row p[0], or in a scalar for points."""
+    (n, N) rows, so the sums equal its row dots bit for bit, but where
+    every product is -0.0: einsum's sum starts at +0.0 and gives +0.0,
+    this one -0.0.  The sums accumulate in place in the row p[0].  Two points, (N,), give their dot
+    as a numpy scalar from the indexed products, summed in the same order."""
+    if A.ndim == 1:
+        if len(A) == 3:
+            return (A[0] * B[0] + A[2] * B[2]) + A[1] * B[1]
+        return A[0] * B[0] + A[1] * B[1]
     p = A * B
     s = p[0]
     if len(p) == 3:
@@ -394,6 +407,7 @@ def _ray_solve_batch(core: ConvexCore, O: np.ndarray, D: np.ndarray):
     return _ray_solve_cols(core, np.ascontiguousarray(O.T), np.ascontiguousarray(D.T))
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _near_hit_cols(core: ConvexCore, O: np.ndarray, D: np.ndarray) -> np.ndarray:
     """First hits on the core of the rays O + t D of the return leg, which
     start outside the core and have unit directions, as component rows
@@ -411,19 +425,22 @@ def _near_hit_cols(core: ConvexCore, O: np.ndarray, D: np.ndarray) -> np.ndarray
     grazing band, and for the rows where they differ: a thickness below
     round-off, the grazing band and nearly tangent rays."""
     A, b, C = _ray_quadratic(core, O, D)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = C / np.fmax(np.sqrt(b * b - A * C) - b, 0.0)
-        Y = t * D
-        Y += O
-        YM = Y / _per_component(core.axes_sq, Y)
-        f = _component_dot(YM, Y)
-        f -= 1.0
-        df = _component_dot(YM, D)
-        df *= 2.0
-        # [()] takes a point's 0-d step as a scalar (rows stay an array);
-        # a grazing step is divided by False, so its hit is not finite
-        step = np.divide(-f, df, out=np.zeros(np.shape(f)), where=df != 0)[()]
-        Y += step / (abs(step) <= POLISH_STEP_TOL * core.surface_scale()) * D
+    t = C / np.fmax(np.sqrt(b * b - A * C) - b, 0.0)
+    Y = t * D
+    Y += O
+    YM = Y / _per_component(core.axes_sq, Y)
+    f = _component_dot(YM, Y)
+    f -= 1.0
+    df = _component_dot(YM, D)
+    df *= 2.0
+    if O.ndim > 1:
+        step = np.divide(-f, df, out=np.zeros(np.shape(f)), where=df != 0)
+    else:
+        # a point's f and df are numpy scalars: the bits of the masked
+        # division, +0.0 where df = +-0 and nan where df is nan
+        step = -f / df if df != 0 else 0.0
+    # a grazing step is divided by False, so its hit is not finite
+    Y += step / (abs(step) <= POLISH_STEP_TOL * core.surface_scale()) * D
     return Y
 
 
@@ -452,7 +469,8 @@ def _resolvent_cols(core: ConvexCore, X: np.ndarray, d: np.ndarray, V: np.ndarra
     Dnu = D * nu
     mu = -_component_dot(Dnu, V) / _component_dot(Dnu, nu)
     R = D * V
-    R += mu * Dnu
+    Dnu *= mu
+    R += Dnu
     return nu, R
 
 
@@ -465,9 +483,9 @@ def _outer_normals_cols(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.nd
     nvec -= nu  # m - nu
     norms = np.sqrt(_component_dot(nvec, nvec))
     nvec /= norms
-    Xout = d * nu
-    Xout += X
-    return Xout, nvec, norms
+    nu *= d  # the outer points X + d nu
+    nu += X
+    return nu, nvec, norms
 
 
 def _outer_geometry_cols(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarray):
@@ -498,7 +516,8 @@ def _return_leg_rows(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarr
     if X.ndim > 1:
         X, G = np.ascontiguousarray(X.T), np.ascontiguousarray(G.T)
     Xout, nvec, _ = _outer_normals_cols(core, X, d, G)
-    return _near_hit_cols(core, Xout, nvec).T
+    Y = _near_hit_cols(core, Xout, nvec)
+    return Y.T if Y.ndim > 1 else Y
 
 
 def _resolvent_rows(core: ConvexCore, X: np.ndarray, d: np.ndarray, V: np.ndarray):

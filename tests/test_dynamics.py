@@ -967,9 +967,44 @@ def test_row_stage_at_a_point_checks_its_thickness_as_a_one_row_batch(d, error, 
         assert str(err.value) == message
 
 
+_BIG = 1.7e308  # three of them sum to inf
+
+
+@pytest.mark.parametrize("image", [
+    [np.inf, 0.0, 0.0], [0.0, -np.inf, 0.0], [0.0, 0.0, np.nan],
+    [_BIG, _BIG, _BIG], [-_BIG, -_BIG, -_BIG], [_BIG, -_BIG, _BIG],
+], ids=["inf", "minus_inf", "nan", "big", "minus_big", "mixed_big"])
+def test_row_stage_at_a_point_checks_its_image_as_a_one_row_batch(image, monkeypatch):
+    # the leg's image is injected; a point's image is checked component by
+    # component, so a finite one near the largest float passes as in a one-row
+    # batch, and one that is not finite raises the one-row batch's miss
+    monkeypatch.setattr(dynamics, "_return_leg_rows", lambda core, X, d, G: np.reshape(image, np.shape(X)))
+    x = SPHERE.ambient_from_chart(np.array([0.6, 0.3]))
+    g = 0.1 * tangent_part(SPHERE.normal(x[None]), np.array([[0.3, -0.2, 0.5]]))
+    outcomes = []
+    for args in ((x, np.float64(0.2), g[0]), (x[None], np.array([0.2]), g)):
+        try:
+            outcomes.append(np.reshape(dynamics._return_map_rows(SPHERE, *args), -1).tobytes())
+        except ShellmapError as err:
+            outcomes.append((type(err), str(err)))
+    assert outcomes[0] == outcomes[1]
+    finite = np.isfinite(image).all()
+    assert outcomes[0] == (np.array(image).tobytes() if finite else (NormalRayMissesCore, "1 inward rays miss the core"))
+
+
 def test_the_bundled_orbit_steps_its_point(tmp_path, monkeypatch):
     # the seam: the bundled zonal_orbit seed's 1,813 plain steps each map the
-    # point (3,), not a (1, 3) row
-    shapes = _spy_step_shapes(monkeypatch)
+    # point (3,), not a (1, 3) row, and each image owns its data, so the
+    # orbit record keeps it uncopied
+    shapes, owners = _spy_step_shapes(monkeypatch), []
+    step = dynamics._map_step
+
+    def spy(dom, X):
+        Y = step(dom, X)
+        owners.append(Y.base is None)
+        return Y
+
+    monkeypatch.setattr(dynamics, "_map_step", spy)
     run_scenario(parse_scenario_text(load_bundled("zonal_orbit")), out_dir=tmp_path)
     assert len(shapes) == 1813 and set(shapes) == {(3,)}
+    assert len(owners) == 1813 and all(owners)

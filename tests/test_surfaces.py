@@ -301,11 +301,15 @@ def _same_hits(a, b) -> bool:
 def test_ray_hit_newton_step_matches_masked_division_bit_for_bit(core):
     s = core.semi_axes
     # tangent rays (df == 0; from 2 s the near root of the 0.7 sphere misses
-    # the tangent point by rounding), a parallel miss, a null direction (rows
-    # that are not finite) and inward normal rays from random outer points
-    special_O = [[2.5 * s[0], s[1], 0.0], [0.0, 2.5 * s[1], s[2]], [2.0 * s[0], 0.0, 2.0 * s[2]],
-                 [2.0, 2.0, 2.0]]
-    special_D = [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
+    # the tangent point by rounding; the third has a hit component of -0.0,
+    # whose sum with the zero step's product keeps the step's sign), a
+    # parallel miss, a null direction (rows that are not finite), an axis ray
+    # whose near root lands on the core with f exactly 0 (the step divides
+    # -0.0 by df) and inward normal rays from random outer points
+    special_O = [[2.5 * s[0], s[1], 0.0], [0.0, 2.5 * s[1], s[2]], [2.5 * s[0], s[1], -0.0],
+                 [2.0 * s[0], 0.0, 2.0 * s[2]], [2.0, 2.0, 2.0], [0.0, 0.0, 1.5 * s[2]]]
+    special_D = [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [-1.0, 0.0, -0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0],
+                 [0.0, 0.0, -1.0]]
     X = np.array([p.ambient for p in random_points(core, 40, seed=4)])
     O = np.concatenate([special_O, X + 0.3 * core.normal(X)])
     D = np.concatenate([special_D, -core.normal(X)])
@@ -314,7 +318,10 @@ def test_ray_hit_newton_step_matches_masked_division_bit_for_bit(core):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         Y = _near_hit_cols(core, O.T, D.T)
+        # as points, one ray at a time: f and df are numpy scalars
+        Y_points = [_near_hit_cols(core, o, d) for o, d in zip(O, D)]
     assert _same_hits(Y.T, want_Y)
+    assert all(_same_hits(y, want) for y, want in zip(Y_points, want_Y))
 
 
 def _ray_solve_three_wheres(core, O, D):
@@ -394,11 +401,32 @@ def test_ray_solve_equals_the_three_where_form_bit_for_bit(core):
 def test_component_dot_sums_in_einsums_order(dim, n):
     # the kernel's dots on component rows equal einsum's row dots on C-ordered
     # (n, N) rows; a numpy whose einsum sums in another order fails here
+    # each row also as a point, (N,), whose dot is summed from indexed products;
+    # the edge rows hold signed zeros, subnormals, inf and nan
     rng = np.random.default_rng(n)
     A = rng.standard_normal((n, dim)) * np.exp(rng.uniform(-20.0, 20.0, (n, dim)))
     B = rng.standard_normal((n, dim))
-    want = np.einsum("ij,ij->i", A, B)
-    assert _component_dot(np.ascontiguousarray(A.T), np.ascontiguousarray(B.T)).tobytes() == want.tobytes()
+    inf, nan, tiny = np.inf, np.nan, 5e-324
+    edge_A = [[-0.0, 0.0, -0.0], [-0.0, -0.0, -0.0], [tiny, -1e-310, 2e-320], [1e-300, 1e-300, -1e-300],
+              [inf, 1.0, 2.0], [1.0, -inf, 0.5], [inf, -inf, 1.0], [0.0, inf, 1.0], [nan, 1.0, 2.0],
+              [1.0, 2.0, nan], [1e308, 1e308, 1e308]]
+    edge_B = [[1.0, -1.0, 2.0], [0.0, -0.0, 0.0], [1.0, 3.0, -0.5], [1e-20, 1e-20, 1e-20],
+              [1.0, 1.0, 1.0], [2.0, 1.0, -3.0], [1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0],
+              [inf, 1.0, 1.0], [1e10, 1e10, -1e10]]
+    A = np.concatenate([A, np.array(edge_A)[:, :dim]])
+    B = np.concatenate([B, np.array(edge_B)[:, :dim]])
+    with np.errstate(all="ignore"):  # inf - inf, inf * 0 and the overflow warn as points
+        want = np.einsum("ij,ij->i", A, B)
+        got = _component_dot(np.ascontiguousarray(A.T), np.ascontiguousarray(B.T))
+        points = [_component_dot(a, b) for a, b in zip(A, B)]
+        P = A * B
+    # einsum adds the products to a sum that starts at +0.0, so a row whose
+    # products are all -0.0 sums to +0.0 there and to -0.0 in the kernel's order
+    all_negative_zero = np.all((P == 0.0) & np.signbit(P), axis=-1)
+    assert all_negative_zero[n] and not np.signbit(want[all_negative_zero]).any()
+    want[all_negative_zero] = -0.0
+    assert got.tobytes() == want.tobytes()
+    assert all(p.tobytes() == w.tobytes() for p, w in zip(points, want))
 
 
 # the return leg's stages with every update a fresh one-expression array, on
