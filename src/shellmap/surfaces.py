@@ -27,9 +27,10 @@ holds a point form beside it with the same IEEE values in the same
 order: _component_dot sums a point's indexed products
 (a0 b0 + a2 b2) + a1 b1, and the polish's guarded division takes a
 point's step as -f / df if df != 0 else 0.0, the bits of the masked
-np.divide (+0.0 where df = +-0, nan where df is nan).  A sphere's or circle's
-constants are one value, handed on as a scalar, so a per-point value
-scaled by them, such as the resolvent's diagonal, stays one (n,) row.
+np.divide (+0.0 where df = +-0, nan where df is nan).  A sphere's or
+circle's constants are one value, handed on as a scalar, so a per-point
+value scaled by them, such as the resolvent's diagonal, stays one (n,)
+row.
 The layout stays inside this module: the other modules call the
 (n, N)-row entry points _return_leg_rows, _resolvent_rows,
 _outer_geometry_rows and _ray_solve_batch, each of which transposes its
@@ -335,8 +336,9 @@ def _component_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     N=2, the order in which numpy's einsum("ij,ij->i") sums C-ordered
     (n, N) rows, so the sums equal its row dots bit for bit, but where
     every product is -0.0: einsum's sum starts at +0.0 and gives +0.0,
-    this one -0.0.  The sums accumulate in place in the row p[0].  Two points, (N,), give their dot
-    as a numpy scalar from the indexed products, summed in the same order."""
+    this one -0.0.  The sums accumulate in place in the row p[0].  Two
+    points, (N,), give their dot as a numpy scalar from the indexed
+    products, summed in the same order."""
     if A.ndim == 1:
         if len(A) == 3:
             return (A[0] * B[0] + A[2] * B[2]) + A[1] * B[1]

@@ -988,8 +988,8 @@ def test_row_stage_at_a_point_checks_its_image_as_a_one_row_batch(image, monkeyp
         except ShellmapError as err:
             outcomes.append((type(err), str(err)))
     assert outcomes[0] == outcomes[1]
-    finite = np.isfinite(image).all()
-    assert outcomes[0] == (np.array(image).tobytes() if finite else (NormalRayMissesCore, "1 inward rays miss the core"))
+    miss = (NormalRayMissesCore, "1 inward rays miss the core")
+    assert outcomes[0] == (np.array(image).tobytes() if np.isfinite(image).all() else miss)
 
 
 def test_the_bundled_orbit_steps_its_point(tmp_path, monkeypatch):
