@@ -30,8 +30,7 @@ point's step as -f / df if df != 0 else 0.0, the bits of the masked
 np.divide (+0.0 where df = +-0, nan where df is nan).  A sphere's or
 circle's constants are one value, handed on as a scalar, so a per-point
 value scaled by them, such as the resolvent's diagonal, stays one (n,)
-row.
-The layout stays inside this module: the other modules call the
+row.  The layout stays inside this module: the other modules call the
 (n, N)-row entry points _return_leg_rows, _resolvent_rows,
 _outer_geometry_rows and _ray_solve_batch, each of which transposes its
 rows into contiguous component rows, a copy only where they are not
@@ -425,7 +424,12 @@ def _near_hit_cols(core: ConvexCore, O: np.ndarray, D: np.ndarray) -> np.ndarray
     finite either.  See the module docstring for why these are the bits of
     the general solve (_ray_solve_cols) on every ray it hits outside its
     grazing band, and for the rows where they differ: a thickness below
-    round-off, the grazing band and nearly tangent rays."""
+    round-off, the grazing band and nearly tangent rays.
+
+    The divide and invalid flags are ignored over the whole stage, the
+    quadratic included (np.errstate as a decorator, about half the cost of
+    a with block): a ray that is not finite gives a hit that is not
+    finite, with no warning from this stage."""
     A, b, C = _ray_quadratic(core, O, D)
     t = C / np.fmax(np.sqrt(b * b - A * C) - b, 0.0)
     Y = t * D
