@@ -100,17 +100,22 @@ class AdmissibilityReport:
 def admissibility_check(dom: RadialDomain, grid_size: int = 4096) -> AdmissibilityReport:
     """Check min d, the immersion condition, and inward-normal ray hits.
 
-    Failures are reported rather than raised so near-failure regimes can
-    be studied; the verdict requires min d > 0, min singular value of
-    DPhi > 1e-8 and a 100% normal-ray hit rate.
+    Each grid point casts the ray from its outer point along the inward
+    normal of the DPhi columns through the return leg's own hit,
+    surfaces._ray_solve_batch, and counts as a hit where every component
+    of the hit is finite.  Where d <= 0 the outer point lies inside the
+    core, and the hit is the near root behind it (t < 0), which is finite
+    and counts; min d > 0 fails such a domain anyway.  Failures are
+    reported rather than raised so near-failure regimes can be studied;
+    the verdict requires min d > 0, min singular value of DPhi > 1e-8 and
+    a 100% normal-ray hit rate.
     """
     core = dom.core
     chart = fibonacci_chart_grid(core, grid_size)
     X = core.ambient_from_chart(chart)
     d = dom.field.ambient_value(X)
     Xout, _, nvec, sv = _outer_frames_batch(dom, X, d)
-    t, _ = _ray_solve_batch(core, Xout, nvec)
-    hits = np.isfinite(t)
+    hits = np.isfinite(_ray_solve_batch(core, Xout, nvec)).all(axis=-1)
     min_d = float(np.min(d))
     min_sv = float(np.min(sv))
     hit_rate = float(np.mean(hits))

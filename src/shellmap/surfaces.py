@@ -16,69 +16,45 @@ ImmersionFailure on a degenerate normal) and the leg's ray hit
 component rows (N, n), so every arithmetic step runs on whole rows, and
 they sum dot products with _component_dot in einsum's order.  Each stage
 updates its own products in place (the dots sum into their row p[0], the
-ray solves shift C and the general one scales B and q in place, the
-resolvent scales D nu by mu and adds it, the outer points are nu scaled
-by d plus X, and the Newton update adds into its product), with the bits
-of the one-expression forms.  They also take a single point (N,), for
-which every per-point value is a numpy scalar; _per_component shapes the
-per-axis constants to either form, so each stage's arithmetic is written
-once.  Where the row form is a masked or reducing ufunc call, the stage
-holds a point form beside it with the same IEEE values in the same
-order: _component_dot sums a point's indexed products
-(a0 b0 + a2 b2) + a1 b1, and the polish's guarded division takes a
-point's step as -f / df if df != 0 else 0.0, the bits of the masked
+ray hit shifts C, the resolvent scales D nu by mu and adds it, the outer
+points are nu scaled by d plus X, and the Newton update adds into its
+product), with the bits of the one-expression forms.  They also take a
+single point (N,), for which every per-point value is a numpy scalar;
+_per_component shapes the per-axis constants to either form, so each
+stage's arithmetic is written once.  Where the row form is a masked or
+reducing ufunc call, the stage holds a point form beside it with the same
+IEEE values in the same order: _component_dot sums a point's indexed
+products (a0 b0 + a2 b2) + a1 b1, and the polish's guarded division takes
+a point's step as -f / df if df != 0 else 0.0, the bits of the masked
 np.divide (+0.0 where df = +-0, nan where df is nan).  A sphere's or
 circle's constants are one value, handed on as a scalar, so a per-point
 value scaled by them, such as the resolvent's diagonal, stays one (n,)
 row.  The layout stays inside this module: the other modules call the
 (n, N)-row entry points _return_leg_rows, _resolvent_rows,
-_outer_geometry_rows and _ray_solve_batch, each of which transposes its
-rows into contiguous component rows, a copy only where they are not
-already the view of such rows (_return_leg_rows takes a point as it is).
+_outer_geometry_rows and _ray_solve_batch (the leg's ray hit on rows,
+which admissibility_check casts), each of which transposes its rows into
+contiguous component rows, a copy only where they are not already the
+view of such rows (_return_leg_rows takes a point as it is).
 _return_leg_rows hands its hits back as the (n, N) view of their
 component rows, not copied out, and a point's hit as itself, an array
 that owns its data; the other three copy their outputs into C-ordered
 rows.
 
-Two ray solves.  The general one, _ray_solve_cols (and _ray_solve_batch
-on rows), takes any ray: an origin on, inside or outside the core, and a
-null, infinite or outward direction.  It solves A t^2 + B t + C = 0 by
-the q-method, picks the smallest nonnegative root with ufuncs (copysign
-for the sign of B, fmax for the q = 0 guard, bit for bit the selects they
-stand for) and flags grazing rays, |disc| below GRAZING_TOL in units of
-surface_scale()**-2, so the band scales with the core.  It serves
-admissibility_check, whose outer points lie inside the core wherever
-d <= 0.  The leg's rays always start outside the core, as the kernel
-checks d > 0 first and the origin is c + d nu, so the leg takes its own
-hit, _near_hit_cols, with no case analysis: with b = DW . O, the dot that
-B doubles (both solves take A, b and C from _ray_quadratic), and
-s = sqrt(b^2 - AC), the near root is t = C / fmax(s - b, 0).
-Multiplying by 2 or 4 is exact and sqrt(4 x) = 2 sqrt(x), so the general
-solve's disc is exactly 4 (b^2 - AC) and, for B < 0, its q is exactly
-s - b; its min(q / A, C / q) picks C / q except where rounding puts q / A
-below it, which needs the two roots equal to rounding, at grazing.  So on
-every ray from outside the core that the general solve hits outside its
-grazing band, the leg's hit has its bits (the tests check this against a
-fresh-array copy of the general solve's hit).  The rows where the two
-differ:
-
-- a thickness below round-off (d of about 1e-16 of the scale or less),
-  where c + d nu rounds inside the core (C < 0): the general root choice
-  takes the far root, across the core, and the near root is a tiny
-  t < 0, so F is the d -> 0 limit, the identity, to round-off;
-- rays inside the grazing band, which the general solve hits with s
-  taken as 0, where the leg's hit misses wherever b^2 < AC;
-- nearly tangent rays whose Newton polish divides by df of about 0: a
-  polish step longer than POLISH_STEP_TOL surface_scale() means the ray
-  grazes, and the leg's hit counts it as a miss, so every finite hit has
-  |implicit| at round-off.
-
-A ray that misses, points away from the core or grazes gives a hit that
-is not finite (the divisor fmax(s - b, 0) is 0 or the grazing step is
-divided by False), which the kernel's row stage counts as a miss; a
-degenerate outer normal gives one too, so the leg runs the unchecked
-outer geometry and the row stage names a degenerate normal only on its
-failure branch.
+One ray hit, _near_hit_cols.  The leg's rays start outside the core, as
+the kernel checks d > 0 first and the origin is c + d nu, so the hit
+takes the near root with no case analysis: with A t^2 + 2 b t + C = 0
+from _ray_quadratic and s = sqrt(b^2 - AC), t = C / fmax(s - b, 0).  A
+ray that misses, points away from the core or grazes it (a Newton polish
+step longer than POLISH_STEP_TOL surface_scale()) gives a hit that is not
+finite, which the kernel's row stage counts as a miss, so every finite
+hit has |implicit| at round-off; a degenerate outer normal gives one
+too, so the leg runs the unchecked outer geometry and the row stage
+names a degenerate normal only on its failure branch.  Where the origin
+lies inside the core (C < 0: a thickness below round-off, where c + d nu
+rounds inside, or d <= 0 in admissibility_check) s > |b|, and the near
+root is a finite t < 0, the hit behind the origin: at such a thickness
+F is the d -> 0 limit, the identity, to round-off, and admissibility_check
+counts a hit wherever d <= 0.
 
 The tangent space is computed here alone: one unit normal
 (ConvexCore.normal, Mx/|Mx|), one projection (tangent_part) and frames
@@ -100,7 +76,6 @@ TOL_SURFACE = 1e-12
 # below this value of sin(theta) the z-colatitude chart degenerates and
 # frame construction switches to the x-colatitude chart
 POLE_SIN_TOL = 1e-6
-GRAZING_TOL = 1e-14  # the general ray solve's grazing band, in surface_scale()**-2
 # longest Newton polish step of a return-leg hit, in surface_scale(): a
 # longer step means the ray grazes the core, and the hit counts as a miss
 POLISH_STEP_TOL = 1e-6
@@ -372,47 +347,19 @@ def _ray_quadratic(core: ConvexCore, O: np.ndarray, D: np.ndarray):
     return A, b, C
 
 
-def _ray_solve_cols(core: ConvexCore, O: np.ndarray, D: np.ndarray):
-    """Smallest nonnegative parameters t of the rays O + t D, origins and
-    directions as component rows (N, n), by the closed-form (q-method)
-    solve: nan on a miss, with a grazing flag per ray where the
-    discriminant is near zero."""
-    A, B, C = _ray_quadratic(core, O, D)
-    B *= 2.0
-    disc = B * B
-    disc -= 4.0 * A * C
-    band = GRAZING_TOL / core.surface_scale() ** 2
-    grazing = np.abs(disc) < band
-    disc_c = np.sqrt(np.maximum(disc, 0.0))
-    # disc_c with the sign of B; + 0.0 turns B = -0.0 into +0.0, so it
-    # takes +disc_c as B < 0 is false there
-    q = B + np.copysign(disc_c, B + 0.0)
-    q *= -0.5
-    # A = 0 (a null direction) leaves q / A undefined, as nan or +-inf, so
-    # no mask can stand in for this block.  Where q = +-0, C / q is +-inf or
-    # nan and t1 = q / A is +-0 or nan, so t2 = -inf there (fmax takes nan
-    # to -inf) leaves the choice below at t1, as t2 = +inf would; where
-    # q != 0, C / q is nan only if q is, and then so is t1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = q / A
-        t2 = np.fmax(C / q, -np.inf)
-    lo = np.minimum(t1, t2)
-    t = np.where(lo >= 0, lo, np.maximum(t1, t2))
-    t[(t < 0) | (disc < -band)] = np.nan
-    return t, grazing
-
-
-def _ray_solve_batch(core: ConvexCore, O: np.ndarray, D: np.ndarray):
-    """_ray_solve_cols on rays given as (n, N) rows, each transposed into
-    contiguous component rows."""
-    return _ray_solve_cols(core, np.ascontiguousarray(O.T), np.ascontiguousarray(D.T))
+def _ray_solve_batch(core: ConvexCore, O: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """_near_hit_cols on rays given as (n, N) rows, each transposed into
+    contiguous component rows: the hits as C-ordered (n, N) rows, not
+    finite where a ray misses."""
+    return _near_hit_cols(core, np.ascontiguousarray(O.T), np.ascontiguousarray(D.T)).T.copy()
 
 
 @np.errstate(divide="ignore", invalid="ignore")
 def _near_hit_cols(core: ConvexCore, O: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """First hits on the core of the rays O + t D of the return leg, which
-    start outside the core and have unit directions, as component rows
-    (N, n) like O and D; a ray that misses gives a hit that is not finite.
+    """First hits on the core of the rays O + t D, as component rows (N, n)
+    like O and D: the return leg's rays, which start outside the core and
+    have unit directions, and admissibility_check's; a ray that misses
+    gives a hit that is not finite.
 
     With the quadratic written A t^2 + 2 b t + C = 0 and s = sqrt(b^2 - AC),
     the near root is t = C / (s - b), taken as C / fmax(s - b, 0): where the
@@ -421,10 +368,8 @@ def _near_hit_cols(core: ConvexCore, O: np.ndarray, D: np.ndarray) -> np.ndarray
     step along the ray, a division that takes the step as 0 where df = 0,
     keeps |implicit| at round-off; a step longer than POLISH_STEP_TOL
     surface_scale() means the ray grazes the core, and its hit is not
-    finite either.  See the module docstring for why these are the bits of
-    the general solve (_ray_solve_cols) on every ray it hits outside its
-    grazing band, and for the rows where they differ: a thickness below
-    round-off, the grazing band and nearly tangent rays.
+    finite either.  An origin inside the core (C < 0) gives the finite hit
+    behind it, at t < 0 (see the module docstring).
 
     The divide and invalid flags are ignored over the whole stage, the
     quadratic included (np.errstate as a decorator, about half the cost of

@@ -12,7 +12,9 @@ and TangentFrame are named only by the scalar views the benchmark calls.
 Outside surfaces no function reads the quadric's axes or names a stage of
 the return leg's component-row layout.  In dynamics only the orbit engine
 has a while loop, and only the kernel's row stage calls the return leg,
-whose stages call neither the general ray solve nor np.where.
+whose stages call no np.where.  The package has one ray hit: only
+_near_hit_cols solves the ray quadratic, and no name speaks of a grazing
+band or flag.
 No loop in analysis, inverse or harness runs once per cluster label.
 bench/reference.json is read and never written; the scenarios write their
 reports under the test's temporary directory.
@@ -234,8 +236,8 @@ def test_only_the_row_stage_calls_the_return_leg():
 
 def test_the_return_leg_takes_no_case_analysis():
     # the leg's rays start outside the core, so its hit takes the near root in
-    # closed form; the general solve's root choice (_ray_solve_cols) or a select
-    # (np.where) on the kernel path would be the case analysis back
+    # closed form; a select (np.where) on the kernel path would be the case
+    # analysis back
     tree = ast.parse((PACKAGE / "surfaces.py").read_text())
     defs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
     reached, todo = set(), ["_return_leg_rows"]
@@ -245,5 +247,21 @@ def test_the_return_leg_takes_no_case_analysis():
         todo += [n for n in _referenced(defs[name], False) & defs.keys() if n not in reached]
     assert {"_near_hit_cols", "_outer_normals_cols", "_resolvent_cols"} <= reached
     offending = sorted(f"{name}: {ast.unparse(node.func)}" for name in reached for node in ast.walk(defs[name])
-                       if isinstance(node, ast.Call) and _referenced(node.func, False) & {"_ray_solve_cols", "where"})
+                       if isinstance(node, ast.Call) and "where" in _referenced(node.func, False))
     assert not offending, f"case analysis on the return leg: {offending}"
+
+
+def test_the_package_has_one_ray_hit():
+    # the return leg and admissibility_check cast their rays through one hit,
+    # _near_hit_cols, whose polish step decides whether a ray grazes; a second
+    # caller of the ray quadratic is a second solve, and a grazing band or flag
+    # is a second test of the same rays
+    callers, grazing = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        callers += [f"{path.stem}.{f.name}" for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                    and any(isinstance(node, ast.Call) and "_ray_quadratic" in _referenced(node.func, False)
+                            for node in ast.walk(f))]
+        grazing += [f"{path.stem}.{name}" for name in sorted(_referenced(tree, False)) if "grazing" in name.lower()]
+    assert callers == ["surfaces._near_hit_cols"], f"functions that solve the ray quadratic: {callers}"
+    assert not grazing, f"names of a grazing band or flag: {grazing}"

@@ -18,6 +18,7 @@ from shellmap.domain import _outer_frames_batch, _outer_geometry_batch
 from shellmap.errors import ImmersionFailure
 from shellmap.surfaces import shape_operator_batch
 from shellmap.harness import _Out, _task_admissibility, parse_scenario_text, resolve
+from test_surfaces import _ray_hit_fresh
 
 SPHERE = ConvexCore.sphere(1.0)
 CIRCLE = ConvexCore.circle(1.0)
@@ -220,6 +221,39 @@ def test_large_perturbation_inadmissible():
     report = admissibility_check(RadialDomain(SPHERE, ZonalLegendreField(SPHERE, 0.1, 0.5)), 4000)
     assert not report.admissible
     assert report.min_d < -0.149  # d(pi/2) = -0.15
+
+
+# (domain, hits of 4,096, min d, min sv, verdict): two Fourier circles, one of
+# them with a partial hit rate, and three zonal domains, two of them with d < 0
+# somewhere, where the outer points lie inside the core
+ADMISSIBILITY_PINS = {
+    "circle_1_cos6_0.9": (RadialDomain(CIRCLE, Fourier2DField(CIRCLE, 1.0, [(6, 0.9)])),
+                          744, 0.09999999999999998, 1.1, False),
+    "circle_0.5_cos6_0.15": (RadialDomain(CIRCLE, Fourier2DField(CIRCLE, 0.5, [(6, 0.15)])),
+                             4096, 0.35, 1.35, True),
+    "sphere_zonal_0.5_0.6": (zonal_domain(0.5, 0.6), 4096, 0.20000005364418033, 1.2000000536441804, True),
+    "sphere_zonal_0.1_0.3": (zonal_domain(0.1, 0.3), 4096, -0.04999997317790983, 0.9500000268220903, False),
+    "ellipsoid_zonal_0.2_0.5": (zonal_domain(0.2, 0.5, TILTED_ELLIPSOID),
+                                4096, -0.04999995529651641, 0.6001552034481316, False),
+}
+
+
+@pytest.mark.parametrize("name", ADMISSIBILITY_PINS)
+def test_normal_ray_hits_equal_the_reference_solve_per_point(name):
+    # each grid point's hit is the reference solve's: a finite t on the ray
+    # from the outer point along the DPhi columns' inward normal; where d <= 0
+    # that ray starts inside the core, where both count a hit
+    dom, hits, min_d, min_sv, admissible = ADMISSIBILITY_PINS[name]
+    report = admissibility_check(dom)
+    X = dom.core.ambient_from_chart(report.chart)
+    Xout, _, nvec, _ = _outer_frames_batch(dom, X, report.d_values)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = _ray_hit_fresh(dom.core, np.ascontiguousarray(Xout.T), np.ascontiguousarray(nvec.T))[1]
+    assert np.array_equal(report.normal_ray_hits, np.isfinite(t))
+    assert int(np.count_nonzero(report.normal_ray_hits)) == hits and report.hit_rate == hits / 4096
+    assert report.min_d == pytest.approx(min_d, rel=1e-12)
+    assert report.min_sv == pytest.approx(min_sv, rel=1e-12)
+    assert report.admissible is admissible
 
 
 def test_admissibility_csv_schema(tmp_path):

@@ -17,7 +17,6 @@ from shellmap import (
     retract,
 )
 from shellmap.surfaces import (
-    GRAZING_TOL,
     POLE_SIN_TOL,
     POLISH_STEP_TOL,
     TOL_SURFACE,
@@ -26,7 +25,6 @@ from shellmap.surfaces import (
     _outer_geometry_cols,
     _per_component,
     _ray_solve_batch,
-    _ray_solve_cols,
     _resolvent_cols,
     _return_leg_rows,
     _require_on_core,
@@ -227,42 +225,46 @@ def test_normal_consistency_along_retractions():
 # ---------------------------------------------------------------------------
 
 def first_hit(core, origin, direction):
-    """(t, point, grazing) for one ray: t and the grazing flag from the
-    general solve _ray_solve_batch, the point (not finite on a miss) from
-    the return leg's hit _near_hit_cols."""
+    """(t, point) for one ray: t from the reference solve _ray_hit_fresh,
+    the point (not finite on a miss) from the package's one ray hit
+    _ray_solve_batch."""
     O, D = np.array([origin], dtype=float), np.array([direction], dtype=float)
-    t, grazing = _ray_solve_batch(core, O, D)
-    return t[0], _near_hit_cols(core, O.T, D.T)[:, 0], bool(grazing[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = _ray_hit_fresh(core, O.T, D.T)[1]
+    return t[0], _ray_solve_batch(core, O, D)[0]
 
 
 def test_ray_axial_hit_unit_sphere():
-    t, x, grazing = first_hit(SPHERE, [2.0, 0.0, 0.0], [-1.0, 0.0, 0.0])
-    assert np.isfinite(x).all() and not grazing
+    t, x = first_hit(SPHERE, [2.0, 0.0, 0.0], [-1.0, 0.0, 0.0])
+    assert np.isfinite(x).all()
     assert abs(t - 1.0) < 1e-12
     assert np.allclose(x, [1, 0, 0], atol=1e-12)
 
 
 def test_ray_parallel_miss():
-    # a ray the leg never casts, as it does not point at the core: the general
-    # solve misses, and the leg's hit is not finite
-    t, x, _ = first_hit(SPHERE, [2.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    # a ray the leg never casts, as it does not point at the core: the
+    # reference solve misses, and the hit is not finite
+    t, x = first_hit(SPHERE, [2.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     assert np.isnan(t) and not np.isfinite(x).any()
 
 
 def test_ray_axial_hit_ellipsoid():
-    t, x, _ = first_hit(ELLIPSOID, [0.0, 3.0, 0.0], [0.0, -1.0, 0.0])
+    t, x = first_hit(ELLIPSOID, [0.0, 3.0, 0.0], [0.0, -1.0, 0.0])
     assert abs(t - 2.0) < 1e-12
     assert np.allclose(x, [0, 1, 0], atol=1e-12)
 
 
 def test_ray_grazing_flagged():
-    _, x, grazing = first_hit(SPHERE, [2.0, 1.0, 0.0], [-1.0, 0.0, 0.0])
-    assert np.isfinite(x).all() and grazing
+    # the hit flags a grazing ray as a miss by its polish step, which is 0 on
+    # the exactly tangent ray, so that ray's hit is finite and on the core
+    _, x = first_hit(SPHERE, [2.0, 1.0, 0.0], [-1.0, 0.0, 0.0])
+    assert np.isfinite(x).all() and abs(SPHERE.implicit(x)) <= TOL_SURFACE
     assert np.allclose(x, [0, 1, 0], atol=1e-6)
 
 
 def test_ray_from_inside_exits():
-    t, _, _ = first_hit(SPHERE, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+    # a ray the leg never casts, from the centre: the reference solve's t
+    t, _ = first_hit(SPHERE, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
     assert abs(t - 1.0) < 1e-12
 
 
@@ -324,29 +326,6 @@ def test_ray_hit_newton_step_matches_masked_division_bit_for_bit(core):
     assert all(_same_hits(y, want) for y, want in zip(Y_points, want_Y))
 
 
-def _ray_solve_three_wheres(core, O, D):
-    """The ray solve on C-ordered (n, N) rows with the sign choice, the
-    q = 0 guard and the root choice as np.where selects: the form that
-    _ray_solve_cols computes with copysign and fmax in place of the first
-    two."""
-    w = 1.0 / core.axes**2
-    A = np.einsum("ij,ij->i", D * w, D)
-    B = 2.0 * np.einsum("ij,ij->i", D * w, O)
-    C = np.einsum("ij,ij->i", O * w, O) - 1.0
-    disc = B * B - 4.0 * A * C
-    band = GRAZING_TOL / core.surface_scale() ** 2
-    grazing = np.abs(disc) < band
-    disc_c = np.sqrt(np.maximum(disc, 0.0))
-    q = -0.5 * (B + np.where(B < 0, -disc_c, disc_c))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = q / A
-        t2 = np.where(q != 0, C / q, np.inf)
-    lo = np.minimum(t1, t2)
-    t = np.where(lo >= 0, lo, np.maximum(t1, t2))
-    t[(t < 0) | (disc < -band)] = np.nan
-    return t, grazing
-
-
 def _edge_rays(core, rng, n):
     """n random rays of several lengths about core, (n, N) origins and
     directions, then the edge rays: zero directions inside and outside the
@@ -375,25 +354,6 @@ def _same_bits(a, b) -> bool:
 
 RAY_CORES = [SPHERE, ConvexCore.sphere(1e-3), ConvexCore.sphere(1e3), ConvexCore.ellipsoid(2.0, 1.0, 0.5),
              CIRCLE]
-
-
-@pytest.mark.parametrize("core", RAY_CORES, ids=lambda c: f"{c.kind}{c.semi_axes}")
-def test_ray_solve_equals_the_three_where_form_bit_for_bit(core):
-    # copysign(disc_c, B + 0.0) and fmax(C / q, -inf) stand in for two np.where
-    # selects; the B = -0.0 ray tells copysign(disc_c, B) from the select
-    O, D = _edge_rays(core, np.random.default_rng(11), 4000)
-    if core.dim == 3:
-        O = np.concatenate([O, [[-0.0, -0.0, 0.5 * core.semi_axes[2]]]])
-        D = np.concatenate([D, [[0.0, 1.0, -0.0]]])
-    with np.errstate(all="ignore"):  # the nan and inf rays warn in both forms
-        want_t, want_grazing = _ray_solve_three_wheres(core, O, D)
-        t, grazing = _ray_solve_cols(core, np.ascontiguousarray(O.T), np.ascontiguousarray(D.T))
-        assert np.isnan(want_t).any() and np.isfinite(want_t).any()
-        assert _same_bits(t, want_t) and np.array_equal(grazing, want_grazing)
-        # as points, one ray at a time: the random rays after the first 300 are skipped
-        for i in [*range(300), *range(4000, len(O))]:
-            t_i, grazing_i = _ray_solve_cols(core, O[i], D[i])
-            assert _same_bits(t_i, want_t[i]) and grazing_i == want_grazing[i], (i, O[i], D[i])
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -436,15 +396,32 @@ def _dot_fresh(A, B):
     return (p[0] + p[2]) + p[1] if len(p) == 3 else p[0] + p[1]
 
 
+# the reference ray solve's band on the discriminant, in surface_scale()**-2
+_GRAZING_BAND = 1e-14
+
+
 def _ray_hit_fresh(core, O, D):
-    """(hits, t, grazing) of the rays O + t D."""
+    """(hits, t) of the rays O + t D, component rows (N, n): the general
+    solve, the reference of the package's one hit.  It takes any ray (an
+    origin on, inside or outside the core, a null, infinite or outward
+    direction), solves A t^2 + B t + C = 0 by the q-method, takes the
+    smallest nonnegative root (nan on a miss) and counts a discriminant
+    within _GRAZING_BAND of 0 as a tangent hit, then takes one Newton step.
+    Scaling by 2 and 4 is exact and sqrt(4 x) = 2 sqrt(x), so its disc is
+    exactly 4 (b^2 - AC) and, for B < 0, its q is exactly s - b; its
+    min(q / A, C / q) picks C / q except where rounding puts q / A below
+    it, which needs the two roots equal to rounding.  So on every ray from
+    outside the core that it hits outside its band, the near root has its
+    bits.  They differ where the origin rounds inside the core (the far
+    root against the near root behind the origin), inside the band (a hit
+    with s taken as 0 against a miss wherever b^2 < AC) and on nearly
+    tangent rays whose polish step is longer than POLISH_STEP_TOL."""
     w = _per_component(core.inv_axes_sq, O)
     A = _dot_fresh(D * w, D)
     B = 2.0 * _dot_fresh(D * w, O)
     C = _dot_fresh(O * w, O) - 1.0
     disc = B * B - 4.0 * A * C
-    band = GRAZING_TOL / core.surface_scale() ** 2
-    grazing = np.abs(disc) < band
+    band = _GRAZING_BAND / core.surface_scale() ** 2
     q = -0.5 * (B + np.copysign(np.sqrt(np.maximum(disc, 0.0)), B + 0.0))
     t1, t2 = q / A, np.fmax(C / q, -np.inf)
     lo = np.minimum(t1, t2)
@@ -454,7 +431,7 @@ def _ray_hit_fresh(core, O, D):
     YM = Y / _per_component(core.axes_sq, Y)
     f = _dot_fresh(YM, Y) - 1.0
     df = 2.0 * _dot_fresh(YM, D)
-    return Y + np.divide(-f, df, out=np.zeros(np.shape(f)), where=df != 0) * D, t, grazing
+    return Y + np.divide(-f, df, out=np.zeros(np.shape(f)), where=df != 0) * D, t
 
 
 def _outer_geometry_fresh(core, X, d, G):
@@ -488,20 +465,19 @@ def _leg_inputs(core, rng, n):
 
 @pytest.mark.parametrize("core", RAY_CORES, ids=lambda c: f"{c.kind}{c.semi_axes}")
 def test_in_place_leg_stages_equal_the_fresh_array_forms_bit_for_bit(core):
-    # the stages update their rows in place (sums into p[0], B *= 2, C -= 1,
-    # q *= -0.5, the resolvent, the outer geometry and the Newton update); every
-    # output is that of the one-expression forms, nan where they are nan
+    # the stages update their rows in place (sums into p[0], C -= 1, the
+    # resolvent, the outer geometry and the Newton update); every output is
+    # that of the one-expression forms, nan where they are nan
     rng = np.random.default_rng(29)
     O, D = _edge_rays(core, rng, 4000)
     X, d, G = _leg_inputs(core, rng, 4000)
     random_and_edges = [*range(300), *range(4000, len(O))]
     with np.errstate(all="ignore"):  # the nan and inf rows warn in both forms
-        # the general solve on rays the leg never casts as well (origins on or
-        # inside the core, null, infinite and outward directions)
-        _, want_t, want_grazing = _ray_hit_fresh(core, O.T, D.T)
-        t, grazing = _ray_solve_cols(core, np.ascontiguousarray(O.T), np.ascontiguousarray(D.T))
-        assert np.isnan(want_t).any() and np.isfinite(want_t).any()
-        assert _same_bits(t, want_t) and np.array_equal(grazing, want_grazing)
+        # the hit on rays the leg never casts as well (origins on or inside
+        # the core, null, infinite and outward directions)
+        want_Y = _near_hit_masked(core, O, D)[0]
+        assert not np.isfinite(want_Y).all() and np.isfinite(want_Y).any()
+        assert _same_hits(_near_hit_cols(core, np.ascontiguousarray(O.T), np.ascontiguousarray(D.T)).T, want_Y)
         want_out = _outer_geometry_fresh(core, X.T, d, G.T)
         Xc, Gc = np.ascontiguousarray(X.T), np.ascontiguousarray(G.T)
         got_out = (*_outer_geometry_cols(core, Xc, d, Gc), *_resolvent_cols(core, Xc, d, Gc))
@@ -510,8 +486,7 @@ def test_in_place_leg_stages_equal_the_fresh_array_forms_bit_for_bit(core):
         assert _same_bits(_return_leg_rows(core, X, d, G), want_hits.T)
         # as points, one row at a time: the random rows after the first 300 are skipped
         for i in random_and_edges:
-            t_i, grazing_i = _ray_solve_cols(core, O[i], D[i])
-            assert _same_bits(t_i, want_t[i]) and grazing_i == want_grazing[i], (i, O[i], D[i])
+            assert _same_hits(_near_hit_cols(core, O[i], D[i]), want_Y[i]), (i, O[i], D[i])
         for i in [*range(300), *range(4000, len(X))]:
             got_i = (*_outer_geometry_cols(core, X[i], d[i], G[i]), *_resolvent_cols(core, X[i], d[i], G[i]))
             assert all(_same_bits(a, b[..., i]) for a, b in zip(got_i, want_out)), (i, X[i], d[i], G[i])
@@ -568,7 +543,7 @@ def test_near_hit_equals_the_general_hit_outside_the_grazing_band(kind, R, seed)
     B = 2.0 * _dot_fresh(Dc * w, Oc)
     C = _dot_fresh(Oc * w, Oc) - 1.0
     disc = B * B - 4.0 * _dot_fresh(Dc * w, Dc) * C
-    cast = np.flatnonzero((C > 0) & (B < 0) & (np.abs(disc) >= GRAZING_TOL / core.surface_scale() ** 2))
+    cast = np.flatnonzero((C > 0) & (B < 0) & (np.abs(disc) >= _GRAZING_BAND / core.surface_scale() ** 2))
     want = _ray_hit_fresh(core, Oc, Dc)[0]
     assert _same_bits(_near_hit_cols(core, Oc, Dc)[:, cast], want[:, cast])
     for i in cast:
@@ -577,14 +552,14 @@ def test_near_hit_equals_the_general_hit_outside_the_grazing_band(kind, R, seed)
 
 @pytest.mark.parametrize("R", [1e-3, 1.0, 1e3])
 def test_ray_solve_grazing_band_scales_with_the_core(R):
-    # the band on the discriminant is in units of surface_scale()**-2: a ray
-    # that passes 1e-9 R outside the sphere misses at every R, and the exactly
-    # tangent ray is a grazing hit
+    # the hit's tangency test scales with the core: a ray that passes 1e-9 R
+    # outside the sphere misses at every R, and the exactly tangent ray hits
+    # at the tangent point
     core, D = ConvexCore.sphere(R), np.array([[1.0, 0.0, 0.0]])
-    t, grazing = _ray_solve_batch(core, np.array([[-2.0 * R, R * (1.0 + 1e-9), 0.0]]), D)
-    assert np.isnan(t[0]) and not grazing[0]
-    t, grazing = _ray_solve_batch(core, np.array([[-2.0 * R, R, 0.0]]), D)
-    assert grazing[0] and abs(t[0] - 2.0 * R) <= 1e-12 * R
+    x = _ray_solve_batch(core, np.array([[-2.0 * R, R * (1.0 + 1e-9), 0.0]]), D)
+    assert not np.isfinite(x).any()
+    x = _ray_solve_batch(core, np.array([[-2.0 * R, R, 0.0]]), D)
+    assert np.abs(x[0] - [0.0, R, 0.0]).max() <= 1e-12 * R
 
 
 @pytest.mark.parametrize("kind", ["sphere", "ellipsoid", "circle"])
@@ -608,7 +583,7 @@ def test_near_hits_of_nearly_tangent_rays_stay_on_the_core(kind, R):
 def test_ray_t_is_the_ray_parameter_for_non_unit_directions(scale):
     origin = np.array([0.0, 0.0, 3.0])
     direction = scale * np.array([0.0, 0.0, -1.0])
-    t, x, _ = first_hit(SPHERE, origin, direction)
+    t, x = first_hit(SPHERE, origin, direction)
     assert abs(t - 2.0 / scale) < 1e-12
     assert np.allclose(origin + t * direction, x, atol=1e-12)
 
@@ -619,7 +594,7 @@ def test_ray_projection_round_trip(core):
     for p in random_points(core, 60, seed=9):
         nu = core.normal(p.ambient)
         origin = p.ambient + 1.7 * nu
-        _, x, _ = first_hit(core, origin, -nu)
+        _, x = first_hit(core, origin, -nu)
         assert np.isfinite(x).all()
         assert np.linalg.norm(x - p.ambient) < 1e-10
 
@@ -627,7 +602,7 @@ def test_ray_projection_round_trip(core):
 def test_hit_points_satisfy_implicit_tolerance():
     for p in random_points(ELLIPSOID, 40, seed=10):
         nu = ELLIPSOID.normal(p.ambient)
-        _, x, _ = first_hit(ELLIPSOID, p.ambient + 0.9 * nu, -nu)
+        _, x = first_hit(ELLIPSOID, p.ambient + 0.9 * nu, -nu)
         assert abs(float(ELLIPSOID.implicit(x))) < 1e-12
 
 
