@@ -38,6 +38,7 @@ from .surfaces import (
     _outer_geometry_rows,
     _require_on_core,
     _resolvent_rows,
+    _row_norm,
     fibonacci_chart_grid,
     frames_batch,
     retract_batch,
@@ -121,19 +122,19 @@ def _expansion_residual_rows(core: ConvexCore, fields, X: np.ndarray, step_scale
     nu, m = _resolvent_rows(core, X, d, g)
     transverse = np.zeros(X.shape[0])
     if kind == "normal":
-        total = np.linalg.norm(_outer_geometry_rows(core, X, d, g)[1] + nu - m, axis=-1)
+        total = _row_norm(_outer_geometry_rows(core, X, d, g)[1] + nu - m)
         return total.reshape(n_fields, n), transverse.reshape(n_fields, n)
     w = w1 = step_scale * d[:, None] * m
     F = _return_map_rows(core, X, d, g)
     if kind == "second_order":
         gt = tangent_part(nu, g)
-        gnorm = np.linalg.norm(gt, axis=-1)
+        gnorm = _row_norm(gt)
         if np.any(gnorm == 0.0):
             raise ValueError("second_order residual requires grad d != 0")
         Hg = np.concatenate([f.hessian_action(X[:n], gt[i * n:(i + 1) * n]) for i, f in enumerate(fields)])
         w = w1 + (2.0 * d * d)[:, None] * Hg + (2.0 * d * gnorm**2)[:, None] * gt
-        transverse = np.linalg.norm(tangent_part(gt / gnorm[:, None], tangent_part(nu, F - X - w1)), axis=-1)
-    total = np.linalg.norm(F - retract_batch(core, X, w), axis=-1)
+        transverse = _row_norm(tangent_part(gt / gnorm[:, None], tangent_part(nu, F - X - w1)))
+    total = _row_norm(F - retract_batch(core, X, w))
     return total.reshape(n_fields, n), transverse.reshape(n_fields, n)
 
 
@@ -308,7 +309,7 @@ def _require_fixed(F: BlackBoxMap, X: np.ndarray) -> None:
     tolerance; no rows make no map call."""
     if not X.shape[0]:
         return
-    resid = float(np.max(np.linalg.norm(F.batch(X) - X, axis=-1)))
+    resid = float(np.max(_row_norm(F.batch(X) - X)))
     if resid > FIXED_POINT_RESIDUAL_TOL:
         raise NotAFixedPoint(f"|F(c) - c| = {resid:.3e} exceeds {FIXED_POINT_RESIDUAL_TOL:.1e}")
 
@@ -415,7 +416,7 @@ def _newton_polish(F: BlackBoxMap, X: np.ndarray):
     X = np.array(X, dtype=float, ndmin=2)
     _require_on_core(core, X)
     G = F.batch(X) - X
-    r = np.linalg.norm(G, axis=-1)
+    r = _row_norm(G)
     target = np.finfo(float).eps * core.surface_scale()
     live = r > target
     for _ in range(NEWTON_MAX_STEPS):
@@ -429,7 +430,7 @@ def _newton_polish(F: BlackBoxMap, X: np.ndarray):
         steps = (s.transpose(0, 2, 1) @ E)[:, 0]
         trial = retract_batch(core, C, steps)
         G_trial = F.batch(trial) - trial
-        r_trial = np.linalg.norm(G_trial, axis=-1)
+        r_trial = _row_norm(G_trial)
         better = r_trial < r[idx]
         acc = idx[better]
         X[acc], G[acc], r[acc] = trial[better], G_trial[better], r_trial[better]
@@ -569,7 +570,7 @@ def fixed_point_search(F: BlackBoxMap, n_seeds: int,
         return FixedPointScan(np.empty((0, core.dim)), np.array([]), None, False, 0)
     X = core.ambient_from_chart(fibonacci_chart_grid(core, n_seeds))
     limits = F.batch(X)
-    R = np.linalg.norm(limits - X, axis=-1)
+    R = _row_norm(limits - X)
     continuum = bool(np.mean(R < tol) > 0.5)
 
     # the scan is every orbit's first step: a seed fixed to tol stops there
@@ -579,7 +580,7 @@ def fixed_point_search(F: BlackBoxMap, n_seeds: int,
     limits[moving] = orbit.limits
     unresolved = int(np.sum(~orbit.converged))
 
-    lim_res = np.linalg.norm(F.batch(limits) - limits, axis=-1)
+    lim_res = _row_norm(F.batch(limits) - limits)
     pre = _greedy_clusters(limits, radius=pre_radius)
     lim_best = _least_per_label(pre, lim_res)
     scan_idx = np.argsort(R)[:max(8, n_seeds // 20)]

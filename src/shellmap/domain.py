@@ -20,8 +20,11 @@ import numpy as np
 from .fields import ThicknessField
 from .surfaces import (
     ConvexCore,
+    _finite_rows,
     _outer_geometry_rows,
     _ray_solve_batch,
+    _row_dot,
+    _row_norm,
     fibonacci_chart_grid,
     frames_batch,
     shape_action_batch,
@@ -69,7 +72,7 @@ def _outer_frames_batch(dom: RadialDomain, X: np.ndarray, d: np.ndarray):
     nu, g = core.normal(X), dom.field.ambient_grad(X)
     SE = shape_action_batch(core, np.repeat(X, core.dim - 1, axis=0), E.reshape(-1, core.dim))
     W = (E - d[:, None, None] * SE.reshape(E.shape)
-         + np.sum(g[:, None] * E, axis=-1, keepdims=True) * nu[:, None])
+         + _row_dot(g[:, None], E)[..., None] * nu[:, None])
 
     if core.dim == 2:
         nvec = np.stack([-W[:, 0, 1], W[:, 0, 0]], axis=-1)
@@ -77,9 +80,9 @@ def _outer_frames_batch(dom: RadialDomain, X: np.ndarray, d: np.ndarray):
         nvec = np.cross(W[:, 0], W[:, 1])
     sv = np.linalg.svd(W, compute_uv=False)[:, -1]
     Xout = X + d[:, None] * nu
-    nvec = nvec / np.maximum(np.linalg.norm(nvec, axis=-1), 1e-300)[:, None]
+    nvec = nvec / np.maximum(_row_norm(nvec), 1e-300)[:, None]
     # orient toward the core (cores are centered at the origin)
-    nvec[np.sum(nvec * Xout, axis=-1) > 0] *= -1.0
+    nvec[_row_dot(nvec, Xout) > 0] *= -1.0
     return Xout, W, nvec, sv
 
 
@@ -115,7 +118,7 @@ def admissibility_check(dom: RadialDomain, grid_size: int = 4096) -> Admissibili
     X = core.ambient_from_chart(chart)
     d = dom.field.ambient_value(X)
     Xout, _, nvec, sv = _outer_frames_batch(dom, X, d)
-    hits = np.isfinite(_ray_solve_batch(core, Xout, nvec)).all(axis=-1)
+    hits = _finite_rows(_ray_solve_batch(core, Xout, nvec))
     min_d = float(np.min(d))
     min_sv = float(np.min(sv))
     hit_rate = float(np.mean(hits))

@@ -30,17 +30,18 @@ scalar comparison, which a nan d passes on to the miss count, as on rows,
 and its image component by component with math.isfinite.
 
 Orbits run in one loop, _orbits, on compact working rows (the seeds
-still running, compacted in their own layout by one index) with one row
-reduction, surfaces' _row_dot, which adds the column products in
-np.linalg.norm's order without a length-N inner loop, for the
-displacement norms (_row_norm) and settle's cosine;
+still running, compacted in their own layout by one index) with the
+package's one row reduction, surfaces' _row_norm for the displacement
+norms and _row_dot for settle's cosine, which add the column products
+in np.linalg.norm's and np.sum's order without a length-N inner loop;
 iterate_batch (plain steps of F), settle_batch (amplified steps and the
 contraction rule) and iterate_orbit (one seed, each image point
 recorded as the leg hands it back, an array that owns its data) are
 configurations of it, and none of them calls
 another.  iterate_batch and iterate_orbit step with _map_step itself,
 so their working rows stay component-major; one plain seed steps as its
-point (N,), with a scalar displacement norm and a one-comparison stop.
+point (N,), with a float displacement norm (from its components as
+floats) and a one-comparison stop.
 settle_batch steps through its BlackBoxMap, return_map_batch for a
 wrapped domain.
 """
@@ -59,9 +60,11 @@ from .surfaces import (
     TOL_SURFACE,
     ConvexCore,
     SurfacePoint,
+    _finite_rows,
     _outer_geometry_rows,
     _return_leg_rows,
     _row_dot,
+    _row_norm,
     retract_batch,
 )
 
@@ -146,8 +149,8 @@ def _return_map_rows(core: ConvexCore, X: np.ndarray, d: np.ndarray, G: np.ndarr
             for i in range(0, len(X), BLOCK_ROWS):
                 s = slice(i, i + BLOCK_ROWS)
                 _outer_geometry_rows(core, X[s], d[s], G[s])
-        miss = int((~np.isfinite(Y).all(axis=-1)).sum())
-        bad = int(np.sum(~(np.isfinite(X).all(axis=-1) & np.isfinite(d))))
+        miss = int(np.count_nonzero(~_finite_rows(Y)))
+        bad = int(np.count_nonzero(~(_finite_rows(X) & np.isfinite(d))))
         tail = f", {bad} of them from rows that are not finite" if bad else ""
         raise NormalRayMissesCore(f"{miss} inward rays miss the core{tail}")
     return Y
@@ -189,16 +192,6 @@ class BatchOrbitResult:
     limits: np.ndarray       # (n, N) ambient, last iterate
     steps: np.ndarray        # (n,) int
     converged: np.ndarray    # (n,) bool
-
-
-def _row_norm(D: np.ndarray) -> np.ndarray:
-    """|D| of each (n, N) row, the square root of _row_dot(D, D): equal to
-    np.linalg.norm(D, axis=-1) bit for bit.  A point D, (N,), gives its
-    norm as a float, the same correctly rounded square root."""
-    s = _row_dot(D, D)
-    if D.ndim == 1:
-        return math.sqrt(s)
-    return np.sqrt(s, out=s)
 
 
 def _orbits(step, core: ConvexCore, seeds: np.ndarray, tol: float, max_iters: int,

@@ -133,7 +133,7 @@ class ZonalProfileField(ThicknessField):
         self.axis = ax / norm
         # grad of w(x) = <x/s, axis> is constant
         self._gw = self.axis / core.axes
-        self._gwgw = np.outer(self._gw, self._gw)
+        self._gwgw = np.multiply.outer(self._gw, self._gw)
         self._gw_columns = self._gw.tolist()
 
     def _w(self, X):

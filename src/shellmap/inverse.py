@@ -23,8 +23,8 @@ from .analysis import (
     FIXED_POINT_RESIDUAL_TOL,
 )
 from .dynamics import BlackBoxMap, settle_batch
-from .surfaces import (ConvexCore, SurfacePoint, TangentFrame, _require_on_core, frame_at, frames_batch,
-                       tangent_part)
+from .surfaces import (ConvexCore, SurfacePoint, TangentFrame, _require_on_core, _row_norm, frame_at,
+                       frames_batch, tangent_part)
 
 SKIP_DISPLACEMENT_TOL = 1e-9
 DIR_TOL = 1e-3                      # line fields agree at mean cosine >= 1 - DIR_TOL
@@ -54,8 +54,8 @@ def recover_descent_field(F: BlackBoxMap, samples):
     they point along + (I - dS)^-1 grad d).
     """
     disp, tang = _displacements(F, _ambient_rows(F.core, samples))
-    norm = np.linalg.norm(tang, axis=-1)
-    keep = (np.linalg.norm(disp, axis=-1) > SKIP_DISPLACEMENT_TOL) & (norm != 0.0)
+    norm = _row_norm(tang)
+    keep = (_row_norm(disp) > SKIP_DISPLACEMENT_TOL) & (norm != 0.0)
     return tang[keep] / norm[keep, None], keep
 
 
@@ -121,7 +121,7 @@ def scaling_ambiguity_diagnostic(F1: BlackBoxMap, F2: BlackBoxMap, samples) -> S
     X = _ambient_rows(F1.core, samples)
     _, t1 = _displacements(F1, X)
     _, t2 = _displacements(F2, X)
-    n1, n2 = np.linalg.norm(t1, axis=-1), np.linalg.norm(t2, axis=-1)
+    n1, n2 = _row_norm(t1), _row_norm(t2)
     keep = (n1 > SKIP_DISPLACEMENT_TOL) & (n2 > SKIP_DISPLACEMENT_TOL)
     t1, t2, n1, n2 = t1[keep], t2[keep], n1[keep], n2[keep]
     cos = np.einsum("ij,ij->i", t1, t2) / (n1 * n2)
@@ -221,7 +221,7 @@ def dynamical_equivalence_check(F1: BlackBoxMap, F2: BlackBoxMap, seeds,
     cross = 0.0
     for P, other in ((s1.points, F2), (s2.points, F1)):
         if P.shape[0]:
-            cross = max(cross, float(np.max(np.linalg.norm(other.batch(P) - P, axis=-1))))
+            cross = max(cross, float(np.max(_row_norm(other.batch(P) - P))))
     evidence["max_cross_residual"] = cross
     if not (cross <= EQUIVALENCE_FP_RESIDUAL_TOL):
         return EquivalenceVerdict(False, "fixed_points", evidence)

@@ -43,7 +43,8 @@ rows.
 One ray hit, _near_hit_cols.  The leg's rays start outside the core, as
 the kernel checks d > 0 first and the origin is c + d nu, so the hit
 takes the near root with no case analysis: with A t^2 + 2 b t + C = 0
-from _ray_quadratic and s = sqrt(b^2 - AC), t = C / fmax(s - b, 0).  A
+from _ray_quadratic and s = sqrt(b^2 - AC), t = C / fmax(s - b, 0), a
+point's fmax taken as q if q >= 0.0 else 0.0 on its numpy scalar.  A
 ray that misses, points away from the core or grazes it (a Newton polish
 step longer than POLISH_STEP_TOL surface_scale()) gives a hit that is not
 finite, which the kernel's row stage counts as a miss, so every finite
@@ -62,10 +63,24 @@ that are the projected chart tangents in closed form.  Frame matrices of
 tangent operators (shape_operator_batch, and the step operator and
 surface Hessian elsewhere) are batched over rows and frames by
 _frame_matrices.
+
+One row reduction.  Every float dot and norm of the package over the N
+components of rows, (..., N), is _row_dot or _row_norm, and every
+per-row finite test is _finite_rows: they add (or and) the column
+results one after another, without numpy's Python wrappers or its
+reduction over a length-N inner loop, with the bits of np.sum(A * B,
+axis=-1) ((0.0 + P0) + P1) + P2 and np.linalg.norm(D, axis=-1)
+(P0 + P1) + P2.  A point's norm is a float from its components as
+floats.  Sums in other orders stay as they are: the return leg's
+_component_dot, (p0 + p2) + p1, the order of the einsum dots of
+fields' hessian_action; 1-D np.linalg.norm(v) calls, which are BLAS
+dots; the np.vecdot point norms of find_fixed_points and iterate_orbit;
+and matrix norms over two axes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,8 +156,8 @@ class ConvexCore:
 
     def implicit(self, x) -> np.ndarray:
         """f(x) = x^T M x - 1, batched over leading axes."""
-        x = np.asarray(x, dtype=float)
-        return ((x / self.axes) ** 2).sum(axis=-1) - 1.0
+        u = np.asarray(x, dtype=float) / self.axes
+        return _row_dot(u, u) - 1.0
 
     def implicit_grad(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -152,7 +167,8 @@ class ConvexCore:
         """Outward unit normal Mx/|Mx|, M = diag(1/s_i^2), batched: the one
         unit normal of the package."""
         MX = np.asarray(x, dtype=float) * self.inv_axes_sq
-        return MX / np.linalg.norm(MX, axis=-1, keepdims=True)
+        r = _row_norm(MX)
+        return MX / (r[..., None] if MX.ndim > 1 else r)
 
     # -- charts ------------------------------------------------------------
     def chart_from_ambient(self, x) -> np.ndarray:
@@ -223,7 +239,7 @@ def tangent_part(nu: np.ndarray, V: np.ndarray) -> np.ndarray:
     """V - (V . nu) nu: the part of V orthogonal to the unit vectors nu, the
     one tangent projection.  Broadcasts over leading axes, so nu of shape
     (k, 1, N) projects V of shape (k, m, N) row by row."""
-    return V - nu * np.sum(V * nu, axis=-1, keepdims=True)
+    return V - nu * _row_dot(V, nu)[..., None]
 
 
 def _chart_tangents(core: ConvexCore, X: np.ndarray) -> np.ndarray:
@@ -252,11 +268,11 @@ def frames_batch(core: ConvexCore, X: np.ndarray) -> np.ndarray:
     orthogonality to nu holds to round-off however the chart is conditioned."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     T = tangent_part(core.normal(X)[:, None, :], _chart_tangents(core, X))
-    e1 = T[:, 0] / np.linalg.norm(T[:, 0], axis=-1, keepdims=True)
+    e1 = T[:, 0] / _row_norm(T[:, 0])[:, None]
     if core.dim == 2:
         return e1[:, None, :]
     e2 = tangent_part(e1, T[:, 1])
-    e2 /= np.linalg.norm(e2, axis=-1, keepdims=True)
+    e2 /= _row_norm(e2)[:, None]
     return np.stack([e1, e2], axis=1)
 
 
@@ -286,22 +302,59 @@ def shape_operator_batch(core: ConvexCore, X: np.ndarray, E: np.ndarray) -> np.n
 def shape_action_batch(core: ConvexCore, X: np.ndarray, V: np.ndarray) -> np.ndarray:
     """S applied to tangent vectors V at points X (both (n, N)): for the
     quadric x^T M x = 1 with M = diag(1/s_i^2) and nu = Mx/|Mx|,
-    S v = -P_t(M v)/|Mx|."""
-    r = np.linalg.norm(X * core.inv_axes_sq, axis=-1, keepdims=True)
-    return -tangent_part(core.normal(X), V * core.inv_axes_sq) / r
+    S v = -P_t(M v)/|Mx|, with nu taken from the M x and |M x| it uses."""
+    MX = X * core.inv_axes_sq
+    r = _row_norm(MX)[:, None]
+    return -tangent_part(MX / r, V * core.inv_axes_sq) / r
 
 
 def _row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The dot of each pair of (n, N) rows of A and B: the products summed
-    over the columns one after another, (P0 + P1) + P2, the order in which
-    np.linalg.norm(A, axis=-1) and (A * B).sum(axis=-1) sum them, without a
-    reduction over a length-N inner loop.  Two points, (N,), give their dot
-    as a numpy scalar, summed in the same order."""
+    """The dot of each pair of rows of A and B over their last axis, the N
+    components, in the rows' (broadcast) leading shape, so (k, 1, N) rows
+    against (k, m, N) give (k, m): with _row_norm, the package's one float
+    reduction over the components.  The products are summed over the
+    columns one after another from +0.0, ((0.0 + P0) + P1) + P2, the order
+    in which np.sum(A * B, axis=-1) and (A * B).sum(axis=-1) sum them, so
+    the dots equal theirs bit for bit (a row of -0.0 products gives +0.0),
+    without a reduction over a length-N inner loop.  A square is never
+    -0.0, so where A is B the sum (P0 + P1) + P2 needs no +0.0 start; it
+    is also the order of np.linalg.norm(A, axis=-1).  Two points, (N,),
+    give their dot as a numpy scalar, summed in the same order.
+
+    Each sum is a new array: an in-place update of a one-element row costs
+    about twice a new one."""
     P = (A * B).T
-    s = P[0] + P[1]
+    s = P[0] + P[1] if A is B else (0.0 + P[0]) + P[1]
     if len(P) == 3:
-        s += P[2]
-    return s
+        s = s + P[2]
+    return s.T
+
+
+def _row_norm(D: np.ndarray) -> np.ndarray:
+    """|D| of each row of D over its last axis, the root of _row_dot(D, D),
+    in the rows' leading shape: equal to np.linalg.norm(D, axis=-1) bit for
+    bit.  A point D, (N,), gives its norm as a float from its components as
+    floats, math.sqrt((a*a + b*b) + c*c), the same order and the same
+    correctly rounded square root."""
+    if D.ndim == 1:
+        c = D.tolist()
+        s = c[0] * c[0] + c[1] * c[1]
+        if len(c) == 3:
+            s += c[2] * c[2]
+        return math.sqrt(s)
+    return np.sqrt(_row_dot(D, D))
+
+
+def _finite_rows(Y: np.ndarray) -> np.ndarray:
+    """Where every component of a row of Y is finite, in the rows' leading
+    shape: np.isfinite(Y).all(axis=-1) as the and of the N column tests,
+    without a reduction over a length-N inner loop.  A point, (N,), gives
+    one numpy bool."""
+    F = np.isfinite(Y).T
+    ok = F[0] & F[1]
+    if len(F) == 3:
+        ok = ok & F[2]
+    return ok.T
 
 
 def _component_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -376,7 +429,13 @@ def _near_hit_cols(core: ConvexCore, O: np.ndarray, D: np.ndarray) -> np.ndarray
     a with block): a ray that is not finite gives a hit that is not
     finite, with no warning from this stage."""
     A, b, C = _ray_quadratic(core, O, D)
-    t = C / np.fmax(np.sqrt(b * b - A * C) - b, 0.0)
+    q = np.sqrt(b * b - A * C) - b
+    if O.ndim > 1:
+        t = C / np.fmax(q, 0.0)
+    else:
+        # a point's q is a numpy scalar: the bits of fmax(q, 0.0), -0.0
+        # kept and 0.0 for nan
+        t = C / (q if q >= 0.0 else 0.0)
     Y = t * D
     Y += O
     YM = Y / _per_component(core.axes_sq, Y)
@@ -491,8 +550,7 @@ def retract_batch(core: ConvexCore, X, V) -> np.ndarray:
     shape (n, N).
 
     Sphere and circle cores scale each row radially (closed form), by the
-    radius over the root of its sum of squares, which _row_dot adds column
-    by column with the bits of (Y * Y).sum(axis=-1).  The ellipsoid takes
+    radius over its norm, _row_norm(Y).  The ellipsoid takes
     Newton steps along the implicit gradient, each row until |implicit| <=
     TOL_SURFACE, then one final Newton step on every row; Newton converges
     quadratically, so that step takes 1e-12 down to round-off.  Raises
@@ -502,7 +560,7 @@ def retract_batch(core: ConvexCore, X, V) -> np.ndarray:
     Y = np.atleast_2d(np.asarray(X, dtype=float) + np.asarray(V, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):
         if core.kind != "ellipsoid":
-            Y *= (core.semi_axes[0] / np.sqrt(_row_dot(Y, Y)))[:, None]
+            Y *= (core.semi_axes[0] / _row_norm(Y))[:, None]
         else:
             for _ in range(_NEWTON_MAX_ITERS):
                 f = core.implicit(Y)
@@ -516,14 +574,14 @@ def retract_batch(core: ConvexCore, X, V) -> np.ndarray:
                                        f"after {_NEWTON_MAX_ITERS} iterations")
             Y = _newton_to_surface(core, Y, f)
     if not np.isfinite(Y).all():
-        raise ProjectionFailed(f"{int(np.sum(~np.isfinite(Y).all(axis=-1)))} rows are not finite")
+        raise ProjectionFailed(f"{len(Y) - np.count_nonzero(_finite_rows(Y))} rows are not finite")
     return Y
 
 
 def _newton_to_surface(core: ConvexCore, Y: np.ndarray, f: np.ndarray) -> np.ndarray:
     """One Newton step on the implicit function along its gradient."""
     g = core.implicit_grad(Y)
-    return Y - (f / (g * g).sum(axis=-1))[:, None] * g
+    return Y - (f / _row_dot(g, g))[:, None] * g
 
 
 def retract(core: ConvexCore, p: SurfacePoint, v, h: float) -> SurfacePoint:

@@ -14,7 +14,9 @@ the return leg's component-row layout.  In dynamics only the orbit engine
 has a while loop, and only the kernel's row stage calls the return leg,
 whose stages call no np.where.  The package has one ray hit: only
 _near_hit_cols solves the ray quadratic, and no name speaks of a grazing
-band or flag.
+band or flag.  It has one row reduction over the components: no call
+takes np.linalg.norm, np.sum, .sum or .all over axis -1 outside a listed
+exemption.
 No loop in analysis, inverse or harness runs once per cluster label.
 bench/reference.json is read and never written; the scenarios write their
 reports under the test's temporary directory.
@@ -265,3 +267,44 @@ def test_the_package_has_one_ray_hit():
         grazing += [f"{path.stem}.{name}" for name in sorted(_referenced(tree, False)) if "grazing" in name.lower()]
     assert callers == ["surfaces._near_hit_cols"], f"functions that solve the ray quadratic: {callers}"
     assert not grazing, f"names of a grazing band or flag: {grazing}"
+
+
+# the reductions over the last axis the package keeps, each with its reason;
+# every float sum over the N components goes through surfaces' _row_dot,
+# _row_norm or _finite_rows
+_LAST_AXIS_REDUCTIONS_KEPT = {
+    "analysis._classify: np.sum(est < -NEUTRAL_TOL, axis=-1)":
+        "a count of booleans over each point's N - 1 eigenvalue estimates, not a sum over components",
+}
+
+
+def _over_the_last_axis(call: ast.Call) -> bool:
+    """Whether call is np.linalg.norm, np.sum, np.all or a .sum or .all
+    method with axis -1, as a keyword or in its positional place."""
+    func = call.func
+    if not (isinstance(func, ast.Attribute) and func.attr in ("norm", "sum", "all")):
+        return False
+    if func.attr == "norm":
+        place = 2
+    else:  # np.sum(a, axis) and np.all(a, axis), or a.sum(axis) and a.all(axis)
+        place = 1 if isinstance(func.value, ast.Name) and func.value.id == "np" else 0
+    axis = [kw.value for kw in call.keywords if kw.arg == "axis"] + call.args[place:place + 1]
+    return any(ast.unparse(a) == "-1" for a in axis)
+
+
+def test_every_row_reduction_over_the_components_is_the_row_dot():
+    # np.linalg.norm(..., axis=-1), np.sum(..., axis=-1), .sum(axis=-1) and
+    # .all(axis=-1) reduce over a length-N inner loop and, for the first two,
+    # through numpy's Python wrappers; a new one is a second way to take a row dot
+    found = []
+
+    def visit(node, where, stem):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and _over_the_last_axis(child):
+                found.append(f"{stem}.{where}: {ast.unparse(child)}")
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else where, stem)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), "<module>", path.stem)
+    assert sorted(set(found) - _LAST_AXIS_REDUCTIONS_KEPT.keys()) == [], "reductions over the last axis"
+    assert set(found) >= _LAST_AXIS_REDUCTIONS_KEPT.keys(), "a kept reduction is gone: drop it from the list"

@@ -6,6 +6,7 @@ dynamics provably climbs the thickness field, so orbits terminate at
 thickness maxima and the thickness sequence is nondecreasing.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -381,6 +382,29 @@ def test_return_map_batch_counts_missed_rays(monkeypatch):
         return_map_batch(dom, X)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_component_in_each_column_counts_one_miss(monkeypatch, bad):
+    # the per-row finite test ands the column tests: one non-finite component
+    # makes its row, or a point, a miss whichever column it is in
+    dom = zonal_domain()
+    leg = dynamics._return_leg_rows
+    X = SPHERE.ambient_from_chart(fibonacci_chart_grid(SPHERE, 5))
+    for j in range(3):
+        def spoiled(core, X, d, G):
+            Y = leg(core, X, d, G).copy()
+            if Y.ndim == 1:
+                Y[j] = bad
+            else:
+                Y[[1, 3], j] = bad
+            return Y
+
+        monkeypatch.setattr(dynamics, "_return_leg_rows", spoiled)
+        with pytest.raises(NormalRayMissesCore, match="^2 inward rays miss the core$"):
+            return_map_batch(dom, X)
+        with pytest.raises(NormalRayMissesCore, match="^1 inward rays miss the core$"):
+            return_map_batch(dom, X[:1])
+
+
 def test_a_nan_seed_among_ten_rows_is_counted_as_not_finite():
     dom = zonal_domain()
     X = SPHERE.ambient_from_chart(fibonacci_chart_grid(SPHERE, 10))
@@ -552,6 +576,51 @@ def test_row_norm_sums_in_the_axis_norms_order(dim, n):
     # settle's cosine takes its row dot in the same order
     B = rng.standard_normal((n, dim))
     assert _row_dot(D, B).tobytes() == np.sum(D * B, axis=-1).tobytes()
+
+
+def _edge_rows(dim):
+    """Rows (n, dim) and partners whose products and sums hit the edges:
+    signed zeros, all -0.0 products, subnormals and squares that underflow,
+    +-inf, nan, inf - inf and squares that overflow, every value in every
+    column (the values' products), then random rows of several scales."""
+    inf, nan, tiny = np.inf, np.nan, 5e-324
+    values = [0.0, -0.0, tiny, -tiny, 1e-310, 1e-170, 1e200, -1e200, 1.7e308, inf, -inf, nan, 1.0, -3.5]
+    A = np.array(list(itertools.product(values, repeat=dim)))
+    rng = np.random.default_rng(dim)
+    B = np.concatenate([A[rng.permutation(len(A))], -A[::-1], np.ones((1, dim)), np.abs(A[1:])])[:len(A)]
+    R = rng.standard_normal((300, dim)) * np.exp(rng.uniform(-300.0, 300.0, (300, dim)))
+    return np.concatenate([A, R]), np.concatenate([B, rng.standard_normal((300, dim))])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_row_reductions_equal_the_axis_reductions_on_edge_rows(dim):
+    # the package's one reduction over the N components gives the bytes of
+    # np.sum(A * B, axis=-1) and np.linalg.norm(A, axis=-1) on points (N,),
+    # rows (n, N) and the broadcast (k, 1, N) x (k, m, N), edge values included
+    A, B = _edge_rows(dim)
+    k, m = 7, len(A) // 7
+    shapes = [(A, B), (A[:k, None], B[:k * m].reshape(k, m, dim)), (A[:k * m].reshape(k, m, dim), B[:k, None])]
+    with np.errstate(all="ignore"):  # inf - inf, inf * 0 and the overflow warn
+        P = A * B
+        # the edges occur: all -0.0 products, inf - inf and a sum of squares that overflows
+        assert np.all((P == 0.0) & np.signbit(P), axis=-1).any()
+        assert (np.isinf(P).any(axis=-1) & np.isnan(np.sum(P, axis=-1))).any()
+        assert (np.isfinite(A).all(axis=-1) & np.isinf(np.linalg.norm(A, axis=-1))).any()
+        for a, b in shapes:
+            want_dot, want_norm = np.sum(a * b, axis=-1), np.linalg.norm(a, axis=-1)
+            assert _row_dot(a, b).shape == want_dot.shape
+            assert _row_dot(a, b).tobytes() == want_dot.tobytes()
+            assert _row_norm(a).tobytes() == want_norm.tobytes()
+        # a point's dot is a numpy scalar and its norm a float, with the same
+        # bits but for the sign of a nan, which IEEE 754 leaves open: where two
+        # products are nans of opposite signs, numpy's scalar add keeps the
+        # other one's
+        dots = np.array([_row_dot(a, b) for a, b in zip(A, B)])
+        norms = np.array([_row_norm(a) for a in A])
+        assert {type(_row_dot(A[0], B[0])), type(_row_norm(A[0]))} == {np.float64, float}
+        for got, want in ((dots, np.sum(A * B, axis=-1)), (norms, np.linalg.norm(A, axis=-1))):
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
 
 
 @pytest.mark.parametrize("dom", [zonal_domain(0.5, 0.05), _BIT_DOMAINS["ellipsoid"]],

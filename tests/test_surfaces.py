@@ -21,6 +21,7 @@ from shellmap.surfaces import (
     POLISH_STEP_TOL,
     TOL_SURFACE,
     _component_dot,
+    _finite_rows,
     _near_hit_cols,
     _outer_geometry_cols,
     _per_component,
@@ -330,7 +331,9 @@ def _edge_rays(core, rng, n):
     """n random rays of several lengths about core, (n, N) origins and
     directions, then the edge rays: zero directions inside and outside the
     core, tangent rays from surface points (B = 0, C = 0), nan origins,
-    inf directions, -0.0 components and inward normal rays."""
+    inf directions, -0.0 components, inward normal rays and the rays whose
+    near-root divisor s - b is negative (from outside, pointing away) or nan
+    (a miss across the core); the zero directions give s - b = +0.0."""
     N, s = core.dim, core.surface_scale()
     O = rng.standard_normal((n, N)) * s * rng.choice([0.1, 1.0, 3.0], (n, 1))
     D = rng.standard_normal((n, N)) * rng.choice([1e-3, 1.0, 1e3], (n, 1))
@@ -339,10 +342,62 @@ def _edge_rays(core, rng, n):
     T = tangent_part(nu, np.roll(nu, 1, axis=1))
     zero = np.zeros((2, N))
     signed = np.where(rng.uniform(size=(8, N)) < 0.5, -0.0, 0.0)
+    axis = np.diag(core.axes)
     O = np.concatenate([O, [0.1 * s * np.ones(N), 3.0 * s * np.ones(N)], X, X[:2] * np.nan,
-                        X[2:4], signed, X + 0.3 * s * nu])
-    D = np.concatenate([D, zero, T, nu[:2], nu[2:4] * np.inf, signed[::-1] + 0.5, -nu])
+                        X[2:4], signed, X + 0.3 * s * nu, 2.0 * axis, 2.0 * np.roll(axis, 1, axis=0)])
+    D = np.concatenate([D, zero, T, nu[:2], nu[2:4] * np.inf, signed[::-1] + 0.5, -nu, np.eye(N), np.eye(N)])
     return np.ascontiguousarray(O), np.ascontiguousarray(D)
+
+
+@pytest.mark.parametrize("core", [SPHERE, ConvexCore.sphere(1e3), ConvexCore.ellipsoid(2.0, 1.0, 0.5), CIRCLE],
+                         ids=lambda c: f"{c.kind}{c.semi_axes}")
+def test_a_points_near_root_divisor_has_the_bits_of_fmax(core):
+    # a point takes fmax(s - b, 0) as q if q >= 0.0 else 0.0 on a numpy
+    # scalar; the edge rays hold divisors s - b below 0, nan and +0.0, and
+    # each ray cast as a point gives the bits of its row
+    O, D = _edge_rays(core, np.random.default_rng(37), 60)
+    w = 1.0 / core.axes**2
+    A = np.einsum("ij,ij->i", D * w, D)
+    b = np.einsum("ij,ij->i", D * w, O)
+    C = np.einsum("ij,ij->i", O * w, O) - 1.0
+    with np.errstate(all="ignore"):
+        q = np.sqrt(b * b - A * C) - b
+    assert (q < 0.0).any() and np.isnan(q).any() and (q == 0.0).any()
+    # b^2 >= +0.0, so b^2 - AC and s - b are never -0.0 on a ray; where the
+    # guard could meet one, it keeps fmax's -0.0, as it keeps 0.0 for nan
+    assert not np.signbit(q[q == 0.0]).any()
+    for v in map(np.float64, [-0.0, 0.0, -1.0, 2.0, np.nan, -np.inf, np.inf, -5e-324]):
+        assert np.float64(v if v >= 0.0 else 0.0).tobytes() == np.fmax(v, 0.0).tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = _near_hit_cols(core, np.ascontiguousarray(O.T), np.ascontiguousarray(D.T))
+        points = [_near_hit_cols(core, o, d) for o, d in zip(O, D)]
+    # a ray from outside pointing away has an infinite t: its hit is not finite
+    assert not np.isfinite(rows[:, q < 0.0]).any()
+    assert all(_same_bits(y, rows[:, i]) for i, y in enumerate(points))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_finite_rows_ands_the_column_tests(dim):
+    # a non-finite value in each column in turn: the rows, a Fortran-ordered
+    # copy, (k, m, N) rows and each row as a point give np.isfinite(Y).all(axis=-1)
+    Y = np.random.default_rng(dim).standard_normal((12, dim))
+    core = CIRCLE if dim == 2 else SPHERE
+    X = core.ambient_from_chart(fibonacci_chart_grid(core, 12))
+    for j in range(dim):
+        for bad in (np.nan, np.inf, -np.inf):
+            Z = Y.copy()
+            Z[[2, 7], j] = bad
+            want = np.isfinite(Z).all(axis=-1)
+            assert _finite_rows(Z).dtype == bool and np.array_equal(_finite_rows(Z), want)
+            assert np.array_equal(_finite_rows(np.asfortranarray(Z)), want)
+            assert np.array_equal(_finite_rows(Z.reshape(3, 4, dim)), want.reshape(3, 4))
+            assert [_finite_rows(z) for z in Z] == want.tolist()
+            # retract_batch counts the rows that are not finite with it
+            V = np.zeros_like(X)
+            V[[2, 7], j] = bad
+            with pytest.raises(ProjectionFailed, match="^2 rows are not finite$"):
+                retract_batch(core, X, V)
 
 
 def _same_bits(a, b) -> bool:
