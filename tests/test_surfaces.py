@@ -137,6 +137,11 @@ def test_tangent_part_is_the_orthogonal_projection():
             assert np.array_equal(P[i, j], tangent_part(nu[i, 0], V[i, j]))
     # it removes exactly the normal part: V = P + (V . nu) nu
     assert np.abs(P + np.sum(V * nu, axis=-1, keepdims=True) * nu - V).max() <= 1e-15
+    # a dot whose products are all -0.0 is +0.0, as np.sum gives it, so the
+    # projection of a tangent V with a -0.0 component keeps that -0.0
+    V0, nu0 = np.array([[-1.0, -1.0, -0.0]]), np.array([[0.0, 0.0, 1.0]])
+    assert tangent_part(nu0, V0).tobytes() == V0.tobytes()
+    assert tangent_part(nu0[0], V0[0]).tobytes() == V0[0].tobytes()
 
 
 # ---------------------------------------------------------------------------
